@@ -83,7 +83,6 @@ from .stein import (
     SteinTestFn,
     log_vs_negbin_bound,
     solution_sup_bound,
-    stein_h,
     stein_residual,
     stein_solution,
 )

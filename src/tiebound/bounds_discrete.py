@@ -10,7 +10,8 @@ moments used, and the certified truncation error:
 
 ``log_bound_from_moments`` is the same logarithmic bound expressed directly
 in terms of the mean and P(K=2) of an arbitrary positive integer random
-variable, and ``geometric_link_bound`` converts a geometric-approximation
+variable (``log_bound_singleton`` evaluates it at the tie count's own
+moments), and ``geometric_link_bound`` converts a geometric-approximation
 error for the size-biased count into a logarithmic-approximation error for
 the count itself.
 """
@@ -24,6 +25,8 @@ from .errors import DegenerateParameterError, DomainError, NumericError
 from .maxima import (
     DEFAULT_TOL,
     KnSpec,
+    _factorial_moment_with_error,
+    _tie_pmf_with_error,
     tie_count_factorial_moment,
     tie_count_pmf,
 )
@@ -85,24 +88,22 @@ def log_bound_from_moments(mean: float, p_two: float, alpha: float) -> float:
 def log_bound_singleton(spec: KnSpec, tol: float = DEFAULT_TOL) -> BoundReport:
     """Logarithmic bound with parameter matched through 1-alpha = P(K=1)/E[K].
 
-    The bound is evaluated as the explicit series
-
-        -2 n log(1-alpha) sum_j p(j) (F(j)**(n-1)
-                    - (1-alpha)(n-1)/alpha * p(j) F(j-1)**(n-2)),
-
-    truncated with a certified remainder.  For a geometric base law the
-    matched parameter equals the geometric parameter itself.
+    The bound is the series -2 n log(1-alpha) sum_j p(j) (F(j)**(n-1)
+    - (1-alpha)(n-1)/alpha * p(j) F(j-1)**(n-2)).  As n sum_j p F(j)**(n-1)
+    = E[K] and n(n-1) sum_j p**2 F(j-1)**(n-2) = 2 P(K=2), it is evaluated as
+    ``log_bound_from_moments(E[K], P(K=2), alpha)``, and its truncation error
+    propagates the certified remainders of E[K] and P(K=2) (0 for finitely
+    supported laws).  For a geometric base law alpha equals the geometric
+    parameter itself.
     """
     if not (tol > 0.0):
         raise DomainError("tolerance must be positive")
-    n = spec.n
-    law = spec.law
-    if n == 1:
+    if spec.n == 1:
         # a single observation always ties itself: P(K=1) = E[K] = 1 exactly
         raise DegenerateParameterError(
             "matched logarithmic parameter is degenerate (alpha = 0 at n = 1)"
         )
-    e1 = tie_count_factorial_moment(spec, 1, tol)
+    e1, e1_err = _factorial_moment_with_error(spec, 1, tol)
     pk1 = tie_count_pmf(spec, 1, tol)
     alpha = 1.0 - pk1 / e1
     if not (0.0 < alpha < 1.0):
@@ -110,40 +111,13 @@ def log_bound_singleton(spec: KnSpec, tol: float = DEFAULT_TOL) -> BoundReport:
             f"matched logarithmic parameter is degenerate (alpha = {alpha!r}); "
             "the tie count admits no logarithmic approximation of this form"
         )
-    c = (1.0 - alpha) * (n - 1) / alpha
-    prefactor = -2.0 * n * math.log1p(-alpha)
-
-    pmf, cdf = law.pmf, law.cdf
-    total = 0.0
-    trunc = 0.0
-    if law.support_max is not None:
-        for j in range(1, law.support_max + 1):
-            pj = pmf(j)
-            if pj <= 0.0:
-                continue
-            total += pj * (cdf(j) ** (n - 1) - c * pj * cdf(j - 1) ** (n - 2))
-    else:
-        r, cc = law.tail_ratio, law.tail_const
-        converged = False
-        for j in range(1, 2_000_000):
-            pj = pmf(j)
-            if pj > 0.0:
-                total += pj * (cdf(j) ** (n - 1) - c * pj * cdf(j - 1) ** (n - 2))
-            # |term_j| <= C r**(j-1) + c C**2 r**(2(j-1)) termwise
-            rem = (cc * r**j / (1.0 - r)
-                   + c * cc * cc * r ** (2 * j) / (1.0 - r * r))
-            if prefactor * rem <= tol * max(1.0, prefactor * abs(total)):
-                trunc = prefactor * rem
-                converged = True
-                break
-        if not converged:
-            raise NumericError("logarithmic bound series did not converge")
-    bound = prefactor * total
+    pk2, pk2_err = _tie_pmf_with_error(spec, 2, tol)
+    prefactor = -2.0 * math.log1p(-alpha)
     return BoundReport(
-        bound=bound,
+        bound=log_bound_from_moments(e1, pk2, alpha),
         params={"alpha": alpha},
         moments={"EK": e1, "PK1": pk1},
-        truncation_error=trunc,
+        truncation_error=prefactor * (e1_err + 2.0 * (1.0 - alpha) / alpha * pk2_err),
         method="thm1a",
     )
 

@@ -95,8 +95,6 @@ def _descriptor_from_flags(law, p, mu, n, weights, b):
         if p is not None and mu is not None:
             raise click.UsageError("give only one of --p and --mu")
         if mu is not None:
-            if n is None:
-                raise click.UsageError("--mu needs --n to derive p = 1 - mu/n")
             p = 1.0 - mu / n
         return {"kind": "geometric", "p": p}
     if law == "tabulated":
@@ -112,6 +110,23 @@ def _descriptor_from_flags(law, p, mu, n, weights, b):
     raise click.UsageError(f"unknown law {law!r}")
 
 
+def _law_options(command):
+    """The law and sample-size flags shared by ``bound`` and ``simulate``."""
+    for option in reversed([
+        click.option("--law", default="geometric", show_default=True,
+                     type=click.Choice(["geometric", "tabulated", "gumbel", "uniform"])),
+        click.option("--p", type=float, default=None, help="geometric parameter"),
+        click.option("--mu", type=float, default=None, help="geometric mean scale: p = 1 - mu/n"),
+        click.option("--n", type=int, required=True, help="sample size"),
+        click.option("--ell", type=int, default=1, show_default=True, help="order-statistic rank"),
+        click.option("--a", type=float, default=None, help="distance threshold (continuous)"),
+        click.option("--b", type=float, default=None, help="uniform interval width"),
+        click.option("--weights", type=str, default=None, help="tabulated weights, comma separated"),
+    ]):
+        command = option(command)
+    return command
+
+
 @click.group()
 def cli():
     """Tie counts at sample extremes and their certified error bounds."""
@@ -119,15 +134,7 @@ def cli():
 
 @cli.command("bound")
 @click.argument("method", type=click.Choice(["thm1a", "thm1b", "thm2", "thm3", "thm4"]))
-@click.option("--law", default="geometric", show_default=True,
-              type=click.Choice(["geometric", "tabulated", "gumbel", "uniform"]))
-@click.option("--p", type=float, default=None, help="geometric parameter")
-@click.option("--mu", type=float, default=None, help="geometric mean scale: p = 1 - mu/n")
-@click.option("--n", type=int, default=None, help="sample size")
-@click.option("--ell", type=int, default=1, show_default=True, help="order-statistic rank")
-@click.option("--a", type=float, default=None, help="distance threshold (continuous)")
-@click.option("--b", type=float, default=None, help="uniform interval width")
-@click.option("--weights", type=str, default=None, help="tabulated weights, comma separated")
+@_law_options
 @click.option("--eq", type=float, default=None, help="E[Q] for thm4")
 @click.option("--eq2", type=float, default=None, help="E[Q^2] for thm4")
 @click.option("--tol", type=float, default=1e-12, show_default=True)
@@ -137,21 +144,19 @@ def cli():
 def cmd_bound(method, law, p, mu, n, ell, a, b, weights, eq, eq2, tol, fmt, out):
     """Evaluate one bound and emit its report."""
     if method == "thm4":
-        if n is None or eq is None or eq2 is None:
-            raise click.UsageError("thm4 needs --n, --eq and --eq2")
+        if eq is None or eq2 is None:
+            raise click.UsageError("thm4 needs --eq and --eq2")
         spec = bounds_continuous.MixedBinomialSpec(n=n, ell=ell, eq=eq, eq2=eq2)
         report = bounds_continuous.negbin_bound_mixed(spec)
         law_desc = {"kind": "mixed-binomial", "eq": eq, "eq2": eq2}
     elif method == "thm3":
-        if n is None or a is None:
-            raise click.UsageError("thm3 needs --n and --a")
+        if a is None:
+            raise click.UsageError("thm3 needs --a")
         law_desc = _descriptor_from_flags(law, p, mu, n, weights, b)
         law_obj = law_from_descriptor(law_desc)
         spec = NearOrderSpec(law=law_obj, n=n, ell=ell, a=a)
         report = bounds_continuous.negbin_bound_near_order(spec, max(tol, 1e-11))
     else:
-        if n is None:
-            raise click.UsageError(f"{method} needs --n")
         law_desc = _descriptor_from_flags(law, p, mu, n, weights, b)
         law_obj = law_from_descriptor(law_desc)
         spec = KnSpec(law=law_obj, n=n)
@@ -346,15 +351,7 @@ class _VerificationFailure(Exception):
 
 
 @cli.command("simulate")
-@click.option("--law", default="geometric", show_default=True,
-              type=click.Choice(["geometric", "tabulated", "gumbel", "uniform"]))
-@click.option("--p", type=float, default=None)
-@click.option("--mu", type=float, default=None)
-@click.option("--n", type=int, required=True)
-@click.option("--ell", type=int, default=1, show_default=True)
-@click.option("--a", type=float, default=None)
-@click.option("--b", type=float, default=None)
-@click.option("--weights", type=str, default=None)
+@_law_options
 @click.option("--kind", type=click.Choice(["ties", "size-biased", "near-order"]),
               default=None, help="default: ties for discrete laws, near-order for continuous")
 @click.option("--mc-samples", type=int, default=100_000, show_default=True)

@@ -39,6 +39,8 @@ class DiscreteLaw:
         pmf: mass function, defined for integer j >= 1.
         cdf: distribution function, defined for integer j >= 0 with cdf(0) = 0.
             Closed form where available; never derived by open-ended summation.
+            Both accept integer arrays as well as scalars: the tie-count
+            series evaluates them over blocks of j.
         tail_ratio: r in (0, 1) with 1 - cdf(j) <= tail_const * r**j for all j >= 0.
         tail_const: the constant C in the tail certificate.
         support_max: largest support point for finitely supported laws, else None.

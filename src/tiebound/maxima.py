@@ -6,9 +6,11 @@ function F, the number K of observations tied with the sample maximum has
     P(K = k)            = C(n, k) * sum_j p(j)**k * F(j-1)**(n-k)
     E[(K)_ell]          = (n)_ell * sum_j p(j)**ell * F(j)**(n-ell)
 
-where (k)_ell is the falling factorial.  This module evaluates those series
-with certified truncation remainders derived from the law's geometric tail
-certificate, entirely in log space so that n may be as large as 1e9.
+where (k)_ell is the falling factorial.  Both are instances of one series,
+sum_j p(j)**power * F(j or j-1)**expo, which a single engine (``_series``)
+evaluates: it takes log p(j) and log F over blocks of j, merges each block
+into a running log-sum-exp, and checks the law's geometric tail certificate
+at each block end.  Working in log space keeps n as large as 1e9 meaningful.
 
 It also exposes the law of the argmax value M (P(M = m) proportional to
 p(m) * F(m)**(n-1)), the conditional tie probability q(m) = p(m) / F(m),
@@ -18,7 +20,7 @@ and the size-biased tie count, which is a binomial mixture over q(M).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -41,16 +43,17 @@ __all__ = [
 DEFAULT_TOL = 1e-12
 
 _SERIES_CAP = 2_000_000
+# series blocks double from _FIRST_BLOCK terms, so short series stay cheap
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 1 << 15
 
 
-@dataclass
+@dataclass(frozen=True)
 class KnSpec:
     """Sample description: a discrete law and the number of observations."""
 
     law: DiscreteLaw
     n: int
-
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
@@ -75,92 +78,71 @@ def _log_falling(n: int, ell: int) -> float:
 def _series(law: DiscreteLaw, power: int, expo: int, shifted: bool,
             rel_tol: Optional[float] = None,
             log_abs_tol: Optional[float] = None) -> tuple[float, float]:
-    """Certified sum_{j>=1} p(j)**power * F(j - 1 or j)**expo.
+    """Certified sum_{j>=1} p(j)**power * F(j - 1 or j)**expo, for power >= 1.
 
     Returns ``(log_sum, log_remainder)`` where ``log_remainder`` bounds the
-    omitted mass of the series.  Terms are accumulated by streaming
-    log-sum-exp, so the result is meaningful even when every term underflows
-    a plain double.  The remainder certificate uses p(j) <= C * r**(j-1) and
-    F <= 1:
+    omitted mass of the series.  Terms are evaluated in log space over blocks
+    of j (64, 128, ... terms, at most ``_MAX_BLOCK``), each merged into a
+    running log-sum-exp, so the result is meaningful even when every term
+    underflows a plain double.  A finitely supported law is one block with
+    zero remainder.  Otherwise the remainder certificate, checked at each
+    block end, uses p(j) <= C * r**(j-1) and F <= 1:
 
         sum_{j>J} p(j)**power <= C**power * r**(power*J) / (1 - r**power).
 
-    Stops once the remainder meets ``rel_tol`` relative to the partial sum
-    and/or ``log_abs_tol`` absolutely (at least one must be given).
+    Stops at the first block end where the remainder meets ``rel_tol``
+    relative to the partial sum and/or ``log_abs_tol`` absolutely (at least
+    one must be given); raises :class:`TruncationError` past ``_SERIES_CAP``
+    terms.
     """
     if expo < 0:
         raise DomainError("series exponent must be non-negative")
     if rel_tol is None and log_abs_tol is None:
         raise ValueError("need a stopping tolerance")
-    pmf, cdf = law.pmf, law.cdf
-
-    if law.support_max is not None:
-        # finite support: exact sum, zero remainder
-        terms = []
-        for j in range(1, law.support_max + 1):
-            pj = pmf(j)
-            if pj <= 0.0:
-                continue
-            F = cdf(j - 1) if shifted else cdf(j)
-            if F <= 0.0:
-                if expo > 0:
-                    continue
-                F = 1.0  # F**0
-                terms.append(power * math.log(pj))
-                continue
-            terms.append(power * math.log(pj) + expo * math.log(F))
-        if not terms:
-            return -math.inf, -math.inf
-        m = max(terms)
-        s = math.fsum(math.exp(t - m) for t in terms)
-        return m + math.log(s), -math.inf
-
-    r = law.tail_ratio
-    log_r = math.log(r)
-    log_c = math.log(law.tail_const)
-    log_one_minus_rp = math.log1p(-r**power) if r**power < 1.0 else -math.inf
-    m = -math.inf  # running log-sum-exp scale
-    s = 0.0
-    for j in range(1, _SERIES_CAP + 1):
-        pj = pmf(j)
-        if pj > 0.0:
-            lt = power * math.log(pj)
-            F = cdf(j - 1) if shifted else cdf(j)
-            if F <= 0.0:
-                lt = -math.inf if expo > 0 else lt
-            elif expo > 0:
-                lt += expo * math.log(F)
-            if lt > -math.inf:
-                if lt > m:
-                    s = s * math.exp(m - lt) + 1.0
-                    m = lt
-                else:
-                    s += math.exp(lt - m)
-        log_rem = power * (log_c + j * log_r) - log_one_minus_rp
-        done = False
-        if log_abs_tol is not None and log_rem <= log_abs_tol:
-            done = True
-        if rel_tol is not None and s > 0.0 and log_rem <= math.log(rel_tol) + m + math.log(s):
-            done = True
-        if done:
-            log_sum = (m + math.log(s)) if s > 0.0 else -math.inf
+    finite = law.support_max is not None
+    cap = law.support_max if finite else _SERIES_CAP
+    log_r, log_c = math.log(law.tail_ratio), math.log(law.tail_const)
+    rp = law.tail_ratio**power
+    log_one_minus_rp = math.log1p(-rp) if rp < 1.0 else -math.inf
+    m, s = -math.inf, 0.0  # running log-sum-exp: scale and scaled sum
+    lo, size = 1, _FIRST_BLOCK
+    while True:
+        hi = cap if finite else min(cap, lo + size - 1)
+        j = np.arange(lo, hi + 1)
+        with np.errstate(divide="ignore"):
+            lt = power * np.log(law.pmf(j))
+            if expo > 0:  # F**0 = 1, even where F vanishes
+                lt += expo * np.log(law.cdf(j - 1 if shifted else j))
+        top = float(lt.max())
+        if top > m:
+            s, m = s * math.exp(m - top), top
+        if m > -math.inf:
+            s += float(np.exp(lt - m).sum())
+        log_sum = m + math.log(s) if s > 0.0 else -math.inf
+        log_rem = -math.inf if finite else power * (log_c + hi * log_r) - log_one_minus_rp
+        if ((log_abs_tol is not None and log_rem <= log_abs_tol)
+                or (rel_tol is not None and log_rem <= math.log(rel_tol) + log_sum)):
             return log_sum, log_rem
-    raise TruncationError(
-        f"tie-count series did not certify its tolerance within {_SERIES_CAP} terms",
-        best_bound=math.exp(power * (log_c + _SERIES_CAP * log_r) - log_one_minus_rp),
-    )
+        if hi == cap:
+            raise TruncationError(
+                f"tie-count series did not certify its tolerance within {cap} terms",
+                best_bound=math.exp(log_rem),
+            )
+        lo, size = hi + 1, min(2 * size, _MAX_BLOCK)
 
 
 def _tie_pmf_with_error(spec: KnSpec, k: int, tol: float) -> tuple[float, float]:
-    n = spec.n
-    log_binom = _log_comb(n, k)
-    log_sum, log_rem = _series(
-        spec.law, power=k, expo=n - k, shifted=True,
-        log_abs_tol=math.log(tol) - log_binom,
-    )
-    value = math.exp(log_binom + log_sum) if log_sum > -math.inf else 0.0
-    err = math.exp(log_binom + log_rem) if log_rem > -math.inf else 0.0
-    return value, err
+    log_binom = _log_comb(spec.n, k)
+    log_sum, log_rem = _series(spec.law, power=k, expo=spec.n - k, shifted=True,
+                               log_abs_tol=math.log(tol) - log_binom)
+    return math.exp(log_binom + log_sum), math.exp(log_binom + log_rem)
+
+
+def _factorial_moment_with_error(spec: KnSpec, ell: int, tol: float) -> tuple[float, float]:
+    log_falling = _log_falling(spec.n, ell)
+    log_sum, log_rem = _series(spec.law, power=ell, expo=spec.n - ell, shifted=False,
+                               rel_tol=tol)
+    return math.exp(log_falling + log_sum), math.exp(log_falling + log_rem)
 
 
 def tie_count_pmf(spec: KnSpec, k: int, tol: float = DEFAULT_TOL) -> float:
@@ -178,12 +160,7 @@ def tie_count_factorial_moment(spec: KnSpec, ell: int, tol: float = DEFAULT_TOL)
         raise DomainError(f"moment order must be an integer in [1, {spec.n}], got {ell!r}")
     if not (tol > 0.0):
         raise DomainError("tolerance must be positive")
-    key = ("fmom", ell, tol)
-    if key not in spec._cache:
-        log_sum, _ = _series(spec.law, power=ell, expo=spec.n - ell, shifted=False,
-                             rel_tol=tol)
-        spec._cache[key] = math.exp(_log_falling(spec.n, ell) + log_sum)
-    return spec._cache[key]
+    return _factorial_moment_with_error(spec, ell, tol)[0]
 
 
 def tie_count_law(spec: KnSpec, tol: float = DEFAULT_TOL) -> TruncatedPMF:

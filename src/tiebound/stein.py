@@ -26,7 +26,6 @@ from .errors import DomainError, TruncationError
 
 __all__ = [
     "SteinTestFn",
-    "stein_h",
     "stein_solution",
     "stein_residual",
     "solution_sup_bound",
@@ -64,18 +63,13 @@ class SteinTestFn:
                            np.array(sorted(members), dtype=np.int64))
 
     def __call__(self, k):
-        """h(k), vectorized over integer arrays."""
+        """h(k), always in [-1, 1]; vectorized over integer arrays."""
         k = np.asarray(k)
         ind = np.isin(k, self._member_arr)
         if self.complement:
             ind = ~ind
         out = ind.astype(float) - self._target_prob
         return out if out.ndim else float(out)
-
-
-def stein_h(test: SteinTestFn, k: int) -> float:
-    """Value of the test function at k; always in [-1, 1]."""
-    return test(k)
 
 
 def stein_solution(test: SteinTestFn, k: int, tol: float = 1e-13) -> float:

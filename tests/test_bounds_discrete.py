@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 from tiebound.approximants import (
@@ -31,6 +32,30 @@ from tiebound.maxima import (
 TOL = 1e-12
 
 
+def _mp_geometric(p, n):
+    """pmf, cdf and shifted cdf of Geometric(p) as 40-digit lists, long enough
+    that the omitted terms of every oracle series stay below 1e-45."""
+    q = 1 - mpmath.mpf(p)
+    # the mass of p F**(n-1) sits near log(n)/p; past it terms decay like q**j
+    top = int((math.log(n) + 110.0) / -math.log1p(-p))
+    cdf = [1 - q**j for j in range(0, top + 1)]
+    return [mpmath.mpf(p) * q**(j - 1) for j in range(1, top + 1)], cdf[1:], cdf[:-1]
+
+
+def _mp_tabulated(weights):
+    pmf = [mpmath.mpf(w) for w in weights]
+    cdf = [mpmath.fsum(pmf[:j]) for j in range(0, len(pmf) + 1)]
+    return pmf, cdf[1:], cdf[:-1]
+
+
+# (law, n, 40-digit oracle tables of the same law)
+ORACLE_POINTS = [
+    (geometric_law(0.3), 12, lambda: _mp_geometric(0.3, 12)),
+    (tabulated_law([0.2, 0.3, 0.5]), 7, lambda: _mp_tabulated([0.2, 0.3, 0.5])),
+    (geometric_law(0.01), 10_000, lambda: _mp_geometric(0.01, 10_000)),
+]
+
+
 class TestLogBoundSingleton:
     def test_geometric_parameter_identity(self):
         for p in (0.05, 0.2, 0.5):
@@ -51,14 +76,40 @@ class TestLogBoundSingleton:
         assert report.bound == pytest.approx(2.4383941884454714, rel=1e-12)
 
     def test_agreement_with_moment_form(self):
-        """Series evaluation equals the closed form fed with exact moments."""
-        for law, n in ((geometric_law(0.3), 12), (tabulated_law([0.2, 0.3, 0.5]), 7)):
+        """The moment-form evaluation equals the paper's explicit series,
+        summed in 40 digits, within its certified truncation error."""
+        for law, n, oracle_law in ORACLE_POINTS:
+            report = log_bound_singleton(KnSpec(law=law, n=n), TOL)
+            alpha = report.params["alpha"]
+            with mpmath.workdps(40):
+                pmf, cdf, cdf_prev = oracle_law()
+                c = (1 - mpmath.mpf(alpha)) * (n - 1) / alpha
+                oracle = float(-2 * n * mpmath.log1p(-alpha) * mpmath.fsum(
+                    pj * (Fj**(n - 1) - c * pj * Fp**(n - 2))
+                    for pj, Fj, Fp in zip(pmf, cdf, cdf_prev)))
+            assert abs(report.bound - oracle) <= (report.truncation_error
+                                                  + 1e-13 * max(1.0, oracle))
+
+    def test_series_values_match_high_precision_oracle(self):
+        """E[(K)_ell] and P(K = k) agree with their series summed in 40 digits,
+        within the requested tolerance (relative for moments, absolute for
+        masses)."""
+        for law, n, oracle_law in ORACLE_POINTS:
             spec = KnSpec(law=law, n=n)
-            report = log_bound_singleton(spec, TOL)
-            e1 = tie_count_factorial_moment(spec, 1, TOL)
-            pk2 = tie_count_pmf(spec, 2, TOL)
-            closed = log_bound_from_moments(e1, pk2, report.params["alpha"])
-            assert report.bound == pytest.approx(closed, rel=2e-11)
+            with mpmath.workdps(40):
+                pmf, cdf, cdf_prev = oracle_law()
+                moments = [float(mpmath.ff(n, ell) * mpmath.fsum(
+                    pj**ell * Fj**(n - ell) for pj, Fj in zip(pmf, cdf)))
+                    for ell in (1, 2, 3)]
+                masses = [float(mpmath.binomial(n, k) * mpmath.fsum(
+                    pj**k * Fp**(n - k) for pj, Fp in zip(pmf, cdf_prev)))
+                    for k in (1, 2)]
+            for ell, oracle in zip((1, 2, 3), moments):
+                value = tie_count_factorial_moment(spec, ell, TOL)
+                assert abs(value - oracle) <= TOL * oracle + 1e-13 * max(1.0, oracle)
+            for k, oracle in zip((1, 2), masses):
+                value = tie_count_pmf(spec, k, TOL)
+                assert abs(value - oracle) <= TOL + 1e-13 * max(1.0, oracle)
 
     def test_dominates_exact_tv(self):
         # one spot check here; the full grid runs in the acceptance suite

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from tiebound.distributions import geometric_law, tabulated_law
-from tiebound.errors import DomainError
+from tiebound.errors import DomainError, TruncationError
 from tiebound.maxima import (
     KnSpec,
     argmax_value_law,
@@ -252,3 +252,18 @@ def test_huge_sample_sizes_stay_finite():
     e3 = tie_count_factorial_moment(spec, 3, TOL)
     assert 99.0 < e2 / e1 < 101.0
     assert e3 > 0.0 and math.isfinite(e3)
+
+
+def test_series_cap_is_honoured_between_block_ends(monkeypatch):
+    """With the term cap off any block boundary, the engine stops at exactly the
+    cap and reports the tail certificate there, C r**J / (1 - r) at J = cap."""
+    cap = 1000
+    monkeypatch.setattr("tiebound.maxima._SERIES_CAP", cap)
+    law = geometric_law(1e-7)
+    with pytest.raises(TruncationError) as exc:
+        tie_count_factorial_moment(KnSpec(law=law, n=5), 1, TOL)
+    r = law.tail_ratio
+    certificate = law.tail_const * r**cap / (1.0 - r)
+    assert math.isfinite(exc.value.best_bound)
+    # one term more or less moves the certificate by a factor r = 1 - 1e-7
+    assert exc.value.best_bound == pytest.approx(certificate, rel=1e-9)

@@ -17,7 +17,6 @@ from tiebound.stein import (
     SteinTestFn,
     log_vs_negbin_bound,
     solution_sup_bound,
-    stein_h,
     stein_residual,
     stein_solution,
 )
@@ -53,13 +52,13 @@ class TestTestFunction:
         empty = SteinTestFn(members=frozenset(), alpha=alpha)
         full = SteinTestFn(members=frozenset(), alpha=alpha, complement=True)
         for k in range(0, 30):
-            assert stein_h(empty, k) == 0.0
-            assert stein_h(full, k) == pytest.approx(0.0, abs=1e-15)
+            assert empty(k) == 0.0
+            assert full(k) == pytest.approx(0.0, abs=1e-15)
 
     def test_singleton_value(self):
         t = SteinTestFn(members=frozenset({1}), alpha=0.5)
-        assert stein_h(t, 1) == pytest.approx(1.0 - 0.7213475204444817, rel=1e-13)
-        assert stein_h(t, 2) == pytest.approx(-0.7213475204444817, rel=1e-13)
+        assert t(1) == pytest.approx(1.0 - 0.7213475204444817, rel=1e-13)
+        assert t(2) == pytest.approx(-0.7213475204444817, rel=1e-13)
 
     def test_zero_mean_under_target(self):
         for t in _random_test_fns(20, seed=5):
