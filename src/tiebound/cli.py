@@ -34,7 +34,7 @@ import numpy as np
 from . import approximants, bounds_continuous, bounds_discrete, montecarlo
 from .distributions import law_from_descriptor
 from .errors import DegenerateParameterError, DomainError, NumericError
-from .maxima import KnSpec, tie_count_law
+from .maxima import KnSpec, tie_count_factorial_moment, tie_count_law
 from .bounds_continuous import NearOrderSpec
 
 DEFAULT_SEED = 202608
@@ -350,6 +350,20 @@ class _VerificationFailure(Exception):
     pass
 
 
+def _size_biased_law(spec: KnSpec, tol: float) -> approximants.TruncatedPMF:
+    """Law of the size-biased tie count, k P(K = k) / E[K], from one law of K."""
+    law = tie_count_law(spec, tol)
+    e1 = tie_count_factorial_moment(spec, 1, tol)
+    star = np.arange(law.k_min, law.k_max + 1) * law.probs / e1
+    # With T the law's certificate (entry errors plus the mass above K_max)
+    # and e1 <= E[K] <= e1 (1 + tol) (a positive series with a relative
+    # remainder), the entries err by at most K_max T / e1 + tol in all, and
+    # the mass above K_max is at most 1 + tol - sum(star) + K_max T / e1.
+    slack = law.k_max * law.tail_mass_bound / e1 + tol
+    tail = 2.0 * slack + max(0.0, 1.0 - math.fsum(star.tolist()))
+    return approximants.TruncatedPMF(k_min=law.k_min, probs=star, tail_mass_bound=tail)
+
+
 @cli.command("simulate")
 @_law_options
 @click.option("--kind", type=click.Choice(["ties", "size-biased", "near-order"]),
@@ -360,8 +374,6 @@ class _VerificationFailure(Exception):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_simulate(law, p, mu, n, ell, a, b, weights, kind, mc_samples, seed, tol, out):
     """Empirical pmf of a simulated count next to its exact law."""
-    from .maxima import size_biased_tie_pmf
-
     seed = _seed_option(seed)
     desc = _descriptor_from_flags(law, p, mu, n, weights, b)
     law_obj = law_from_descriptor(desc)
@@ -379,9 +391,7 @@ def cmd_simulate(law, p, mu, n, ell, a, b, weights, kind, mc_samples, seed, tol,
     elif kind == "size-biased":
         spec = KnSpec(law=law_obj, n=n)
         samples = montecarlo.sample_size_biased_ties(spec, rng, size=mc_samples)
-        star = [size_biased_tie_pmf(spec, k, tol) for k in range(1, n + 1)]
-        exact = approximants.TruncatedPMF(k_min=1, probs=np.array(star),
-                                          tail_mass_bound=8 * tol * n)
+        exact = _size_biased_law(spec, tol)
     else:
         spec = KnSpec(law=law_obj, n=n)
         samples = montecarlo.sample_tie_count(spec, rng, size=mc_samples)
@@ -390,12 +400,10 @@ def cmd_simulate(law, p, mu, n, ell, a, b, weights, kind, mc_samples, seed, tol,
     rows = []
     k_lo = min(emp.k_min, exact.k_min)
     k_hi = max(emp.k_min + emp.counts.size - 1, exact.k_max)
-    freqs = emp.frequencies()
     for k in range(k_lo, k_hi + 1):
         idx = k - emp.k_min
         count = int(emp.counts[idx]) if 0 <= idx < emp.counts.size else 0
-        freq = float(freqs[idx]) if 0 <= idx < emp.counts.size else 0.0
-        rows.append([k, count, freq, exact.prob(k)])
+        rows.append([k, count, count / emp.sample_size, exact.prob(k)])
     buf = io.StringIO()
     _write_csv(rows, ["k", "count", "frequency", "exact_pmf"], buf)
     _emit(buf.getvalue(), out)

@@ -113,12 +113,19 @@ def _discrete_quantile_fn(law: DiscreteLaw):
     return quantile
 
 
-def _row_chunks(size: int, n: int):
-    rows = max(1, _CHUNK_CELLS // max(n, 1))
-    start = 0
-    while start < size:
-        yield min(rows, size - start)
-        start += rows
+def _replicate(size, n: int, draw_rows):
+    """Fill replications from ``draw_rows(rows)``, in chunks of about _CHUNK_CELLS cells.
+
+    With ``size=None`` returns a single int; otherwise an int64 array of
+    that many independent replications.
+    """
+    scalar = size is None
+    size = 1 if scalar else int(size)
+    out = np.empty(size, dtype=np.int64)
+    step = max(1, _CHUNK_CELLS // max(n, 1))
+    for start in range(0, size, step):
+        out[start:start + step] = draw_rows(min(step, size - start))
+    return int(out[0]) if scalar else out
 
 
 def sample_tie_count(spec: KnSpec, rng: RngStream, size=None):
@@ -130,17 +137,12 @@ def sample_tie_count(spec: KnSpec, rng: RngStream, size=None):
     """
     gen = rng.generator()
     quantile = _discrete_quantile_fn(spec.law)
-    n = spec.n
-    scalar = size is None
-    size = 1 if scalar else int(size)
-    out = np.empty(size, dtype=np.int64)
-    pos = 0
-    for rows in _row_chunks(size, n):
-        x = quantile(gen.random((rows, n)))
-        top = x.max(axis=1)
-        out[pos:pos + rows] = (x == top[:, None]).sum(axis=1)
-        pos += rows
-    return int(out[0]) if scalar else out
+
+    def draw_rows(rows):
+        x = quantile(gen.random((rows, spec.n)))
+        return (x == x.max(axis=1)[:, None]).sum(axis=1)
+
+    return _replicate(size, spec.n, draw_rows)
 
 
 def sample_size_biased_ties(spec: KnSpec, rng: RngStream, size=None):
@@ -152,23 +154,18 @@ def sample_size_biased_ties(spec: KnSpec, rng: RngStream, size=None):
     """
     gen = rng.generator()
     n = spec.n
-    scalar = size is None
-    size = 1 if scalar else int(size)
     if n == 1:
-        out = np.ones(size, dtype=np.int64)
-        return int(out[0]) if scalar else out
+        return _replicate(size, n, lambda rows: 1)
     m_quantile = _discrete_quantile_fn(argmax_value_law(spec))
     base_quantile = _discrete_quantile_fn(spec.law)
-    out = np.empty(size, dtype=np.int64)
-    pos = 0
-    for rows in _row_chunks(size, n):
+
+    def draw_rows(rows):
         m = np.asarray(m_quantile(gen.random(rows)), dtype=np.int64)
         f_at_m = np.asarray(spec.law.cdf(m), dtype=float)
-        u = gen.random((rows, n - 1)) * f_at_m[:, None]
-        x = base_quantile(u)
-        out[pos:pos + rows] = 1 + (x == m[:, None]).sum(axis=1)
-        pos += rows
-    return int(out[0]) if scalar else out
+        x = base_quantile(gen.random((rows, n - 1)) * f_at_m[:, None])
+        return 1 + (x == m[:, None]).sum(axis=1)
+
+    return _replicate(size, n, draw_rows)
 
 
 def sample_near_order_count(spec: NearOrderSpec, rng: RngStream, size=None):
@@ -181,17 +178,13 @@ def sample_near_order_count(spec: NearOrderSpec, rng: RngStream, size=None):
         raise DomainError("continuous law needs a quantile function for sampling")
     gen = rng.generator()
     n, ell, a = spec.n, spec.ell, spec.a
-    scalar = size is None
-    size = 1 if scalar else int(size)
-    out = np.empty(size, dtype=np.int64)
-    pos = 0
-    for rows in _row_chunks(size, n):
+
+    def draw_rows(rows):
         x = np.asarray(spec.law.quantile(gen.random((rows, n))), dtype=float)
         order = np.sort(x, axis=1)[:, n - ell]
-        inside = (x > (order - a)[:, None]) & (x < order[:, None])
-        out[pos:pos + rows] = inside.sum(axis=1)
-        pos += rows
-    return int(out[0]) if scalar else out
+        return ((x > (order - a)[:, None]) & (x < order[:, None])).sum(axis=1)
+
+    return _replicate(size, n, draw_rows)
 
 
 def empirical_tv(emp: EmpiricalPMF, target: TruncatedPMF):

@@ -1,6 +1,7 @@
 """Continuous-case bounds: quadrature vs closed forms, delegation, dominance."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,27 @@ from tiebound.errors import DegenerateParameterError, DomainError
 GRID_A = (0.1, 0.5, 1.0, 2.0)
 GRID_N = (5, 20, 100)
 GRID_ELL = (1, 2, 3)
+
+
+def _uniform_mixture_pmf(n, ell, a):
+    """Exact near-order law on the uniform (0, 1) law, for rational a < 1.
+
+    On (0, a) the gap ratio is 1, so that part puts the mass
+    P(X_(n-ell+1:n) <= a) on k = m = n - ell.  On (a, 1) it is a/x, and
+    with the density n C(n-1, ell-1) (1-x)**(ell-1) x**m the integrand of
+    outcome k is the polynomial n C(n-1, ell-1) C(m, k) a**k (x-a)**(m-k)
+    (1-x)**(ell-1), whose integral over (a, 1) is a beta function.
+    """
+    m = n - ell
+    norm = n * math.comb(n - 1, ell - 1)
+    probs = []
+    for k in range(m + 1):
+        j = m - k
+        beta = Fraction(math.factorial(j) * math.factorial(ell - 1), math.factorial(j + ell))
+        probs.append(norm * math.comb(m, k) * a**k * (1 - a) ** (j + ell) * beta)
+    probs[m] += sum(math.comb(n, i) * (1 - a) ** i * a ** (n - i) for i in range(ell))
+    assert sum(probs) == 1
+    return probs
 
 
 class TestMixedBinomialBound:
@@ -261,12 +283,36 @@ class TestNearOrderBound:
         target = truncated_negbin(ell, report.params["beta"], 1e-12)
         assert report.bound >= tv_distance(mixture, target).hi
 
-    def test_mixture_pmf_is_proper(self):
-        spec = NearOrderSpec(law=uniform_law(1.0), n=9, ell=2, a=0.15)
+    @pytest.mark.parametrize(
+        "kind,n,ell,a",
+        [
+            ("uniform", 9, 2, 0.15),
+            ("uniform", 8, 1, 0.05),
+            ("uniform", 10, 2, 0.1),
+            ("uniform", 200, 3, 0.05),
+            ("gumbel", 100, 1, 0.3),
+            ("gumbel", 2000, 1, 0.3),  # C(n - ell, k) overflows a float here
+            ("gumbel", 50, 3, 0.5),
+        ],
+    )
+    def test_mixture_pmf_is_proper(self, kind, n, ell, a):
+        law = uniform_law(1.0) if kind == "uniform" else gumbel_law()
+        spec = NearOrderSpec(law=law, n=n, ell=ell, a=a)
         mixture = near_order_count_pmf(spec, 1e-10)
         assert mixture.k_min == 0
         assert mixture.k_max == spec.n - spec.ell
         assert mixture.total() == pytest.approx(1.0, abs=1e-9)
+        m = n - ell
+        if kind == "uniform":
+            exact = _uniform_mixture_pmf(n, ell, Fraction(a))
+            l1 = sum(abs(Fraction(float(p)) - e) for p, e in zip(mixture.probs, exact))
+            assert l1 <= mixture.tail_mass_bound
+        else:
+            k = np.arange(m + 1)
+            assert math.fsum(k * mixture.probs) == pytest.approx(
+                m * gumbel_gap_moment_exact(n, ell, a, 1), rel=1e-8)
+            assert math.fsum(k * (k - 1) * mixture.probs) == pytest.approx(
+                m * (m - 1) * gumbel_gap_moment_exact(n, ell, a, 2), rel=1e-8)
 
 
 class TestGumbelMaxBound:

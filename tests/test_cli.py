@@ -1,11 +1,19 @@
 """Command-line surface: outputs, exit codes, and byte stability."""
 
 import json
+import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from tiebound.cli import cli, main, round3
+import tiebound
+from tiebound.cli import _size_biased_law, cli, main, round3
+from tiebound.distributions import geometric_law
+from tiebound.maxima import KnSpec, size_biased_tie_pmf
 
 
 @pytest.fixture
@@ -163,6 +171,41 @@ class TestSimulateCommand:
                                "--mc-samples", "2000", "--seed", "3"])
         assert result.exit_code == 0
         assert result.output.startswith("k,count,frequency,exact_pmf")
+
+    def test_near_order_beyond_float_binomials(self, runner):
+        # n - ell = 1999: C(1999, k) as a Python int overflows a float
+        result = runner.invoke(cli, ["simulate", "--law", "gumbel", "--n", "2000",
+                                     "--a", "0.3", "--mc-samples", "200", "--seed", "3"])
+        assert result.exit_code == 0, result.output
+        assert len(result.output.strip().split("\n")) == 1 + 2000
+
+    def test_size_biased_exact_column(self, runner):
+        result = _run(runner, ["simulate", "--kind", "size-biased", "--p", "0.3",
+                               "--n", "10", "--mc-samples", "2000", "--seed", "3"])
+        spec = KnSpec(law=geometric_law(0.3), n=10)
+        for line in result.output.strip().split("\n")[1:]:
+            k, exact = int(line.split(",")[0]), float(line.split(",")[3])
+            assert exact == pytest.approx(size_biased_tie_pmf(spec, k), abs=1e-12)
+
+    def test_size_biased_tail_budget_covers_omitted_outcomes(self):
+        spec = KnSpec(law=geometric_law(0.05), n=200)
+        law = _size_biased_law(spec, 1e-12)
+        assert law.k_max < spec.n  # the certified support, not all of 1..n
+        reference = np.array([size_biased_tie_pmf(spec, k) for k in range(1, spec.n + 1)])
+        l1 = math.fsum(np.abs(reference[: law.probs.size] - law.probs).tolist())
+        l1 += math.fsum(reference[law.probs.size:].tolist())
+        assert l1 <= law.tail_mass_bound
+
+
+def test_discrete_commands_do_not_import_scipy():
+    src = os.path.dirname(os.path.dirname(tiebound.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, tiebound.cli\n"
+            "assert tiebound.cli.main(['bound', 'thm2', '--p', '0.1', '--n', '10']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip().split("\n")[-1] == "[]"
 
 
 def test_outputs_are_byte_stable(runner):
