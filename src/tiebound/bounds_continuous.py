@@ -10,9 +10,11 @@ so the general engine here is a negative binomial bound for mixed binomial
 random variables (``negbin_bound_mixed``), parameterized by the first two
 moments of the mixing variable.  For the count near an order statistic the
 mixing moments and the law of the count are integrals of vectors of
-functions of r_a against the order-statistic density, one ``quad_vec`` pass
-each, with closed forms for the Gumbel and uniform laws as cross-checks.  The
-errors of these passes are QUADPACK-style estimates, not certificates.
+functions of r_a against the order-statistic density, one adaptive
+Gauss-Kronrod pass each (``_quad_vec``, a vectorised port of scipy's
+``quad_vec``), with closed forms for the Gumbel and uniform laws as
+cross-checks.  The errors of these passes are QUADPACK-style estimates, not
+certificates.  Of scipy only ``scipy.special`` is used, imported where needed.
 
 The uniform closed forms come in two flavours: the idealized forms that
 treat r_a(x) as a/x across the whole interval (accurate when a is small
@@ -23,6 +25,7 @@ the Gumbel cdf is positive on all of R and nothing clamps.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 
@@ -130,98 +133,287 @@ def negbin_bound_mixed(spec: MixedBinomialSpec) -> BoundReport:
     )
 
 
-def gap_ratio(law: ContinuousLaw, a: float, x: float) -> float:
+def gap_ratio(law: ContinuousLaw, a: float, x):
     """r_a(x) = 1 - F(x - a) / F(x), taken as 1 where F(x) = 0.
 
     The clamped cdf makes this well defined below the support; the value is
-    always in [0, 1].
+    always in [0, 1].  ``x`` may be an array; a scalar gives a float.
     """
-    fx = law.cdf(x)
-    if fx <= 0.0:
-        return 1.0
-    r = 1.0 - law.cdf(x - a) / fx
-    return min(max(r, 0.0), 1.0)
+    x = np.asarray(x, dtype=float)
+    fx = np.asarray(law.cdf(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(fx > 0.0, np.clip(1.0 - law.cdf(x - a) / fx, 0.0, 1.0), 1.0)
+    return r if r.ndim else float(r)
 
 
 def _log_order_const(n: int, ell: int) -> float:
-    """log(n * C(n-1, ell-1)), the order-statistic density normalizer."""
-    if n <= 10_000:
+    """log(n * C(n-1, ell-1)), the order-statistic density normalizer.
+
+    The binomial is an exact integer unless both n and the smaller of ell-1
+    and n-ell are large (it costs under 1 ms at n = 1e9 with 1000 factors);
+    beyond that the lgamma terms of size n log n cancel to about n log(n) eps.
+    """
+    if n <= 10_000 or min(ell - 1, n - ell) <= 1000:
         return math.log(n) + math.log(math.comb(n - 1, ell - 1))
     return (math.log(n) + math.lgamma(n) - math.lgamma(ell)
             - math.lgamma(n - ell + 1))
 
 
-def order_stat_density(spec: NearOrderSpec, x: float) -> float:
+def order_stat_density(spec: NearOrderSpec, x):
     """Density of the ell-th largest of n observations at x.
 
     f_ell(x) = n C(n-1, ell-1) (1 - F(x))**(ell-1) F(x)**(n-ell) f(x);
-    integrates to 1 over the support.
+    integrates to 1 over the support.  ``x`` may be an array; a scalar gives
+    a float.
     """
     n, ell = spec.n, spec.ell
-    fx = spec.law.pdf(x)
-    if fx <= 0.0:
-        return 0.0
-    F = spec.law.cdf(x)
-    return (math.exp(_log_order_const(n, ell))
-            * (1.0 - F) ** (ell - 1) * F ** (n - ell) * fx)
+    x = np.asarray(x, dtype=float)
+    fx = np.asarray(spec.law.pdf(x))
+    F = np.asarray(spec.law.cdf(x))
+    out = np.where(fx > 0.0, math.exp(_log_order_const(n, ell))
+                   * (1.0 - F) ** (ell - 1) * F ** (n - ell) * fx, 0.0)
+    return out if out.ndim else float(out)
 
 
 def _integration_points(spec: NearOrderSpec):
     """Finite breakpoints: the gap-ratio kink plus order-statistic quantiles."""
-    from scipy import stats
+    from scipy import special
 
     lo, hi = spec.law.support
     pts = {lo + spec.a}
     if spec.law.quantile is not None:
         # bulk of the order statistic: F(X_(n-ell+1:n)) ~ Beta(n-ell+1, ell)
-        u = stats.beta.ppf([1e-9, 0.05, 0.5, 0.95, 1.0 - 1e-9], spec.n - spec.ell + 1, spec.ell)
+        u = special.betaincinv(spec.n - spec.ell + 1, spec.ell,
+                               [1e-9, 0.05, 0.5, 0.95, 1.0 - 1e-9])
         x = spec.law.quantile(u[(0.0 < u) & (u < 1.0)])
         pts.update(x.tolist() + (x - spec.a).tolist())
     return sorted(p for p in pts if math.isfinite(p) and lo < p < hi)
 
 
+def _gk_rule(nodes, kronrod, gauss):
+    """A Gauss-Kronrod rule on [-1, 1] from its halves, centre value last.
+
+    ``gauss`` holds the Gauss weight of each Kronrod node, 0 where the node
+    is not a Gauss node.
+    """
+    def mirror(half, sign=1.0):
+        return np.array(half + [sign * value for value in half[-2::-1]])
+
+    x, v, w = mirror(nodes, -1.0), mirror(kronrod), mirror(gauss)
+    return x, v, w, np.flatnonzero(w)
+
+
+# QUADPACK's rules (Piessens et al., 1983), as in scipy.integrate.quad_vec
+_GK21 = _gk_rule(
+    [0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+     0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+     0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+     0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0],
+    [0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+     0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+     0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+     0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+     0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+     0.149445554002916905664936468389821],
+    [0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+     0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+     0.0, 0.295524224714752870173892994651338, 0.0],
+)
+_GK15 = _gk_rule(
+    [0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+     0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+     0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+     0.207784955007898467600689403773245, 0.0],
+    [0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+     0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+     0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+     0.204432940075298892414161999234649, 0.209482141084727828012999174891714],
+    [0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+     0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327],
+)
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _norm2(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, as ``np.linalg.norm`` takes it of a vector."""
+    return np.sqrt([row @ row for row in rows])
+
+
+def _gk_panels(f, rule, lo: np.ndarray, hi: np.ndarray):
+    """Gauss-Kronrod integrals of ``f`` over the intervals (lo[i], hi[i]).
+
+    All nodes go to ``f`` in one call.  Returns the integrals, the QUADPACK
+    error estimates and the rounding terms, in the Euclidean norm.
+    """
+    x, v, w, gauss = rule
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fv = f((c[:, None] + h[:, None] * x).ravel()).reshape(lo.size, x.size, -1)
+    # node by node, in quad_vec's order, so that the sums round as there
+    s_k = s_k_abs = s_g = s_k_dabs = 0.0
+    for i in range(x.size):
+        s_k = s_k + v[i] * fv[:, i]
+        s_k_abs = s_k_abs + v[i] * abs(fv[:, i])
+    for i in gauss:
+        s_g = s_g + w[i] * fv[:, i]
+    y0 = s_k / 2.0
+    for i in range(x.size):
+        s_k_dabs = s_k_dabs + v[i] * abs(fv[:, i] - y0)
+    err = _norm2((s_k - s_g) * h[:, None])
+    dabs = _norm2(s_k_dabs * h[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = dabs * np.minimum(1.0, (200.0 * err / dabs) ** 1.5)
+    err = np.where((dabs != 0.0) & (err != 0.0), scaled, err)
+    rnd = _norm2((50.0 * _EPS * h)[:, None] * s_k_abs)
+    err = np.where(rnd > _TINY, np.maximum(err, rnd), err)
+    return h[:, None] * s_k, err, rnd
+
+
+def _quad_vec(f, a: float, b: float, points, epsabs: float, epsrel: float):
+    """Global adaptive Gauss-Kronrod integral of a vector-valued ``f`` over (a, b).
+
+    A vectorised port of ``scipy.integrate.quad_vec`` with ``norm="2"``:
+    GK21 on finite intervals, GK15 after its maps of infinite ends onto
+    (-1, 1) or (0, 1), the QUADPACK error heuristic and its 50 eps rounding
+    term.  Each round bisects the intervals of largest error, at most 128 and
+    only until their errors cover all but tol/8 of the total; it stops when
+    the total error is below tol/8 or below the rounding term, or at 50
+    intervals.  ``f`` maps an array of N points to an (N, d) array, and each
+    round evaluates all its nodes in one call.  Returns the integral and the
+    error estimate (total error plus rounding term), an estimate, not a bound.
+    """
+    rule, lo, hi = _GK21, a, b
+    tmin = math.sqrt(_TINY)  # below it the 1/t**2 factor overflows
+    if math.isinf(a) or math.isinf(b):
+        if math.isinf(a) and math.isinf(b):
+            def to_x(t):
+                return (1.0 - abs(t)) / t
+
+            lo, hi = -1.0, 1.0
+            points = [0.0] + [(-1.0 if p < 0 else 1.0) / (abs(p) + 1.0) for p in points]
+        else:
+            start, sgn = (a, 1.0) if math.isfinite(a) else (b, -1.0)
+
+            def to_x(t):
+                return start + sgn * (1.0 - t) / t
+
+            lo, hi = 0.0, 1.0
+            points = [1.0 / (sgn * (p - start) + 1.0) for p in points]
+        rule, g = _GK15, f
+
+        def f(t):
+            keep = abs(t) >= tmin
+            t = np.where(keep, t, 1.0)
+            return np.where(keep[:, None], g(to_x(t)) / t[:, None] / t[:, None], 0.0)
+
+    edges = [lo]
+    for p in sorted(points):
+        if lo < p < hi and p != edges[-1]:
+            edges.append(p)
+    edges.append(hi)
+    left, right = np.array(edges[:-1]), np.array(edges[1:])
+    ig, err, rnd = _gk_panels(f, rule, left, right)
+    total, total_err, total_rnd = ig[0].copy(), sum(err.tolist()), sum(rnd.tolist())
+    for row in ig[1:]:
+        total += row
+    cache = {(x1, x2): ig[i] for i, (x1, x2) in enumerate(zip(edges[:-1], edges[1:]))}
+    heap = [(-float(e), x1, x2) for e, x1, x2 in zip(err, edges[:-1], edges[1:])]
+    heapq.heapify(heap)
+
+    while heap and len(heap) < 50:
+        tol = max(epsabs, epsrel * float(np.linalg.norm(total)))
+        batch, err_sum = [], 0.0
+        while heap and len(batch) < 128 and not (batch and err_sum > total_err - tol / 8):
+            neg_err, x1, x2 = heapq.heappop(heap)
+            batch.append((-neg_err, x1, x2, cache.pop((x1, x2))))
+            err_sum += -neg_err
+        x1 = np.array([item[1] for item in batch])
+        x2 = np.array([item[2] for item in batch])
+        mid = 0.5 * (x1 + x2)
+        ig, err, rnd = _gk_panels(f, rule, np.concatenate([x1, mid]),
+                                  np.concatenate([mid, x2]))
+        nb = len(batch)
+        for i, (old_err, a1, b1, old_int) in enumerate(batch):
+            j = i + nb
+            total += ig[i] + ig[j] - old_int
+            total_err += float(err[i]) + float(err[j]) - old_err
+            total_rnd += float(rnd[i]) + float(rnd[j])
+            c1 = float(mid[i])
+            cache[(a1, c1)], cache[(c1, b1)] = ig[i], ig[j]
+            heapq.heappush(heap, (-float(err[i]), a1, c1))
+            heapq.heappush(heap, (-float(err[j]), c1, b1))
+        if len(heap) >= 2:
+            tol = max(epsabs, epsrel * float(np.linalg.norm(total)))
+            if total_err < tol / 8 or total_err < total_rnd:
+                break
+        if not (math.isfinite(total_err) and math.isfinite(total_rnd)):
+            break
+    return total, total_err + total_rnd
+
+
+def _binom_pmf(m: int, r) -> np.ndarray:
+    """Bin(m, r) pmf over k = 0, ..., m, one row for each entry of ``r``.
+
+    Each row starts at 1 at its mode floor((m+1) r) and multiplies the term
+    ratios P(k+1)/P(k) = (m-k)/(k+1) * r/(1-r) outward from it, then is
+    divided by its sum, so no binomial coefficient or power is formed and
+    nothing overflows.  r = 0 and r = 1 give the point masses at 0 and m.
+    """
+    r = np.asarray(r, dtype=float)[:, None]
+    k = np.arange(m, dtype=float)
+    mode = np.minimum(np.floor((m + 1) * r), m)
+    with np.errstate(divide="ignore"):
+        up = (m - k) / (k + 1.0) * (r / (1.0 - r))
+        down = (k + 1.0) / (m - k) * ((1.0 - r) / r)
+    pmf = np.ones((r.shape[0], m + 1))
+    pmf[:, 1:] = np.cumprod(np.where(k >= mode, up, 1.0), axis=1)
+    pmf[:, :-1] *= np.cumprod(np.where(k < mode, down, 1.0)[:, ::-1], axis=1)[:, ::-1]
+    return pmf / pmf.sum(axis=1, keepdims=True)
+
+
 def _adaptive_integral(spec: NearOrderSpec, values, tol: float):
     """Integral of the vector ``values(r_a(x))`` against the order-statistic density.
 
-    One ``quad_vec`` pass over the support, split at the breakpoints, gives
-    the vector and the Gauss-Kronrod estimate of its error in the Euclidean
-    norm.  At large n the integrand is only accurate to about n * eps
-    relative (F**(n-ell) amplifies the rounding of F) and the estimate can
-    stall; the interval cap ends the pass there (the mixture pmf took at most
-    27 intervals in cases up to n = 5000), and the callers judge the estimate.
+    One :func:`_quad_vec` pass over the support, split at the breakpoints,
+    gives the vector and the Gauss-Kronrod estimate of its error in the
+    Euclidean norm, a QUADPACK-style estimate, not a certificate.
+    ``values`` maps an array of N gap ratios to an (N, d) array.  At large n
+    the integrand is only accurate to about n * eps relative (F**(n-ell)
+    amplifies the rounding of F) and the estimate can stall; the interval cap
+    ends the pass there (the mixture pmf took at most 27 intervals in cases
+    up to n = 5000), and the callers judge the estimate.
     """
-    from scipy import integrate
-
     def integrand(x):
-        return order_stat_density(spec, x) * values(gap_ratio(spec.law, spec.a, x))
+        return order_stat_density(spec, x)[:, None] * values(gap_ratio(spec.law, spec.a, x))
 
-    return integrate.quad_vec(integrand, *spec.law.support, epsabs=min(tol / 4.0, 1e-11),
-                              epsrel=1e-11, norm="2", limit=50,
-                              points=_integration_points(spec))
+    return _quad_vec(integrand, *spec.law.support, points=_integration_points(spec),
+                     epsabs=min(tol / 4.0, 1e-11), epsrel=1e-11)
 
 
-def _gap_ratio_moments(spec: NearOrderSpec, powers, tol: float) -> np.ndarray:
+def _gap_ratio_moments(spec: NearOrderSpec, powers, tol: float):
     """E[r_a(X_(n-ell+1:n))**j] for each j in ``powers``, from one pass.
 
-    The pass integrates (r_a / r_mid)**j, with r_mid the gap ratio at the
-    order statistic's median (at least eps), so that one error norm holds
-    every moment to a similar relative accuracy however small r_a is.
+    Returns the moments and their quadrature error estimates.  The pass
+    integrates (r_a / r_mid)**j, with r_mid the gap ratio at the order
+    statistic's median (at least eps), so that one error norm holds every
+    moment to a similar relative accuracy however small r_a is.
     """
-    from scipy import stats
+    from scipy import special
 
     powers = np.asarray(powers)
     r_mid = 1.0
     if spec.law.quantile is not None:
-        x_mid = spec.law.quantile(stats.beta.ppf(0.5, spec.n - spec.ell + 1, spec.ell))
-        r_mid = max(gap_ratio(spec.law, spec.a, x_mid), np.finfo(float).eps)
-    scaled, err = _adaptive_integral(spec, lambda r: (r / r_mid) ** powers, tol)
+        x_mid = spec.law.quantile(special.betaincinv(spec.n - spec.ell + 1, spec.ell, 0.5))
+        r_mid = max(gap_ratio(spec.law, spec.a, x_mid), _EPS)
+    scaled, err = _adaptive_integral(spec, lambda r: (r[:, None] / r_mid) ** powers, tol)
     moments, errs = scaled * r_mid**powers, err * r_mid**powers
     if np.any(errs > np.maximum(tol, 1e-8 * np.abs(moments))):
         raise IntegrationError(
             f"gap-ratio moment quadrature error estimate {errs.max()!r} exceeds {tol!r}",
             value=float(moments[errs.argmax()]), error_estimate=float(errs.max()),
         )
-    return moments
+    return moments, errs
 
 
 def gap_ratio_moment(spec: NearOrderSpec, j: int, tol: float = 1e-10) -> float:
@@ -236,7 +428,7 @@ def gap_ratio_moment(spec: NearOrderSpec, j: int, tol: float = 1e-10) -> float:
         raise DomainError(f"moment order must be 1 or 2, got {j!r}")
     if not (tol > 0.0):
         raise DomainError("tolerance must be positive")
-    return float(_gap_ratio_moments(spec, [j], tol)[0])
+    return float(_gap_ratio_moments(spec, [j], tol)[0][0])
 
 
 def gumbel_gap_moment(n: int, a: float, j: int) -> float:
@@ -347,21 +539,31 @@ def negbin_bound_near_order(spec: NearOrderSpec, tol: float = 1e-10) -> BoundRep
 
     Computes the gap-ratio moments by quadrature and delegates to
     :func:`negbin_bound_mixed` with E[Q] = M1, E[Q^2] = M2; the shifted mean
-    is E[count] = (n - ell) M1.
+    is E[count] = (n - ell) M1.  ``truncation_error`` is the largest change
+    of the bound over the corners (M1 +- e1, M2 +- e2) of the quadrature's
+    error estimates: an estimate, not a certified error.
     """
     n, ell = spec.n, spec.ell
     if n - ell < 1:
         raise DomainError(f"need n - ell >= 1, got n = {n}, ell = {ell}")
-    m1, m2 = (float(v) for v in _gap_ratio_moments(spec, [1, 2], tol))
+    (m1, m2), (e1, e2) = (map(float, v) for v in _gap_ratio_moments(spec, [1, 2], tol))
     if m1 <= 0.0:
         raise DegenerateParameterError(
             "first gap-ratio moment vanishes; no negative binomial target exists"
         )
-    # clamp quadrature noise into the feasible moment region [M1^2, M1]
-    m2 = min(max(m2, m1 * m1), m1)
-    report = negbin_bound_mixed(MixedBinomialSpec(n=n, ell=ell, eq=m1, eq2=m2))
+
+    def bound_at(m1, m2):
+        # clamp quadrature noise into the feasible region 0 < M1 <= 1, M1^2 <= M2 <= M1
+        m1 = min(max(m1, _TINY), 1.0)
+        m2 = min(max(m2, m1 * m1), m1)
+        return negbin_bound_mixed(MixedBinomialSpec(n=n, ell=ell, eq=m1, eq2=m2))
+
+    report = bound_at(m1, m2)
+    m1, m2 = report.moments["EQ"], report.moments["EQ2"]
+    error = max(abs(bound_at(m1 + s1 * e1, m2 + s2 * e2).bound - report.bound)
+                for s1 in (-1.0, 1.0) for s2 in (-1.0, 1.0))
     return replace(report, moments={**report.moments, "M1": m1, "M2": m2},
-                   truncation_error=2.0 * tol, method="thm3")
+                   truncation_error=error, method="thm3")
 
 
 def gumbel_max_bound(n: int, a: float) -> float:
@@ -395,11 +597,8 @@ def near_order_count_pmf(spec: NearOrderSpec, tol: float = 1e-10) -> TruncatedPM
     sqrt(n - ell + 1), which bounds the L1 norm of the same error vector.
     Like every QUADPACK-style error estimate it is not a certificate.
     """
-    from scipy import stats
-
     m = spec.n - spec.ell
-    k = np.arange(m + 1)
-    probs, err = _adaptive_integral(spec, lambda r: stats.binom.pmf(k, m, r), tol)
+    probs, err = _adaptive_integral(spec, lambda r: _binom_pmf(m, r), tol)
     l1_err = math.sqrt(m + 1) * err
     if l1_err > max(tol, 1e-7):
         raise IntegrationError(

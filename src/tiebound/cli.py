@@ -427,6 +427,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except NumericError as exc:
         click.echo(f"numeric failure: {exc}", err=True)
+        # what the failed computation did reach: TruncationError.best_bound,
+        # IntegrationError.value and .error_estimate
+        for name in ("best_bound", "value", "error_estimate"):
+            if hasattr(exc, name):
+                click.echo(f"{name}: {getattr(exc, name)!r}", err=True)
         return EXIT_NUMERIC
     except _VerificationFailure:
         return EXIT_VERIFY

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -11,6 +12,10 @@ from tiebound.approximants import truncated_negbin, tv_distance
 from tiebound.bounds_continuous import (
     MixedBinomialSpec,
     NearOrderSpec,
+    _binom_pmf,
+    _integration_points,
+    _log_order_const,
+    _quad_vec,
     gap_ratio,
     gap_ratio_moment,
     gumbel_gap_moment,
@@ -23,7 +28,7 @@ from tiebound.bounds_continuous import (
     uniform_gap_moment,
     uniform_gap_moment_exact,
 )
-from tiebound.distributions import gumbel_law, uniform_law
+from tiebound.distributions import ContinuousLaw, gumbel_law, uniform_law
 from tiebound.errors import DegenerateParameterError, DomainError
 
 GRID_A = (0.1, 0.5, 1.0, 2.0)
@@ -50,6 +55,39 @@ def _uniform_mixture_pmf(n, ell, a):
     probs[m] += sum(math.comb(n, i) * (1 - a) ** i * a ** (n - i) for i in range(ell))
     assert sum(probs) == 1
     return probs
+
+
+def _gumbel_moment_mp(n, ell, a, j):
+    """gumbel_gap_moment_exact's alternating sum at 50 digits.
+
+    In floats the sum cancels to nothing once n is large (at n = 1e6,
+    ell = 3 it has the wrong sign).
+    """
+    with mp.workdps(50):
+        c = mp.expm1(mp.mpf(a))
+        total = mp.fsum((-1) ** (i + s) * mp.binomial(ell - 1, i) * mp.binomial(j, s)
+                        / (n - ell + 1 + i + s * c)
+                        for i in range(ell) for s in range(j + 1))
+        return float(n * mp.binomial(n - 1, ell - 1) * total)
+
+
+def _exponential_law(sign):
+    """Exponential law on (0, inf) for sign = 1, its mirror image on (-inf, 0) for -1."""
+    def tail(x):  # P(sign X > sign x), clamped to 1 outside the support
+        return np.exp(-np.maximum(sign * np.asarray(x, dtype=float), 0.0))
+
+    def pdf(x):
+        return np.where(sign * np.asarray(x, dtype=float) >= 0.0, tail(x), 0.0)
+
+    def cdf(x):
+        return 1.0 - tail(x) if sign > 0 else tail(x)
+
+    def quantile(u):
+        u = np.asarray(u, dtype=float)
+        return -np.log1p(-u) if sign > 0 else np.log(u)
+
+    support = (0.0, math.inf) if sign > 0 else (-math.inf, 0.0)
+    return ContinuousLaw(pdf=pdf, cdf=cdf, support=support, quantile=quantile)
 
 
 class TestMixedBinomialBound:
@@ -132,6 +170,22 @@ class TestOrderStatDensity:
     def test_uniform_hand_value(self):
         spec = NearOrderSpec(law=uniform_law(1.0), n=2, ell=1, a=0.1)
         assert order_stat_density(spec, 0.5) == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("n,ell", [(10**6, 3), (10**7, 2), (10**9, 1)])
+    def test_normaliser_matches_high_precision(self, n, ell):
+        with mp.workdps(50):
+            exact = mp.log(n * mp.binomial(n - 1, ell - 1))
+            assert abs(_log_order_const(n, ell) - exact) <= 1e-14 * abs(exact)
+
+    @pytest.mark.parametrize("law", [gumbel_law(), uniform_law(1.0)])
+    def test_arrays_match_scalar_calls(self, law):
+        spec = NearOrderSpec(law=law, n=30, ell=2, a=0.2)
+        x = np.linspace(-1.0, 3.0, 41)
+        dens, ratio = order_stat_density(spec, x), gap_ratio(law, spec.a, x)
+        assert isinstance(order_stat_density(spec, 0.5), float)
+        assert isinstance(gap_ratio(law, spec.a, 0.5), float)
+        assert dens.tolist() == [order_stat_density(spec, float(v)) for v in x]
+        assert ratio.tolist() == [gap_ratio(law, spec.a, float(v)) for v in x]
 
     @pytest.mark.parametrize("law_fn,lo,hi", [(gumbel_law, -30, 60), (lambda: uniform_law(2.0), 0, 2)])
     @pytest.mark.parametrize("n,ell", [(5, 1), (20, 2), (100, 3)])
@@ -227,6 +281,14 @@ class TestGapMomentQuadrature:
         quad_value = gap_ratio_moment(spec, j, 1e-10)
         assert abs(quad_value - uniform_gap_moment_exact(n, ell, a, 1.0, j)) <= 1e-8
 
+    def test_gumbel_large_sample_moments(self):
+        # the order-statistic normaliser must not lose digits to lgamma cancellation
+        n, ell, a = 10**6, 3, 0.3
+        report = negbin_bound_near_order(NearOrderSpec(law=gumbel_law(), n=n, ell=ell, a=a))
+        for j, key in ((1, "M1"), (2, "M2")):
+            exact = _gumbel_moment_mp(n, ell, a, j)
+            assert abs(report.moments[key] - exact) <= 1e-10 * exact
+
     def test_jensen_ordering(self):
         for law in (gumbel_law(), uniform_law(1.0)):
             for n, ell, a in ((5, 1, 0.3), (20, 2, 0.8), (12, 3, 0.1)):
@@ -265,6 +327,18 @@ class TestNearOrderBound:
         direct = negbin_bound_mixed(MixedBinomialSpec(n=15, ell=2, eq=m1, eq2=m2))
         assert report.bound == direct.bound
         assert report.params == direct.params
+
+    @pytest.mark.parametrize("kind,n,ell,a", [("gumbel", 100, 1, 0.3), ("uniform", 200, 3, 0.05)])
+    def test_truncation_error_covers_closed_form_bound(self, kind, n, ell, a):
+        law = gumbel_law() if kind == "gumbel" else uniform_law(1.0)
+        report = negbin_bound_near_order(NearOrderSpec(law=law, n=n, ell=ell, a=a), 1e-10)
+        if kind == "gumbel":
+            eq, eq2 = (_gumbel_moment_mp(n, ell, a, j) for j in (1, 2))
+        else:
+            eq, eq2 = (uniform_gap_moment_exact(n, ell, a, 1.0, j) for j in (1, 2))
+        closed = negbin_bound_mixed(MixedBinomialSpec(n=n, ell=ell, eq=eq, eq2=eq2)).bound
+        assert 0.0 < report.truncation_error < 1e-10
+        assert abs(report.bound - closed) <= report.truncation_error
 
     @pytest.mark.parametrize(
         "law_fn,n,ell,a",
@@ -313,6 +387,65 @@ class TestNearOrderBound:
                 m * gumbel_gap_moment_exact(n, ell, a, 1), rel=1e-8)
             assert math.fsum(k * (k - 1) * mixture.probs) == pytest.approx(
                 m * (m - 1) * gumbel_gap_moment_exact(n, ell, a, 2), rel=1e-8)
+
+
+def _binom_pmf_mp(m, r):
+    """Bin(m, r) pmf at 40 digits, by the term recurrence from k = 0."""
+    with mp.workdps(40):
+        if r == 1.0:
+            return [mp.mpf(0)] * m + [mp.mpf(1)]
+        r = mp.mpf(r)
+        terms = [(1 - r) ** m]
+        for k in range(m):
+            terms.append(terms[-1] * (m - k) * r / ((k + 1) * (1 - r)))
+        return terms
+
+
+class TestQuadratureKernels:
+    RATIOS = (0.0, 1e-6, 0.05, 0.5, 0.999, 1.0 - 1e-7, 1.0)
+
+    @pytest.mark.parametrize("m", (7, 50, 197, 1999, 5000))
+    def test_binomial_pmf_matches_high_precision(self, m):
+        rows = _binom_pmf(m, np.array(self.RATIOS))
+        assert rows.shape == (len(self.RATIOS), m + 1)
+        assert rows[0, 0] == 1.0 and rows[-1, -1] == 1.0  # point masses at r = 0, 1
+        for r, row in zip(self.RATIOS, rows):
+            with mp.workdps(40):
+                l1 = mp.fsum(abs(mp.mpf(p) - e) for p, e in zip(row.tolist(), _binom_pmf_mp(m, r)))
+            assert l1 <= 1e-14, (m, r, float(l1))
+
+    @pytest.mark.parametrize(
+        "law_fn,n,ell,a",
+        [
+            (gumbel_law, 100, 1, 0.3),
+            (gumbel_law, 2000, 1, 0.3),
+            (gumbel_law, 10**6, 1, 0.3),
+            (gumbel_law, 10**7, 1, 0.01),
+            (gumbel_law, 50, 3, 0.5),
+            (lambda: uniform_law(1.0), 8, 1, 0.05),
+            (lambda: uniform_law(1.0), 200, 3, 0.05),
+            (lambda: uniform_law(1.0), 10, 10, 0.1),
+            (lambda: _exponential_law(1.0), 30, 2, 0.2),
+            (lambda: _exponential_law(-1.0), 30, 2, 0.2),
+        ],
+    )
+    def test_adaptive_pass_matches_quad_vec(self, law_fn, n, ell, a):
+        spec = NearOrderSpec(law=law_fn(), n=n, ell=ell, a=a)
+        m = n - ell
+        r_mid = gap_ratio(spec.law, a, spec.law.quantile(stats.beta.ppf(0.5, m + 1, ell)))
+        vectors = [lambda r: (r[:, None] / r_mid) ** np.array([1, 2])]
+        if 0 < m <= 2000:
+            vectors.append(lambda r: _binom_pmf(m, r))
+        for values in vectors:
+            def integrand(x):
+                return order_stat_density(spec, x)[:, None] * values(gap_ratio(spec.law, a, x))
+
+            args = dict(epsabs=2.5e-12, epsrel=1e-11, points=_integration_points(spec))
+            got, err = _quad_vec(integrand, *spec.law.support, **args)
+            ref, ref_err = integrate.quad_vec(lambda x: integrand(np.array([x]))[0],
+                                              *spec.law.support, norm="2", limit=50, **args)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert err == pytest.approx(ref_err, rel=1e-12)
 
 
 class TestGumbelMaxBound:

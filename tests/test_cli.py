@@ -81,12 +81,24 @@ class TestBoundCommand:
     def test_domain_error_is_usage(self):
         assert main(["bound", "thm1b", "--law", "geometric", "--p", "0.2", "--n", "3"]) == 1
 
-    def test_numeric_failure_exit_code(self, monkeypatch):
+    def test_numeric_failure_exit_code(self, monkeypatch, capsys):
         # a near-unit tail ratio cannot certify the tolerance within the
         # (shrunken) iteration cap, so the series must fail loudly
         monkeypatch.setattr("tiebound.maxima._SERIES_CAP", 1000)
         assert main(["bound", "thm2", "--law", "geometric",
                      "--p", "1e-7", "--n", "5"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("numeric failure: ")
+        assert err[1].startswith("best_bound: ") and float(err[1].split()[1]) > 1e-12
+
+    def test_integration_failure_reports_estimate(self, monkeypatch, capsys):
+        monkeypatch.setattr("tiebound.bounds_continuous._quad_vec",
+                            lambda *args, **kwargs: (np.array([0.5, 0.25]), 0.125))
+        assert main(["bound", "thm3", "--law", "gumbel", "--n", "10", "--a", "0.3"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err[1].startswith("value: ") and err[2].startswith("error_estimate: ")
+        value, estimate = float(err[1].split()[1]), float(err[2].split()[1])
+        assert estimate == pytest.approx(value / 4.0)  # 0.125 / 0.5, both rescaled alike
 
 
 class TestTable1Command:
@@ -197,15 +209,25 @@ class TestSimulateCommand:
         assert l1 <= law.tail_mass_bound
 
 
-def test_discrete_commands_do_not_import_scipy():
+@pytest.mark.parametrize("argv,banned", [
+    (["bound", "thm2", "--p", "0.1", "--n", "10"], ("scipy",)),
+    (["bound", "thm3", "--law", "gumbel", "--n", "100", "--a", "0.3"],
+     ("scipy.stats", "scipy.integrate")),
+    (["simulate", "--law", "uniform", "--b", "1", "--n", "20", "--a", "0.1",
+      "--mc-samples", "100"], ("scipy.stats", "scipy.integrate")),
+], ids=["discrete", "thm3", "simulate-near-order"])
+def test_commands_import_only_the_scipy_they_need(argv, banned):
+    # discrete commands load no scipy; continuous ones only scipy.special
     src = os.path.dirname(os.path.dirname(tiebound.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, tiebound.cli\n"
-            "assert tiebound.cli.main(['bound', 'thm2', '--p', '0.1', '--n', '10']) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    code = ("import contextlib, io, json, sys, tiebound.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert tiebound.cli.main({argv!r}) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
-    assert result.stdout.strip().split("\n")[-1] == "[]"
+    loaded = json.loads(result.stdout.strip().split("\n")[-1])
+    assert [m for m in loaded if any(m == b or m.startswith(b + ".") for b in banned)] == []
 
 
 def test_outputs_are_byte_stable(runner):
