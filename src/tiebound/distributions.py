@@ -48,6 +48,9 @@ class DiscreteLaw:
         quantile: u -> smallest j with cdf(j) >= u; accepts floats or numpy
             arrays.  None means callers must fall back to generic inversion.
         descriptor: JSON-style dict this law can be rebuilt from, if any.
+        logcdf: log cdf(j) from the survival function, accurate where cdf(j)
+            rounds to 1; accepts arrays.  None means log(cdf(j)), which loses
+            that accuracy: raised to a power n, the cdf's rounding grows n-fold.
     """
 
     pmf: Callable
@@ -57,6 +60,7 @@ class DiscreteLaw:
     support_max: Optional[int] = None
     quantile: Optional[Callable] = None
     descriptor: Optional[dict] = None
+    logcdf: Optional[Callable] = None
 
     def tail_bound(self, j: int) -> float:
         """Certified upper bound on P(X > j)."""
@@ -109,6 +113,11 @@ def geometric_law(p: float) -> DiscreteLaw:
         out = np.where(j >= 1, -np.expm1(j * log_q), 0.0)
         return out if out.ndim else float(out)
 
+    def logcdf(j):
+        j = np.asarray(j)
+        out = np.where(j >= 1, np.log1p(-np.exp(np.maximum(j, 1) * log_q)), -np.inf)
+        return out if out.ndim else float(out)
+
     def quantile(u):
         u = np.asarray(u, dtype=float)
         with np.errstate(divide="ignore"):
@@ -127,6 +136,7 @@ def geometric_law(p: float) -> DiscreteLaw:
         support_max=None,
         quantile=quantile,
         descriptor={"kind": "geometric", "p": p},
+        logcdf=logcdf,
     )
 
 
@@ -146,6 +156,9 @@ def tabulated_law(weights) -> DiscreteLaw:
         raise DomainError(f"weights must sum to 1 within 1e-12, got {total!r}")
     m = int(w.size)
     cum = np.cumsum(w)
+    # tail[j-1] = P(X > j), summed from the top so that it stays accurate
+    # where cum rounds to 1
+    tail = np.append(np.cumsum(w[::-1])[::-1][1:], 0.0)
 
     def pmf(j):
         j = np.asarray(j)
@@ -157,6 +170,13 @@ def tabulated_law(weights) -> DiscreteLaw:
         j = np.asarray(j)
         idx = np.clip(j - 1, 0, m - 1)
         out = np.where(j >= 1, np.where(j <= m, cum[idx], 1.0), 0.0)
+        return out if out.ndim else float(out)
+
+    def logcdf(j):
+        j = np.asarray(j)
+        idx = np.clip(j - 1, 0, m - 1)
+        with np.errstate(divide="ignore"):
+            out = np.where(j >= 1, np.log1p(-tail[idx]), -np.inf)
         return out if out.ndim else float(out)
 
     def quantile(u):
@@ -175,6 +195,7 @@ def tabulated_law(weights) -> DiscreteLaw:
         support_max=m,
         quantile=quantile,
         descriptor={"kind": "tabulated", "weights": [float(x) for x in w]},
+        logcdf=logcdf,
     )
 
 

@@ -75,6 +75,14 @@ def _log_falling(n: int, ell: int) -> float:
     return math.fsum(math.log(n - i) for i in range(ell))
 
 
+def _log_cdf(law: DiscreteLaw, j):
+    """log F(j), through the law's ``logcdf`` where it has one."""
+    if law.logcdf is not None:
+        return law.logcdf(j)
+    with np.errstate(divide="ignore"):
+        return np.log(law.cdf(j))
+
+
 def _series(law: DiscreteLaw, power: int, expo: int, shifted: bool,
             rel_tol: Optional[float] = None,
             log_abs_tol: Optional[float] = None) -> tuple[float, float]:
@@ -112,7 +120,7 @@ def _series(law: DiscreteLaw, power: int, expo: int, shifted: bool,
         with np.errstate(divide="ignore"):
             lt = power * np.log(law.pmf(j))
             if expo > 0:  # F**0 = 1, even where F vanishes
-                lt += expo * np.log(law.cdf(j - 1 if shifted else j))
+                lt += expo * _log_cdf(law, j - 1 if shifted else j)
         top = float(lt.max())
         if top > m:
             s, m = s * math.exp(m - top), top
@@ -233,24 +241,26 @@ def argmax_value_law(spec: KnSpec) -> DiscreteLaw:
         scalar = np.ndim(m) == 0
         m = np.atleast_1d(np.asarray(m))
         pm = np.asarray(base.pmf(m), dtype=float)
-        Fm = np.asarray(base.cdf(m), dtype=float)
+        log_fm = np.asarray(_log_cdf(base, m), dtype=float)
         out = np.zeros_like(pm)
-        ok = (pm > 0.0) & (Fm > 0.0)
-        out[ok] = np.exp(np.log(pm[ok]) + (n - 1) * np.log(Fm[ok]) - log_z)
+        ok = (pm > 0.0) & (log_fm > -np.inf)
+        out[ok] = np.exp(np.log(pm[ok]) + (n - 1) * log_fm[ok] - log_z)
         return float(out[0]) if scalar else out
 
-    cum = [0.0]  # cum[j] = P(M <= j)
+    cum = np.zeros(1)  # cum[j] = P(M <= j), extended on demand
 
     def cdf(m):
+        nonlocal cum
         scalar = np.ndim(m) == 0
         marr = np.atleast_1d(np.asarray(m)).astype(np.int64)
         top = int(marr.max(initial=0))
         if base.support_max is not None:
             top = min(top, base.support_max)
-        while len(cum) <= top:
-            cum.append(min(1.0, cum[-1] + float(pmf(len(cum)))))
-        idx = np.clip(marr, 0, len(cum) - 1)
-        out = np.array([cum[i] for i in idx])
+        if cum.size <= top:
+            # summed on from the last stored value, one term at a time
+            more = np.cumsum(np.append(cum[-1], pmf(np.arange(cum.size, top + 1))))
+            cum = np.append(cum, np.minimum(1.0, more[1:]))
+        out = cum[np.clip(marr, 0, cum.size - 1)]
         if base.support_max is not None:
             out = np.where(marr >= base.support_max, 1.0, out)
         return float(out[0]) if scalar else out
@@ -266,12 +276,16 @@ def argmax_value_law(spec: KnSpec) -> DiscreteLaw:
     )
 
 
-def tie_given_max_prob(law: DiscreteLaw, m: int) -> float:
-    """q(m) = P(X = m) / P(X <= m), the tie chance given the maximum sits at m."""
-    F = law.cdf(m)
-    if F <= 0.0:
+def tie_given_max_prob(law: DiscreteLaw, m):
+    """q(m) = P(X = m) / P(X <= m), the tie chance given the maximum sits at m.
+
+    ``m`` may be an integer array; a scalar gives a float.
+    """
+    F = np.asarray(law.cdf(m))
+    if np.any(F <= 0.0):
         raise DomainError(f"cdf vanishes at {m!r}; conditional tie probability undefined")
-    return min(1.0, law.pmf(m) / F)
+    q = np.minimum(1.0, law.pmf(m) / F)
+    return q if q.ndim else float(q)
 
 
 def tie_given_max_moment(spec: KnSpec, j: int, tol: float = DEFAULT_TOL) -> float:

@@ -1,11 +1,24 @@
 """Seeded simulation of tie counts and near-order counts.
 
-Everything samples through the inverse cdf, so one code path covers
-tabulated, geometric, Gumbel and uniform laws alike.  Streams are keyed by
-(seed, stream_id) through numpy's SeedSequence spawning: identical keys
-reproduce identical draw sequences on every platform, and distinct stream
-ids give statistically independent streams, so parallel workers can each
-own stream_id = worker index and merge their counts in any order.
+Each replication costs a fixed number of draws, whatever the sample size n:
+both counts are binomial mixtures over a sample extreme, so a sampler draws
+the extreme (the maximum through the inverse cdf at U**(1/n), or the
+ell-th largest through the quantile at a Beta(n-ell+1, ell) variate) and
+then one binomial count given it.  Sampling therefore no longer goes
+through the inverse cdf alone: it also uses numpy's ``binomial`` and
+``beta`` generators.  One code path still covers tabulated, geometric,
+Gumbel and uniform laws alike.
+
+Streams are keyed by (seed, stream_id) through numpy's SeedSequence
+spawning: identical keys reproduce identical draws for a fixed numpy
+version (numpy does not promise the ``binomial`` and ``beta`` streams
+across releases), and distinct stream ids give statistically independent
+streams, so parallel workers can each own stream_id = worker index and
+merge their counts in any order.
+
+Precision: U**(1/n), computed as exp(log(U)/n), and a Beta variate near 1
+are rounded to about eps, which moves the drawn extreme only when the
+variate lies within about n*eps (in probability) of a cdf step.
 """
 
 from __future__ import annotations
@@ -16,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximants import TruncatedPMF
-from .bounds_continuous import NearOrderSpec
+from .bounds_continuous import NearOrderSpec, gap_ratio
 from .distributions import DiscreteLaw
 from .errors import DomainError
-from .maxima import KnSpec, argmax_value_law
+from .maxima import KnSpec, argmax_value_law, tie_given_max_prob
 
 __all__ = [
     "RngStream",
@@ -36,7 +49,8 @@ __all__ = [
 # union bound over the 2^d sign patterns of a d-category discrepancy.
 TV_CONFIDENCE_DELTA = 1e-4
 
-_CHUNK_CELLS = 4_000_000
+_CHUNK_ROWS = 1 << 16
+_BELOW_ONE = 1.0 - 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -113,8 +127,8 @@ def _discrete_quantile_fn(law: DiscreteLaw):
     return quantile
 
 
-def _replicate(size, n: int, draw_rows):
-    """Fill replications from ``draw_rows(rows)``, in chunks of about _CHUNK_CELLS cells.
+def _replicate(size, draw_rows):
+    """Fill replications from ``draw_rows(rows)``, at most _CHUNK_ROWS rows at a time.
 
     With ``size=None`` returns a single int; otherwise an int64 array of
     that many independent replications.
@@ -122,57 +136,75 @@ def _replicate(size, n: int, draw_rows):
     scalar = size is None
     size = 1 if scalar else int(size)
     out = np.empty(size, dtype=np.int64)
-    step = max(1, _CHUNK_CELLS // max(n, 1))
-    for start in range(0, size, step):
-        out[start:start + step] = draw_rows(min(step, size - start))
+    for start in range(0, size, _CHUNK_ROWS):
+        out[start:start + _CHUNK_ROWS] = draw_rows(min(_CHUNK_ROWS, size - start))
     return int(out[0]) if scalar else out
+
+
+def _positive_binomial(gen: np.random.Generator, n: int, q: np.ndarray) -> np.ndarray:
+    """Bin(n, q) conditioned on being at least 1, one draw per entry of q.
+
+    The first success J has P(J <= j | J <= n) = (1 - (1-q)**j) / (1 - (1-q)**n),
+    inverted at a uniform V; the n - J later trials are a plain Bin(n - J, q).
+    Exact at q = 1 (J = 1, then n - 1 successes), and one draw per entry
+    however small n q is, where rejecting zero draws would take about 1/(n q).
+    """
+    with np.errstate(divide="ignore"):
+        log_miss = np.log1p(-q)  # -inf where q == 1
+    hit = -np.expm1(n * log_miss)  # P(Bin(n, q) >= 1)
+    first = np.ceil(np.log1p(-gen.random(q.size) * hit) / log_miss)
+    first = np.clip(first, 1, n).astype(np.int64)
+    return 1 + gen.binomial(n - first, q)
 
 
 def sample_tie_count(spec: KnSpec, rng: RngStream, size=None):
     """Number of observations tied with the sample maximum.
 
-    Draws n values through the inverse cdf and counts how many equal the
-    largest.  With ``size=None`` returns a single int; otherwise an int64
-    array of that many independent replications.
+    Each replication draws the maximum M through the inverse cdf at
+    U**(1/n) (the maximum has cdf F**n), then the tie count as a
+    Bin(n, q(M)) conditioned on at least one tie.  With ``size=None``
+    returns a single int; otherwise an int64 array of that many independent
+    replications.
     """
     gen = rng.generator()
-    quantile = _discrete_quantile_fn(spec.law)
+    law, n = spec.law, spec.n
+    quantile = _discrete_quantile_fn(law)
 
     def draw_rows(rows):
-        x = quantile(gen.random((rows, spec.n)))
-        return (x == x.max(axis=1)[:, None]).sum(axis=1)
+        # F(j)**n >= U exactly when F(j) >= U**(1/n), with U = 1 - random()
+        # in (0, 1]; the cap keeps every quantile finite
+        v = np.minimum(np.exp(np.log1p(-gen.random(rows)) / n), _BELOW_ONE)
+        return _positive_binomial(gen, n, tie_given_max_prob(law, quantile(v)))
 
-    return _replicate(size, spec.n, draw_rows)
+    return _replicate(size, draw_rows)
 
 
 def sample_size_biased_ties(spec: KnSpec, rng: RngStream, size=None):
-    """Draw from the size-biased tie count by explicit construction.
+    """Draw from the size-biased tie count.
 
-    Samples the argmax value M, then n-1 observations from the base law
-    conditioned to be at most M (inverse cdf at u * F(M)), and returns one
-    plus the number of conditioned draws equal to M.
+    Samples the argmax value M, then returns one plus a Bin(n - 1, q(M))
+    count of the other observations tied with it.
     """
     gen = rng.generator()
-    n = spec.n
-    if n == 1:
-        return _replicate(size, n, lambda rows: 1)
+    law, n = spec.law, spec.n
     m_quantile = _discrete_quantile_fn(argmax_value_law(spec))
-    base_quantile = _discrete_quantile_fn(spec.law)
 
     def draw_rows(rows):
-        m = np.asarray(m_quantile(gen.random(rows)), dtype=np.int64)
-        f_at_m = np.asarray(spec.law.cdf(m), dtype=float)
-        x = base_quantile(gen.random((rows, n - 1)) * f_at_m[:, None])
-        return 1 + (x == m[:, None]).sum(axis=1)
+        m = m_quantile(gen.random(rows))
+        return 1 + gen.binomial(n - 1, tie_given_max_prob(law, m))
 
-    return _replicate(size, n, draw_rows)
+    return _replicate(size, draw_rows)
 
 
 def sample_near_order_count(spec: NearOrderSpec, rng: RngStream, size=None):
     """Count of observations strictly inside (X_(n-ell+1:n) - a, X_(n-ell+1:n)).
 
     The order statistic itself is not counted (the window is open on both
-    sides; with a continuous law ties occur with probability zero).
+    sides; with a continuous law ties occur with probability zero).  Each
+    replication draws the order statistic x through the quantile at a
+    Beta(n-ell+1, ell) variate, then the count as Bin(n - ell, r_a(x)): the
+    n - ell observations below x are independent draws conditioned on lying
+    below it.
     """
     if spec.law.quantile is None:
         raise DomainError("continuous law needs a quantile function for sampling")
@@ -180,37 +212,38 @@ def sample_near_order_count(spec: NearOrderSpec, rng: RngStream, size=None):
     n, ell, a = spec.n, spec.ell, spec.a
 
     def draw_rows(rows):
-        x = np.asarray(spec.law.quantile(gen.random((rows, n))), dtype=float)
-        order = np.sort(x, axis=1)[:, n - ell]
-        return ((x > (order - a)[:, None]) & (x < order[:, None])).sum(axis=1)
+        x = spec.law.quantile(gen.beta(n - ell + 1, ell, size=rows))
+        return gen.binomial(n - ell, gap_ratio(spec.law, a, x))
 
-    return _replicate(size, n, draw_rows)
+    return _replicate(size, draw_rows)
 
 
 def empirical_tv(emp: EmpiricalPMF, target: TruncatedPMF):
     """Half-L1 distance between empirical frequencies and a truncated target.
 
+    The categories are fixed before sampling: the target's support
+    k_min..k_max plus one overflow cell, which pools every outcome outside
+    that support and holds the target's missing mass 1 - sum(probs).
     Returns ``(estimate, radius)``.  The radius combines a conservative
     finite-sample deviation bound at confidence 1 - TV_CONFIDENCE_DELTA,
 
         radius = 1/2 sqrt(2 (d log 2 + log(1/delta)) / N),
 
-    over d outcome categories (the aligned support plus one overflow cell),
-    with half of the target's omitted-mass budget.  Whenever the samples
-    really come from the target, |estimate - true distance| <= radius except
-    with probability at most delta.
+    over those d categories, with half of the target's omitted-mass budget.
+    Whenever the samples really come from the target, |estimate - true
+    distance| <= radius except with probability at most delta.
     """
     if emp.sample_size <= 0:
         raise DomainError("sample_size must be positive")
-    k_lo = min(emp.k_min, target.k_min)
-    k_hi = max(emp.k_min + emp.counts.size - 1, target.k_max)
-    span = k_hi - k_lo + 1
-    f = np.zeros(span)
-    q = np.zeros(span)
-    f[emp.k_min - k_lo: emp.k_min - k_lo + emp.counts.size] = emp.frequencies()
-    q[target.k_min - k_lo: target.k_min - k_lo + target.probs.size] = target.probs
-    estimate = 0.5 * float(np.abs(f - q).sum())
-    categories = span + 1
+    idx = np.arange(target.k_min, target.k_max + 1) - emp.k_min
+    seen = (idx >= 0) & (idx < emp.counts.size)
+    counts = np.zeros(target.probs.size, dtype=np.int64)
+    counts[seen] = emp.counts[idx[seen]]
+    overflow = (emp.sample_size - int(counts.sum())) / emp.sample_size
+    missing = max(0.0, 1.0 - math.fsum(target.probs.tolist()))
+    estimate = 0.5 * (float(np.abs(counts / emp.sample_size - target.probs).sum())
+                      + abs(overflow - missing))
+    categories = target.probs.size + 1
     radius = 0.5 * math.sqrt(
         2.0 * (categories * math.log(2.0) + math.log(1.0 / TV_CONFIDENCE_DELTA))
         / emp.sample_size

@@ -149,6 +149,37 @@ def test_discrete_tail_covers_unit_mass():
         assert partial <= 1.0 + 1e-12
 
 
+class TestLogCdf:
+    """logcdf comes from the survival function, so it stays accurate where
+    the cdf rounds to 1; the oracle is mpmath at 40 digits."""
+
+    def test_geometric_matches_high_precision(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for p in (1e-3, 0.3, 1.0 - 2e-9):
+            law = geometric_law(p)
+            q = 1 - mpmath.mpf(p)
+            for j in (1, 2, 10, 10_000, 50_000):
+                exact = mpmath.log(1 - q**j)
+                if exact == 0:
+                    continue
+                assert law.logcdf(j) == pytest.approx(float(exact), rel=1e-13, abs=1e-300)
+        assert law.logcdf(0) == -math.inf
+
+    def test_tabulated_tail_near_one(self):
+        law = tabulated_law([1.0 - 1e-20, 1e-20])
+        assert law.cdf(1) == 1.0  # rounded, so log(cdf) would read 0
+        assert law.logcdf(1) == pytest.approx(-1e-20, rel=1e-12)
+        assert law.logcdf(2) == 0.0 and law.logcdf(5) == 0.0
+        assert law.logcdf(0) == -math.inf
+
+    def test_tabulated_matches_log_cdf_away_from_one(self):
+        law = tabulated_law([0.0, 0.2, 0.3, 0.5])
+        j = np.arange(0, 6)
+        with np.errstate(divide="ignore"):
+            np.testing.assert_allclose(law.logcdf(j), np.log(law.cdf(j)), rtol=1e-15)
+
+
 def test_descriptor_round_trip():
     for desc in (
         {"kind": "geometric", "p": 0.4},

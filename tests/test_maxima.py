@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -191,6 +192,12 @@ class TestTieGivenMax:
         with pytest.raises(DomainError):
             tie_given_max_prob(tabulated_law([0.0, 1.0]), 1)
 
+    def test_arrays_match_scalar_calls(self):
+        law = geometric_law(0.45)
+        m = np.arange(1, 20)
+        expected = [tie_given_max_prob(law, int(j)) for j in m]
+        np.testing.assert_array_equal(tie_given_max_prob(law, m), expected)
+
 
 class TestTieGivenMaxMoments:
     def test_hand_value(self):
@@ -252,6 +259,18 @@ def test_huge_sample_sizes_stay_finite():
     e3 = tie_count_factorial_moment(spec, 3, TOL)
     assert 99.0 < e2 / e1 < 101.0
     assert e3 > 0.0 and math.isfinite(e3)
+
+
+@pytest.mark.parametrize("n", [10**7, 10**9])
+def test_full_law_sums_to_one_at_huge_n(n):
+    """F(j) rounds to 1 in the series bulk; raised to the power n that rounding
+    used to move the law's total by up to 3e-10 and stall its tail cut."""
+    spec = KnSpec(law=geometric_law(1e-3), n=n)
+    start = time.perf_counter()
+    law = tie_count_law(spec, 1e-12)
+    elapsed = time.perf_counter() - start
+    assert abs(1.0 - math.fsum(law.probs.tolist())) <= 1e-12
+    assert elapsed < 1.0
 
 
 def test_series_cap_is_honoured_between_block_ends(monkeypatch):

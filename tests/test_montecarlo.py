@@ -1,4 +1,14 @@
-"""Seeded samplers against exact laws, and the empirical distance radius."""
+"""Seeded samplers against exact laws, and the empirical distance radius.
+
+The samplers draw a sample extreme and then one binomial count.  The direct
+constructions, which draw all n observations per replication, are kept here
+as oracles: each sampler must agree with its oracle in a two-sample check
+and with the exact law within standard errors.
+"""
+
+import dataclasses
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,13 +19,16 @@ from tiebound.bounds_continuous import NearOrderSpec, near_order_count_pmf
 from tiebound.distributions import geometric_law, gumbel_law, tabulated_law, uniform_law
 from tiebound.maxima import (
     KnSpec,
+    argmax_value_law,
     size_biased_tie_pmf,
     tie_count_factorial_moment,
     tie_count_law,
 )
 from tiebound.montecarlo import (
+    TV_CONFIDENCE_DELTA,
     EmpiricalPMF,
     RngStream,
+    _discrete_quantile_fn,
     empirical_tv,
     sample_near_order_count,
     sample_size_biased_ties,
@@ -34,6 +47,164 @@ def _assert_within_standard_errors(emp: EmpiricalPMF, exact: TruncatedPMF, z=4.0
         f = freqs[idx] if 0 <= idx < freqs.size else 0.0
         se = max(np.sqrt(p * (1 - p) / n), 1.0 / n)
         assert abs(f - p) <= z * se + 5.0 / n, f"k={k}: {f} vs {p}"
+
+
+def _direct_tie_count(spec: KnSpec, gen, size):
+    """Oracle: draw n values, count how many equal the largest."""
+    x = _discrete_quantile_fn(spec.law)(gen.random((size, spec.n)))
+    return (x == x.max(axis=1)[:, None]).sum(axis=1)
+
+
+def _direct_size_biased(spec: KnSpec, gen, size):
+    """Oracle: the argmax value M, then n-1 draws conditioned to be at most M
+    (inverse cdf at u F(M)); one plus those equal to M."""
+    m = _discrete_quantile_fn(argmax_value_law(spec))(gen.random(size))
+    f_at_m = spec.law.cdf(m)
+    x = _discrete_quantile_fn(spec.law)(gen.random((size, spec.n - 1)) * f_at_m[:, None])
+    return 1 + (x == m[:, None]).sum(axis=1)
+
+
+def _direct_near_order(spec: NearOrderSpec, gen, size):
+    """Oracle: draw n values, sort, count those inside (x - a, x) at the
+    ell-th largest x."""
+    x = spec.law.quantile(gen.random((size, spec.n)))
+    order = np.sort(x, axis=1)[:, spec.n - spec.ell]
+    return ((x > (order - spec.a)[:, None]) & (x < order[:, None])).sum(axis=1)
+
+
+def _assert_same_law(a, b, k_min, k_max):
+    """Two samples of one law on k_min..k_max: their half-L1 distance lies
+    within the sum of their Bretagnolle-Huber-Carol radii, over that support
+    plus one overflow cell (fixed before sampling)."""
+    assert a.min() >= k_min and a.max() <= k_max
+    assert b.min() >= k_min and b.max() <= k_max
+    fa = np.bincount(a - k_min, minlength=k_max - k_min + 1) / a.size
+    fb = np.bincount(b - k_min, minlength=k_max - k_min + 1) / b.size
+    d = k_max - k_min + 2
+    log_terms = d * math.log(2.0) + math.log(1.0 / TV_CONFIDENCE_DELTA)
+    radius = sum(0.5 * math.sqrt(2.0 * log_terms / x.size) for x in (a, b))
+    assert 0.5 * float(np.abs(fa - fb).sum()) <= radius
+
+
+def _size_biased_law(spec: KnSpec) -> TruncatedPMF:
+    law = tie_count_law(spec, 1e-12)
+    weighted = law.probs * np.arange(1, law.probs.size + 1)
+    return TruncatedPMF(k_min=1, probs=weighted / weighted.sum(), tail_mass_bound=1e-10)
+
+
+DISCRETE_POINTS = [
+    pytest.param(geometric_law(0.4), 6, id="geometric-0.4-6"),
+    pytest.param(tabulated_law([0.2, 0.3, 0.5]), 7, id="tabulated-7"),
+]
+NEAR_ORDER_POINTS = [
+    pytest.param(gumbel_law(), 20, 1, 0.3, id="gumbel-20-1-0.3"),
+    pytest.param(uniform_law(1.0), 10, 2, 0.1, id="uniform-10-2-0.1"),
+]
+
+
+class TestAgainstDirectConstruction:
+    @pytest.mark.parametrize("law, n", DISCRETE_POINTS)
+    def test_tie_count(self, law, n):
+        spec = KnSpec(law=law, n=n)
+        fast = sample_tie_count(spec, RngStream(seed=41), size=N_UNIT)
+        direct = _direct_tie_count(spec, RngStream(seed=42).generator(), N_UNIT)
+        _assert_same_law(fast, direct, 1, n)
+        _assert_within_standard_errors(EmpiricalPMF.from_samples(fast),
+                                       tie_count_law(spec, 1e-12))
+
+    @pytest.mark.parametrize("law, n", DISCRETE_POINTS)
+    def test_size_biased(self, law, n):
+        spec = KnSpec(law=law, n=n)
+        fast = sample_size_biased_ties(spec, RngStream(seed=43), size=N_UNIT)
+        direct = _direct_size_biased(spec, RngStream(seed=44).generator(), N_UNIT)
+        _assert_same_law(fast, direct, 1, n)
+        _assert_within_standard_errors(EmpiricalPMF.from_samples(fast), _size_biased_law(spec))
+
+    @pytest.mark.parametrize("law, n, ell, a", NEAR_ORDER_POINTS)
+    def test_near_order_count(self, law, n, ell, a):
+        spec = NearOrderSpec(law=law, n=n, ell=ell, a=a)
+        fast = sample_near_order_count(spec, RngStream(seed=45), size=N_UNIT)
+        direct = _direct_near_order(spec, RngStream(seed=46).generator(), N_UNIT)
+        _assert_same_law(fast, direct, 0, n - ell)
+        _assert_within_standard_errors(EmpiricalPMF.from_samples(fast),
+                                       near_order_count_pmf(spec, 1e-10))
+
+
+class TestEdgeCases:
+    def test_single_observation_near_order(self):
+        spec = NearOrderSpec(law=gumbel_law(), n=1, ell=1, a=0.3)
+        assert np.all(sample_near_order_count(spec, RngStream(seed=50), size=100) == 0)
+
+    @pytest.mark.parametrize("n", [5, 10**9])
+    def test_everything_ties(self, n):
+        # all mass on 2: q(2) = 1, so K = n and K* = n on every draw
+        spec = KnSpec(law=tabulated_law([0.0, 1.0]), n=n)
+        assert np.all(sample_tie_count(spec, RngStream(seed=51), size=1000) == n)
+        assert np.all(sample_size_biased_ties(spec, RngStream(seed=52), size=1000) == n)
+
+    def test_rank_equal_to_sample_size(self):
+        spec = NearOrderSpec(law=gumbel_law(), n=7, ell=7, a=0.5)
+        assert np.all(sample_near_order_count(spec, RngStream(seed=53), size=100) == 0)
+
+    @pytest.mark.parametrize("n, ell, a", [(6, 2, 1.0), (10**9, 3, 1.5)])
+    def test_threshold_at_least_the_width(self, n, ell, a):
+        # a >= b: r_a = 1 at every order statistic, so all n - ell points count
+        spec = NearOrderSpec(law=uniform_law(1.0), n=n, ell=ell, a=a)
+        assert np.all(sample_near_order_count(spec, RngStream(seed=54), size=100) == n - ell)
+
+    def test_all_tied_chance_at_huge_n(self):
+        # p = 1 - 2/n: K = n exactly when the maximum is 1, which has
+        # probability F(1)**n = (1 - 2/n)**n = e**-2 up to 2e-9
+        n = 10**9
+        spec = KnSpec(law=geometric_law(1.0 - 2.0 / n), n=n)
+        samples = sample_tie_count(spec, RngStream(seed=55), size=N_UNIT)
+        p = math.exp(-2.0)
+        assert float(np.mean(samples == n)) == pytest.approx(
+            p, abs=4.0 * math.sqrt(p * (1.0 - p) / N_UNIT))
+        assert samples.min() >= 1 and samples.max() <= n
+
+
+def _counting_law(law):
+    """The law with pmf, cdf, logcdf and quantile wrapped to count the calls
+    made and the points passed."""
+    calls, points = Counter(), Counter()
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            points[name] += int(np.size(x))
+            return fn(x)
+        return wrapper
+
+    names = [f.name for f in dataclasses.fields(law)
+             if f.name in ("pmf", "cdf", "logcdf", "quantile")
+             and getattr(law, f.name) is not None]
+    wrapped = dataclasses.replace(law, **{k: counted(k, getattr(law, k)) for k in names})
+    return wrapped, calls, points
+
+
+class TestCostPerReplication:
+    """Law evaluations per replication do not grow with n."""
+
+    SIZE = 100
+
+    def test_tie_count(self):
+        law, _, points = _counting_law(geometric_law(0.01))
+        sample_tie_count(KnSpec(law=law, n=10**5), RngStream(seed=60), size=self.SIZE)
+        assert 0 < sum(points.values()) <= 4 * self.SIZE
+
+    def test_near_order_count(self):
+        law, _, points = _counting_law(gumbel_law())
+        spec = NearOrderSpec(law=law, n=10**5, ell=2, a=0.3)
+        sample_near_order_count(spec, RngStream(seed=61), size=self.SIZE)
+        assert 0 < sum(points.values()) <= 4 * self.SIZE
+
+    def test_size_biased_table_takes_few_calls(self):
+        # the argmax law's inverse-cdf table spans about 50/p = 5e5 values; it
+        # must come from a few vector calls, not one law call per value
+        law, calls, _ = _counting_law(geometric_law(1e-4))
+        sample_size_biased_ties(KnSpec(law=law, n=10**5), RngStream(seed=62), size=self.SIZE)
+        assert 0 < sum(calls.values()) <= 100
 
 
 class TestReproducibility:
@@ -175,6 +346,16 @@ class TestEmpiricalTV:
             estimate, radius = empirical_tv(emp, target)
             failures += estimate > radius
         assert failures == 0
+
+    def test_categories_fixed_before_sampling(self):
+        # outliers outside the target's support pool into one overflow cell,
+        # so how far out they land changes neither the estimate nor the radius
+        target = truncated_poisson(2.0, 1e-9)
+        near = EmpiricalPMF(k_min=0, counts=np.r_[[400, 300], np.zeros(40), [300]],
+                            sample_size=1000)
+        far = EmpiricalPMF(k_min=0, counts=np.r_[[400, 300], np.zeros(400), [300]],
+                           sample_size=1000)
+        assert empirical_tv(near, target) == empirical_tv(far, target)
 
     def test_counts_must_sum(self):
         from tiebound.errors import DomainError
