@@ -14,12 +14,15 @@ functions of r_a against the order-statistic density, one adaptive
 Gauss-Kronrod pass each (``_quad_vec``, a vectorised port of scipy's
 ``quad_vec``), with closed forms for the Gumbel and uniform laws as
 cross-checks.  The errors of these passes are QUADPACK-style estimates, not
-certificates.  Of scipy only ``scipy.special`` is used, imported where needed.
+certificates.  No scipy is used: F(X_(n-l+1:n)) is Beta(n-l+1, l) with
+integer shapes, so its cdf is a binomial tail (``_log_binom_tail``), and the
+quantiles that place the breakpoints are roots of that tail
+(``_beta_quantile``).
 
 The uniform closed forms come in two flavours: the idealized forms that
 treat r_a(x) as a/x across the whole interval (accurate when a is small
-relative to the interval width) and exact incomplete-beta forms that account
-for r_a = 1 on (0, a).  The Gumbel closed forms are exact as stated, since
+relative to the interval width) and exact forms, as binomial tails, that
+account for r_a = 1 on (0, a).  The Gumbel closed forms are exact as stated, since
 the Gumbel cdf is positive on all of R and nothing clamps.
 """
 
@@ -175,19 +178,162 @@ def order_stat_density(spec: NearOrderSpec, x):
     return out if out.ndim else float(out)
 
 
-def _integration_points(spec: NearOrderSpec):
-    """Finite breakpoints: the gap-ratio kink plus order-statistic quantiles."""
-    from scipy import special
+# _stirlerr(k) for k = 1, ..., 15, where the series below is not yet accurate
+# and lgamma(k + 1) - (k + 1/2) log k + ... cancels to about 5e-15
+_STIRLERR_SMALL = (
+    0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
+    0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
+    0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
 
+
+def _stirlerr(k: int) -> float:
+    """log(k!) - log(sqrt(2 pi k) (k/e)**k), the error of Stirling's formula, k >= 1."""
+    if k <= 15:
+        return _STIRLERR_SMALL[k - 1]
+    kk = float(k) * k
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / k
+
+
+def _bd0(x: float, mu: float) -> float:
+    """x log(x/mu) + mu - x, by a series free of cancellation when x is near mu."""
+    if abs(x - mu) >= 0.1 * (x + mu):
+        return x * math.log(x / mu) + mu - x
+    v = (x - mu) / (x + mu)
+    s, term, v2 = (x - mu) * v, 2.0 * x * v, v * v
+    for j in range(3, 200, 2):
+        term *= v2
+        if s + term / j == s:
+            break
+        s += term / j
+    return s
+
+
+def _log_binom_term(m: int, k: int, q: float) -> float:
+    """log P(Bin(m, q) = k) for 0 < q < 1, by Loader's saddle-point form.
+
+    Stirling errors and the deviance terms ``_bd0`` replace the lgamma
+    differences, which at m = 1e9 would cost about 1e-6 absolute (C. Loader,
+    "Fast and accurate computation of binomial probabilities", 2000).
+    """
+    if k == 0:
+        return m * math.log1p(-q)
+    if k == m:
+        return m * math.log(q)
+    return (_stirlerr(m) - _stirlerr(k) - _stirlerr(m - k) - _bd0(k, m * q)
+            - _bd0(m - k, m * (1.0 - q)) + 0.5 * math.log(m / (2.0 * math.pi * k * (m - k))))
+
+
+def _log_binom_tail(m: int, k: int, q: float, upper: bool) -> float:
+    """log P(Bin(m, q) > k) if ``upper``, else log P(Bin(m, q) <= k).
+
+    Each side is a direct sum over its own terms, never one minus the other.
+    The sum starts at the side's largest term (the mode, or the side's end
+    nearest to it), whose log is :func:`_log_binom_term`, and runs outward
+    both ways by the term ratios, which fall below 1 there.  A run of up to
+    4096 terms is summed in full; a longer one goes on in doubling blocks
+    until the geometric bound on what is left, last term * rho / (1 - rho)
+    with rho the next ratio, is below eps of the sum.
+    """
+    lo, hi = (k + 1, m) if upper else (0, k)
+    if lo > hi or (q <= 0.0 and lo > 0) or (q >= 1.0 and hi < m):
+        return -math.inf
+    if q <= 0.0 or q >= 1.0:
+        return 0.0
+    anchor = min(max(math.floor((m + 1) * q), lo), hi)
+    odds, inv_odds = q / (1.0 - q), (1.0 - q) / q
+    total = 1.0  # the sum relative to the anchor term
+    for step, end in ((1, hi), (-1, lo)):
+        i, term, size = anchor, 1.0, 4096
+        while i != end:
+            idx = i + step * np.arange(min(size, abs(end - i)), dtype=float)
+            # the ratio of the term after each index to the term at it
+            ratios = ((m - idx) / (idx + 1.0) * odds if step > 0
+                      else idx / (m - idx + 1.0) * inv_odds)
+            terms = term * np.cumprod(ratios)
+            total += float(terms.sum())
+            i, term, size = i + step * idx.size, float(terms[-1]), 2 * size
+            rho = (m - i) / (i + 1.0) * odds if step > 0 else i / (m - i + 1.0) * inv_odds
+            if term == 0.0 or (rho < 1.0 and term * rho / (1.0 - rho) <= _EPS * total):
+                break
+    return _log_binom_term(m, anchor, q) + math.log(total)
+
+
+def _log_beta_root(a: int, b: int, log_p: float) -> float:
+    """x = log u with log I_u(a, b) = log_p, for integers a, b >= 2 and p <= 1/2.
+
+    I_u(a, b) = P(Bin(a+b-1, u) >= a), whose log is concave in x (the law
+    of log U is log-concave), so Newton's iterates that start left of the
+    root rise to it; one from the right lands left of it.  The start is
+    the normal approximation, inside the bracket from I_u <= C(a+b-1, a) u**a
+    on the left and x = 0 on the right; a step leaving the bracket bisects.
+    """
+    from statistics import NormalDist  # here, so that other commands skip its import
+
+    m = a + b - 1
+    lo, hi = (log_p - math.lgamma(m + 1) + math.lgamma(a + 1) + math.lgamma(b)) / a, 0.0
+    mean, var = a / (m + 1.0), a * b / ((m + 1.0) ** 2 * (m + 2.0))
+    guess = mean + NormalDist().inv_cdf(math.exp(log_p)) * math.sqrt(var)
+    x = max(math.log(guess), lo) if 0.0 < guess < 1.0 else lo
+    for _ in range(200):
+        u = math.exp(x)
+        log_tail = _log_binom_tail(m, a - 1, u, upper=True)
+        if log_tail == log_p:
+            return x
+        lo, hi = (x, hi) if log_tail < log_p else (lo, x)
+        # d log I / dx = u f(u) / I, and u f(u) = a P(Bin(m, u) = a)
+        slope = a * math.exp(_log_binom_term(m, a, u) - log_tail)
+        x_new = x - (log_tail - log_p) / slope if slope > 0.0 else math.nan
+        if abs(x_new - x) <= 2.0 * _EPS * max(1.0, abs(x)):  # a relative step in u
+            return x_new
+        x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
+    return x
+
+
+def _beta_quantile(n: int, ell: int, probs) -> np.ndarray:
+    """Quantiles at ``probs`` of Beta(n-ell+1, ell), the law of F(X_(n-ell+1:n)).
+
+    With integer shapes the Beta cdf is a binomial tail (DLMF 8.17.5), so no
+    special function is needed.  Rank 1 and rank n have closed forms.
+    Otherwise a p <= 1/2 solves for log u on the cdf; a p > 1/2 solves for
+    log(1 - u) on the survival function, the cdf of 1 - U ~ Beta(ell, n-ell+1),
+    at 1 - p, so that each root is taken on the tail nearer to p.
+    """
+    out = []
+    for p in probs:
+        if ell == 1:
+            u = math.exp(math.log(p) / n)
+        elif ell == n:
+            u = -math.expm1(math.log1p(-p) / n)
+        elif p <= 0.5:
+            u = math.exp(_log_beta_root(n - ell + 1, ell, math.log(p)))
+        else:
+            u = -math.expm1(_log_beta_root(ell, n - ell + 1, math.log1p(-p)))
+        out.append(u)
+    return np.array(out)
+
+
+_BULK_PROBS = (1e-9, 0.05, 0.5, 0.95, 1.0 - 1e-9)
+
+
+def _integration_points(spec: NearOrderSpec):
+    """Finite breakpoints of the order-statistic integrals, and the median.
+
+    The breakpoints are the gap-ratio kink lo + a and the quantiles of
+    X_(n-ell+1:n) at ``_BULK_PROBS``, each also shifted by -a.  Those
+    quantiles come from :func:`_beta_quantile`, since F(X_(n-ell+1:n)) is
+    Beta(n-ell+1, ell); the median is the one at 1/2 (None for a law
+    without a quantile function).
+    """
     lo, hi = spec.law.support
-    pts = {lo + spec.a}
+    pts, x_mid = {lo + spec.a}, None
     if spec.law.quantile is not None:
-        # bulk of the order statistic: F(X_(n-ell+1:n)) ~ Beta(n-ell+1, ell)
-        u = special.betaincinv(spec.n - spec.ell + 1, spec.ell,
-                               [1e-9, 0.05, 0.5, 0.95, 1.0 - 1e-9])
+        u = _beta_quantile(spec.n, spec.ell, _BULK_PROBS)
+        x_mid = spec.law.quantile(u[_BULK_PROBS.index(0.5)])
         x = spec.law.quantile(u[(0.0 < u) & (u < 1.0)])
         pts.update(x.tolist() + (x - spec.a).tolist())
-    return sorted(p for p in pts if math.isfinite(p) and lo < p < hi)
+    return sorted(p for p in pts if math.isfinite(p) and lo < p < hi), x_mid
 
 
 def _gk_rule(nodes, kronrod, gauss):
@@ -372,10 +518,11 @@ def _binom_pmf(m: int, r) -> np.ndarray:
     return pmf / pmf.sum(axis=1, keepdims=True)
 
 
-def _adaptive_integral(spec: NearOrderSpec, values, tol: float):
+def _adaptive_integral(spec: NearOrderSpec, values, tol: float, points):
     """Integral of the vector ``values(r_a(x))`` against the order-statistic density.
 
-    One :func:`_quad_vec` pass over the support, split at the breakpoints,
+    One :func:`_quad_vec` pass over the support, split at ``points`` (from
+    :func:`_integration_points`),
     gives the vector and the Gauss-Kronrod estimate of its error in the
     Euclidean norm, a QUADPACK-style estimate, not a certificate.
     ``values`` maps an array of N gap ratios to an (N, d) array.  At large n
@@ -387,7 +534,7 @@ def _adaptive_integral(spec: NearOrderSpec, values, tol: float):
     def integrand(x):
         return order_stat_density(spec, x)[:, None] * values(gap_ratio(spec.law, spec.a, x))
 
-    return _quad_vec(integrand, *spec.law.support, points=_integration_points(spec),
+    return _quad_vec(integrand, *spec.law.support, points=points,
                      epsabs=min(tol / 4.0, 1e-11), epsrel=1e-11)
 
 
@@ -399,14 +546,11 @@ def _gap_ratio_moments(spec: NearOrderSpec, powers, tol: float):
     statistic's median (at least eps), so that one error norm holds every
     moment to a similar relative accuracy however small r_a is.
     """
-    from scipy import special
-
     powers = np.asarray(powers)
-    r_mid = 1.0
-    if spec.law.quantile is not None:
-        x_mid = spec.law.quantile(special.betaincinv(spec.n - spec.ell + 1, spec.ell, 0.5))
-        r_mid = max(gap_ratio(spec.law, spec.a, x_mid), _EPS)
-    scaled, err = _adaptive_integral(spec, lambda r: (r[:, None] / r_mid) ** powers, tol)
+    points, x_mid = _integration_points(spec)
+    r_mid = 1.0 if x_mid is None else max(gap_ratio(spec.law, spec.a, x_mid), _EPS)
+    scaled, err = _adaptive_integral(spec, lambda r: (r[:, None] / r_mid) ** powers, tol,
+                                     points)
     moments, errs = scaled * r_mid**powers, err * r_mid**powers
     if np.any(errs > np.maximum(tol, 1e-8 * np.abs(moments))):
         raise IntegrationError(
@@ -452,12 +596,16 @@ def gumbel_gap_moment(n: int, a: float, j: int) -> float:
 def gumbel_gap_moment_exact(n: int, ell: int, a: float, j: int) -> float:
     """Exact E[r_a**j] at the ell-th largest Gumbel order statistic.
 
-    Substituting t = e**(-x) turns the moment into a finite alternating sum:
+    Here r_a = 1 - U**c with c = e**a - 1 and U = F(X_(n-ell+1:n)) ~
+    Beta(n-ell+1, ell), whose moments are E[U**s] = prod_i m_i / (m_i + s)
+    over m_i = n - ell + 1 + i, i < ell.  So, with every sum taken in logs,
 
-        n C(n-1, ell-1) sum_{i<ell} sum_{s<=j} (-1)**(i+s) C(ell-1, i) C(j, s)
-                                        / (n - ell + 1 + i + s c),
+        E[r]    = A = 1 - P1,   P1 = prod_i m_i / (m_i + c),
+        E[r**2] = 1 - 2 P1 + P2 = A**2 + P1**2 (prod_i (m_i + c)**2 / (m_i (m_i + 2c)) - 1),
 
-    with c = e**a - 1.  Reduces to :func:`gumbel_gap_moment` at ell = 1.
+    two positive terms, free of the cancellation of the alternating sum
+    that expands the same moments.  Reduces to :func:`gumbel_gap_moment`
+    at ell = 1.
     """
     if not (1 <= ell <= n):
         raise DomainError(f"rank must lie in [1, {n}], got {ell!r}")
@@ -466,14 +614,13 @@ def gumbel_gap_moment_exact(n: int, ell: int, a: float, j: int) -> float:
     if j not in (1, 2):
         raise DomainError(f"moment order must be 1 or 2, got {j!r}")
     c = math.expm1(a)
-    norm = n * math.comb(n - 1, ell - 1)
-    total = 0.0
-    for i in range(ell):
-        for s in range(j + 1):
-            sign = -1.0 if (i + s) % 2 else 1.0
-            total += (sign * math.comb(ell - 1, i) * math.comb(j, s)
-                      / (n - ell + 1 + i + s * c))
-    return norm * total
+    ms = range(n - ell + 1, n + 1)
+    log_p1 = math.fsum(math.log1p(-c / (m + c)) for m in ms)
+    mean = -math.expm1(log_p1)
+    if j == 1:
+        return mean
+    log_ratio = math.fsum(math.log1p(c / m * (c / (m + 2.0 * c))) for m in ms)
+    return mean * mean + math.exp(2.0 * log_p1) * math.expm1(log_ratio)
 
 
 def uniform_gap_moment(n: int, ell: int, a: float, b: float, j: int) -> float:
@@ -502,16 +649,20 @@ def uniform_gap_moment(n: int, ell: int, a: float, b: float, j: int) -> float:
 
 
 def uniform_gap_moment_exact(n: int, ell: int, a: float, b: float, j: int) -> float:
-    """Exact E[r_a**j] for the uniform law on (0, b), via incomplete betas.
+    """Exact E[r_a**j] for the uniform law on (0, b), as two binomial tails.
 
-    Splitting at x = a (where r_a saturates at 1) gives, with u = min(a/b, 1),
+    With u = a/b, U = F(X_(n-ell+1:n)) ~ Beta(n-ell+1, ell) and r_a = 1 on
+    U <= u, r_a = (u/U)**j above it:
 
-        n C(n-1, ell-1) [ B(n-ell+1, ell) I_u(n-ell+1, ell)
-            + (a/b)**j B(n-ell-j+1, ell) (1 - I_u(n-ell-j+1, ell)) ],
+        E[r_a**j] = P(Bin(n, 1-u) <= ell-1)
+                    + uniform_gap_moment(n, ell, a, b, j) * P(Bin(n-j, 1-u) >= ell).
 
-    where I is the regularized incomplete beta function.  For a >= b the
-    ratio saturates everywhere and the moment is exactly 1.  Requires
-    n - ell >= j so the second beta parameter stays positive.
+    The first term is P(U <= u) = I_u(n-ell+1, ell); the second follows from
+    n C(n-1, ell-1) B(n-ell+1, ell) = 1 applied at n and at n - j, which
+    turns u**j E[U**-j; U > u] into the idealized moment times the tail.
+    Both tails are summed over their own terms (:func:`_log_binom_tail`).
+    For a >= b the ratio saturates everywhere and the moment is exactly 1.
+    Requires n - ell >= j so the second tail is defined.
     """
     if not (1 <= ell <= n):
         raise DomainError(f"rank must lie in [1, {n}], got {ell!r}")
@@ -523,15 +674,11 @@ def uniform_gap_moment_exact(n: int, ell: int, a: float, b: float, j: int) -> fl
         return 1.0
     if n - ell < j:
         raise DomainError(f"need n - ell >= {j} for the exact moment form")
-    from scipy import special
-
     u = a / b
-    norm = n * math.comb(n - 1, ell - 1)
-    head = (math.exp(special.betaln(n - ell + 1, ell))
-            * special.betainc(n - ell + 1, ell, u))
-    tail = (u**j * math.exp(special.betaln(n - ell - j + 1, ell))
-            * (1.0 - special.betainc(n - ell - j + 1, ell, u)))
-    return norm * (head + tail)
+    # in terms of Bin(., u): P(Bin(n, u) > n-ell) and P(Bin(n-j, u) <= n-j-ell)
+    head = math.exp(_log_binom_tail(n, n - ell, u, upper=True))
+    tail = math.exp(_log_binom_tail(n - j, n - j - ell, u, upper=False))
+    return head + uniform_gap_moment(n, ell, a, b, j) * tail
 
 
 def negbin_bound_near_order(spec: NearOrderSpec, tol: float = 1e-10) -> BoundReport:
@@ -598,7 +745,8 @@ def near_order_count_pmf(spec: NearOrderSpec, tol: float = 1e-10) -> TruncatedPM
     Like every QUADPACK-style error estimate it is not a certificate.
     """
     m = spec.n - spec.ell
-    probs, err = _adaptive_integral(spec, lambda r: _binom_pmf(m, r), tol)
+    probs, err = _adaptive_integral(spec, lambda r: _binom_pmf(m, r), tol,
+                                    _integration_points(spec)[0])
     l1_err = math.sqrt(m + 1) * err
     if l1_err > max(tol, 1e-7):
         raise IntegrationError(

@@ -1,6 +1,9 @@
 """Continuous-case bounds: quadrature vs closed forms, delegation, dominance."""
 
+import itertools
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -12,8 +15,10 @@ from tiebound.approximants import truncated_negbin, tv_distance
 from tiebound.bounds_continuous import (
     MixedBinomialSpec,
     NearOrderSpec,
+    _beta_quantile,
     _binom_pmf,
     _integration_points,
+    _log_binom_tail,
     _log_order_const,
     _quad_vec,
     gap_ratio,
@@ -69,6 +74,46 @@ def _gumbel_moment_mp(n, ell, a, j):
                         / (n - ell + 1 + i + s * c)
                         for i in range(ell) for s in range(j + 1))
         return float(n * mp.binomial(n - 1, ell - 1) * total)
+
+
+def _uniform_moment_fraction(n, ell, a, j):
+    """Exact E[r_a**j] on the uniform (0, 1) law, for rational a < 1.
+
+    r_a = 1 below a and a/x above it; with the density n C(n-1, ell-1)
+    (1-x)**(ell-1) x**(n-ell) expanded in powers of x, both parts are sums
+    of monomial integrals.
+    """
+    total = 0
+    for i in range(ell):
+        coef = (-1) ** i * math.comb(ell - 1, i)
+        below, above = n - ell + i + 1, n - ell - j + i + 1
+        total += coef * (a**below / below + a**j * (1 - a**above) / above)
+    return n * math.comb(n - 1, ell - 1) * total
+
+
+def _beta_cdf_mp(a, b, u):
+    """The Beta(a, b) cdf at u, at 50 digits.
+
+    mpmath's betainc, except for shapes near 5e8, where its hypergeometric
+    series does not converge: there a tanh-sinh quadrature of the density
+    over one-standard-deviation panels from 15 deviations below the mean
+    (the mass below is under 1e-50).
+    """
+    with mp.workdps(50):
+        u = mp.mpf(u)
+        if u <= 0 or u >= 1:
+            return mp.mpf(u >= 1)
+        if min(a, b) < 10**6:
+            return mp.betainc(a, b, 0, u, regularized=True)
+        mean = mp.mpf(a) / (a + b)
+        sd = mp.sqrt(mean * (1 - mean) / (a + b + 1))
+        log_norm = mp.loggamma(a + b) - mp.loggamma(a) - mp.loggamma(b)
+
+        def density(t):
+            return mp.exp(log_norm + (a - 1) * mp.log(t) + (b - 1) * mp.log1p(-t))
+
+        return mp.quad(density, [mean + k * sd for k in range(-15, 16) if mean + k * sd < u]
+                       + [u])
 
 
 def _exponential_law(sign):
@@ -246,6 +291,27 @@ class TestGapMomentClosedForms:
         # a = b: the idealized form gives n/(n-ell), past its validity edge
         assert uniform_gap_moment(8, 2, 1.0, 1.0, 1) == pytest.approx(8.0 / 6.0, rel=1e-14)
 
+    @pytest.mark.parametrize("n,ell,a", [(10**6, 3, 0.3), (10**6, 2, 0.3), (10**7, 1, 0.01),
+                                         (10**9, 1, 0.01), (20, 2, 1e-12)])
+    def test_gumbel_exact_matches_high_precision(self, n, ell, a):
+        for j in (1, 2):
+            exact = _gumbel_moment_mp(n, ell, a, j)
+            assert abs(gumbel_gap_moment_exact(n, ell, a, j) - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize("n", GRID_N)
+    @pytest.mark.parametrize("ell", GRID_ELL)
+    @pytest.mark.parametrize("a", GRID_A)
+    def test_uniform_exact_matches_fractions(self, n, ell, a):
+        for j in (1, 2):
+            if n - ell < j:
+                continue
+            got = uniform_gap_moment_exact(n, ell, a, 1.0, j)
+            if a >= 1.0:
+                assert got == 1.0
+                continue
+            exact = _uniform_moment_fraction(n, ell, Fraction(a), j)
+            assert abs(Fraction(got) - exact) <= Fraction(1e-14) * exact
+
     def test_vanishing_threshold(self):
         for j in (1, 2):
             assert gumbel_gap_moment_exact(20, 2, 1e-12, j) < 1e-10
@@ -401,6 +467,63 @@ def _binom_pmf_mp(m, r):
         return terms
 
 
+class TestBinomialTails:
+    @pytest.mark.parametrize("m", (1, 2, 7, 30, 120))
+    @pytest.mark.parametrize("q", (1e-9, 0.01, 0.3, 0.5, 0.77, 1.0 - 1e-6))
+    def test_tails_match_fractions(self, m, q):
+        exact_q = Fraction(q)
+        terms = [math.comb(m, i) * exact_q**i * (1 - exact_q) ** (m - i) for i in range(m + 1)]
+        lower = [Fraction(0)] + list(itertools.accumulate(terms))
+        with mp.workdps(40):
+            for k in range(-1, m + 1):
+                for upper, exact in ((False, lower[k + 1]), (True, 1 - lower[k + 1])):
+                    got = _log_binom_tail(m, k, q, upper)
+                    if exact == 0:
+                        assert got == -math.inf
+                        continue
+                    log_exact = mp.log(exact.numerator) - mp.log(exact.denominator)
+                    # relative error of the tail; the log of a tail near 1e-2000
+                    # cannot be closer than its own rounding
+                    assert abs(got - log_exact) <= 1e-14 * max(1.0, abs(log_exact)), (k, upper)
+
+    def test_degenerate_chances(self):
+        assert _log_binom_tail(5, 2, 0.0, False) == 0.0
+        assert _log_binom_tail(5, 2, 0.0, True) == -math.inf
+        assert _log_binom_tail(5, 2, 1.0, False) == -math.inf
+        assert _log_binom_tail(5, 2, 1.0, True) == 0.0
+        assert _log_binom_tail(5, 5, 1.0, False) == 0.0
+
+
+BETA_PROBS = (1e-9, 0.05, 0.5, 0.95, 1.0 - 1e-9)
+
+
+class TestBetaQuantile:
+    @pytest.mark.parametrize("n,ell", [(8, 1), (10, 2), (50, 3), (200, 3), (10**6, 1), (10**6, 3),
+                                       (10**9, 1), (10, 10), (1000, 500), (10**9, 5 * 10**8)])
+    def test_matches_high_precision_inversion(self, n, ell):
+        u = _beta_quantile(n, ell, BETA_PROBS)
+        assert np.all(np.diff(u) >= 0.0)
+        for p, v in zip(BETA_PROBS, u.tolist()):
+            # |v - u*| <= tol, with u* the exact quantile, iff the exact cdf
+            # brackets p on [v - tol, v + tol]
+            tol = 1e-11 * min(v, 1.0 - v) + 4.0 * np.finfo(float).eps
+            below = _beta_cdf_mp(n - ell + 1, ell, v - tol)
+            above = _beta_cdf_mp(n - ell + 1, ell, v + tol)
+            assert below <= mp.mpf(p) <= above, (p, v)
+
+    def test_huge_symmetric_shapes_are_fast_and_small(self):
+        elapsed = []
+        for _ in range(3):
+            tracemalloc.start()
+            start = time.perf_counter()
+            _beta_quantile(10**9, 5 * 10**8, BETA_PROBS)
+            elapsed.append(time.perf_counter() - start)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 50e6
+        assert min(elapsed) < 0.1
+
+
 class TestQuadratureKernels:
     RATIOS = (0.0, 1e-6, 0.05, 0.5, 0.999, 1.0 - 1e-7, 1.0)
 
@@ -440,7 +563,7 @@ class TestQuadratureKernels:
             def integrand(x):
                 return order_stat_density(spec, x)[:, None] * values(gap_ratio(spec.law, a, x))
 
-            args = dict(epsabs=2.5e-12, epsrel=1e-11, points=_integration_points(spec))
+            args = dict(epsabs=2.5e-12, epsrel=1e-11, points=_integration_points(spec)[0])
             got, err = _quad_vec(integrand, *spec.law.support, **args)
             ref, ref_err = integrate.quad_vec(lambda x: integrand(np.array([x]))[0],
                                               *spec.law.support, norm="2", limit=50, **args)

@@ -209,25 +209,52 @@ class TestSimulateCommand:
         assert l1 <= law.tail_mass_bound
 
 
-@pytest.mark.parametrize("argv,banned", [
-    (["bound", "thm2", "--p", "0.1", "--n", "10"], ("scipy",)),
-    (["bound", "thm3", "--law", "gumbel", "--n", "100", "--a", "0.3"],
-     ("scipy.stats", "scipy.integrate")),
-    (["simulate", "--law", "uniform", "--b", "1", "--n", "20", "--a", "0.1",
-      "--mc-samples", "100"], ("scipy.stats", "scipy.integrate")),
-], ids=["discrete", "thm3", "simulate-near-order"])
-def test_commands_import_only_the_scipy_they_need(argv, banned):
-    # discrete commands load no scipy; continuous ones only scipy.special
+SCIPY_FREE_COMMANDS = {
+    "discrete": ["bound", "thm2", "--p", "0.1", "--n", "10"],
+    "thm3": ["bound", "thm3", "--law", "gumbel", "--n", "100", "--a", "0.3"],
+    "simulate-near-order": ["simulate", "--law", "uniform", "--b", "1", "--n", "20", "--a", "0.1",
+                            "--mc-samples", "100"],
+    "simulate-near-order-ell3": ["simulate", "--law", "uniform", "--b", "1", "--n", "20",
+                                 "--ell", "3", "--a", "0.1", "--mc-samples", "100"],
+    "verify": ["verify", "--mc-samples", "0"],
+    "fig2": ["figure", "fig2"],
+}
+
+
+def _run_python(code):
     src = os.path.dirname(os.path.dirname(tiebound.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+@pytest.mark.parametrize("argv", SCIPY_FREE_COMMANDS.values(), ids=SCIPY_FREE_COMMANDS.keys())
+def test_commands_import_only_the_scipy_they_need(argv):
+    # since no command needs scipy, none may load any of it
     code = ("import contextlib, io, json, sys, tiebound.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert tiebound.cli.main({argv!r}) == 0\n"
             "print(json.dumps(sorted(sys.modules)))\n")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True)
-    loaded = json.loads(result.stdout.strip().split("\n")[-1])
-    assert [m for m in loaded if any(m == b or m.startswith(b + ".") for b in banned)] == []
+    loaded = json.loads(_run_python(code).strip().split("\n")[-1])
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_continuous_path_runs_with_scipy_blocked():
+    # a None entry in sys.modules makes every `import scipy...` raise
+    code = ("import contextlib, io, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import tiebound.cli\n"
+            "from tiebound import bounds_continuous as bc, gumbel_law, uniform_law\n"
+            f"for argv in {list(SCIPY_FREE_COMMANDS.values())!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert tiebound.cli.main(argv) == 0, argv\n"
+            "for law in (gumbel_law(), uniform_law(1.0)):\n"
+            "    spec = bc.NearOrderSpec(law=law, n=50, ell=3, a=0.1)\n"
+            "    assert bc.negbin_bound_near_order(spec).bound > 0.0\n"
+            "    assert abs(bc.near_order_count_pmf(spec).total() - 1.0) < 1e-9\n"
+            "assert 0.0 < bc.uniform_gap_moment_exact(200, 3, 0.05, 1.0, 2) < 1.0\n"
+            "print('ok')\n")
+    assert _run_python(code).strip().split("\n")[-1] == "ok"
 
 
 def test_outputs_are_byte_stable(runner):
