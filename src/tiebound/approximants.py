@@ -42,10 +42,12 @@ _MAX_TERMS = 10_000_000
 class TruncatedPMF:
     """A finite probability vector plus a certified omitted-mass bound.
 
-    ``probs[i]`` is the probability of outcome ``k_min + i``.  All mass at
-    outcomes below ``k_min`` is exactly zero; the mass above ``k_max`` (plus
-    any certified numerical error in the stored entries) is at most
-    ``tail_mass_bound``.
+    ``probs[i]`` is the probability of outcome ``k_min + i``.  ``k_min`` is
+    the first outcome held, which need not be the first of the support: the
+    tie-count laws start where their mass reaches the smallest normal
+    double.  ``tail_mass_bound`` bounds the mass outside ``k_min..k_max``,
+    on both sides, plus the certified rounding error of the stored entries
+    (their L1 distance from the exact values).
     """
 
     k_min: int

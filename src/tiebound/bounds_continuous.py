@@ -35,9 +35,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .approximants import TruncatedPMF
+from .binomial import _EPS, _log_binom_tail, _log_binom_term, _log_choose, binom_rows
 from .bounds_discrete import BoundReport
 from .distributions import ContinuousLaw
-from .errors import DegenerateParameterError, DomainError, IntegrationError
+from .errors import DegenerateParameterError, DomainError, IntegrationError, integer_in
 
 __all__ = [
     "MixedBinomialSpec",
@@ -71,10 +72,8 @@ class MixedBinomialSpec:
     eq2: float
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"sample size must be a positive integer, got {self.n!r}")
-        if not isinstance(self.ell, int) or not (1 <= self.ell <= self.n):
-            raise DomainError(f"rank must be an integer in [1, {self.n}], got {self.ell!r}")
+        object.__setattr__(self, "n", integer_in(self.n, 1, what="sample size"))
+        object.__setattr__(self, "ell", integer_in(self.ell, 1, self.n, "rank"))
         if not (0.0 <= self.eq <= 1.0):
             raise DomainError(f"E[Q] must lie in [0, 1], got {self.eq!r}")
         if self.eq2 < 0.0 or self.eq2 > self.eq + 1e-9:
@@ -95,10 +94,8 @@ class NearOrderSpec:
     a: float
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"sample size must be a positive integer, got {self.n!r}")
-        if not isinstance(self.ell, int) or not (1 <= self.ell <= self.n):
-            raise DomainError(f"rank must be an integer in [1, {self.n}], got {self.ell!r}")
+        object.__setattr__(self, "n", integer_in(self.n, 1, what="sample size"))
+        object.__setattr__(self, "ell", integer_in(self.ell, 1, self.n, "rank"))
         if not (self.a > 0.0):
             raise DomainError(f"distance threshold must be positive, got {self.a!r}")
 
@@ -149,19 +146,6 @@ def gap_ratio(law: ContinuousLaw, a: float, x):
     return r if r.ndim else float(r)
 
 
-def _log_order_const(n: int, ell: int) -> float:
-    """log(n * C(n-1, ell-1)), the order-statistic density normalizer.
-
-    The binomial is an exact integer unless both n and the smaller of ell-1
-    and n-ell are large (it costs under 1 ms at n = 1e9 with 1000 factors);
-    beyond that the lgamma terms of size n log n cancel to about n log(n) eps.
-    """
-    if n <= 10_000 or min(ell - 1, n - ell) <= 1000:
-        return math.log(n) + math.log(math.comb(n - 1, ell - 1))
-    return (math.log(n) + math.lgamma(n) - math.lgamma(ell)
-            - math.lgamma(n - ell + 1))
-
-
 def order_stat_density(spec: NearOrderSpec, x):
     """Density of the ell-th largest of n observations at x.
 
@@ -173,91 +157,9 @@ def order_stat_density(spec: NearOrderSpec, x):
     x = np.asarray(x, dtype=float)
     fx = np.asarray(spec.law.pdf(x))
     F = np.asarray(spec.law.cdf(x))
-    out = np.where(fx > 0.0, math.exp(_log_order_const(n, ell))
+    out = np.where(fx > 0.0, math.exp(math.log(n) + _log_choose(n - 1, ell - 1))
                    * (1.0 - F) ** (ell - 1) * F ** (n - ell) * fx, 0.0)
     return out if out.ndim else float(out)
-
-
-# _stirlerr(k) for k = 1, ..., 15, where the series below is not yet accurate
-# and lgamma(k + 1) - (k + 1/2) log k + ... cancels to about 5e-15
-_STIRLERR_SMALL = (
-    0.08106146679532726, 0.0413406959554093, 0.02767792568499834, 0.020790672103765093,
-    0.016644691189821193, 0.013876128823070748, 0.01189670994589177, 0.010411265261972096,
-    0.009255462182712733, 0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
-    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
-)
-
-
-def _stirlerr(k: int) -> float:
-    """log(k!) - log(sqrt(2 pi k) (k/e)**k), the error of Stirling's formula, k >= 1."""
-    if k <= 15:
-        return _STIRLERR_SMALL[k - 1]
-    kk = float(k) * k
-    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / k
-
-
-def _bd0(x: float, mu: float) -> float:
-    """x log(x/mu) + mu - x, by a series free of cancellation when x is near mu."""
-    if abs(x - mu) >= 0.1 * (x + mu):
-        return x * math.log(x / mu) + mu - x
-    v = (x - mu) / (x + mu)
-    s, term, v2 = (x - mu) * v, 2.0 * x * v, v * v
-    for j in range(3, 200, 2):
-        term *= v2
-        if s + term / j == s:
-            break
-        s += term / j
-    return s
-
-
-def _log_binom_term(m: int, k: int, q: float) -> float:
-    """log P(Bin(m, q) = k) for 0 < q < 1, by Loader's saddle-point form.
-
-    Stirling errors and the deviance terms ``_bd0`` replace the lgamma
-    differences, which at m = 1e9 would cost about 1e-6 absolute (C. Loader,
-    "Fast and accurate computation of binomial probabilities", 2000).
-    """
-    if k == 0:
-        return m * math.log1p(-q)
-    if k == m:
-        return m * math.log(q)
-    return (_stirlerr(m) - _stirlerr(k) - _stirlerr(m - k) - _bd0(k, m * q)
-            - _bd0(m - k, m * (1.0 - q)) + 0.5 * math.log(m / (2.0 * math.pi * k * (m - k))))
-
-
-def _log_binom_tail(m: int, k: int, q: float, upper: bool) -> float:
-    """log P(Bin(m, q) > k) if ``upper``, else log P(Bin(m, q) <= k).
-
-    Each side is a direct sum over its own terms, never one minus the other.
-    The sum starts at the side's largest term (the mode, or the side's end
-    nearest to it), whose log is :func:`_log_binom_term`, and runs outward
-    both ways by the term ratios, which fall below 1 there.  A run of up to
-    4096 terms is summed in full; a longer one goes on in doubling blocks
-    until the geometric bound on what is left, last term * rho / (1 - rho)
-    with rho the next ratio, is below eps of the sum.
-    """
-    lo, hi = (k + 1, m) if upper else (0, k)
-    if lo > hi or (q <= 0.0 and lo > 0) or (q >= 1.0 and hi < m):
-        return -math.inf
-    if q <= 0.0 or q >= 1.0:
-        return 0.0
-    anchor = min(max(math.floor((m + 1) * q), lo), hi)
-    odds, inv_odds = q / (1.0 - q), (1.0 - q) / q
-    total = 1.0  # the sum relative to the anchor term
-    for step, end in ((1, hi), (-1, lo)):
-        i, term, size = anchor, 1.0, 4096
-        while i != end:
-            idx = i + step * np.arange(min(size, abs(end - i)), dtype=float)
-            # the ratio of the term after each index to the term at it
-            ratios = ((m - idx) / (idx + 1.0) * odds if step > 0
-                      else idx / (m - idx + 1.0) * inv_odds)
-            terms = term * np.cumprod(ratios)
-            total += float(terms.sum())
-            i, term, size = i + step * idx.size, float(terms[-1]), 2 * size
-            rho = (m - i) / (i + 1.0) * odds if step > 0 else i / (m - i + 1.0) * inv_odds
-            if term == 0.0 or (rho < 1.0 and term * rho / (1.0 - rho) <= _EPS * total):
-                break
-    return _log_binom_term(m, anchor, q) + math.log(total)
 
 
 def _log_beta_root(a: int, b: int, log_p: float) -> float:
@@ -378,7 +280,6 @@ _GK15 = _gk_rule(
     [0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
      0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327],
 )
-_EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
@@ -496,26 +397,6 @@ def _quad_vec(f, a: float, b: float, points, epsabs: float, epsrel: float):
         if not (math.isfinite(total_err) and math.isfinite(total_rnd)):
             break
     return total, total_err + total_rnd
-
-
-def _binom_pmf(m: int, r) -> np.ndarray:
-    """Bin(m, r) pmf over k = 0, ..., m, one row for each entry of ``r``.
-
-    Each row starts at 1 at its mode floor((m+1) r) and multiplies the term
-    ratios P(k+1)/P(k) = (m-k)/(k+1) * r/(1-r) outward from it, then is
-    divided by its sum, so no binomial coefficient or power is formed and
-    nothing overflows.  r = 0 and r = 1 give the point masses at 0 and m.
-    """
-    r = np.asarray(r, dtype=float)[:, None]
-    k = np.arange(m, dtype=float)
-    mode = np.minimum(np.floor((m + 1) * r), m)
-    with np.errstate(divide="ignore"):
-        up = (m - k) / (k + 1.0) * (r / (1.0 - r))
-        down = (k + 1.0) / (m - k) * ((1.0 - r) / r)
-    pmf = np.ones((r.shape[0], m + 1))
-    pmf[:, 1:] = np.cumprod(np.where(k >= mode, up, 1.0), axis=1)
-    pmf[:, :-1] *= np.cumprod(np.where(k < mode, down, 1.0)[:, ::-1], axis=1)[:, ::-1]
-    return pmf / pmf.sum(axis=1, keepdims=True)
 
 
 def _adaptive_integral(spec: NearOrderSpec, values, tol: float, points):
@@ -745,8 +626,11 @@ def near_order_count_pmf(spec: NearOrderSpec, tol: float = 1e-10) -> TruncatedPM
     Like every QUADPACK-style error estimate it is not a certificate.
     """
     m = spec.n - spec.ell
-    probs, err = _adaptive_integral(spec, lambda r: _binom_pmf(m, r), tol,
-                                    _integration_points(spec)[0])
+    def row(r):
+        with np.errstate(divide="ignore"):
+            return binom_rows(m, r / (1.0 - r), 0, m)[0]
+
+    probs, err = _adaptive_integral(spec, row, tol, _integration_points(spec)[0])
     l1_err = math.sqrt(m + 1) * err
     if l1_err > max(tol, 1e-7):
         raise IntegrationError(

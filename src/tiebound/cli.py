@@ -34,7 +34,7 @@ import numpy as np
 from . import approximants, bounds_continuous, bounds_discrete, montecarlo
 from .distributions import law_from_descriptor
 from .errors import DegenerateParameterError, DomainError, NumericError
-from .maxima import KnSpec, tie_count_factorial_moment, tie_count_law
+from .maxima import KnSpec, size_biased_tie_law, tie_count_law
 from .bounds_continuous import NearOrderSpec
 
 DEFAULT_SEED = 202608
@@ -350,20 +350,6 @@ class _VerificationFailure(Exception):
     pass
 
 
-def _size_biased_law(spec: KnSpec, tol: float) -> approximants.TruncatedPMF:
-    """Law of the size-biased tie count, k P(K = k) / E[K], from one law of K."""
-    law = tie_count_law(spec, tol)
-    e1 = tie_count_factorial_moment(spec, 1, tol)
-    star = np.arange(law.k_min, law.k_max + 1) * law.probs / e1
-    # With T the law's certificate (entry errors plus the mass above K_max)
-    # and e1 <= E[K] <= e1 (1 + tol) (a positive series with a relative
-    # remainder), the entries err by at most K_max T / e1 + tol in all, and
-    # the mass above K_max is at most 1 + tol - sum(star) + K_max T / e1.
-    slack = law.k_max * law.tail_mass_bound / e1 + tol
-    tail = 2.0 * slack + max(0.0, 1.0 - math.fsum(star.tolist()))
-    return approximants.TruncatedPMF(k_min=law.k_min, probs=star, tail_mass_bound=tail)
-
-
 @cli.command("simulate")
 @_law_options
 @click.option("--kind", type=click.Choice(["ties", "size-biased", "near-order"]),
@@ -382,20 +368,22 @@ def cmd_simulate(law, p, mu, n, ell, a, b, weights, kind, mc_samples, seed, tol,
         kind = "near-order" if continuous else "ties"
     rng = montecarlo.RngStream(seed=seed, stream_id=0)
 
+    # the exact law first: a numeric failure then ends the command before
+    # sampling, and the sampler reuses the memory the law freed
     if kind == "near-order":
         if not continuous or a is None:
             raise click.UsageError("near-order simulation needs a continuous law and --a")
         spec = NearOrderSpec(law=law_obj, n=n, ell=ell, a=a)
-        samples = montecarlo.sample_near_order_count(spec, rng, size=mc_samples)
         exact = bounds_continuous.near_order_count_pmf(spec, 1e-9)
+        samples = montecarlo.sample_near_order_count(spec, rng, size=mc_samples)
     elif kind == "size-biased":
         spec = KnSpec(law=law_obj, n=n)
+        exact = size_biased_tie_law(spec, tol)
         samples = montecarlo.sample_size_biased_ties(spec, rng, size=mc_samples)
-        exact = _size_biased_law(spec, tol)
     else:
         spec = KnSpec(law=law_obj, n=n)
-        samples = montecarlo.sample_tie_count(spec, rng, size=mc_samples)
         exact = tie_count_law(spec, tol)
+        samples = montecarlo.sample_tie_count(spec, rng, size=mc_samples)
     emp = montecarlo.EmpiricalPMF.from_samples(samples)
     rows = []
     k_lo = min(emp.k_min, exact.k_min)

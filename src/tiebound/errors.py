@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer-argument check."""
+
+import operator
 
 
 class DomainError(ValueError):
@@ -42,3 +44,18 @@ class IntegrationError(NumericError):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
+
+
+def integer_in(value, lo: int, hi=None, what: str = "value") -> int:
+    """``value`` as a Python int in [lo, hi] (unbounded above if ``hi`` is None).
+
+    Takes any integer type through ``operator.index``, numpy's too, but not bool.
+    """
+    try:
+        k = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        k = None
+    if k is None or k < lo or (hi is not None and k > hi):
+        where = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise DomainError(f"{what} must be an integer {where}, got {value!r}")
+    return k

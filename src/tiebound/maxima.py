@@ -12,9 +12,15 @@ evaluates: it takes log p(j) and log F over blocks of j, merges each block
 into a running log-sum-exp, and checks the law's geometric tail certificate
 at each block end.  Working in log space keeps n as large as 1e9 meaningful.
 
-It also exposes the law of the argmax value M (P(M = m) proportional to
-p(m) * F(m)**(n-1)), the conditional tie probability q(m) = p(m) / F(m),
-and the size-biased tie count, which is a binomial mixture over q(M).
+The full laws of K and of the size-biased count K* are binomial mixtures
+over the maximum M, with the conditional tie probability q(j) = p(j) / F(j):
+
+    P(K = k)  = sum_j F(j)**n P(Bin(n, q(j)) = k),                 k >= 1,
+    P(K* = k) = sum_j p(j) F(j)**(n-1) / Z P(1 + Bin(n-1, q(j)) = k),
+
+and one blocked pass of binomial rows over j (``_mixture_law``) gives each.
+The module also exposes the law of the argmax value M (P(M = m) = p(m)
+F(m)**(n-1) / Z).
 """
 
 from __future__ import annotations
@@ -26,14 +32,16 @@ from typing import Optional
 import numpy as np
 
 from .approximants import TruncatedPMF
+from .binomial import _U, _gamma, _log_choose, _pairwise_sum, binom_rows, binom_window
 from .distributions import DiscreteLaw
-from .errors import DomainError, TruncationError
+from .errors import DomainError, TruncationError, integer_in
 
 __all__ = [
     "KnSpec",
     "tie_count_pmf",
     "tie_count_factorial_moment",
     "tie_count_law",
+    "size_biased_tie_law",
     "size_biased_tie_pmf",
     "argmax_value_law",
     "tie_given_max_prob",
@@ -46,6 +54,11 @@ _SERIES_CAP = 2_000_000
 # series blocks double from _FIRST_BLOCK terms, so short series stay cheap
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 1 << 15
+# mixture rows at or below the smallest normal double are dropped
+_FLOOR = np.finfo(float).tiny
+_LOG_FLOOR = math.log(_FLOOR)
+# cells (rows x window) of one mixture chunk; a single row may exceed it
+_CHUNK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -56,18 +69,7 @@ class KnSpec:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"sample size must be a positive integer, got {self.n!r}")
-
-
-def _log_comb(n: int, k: int) -> float:
-    """log C(n, k); accurate for huge n as long as k stays moderate."""
-    if k < 0 or k > n:
-        return -math.inf
-    k = min(k, n - k)
-    if k <= 100_000:
-        return math.fsum(math.log((n - k + i) / i) for i in range(1, k + 1))
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        object.__setattr__(self, "n", integer_in(self.n, 1, what="sample size"))
 
 
 def _log_falling(n: int, ell: int) -> float:
@@ -140,7 +142,7 @@ def _series(law: DiscreteLaw, power: int, expo: int, shifted: bool,
 
 
 def _tie_pmf_with_error(spec: KnSpec, k: int, tol: float) -> tuple[float, float]:
-    log_binom = _log_comb(spec.n, k)
+    log_binom = _log_choose(spec.n, k)
     log_sum, log_rem = _series(spec.law, power=k, expo=spec.n - k, shifted=True,
                                log_abs_tol=math.log(tol) - log_binom)
     return math.exp(log_binom + log_sum), math.exp(log_binom + log_rem)
@@ -155,8 +157,7 @@ def _factorial_moment_with_error(spec: KnSpec, ell: int, tol: float) -> tuple[fl
 
 def tie_count_pmf(spec: KnSpec, k: int, tol: float = DEFAULT_TOL) -> float:
     """P(K = k), certified within ``tol`` absolutely."""
-    if not isinstance(k, int) or not (1 <= k <= spec.n):
-        raise DomainError(f"tie count must be an integer in [1, {spec.n}], got {k!r}")
+    k = integer_in(k, 1, spec.n, "tie count")
     if not (tol > 0.0):
         raise DomainError("tolerance must be positive")
     return _tie_pmf_with_error(spec, k, tol)[0]
@@ -164,60 +165,147 @@ def tie_count_pmf(spec: KnSpec, k: int, tol: float = DEFAULT_TOL) -> float:
 
 def tie_count_factorial_moment(spec: KnSpec, ell: int, tol: float = DEFAULT_TOL) -> float:
     """E[(K)_ell] = E[K (K-1) ... (K-ell+1)], certified within ``tol`` relatively."""
-    if not isinstance(ell, int) or not (1 <= ell <= spec.n):
-        raise DomainError(f"moment order must be an integer in [1, {spec.n}], got {ell!r}")
+    ell = integer_in(ell, 1, spec.n, "moment order")
     if not (tol > 0.0):
         raise DomainError("tolerance must be positive")
     return _factorial_moment_with_error(spec, ell, tol)[0]
 
 
-def tie_count_law(spec: KnSpec, tol: float = DEFAULT_TOL) -> TruncatedPMF:
-    """The full law of K as a TruncatedPMF whose tail certificate meets ``tol``.
+def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
+    """The law of K, or of K*, from one blocked pass of binomial rows over j.
 
-    For moderate n the entire support {1, ..., n} is materialized and the
-    tail budget consists purely of accumulated per-entry certificates.  For
-    large n the support is cut once the certified unaccounted mass
-    (1 - partial sum, plus per-entry errors) drops below ``tol``.
+    Given M = j, K is Bin(n, q(j)) on k >= 1, so P(K = k) = sum_j w_j
+    P(Bin(n, q(j)) = k) with w_j = F(j)**n; for K* the weights are p(j)
+    F(j)**(n-1) / Z and the rows 1 + Bin(n-1, q(j)).  The odds of q(j) are
+    p(j) / F(j-1), formed in logs.  Rows with w_j below tiny, the smallest
+    normal double, are skipped; the others span the window where w_j times
+    their Chernoff bound reaches tiny (:func:`binom_window`), and each chunk
+    of rows is summed pairwise.  The pass ends at the J where P(M > J) <=
+    n C r**J (for K*, C r**J / Z) meets tol / 2.
+
+    The certificate b of K adds: tiny per skipped row; the suffix beyond J;
+    twice the mass past each row's window (omitted, and moved by the row's
+    normalisation onto its terms); 2 tiny per cell, for subnormal results
+    and for entries below tiny dropped at either end; and rounding.  For
+    rounding the law's p(j) and S(j) = 1 - F(j) are taken to err by at most
+    4u (1 + |log p|) and 4u (1 + |log S|) relative, plus gamma_m for a law
+    that sums m weights, and S by 2u more absolutely for a law without
+    ``logcdf``: the geometric law forms both by one exp of j log(1-p).
+    Then log F = log1p(-S) errs by S/F times that, plus 2u |log F|, and
+    that error e_w of log w_j and e_o of the log odds follow.
+    A term d steps from its row's mode takes 4d roundings, the row sum over
+    G terms ceil(log2 G), the division and the weight 2 more, and an odds
+    error e moves the normalised term at k by |k - m q| e.  So row j adds
+    w_j [A (expm1(e_w) + gamma(ceil(log2 G) + 3) + 4u (sigma + 2)) +
+    min(sigma, 2 m q) (e_o + 4u)], with A the row's kept mass and sigma**2 =
+    m q (1-q); min(sigma, 2 m q) bounds the kept terms' sum of |k - m q|
+    times them.  Summing the rows of a chunk pairwise and then the chunks in
+    turn adds gamma(ceil(log2 rows) + chunks) of the total T.  K* is
+    normalised by T rather than Z, so its certificate is 2 b / (T - b) plus
+    the rounding of that division.
     """
     if not (tol > 0.0):
         raise DomainError("tolerance must be positive")
-    n = spec.n
-    e1 = tie_count_factorial_moment(spec, 1, min(tol, 1e-9))
-    if n >= 2:
-        e2 = tie_count_factorial_moment(spec, 2, min(tol, 1e-9))
-        lam = e2 / e1
-    else:
-        lam = 1.0
-    k_hint = min(n, int(lam + 12.0 * math.sqrt(lam) + 30.0))
-    per_tol = tol / (8.0 * k_hint)
+    law, n = spec.law, spec.n
+    m = n - 1 if biased else n
+    log_z = _series(law, 1, n - 1, False, rel_tol=1e-14)[0] if biased else 0.0
+    last, suffix = law.support_max, 0.0
+    if last is None:
+        log_scale = math.log(law.tail_const) - (log_z if biased else -math.log(n))
+        log_r = math.log(law.tail_ratio)
+        last = max(1, math.ceil((math.log(tol / 2.0) - log_scale) / log_r))
+        suffix = min(1.0, math.exp(log_scale + min(last, _SERIES_CAP) * log_r))
+        if last > _SERIES_CAP:
+            raise TruncationError(
+                f"tie-count law did not certify its tolerance within {_SERIES_CAP} maxima",
+                best_bound=suffix,
+            )
+    extra = _gamma(law.support_max or 0)
+    rounded_cdf = 0.0 if law.logcdf is not None else 2.0 * _U  # log of a cdf near 1
 
-    probs = []
-    errs = 0.0
-    running = 0.0
-    k_cap = min(n, 200_000)
-    for k in range(1, k_cap + 1):
-        v, e = _tie_pmf_with_error(spec, k, per_tol)
-        probs.append(v)
-        errs += e
-        running += v
-        if k == n:
-            return TruncatedPMF(k_min=1, probs=np.array(probs), tail_mass_bound=errs)
-        if k >= k_hint:
-            # omitted mass <= (1 - certified partial sum); the budget also
-            # covers the per-entry errors of the stored probabilities
-            deficit = max(0.0, 1.0 - running) + 2.0 * errs
-            if deficit <= tol:
-                return TruncatedPMF(k_min=1, probs=np.array(probs), tail_mass_bound=deficit)
-    raise TruncationError(
-        f"tie-count law did not certify tail {tol!r} within {k_cap} outcomes",
-        best_bound=max(0.0, 1.0 - running) + 2.0 * errs,
-    )
+    def log_cdf_error(lf):
+        s = -np.expm1(lf)  # S = 1 - F, whose error log F = log1p(-S) scales by S/F
+        return ((np.where(s > 0.0, s * (4.0 * _U * (1.0 - np.log(s)) + extra), 0.0) + rounded_cdf)
+                / np.exp(lf) + 2.0 * _U * np.abs(lf))
+
+    parts, bounds, k_lo, k_hi, held, depth = [], [suffix], math.inf, -math.inf, 0.0, 0
+    lo, size = 1, _FIRST_BLOCK
+    while lo <= last:
+        j = np.arange(lo, min(last, lo + size - 1) + 1)
+        lo, size = int(j[-1]) + 1, min(2 * size, _MAX_BLOCK)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lp, lf0, lf1 = np.log(law.pmf(j)), _log_cdf(law, j - 1), _log_cdf(law, j)
+            lw = lp + (n - 1) * lf1 - log_z if biased else n * lf1
+            keep = lw >= _LOG_FLOOR
+            bounds.append((j.size - np.count_nonzero(keep)) * _FLOOR)
+            if not keep.any():
+                continue
+            lp, lf0, lf1, lw = lp[keep], lf0[keep], lf1[keep], lw[keep]
+            odds = np.where(lp > -np.inf, np.exp(lp - lf0), 0.0)
+            q = 1.0 / (1.0 + 1.0 / odds)
+            d_lp = 4.0 * _U * (1.0 + np.abs(lp)) + extra + 2.0 * _U * np.abs(lp)
+            e_w = m * (log_cdf_error(lf1) + 3.0 * _U * np.abs(lf1))
+            if biased:
+                e_w += d_lp + 3.0 * _U * (np.abs(lp) + abs(log_z))
+            e_odds = np.where((odds > 0.0) & (odds < np.inf),
+                              d_lp + log_cdf_error(lf0) + _U * (np.abs(lp - lf0) + 2.0), 0.0)
+        w_lo, w_hi = binom_window(m, odds, lw - _LOG_FLOOR)
+        per_chunk = max(1, _CHUNK_CELLS // int(w_hi.max() - w_lo.min() + 1))
+        for s in range(0, odds.size, per_chunk):
+            c = slice(s, s + per_chunk)
+            g_lo, g_hi = int(w_lo[c].min()), int(w_hi[c].max())
+            first = int(g_lo == 0 and not biased)  # K drops k = 0; K* is 1 + the count
+            start = g_lo + first + biased
+            k_lo, k_hi = min(k_lo, start), max(k_hi, g_hi + biased)
+            if k_hi - k_lo >= _SERIES_CAP:
+                raise TruncationError(f"tie-count law spans more than {_SERIES_CAP} outcomes",
+                                      best_bound=max(0.0, 1.0 - held))
+            rows, outside = binom_rows(m, odds[c], g_lo, g_hi)
+            w, sigma = np.exp(lw[c]), np.sqrt(m * q[c] * (1.0 - q[c]))
+            mass = 1.0 - rows[:, 0] if first else 1.0
+            norm = _gamma(math.ceil(math.log2(g_hi - g_lo + 1)) + 3)
+            bounds.append(w @ (mass * (np.expm1(e_w[c]) + norm + 4.0 * _U * (sigma + 2.0))
+                               + np.minimum(sigma, 2.0 * m * q[c]) * (e_odds[c] + 4.0 * _U)
+                               + 2.0 * outside) + 2.0 * rows.size * _FLOOR)
+            parts.append((start, _pairwise_sum(w[:, None] * rows[:, first:])))
+            held += float(parts[-1][1].sum())
+            depth = max(depth, math.ceil(math.log2(w.size)))
+    if not parts:
+        raise TruncationError("no tie count carries mass above the floor", best_bound=1.0)
+
+    probs = np.zeros(k_hi - k_lo + 1)
+    for start, summed in parts:
+        probs[start - k_lo: start - k_lo + summed.size] += summed
+    big = np.flatnonzero(probs >= _FLOOR)
+    probs = probs[big[0]: big[-1] + 1]
+    total = math.fsum(probs.tolist())
+    b = math.fsum(bounds) + _gamma(depth + len(parts)) * total
+    if biased:
+        probs, b = probs / total, 2.0 * b / (total - b) + _gamma(2)
+    return TruncatedPMF(k_min=k_lo + int(big[0]), probs=probs, tail_mass_bound=b)
+
+
+def tie_count_law(spec: KnSpec, tol: float = DEFAULT_TOL) -> TruncatedPMF:
+    """The law of K, from one binomial-mixture pass over the maximum.
+
+    It holds the outcomes where the mixture reaches the smallest normal
+    double, so ``k_min`` may exceed 1.  ``tail_mass_bound`` covers the mass
+    omitted on both sides, at most ``tol / 2`` past the last maximum, plus
+    the rounding of the entries (see :func:`_mixture_law`), about 1e-14 at
+    n = 1e9.  Raises :class:`TruncationError` when those outcomes span more
+    than ``_SERIES_CAP`` values, as when mass sits near both k = n and 1.
+    """
+    return _mixture_law(spec, tol, biased=False)
+
+
+def size_biased_tie_law(spec: KnSpec, tol: float = DEFAULT_TOL) -> TruncatedPMF:
+    """The law of K*, P(K* = k) = k P(K = k) / E[K], by the pass of :func:`tie_count_law`."""
+    return _mixture_law(spec, tol, biased=True)
 
 
 def size_biased_tie_pmf(spec: KnSpec, k: int, tol: float = DEFAULT_TOL) -> float:
     """P(K* = k) = k P(K = k) / E[K] for the size-biased tie count."""
-    if not isinstance(k, int) or not (1 <= k <= spec.n):
-        raise DomainError(f"tie count must be an integer in [1, {spec.n}], got {k!r}")
+    k = integer_in(k, 1, spec.n, "tie count")
     e1 = tie_count_factorial_moment(spec, 1, tol / 4.0)
     v = tie_count_pmf(spec, k, tol * e1 / (4.0 * k))
     return k * v / e1

@@ -12,14 +12,12 @@ import pytest
 from scipy import integrate, stats
 
 from tiebound.approximants import truncated_negbin, tv_distance
+from tiebound.binomial import _log_binom_tail, _log_choose, binom_rows, binom_window
 from tiebound.bounds_continuous import (
     MixedBinomialSpec,
     NearOrderSpec,
     _beta_quantile,
-    _binom_pmf,
     _integration_points,
-    _log_binom_tail,
-    _log_order_const,
     _quad_vec,
     gap_ratio,
     gap_ratio_moment,
@@ -220,7 +218,7 @@ class TestOrderStatDensity:
     def test_normaliser_matches_high_precision(self, n, ell):
         with mp.workdps(50):
             exact = mp.log(n * mp.binomial(n - 1, ell - 1))
-            assert abs(_log_order_const(n, ell) - exact) <= 1e-14 * abs(exact)
+            assert abs(math.log(n) + _log_choose(n - 1, ell - 1) - exact) <= 1e-14 * abs(exact)
 
     @pytest.mark.parametrize("law", [gumbel_law(), uniform_law(1.0)])
     def test_arrays_match_scalar_calls(self, law):
@@ -455,6 +453,12 @@ class TestNearOrderBound:
                 m * (m - 1) * gumbel_gap_moment_exact(n, ell, a, 2), rel=1e-8)
 
 
+def _binom_pmf(m, r):
+    """Full Bin(m, r) rows from the kernel, one for each entry of ``r``."""
+    with np.errstate(divide="ignore"):
+        return binom_rows(m, r / (1.0 - r), 0, m)[0]
+
+
 def _binom_pmf_mp(m, r):
     """Bin(m, r) pmf at 40 digits, by the term recurrence from k = 0."""
     with mp.workdps(40):
@@ -536,6 +540,20 @@ class TestQuadratureKernels:
             with mp.workdps(40):
                 l1 = mp.fsum(abs(mp.mpf(p) - e) for p, e in zip(row.tolist(), _binom_pmf_mp(m, r)))
             assert l1 <= 1e-14, (m, r, float(l1))
+
+    @pytest.mark.parametrize("m, q", [(10**9, 1e-9), (10**9, 5e-9), (2000, 0.3), (30, 1e-3)])
+    def test_windowed_rows_certify_their_edges(self, m, q):
+        """A window cut where the terms reach e**-10 leaves mass within its bound."""
+        odds = np.array([q / (1.0 - q)])
+        lo, hi = (int(v[0]) for v in binom_window(m, odds, np.array([10.0])))
+        rows, outside = binom_rows(m, odds, lo, hi)
+        with mp.workdps(40):
+            exact = [mp.binomial(m, k) * mp.mpf(q) ** k * (1 - mp.mpf(q)) ** (m - k)
+                     for k in range(lo, hi + 1)]
+            missing = 1 - mp.fsum(exact)
+            l1 = mp.fsum(abs(mp.mpf(v) - e) for v, e in zip(rows[0].tolist(), exact)) + missing
+        assert 0 < missing / (1 - missing) <= outside[0] < 1e-3
+        assert l1 <= 2.0 * outside[0] + 1e-14
 
     @pytest.mark.parametrize(
         "law_fn,n,ell,a",

@@ -11,9 +11,9 @@ import pytest
 from click.testing import CliRunner
 
 import tiebound
-from tiebound.cli import _size_biased_law, cli, main, round3
+from tiebound.cli import cli, main, round3
 from tiebound.distributions import geometric_law
-from tiebound.maxima import KnSpec, size_biased_tie_pmf
+from tiebound.maxima import KnSpec, size_biased_tie_law, size_biased_tie_pmf
 
 
 @pytest.fixture
@@ -199,9 +199,17 @@ class TestSimulateCommand:
             k, exact = int(line.split(",")[0]), float(line.split(",")[3])
             assert exact == pytest.approx(size_biased_tie_pmf(spec, k), abs=1e-12)
 
+    def test_all_tied_sample_at_a_billion(self, runner):
+        result = runner.invoke(cli, ["simulate", "--law", "tabulated", "--weights", "0,1",
+                                     "--n", "1000000000", "--mc-samples", "1000", "--seed", "3"])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[1:] == ["1000000000,1000,1.0,1.0"]
+
     def test_size_biased_tail_budget_covers_omitted_outcomes(self):
-        spec = KnSpec(law=geometric_law(0.05), n=200)
-        law = _size_biased_law(spec, 1e-12)
+        # P(K* = k) falls below the smallest normal double, where the law stops,
+        # from k = 237 on
+        spec = KnSpec(law=geometric_law(0.05), n=240)
+        law = size_biased_tie_law(spec, 1e-12)
         assert law.k_max < spec.n  # the certified support, not all of 1..n
         reference = np.array([size_biased_tie_pmf(spec, k) for k in range(1, spec.n + 1)])
         l1 = math.fsum(np.abs(reference[: law.probs.size] - law.probs).tolist())

@@ -4,15 +4,18 @@ import itertools
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
 
-from tiebound.distributions import geometric_law, tabulated_law
+from tiebound.bounds_continuous import MixedBinomialSpec, NearOrderSpec
+from tiebound.distributions import geometric_law, gumbel_law, tabulated_law
 from tiebound.errors import DomainError, TruncationError
 from tiebound.maxima import (
     KnSpec,
     argmax_value_law,
+    size_biased_tie_law,
     size_biased_tie_pmf,
     tie_count_factorial_moment,
     tie_count_law,
@@ -286,3 +289,141 @@ def test_series_cap_is_honoured_between_block_ends(monkeypatch):
     assert math.isfinite(exc.value.best_bound)
     # one term more or less moves the certificate by a factor r = 1 - 1e-7
     assert exc.value.best_bound == pytest.approx(certificate, rel=1e-9)
+
+
+@pytest.mark.parametrize("p", [0.01, 1e-3])
+@pytest.mark.parametrize("n", [10**4, 10**7, 10**9])
+def test_law_certificate_covers_its_rounding(p, n):
+    """The entries' distance from a total of 1 is omitted mass plus rounding."""
+    law = tie_count_law(KnSpec(law=geometric_law(p), n=n), 1e-12)
+    assert abs(1.0 - math.fsum(law.probs.tolist())) <= law.tail_mass_bound
+
+
+def _mp_tie_laws(weights, n, k_max):
+    """P(K = k) and P(K* = k) for k = 0, ..., k_max at 40 digits.
+
+    ``weights`` yields p(1), p(2), ...; P(K = k) = C(n, k) sum_j p(j)**k
+    F(j-1)**(n-k), and P(K* = k) = k P(K = k) / E[K] with E[K] = n sum_j
+    p(j) F(j)**(n-1).  Terms far below 1e-60 past a row's mode are skipped.
+    """
+    with mp.workdps(40):
+        tie = [mp.mpf(0)] * (k_max + 1)
+        z, f0, f0_n = mp.mpf(0), mp.mpf(0), mp.mpf(0)
+        for p in weights:
+            p = mp.mpf(p)
+            f1 = f0 + p
+            f1_n1 = f1 ** (n - 1)
+            z += p * f1_n1
+            if f0 == 0:
+                if n <= k_max:
+                    tie[n] += p**n
+            else:
+                term, ratio = f0_n, p / f0
+                for k in range(1, k_max + 1):
+                    term *= ratio * (n - k + 1) / k
+                    tie[k] += term
+                    if term < 1e-60 and k > 2 * n * ratio:
+                        break
+            f0, f0_n = f1, f1_n1 * f1
+        return tie, [k * v / (n * z) for k, v in enumerate(tie)]
+
+
+def _mp_geometric_weights(p, count):
+    with mp.workdps(40):
+        p = mp.mpf(p)
+        return [p * (1 - p) ** (j - 1) for j in range(1, count + 1)]
+
+
+@pytest.mark.parametrize("law, weights, n, k_max", [
+    pytest.param(geometric_law(0.3), lambda: _mp_geometric_weights(0.3, 250), 20, 20,
+                 id="geometric-0.3-20"),
+    pytest.param(geometric_law(0.01), lambda: _mp_geometric_weights(0.01, 11000), 10**4, 60,
+                 id="geometric-0.01-1e4"),
+    pytest.param(tabulated_law([0.2, 0.3, 0.5]), lambda: [0.2, 0.3, 0.5], 7, 7,
+                 id="tabulated-7"),
+])
+def test_laws_match_high_precision(law, weights, n, k_max):
+    """L1 distance to the 40-digit laws, with the mass they put above k_max."""
+    spec = KnSpec(law=law, n=n)
+    tie, star = _mp_tie_laws(weights(), n, k_max)
+    for got, exact in ((tie_count_law(spec, 1e-12), tie),
+                       (size_biased_tie_law(spec, 1e-12), star)):
+        with mp.workdps(40):
+            l1 = mp.fsum(abs(mp.mpf(got.prob(k)) - exact[k]) for k in range(1, k_max + 1))
+            l1 += mp.fsum(got.probs[max(0, k_max + 1 - got.k_min):].tolist())
+            l1 += 1 - mp.fsum(exact)
+        assert l1 <= got.tail_mass_bound, (float(l1), got.tail_mass_bound)
+
+
+@pytest.mark.parametrize("law", [geometric_law(p) for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
+                         + [tabulated_law(w) for w in ENUM_LAWS])
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 30])
+def test_laws_agree_with_per_outcome_values(law, n):
+    """Both mixture laws against the per-k series, within both budgets."""
+    spec = KnSpec(law=law, n=n)
+    for law_fn, pmf in ((tie_count_law, tie_count_pmf), (size_biased_tie_law, size_biased_tie_pmf)):
+        got = law_fn(spec, TOL)
+        l1 = math.fsum(abs(got.prob(k) - pmf(spec, k, TOL)) for k in range(1, n + 1))
+        assert l1 <= got.tail_mass_bound + n * TOL
+
+
+def test_two_point_law_at_a_million_outcomes():
+    start = time.perf_counter()
+    law = tie_count_law(KnSpec(law=tabulated_law([0.5, 0.5]), n=10**6))
+    assert time.perf_counter() - start < 1.0
+    assert abs(1.0 - law.total()) <= law.tail_mass_bound
+
+
+def test_all_tied_law_at_a_billion():
+    spec = KnSpec(law=tabulated_law([0.0, 1.0]), n=10**9)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        law = tie_count_law(spec)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.1
+    assert law.k_min == 10**9 and law.probs.tolist() == [1.0]
+
+
+def test_mass_at_both_ends_does_not_fit():
+    """At p = 1 - 2/n the law holds e**-2 at k = n and the rest near k = 2."""
+    n = 10**9
+    spec = KnSpec(law=geometric_law(1.0 - 2.0 / n), n=n)
+    start = time.perf_counter()
+    with pytest.raises(TruncationError) as exc:
+        tie_count_law(spec)
+    assert time.perf_counter() - start < 1.0
+    assert 0.0 < exc.value.best_bound < 1.0
+
+
+def test_all_tied_probability_at_a_billion():
+    """P(K = n) is p**n for the float p, which is 5.6e-8 relative below e**-2."""
+    n = 10**9
+    p = 1.0 - 2.0 / n
+    with mp.workdps(40):
+        exact = mp.mpf(p) ** n
+    assert abs(tie_count_pmf(KnSpec(law=geometric_law(p), n=n), n) - exact) <= 1e-12
+
+
+_SPEC = KnSpec(law=geometric_law(0.5), n=5)
+INTEGER_SITES = {
+    "KnSpec.n": lambda v: KnSpec(law=geometric_law(0.5), n=v).n,
+    "NearOrderSpec.n": lambda v: NearOrderSpec(law=gumbel_law(), n=v, ell=1, a=0.3).n,
+    "NearOrderSpec.ell": lambda v: NearOrderSpec(law=gumbel_law(), n=5, ell=v, a=0.3).ell,
+    "MixedBinomialSpec.n": lambda v: MixedBinomialSpec(n=v, ell=1, eq=0.1, eq2=0.02).n,
+    "MixedBinomialSpec.ell": lambda v: MixedBinomialSpec(n=5, ell=v, eq=0.1, eq2=0.02).ell,
+    "tie_count_pmf": lambda v: tie_count_pmf(_SPEC, v),
+    "tie_count_factorial_moment": lambda v: tie_count_factorial_moment(_SPEC, v),
+    "size_biased_tie_pmf": lambda v: size_biased_tie_pmf(_SPEC, v),
+}
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES.values(), ids=INTEGER_SITES.keys())
+def test_integer_arguments(site):
+    """Any integer type passes and is stored as a Python int; bool does not."""
+    for value in (np.int64(2), np.uint8(2)):
+        got = site(value)
+        assert got == site(2) and type(got) is type(site(2))
+    for bad in (True, False, 2.0, "2"):
+        with pytest.raises(DomainError):
+            site(bad)
