@@ -17,23 +17,28 @@ Subcommands:
 Exit codes: 0 success, 1 usage error, 2 degenerate parameter, 3 numeric
 failure (truncation/integration), 4 verification failure.  The default seed
 comes from the TIEBOUND_SEED environment variable when set.
+
+The console entry point ``run`` freezes the heap before the command starts:
+the modules just imported live until exit, so no garbage collection during the
+command or at shutdown needs to walk them again.
 """
 
 from __future__ import annotations
 
-import io
+import argparse
+import functools
+import gc
 import json
 import math
 import os
 import sys
 from decimal import ROUND_HALF_UP, Decimal
 
-import click
 import numpy as np
 
 from . import approximants, bounds_continuous, bounds_discrete, montecarlo
 from .distributions import law_from_descriptor
-from .errors import DegenerateParameterError, DomainError, NumericError
+from .errors import DegenerateParameterError, DomainError, NumericError, integer_in
 from .maxima import KnSpec, size_biased_tie_law, tie_count_law
 from .bounds_continuous import NearOrderSpec
 
@@ -53,6 +58,17 @@ VERIFY_NS = (5, 10, 20, 50)
 MC_POINTS = ((0.2, 20), (0.3, 10), (0.5, 10))
 
 
+class UsageError(Exception):
+    """A malformed command line; ``main`` reports it and returns EXIT_USAGE."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse raising UsageError on a parse error, not exiting with 2 (EXIT_DEGENERATE)."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def round3(x: float) -> str:
     """Three decimals, ties away from zero; the reference-table rendering."""
     d = Decimal(repr(x)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP)
@@ -60,17 +76,12 @@ def round3(x: float) -> str:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
-def _write_csv(rows, header, out):
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
-    out.write(buf.getvalue())
+def _csv(rows, header) -> str:
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(document: str, out_path):
@@ -78,86 +89,59 @@ def _emit(document: str, out_path):
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(document)
     else:
-        click.echo(document, nl=False)
+        sys.stdout.write(document)
 
 
-def _seed_option(seed):
-    if seed is not None:
-        return seed
-    env = os.environ.get("TIEBOUND_SEED")
-    return int(env) if env else DEFAULT_SEED
+def _at_least(low):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text):
+        try:
+            return integer_in(int(text), low)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}: {text!r}") from None
+    return parse
 
 
-def _descriptor_from_flags(law, p, mu, n, weights, b):
-    if law == "geometric":
-        if p is None and mu is None:
-            raise click.UsageError("geometric law needs --p or --mu")
-        if p is not None and mu is not None:
-            raise click.UsageError("give only one of --p and --mu")
-        if mu is not None:
-            p = 1.0 - mu / n
+def _descriptor_from_flags(args):
+    if args.law == "geometric":
+        if args.p is None and args.mu is None:
+            raise UsageError("geometric law needs --p or --mu")
+        if args.p is not None and args.mu is not None:
+            raise UsageError("give only one of --p and --mu")
+        p = 1.0 - args.mu / args.n if args.mu is not None else args.p
         return {"kind": "geometric", "p": p}
-    if law == "tabulated":
-        if not weights:
-            raise click.UsageError("tabulated law needs --weights w1,w2,...")
-        return {"kind": "tabulated", "weights": [float(w) for w in weights.split(",")]}
-    if law == "gumbel":
+    if args.law == "tabulated":
+        if not args.weights:
+            raise UsageError("tabulated law needs --weights w1,w2,...")
+        try:
+            return {"kind": "tabulated", "weights": [float(w) for w in args.weights.split(",")]}
+        except ValueError:
+            raise UsageError(f"--weights must be numbers, got {args.weights!r}") from None
+    if args.law == "gumbel":
         return {"kind": "gumbel"}
-    if law == "uniform":
-        if b is None:
-            raise click.UsageError("uniform law needs --b")
-        return {"kind": "uniform", "b": b}
-    raise click.UsageError(f"unknown law {law!r}")
+    if args.b is None:
+        raise UsageError("uniform law needs --b")
+    return {"kind": "uniform", "b": args.b}
 
 
-def _law_options(command):
-    """The law and sample-size flags shared by ``bound`` and ``simulate``."""
-    for option in reversed([
-        click.option("--law", default="geometric", show_default=True,
-                     type=click.Choice(["geometric", "tabulated", "gumbel", "uniform"])),
-        click.option("--p", type=float, default=None, help="geometric parameter"),
-        click.option("--mu", type=float, default=None, help="geometric mean scale: p = 1 - mu/n"),
-        click.option("--n", type=int, required=True, help="sample size"),
-        click.option("--ell", type=int, default=1, show_default=True, help="order-statistic rank"),
-        click.option("--a", type=float, default=None, help="distance threshold (continuous)"),
-        click.option("--b", type=float, default=None, help="uniform interval width"),
-        click.option("--weights", type=str, default=None, help="tabulated weights, comma separated"),
-    ]):
-        command = option(command)
-    return command
-
-
-@click.group()
-def cli():
-    """Tie counts at sample extremes and their certified error bounds."""
-
-
-@cli.command("bound")
-@click.argument("method", type=click.Choice(["thm1a", "thm1b", "thm2", "thm3", "thm4"]))
-@_law_options
-@click.option("--eq", type=float, default=None, help="E[Q] for thm4")
-@click.option("--eq2", type=float, default=None, help="E[Q^2] for thm4")
-@click.option("--tol", type=float, default=1e-12, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
-              show_default=True)
-@click.option("--out", type=click.Path(), default=None)
-def cmd_bound(method, law, p, mu, n, ell, a, b, weights, eq, eq2, tol, fmt, out):
+def cmd_bound(args):
     """Evaluate one bound and emit its report."""
+    method, n, ell, tol = args.method, args.n, args.ell, args.tol
     if method == "thm4":
-        if eq is None or eq2 is None:
-            raise click.UsageError("thm4 needs --eq and --eq2")
-        spec = bounds_continuous.MixedBinomialSpec(n=n, ell=ell, eq=eq, eq2=eq2)
+        if args.eq is None or args.eq2 is None:
+            raise UsageError("thm4 needs --eq and --eq2")
+        spec = bounds_continuous.MixedBinomialSpec(n=n, ell=ell, eq=args.eq, eq2=args.eq2)
         report = bounds_continuous.negbin_bound_mixed(spec)
-        law_desc = {"kind": "mixed-binomial", "eq": eq, "eq2": eq2}
+        law_desc = {"kind": "mixed-binomial", "eq": args.eq, "eq2": args.eq2}
     elif method == "thm3":
-        if a is None:
-            raise click.UsageError("thm3 needs --a")
-        law_desc = _descriptor_from_flags(law, p, mu, n, weights, b)
+        if args.a is None:
+            raise UsageError("thm3 needs --a")
+        law_desc = _descriptor_from_flags(args)
         law_obj = law_from_descriptor(law_desc)
-        spec = NearOrderSpec(law=law_obj, n=n, ell=ell, a=a)
+        spec = NearOrderSpec(law=law_obj, n=n, ell=ell, a=args.a)
         report = bounds_continuous.negbin_bound_near_order(spec, max(tol, 1e-11))
     else:
-        law_desc = _descriptor_from_flags(law, p, mu, n, weights, b)
+        law_desc = _descriptor_from_flags(args)
         law_obj = law_from_descriptor(law_desc)
         spec = KnSpec(law=law_obj, n=n)
         fn = {"thm1a": bounds_discrete.log_bound_singleton,
@@ -169,21 +153,17 @@ def cmd_bound(method, law, p, mu, n, ell, a, b, weights, eq, eq2, tol, fmt, out)
     doc["law"] = law_desc
     doc["n"] = n
     doc["bound_rounded"] = round3(report.bound)
-    if fmt == "json":
-        _emit(json.dumps(doc, sort_keys=True) + "\n", out)
+    if args.fmt == "json":
+        _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
     else:
         header = ["method", "bound", "bound_rounded", "informative", "truncation_error"]
         row = [doc["method"], doc["bound"], doc["bound_rounded"],
                doc["informative"], doc["truncation_error"]]
-        for key in sorted(doc["params"]):
-            header.append(f"param_{key}")
-            row.append(doc["params"][key])
-        for key in sorted(doc["moments"]):
-            header.append(f"moment_{key}")
-            row.append(doc["moments"][key])
-        buf = io.StringIO()
-        _write_csv([row], header, buf)
-        _emit(buf.getvalue(), out)
+        for group in ("params", "moments"):
+            for key in sorted(doc[group]):
+                header.append(f"{group[:-1]}_{key}")
+                row.append(doc[group][key])
+        _emit(_csv([row], header), args.out)
 
 
 def table1_cell(mu: int, n: int, tol: float = 1e-12):
@@ -192,64 +172,43 @@ def table1_cell(mu: int, n: int, tol: float = 1e-12):
     return bounds_discrete.poisson_bound(KnSpec(law=law, n=n), tol)
 
 
-@cli.command("table1")
-@click.option("--tol", type=float, default=1e-12, show_default=True)
-@click.option("--raw", is_flag=True, help="emit full precision instead of the 3-decimal/dash rendering")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
-@click.option("--out", type=click.Path(), default=None)
-def cmd_table1(tol, raw, fmt, out):
+def cmd_table1(args):
     """Poisson-bound grid over mu in {100..900}, n in {1e5..1e9}."""
     rows = []
     for mu in TABLE1_MUS:
         cells = []
         for n in TABLE1_NS:
-            report = table1_cell(mu, n, tol)
-            if raw:
+            report = table1_cell(mu, n, args.tol)
+            if args.raw:
                 cells.append(report.bound)
             else:
                 cells.append(DASH if report.bound > 1.0 else round3(report.bound))
         rows.append((mu, cells))
-    if fmt == "json":
+    if args.fmt == "json":
         doc = [{"mu": mu, "cells": {str(n): c for n, c in zip(TABLE1_NS, cells)}}
                for mu, cells in rows]
-        _emit(json.dumps(doc, sort_keys=True) + "\n", out)
+        _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
     else:
         header = ["mu"] + [str(n) for n in TABLE1_NS]
-        buf = io.StringIO()
-        _write_csv([[mu] + cells for mu, cells in rows], header, buf)
-        _emit(buf.getvalue(), out)
+        _emit(_csv([[mu] + cells for mu, cells in rows], header), args.out)
 
 
-@cli.command("figure")
-@click.argument("name", type=click.Choice(["fig1", "fig2"]))
-@click.option("--n", type=int, default=20, show_default=True, help="sample size (fig1)")
-@click.option("--p-min", type=float, default=0.02, show_default=True)
-@click.option("--p-max", type=float, default=0.5, show_default=True)
-@click.option("--p-count", type=int, default=25, show_default=True)
-@click.option("--a-min", type=float, default=0.0, show_default=True)
-@click.option("--a-max", type=float, default=2.0, show_default=True)
-@click.option("--a-count", type=int, default=41, show_default=True)
-@click.option("--tol", type=float, default=1e-12, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
-def cmd_figure(name, n, p_min, p_max, p_count, a_min, a_max, a_count, tol, out):
+def cmd_figure(args):
     """Emit plot-ready CSV sweeps."""
-    buf = io.StringIO()
-    if name == "fig1":
-        rows = []
-        for p in np.linspace(p_min, p_max, p_count):
+    rows = []
+    if args.name == "fig1":
+        for p in np.linspace(args.p_min, args.p_max, args.p_count):
             law = law_from_descriptor({"kind": "geometric", "p": float(p)})
-            report = bounds_discrete.log_bound_singleton(KnSpec(law=law, n=n), tol)
+            report = bounds_discrete.log_bound_singleton(KnSpec(law=law, n=args.n), args.tol)
             rows.append([float(p), report.bound])
-        _write_csv(rows, ["p", "thm1a_bound"], buf)
+        header = ["p", "thm1a_bound"]
     else:
-        rows = []
-        for a in np.linspace(a_min, a_max, a_count):
+        for a in np.linspace(args.a_min, args.a_max, args.a_count):
             rows.append([float(a),
                          bounds_continuous.gumbel_max_bound(20, float(a)),
                          bounds_continuous.gumbel_max_bound(100, float(a))])
-        _write_csv(rows, ["a", "bound_n20", "bound_n100"], buf)
-    _emit(buf.getvalue(), out)
+        header = ["a", "bound_n20", "bound_n100"]
+    _emit(_csv(rows, header), args.out)
 
 
 def _verify_rows(tol, seed, mc_samples, inject_fault):
@@ -324,66 +283,42 @@ def _verify_rows(tol, seed, mc_samples, inject_fault):
                        f"bound+radius={bound + radius:.9f}")
 
 
-@cli.command("verify")
-@click.option("--tol", type=float, default=1e-12, show_default=True)
-@click.option("--seed", type=int, default=None, help="Monte-Carlo seed (default: env or built-in)")
-@click.option("--mc-samples", type=int, default=100_000, show_default=True,
-              help="0 skips the Monte-Carlo rows")
-@click.option("--inject-fault", is_flag=True, hidden=True,
-              help="negative control: halve every bound before comparing")
-@click.option("--out", type=click.Path(), default=None)
-def cmd_verify(tol, seed, mc_samples, inject_fault, out):
+def cmd_verify(args):
     """Dominance sweeps: every bound against certified exact distances."""
-    seed = _seed_option(seed)
     lines = []
     all_ok = True
-    for ok, line in _verify_rows(tol, seed, mc_samples, inject_fault):
+    for ok, line in _verify_rows(args.tol, args.seed, args.mc_samples, args.inject_fault):
         all_ok = all_ok and ok
         lines.append(line)
     lines.append("VERIFY " + ("PASS" if all_ok else "FAIL"))
-    _emit("\n".join(lines) + "\n", out)
-    if not all_ok:
-        raise _VerificationFailure()
+    _emit("\n".join(lines) + "\n", args.out)
+    return 0 if all_ok else EXIT_VERIFY
 
 
-class _VerificationFailure(Exception):
-    pass
-
-
-@cli.command("simulate")
-@_law_options
-@click.option("--kind", type=click.Choice(["ties", "size-biased", "near-order"]),
-              default=None, help="default: ties for discrete laws, near-order for continuous")
-@click.option("--mc-samples", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--tol", type=float, default=1e-12, show_default=True)
-@click.option("--out", type=click.Path(), default=None)
-def cmd_simulate(law, p, mu, n, ell, a, b, weights, kind, mc_samples, seed, tol, out):
+def cmd_simulate(args):
     """Empirical pmf of a simulated count next to its exact law."""
-    seed = _seed_option(seed)
-    desc = _descriptor_from_flags(law, p, mu, n, weights, b)
+    desc = _descriptor_from_flags(args)
     law_obj = law_from_descriptor(desc)
     continuous = desc["kind"] in ("gumbel", "uniform")
-    if kind is None:
-        kind = "near-order" if continuous else "ties"
-    rng = montecarlo.RngStream(seed=seed, stream_id=0)
+    kind = args.kind or ("near-order" if continuous else "ties")
+    rng = montecarlo.RngStream(seed=args.seed, stream_id=0)
 
     # the exact law first: a numeric failure then ends the command before
     # sampling, and the sampler reuses the memory the law freed
     if kind == "near-order":
-        if not continuous or a is None:
-            raise click.UsageError("near-order simulation needs a continuous law and --a")
-        spec = NearOrderSpec(law=law_obj, n=n, ell=ell, a=a)
+        if not continuous or args.a is None:
+            raise UsageError("near-order simulation needs a continuous law and --a")
+        spec = NearOrderSpec(law=law_obj, n=args.n, ell=args.ell, a=args.a)
         exact = bounds_continuous.near_order_count_pmf(spec, 1e-9)
-        samples = montecarlo.sample_near_order_count(spec, rng, size=mc_samples)
+        samples = montecarlo.sample_near_order_count(spec, rng, size=args.mc_samples)
     elif kind == "size-biased":
-        spec = KnSpec(law=law_obj, n=n)
-        exact = size_biased_tie_law(spec, tol)
-        samples = montecarlo.sample_size_biased_ties(spec, rng, size=mc_samples)
+        spec = KnSpec(law=law_obj, n=args.n)
+        exact = size_biased_tie_law(spec, args.tol)
+        samples = montecarlo.sample_size_biased_ties(spec, rng, size=args.mc_samples)
     else:
-        spec = KnSpec(law=law_obj, n=n)
-        exact = tie_count_law(spec, tol)
-        samples = montecarlo.sample_tie_count(spec, rng, size=mc_samples)
+        spec = KnSpec(law=law_obj, n=args.n)
+        exact = tie_count_law(spec, args.tol)
+        samples = montecarlo.sample_tie_count(spec, rng, size=args.mc_samples)
     emp = montecarlo.EmpiricalPMF.from_samples(samples)
     rows = []
     k_lo = min(emp.k_min, exact.k_min)
@@ -392,39 +327,105 @@ def cmd_simulate(law, p, mu, n, ell, a, b, weights, kind, mc_samples, seed, tol,
         idx = k - emp.k_min
         count = int(emp.counts[idx]) if 0 <= idx < emp.counts.size else 0
         rows.append([k, count, count / emp.sample_size, exact.prob(k)])
-    buf = io.StringIO()
-    _write_csv(rows, ["k", "count", "frequency", "exact_pmf"], buf)
-    _emit(buf.getvalue(), out)
+    _emit(_csv(rows, ["k", "count", "frequency", "exact_pmf"]), args.out)
+
+
+@functools.cache  # building the parser costs about 25 parses
+def _parser(env_seed) -> argparse.ArgumentParser:
+    """One subparser per command, a shared flag declared once; TIEBOUND_SEED is ``env_seed``."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol", type=float, default=1e-12, help="target accuracy")
+    common.add_argument("--out", help="write here instead of to stdout")
+    law = argparse.ArgumentParser(add_help=False)
+    law.add_argument("--law", default="geometric",
+                     choices=["geometric", "tabulated", "gumbel", "uniform"], help="data law")
+    law.add_argument("--p", type=float, help="geometric parameter")
+    law.add_argument("--mu", type=float, help="geometric mean scale: p = 1 - mu/n")
+    law.add_argument("--n", type=int, required=True, help="sample size")
+    law.add_argument("--ell", type=int, default=1, help="order-statistic rank")
+    law.add_argument("--a", type=float, help="distance threshold (continuous)")
+    law.add_argument("--b", type=float, help="uniform interval width")
+    law.add_argument("--weights", help="tabulated weights, comma separated")
+    seeded = argparse.ArgumentParser(add_help=False)
+    # argparse passes a string default through the type, so a bad TIEBOUND_SEED is a usage error
+    seeded.add_argument("--seed", type=_at_least(0), default=env_seed or DEFAULT_SEED,
+                        help=f"Monte-Carlo seed (default: $TIEBOUND_SEED, else {DEFAULT_SEED})")
+
+    parser = _Parser(prog="tiebound", allow_abbrev=False,
+                     description="Tie counts at sample extremes and their certified error bounds.")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, run, *parents):
+        sub = commands.add_parser(name, help=run.__doc__.split("\n")[0], allow_abbrev=False,
+                                  parents=[*parents, common])
+        sub.set_defaults(run=run)
+        return sub
+
+    bound = command("bound", cmd_bound, law)
+    bound.add_argument("method", choices=["thm1a", "thm1b", "thm2", "thm3", "thm4"])
+    bound.add_argument("--eq", type=float, help="E[Q] for thm4")
+    bound.add_argument("--eq2", type=float, help="E[Q^2] for thm4")
+    bound.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
+
+    table1 = command("table1", cmd_table1)
+    table1.add_argument("--raw", action="store_true",
+                        help="emit full precision instead of the 3-decimal/dash rendering")
+    table1.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
+
+    figure = command("figure", cmd_figure)
+    figure.add_argument("name", choices=["fig1", "fig2"])
+    figure.add_argument("--n", type=int, default=20, help="sample size (fig1)")
+    figure.add_argument("--p-min", type=float, default=0.02, help="first p (fig1)")
+    figure.add_argument("--p-max", type=float, default=0.5, help="last p (fig1)")
+    figure.add_argument("--p-count", type=_at_least(1), default=25, help="points (fig1)")
+    figure.add_argument("--a-min", type=float, default=0.0, help="first a (fig2)")
+    figure.add_argument("--a-max", type=float, default=2.0, help="last a (fig2)")
+    figure.add_argument("--a-count", type=_at_least(1), default=41, help="points (fig2)")
+
+    verify = command("verify", cmd_verify, seeded)
+    verify.add_argument("--mc-samples", type=_at_least(0), default=100_000,
+                        help="0 skips the Monte-Carlo rows")
+    # negative control: halve every bound before comparing
+    verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
+
+    simulate = command("simulate", cmd_simulate, law, seeded)
+    simulate.add_argument("--kind", choices=["ties", "size-biased", "near-order"],
+                          help="default: ties for discrete laws, near-order for continuous")
+    simulate.add_argument("--mc-samples", type=_at_least(1), default=100_000)
+    return parser
 
 
 def main(argv=None) -> int:
-    """Entry point with the documented exit-code contract."""
+    """Run one command line; return its exit code (see the module docstring)."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Abort:
-        click.echo("aborted", err=True)
-        return EXIT_USAGE
-    except click.exceptions.ClickException as exc:
-        exc.show()
+        args = _parser(os.environ.get("TIEBOUND_SEED")).parse_args(argv)
+        return args.run(args) or 0
+    except SystemExit as exc:  # only argparse raises it, after printing --help
+        return exc.code
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DegenerateParameterError as exc:
-        click.echo(f"degenerate parameter: {exc}", err=True)
+        print(f"degenerate parameter: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except DomainError as exc:
-        click.echo(f"invalid configuration: {exc}", err=True)
+        print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericError as exc:
-        click.echo(f"numeric failure: {exc}", err=True)
+        print(f"numeric failure: {exc}", file=sys.stderr)
         # what the failed computation did reach: TruncationError.best_bound,
         # IntegrationError.value and .error_estimate
         for name in ("best_bound", "value", "error_estimate"):
             if hasattr(exc, name):
-                click.echo(f"{name}: {getattr(exc, name)!r}", err=True)
+                print(f"{name}: {getattr(exc, name)!r}", file=sys.stderr)
         return EXIT_NUMERIC
-    except _VerificationFailure:
-        return EXIT_VERIFY
-    return 0
+
+
+def run():
+    """Console entry point: ``main`` on ``sys.argv``, after freezing the import heap."""
+    gc.freeze()
+    sys.exit(main())
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

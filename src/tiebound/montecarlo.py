@@ -71,7 +71,7 @@ class RngStream:
 
 @dataclass(frozen=True)
 class EmpiricalPMF:
-    """Outcome counts from a simulation; counts sum to sample_size."""
+    """Outcome counts from a simulation; counts sum to sample_size >= 1."""
 
     k_min: int
     counts: np.ndarray
@@ -79,13 +79,13 @@ class EmpiricalPMF:
 
     def __post_init__(self):
         object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
-        if int(self.counts.sum()) != self.sample_size:
-            raise DomainError("counts must sum to sample_size")
+        if self.sample_size < 1 or int(self.counts.sum()) != self.sample_size:
+            raise DomainError("sample_size must be >= 1 and equal the sum of the counts")
 
     @classmethod
     def from_samples(cls, samples) -> "EmpiricalPMF":
         samples = np.asarray(samples, dtype=np.int64)
-        k_min = int(samples.min())
+        k_min = int(samples.min()) if samples.size else 0
         counts = np.bincount(samples - k_min)
         return cls(k_min=k_min, counts=counts, sample_size=int(samples.size))
 
@@ -233,8 +233,6 @@ def empirical_tv(emp: EmpiricalPMF, target: TruncatedPMF):
     Whenever the samples really come from the target, |estimate - true
     distance| <= radius except with probability at most delta.
     """
-    if emp.sample_size <= 0:
-        raise DomainError("sample_size must be positive")
     idx = np.arange(target.k_min, target.k_max + 1) - emp.k_min
     seen = (idx >= 0) & (idx < emp.counts.size)
     counts = np.zeros(target.probs.size, dtype=np.int64)

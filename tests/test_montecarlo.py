@@ -362,3 +362,9 @@ class TestEmpiricalTV:
 
         with pytest.raises(DomainError):
             EmpiricalPMF(k_min=0, counts=np.array([3, 4]), sample_size=10)
+
+    def test_needs_a_sample(self):
+        from tiebound.errors import DomainError
+
+        with pytest.raises(DomainError):
+            EmpiricalPMF.from_samples([])
