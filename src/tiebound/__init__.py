@@ -33,7 +33,6 @@ from .bounds_continuous import (
     near_order_count_pmf,
     negbin_bound_mixed,
     negbin_bound_near_order,
-    order_stat_density,
     uniform_gap_moment,
     uniform_gap_moment_exact,
 )

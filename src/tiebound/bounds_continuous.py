@@ -10,13 +10,14 @@ so the general engine here is a negative binomial bound for mixed binomial
 random variables (``negbin_bound_mixed``), parameterized by the first two
 moments of the mixing variable.  For the count near an order statistic the
 mixing moments and the law of the count are integrals of vectors of
-functions of r_a against the order-statistic density, one adaptive
-Gauss-Kronrod pass each (``_quad_vec``, a vectorised port of scipy's
-``quad_vec``), with closed forms for the Gumbel and uniform laws as
-cross-checks.  The errors of these passes are QUADPACK-style estimates, not
-certificates.  No scipy is used: F(X_(n-l+1:n)) is Beta(n-l+1, l) with
-integer shapes, so its cdf is a binomial tail (``_log_binom_tail``), and the
-quantiles that place the breakpoints are roots of that tail
+functions of r_a over the order statistic's probability scale
+V = 1 - F(X_(n-l+1:n)), which is Beta(l, n-l+1) for every law: one adaptive
+Gauss-Kronrod pass each (``_gk21_pass``) over v in (0, 1), with the law
+entering only through ``logcdf`` and ``logquantile``, and closed forms for
+the Gumbel and uniform laws as cross-checks.  The errors of these passes
+are QUADPACK-style estimates, not certificates.  No scipy is used: with
+integer shapes the Beta cdf is a binomial tail (``_log_binom_tail``), and
+the quantiles of V that place the panel edges are roots of that tail
 (``_beta_quantile``).
 
 The uniform closed forms come in two flavours: the idealized forms that
@@ -28,7 +29,6 @@ the Gumbel cdf is positive on all of R and nothing clamps.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
 
@@ -45,7 +45,6 @@ __all__ = [
     "NearOrderSpec",
     "negbin_bound_mixed",
     "negbin_bound_near_order",
-    "order_stat_density",
     "gap_ratio",
     "gap_ratio_moment",
     "gumbel_gap_moment",
@@ -136,30 +135,15 @@ def negbin_bound_mixed(spec: MixedBinomialSpec) -> BoundReport:
 def gap_ratio(law: ContinuousLaw, a: float, x):
     """r_a(x) = 1 - F(x - a) / F(x), taken as 1 where F(x) = 0.
 
-    The clamped cdf makes this well defined below the support; the value is
-    always in [0, 1].  ``x`` may be an array; a scalar gives a float.
+    Formed as -expm1(log F(x - a) - log F(x)) from the law's ``logcdf``, with
+    no subtraction of nearly equal numbers; the value is always in [0, 1].
+    ``x`` may be an array; a scalar gives a float.
     """
     x = np.asarray(x, dtype=float)
-    fx = np.asarray(law.cdf(x))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(fx > 0.0, np.clip(1.0 - law.cdf(x - a) / fx, 0.0, 1.0), 1.0)
+    log_f = law.logcdf(x)
+    with np.errstate(invalid="ignore"):  # -inf - (-inf) where F(x) = 0
+        r = np.where(log_f > -np.inf, np.clip(-np.expm1(law.logcdf(x - a) - log_f), 0.0, 1.0), 1.0)
     return r if r.ndim else float(r)
-
-
-def order_stat_density(spec: NearOrderSpec, x):
-    """Density of the ell-th largest of n observations at x.
-
-    f_ell(x) = n C(n-1, ell-1) (1 - F(x))**(ell-1) F(x)**(n-ell) f(x);
-    integrates to 1 over the support.  ``x`` may be an array; a scalar gives
-    a float.
-    """
-    n, ell = spec.n, spec.ell
-    x = np.asarray(x, dtype=float)
-    fx = np.asarray(spec.law.pdf(x))
-    F = np.asarray(spec.law.cdf(x))
-    out = np.where(fx > 0.0, math.exp(math.log(n) + _log_choose(n - 1, ell - 1))
-                   * (1.0 - F) ** (ell - 1) * F ** (n - ell) * fx, 0.0)
-    return out if out.ndim else float(out)
 
 
 def _log_beta_root(a: int, b: int, log_p: float) -> float:
@@ -193,230 +177,161 @@ def _log_beta_root(a: int, b: int, log_p: float) -> float:
     return x
 
 
-def _beta_quantile(n: int, ell: int, probs) -> np.ndarray:
-    """Quantiles at ``probs`` of Beta(n-ell+1, ell), the law of F(X_(n-ell+1:n)).
+def _beta_quantile(n: int, ell: int, probs, upper: bool = False) -> np.ndarray:
+    """The v with P(V <= v) = p, or P(V > v) = p if ``upper``, for each p in
+    ``probs``, where V = 1 - F(X_(n-ell+1:n)) ~ Beta(ell, n-ell+1).
 
-    With integer shapes the Beta cdf is a binomial tail (DLMF 8.17.5), so no
-    special function is needed.  Rank 1 and rank n have closed forms.
-    Otherwise a p <= 1/2 solves for log u on the cdf; a p > 1/2 solves for
-    log(1 - u) on the survival function, the cdf of 1 - U ~ Beta(ell, n-ell+1),
-    at 1 - p, so that each root is taken on the tail nearer to p.
+    With integer shapes the Beta cdf is a binomial tail (DLMF 8.17.5);
+    rank 1 and rank n have closed forms.  A p > 1/2 moves to the other tail
+    as 1 - p (exact in floats).  A lower tail solves for log v on the cdf of
+    V, so that a small v keeps its relative accuracy, and an upper one for
+    log(1 - v) on the cdf of 1 - V ~ Beta(n-ell+1, ell).
     """
     out = []
     for p in probs:
-        if ell == 1:
-            u = math.exp(math.log(p) / n)
-        elif ell == n:
-            u = -math.expm1(math.log1p(-p) / n)
-        elif p <= 0.5:
-            u = math.exp(_log_beta_root(n - ell + 1, ell, math.log(p)))
+        p, side = (p, upper) if p <= 0.5 else (1.0 - p, not upper)
+        if ell == 1:  # P(V > v) = (1 - v)**n
+            v = -math.expm1((math.log(p) if side else math.log1p(-p)) / n)
+        elif ell == n:  # P(V <= v) = v**n
+            v = math.exp((math.log1p(-p) if side else math.log(p)) / n)
+        elif side:
+            v = -math.expm1(_log_beta_root(n - ell + 1, ell, math.log(p)))
         else:
-            u = -math.expm1(_log_beta_root(ell, n - ell + 1, math.log1p(-p)))
-        out.append(u)
+            v = math.exp(_log_beta_root(ell, n - ell + 1, math.log(p)))
+        out.append(v)
     return np.array(out)
 
 
-_BULK_PROBS = (1e-9, 0.05, 0.5, 0.95, 1.0 - 1e-9)
+# panel edges: quantiles of V at these probabilities, the tail ones on both sides
+_TAIL_PROBS = (1e-40, 1e-20, 1e-9)
+_BULK_PROBS = (0.05, 0.5, 0.95)
 
 
-def _integration_points(spec: NearOrderSpec):
-    """Finite breakpoints of the order-statistic integrals, and the median.
+def _panel_edges(spec: NearOrderSpec):
+    """Edges in v of the panels of the near-order integrals, and V's median.
 
-    The breakpoints are the gap-ratio kink lo + a and the quantiles of
-    X_(n-ell+1:n) at ``_BULK_PROBS``, each also shifted by -a.  Those
-    quantiles come from :func:`_beta_quantile`, since F(X_(n-ell+1:n)) is
-    Beta(n-ell+1, ell); the median is the one at 1/2 (None for a law
-    without a quantile function).
+    The edges are 0, 1, the quantiles of V at ``_BULK_PROBS`` and, on both
+    sides, at ``_TAIL_PROBS``, so that each panel holds a known share of the
+    density down to 1e-40 in either tail, and for a support bounded below
+    the kink of r_a at v = 1 - F(lo + a), below which r_a is 1.
     """
-    lo, hi = spec.law.support
-    pts, x_mid = {lo + spec.a}, None
-    if spec.law.quantile is not None:
-        u = _beta_quantile(spec.n, spec.ell, _BULK_PROBS)
-        x_mid = spec.law.quantile(u[_BULK_PROBS.index(0.5)])
-        x = spec.law.quantile(u[(0.0 < u) & (u < 1.0)])
-        pts.update(x.tolist() + (x - spec.a).tolist())
-    return sorted(p for p in pts if math.isfinite(p) and lo < p < hi), x_mid
+    n, ell = spec.n, spec.ell
+    lower = _beta_quantile(n, ell, _TAIL_PROBS + _BULK_PROBS)
+    edges = {0.0, 1.0, *lower.tolist(), *_beta_quantile(n, ell, _TAIL_PROBS, upper=True).tolist()}
+    lo = spec.law.support[0]
+    if math.isfinite(lo):
+        edges.add(-math.expm1(spec.law.logcdf(lo + spec.a)))
+    return np.array(sorted(edges)), float(lower[len(_TAIL_PROBS) + _BULK_PROBS.index(0.5)])
 
 
-def _gk_rule(nodes, kronrod, gauss):
-    """A Gauss-Kronrod rule on [-1, 1] from its halves, centre value last.
-
-    ``gauss`` holds the Gauss weight of each Kronrod node, 0 where the node
-    is not a Gauss node.
-    """
-    def mirror(half, sign=1.0):
-        return np.array(half + [sign * value for value in half[-2::-1]])
-
-    x, v, w = mirror(nodes, -1.0), mirror(kronrod), mirror(gauss)
-    return x, v, w, np.flatnonzero(w)
+def _mirror(half, sign=1.0):
+    """A 21-entry table of the rule from its first 11 entries, centre last."""
+    return np.array(half + [sign * value for value in half[-2::-1]])
 
 
-# QUADPACK's rules (Piessens et al., 1983), as in scipy.integrate.quad_vec
-_GK21 = _gk_rule(
-    [0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-     0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-     0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-     0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0],
-    [0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-     0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-     0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-     0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
-     0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-     0.149445554002916905664936468389821],
-    [0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
-     0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
-     0.0, 0.295524224714752870173892994651338, 0.0],
-)
-_GK15 = _gk_rule(
-    [0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-     0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-     0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
-     0.207784955007898467600689403773245, 0.0],
-    [0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-     0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-     0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-     0.204432940075298892414161999234649, 0.209482141084727828012999174891714],
-    [0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
-     0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327],
+# QUADPACK's 21-point Gauss-Kronrod rule (Piessens et al., 1983): the nodes,
+# the Kronrod weights, and the Gauss weight of each node (0 off the Gauss nodes)
+_GK21 = (
+    _mirror([0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+             0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+             0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+             0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+             0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0], -1.0),
+    _mirror([0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+             0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+             0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+             0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+             0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+             0.149445554002916905664936468389821]),
+    _mirror([0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+             0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+             0.0, 0.295524224714752870173892994651338, 0.0]),
 )
 _TINY = np.finfo(float).tiny
+_MAX_PANELS = 50
 
 
-def _norm2(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, as ``np.linalg.norm`` takes it of a vector."""
-    return np.sqrt([row @ row for row in rows])
+def _gk_panels(f, lo: np.ndarray, hi: np.ndarray):
+    """GK21 integrals of ``f`` over the panels (lo[i], hi[i]), and their errors.
 
-
-def _gk_panels(f, rule, lo: np.ndarray, hi: np.ndarray):
-    """Gauss-Kronrod integrals of ``f`` over the intervals (lo[i], hi[i]).
-
-    All nodes go to ``f`` in one call.  Returns the integrals, the QUADPACK
-    error estimates and the rounding terms, in the Euclidean norm.
+    All nodes go to ``f`` in one call.  The error of a panel is QUADPACK's
+    estimate in the Euclidean norm: the gap |K - G| between the Kronrod and
+    Gauss sums, scaled by the rule (200 |K - G| / D)**1.5 with D the
+    integral of |f - mean f|, and at least 50 eps times the integral of
+    |f|, the rounding term.
     """
-    x, v, w, gauss = rule
+    x, v, w = _GK21
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     fv = f((c[:, None] + h[:, None] * x).ravel()).reshape(lo.size, x.size, -1)
-    # node by node, in quad_vec's order, so that the sums round as there
-    s_k = s_k_abs = s_g = s_k_dabs = 0.0
-    for i in range(x.size):
-        s_k = s_k + v[i] * fv[:, i]
-        s_k_abs = s_k_abs + v[i] * abs(fv[:, i])
-    for i in gauss:
-        s_g = s_g + w[i] * fv[:, i]
-    y0 = s_k / 2.0
-    for i in range(x.size):
-        s_k_dabs = s_k_dabs + v[i] * abs(fv[:, i] - y0)
-    err = _norm2((s_k - s_g) * h[:, None])
-    dabs = _norm2(s_k_dabs * h[:, None])
+    kronrod = np.einsum("n,pnd->pd", v, fv)
+    err = h * np.linalg.norm(kronrod - np.einsum("n,pnd->pd", w, fv), axis=1)
+    rnd = 50.0 * _EPS * h * np.linalg.norm(np.einsum("n,pnd->pd", v, np.abs(fv)), axis=1)
+    fv -= kronrod[:, None] / 2.0  # in place: fv can hold whole binomial rows
+    dabs = h * np.linalg.norm(np.einsum("n,pnd->pd", v, np.abs(fv, out=fv)), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = dabs * np.minimum(1.0, (200.0 * err / dabs) ** 1.5)
     err = np.where((dabs != 0.0) & (err != 0.0), scaled, err)
-    rnd = _norm2((50.0 * _EPS * h)[:, None] * s_k_abs)
-    err = np.where(rnd > _TINY, np.maximum(err, rnd), err)
-    return h[:, None] * s_k, err, rnd
+    return h[:, None] * kronrod, np.maximum(err, rnd)
 
 
-def _quad_vec(f, a: float, b: float, points, epsabs: float, epsrel: float):
-    """Global adaptive Gauss-Kronrod integral of a vector-valued ``f`` over (a, b).
+def _gk21_pass(f, edges: np.ndarray, epsabs: float, epsrel: float):
+    """Integral of a vector-valued ``f`` over (edges[0], edges[-1]), and its error.
 
-    A vectorised port of ``scipy.integrate.quad_vec`` with ``norm="2"``:
-    GK21 on finite intervals, GK15 after its maps of infinite ends onto
-    (-1, 1) or (0, 1), the QUADPACK error heuristic and its 50 eps rounding
-    term.  Each round bisects the intervals of largest error, at most 128 and
-    only until their errors cover all but tol/8 of the total; it stops when
-    the total error is below tol/8 or below the rounding term, or at 50
-    intervals.  ``f`` maps an array of N points to an (N, d) array, and each
-    round evaluates all its nodes in one call.  Returns the integral and the
-    error estimate (total error plus rounding term), an estimate, not a bound.
+    One GK21 pass over the panels between the edges; while the summed error
+    estimate misses max(epsabs, epsrel |integral|), each panel whose error
+    is above its share of that tolerance is bisected (the largest first),
+    up to ``_MAX_PANELS`` panels.  ``f`` maps an array of N points to an
+    (N, d) array.  The error is a QUADPACK-style estimate, not a bound.
     """
-    rule, lo, hi = _GK21, a, b
-    tmin = math.sqrt(_TINY)  # below it the 1/t**2 factor overflows
-    if math.isinf(a) or math.isinf(b):
-        if math.isinf(a) and math.isinf(b):
-            def to_x(t):
-                return (1.0 - abs(t)) / t
-
-            lo, hi = -1.0, 1.0
-            points = [0.0] + [(-1.0 if p < 0 else 1.0) / (abs(p) + 1.0) for p in points]
-        else:
-            start, sgn = (a, 1.0) if math.isfinite(a) else (b, -1.0)
-
-            def to_x(t):
-                return start + sgn * (1.0 - t) / t
-
-            lo, hi = 0.0, 1.0
-            points = [1.0 / (sgn * (p - start) + 1.0) for p in points]
-        rule, g = _GK15, f
-
-        def f(t):
-            keep = abs(t) >= tmin
-            t = np.where(keep, t, 1.0)
-            return np.where(keep[:, None], g(to_x(t)) / t[:, None] / t[:, None], 0.0)
-
-    edges = [lo]
-    for p in sorted(points):
-        if lo < p < hi and p != edges[-1]:
-            edges.append(p)
-    edges.append(hi)
-    left, right = np.array(edges[:-1]), np.array(edges[1:])
-    ig, err, rnd = _gk_panels(f, rule, left, right)
-    total, total_err, total_rnd = ig[0].copy(), sum(err.tolist()), sum(rnd.tolist())
-    for row in ig[1:]:
-        total += row
-    cache = {(x1, x2): ig[i] for i, (x1, x2) in enumerate(zip(edges[:-1], edges[1:]))}
-    heap = [(-float(e), x1, x2) for e, x1, x2 in zip(err, edges[:-1], edges[1:])]
-    heapq.heapify(heap)
-
-    while heap and len(heap) < 50:
-        tol = max(epsabs, epsrel * float(np.linalg.norm(total)))
-        batch, err_sum = [], 0.0
-        while heap and len(batch) < 128 and not (batch and err_sum > total_err - tol / 8):
-            neg_err, x1, x2 = heapq.heappop(heap)
-            batch.append((-neg_err, x1, x2, cache.pop((x1, x2))))
-            err_sum += -neg_err
-        x1 = np.array([item[1] for item in batch])
-        x2 = np.array([item[2] for item in batch])
-        mid = 0.5 * (x1 + x2)
-        ig, err, rnd = _gk_panels(f, rule, np.concatenate([x1, mid]),
-                                  np.concatenate([mid, x2]))
-        nb = len(batch)
-        for i, (old_err, a1, b1, old_int) in enumerate(batch):
-            j = i + nb
-            total += ig[i] + ig[j] - old_int
-            total_err += float(err[i]) + float(err[j]) - old_err
-            total_rnd += float(rnd[i]) + float(rnd[j])
-            c1 = float(mid[i])
-            cache[(a1, c1)], cache[(c1, b1)] = ig[i], ig[j]
-            heapq.heappush(heap, (-float(err[i]), a1, c1))
-            heapq.heappush(heap, (-float(err[j]), c1, b1))
-        if len(heap) >= 2:
-            tol = max(epsabs, epsrel * float(np.linalg.norm(total)))
-            if total_err < tol / 8 or total_err < total_rnd:
-                break
-        if not (math.isfinite(total_err) and math.isfinite(total_rnd)):
-            break
-    return total, total_err + total_rnd
+    lo, hi = edges[:-1], edges[1:]
+    ig, err = _gk_panels(f, lo, hi)
+    while True:
+        tol = max(epsabs, epsrel * float(np.linalg.norm(ig.sum(axis=0))))
+        if not err.sum() > tol or lo.size >= _MAX_PANELS:  # a nan estimate ends it too
+            return ig.sum(axis=0), float(err.sum())
+        split = np.argsort(-err)[:_MAX_PANELS - lo.size]
+        split = split[err[split] > tol / lo.size]
+        mid = 0.5 * (lo[split] + hi[split])
+        lo = np.concatenate([np.delete(lo, split), lo[split], mid])
+        hi = np.concatenate([np.delete(hi, split), mid, hi[split]])
+        new_ig, new_err = _gk_panels(f, lo[-2 * split.size:], hi[-2 * split.size:])
+        ig = np.vstack([np.delete(ig, split, 0), new_ig])
+        err = np.append(np.delete(err, split), new_err)
 
 
-def _adaptive_integral(spec: NearOrderSpec, values, tol: float, points):
-    """Integral of the vector ``values(r_a(x))`` against the order-statistic density.
+def _log_order_density(n: int, ell: int, v: np.ndarray) -> np.ndarray:
+    """log n C(n-1, ell-1) v**(ell-1) (1-v)**(n-ell), the log density of
+    V = 1 - F(X_(n-ell+1:n)) ~ Beta(ell, n-ell+1), at v in [0, 1]."""
+    out = np.full(v.shape, math.log(n) + _log_choose(n - 1, ell - 1))
+    with np.errstate(divide="ignore"):  # v = 0 or 1 gives -inf, never 0 * inf
+        if ell > 1:
+            out += (ell - 1) * np.log(v)
+        if ell < n:
+            out += (n - ell) * np.log1p(-v)
+    return out
 
-    One :func:`_quad_vec` pass over the support, split at ``points`` (from
-    :func:`_integration_points`),
-    gives the vector and the Gauss-Kronrod estimate of its error in the
-    Euclidean norm, a QUADPACK-style estimate, not a certificate.
-    ``values`` maps an array of N gap ratios to an (N, d) array.  At large n
-    the integrand is only accurate to about n * eps relative (F**(n-ell)
-    amplifies the rounding of F) and the estimate can stall; the interval cap
-    ends the pass there (the mixture pmf took at most 27 intervals in cases
-    up to n = 5000), and the callers judge the estimate.
+
+def _mixture_integral(spec: NearOrderSpec, values, tol: float, edges):
+    """Integral of the vector ``values(r_a)`` over the law of the order statistic.
+
+    The integral runs over v = 1 - F(X_(n-ell+1:n)) ~ Beta(ell, n-ell+1)
+    for every law alike, with the order statistic at x =
+    logquantile(log1p(-v)), so no power of F is formed.  The density's own
+    integral is a column of the same pass, and the vector is divided by it,
+    which cancels the rounding of log C(n-1, ell-1) (about n eps at
+    ell = n/2).  ``values`` maps an array of N gap ratios to an (N, d)
+    array.  Returns the vector and its Gauss-Kronrod error estimate in the
+    Euclidean norm, an estimate, not a certificate.
     """
-    def integrand(x):
-        return order_stat_density(spec, x)[:, None] * values(gap_ratio(spec.law, spec.a, x))
+    def integrand(v):
+        with np.errstate(divide="ignore"):  # a node next to v = 1 can round onto it
+            r = gap_ratio(spec.law, spec.a, spec.law.logquantile(np.log1p(-v)))
+        out = np.column_stack([np.ones_like(r), values(r)])
+        out *= np.exp(_log_order_density(spec.n, spec.ell, v))[:, None]
+        return out
 
-    return _quad_vec(integrand, *spec.law.support, points=points,
-                     epsabs=min(tol / 4.0, 1e-11), epsrel=1e-11)
+    total, err = _gk21_pass(integrand, edges, epsabs=min(tol / 4.0, 1e-11), epsrel=1e-11)
+    return total[1:] / total[0], err / total[0]
 
 
 def _gap_ratio_moments(spec: NearOrderSpec, powers, tol: float):
@@ -428,12 +343,12 @@ def _gap_ratio_moments(spec: NearOrderSpec, powers, tol: float):
     moment to a similar relative accuracy however small r_a is.
     """
     powers = np.asarray(powers)
-    points, x_mid = _integration_points(spec)
-    r_mid = 1.0 if x_mid is None else max(gap_ratio(spec.law, spec.a, x_mid), _EPS)
-    scaled, err = _adaptive_integral(spec, lambda r: (r[:, None] / r_mid) ** powers, tol,
-                                     points)
+    edges, v_mid = _panel_edges(spec)
+    r_mid = max(gap_ratio(spec.law, spec.a, spec.law.logquantile(math.log1p(-v_mid))), _EPS)
+    scaled, err = _mixture_integral(spec, lambda r: (r[:, None] / r_mid) ** powers, tol,
+                                    edges)
     moments, errs = scaled * r_mid**powers, err * r_mid**powers
-    if np.any(errs > np.maximum(tol, 1e-8 * np.abs(moments))):
+    if not np.all(errs <= np.maximum(tol, 1e-8 * np.abs(moments))):
         raise IntegrationError(
             f"gap-ratio moment quadrature error estimate {errs.max()!r} exceeds {tol!r}",
             value=float(moments[errs.argmax()]), error_estimate=float(errs.max()),
@@ -630,9 +545,9 @@ def near_order_count_pmf(spec: NearOrderSpec, tol: float = 1e-10) -> TruncatedPM
         with np.errstate(divide="ignore"):
             return binom_rows(m, r / (1.0 - r), 0, m)[0]
 
-    probs, err = _adaptive_integral(spec, row, tol, _integration_points(spec)[0])
+    probs, err = _mixture_integral(spec, row, tol, _panel_edges(spec)[0])
     l1_err = math.sqrt(m + 1) * err
-    if l1_err > max(tol, 1e-7):
+    if not l1_err <= max(tol, 1e-7):
         raise IntegrationError(
             f"mixture pmf quadrature error {l1_err!r} exceeds {tol!r}",
             value=float("nan"), error_estimate=l1_err,

@@ -85,11 +85,14 @@ def _csv(rows, header) -> str:
 
 
 def _emit(document: str, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(document)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(document)
-    else:
-        sys.stdout.write(document)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out_path}: {exc.strerror}") from None
 
 
 def _at_least(low):

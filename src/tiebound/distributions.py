@@ -2,10 +2,10 @@
 
 Discrete laws live on {1, 2, ...} and carry a certified geometric tail
 bound ``1 - cdf(j) <= tail_const * tail_ratio**j`` that downstream series
-evaluations use to certify truncation remainders.  Continuous laws expose a
-density and a cdf defined on all of R (clamped to 0 below the support and
-1 above it), which keeps expressions such as ``cdf(x - a)`` well defined at
-and below the support edge.
+evaluations use to certify truncation remainders.  Continuous laws expose
+the log of their cdf, defined on all of R (-inf below the support and 0
+above it), which keeps expressions such as ``logcdf(x - a)`` well defined
+at and below the support edge, and its inverse ``logquantile``.
 
 All laws are immutable after construction and safe for concurrent reads.
 """
@@ -71,23 +71,20 @@ class DiscreteLaw:
 
 @dataclass(frozen=True)
 class ContinuousLaw:
-    """An absolutely continuous law on an interval of the reals.
-
-    The cdf is extended to all of R by clamping: 0 below the support and 1
-    above it.
+    """An absolutely continuous law on an interval of the reals, on the log scale.
 
     Attributes:
-        pdf: density, zero outside the support.
-        cdf: distribution function on all of R.
+        logcdf: x -> log F(x) on all of R, -inf below the support and 0
+            above it; accepts arrays.  Accurate where F(x) rounds to 1.
+        logquantile: log u -> x with F(x) = u, for log u in [-inf, 0];
+            accepts arrays.  Exact in the upper tail, log u = log1p(-v).
         support: (lower, upper) endpoints; may be infinite.
-        quantile: u in (0, 1) -> x with cdf(x) = u; accepts arrays.
         descriptor: JSON-style dict this law can be rebuilt from, if any.
     """
 
-    pdf: Callable
-    cdf: Callable
+    logcdf: Callable
+    logquantile: Callable
     support: tuple
-    quantile: Optional[Callable] = None
     descriptor: Optional[dict] = None
 
 
@@ -200,65 +197,50 @@ def tabulated_law(weights) -> DiscreteLaw:
 
 
 def gumbel_law() -> ContinuousLaw:
-    """Standard Gumbel law: cdf exp(-exp(-x)) on all of R.
+    """Standard Gumbel law: cdf exp(-exp(-x)) on all of R, log F(x) = -exp(-x).
 
-    The density is exp(-x - exp(-x)), i.e. the derivative of the cdf.  (A
-    plus sign in front of the inner exponential, sometimes seen in print, is
-    a slip: that expression is not integrable.)  The mean is the
+    The density is exp(-x - exp(-x)), the derivative of the cdf.  (A plus
+    sign in front of the inner exponential, sometimes seen in print, is a
+    slip: that expression is not integrable.)  The mean is the
     Euler-Mascheroni constant 0.5772...
     """
 
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        t = -x - np.exp(np.minimum(-x, 700.0))
-        out = np.where(x < -700.0, 0.0, np.exp(np.maximum(t, -745.0)))
+    def logcdf(x):
+        with np.errstate(over="ignore"):  # exp(-x) = inf below x = -709.8: log F = -inf
+            out = -np.exp(-np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
 
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        out = np.where(x < -700.0, 0.0, np.exp(-np.exp(np.minimum(-x, 700.0))))
-        return out if out.ndim else float(out)
-
-    def quantile(u):
-        u = np.asarray(u, dtype=float)
-        u = np.clip(u, 1e-300, 1.0 - 1e-16)
-        out = -np.log(-np.log(u))
+    def logquantile(log_u):
+        with np.errstate(divide="ignore"):  # u = 1 maps to +inf
+            out = -np.log(-np.asarray(log_u, dtype=float))
         return out if out.ndim else float(out)
 
     return ContinuousLaw(
-        pdf=pdf,
-        cdf=cdf,
+        logcdf=logcdf,
+        logquantile=logquantile,
         support=(-math.inf, math.inf),
-        quantile=quantile,
         descriptor={"kind": "gumbel"},
     )
 
 
 def uniform_law(b: float) -> ContinuousLaw:
-    """Uniform law on (0, b): density 1/b, cdf clamp(x/b, 0, 1)."""
+    """Uniform law on (0, b): log F(x) = log(clamp(x/b, 0, 1)), x = b u."""
     if not (b > 0.0) or not math.isfinite(b):
         raise DomainError(f"uniform width must be a positive real, got {b!r}")
 
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        out = np.where((x >= 0.0) & (x <= b), 1.0 / b, 0.0)
+    def logcdf(x):
+        with np.errstate(divide="ignore"):  # log 0 = -inf at and below 0
+            out = np.log(np.clip(np.asarray(x, dtype=float) / b, 0.0, 1.0))
         return out if out.ndim else float(out)
 
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        out = np.clip(x / b, 0.0, 1.0)
-        return out if out.ndim else float(out)
-
-    def quantile(u):
-        u = np.asarray(u, dtype=float)
-        out = b * u
+    def logquantile(log_u):
+        out = b * np.exp(np.asarray(log_u, dtype=float))
         return out if out.ndim else float(out)
 
     return ContinuousLaw(
-        pdf=pdf,
-        cdf=cdf,
+        logcdf=logcdf,
+        logquantile=logquantile,
         support=(0.0, b),
-        quantile=quantile,
         descriptor={"kind": "uniform", "b": float(b)},
     )
 

@@ -3,8 +3,8 @@
 Each replication costs a fixed number of draws, whatever the sample size n:
 both counts are binomial mixtures over a sample extreme, so a sampler draws
 the extreme (the maximum through the inverse cdf at U**(1/n), or the
-ell-th largest through the quantile at a Beta(n-ell+1, ell) variate) and
-then one binomial count given it.  Sampling therefore no longer goes
+ell-th largest through the log quantile at the log of a Beta(n-ell+1, ell)
+variate) and then one binomial count given it.  Sampling therefore no longer goes
 through the inverse cdf alone: it also uses numpy's ``binomial`` and
 ``beta`` generators.  One code path still covers tabulated, geometric,
 Gumbel and uniform laws alike.
@@ -201,18 +201,17 @@ def sample_near_order_count(spec: NearOrderSpec, rng: RngStream, size=None):
 
     The order statistic itself is not counted (the window is open on both
     sides; with a continuous law ties occur with probability zero).  Each
-    replication draws the order statistic x through the quantile at a
-    Beta(n-ell+1, ell) variate, then the count as Bin(n - ell, r_a(x)): the
-    n - ell observations below x are independent draws conditioned on lying
-    below it.
+    replication draws u = F(x) of the order statistic x as a Beta(n-ell+1,
+    ell) variate and maps it through ``logquantile(log u)``, then draws the
+    count as Bin(n - ell, r_a(x)): the n - ell observations below x are
+    independent draws conditioned on lying below it.
     """
-    if spec.law.quantile is None:
-        raise DomainError("continuous law needs a quantile function for sampling")
     gen = rng.generator()
     n, ell, a = spec.n, spec.ell, spec.a
 
     def draw_rows(rows):
-        x = spec.law.quantile(gen.beta(n - ell + 1, ell, size=rows))
+        with np.errstate(divide="ignore"):  # a draw of 0 has log -inf, and r_a = 1 there
+            x = spec.law.logquantile(np.log(gen.beta(n - ell + 1, ell, size=rows)))
         return gen.binomial(n - ell, gap_ratio(spec.law, a, x))
 
     return _replicate(size, draw_rows)

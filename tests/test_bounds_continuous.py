@@ -16,9 +16,11 @@ from tiebound.binomial import _log_binom_tail, _log_choose, binom_rows, binom_wi
 from tiebound.bounds_continuous import (
     MixedBinomialSpec,
     NearOrderSpec,
+    _TAIL_PROBS,
     _beta_quantile,
-    _integration_points,
-    _quad_vec,
+    _gap_ratio_moments,
+    _log_order_density,
+    _panel_edges,
     gap_ratio,
     gap_ratio_moment,
     gumbel_gap_moment,
@@ -27,7 +29,6 @@ from tiebound.bounds_continuous import (
     near_order_count_pmf,
     negbin_bound_mixed,
     negbin_bound_near_order,
-    order_stat_density,
     uniform_gap_moment,
     uniform_gap_moment_exact,
 )
@@ -116,21 +117,43 @@ def _beta_cdf_mp(a, b, u):
 
 def _exponential_law(sign):
     """Exponential law on (0, inf) for sign = 1, its mirror image on (-inf, 0) for -1."""
-    def tail(x):  # P(sign X > sign x), clamped to 1 outside the support
-        return np.exp(-np.maximum(sign * np.asarray(x, dtype=float), 0.0))
+    def logcdf(x):
+        x = np.asarray(x, dtype=float)
+        if sign < 0:
+            return np.minimum(x, 0.0)
+        with np.errstate(divide="ignore"):
+            return np.where(x > 0.0, np.log(-np.expm1(-np.maximum(x, 0.0))), -np.inf)
 
-    def pdf(x):
-        return np.where(sign * np.asarray(x, dtype=float) >= 0.0, tail(x), 0.0)
-
-    def cdf(x):
-        return 1.0 - tail(x) if sign > 0 else tail(x)
-
-    def quantile(u):
-        u = np.asarray(u, dtype=float)
-        return -np.log1p(-u) if sign > 0 else np.log(u)
+    def logquantile(log_u):
+        log_u = np.asarray(log_u, dtype=float)
+        if sign < 0:
+            return log_u
+        with np.errstate(divide="ignore"):
+            return -np.log(-np.expm1(log_u))
 
     support = (0.0, math.inf) if sign > 0 else (-math.inf, 0.0)
-    return ContinuousLaw(pdf=pdf, cdf=cdf, support=support, quantile=quantile)
+    return ContinuousLaw(logcdf=logcdf, logquantile=logquantile, support=support)
+
+
+def _mixture_mp(n, ell, r_of_v, breaks, values):
+    """The integrals of values(r) against V ~ Beta(ell, n-ell+1), at 30 digits.
+
+    ``r_of_v`` gives the gap ratio at v as an mpmath number, and ``breaks``
+    are its kinks in (0, 1); mpmath's tanh-sinh rule runs on the panels
+    between them and V's mean plus or minus up to 40 standard deviations.
+    """
+    with mp.workdps(30):
+        mean = mp.mpf(ell) / (n + 1)
+        sd = mp.sqrt(mean * (1 - mean) / (n + 2))
+        around = (mean + k * sd for k in (-40, -10, -3, 0, 3, 10, 40))
+        pts = sorted({mp.mpf(0), mp.mpf(1), *map(mp.mpf, breaks),
+                      *(p for p in around if 0 < p < 1)})
+        log_norm = mp.log(n) + mp.log(mp.binomial(n - 1, ell - 1))
+
+        def density(v):
+            return mp.exp(log_norm + (ell - 1) * mp.log(v) + (n - ell) * mp.log1p(-v))
+
+        return [float(mp.quad(lambda v, f=f: density(v) * f(r_of_v(v)), pts)) for f in values]
 
 
 class TestMixedBinomialBound:
@@ -196,23 +219,22 @@ class TestMixedBinomialBound:
 
 
 class TestOrderStatDensity:
+    """The density of V = 1 - F(X_(n-ell+1:n)) ~ Beta(ell, n-ell+1), in logs."""
+
+    V = np.array([0.1, 0.5, 0.9])
+
     def test_rank_one_is_maximum_density(self):
-        law = gumbel_law()
-        spec = NearOrderSpec(law=law, n=7, ell=1, a=0.5)
-        for x in (-1.0, 0.0, 2.0):
-            expected = 7 * law.cdf(x) ** 6 * law.pdf(x)
-            assert order_stat_density(spec, x) == pytest.approx(expected, rel=1e-13)
+        # F(max) ~ Beta(n, 1), so 1 - F(max) has density n (1-v)**(n-1)
+        np.testing.assert_allclose(np.exp(_log_order_density(7, 1, self.V)),
+                                   7 * (1 - self.V) ** 6, rtol=1e-14)
 
     def test_rank_n_is_minimum_density(self):
-        law = gumbel_law()
-        spec = NearOrderSpec(law=law, n=7, ell=7, a=0.5)
-        for x in (-1.0, 0.0, 2.0):
-            expected = 7 * (1 - law.cdf(x)) ** 6 * law.pdf(x)
-            assert order_stat_density(spec, x) == pytest.approx(expected, rel=1e-13)
+        np.testing.assert_allclose(np.exp(_log_order_density(7, 7, self.V)),
+                                   7 * self.V**6, rtol=1e-14)
 
     def test_uniform_hand_value(self):
-        spec = NearOrderSpec(law=uniform_law(1.0), n=2, ell=1, a=0.1)
-        assert order_stat_density(spec, 0.5) == pytest.approx(1.0, rel=1e-14)
+        density = math.exp(_log_order_density(2, 1, np.array([0.5]))[0])
+        assert density == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize("n,ell", [(10**6, 3), (10**7, 2), (10**9, 1)])
     def test_normaliser_matches_high_precision(self, n, ell):
@@ -222,20 +244,21 @@ class TestOrderStatDensity:
 
     @pytest.mark.parametrize("law", [gumbel_law(), uniform_law(1.0)])
     def test_arrays_match_scalar_calls(self, law):
-        spec = NearOrderSpec(law=law, n=30, ell=2, a=0.2)
         x = np.linspace(-1.0, 3.0, 41)
-        dens, ratio = order_stat_density(spec, x), gap_ratio(law, spec.a, x)
-        assert isinstance(order_stat_density(spec, 0.5), float)
-        assert isinstance(gap_ratio(law, spec.a, 0.5), float)
-        assert dens.tolist() == [order_stat_density(spec, float(v)) for v in x]
-        assert ratio.tolist() == [gap_ratio(law, spec.a, float(v)) for v in x]
+        ratio = gap_ratio(law, 0.2, x)
+        assert isinstance(gap_ratio(law, 0.2, 0.5), float)
+        assert ratio.tolist() == [gap_ratio(law, 0.2, float(v)) for v in x]
 
     @pytest.mark.parametrize("law_fn,lo,hi", [(gumbel_law, -30, 60), (lambda: uniform_law(2.0), 0, 2)])
     @pytest.mark.parametrize("n,ell", [(5, 1), (20, 2), (100, 3)])
     def test_integrates_to_one(self, law_fn, lo, hi, n, ell):
-        spec = NearOrderSpec(law=law_fn(), n=n, ell=ell, a=0.5)
-        total, err = integrate.quad(lambda x: order_stat_density(spec, x), lo, hi,
-                                    epsabs=1e-11, epsrel=1e-11, limit=300)
+        # P(lo < X_(n-ell+1:n) < hi) = P(1 - F(hi) < V < 1 - F(lo))
+        law = law_fn()
+        v_lo, v_hi = (-math.expm1(law.logcdf(x)) for x in (hi, lo))
+        def density(v):
+            return math.exp(_log_order_density(n, ell, np.array([v]))[0])
+
+        total, err = integrate.quad(density, v_lo, v_hi, epsabs=1e-11, epsrel=1e-11, limit=300)
         assert err < 1e-9
         assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -353,6 +376,18 @@ class TestGapMomentQuadrature:
             exact = _gumbel_moment_mp(n, ell, a, j)
             assert abs(report.moments[key] - exact) <= 1e-10 * exact
 
+    @pytest.mark.parametrize("n,ell,a", [(10**7, 1, 0.01), (10**9, 1, 0.01), (10**6, 3, 0.3),
+                                         (10**6, 5 * 10**5, 0.3), (10**6, 999000, 0.3)])
+    def test_gumbel_moments_at_large_n_and_rank(self, n, ell, a):
+        # at ell = 5e5 the order-statistic normaliser n C(n-1, ell-1) overflows a
+        # float, and its log carries 4e-11 relative rounding unless the pass
+        # divides by the integrated density
+        spec = NearOrderSpec(law=gumbel_law(), n=n, ell=ell, a=a)
+        moments, _ = _gap_ratio_moments(spec, [1, 2], 1e-10)
+        for j, got in zip((1, 2), moments.tolist()):
+            exact = gumbel_gap_moment_exact(n, ell, a, j)
+            assert abs(got - exact) <= 1e-12 * exact
+
     def test_jensen_ordering(self):
         for law in (gumbel_law(), uniform_law(1.0)):
             for n, ell, a in ((5, 1, 0.3), (20, 2, 0.8), (12, 3, 0.1)):
@@ -392,7 +427,9 @@ class TestNearOrderBound:
         assert report.bound == direct.bound
         assert report.params == direct.params
 
-    @pytest.mark.parametrize("kind,n,ell,a", [("gumbel", 100, 1, 0.3), ("uniform", 200, 3, 0.05)])
+    @pytest.mark.parametrize("kind,n,ell,a", [("gumbel", 100, 1, 0.3), ("uniform", 200, 3, 0.05),
+                                              ("gumbel", 10**6, 1, 0.3),
+                                              ("gumbel", 10**7, 1, 0.01)])
     def test_truncation_error_covers_closed_form_bound(self, kind, n, ell, a):
         law = gumbel_law() if kind == "gumbel" else uniform_law(1.0)
         report = negbin_bound_near_order(NearOrderSpec(law=law, n=n, ell=ell, a=a), 1e-10)
@@ -505,15 +542,25 @@ class TestBetaQuantile:
     @pytest.mark.parametrize("n,ell", [(8, 1), (10, 2), (50, 3), (200, 3), (10**6, 1), (10**6, 3),
                                        (10**9, 1), (10, 10), (1000, 500), (10**9, 5 * 10**8)])
     def test_matches_high_precision_inversion(self, n, ell):
-        u = _beta_quantile(n, ell, BETA_PROBS)
-        assert np.all(np.diff(u) >= 0.0)
-        for p, v in zip(BETA_PROBS, u.tolist()):
-            # |v - u*| <= tol, with u* the exact quantile, iff the exact cdf
-            # brackets p on [v - tol, v + tol]
-            tol = 1e-11 * min(v, 1.0 - v) + 4.0 * np.finfo(float).eps
-            below = _beta_cdf_mp(n - ell + 1, ell, v - tol)
-            above = _beta_cdf_mp(n - ell + 1, ell, v + tol)
-            assert below <= mp.mpf(p) <= above, (p, v)
+        lower = _beta_quantile(n, ell, BETA_PROBS)
+        upper = _beta_quantile(n, ell, _TAIL_PROBS, upper=True)
+        assert np.all(np.diff(lower) >= 0.0) and np.all(np.diff(upper) <= 0.0)
+
+        def below(x):  # P(V <= x) for V ~ Beta(ell, n-ell+1)
+            return _beta_cdf_mp(ell, n - ell + 1, x)
+
+        def above(x):  # P(V > x), the cdf of 1 - V ~ Beta(n-ell+1, ell) at 1 - x
+            return _beta_cdf_mp(n - ell + 1, ell, 1 - x)
+
+        # |x - v*| <= tol, with v* the exact quantile, iff the exact cdf
+        # brackets p on [x - tol, x + tol]
+        with mp.workdps(50):
+            for p, x in zip(BETA_PROBS, lower.tolist()):
+                tol = 1e-11 * min(x, 1.0 - x) + 4.0 * np.finfo(float).eps
+                assert below(mp.mpf(x) - tol) <= p <= below(mp.mpf(x) + tol), (p, x)
+            for p, x in zip(_TAIL_PROBS, upper.tolist()):
+                tol = 1e-11 * min(x, 1.0 - x) + 4.0 * np.finfo(float).eps
+                assert above(mp.mpf(x) + tol) <= p <= above(mp.mpf(x) - tol), (p, x)
 
     def test_huge_symmetric_shapes_are_fast_and_small(self):
         elapsed = []
@@ -526,6 +573,18 @@ class TestBetaQuantile:
             tracemalloc.stop()
             assert peak < 50e6
         assert min(elapsed) < 0.1
+
+
+class TestPanelEdges:
+    @pytest.mark.parametrize("law_fn,kink", [(lambda: uniform_law(2.0), 0.9),
+                                             (lambda: _exponential_law(1.0), math.exp(-0.2))],
+                             ids=["uniform", "exponential"])
+    def test_edges_hold_the_kink(self, law_fn, kink):
+        # below v = 1 - F(lo + a) the gap ratio is 1
+        edges, median = _panel_edges(NearOrderSpec(law=law_fn(), n=30, ell=2, a=0.2))
+        assert edges[0] == 0.0 and edges[-1] == 1.0 and np.all(np.diff(edges) > 0.0)
+        assert np.min(np.abs(edges - kink)) <= 1e-15
+        assert median == pytest.approx(float(_beta_quantile(30, 2, [0.5])[0]), rel=1e-15)
 
 
 class TestQuadratureKernels:
@@ -556,37 +615,59 @@ class TestQuadratureKernels:
         assert l1 <= 2.0 * outside[0] + 1e-14
 
     @pytest.mark.parametrize(
-        "law_fn,n,ell,a",
+        "kind,n,ell,a",
         [
-            (gumbel_law, 100, 1, 0.3),
-            (gumbel_law, 2000, 1, 0.3),
-            (gumbel_law, 10**6, 1, 0.3),
-            (gumbel_law, 10**7, 1, 0.01),
-            (gumbel_law, 50, 3, 0.5),
-            (lambda: uniform_law(1.0), 8, 1, 0.05),
-            (lambda: uniform_law(1.0), 200, 3, 0.05),
-            (lambda: uniform_law(1.0), 10, 10, 0.1),
-            (lambda: _exponential_law(1.0), 30, 2, 0.2),
-            (lambda: _exponential_law(-1.0), 30, 2, 0.2),
+            ("gumbel", 100, 1, 0.3),
+            ("gumbel", 2000, 1, 0.3),
+            ("gumbel", 10**6, 1, 0.3),
+            ("gumbel", 10**7, 1, 0.01),
+            ("gumbel", 50, 3, 0.5),
+            ("uniform", 8, 1, 0.05),
+            ("uniform", 200, 3, 0.05),
+            ("uniform", 10, 10, 0.1),
+            ("exponential", 30, 2, 0.2),
+            ("mirrored-exponential", 30, 2, 0.2),
         ],
     )
-    def test_adaptive_pass_matches_quad_vec(self, law_fn, n, ell, a):
-        spec = NearOrderSpec(law=law_fn(), n=n, ell=ell, a=a)
-        m = n - ell
-        r_mid = gap_ratio(spec.law, a, spec.law.quantile(stats.beta.ppf(0.5, m + 1, ell)))
-        vectors = [lambda r: (r[:, None] / r_mid) ** np.array([1, 2])]
-        if 0 < m <= 2000:
-            vectors.append(lambda r: _binom_pmf(m, r))
-        for values in vectors:
-            def integrand(x):
-                return order_stat_density(spec, x)[:, None] * values(gap_ratio(spec.law, a, x))
+    def test_pass_matches_oracle(self, kind, n, ell, a):
+        """Moments to 1e-12 relative, and the pmf within its own error budget in L1."""
+        m, pmf = n - ell, None
+        if kind == "gumbel":
+            law, moments = gumbel_law(), [_gumbel_moment_mp(n, ell, a, j) for j in (1, 2)]
+        elif kind == "mirrored-exponential":
+            # F(x - a) / F(x) = e**-a on all of (-inf, 0): r_a is constant
+            law, r = _exponential_law(-1.0), -math.expm1(-a)
+            moments, pmf = [r, r * r], _binom_pmf_mp(m, r)
+        elif kind == "uniform" and m >= 2:
+            with mp.workdps(40):
+                pmf = [mp.mpf(e.numerator) / e.denominator
+                       for e in _uniform_mixture_pmf(n, ell, Fraction(a))]
+            law = uniform_law(1.0)
+            moments = [uniform_gap_moment_exact(n, ell, a, 1.0, j) for j in (1, 2)]
+        else:
+            # in v = 1 - F(x), r_a is a / (1 - v) (uniform) or v (e**a - 1) / (1 - v)
+            # (exponential), up to 1 at its kink
+            law, kink = ((uniform_law(1.0), 1 - mp.mpf(a)) if kind == "uniform"
+                         else (_exponential_law(1.0), mp.exp(-a)))
 
-            args = dict(epsabs=2.5e-12, epsrel=1e-11, points=_integration_points(spec)[0])
-            got, err = _quad_vec(integrand, *spec.law.support, **args)
-            ref, ref_err = integrate.quad_vec(lambda x: integrand(np.array([x]))[0],
-                                              *spec.law.support, norm="2", limit=50, **args)
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-            assert err == pytest.approx(ref_err, rel=1e-12)
+            def r_of_v(v):
+                return min(1, a / (1 - v) if kind == "uniform" else v * mp.expm1(a) / (1 - v))
+
+            funcs = [lambda r: r, lambda r: r**2]
+            funcs += [lambda r, k=k: mp.binomial(m, k) * r**k * (1 - r) ** (m - k)
+                      for k in range(m + 1)]
+            values = _mixture_mp(n, ell, r_of_v, [kink], funcs)
+            moments, pmf = values[:2], values[2:]
+        spec = NearOrderSpec(law=law, n=n, ell=ell, a=a)
+        got, _ = _gap_ratio_moments(spec, [1, 2], 1e-10)
+        for value, exact in zip(got.tolist(), moments):
+            assert abs(value - exact) <= 1e-12 * exact
+        if pmf is not None:
+            mixture = near_order_count_pmf(spec, 1e-10)
+            with mp.workdps(40):
+                l1 = mp.fsum(abs(mp.mpf(p) - mp.mpf(e))
+                             for p, e in zip(mixture.probs.tolist(), pmf))
+            assert l1 <= mixture.tail_mass_bound
 
 
 class TestGumbelMaxBound:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import tiebound
+from tiebound import bounds_continuous
 from tiebound.cli import main, round3
 from tiebound.distributions import geometric_law
 from tiebound.maxima import KnSpec, size_biased_tie_law, size_biased_tie_pmf
@@ -55,6 +56,16 @@ class TestBoundCommand:
         doc = json.loads(result.output)
         assert abs(doc["bound"] - 0.5611111111) < 1e-6
 
+    def test_near_order_at_a_large_rank(self, runner):
+        # n C(n-1, ell-1), the order-statistic normaliser, overflows a float here
+        result = runner(["bound", "thm3", "--law", "gumbel", "--n", "2000", "--ell", "1000",
+                         "--a", "0.3"])
+        assert result.exit_code == 0
+        moments = json.loads(result.output)["moments"]
+        for j, key in ((1, "M1"), (2, "M2")):
+            exact = bounds_continuous.gumbel_gap_moment_exact(2000, 1000, 0.3, j)
+            assert abs(moments[key] - exact) <= 1e-10 * exact
+
     def test_mixed_binomial_direct(self, runner):
         result = runner(["bound", "thm4", "--n", "10", "--ell", "2",
                          "--eq", "0.1", "--eq2", "0.01"])
@@ -93,8 +104,9 @@ class TestBoundCommand:
         assert err[1].startswith("best_bound: ") and float(err[1].split()[1]) > 1e-12
 
     def test_integration_failure_reports_estimate(self, monkeypatch, capsys):
-        monkeypatch.setattr("tiebound.bounds_continuous._quad_vec",
-                            lambda *args, **kwargs: (np.array([0.5, 0.25]), 0.125))
+        # the pass returns the normaliser first: it integrates the density too
+        monkeypatch.setattr("tiebound.bounds_continuous._gk21_pass",
+                            lambda *args, **kwargs: (np.array([1.0, 0.5, 0.25]), 0.125))
         assert main(["bound", "thm3", "--law", "gumbel", "--n", "10", "--a", "0.3"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err[1].startswith("value: ") and err[2].startswith("error_estimate: ")
@@ -191,6 +203,12 @@ class TestSimulateCommand:
                          "--a", "0.3", "--mc-samples", "200", "--seed", "3"])
         assert result.exit_code == 0, result.output
         assert len(result.output.strip().split("\n")) == 1 + 2000
+
+    def test_near_order_at_a_large_rank(self, runner):
+        result = runner(["simulate", "--law", "gumbel", "--n", "2000", "--ell", "1000",
+                         "--a", "0.3", "--mc-samples", "1000"])
+        assert result.exit_code == 0
+        assert len(result.output.strip().split("\n")) == 1 + 1001
 
     def test_size_biased_exact_column(self, runner):
         result = runner(["simulate", "--kind", "size-biased", "--p", "0.3",
@@ -301,6 +319,8 @@ MALFORMED = {
     "no-p-points": ["figure", "fig1", "--p-count", "0"],
     "no-a-points": ["figure", "fig2", "--a-count", "0"],
     "seed-not-a-number": ["simulate", "--p", "0.3", "--n", "5", "--seed", "x"],
+    "out-in-missing-directory": ["bound", "thm2", "--p", "0.2", "--n", "10",
+                                 "--out", "no-such-dir/x"],
 }
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,7 +15,7 @@ from tiebound.distributions import (
 )
 from tiebound.errors import DomainError
 
-EULER_GAMMA = 0.5772156649015329  # oracle: quadrature of x * pdf(x), error < 1e-9
+EULER_GAMMA = 0.5772156649015329
 
 
 class TestGeometric:
@@ -93,30 +94,42 @@ class TestTabulated:
 class TestGumbel:
     def test_cdf_values(self):
         law = gumbel_law()
-        assert law.cdf(0.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
-        assert law.cdf(60.0) == pytest.approx(1.0, abs=1e-12)
-        assert law.cdf(-800.0) == 0.0
+        assert law.logcdf(0.0) == -1.0
+        assert law.logcdf(60.0) == pytest.approx(-math.exp(-60.0), rel=1e-15)  # F rounds to 1
+        assert law.logcdf(-800.0) == -math.inf
+        np.testing.assert_array_equal(law.logcdf(np.array([0.0, -800.0])), [-1.0, -math.inf])
 
     def test_mean_is_euler_gamma(self):
         from scipy import integrate
 
+        # E[X] = int_0^inf (1 - F) - int_-inf^0 F; 1 - F(40) < 1e-17 and F(-5) < 1e-64
         law = gumbel_law()
-        mean, err = integrate.quad(lambda x: x * law.pdf(x), -30, 60, limit=300)
-        assert err < 1e-8
-        assert mean == pytest.approx(EULER_GAMMA, abs=1e-9)
+        upper, err_u = integrate.quad(lambda x: -math.expm1(law.logcdf(x)), 0, 40,
+                                      epsabs=1e-12, limit=300)
+        lower, err_l = integrate.quad(lambda x: math.exp(law.logcdf(x)), -5, 0,
+                                      epsabs=1e-12, limit=300)
+        assert err_u + err_l < 1e-10
+        assert upper - lower == pytest.approx(EULER_GAMMA, abs=1e-9)
 
     def test_quantile_inverts_cdf(self):
         law = gumbel_law()
-        u = np.linspace(0.01, 0.99, 25)
-        np.testing.assert_allclose(law.cdf(law.quantile(u)), u, atol=1e-12)
+        log_u = np.concatenate([-np.logspace(-300, 2, 40), [-700.0]])
+        x = law.logquantile(log_u)
+        # x = -log(-log u) carries eps |x| absolute, which exp(-x) turns relative
+        rel = np.abs(law.logcdf(x) / log_u - 1.0)
+        assert np.all(rel <= 4.0 * np.finfo(float).eps * (1.0 + np.abs(x)))
+        assert law.logquantile(0.0) == math.inf and law.logquantile(-math.inf) == -math.inf
 
 
 class TestUniform:
     def test_cdf_clamps(self):
         law = uniform_law(2.0)
-        assert law.cdf(-1.0) == 0.0
-        assert law.cdf(3.0) == 1.0
-        assert uniform_law(1.0).cdf(0.3) == pytest.approx(0.3, abs=0)
+        assert law.logcdf(-1.0) == -math.inf
+        assert law.logcdf(0.0) == -math.inf
+        assert law.logcdf(3.0) == 0.0
+        assert uniform_law(1.0).logcdf(0.3) == math.log(0.3)
+        assert law.logquantile(math.log(0.25)) == pytest.approx(0.5, rel=1e-15)
+        assert law.logquantile(-math.inf) == 0.0
 
     def test_domain(self):
         for bad in (0.0, -1.0, math.inf):
@@ -124,19 +137,21 @@ class TestUniform:
                 uniform_law(bad)
 
 
-@pytest.mark.parametrize("law_fn", [gumbel_law, lambda: uniform_law(2.0)])
-def test_pdf_matches_cdf_derivative(law_fn):
-    """Central differences of the cdf reproduce the density at interior points."""
+@pytest.mark.parametrize("law_fn,exact", [
+    (gumbel_law, lambda x: -mp.exp(-x)),
+    (lambda: uniform_law(2.0), lambda x: mp.log(x / 2)),
+], ids=["gumbel", "uniform"])
+def test_logcdf_matches_high_precision(law_fn, exact):
+    """logcdf and logquantile against 50-digit mpmath values at interior points."""
     law = law_fn()
     rng = np.random.default_rng(42)
     lo, hi = law.support
-    lo = max(lo, -5.0) + 0.05
-    hi = min(hi, 8.0) - 0.05
-    xs = rng.uniform(lo, hi, size=100)
-    h = 1e-6
-    for x in xs:
-        num = (law.cdf(x + h) - law.cdf(x - h)) / (2 * h)
-        assert num == pytest.approx(law.pdf(x), abs=1e-6)
+    xs = rng.uniform(max(lo, -5.0) + 0.05, min(hi, 8.0) - 0.05, size=100)
+    with mp.workdps(50):
+        for x in xs.tolist():
+            log_f = exact(mp.mpf(x))
+            assert law.logcdf(x) == pytest.approx(float(log_f), rel=4e-16, abs=1e-300)
+            assert law.logquantile(float(log_f)) == pytest.approx(x, rel=1e-14, abs=1e-14)
 
 
 def test_discrete_tail_covers_unit_mass():

@@ -67,7 +67,7 @@ def _direct_size_biased(spec: KnSpec, gen, size):
 def _direct_near_order(spec: NearOrderSpec, gen, size):
     """Oracle: draw n values, sort, count those inside (x - a, x) at the
     ell-th largest x."""
-    x = spec.law.quantile(gen.random((size, spec.n)))
+    x = spec.law.logquantile(np.log(gen.random((size, spec.n))))
     order = np.sort(x, axis=1)[:, spec.n - spec.ell]
     return ((x > (order - spec.a)[:, None]) & (x < order[:, None])).sum(axis=1)
 
@@ -177,7 +177,7 @@ def _counting_law(law):
         return wrapper
 
     names = [f.name for f in dataclasses.fields(law)
-             if f.name in ("pmf", "cdf", "logcdf", "quantile")
+             if f.name in ("pmf", "cdf", "logcdf", "quantile", "logquantile")
              and getattr(law, f.name) is not None]
     wrapped = dataclasses.replace(law, **{k: counted(k, getattr(law, k)) for k in names})
     return wrapped, calls, points
