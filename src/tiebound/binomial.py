@@ -2,8 +2,8 @@
 
 Single terms and log C(m, k) use Loader's saddle-point form, accurate at
 m = 1e9 where lgamma differences lose about 1e-6.  :func:`binom_rows` is the
-row kernel that the near-order count (full rows) and the tie-count laws
-(windowed rows, :func:`binom_window`) both use.
+row kernel that the near-order count and the tie-count laws both use, on
+the windows of :func:`binom_window`.
 """
 
 from __future__ import annotations
@@ -41,31 +41,47 @@ def _stirlerr(k: int) -> float:
     return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / k
 
 
-def _bd0(x: float, mu: float) -> float:
-    """x log(x/mu) + mu - x, by a series free of cancellation when x is near mu."""
-    if abs(x - mu) >= 0.1 * (x + mu):
-        return x * math.log(x / mu) + mu - x
+def _bd0(x: float, mu):
+    """x log(x/mu) + mu - x, elementwise over an array ``mu``, by a series
+    free of cancellation where x is near mu."""
+    if not isinstance(mu, np.ndarray):  # scalars skip numpy's per-call cost
+        if abs(x - mu) >= 0.1 * (x + mu):
+            return x * math.log(x / mu) + mu - x
+        return _bd0_series(x, mu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = x * np.log(x / mu) + mu - x
+        near = np.abs(x - mu) < 0.1 * (x + mu)
+    out[near] = _bd0_series(x, mu[near])
+    return out
+
+
+def _bd0_series(x: float, mu):
+    """bd0 where |x - mu| < 0.1 (x + mu), by its odd series in v = (x - mu) / (x + mu).
+
+    The sum exceeds 0.9 (x + mu) v**2 and the term of power j is at most
+    2 (x + mu) |v|**j / j, so with |v| < 0.1 every term past j = 19 is below
+    2e-20 of the sum and rounds away: a fixed run of terms, for floats and
+    arrays alike.
+    """
     v = (x - mu) / (x + mu)
     s, term, v2 = (x - mu) * v, 2.0 * x * v, v * v
-    for j in range(3, 200, 2):
-        term *= v2
-        if s + term / j == s:
-            break
-        s += term / j
+    for j in range(3, 21, 2):
+        term = term * v2
+        s = s + term / j
     return s
 
 
-def _log_binom_term(m: int, k: int, q: float) -> float:
-    """log P(Bin(m, q) = k) for 0 < q < 1, by Loader's saddle-point form.
+def _log_binom_term(m: int, k: int, q):
+    """log P(Bin(m, q) = k), elementwise over ``q`` in [0, 1], by Loader's
+    saddle-point form; a float for a scalar ``q``.
 
     Stirling errors and the deviance terms ``_bd0`` replace the lgamma
     differences, which at m = 1e9 would cost about 1e-6 absolute (C. Loader,
     "Fast and accurate computation of binomial probabilities", 2000).
     """
-    if k == 0:
-        return m * math.log1p(-q)
-    if k == m:
-        return m * math.log(q)
+    if k == 0 or k == m:
+        with np.errstate(divide="ignore"):  # log 0 = -inf at q = 1 or 0
+            return m * (np.log1p(-q) if k == 0 else np.log(q))
     return (_stirlerr(m) - _stirlerr(k) - _stirlerr(m - k) - _bd0(k, m * q)
             - _bd0(m - k, m * (1.0 - q)) + 0.5 * math.log(m / (2.0 * math.pi * k * (m - k))))
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .approximants import TruncatedPMF
-from .binomial import _EPS, _log_binom_tail, _log_binom_term, _log_choose, binom_rows
+from .binomial import _EPS, _log_binom_tail, _log_binom_term, _mode, binom_rows, binom_window
 from .bounds_discrete import BoundReport
 from .distributions import ContinuousLaw
 from .errors import DegenerateParameterError, DomainError, IntegrationError, integer_in
@@ -248,7 +248,13 @@ _GK21 = (
              0.0, 0.295524224714752870173892994651338, 0.0]),
 )
 _TINY = np.finfo(float).tiny
+_LOG_TINY = math.log(_TINY)
 _MAX_PANELS = 50
+
+
+def _gk_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The GK21 nodes of the panels (lo[i], hi[i]), panel by panel."""
+    return (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _GK21[0]).ravel()
 
 
 def _gk_panels(f, lo: np.ndarray, hi: np.ndarray):
@@ -261,8 +267,8 @@ def _gk_panels(f, lo: np.ndarray, hi: np.ndarray):
     |f|, the rounding term.
     """
     x, v, w = _GK21
-    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    fv = f((c[:, None] + h[:, None] * x).ravel()).reshape(lo.size, x.size, -1)
+    h = 0.5 * (hi - lo)
+    fv = f(_gk_nodes(lo, hi)).reshape(lo.size, x.size, -1)
     kronrod = np.einsum("n,pnd->pd", v, fv)
     err = h * np.linalg.norm(kronrod - np.einsum("n,pnd->pd", w, fv), axis=1)
     rnd = 50.0 * _EPS * h * np.linalg.norm(np.einsum("n,pnd->pd", v, np.abs(fv)), axis=1)
@@ -300,34 +306,44 @@ def _gk21_pass(f, edges: np.ndarray, epsabs: float, epsrel: float):
 
 
 def _log_order_density(n: int, ell: int, v: np.ndarray) -> np.ndarray:
-    """log n C(n-1, ell-1) v**(ell-1) (1-v)**(n-ell), the log density of
-    V = 1 - F(X_(n-ell+1:n)) ~ Beta(ell, n-ell+1), at v in [0, 1]."""
-    out = np.full(v.shape, math.log(n) + _log_choose(n - 1, ell - 1))
-    with np.errstate(divide="ignore"):  # v = 0 or 1 gives -inf, never 0 * inf
-        if ell > 1:
-            out += (ell - 1) * np.log(v)
-        if ell < n:
-            out += (n - ell) * np.log1p(-v)
-    return out
+    """log n + log P(Bin(n-1, v) = ell-1), the log density of
+    V = 1 - F(X_(n-ell+1:n)) ~ Beta(ell, n-ell+1), at v in [0, 1].
+
+    Loader's form keeps every term small: at n = 1e9, ell = n/2 the two
+    terms (ell-1) log v and (n-ell) log(1-v) would each be about 3.5e8, and
+    their rounding about 4e-8 relative to the density.
+    """
+    if n == 1:  # V is uniform; the form below would give 0 * log 0 at v = 1
+        return np.zeros(np.shape(v))
+    return math.log(n) + _log_binom_term(n - 1, ell - 1, v)
+
+
+def _node_values(spec: NearOrderSpec, v: np.ndarray):
+    """The gap ratio r_a and the log density of V at the points ``v``.
+
+    The order statistic sits at x = logquantile(log1p(-v)), so no power of
+    F is formed.
+    """
+    with np.errstate(divide="ignore"):  # a node next to v = 1 can round onto it
+        r = gap_ratio(spec.law, spec.a, spec.law.logquantile(np.log1p(-v)))
+    return r, _log_order_density(spec.n, spec.ell, v)
 
 
 def _mixture_integral(spec: NearOrderSpec, values, tol: float, edges):
-    """Integral of the vector ``values(r_a)`` over the law of the order statistic.
+    """Integral of the vector ``values(r_a, log density)`` over the law of the order statistic.
 
     The integral runs over v = 1 - F(X_(n-ell+1:n)) ~ Beta(ell, n-ell+1)
-    for every law alike, with the order statistic at x =
-    logquantile(log1p(-v)), so no power of F is formed.  The density's own
-    integral is a column of the same pass, and the vector is divided by it,
-    which cancels the rounding of log C(n-1, ell-1) (about n eps at
-    ell = n/2).  ``values`` maps an array of N gap ratios to an (N, d)
-    array.  Returns the vector and its Gauss-Kronrod error estimate in the
+    for every law alike (:func:`_node_values`).  The density's own integral
+    is a column of the same pass, and the vector is divided by it, which
+    cancels the rounding of the density's normaliser.  ``values`` maps N gap
+    ratios and the log densities at their nodes to an (N, d) array.
+    Returns the vector and its Gauss-Kronrod error estimate in the
     Euclidean norm, an estimate, not a certificate.
     """
     def integrand(v):
-        with np.errstate(divide="ignore"):  # a node next to v = 1 can round onto it
-            r = gap_ratio(spec.law, spec.a, spec.law.logquantile(np.log1p(-v)))
-        out = np.column_stack([np.ones_like(r), values(r)])
-        out *= np.exp(_log_order_density(spec.n, spec.ell, v))[:, None]
+        r, log_density = _node_values(spec, v)
+        out = np.column_stack([np.ones_like(r), values(r, log_density)])
+        out *= np.exp(log_density)[:, None]
         return out
 
     total, err = _gk21_pass(integrand, edges, epsabs=min(tol / 4.0, 1e-11), epsrel=1e-11)
@@ -345,7 +361,7 @@ def _gap_ratio_moments(spec: NearOrderSpec, powers, tol: float):
     powers = np.asarray(powers)
     edges, v_mid = _panel_edges(spec)
     r_mid = max(gap_ratio(spec.law, spec.a, spec.law.logquantile(math.log1p(-v_mid))), _EPS)
-    scaled, err = _mixture_integral(spec, lambda r: (r[:, None] / r_mid) ** powers, tol,
+    scaled, err = _mixture_integral(spec, lambda r, _: (r[:, None] / r_mid) ** powers, tol,
                                     edges)
     moments, errs = scaled * r_mid**powers, err * r_mid**powers
     if not np.all(errs <= np.maximum(tol, 1e-8 * np.abs(moments))):
@@ -533,23 +549,51 @@ def gumbel_max_bound(n: int, a: float) -> float:
 def near_order_count_pmf(spec: NearOrderSpec, tol: float = 1e-10) -> TruncatedPMF:
     """Exact law of the near-order count, as a binomial mixture by quadrature.
 
-    P(count = k) = integral of Bin(n - ell, r_a(x)).pmf(k) against the
-    order-statistic density, for k = 0, ..., n - ell, all from one pass over
-    the pmf vector.  The support is complete, so the tail budget of the
-    result is the quadrature error alone: the Euclidean-norm estimate times
-    sqrt(n - ell + 1), which bounds the L1 norm of the same error vector.
-    Like every QUADPACK-style error estimate it is not a certificate.
+    P(count = k) = integral of Bin(n - ell, r_a(v)).pmf(k) against the
+    density of V, from one pass over a vector of pmf rows.  The rows span
+    only the union of the nodes' windows: each node of the first panels
+    windows its row where the density times the row's Chernoff bound
+    reaches tiny, the smallest normal double (:func:`binom_window`), so the
+    work grows with the count's support rather than with n.  The law holds
+    the outcomes from the first to the last entry at or above tiny.
+
+    ``tail_mass_bound`` has two parts.  The first is the integral, in a
+    column of the same pass, of each row's distance from its exact pmf:
+    twice the row's certified mass past the union (:func:`binom_rows`), or
+    the whole row where the density is below tiny or the row's mode lies
+    outside the union; plus the entries cut below tiny.  The second is an
+    estimate: the quadrature's Euclidean-norm error estimate times the
+    square root of the union's width, which bounds the L1 norm of the same
+    error vector.  Like every QUADPACK-style error estimate it is not a
+    certificate.
     """
     m = spec.n - spec.ell
-    def row(r):
-        with np.errstate(divide="ignore"):
-            return binom_rows(m, r / (1.0 - r), 0, m)[0]
+    edges = _panel_edges(spec)[0]
+    r, log_density = _node_values(spec, _gk_nodes(edges[:-1], edges[1:]))
+    depth = log_density - _LOG_TINY
+    seen = depth > 0.0
+    with np.errstate(divide="ignore"):
+        w_lo, w_hi = binom_window(m, (r / (1.0 - r))[seen], depth[seen])
+    k_lo, k_hi = int(w_lo.min()), int(w_hi.max())
 
-    probs, err = _mixture_integral(spec, row, tol, _panel_edges(spec)[0])
-    l1_err = math.sqrt(m + 1) * err
+    def rows(r, log_density):
+        with np.errstate(divide="ignore"):
+            odds = r / (1.0 - r)
+        probs, outside = binom_rows(m, odds, k_lo, k_hi)
+        mode = _mode(m, odds)[0]
+        lost = (log_density < _LOG_TINY) | (mode < k_lo) | (mode > k_hi)
+        probs[lost] = 0.0
+        return np.column_stack([np.where(lost, 1.0, 2.0 * outside), probs])
+
+    total, err = _mixture_integral(spec, rows, tol, edges)
+    probs = total[1:]
+    big = np.flatnonzero(probs >= _TINY)
+    cut = math.fsum(probs[: big[0]].tolist()) + math.fsum(probs[big[-1] + 1:].tolist())
+    l1_err = float(total[0]) + cut + math.sqrt(k_hi - k_lo + 1) * err
     if not l1_err <= max(tol, 1e-7):
         raise IntegrationError(
             f"mixture pmf quadrature error {l1_err!r} exceeds {tol!r}",
             value=float("nan"), error_estimate=l1_err,
         )
-    return TruncatedPMF(k_min=0, probs=probs, tail_mass_bound=l1_err)
+    return TruncatedPMF(k_min=k_lo + int(big[0]), probs=probs[big[0]: big[-1] + 1],
+                        tail_mass_bound=l1_err)

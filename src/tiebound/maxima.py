@@ -51,7 +51,8 @@ __all__ = [
 DEFAULT_TOL = 1e-12
 
 _SERIES_CAP = 2_000_000
-# series blocks double from _FIRST_BLOCK terms, so short series stay cheap
+# series blocks double from _FIRST_BLOCK terms, so short series stay cheap; the
+# mixture laws, whose last maximum is known, take blocks of _MAX_BLOCK at once
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 1 << 15
 # mixture rows at or below the smallest normal double are dropped
@@ -229,10 +230,8 @@ def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
                 / np.exp(lf) + 2.0 * _U * np.abs(lf))
 
     parts, bounds, k_lo, k_hi, held, depth = [], [suffix], math.inf, -math.inf, 0.0, 0
-    lo, size = 1, _FIRST_BLOCK
-    while lo <= last:
-        j = np.arange(lo, min(last, lo + size - 1) + 1)
-        lo, size = int(j[-1]) + 1, min(2 * size, _MAX_BLOCK)
+    for lo in range(1, last + 1, _MAX_BLOCK):  # last is known, so the blocks need not grow
+        j = np.arange(lo, min(last, lo + _MAX_BLOCK - 1) + 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             lp, lf0, lf1 = np.log(law.pmf(j)), _log_cdf(law, j - 1), _log_cdf(law, j)
             lw = lp + (n - 1) * lf1 - log_z if biased else n * lf1

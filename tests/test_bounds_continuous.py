@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import tiebound
 from tiebound.approximants import truncated_negbin, tv_distance
 from tiebound.binomial import _log_binom_tail, _log_choose, binom_rows, binom_window
 from tiebound.bounds_continuous import (
@@ -20,6 +24,7 @@ from tiebound.bounds_continuous import (
     _beta_quantile,
     _gap_ratio_moments,
     _log_order_density,
+    _mixture_integral,
     _panel_edges,
     gap_ratio,
     gap_ratio_moment,
@@ -474,16 +479,18 @@ class TestNearOrderBound:
         law = uniform_law(1.0) if kind == "uniform" else gumbel_law()
         spec = NearOrderSpec(law=law, n=n, ell=ell, a=a)
         mixture = near_order_count_pmf(spec, 1e-10)
-        assert mixture.k_min == 0
-        assert mixture.k_max == spec.n - spec.ell
-        assert mixture.total() == pytest.approx(1.0, abs=1e-9)
         m = n - ell
+        # the law spans its entries at or above tiny, which here start at 0
+        assert mixture.k_min == 0 and mixture.k_max <= m
+        assert min(mixture.probs[0], mixture.probs[-1]) >= np.finfo(float).tiny
+        assert mixture.total() == pytest.approx(1.0, abs=1e-9)
         if kind == "uniform":
             exact = _uniform_mixture_pmf(n, ell, Fraction(a))
+            held = mixture.probs.size
             l1 = sum(abs(Fraction(float(p)) - e) for p, e in zip(mixture.probs, exact))
-            assert l1 <= mixture.tail_mass_bound
+            assert l1 + sum(exact[held:]) <= mixture.tail_mass_bound
         else:
-            k = np.arange(m + 1)
+            k = np.arange(mixture.k_min, mixture.k_max + 1)
             assert math.fsum(k * mixture.probs) == pytest.approx(
                 m * gumbel_gap_moment_exact(n, ell, a, 1), rel=1e-8)
             assert math.fsum(k * (k - 1) * mixture.probs) == pytest.approx(
@@ -664,10 +671,84 @@ class TestQuadratureKernels:
             assert abs(value - exact) <= 1e-12 * exact
         if pmf is not None:
             mixture = near_order_count_pmf(spec, 1e-10)
+            held = range(mixture.k_min, mixture.k_max + 1)
             with mp.workdps(40):
-                l1 = mp.fsum(abs(mp.mpf(p) - mp.mpf(e))
-                             for p, e in zip(mixture.probs.tolist(), pmf))
+                l1 = mp.fsum(abs(mp.mpf(mixture.prob(k)) - mp.mpf(e)) for k, e in enumerate(pmf))
             assert l1 <= mixture.tail_mass_bound
+            assert all(k in held for k, e in enumerate(pmf) if e >= np.finfo(float).tiny)
+
+
+def _full_row_law(spec, tol):
+    """The near-order law from full Bin(n - ell, r) rows, k = 0, ..., n - ell, at
+    every node, and its L1 error estimate: the unwindowed integrand, as an oracle."""
+    m = spec.n - spec.ell
+    probs, err = _mixture_integral(spec, lambda r, _: _binom_pmf(m, r), tol,
+                                   _panel_edges(spec)[0])
+    return probs, math.sqrt(m + 1) * err
+
+
+class TestWindowedLaw:
+    """The law integrates rows only over the union of the nodes' windows."""
+
+    @pytest.mark.parametrize("law_fn,n,ell,a", [
+        (gumbel_law, 100, 1, 0.3),
+        (lambda: uniform_law(1.0), 200, 3, 0.05),
+        (lambda: uniform_law(1.0), 8, 1, 0.05),  # the three points of `verify`
+        (lambda: uniform_law(1.0), 10, 2, 0.1),
+        (gumbel_law, 10, 1, 0.3),
+        (gumbel_law, 2000, 1, 0.3),
+        (gumbel_law, 2000, 1000, 0.3),
+    ])
+    def test_matches_full_rows(self, law_fn, n, ell, a):
+        spec = NearOrderSpec(law=law_fn(), n=n, ell=ell, a=a)
+        law = near_order_count_pmf(spec, 1e-10)
+        full, full_err = _full_row_law(spec, 1e-10)
+        held = np.arange(law.k_min, law.k_max + 1)
+        assert np.all(np.abs(law.probs - full[held]) <= 1e-12)
+        # every entry at or above tiny is held; those cut are below it
+        outside = np.delete(full, held)
+        assert np.all(outside < np.finfo(float).tiny)
+        assert law.tail_mass_bound <= max(1e-10, full_err)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_large_samples_are_fast_and_small(self):
+        # VmHWM is this process's own peak: ru_maxrss would also count the
+        # pytest process that the child was forked from
+        code = ("import re, time\n"
+                "from tiebound import gumbel_law\n"
+                "from tiebound.bounds_continuous import NearOrderSpec, near_order_count_pmf\n"
+                "for n in (10**6, 10**9):\n"
+                "    start = time.perf_counter()\n"
+                "    law = near_order_count_pmf(NearOrderSpec(gumbel_law(), n, 1, 0.3))\n"
+                "    print(time.perf_counter() - start, law.k_min, law.k_max,\n"
+                "          law.tail_mass_bound, law.total())\n"
+                "status = open('/proc/self/status').read()\n"
+                "print(int(re.search(r'VmHWM:\\s*(\\d+)', status).group(1)) / 1024)\n")
+        src = os.path.dirname(os.path.dirname(tiebound.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src)).stdout.split("\n")
+        for line in out[:2]:
+            elapsed, k_min, k_max, bound, total = map(float, line.split())
+            assert elapsed < 1.0
+            assert k_min == 0 and 200 < k_max < 1000  # a few hundred outcomes, not n
+            assert bound <= 1e-10 and total == pytest.approx(1.0, abs=1e-10)
+        assert float(out[2]) < 100.0  # max RSS in MB, the interpreter and numpy included
+
+    def test_large_symmetric_rank_moments(self):
+        # at n = 1e9, ell = n/2 the log density is formed in Loader's form, so
+        # the moments reach 1e-10 relative of the exact product form
+        n, ell, a = 10**9, 5 * 10**8, 0.3
+        got, _ = _gap_ratio_moments(NearOrderSpec(gumbel_law(), n, ell, a), [1, 2], 1e-10)
+        with mp.workdps(40):
+            c, lg = mp.expm1(mp.mpf(a)), mp.loggamma
+
+            def log_product(s):  # log prod_i m_i / (m_i + s), m_i = n-ell+1, ..., n
+                return lg(n + 1) - lg(n + 1 + s) - lg(n - ell + 1) + lg(n - ell + 1 + s)
+
+            p1, p2 = mp.exp(log_product(c)), mp.exp(log_product(2 * c))
+            exact = [1 - p1, 1 - 2 * p1 + p2]
+        for value, moment in zip(got.tolist(), exact):
+            assert abs(value - moment) <= 1e-10 * moment
 
 
 class TestGumbelMaxBound:

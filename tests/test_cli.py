@@ -14,7 +14,7 @@ import pytest
 import tiebound
 from tiebound import bounds_continuous
 from tiebound.cli import main, round3
-from tiebound.distributions import geometric_law
+from tiebound.distributions import geometric_law, gumbel_law
 from tiebound.maxima import KnSpec, size_biased_tie_law, size_biased_tie_pmf
 
 
@@ -197,18 +197,35 @@ class TestSimulateCommand:
         assert result.exit_code == 0
         assert result.output.startswith("k,count,frequency,exact_pmf")
 
+    @staticmethod
+    def _assert_rows_span_the_law(output, n, ell, a):
+        """One row per outcome of the exact law, which stops short of n - ell
+        once its entries fall below tiny, each with the law's entry."""
+        law = bounds_continuous.near_order_count_pmf(
+            bounds_continuous.NearOrderSpec(gumbel_law(), n, ell, a), 1e-9)
+        rows = [line.split(",") for line in output.strip().split("\n")[1:]]
+        assert [int(row[0]) for row in rows] == list(range(law.k_min, law.k_max + 1))
+        assert [float(row[3]) for row in rows] == law.probs.tolist()
+        assert law.k_max < n - ell
+
     def test_near_order_beyond_float_binomials(self, runner):
         # n - ell = 1999: C(1999, k) as a Python int overflows a float
         result = runner(["simulate", "--law", "gumbel", "--n", "2000",
                          "--a", "0.3", "--mc-samples", "200", "--seed", "3"])
         assert result.exit_code == 0, result.output
-        assert len(result.output.strip().split("\n")) == 1 + 2000
+        self._assert_rows_span_the_law(result.output, 2000, 1, 0.3)
 
     def test_near_order_at_a_large_rank(self, runner):
         result = runner(["simulate", "--law", "gumbel", "--n", "2000", "--ell", "1000",
                          "--a", "0.3", "--mc-samples", "1000"])
         assert result.exit_code == 0
-        assert len(result.output.strip().split("\n")) == 1 + 1001
+        self._assert_rows_span_the_law(result.output, 2000, 1000, 0.3)
+
+    def test_near_order_at_a_billion(self, runner):
+        result = runner(["simulate", "--law", "gumbel", "--n", "1000000000",
+                         "--a", "0.3", "--mc-samples", "1000"])
+        assert result.exit_code == 0
+        self._assert_rows_span_the_law(result.output, 10**9, 1, 0.3)
 
     def test_size_biased_exact_column(self, runner):
         result = runner(["simulate", "--kind", "size-biased", "--p", "0.3",

@@ -321,6 +321,14 @@ class TestNearOrderSampler:
         emp = EmpiricalPMF.from_samples(samples)
         _assert_within_standard_errors(emp, near_order_count_pmf(spec, 1e-9))
 
+    def test_gumbel_matches_windowed_law_at_a_million(self):
+        # the law holds a few hundred outcomes here, not n - ell + 1
+        spec = NearOrderSpec(law=gumbel_law(), n=10**6, ell=1, a=0.3)
+        samples = sample_near_order_count(spec, RngStream(seed=10), size=N_UNIT)
+        law = near_order_count_pmf(spec, 1e-9)
+        assert law.k_max < 1000
+        _assert_within_standard_errors(EmpiricalPMF.from_samples(samples), law)
+
 
 class TestEmpiricalTV:
     def test_same_point_mass(self):
