@@ -42,38 +42,26 @@ def _stirlerr(k: int) -> float:
 
 
 def _bd0(x: float, mu):
-    """x log(x/mu) + mu - x, elementwise over an array ``mu``, by a series
-    free of cancellation where x is near mu."""
-    if not isinstance(mu, np.ndarray):  # scalars skip numpy's per-call cost
-        if abs(x - mu) >= 0.1 * (x + mu):
-            return x * math.log(x / mu) + mu - x
-        return _bd0_series(x, mu)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = x * np.log(x / mu) + mu - x
-        near = np.abs(x - mu) < 0.1 * (x + mu)
-    out[near] = _bd0_series(x, mu[near])
-    return out
+    """x log(x/mu) + mu - x, elementwise over ``mu``, by a series free of
+    cancellation where |x - mu| < 0.1 (x + mu).
 
-
-def _bd0_series(x: float, mu):
-    """bd0 where |x - mu| < 0.1 (x + mu), by its odd series in v = (x - mu) / (x + mu).
-
-    The sum exceeds 0.9 (x + mu) v**2 and the term of power j is at most
-    2 (x + mu) |v|**j / j, so with |v| < 0.1 every term past j = 19 is below
-    2e-20 of the sum and rounds away: a fixed run of terms, for floats and
-    arrays alike.
+    There v = (x - mu) / (x + mu) and the odd series in v has terms of power
+    j at most 2 (x + mu) |v|**j / j against a sum above 0.9 (x + mu) v**2,
+    so every term past j = 19 is below 2e-20 of the sum and rounds away.
     """
+    mu = np.asarray(mu, dtype=float)
     v = (x - mu) / (x + mu)
     s, term, v2 = (x - mu) * v, 2.0 * x * v, v * v
     for j in range(3, 21, 2):
         term = term * v2
         s = s + term / j
-    return s
+    with np.errstate(divide="ignore"):
+        return np.where(np.abs(v) < 0.1, s, x * np.log(x / mu) + mu - x)
 
 
 def _log_binom_term(m: int, k: int, q):
     """log P(Bin(m, q) = k), elementwise over ``q`` in [0, 1], by Loader's
-    saddle-point form; a float for a scalar ``q``.
+    saddle-point form.
 
     Stirling errors and the deviance terms ``_bd0`` replace the lgamma
     differences, which at m = 1e9 would cost about 1e-6 absolute (C. Loader,
@@ -141,8 +129,9 @@ def _pairwise_sum(a: np.ndarray) -> np.ndarray:
 
 
 def _mode(m: int, odds: np.ndarray):
-    """floor((m+1) q) and q = odds / (1 + odds); odds 0 and inf give q = 0 and 1."""
-    with np.errstate(divide="ignore"):
+    """floor((m+1) q) and q = odds / (1 + odds); odds 0 (or subnormal) and inf
+    give q = 0 and 1."""
+    with np.errstate(divide="ignore", over="ignore"):
         q = 1.0 / (1.0 + 1.0 / odds)
     return np.minimum(np.floor((m + 1) * q), m), q
 
@@ -188,7 +177,7 @@ def binom_rows(m: int, odds, lo: int, hi: int):
     k = np.arange(lo, hi, dtype=float)
     rows = np.ones((odds.shape[0], hi - lo + 1))
     outside = np.zeros(odds.shape[0])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rows[:, 1:] = np.cumprod(np.where(k >= mode, (m - k) / (k + 1.0) * odds, 1.0), axis=1)
         down = np.where(k < mode, (k + 1.0) / (m - k) / odds, 1.0)
         rows[:, :-1] *= np.cumprod(down[:, ::-1], axis=1)[:, ::-1]

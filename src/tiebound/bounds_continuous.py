@@ -202,8 +202,9 @@ def _beta_quantile(n: int, ell: int, probs, upper: bool = False) -> np.ndarray:
     return np.array(out)
 
 
-# panel edges: quantiles of V at these probabilities, the tail ones on both sides
-_TAIL_PROBS = (1e-40, 1e-20, 1e-9)
+# panel edges: quantiles of V at these probabilities, the tail ones on both sides;
+# 1e-300 puts nodes where the near-order law's entries near tiny get their mass
+_TAIL_PROBS = (1e-300, 1e-40, 1e-20, 1e-9)
 _BULK_PROBS = (0.05, 0.5, 0.95)
 
 
@@ -212,7 +213,7 @@ def _panel_edges(spec: NearOrderSpec):
 
     The edges are 0, 1, the quantiles of V at ``_BULK_PROBS`` and, on both
     sides, at ``_TAIL_PROBS``, so that each panel holds a known share of the
-    density down to 1e-40 in either tail, and for a support bounded below
+    density down to 1e-300 in either tail, and for a support bounded below
     the kink of r_a at v = 1 - F(lo + a), below which r_a is 1.
     """
     n, ell = spec.n, spec.ell
@@ -252,11 +253,6 @@ _LOG_TINY = math.log(_TINY)
 _MAX_PANELS = 50
 
 
-def _gk_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The GK21 nodes of the panels (lo[i], hi[i]), panel by panel."""
-    return (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _GK21[0]).ravel()
-
-
 def _gk_panels(f, lo: np.ndarray, hi: np.ndarray):
     """GK21 integrals of ``f`` over the panels (lo[i], hi[i]), and their errors.
 
@@ -267,8 +263,8 @@ def _gk_panels(f, lo: np.ndarray, hi: np.ndarray):
     |f|, the rounding term.
     """
     x, v, w = _GK21
-    h = 0.5 * (hi - lo)
-    fv = f(_gk_nodes(lo, hi)).reshape(lo.size, x.size, -1)
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    fv = f((c[:, None] + h[:, None] * x).ravel()).reshape(lo.size, x.size, -1)
     kronrod = np.einsum("n,pnd->pd", v, fv)
     err = h * np.linalg.norm(kronrod - np.einsum("n,pnd->pd", w, fv), axis=1)
     rnd = 50.0 * _EPS * h * np.linalg.norm(np.einsum("n,pnd->pd", v, np.abs(fv)), axis=1)
@@ -318,30 +314,22 @@ def _log_order_density(n: int, ell: int, v: np.ndarray) -> np.ndarray:
     return math.log(n) + _log_binom_term(n - 1, ell - 1, v)
 
 
-def _node_values(spec: NearOrderSpec, v: np.ndarray):
-    """The gap ratio r_a and the log density of V at the points ``v``.
-
-    The order statistic sits at x = logquantile(log1p(-v)), so no power of
-    F is formed.
-    """
-    with np.errstate(divide="ignore"):  # a node next to v = 1 can round onto it
-        r = gap_ratio(spec.law, spec.a, spec.law.logquantile(np.log1p(-v)))
-    return r, _log_order_density(spec.n, spec.ell, v)
-
-
 def _mixture_integral(spec: NearOrderSpec, values, tol: float, edges):
     """Integral of the vector ``values(r_a, log density)`` over the law of the order statistic.
 
     The integral runs over v = 1 - F(X_(n-ell+1:n)) ~ Beta(ell, n-ell+1)
-    for every law alike (:func:`_node_values`).  The density's own integral
-    is a column of the same pass, and the vector is divided by it, which
-    cancels the rounding of the density's normaliser.  ``values`` maps N gap
-    ratios and the log densities at their nodes to an (N, d) array.
+    for every law alike, with the order statistic at x =
+    logquantile(log1p(-v)), so no power of F is formed.  The density's own
+    integral is a column of the same pass, and the vector is divided by it,
+    which cancels the rounding of the density's normaliser.  ``values`` maps
+    N gap ratios and the log densities at their nodes to an (N, d) array.
     Returns the vector and its Gauss-Kronrod error estimate in the
     Euclidean norm, an estimate, not a certificate.
     """
     def integrand(v):
-        r, log_density = _node_values(spec, v)
+        with np.errstate(divide="ignore"):  # a node next to v = 1 can round onto it
+            r = gap_ratio(spec.law, spec.a, spec.law.logquantile(np.log1p(-v)))
+        log_density = _log_order_density(spec.n, spec.ell, v)
         out = np.column_stack([np.ones_like(r), values(r, log_density)])
         out *= np.exp(log_density)[:, None]
         return out
@@ -551,11 +539,13 @@ def near_order_count_pmf(spec: NearOrderSpec, tol: float = 1e-10) -> TruncatedPM
 
     P(count = k) = integral of Bin(n - ell, r_a(v)).pmf(k) against the
     density of V, from one pass over a vector of pmf rows.  The rows span
-    only the union of the nodes' windows: each node of the first panels
-    windows its row where the density times the row's Chernoff bound
-    reaches tiny, the smallest normal double (:func:`binom_window`), so the
-    work grows with the count's support rather than with n.  The law holds
-    the outcomes from the first to the last entry at or above tiny.
+    only the union of the nodes' windows: each node of the first panels,
+    which the pass evaluates in its first call, windows its row where the
+    density times the row's Chernoff bound reaches tiny, the smallest
+    normal double (:func:`binom_window`), and that union then holds for
+    every later node, so the work grows with the count's support rather
+    than with n.  The law holds the outcomes from the first to the last
+    computed entry at or above tiny.
 
     ``tail_mass_bound`` has two parts.  The first is the integral, in a
     column of the same pass, of each row's distance from its exact pmf:
@@ -567,26 +557,24 @@ def near_order_count_pmf(spec: NearOrderSpec, tol: float = 1e-10) -> TruncatedPM
     error vector.  Like every QUADPACK-style error estimate it is not a
     certificate.
     """
-    m = spec.n - spec.ell
-    edges = _panel_edges(spec)[0]
-    r, log_density = _node_values(spec, _gk_nodes(edges[:-1], edges[1:]))
-    depth = log_density - _LOG_TINY
-    seen = depth > 0.0
-    with np.errstate(divide="ignore"):
-        w_lo, w_hi = binom_window(m, (r / (1.0 - r))[seen], depth[seen])
-    k_lo, k_hi = int(w_lo.min()), int(w_hi.max())
+    m, union = spec.n - spec.ell, []
 
     def rows(r, log_density):
         with np.errstate(divide="ignore"):
             odds = r / (1.0 - r)
+        if not union:
+            seen = log_density > _LOG_TINY
+            w_lo, w_hi = binom_window(m, odds[seen], log_density[seen] - _LOG_TINY)
+            union.extend((int(w_lo.min()), int(w_hi.max())))
+        k_lo, k_hi = union
         probs, outside = binom_rows(m, odds, k_lo, k_hi)
         mode = _mode(m, odds)[0]
         lost = (log_density < _LOG_TINY) | (mode < k_lo) | (mode > k_hi)
         probs[lost] = 0.0
         return np.column_stack([np.where(lost, 1.0, 2.0 * outside), probs])
 
-    total, err = _mixture_integral(spec, rows, tol, edges)
-    probs = total[1:]
+    total, err = _mixture_integral(spec, rows, tol, _panel_edges(spec)[0])
+    (k_lo, k_hi), probs = union, total[1:]
     big = np.flatnonzero(probs >= _TINY)
     cut = math.fsum(probs[: big[0]].tolist()) + math.fsum(probs[big[-1] + 1:].tolist())
     l1_err = float(total[0]) + cut + math.sqrt(k_hi - k_lo + 1) * err
