@@ -6,53 +6,16 @@ distance of an order statistic of a continuous sample), evaluates explicit
 logarithmic / Poisson / negative-binomial approximation bounds for those
 counts, and verifies every bound against certified exact and Monte-Carlo
 total-variation distances.
+
+``import tiebound`` runs only ``errors``.  Every other submodule is in
+``sys.modules`` from the start but runs on first attribute access
+(``importlib.util.LazyLoader``), and a package-level name loads only the
+module that defines it, so a command runs just the modules it uses.
 """
 
-from .approximants import (
-    TruncatedPMF,
-    TVInterval,
-    log_pmf,
-    negbin_pmf,
-    poisson_pmf,
-    positive_part_distance,
-    truncate_law,
-    truncated_geometric,
-    truncated_log,
-    truncated_negbin,
-    truncated_poisson,
-    tv_distance,
-)
-from .bounds_continuous import (
-    MixedBinomialSpec,
-    NearOrderSpec,
-    gap_ratio,
-    gap_ratio_moment,
-    gumbel_gap_moment,
-    gumbel_gap_moment_exact,
-    gumbel_max_bound,
-    near_order_count_pmf,
-    negbin_bound_mixed,
-    negbin_bound_near_order,
-    uniform_gap_moment,
-    uniform_gap_moment_exact,
-)
-from .bounds_discrete import (
-    BoundReport,
-    geometric_link_bound,
-    log_bound_from_moments,
-    log_bound_second_moment,
-    log_bound_singleton,
-    poisson_bound,
-)
-from .distributions import (
-    ContinuousLaw,
-    DiscreteLaw,
-    geometric_law,
-    gumbel_law,
-    law_from_descriptor,
-    tabulated_law,
-    uniform_law,
-)
+import importlib.util
+import sys
+
 from .errors import (
     DegenerateParameterError,
     DomainError,
@@ -60,30 +23,49 @@ from .errors import (
     NumericError,
     TruncationError,
 )
-from .maxima import (
-    KnSpec,
-    argmax_value_law,
-    size_biased_tie_pmf,
-    tie_count_factorial_moment,
-    tie_count_law,
-    tie_count_pmf,
-    tie_given_max_moment,
-    tie_given_max_prob,
-)
-from .montecarlo import (
-    EmpiricalPMF,
-    RngStream,
-    empirical_tv,
-    sample_near_order_count,
-    sample_size_biased_ties,
-    sample_tie_count,
-)
-from .stein import (
-    SteinTestFn,
-    log_vs_negbin_bound,
-    solution_sup_bound,
-    stein_residual,
-    stein_solution,
-)
 
+_EXPORTS = {
+    "approximants": ("TruncatedPMF", "TVInterval", "log_pmf", "negbin_pmf", "poisson_pmf",
+                     "positive_part_distance", "truncate_law", "truncated_geometric",
+                     "truncated_log", "truncated_negbin", "truncated_poisson", "tv_distance"),
+    "binomial": (),
+    "bounds_continuous": ("MixedBinomialSpec", "NearOrderSpec", "gap_ratio", "gap_ratio_moment",
+                          "gumbel_gap_moment", "gumbel_gap_moment_exact", "gumbel_max_bound",
+                          "near_order_count_pmf", "negbin_bound_mixed",
+                          "negbin_bound_near_order", "uniform_gap_moment",
+                          "uniform_gap_moment_exact"),
+    "bounds_discrete": ("BoundReport", "geometric_link_bound", "log_bound_from_moments",
+                        "log_bound_second_moment", "log_bound_singleton", "poisson_bound"),
+    "distributions": ("ContinuousLaw", "DiscreteLaw", "geometric_law", "gumbel_law",
+                      "law_from_descriptor", "tabulated_law", "uniform_law"),
+    "maxima": ("KnSpec", "argmax_value_law", "size_biased_tie_pmf", "tie_count_factorial_moment",
+               "tie_count_law", "tie_count_pmf", "tie_given_max_moment", "tie_given_max_prob"),
+    "montecarlo": ("EmpiricalPMF", "RngStream", "empirical_tv", "sample_near_order_count",
+                   "sample_size_biased_ties", "sample_tie_count"),
+    "stein": ("SteinTestFn", "log_vs_negbin_bound", "solution_sup_bound", "stein_residual",
+              "stein_solution"),
+}
+# public name -> the submodule that defines it
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+for _module in _EXPORTS:
+    _spec = importlib.util.find_spec(f"{__name__}.{_module}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    globals()[_module] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(globals()[_module])
+del _module, _spec
+
+__all__ = sorted([*_SOURCE, *_EXPORTS, "errors", "DegenerateParameterError", "DomainError",
+                  "IntegrationError", "NumericError", "TruncationError"])
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(globals()[_SOURCE[name]], name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

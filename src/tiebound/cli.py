@@ -20,7 +20,8 @@ comes from the TIEBOUND_SEED environment variable when set.
 
 The console entry point ``run`` freezes the heap before the command starts:
 the modules just imported live until exit, so no garbage collection during the
-command or at shutdown needs to walk them again.
+command or at shutdown needs to walk them again.  The package's submodules load
+lazily, so those a command first touches after the freeze are not frozen.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import json
 import math
 import os
 import sys
-from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from . import approximants, bounds_continuous, bounds_discrete, montecarlo
 from .distributions import law_from_descriptor
 from .errors import DegenerateParameterError, DomainError, NumericError, integer_in
 from .maxima import KnSpec, size_biased_tie_law, tie_count_law
-from .bounds_continuous import NearOrderSpec
 
 DEFAULT_SEED = 202608
 EXIT_USAGE = 1
@@ -71,6 +70,8 @@ class _Parser(argparse.ArgumentParser):
 
 def round3(x: float) -> str:
     """Three decimals, ties away from zero; the reference-table rendering."""
+    from decimal import ROUND_HALF_UP, Decimal  # here, so that other commands skip its import
+
     d = Decimal(repr(x)).quantize(Decimal("0.001"), rounding=ROUND_HALF_UP)
     return format(d, "f")
 
@@ -141,7 +142,7 @@ def cmd_bound(args):
             raise UsageError("thm3 needs --a")
         law_desc = _descriptor_from_flags(args)
         law_obj = law_from_descriptor(law_desc)
-        spec = NearOrderSpec(law=law_obj, n=n, ell=ell, a=args.a)
+        spec = bounds_continuous.NearOrderSpec(law=law_obj, n=n, ell=ell, a=args.a)
         report = bounds_continuous.negbin_bound_near_order(spec, max(tol, 1e-11))
     else:
         law_desc = _descriptor_from_flags(args)
@@ -258,7 +259,7 @@ def _verify_rows(tol, seed, mc_samples, inject_fault):
         ({"kind": "gumbel"}, 10, 1, 0.3),
     ]
     for desc, n, ell, a in continuous:
-        spec = NearOrderSpec(law=law_from_descriptor(desc), n=n, ell=ell, a=a)
+        spec = bounds_continuous.NearOrderSpec(law=law_from_descriptor(desc), n=n, ell=ell, a=a)
         report = bounds_continuous.negbin_bound_near_order(spec, 1e-10)
         mixture = bounds_continuous.near_order_count_pmf(spec, 1e-10)
         target = approximants.truncated_negbin(ell, report.params["beta"], 1e-11)
@@ -311,7 +312,7 @@ def cmd_simulate(args):
     if kind == "near-order":
         if not continuous or args.a is None:
             raise UsageError("near-order simulation needs a continuous law and --a")
-        spec = NearOrderSpec(law=law_obj, n=args.n, ell=args.ell, a=args.a)
+        spec = bounds_continuous.NearOrderSpec(law=law_obj, n=args.n, ell=args.ell, a=args.a)
         exact = bounds_continuous.near_order_count_pmf(spec, 1e-9)
         samples = montecarlo.sample_near_order_count(spec, rng, size=args.mc_samples)
     elif kind == "size-biased":

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bounds_continuous
 from .approximants import TruncatedPMF
-from .bounds_continuous import NearOrderSpec, gap_ratio
 from .distributions import DiscreteLaw
 from .errors import DomainError
 from .maxima import KnSpec, argmax_value_law, tie_given_max_prob
@@ -205,7 +205,7 @@ def sample_size_biased_ties(spec: KnSpec, rng: RngStream, size=None):
     return _replicate(size, draw_rows)
 
 
-def sample_near_order_count(spec: NearOrderSpec, rng: RngStream, size=None):
+def sample_near_order_count(spec: bounds_continuous.NearOrderSpec, rng: RngStream, size=None):
     """Count of observations strictly inside (X_(n-ell+1:n) - a, X_(n-ell+1:n)).
 
     The order statistic itself is not counted (the window is open on both
@@ -221,7 +221,7 @@ def sample_near_order_count(spec: NearOrderSpec, rng: RngStream, size=None):
     def draw_rows(rows):
         with np.errstate(divide="ignore"):  # a draw of 0 has log -inf, and r_a = 1 there
             x = spec.law.logquantile(np.log(gen.beta(n - ell + 1, ell, size=rows)))
-        return gen.binomial(n - ell, gap_ratio(spec.law, a, x))
+        return gen.binomial(n - ell, bounds_continuous.gap_ratio(spec.law, a, x))
 
     return _replicate(size, draw_rows)
 

@@ -288,6 +288,85 @@ def test_commands_import_only_the_scipy_they_need(argv):
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
 
 
+def test_commands_run_only_the_modules_they_need():
+    # a module that has run has its `__all__`; reading its `__dict__` through
+    # object.__getattribute__ does not start a lazy load
+    code = ("import contextlib, io, json, sys\n"
+            "import tiebound\n"
+            "def unrun():\n"
+            "    names = ('approximants', 'binomial', 'distributions', 'maxima',\n"
+            "             'bounds_discrete', 'bounds_continuous', 'montecarlo', 'stein')\n"
+            "    return sorted(m for m in names if '__all__' not in\n"
+            "                  object.__getattribute__(sys.modules['tiebound.' + m], '__dict__'))\n"
+            "seen = [unrun()]\n"
+            "import tiebound.cli\n"
+            "for argv in (['bound', 'thm2', '--p', '0.2', '--n', '20'],\n"
+            "             ['simulate', '--p', '0.3', '--n', '10', '--mc-samples', '100']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert tiebound.cli.main(argv) == 0\n"
+            "    seen.append(unrun())\n"
+            "tiebound.stein.__all__\n"
+            "seen.append(unrun())\n"
+            "print(json.dumps(seen))\n")
+    after_import, after_thm2, after_simulate, after_touch = json.loads(_run_python(code))
+    assert after_import == ["approximants", "binomial", "bounds_continuous", "bounds_discrete",
+                            "distributions", "maxima", "montecarlo", "stein"]
+    assert {"bounds_continuous", "montecarlo", "stein"} <= set(after_thm2)
+    assert {"bounds_continuous", "stein"} <= set(after_simulate)
+    # negative control: touching an attribute runs the module, and the probe sees it
+    assert "stein" not in after_touch
+    assert set(after_touch) == set(after_simulate) - {"stein"}
+
+
+# what `from tiebound import *` bound when the package imported every module eagerly
+PUBLIC_NAMES = {
+    "BoundReport", "ContinuousLaw", "DegenerateParameterError", "DiscreteLaw", "DomainError",
+    "EmpiricalPMF", "IntegrationError", "KnSpec", "MixedBinomialSpec", "NearOrderSpec",
+    "NumericError", "RngStream", "SteinTestFn", "TVInterval", "TruncatedPMF", "TruncationError",
+    "approximants", "argmax_value_law", "binomial", "bounds_continuous", "bounds_discrete",
+    "distributions", "empirical_tv", "errors", "gap_ratio", "gap_ratio_moment", "geometric_law",
+    "geometric_link_bound", "gumbel_gap_moment", "gumbel_gap_moment_exact", "gumbel_law",
+    "gumbel_max_bound", "law_from_descriptor", "log_bound_from_moments",
+    "log_bound_second_moment", "log_bound_singleton", "log_pmf", "log_vs_negbin_bound", "maxima",
+    "montecarlo", "near_order_count_pmf", "negbin_bound_mixed", "negbin_bound_near_order",
+    "negbin_pmf", "poisson_bound", "poisson_pmf", "positive_part_distance",
+    "sample_near_order_count", "sample_size_biased_ties", "sample_tie_count",
+    "size_biased_tie_pmf", "solution_sup_bound", "stein", "stein_residual", "stein_solution",
+    "tabulated_law", "tie_count_factorial_moment", "tie_count_law", "tie_count_pmf",
+    "tie_given_max_moment", "tie_given_max_prob", "truncate_law", "truncated_geometric",
+    "truncated_log", "truncated_negbin", "truncated_poisson", "tv_distance",
+    "uniform_gap_moment", "uniform_gap_moment_exact", "uniform_law",
+}
+
+
+def test_public_api_is_unchanged():
+    assert len(PUBLIC_NAMES) == 70
+    # in a fresh interpreter, so that no earlier access has bound a name already
+    code = ("import json, sys, types\n"
+            "namespace = {}\n"
+            "exec('from tiebound import *', namespace)\n"
+            "del namespace['__builtins__']\n"
+            "def defining(name, value):\n"
+            "    if isinstance(value, types.ModuleType):\n"
+            "        return sys.modules['tiebound.' + name]\n"
+            "    return getattr(sys.modules[value.__module__], name)\n"
+            "stray = [n for n, v in namespace.items() if v is not defining(n, v)]\n"
+            "print(json.dumps([sorted(namespace), stray]))\n")
+    bound, stray = json.loads(_run_python(code))
+    assert set(bound) == PUBLIC_NAMES
+    assert stray == []
+    assert PUBLIC_NAMES <= set(dir(tiebound))
+    assert tiebound.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tiebound.no_such_name
+
+
+def test_a_fresh_process_raises_no_warning():
+    # runpy warns when `tiebound.cli` is in sys.modules before it runs it
+    proc = _python("-W", "error", "-m", "tiebound.cli", "table1", check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_continuous_path_runs_with_scipy_blocked():
     # a None entry in sys.modules makes every `import scipy...` raise
     code = ("import contextlib, io, sys\n"
