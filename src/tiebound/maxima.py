@@ -7,9 +7,11 @@ function F, the number K of observations tied with the sample maximum has
     E[(K)_ell]          = (n)_ell * sum_j p(j)**ell * F(j)**(n-ell)
 
 where (k)_ell is the falling factorial.  Both are instances of one series,
-sum_j p(j)**power * F(j or j-1)**expo, which a single engine (``_series``)
-evaluates: it takes log p(j) and log F over blocks of j, merges each block
-into a running log-sum-exp, and checks the law's geometric tail certificate
+sum_j p(j)**power * F(j or j-1)**expo, as are E[q(M)**j] and the argmax
+normaliser Z below.  One engine (``_sums``) walks the maximum j for all the
+series a call asks for: it evaluates the law once per block of j
+(``_block``: log p(j), log F(j-1) and log F(j)), merges the block into each
+series' running log-sum-exp, and checks the law's geometric tail certificate
 at each block end.  Working in log space keeps n as large as 1e9 meaningful.
 
 The full laws of K and of the size-biased count K* are binomial mixtures
@@ -18,7 +20,8 @@ over the maximum M, with the conditional tie probability q(j) = p(j) / F(j):
     P(K = k)  = sum_j F(j)**n P(Bin(n, q(j)) = k),                 k >= 1,
     P(K* = k) = sum_j p(j) F(j)**(n-1) / Z P(1 + Bin(n-1, q(j)) = k),
 
-and one blocked pass of binomial rows over j (``_mixture_law``) gives each.
+and one blocked pass of binomial rows over j (``_mixture_law``), reading its
+blocks from ``_block`` too, gives each.
 The module also exposes the law of the argmax value M (P(M = m) = p(m)
 F(m)**(n-1) / Z).
 """
@@ -86,90 +89,108 @@ def _log_cdf(law: DiscreteLaw, j):
         return np.log(law.cdf(j))
 
 
-def _series(law: DiscreteLaw, power: int, expo: int, shifted: bool,
-            rel_tol: Optional[float] = None,
-            log_abs_tol: Optional[float] = None) -> tuple[float, float]:
-    """Certified sum_{j>=1} p(j)**power * F(j - 1 or j)**expo, for power >= 1.
+def _block(law: DiscreteLaw, lo: int, hi: int):
+    """log p(j), log F(j-1) and log F(j) for j = lo..hi, from one call of each function."""
+    with np.errstate(divide="ignore"):
+        lp = np.log(law.pmf(np.arange(lo, hi + 1)))
+        lf = _log_cdf(law, np.arange(lo - 1, hi + 1))
+    return lp, lf[:-1], lf[1:]
 
-    Returns ``(log_sum, log_remainder)`` where ``log_remainder`` bounds the
-    omitted mass of the series.  Terms are evaluated in log space over blocks
-    of j (64, 128, ... terms, at most ``_MAX_BLOCK``), each merged into a
-    running log-sum-exp, so the result is meaningful even when every term
-    underflows a plain double.  A finitely supported law is one block with
-    zero remainder.  Otherwise the remainder certificate, checked at each
-    block end, uses p(j) <= C * r**(j-1) and F <= 1:
+
+def _sums(law: DiscreteLaw, terms) -> list:
+    """Certified sums_{j>=1} p(j)**power * F(j - 1 or j)**expo, all in one pass.
+
+    Each term is ``(power, expo, shifted, log_tol, relative)`` with power >= 1
+    and expo >= 0; returns one ``(log_sum, log_remainder)`` per term, where
+    ``log_remainder`` bounds the omitted mass of its series.  The law is
+    evaluated once per block of j (64, 128, ... values, at most
+    ``_MAX_BLOCK``, by :func:`_block`), and each term merges the block into
+    its own running log-sum-exp, so a result is meaningful even when every
+    term underflows a plain double.  A finitely supported law is one block
+    with zero remainder.  Otherwise the remainder certificate, checked at
+    each block end, uses p(j) <= C * r**(j-1) and F <= 1:
 
         sum_{j>J} p(j)**power <= C**power * r**(power*J) / (1 - r**power).
 
-    Stops at the first block end where the remainder meets ``rel_tol``
-    relative to the partial sum and/or ``log_abs_tol`` absolutely (at least
-    one must be given); raises :class:`TruncationError` past ``_SERIES_CAP``
-    terms.
+    A term stops adding blocks at the first block end where its remainder
+    meets ``log_tol`` (plus its log sum if ``relative``), so its value does
+    not depend on the other terms.  Raises :class:`TruncationError` with the
+    largest open remainder if a term has not stopped by ``_SERIES_CAP`` terms.
     """
-    if expo < 0:
-        raise DomainError("series exponent must be non-negative")
-    if rel_tol is None and log_abs_tol is None:
-        raise ValueError("need a stopping tolerance")
     finite = law.support_max is not None
     cap = law.support_max if finite else _SERIES_CAP
     log_r, log_c = math.log(law.tail_ratio), math.log(law.tail_const)
-    rp = law.tail_ratio**power
-    log_one_minus_rp = math.log1p(-rp) if rp < 1.0 else -math.inf
-    m, s = -math.inf, 0.0  # running log-sum-exp: scale and scaled sum
+    runs = [[-math.inf, 0.0, None] for _ in terms]  # log-sum-exp scale, scaled sum, result
     lo, size = 1, _FIRST_BLOCK
     while True:
         hi = cap if finite else min(cap, lo + size - 1)
-        j = np.arange(lo, hi + 1)
-        with np.errstate(divide="ignore"):
-            lt = power * np.log(law.pmf(j))
+        lp, lf0, lf1 = _block(law, lo, hi)
+        worst = -math.inf
+        for (power, expo, shifted, log_tol, relative), run in zip(terms, runs):
+            if run[2] is not None:
+                continue
+            lt = power * lp
             if expo > 0:  # F**0 = 1, even where F vanishes
-                lt += expo * _log_cdf(law, j - 1 if shifted else j)
-        top = float(lt.max())
-        if top > m:
-            s, m = s * math.exp(m - top), top
-        if m > -math.inf:
-            s += float(np.exp(lt - m).sum())
-        log_sum = m + math.log(s) if s > 0.0 else -math.inf
-        log_rem = -math.inf if finite else power * (log_c + hi * log_r) - log_one_minus_rp
-        if ((log_abs_tol is not None and log_rem <= log_abs_tol)
-                or (rel_tol is not None and log_rem <= math.log(rel_tol) + log_sum)):
-            return log_sum, log_rem
+                lt += expo * (lf0 if shifted else lf1)
+            m, s, _ = run
+            top = float(lt.max())
+            if top > m:
+                s, m = s * math.exp(m - top), top
+            if m > -math.inf:
+                s += float(np.exp(lt - m).sum())
+            log_sum = m + math.log(s) if s > 0.0 else -math.inf
+            rp = law.tail_ratio**power
+            log_rem = (-math.inf if finite else power * (log_c + hi * log_r)
+                       - (math.log1p(-rp) if rp < 1.0 else -math.inf))
+            run[:2] = m, s
+            if log_rem <= log_tol + (log_sum if relative else 0.0):
+                run[2] = log_sum, log_rem
+            else:
+                worst = max(worst, log_rem)
+        if all(run[2] is not None for run in runs):
+            return [run[2] for run in runs]
         if hi == cap:
-            raise TruncationError(
-                f"tie-count series did not certify its tolerance within {cap} terms",
-                best_bound=math.exp(log_rem),
-            )
+            raise TruncationError(f"tie-count series did not certify its tolerance within {cap} "
+                                  "terms", best_bound=math.exp(worst))
         lo, size = hi + 1, min(2 * size, _MAX_BLOCK)
 
 
-def _tie_pmf_with_error(spec: KnSpec, k: int, tol: float) -> tuple[float, float]:
-    log_binom = _log_choose(spec.n, k)
-    log_sum, log_rem = _series(spec.law, power=k, expo=spec.n - k, shifted=True,
-                               log_abs_tol=math.log(tol) - log_binom)
-    return math.exp(log_binom + log_sum), math.exp(log_binom + log_rem)
+def _tie_values(spec: KnSpec, pmfs, moments, tol: float) -> list:
+    """``(value, certified remainder)`` of P(K = k) for each k in ``pmfs``, within
+    ``tol`` absolutely, then of E[(K)_ell] for each ell in ``moments``, within
+    ``tol`` relatively, from one pass of :func:`_sums`."""
+    n = spec.n
+    logs = [_log_choose(n, k) for k in pmfs] + [_log_falling(n, ell) for ell in moments]
+    terms = ([(k, n - k, True, math.log(tol) - log, False) for k, log in zip(pmfs, logs)]
+             + [(ell, n - ell, False, math.log(tol), True) for ell in moments])
+    return [(math.exp(log + log_sum), math.exp(log + log_rem))
+            for log, (log_sum, log_rem) in zip(logs, _sums(spec.law, terms))]
 
 
-def _factorial_moment_with_error(spec: KnSpec, ell: int, tol: float) -> tuple[float, float]:
-    log_falling = _log_falling(spec.n, ell)
-    log_sum, log_rem = _series(spec.law, power=ell, expo=spec.n - ell, shifted=False,
-                               rel_tol=tol)
-    return math.exp(log_falling + log_sum), math.exp(log_falling + log_rem)
-
-
-def tie_count_pmf(spec: KnSpec, k: int, tol: float = DEFAULT_TOL) -> float:
-    """P(K = k), certified within ``tol`` absolutely."""
-    k = integer_in(k, 1, spec.n, "tie count")
+def _values(spec: KnSpec, orders, tol: float, pmf: bool):
+    """The public pmf (or moment) values at an order or a sequence of orders."""
+    many = np.ndim(orders) > 0
+    orders = [integer_in(v, 1, spec.n, "tie count" if pmf else "moment order")
+              for v in (orders if many else (orders,))]
     if not (tol > 0.0):
         raise DomainError("tolerance must be positive")
-    return _tie_pmf_with_error(spec, k, tol)[0]
+    pairs = _tie_values(spec, orders, (), tol) if pmf else _tie_values(spec, (), orders, tol)
+    values = tuple(value for value, _ in pairs)
+    return values if many else values[0]
 
 
-def tie_count_factorial_moment(spec: KnSpec, ell: int, tol: float = DEFAULT_TOL) -> float:
-    """E[(K)_ell] = E[K (K-1) ... (K-ell+1)], certified within ``tol`` relatively."""
-    ell = integer_in(ell, 1, spec.n, "moment order")
-    if not (tol > 0.0):
-        raise DomainError("tolerance must be positive")
-    return _factorial_moment_with_error(spec, ell, tol)[0]
+def tie_count_pmf(spec: KnSpec, k, tol: float = DEFAULT_TOL):
+    """P(K = k), certified within ``tol`` absolutely.
+
+    A sequence of k gives a tuple, from one pass over the maximum."""
+    return _values(spec, k, tol, pmf=True)
+
+
+def tie_count_factorial_moment(spec: KnSpec, ell, tol: float = DEFAULT_TOL):
+    """E[(K)_ell] = E[K (K-1) ... (K-ell+1)], certified within ``tol`` relatively.
+
+    A sequence of ell gives a tuple, from one pass over the maximum."""
+    return _values(spec, ell, tol, pmf=False)
 
 
 def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
@@ -209,7 +230,7 @@ def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
         raise DomainError("tolerance must be positive")
     law, n = spec.law, spec.n
     m = n - 1 if biased else n
-    log_z = _series(law, 1, n - 1, False, rel_tol=1e-14)[0] if biased else 0.0
+    log_z = _sums(law, [(1, n - 1, False, math.log(1e-14), True)])[0][0] if biased else 0.0
     last, suffix = law.support_max, 0.0
     if last is None:
         log_scale = math.log(law.tail_const) - (log_z if biased else -math.log(n))
@@ -231,12 +252,11 @@ def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
 
     parts, bounds, k_lo, k_hi, held, depth = [], [suffix], math.inf, -math.inf, 0.0, 0
     for lo in range(1, last + 1, _MAX_BLOCK):  # last is known, so the blocks need not grow
-        j = np.arange(lo, min(last, lo + _MAX_BLOCK - 1) + 1)
+        lp, lf0, lf1 = _block(law, lo, min(last, lo + _MAX_BLOCK - 1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            lp, lf0, lf1 = np.log(law.pmf(j)), _log_cdf(law, j - 1), _log_cdf(law, j)
             lw = lp + (n - 1) * lf1 - log_z if biased else n * lf1
             keep = lw >= _LOG_FLOOR
-            bounds.append((j.size - np.count_nonzero(keep)) * _FLOOR)
+            bounds.append((lp.size - np.count_nonzero(keep)) * _FLOOR)
             if not keep.any():
                 continue
             lp, lf0, lf1, lw = lp[keep], lf0[keep], lf1[keep], lw[keep]
@@ -321,7 +341,7 @@ def argmax_value_law(spec: KnSpec) -> DiscreteLaw:
     base = spec.law
     if n == 1:
         return base
-    log_z, _ = _series(base, power=1, expo=n - 1, shifted=False, rel_tol=1e-14)
+    log_z = _sums(base, [(1, n - 1, False, math.log(1e-14), True)])[0][0]
     z = math.exp(log_z)
 
     def pmf(m):
@@ -391,10 +411,10 @@ def tie_given_max_moment(spec: KnSpec, j: int, tol: float = DEFAULT_TOL) -> floa
         raise DomainError(f"moment order must be 1 or 2, got {j!r}")
     if spec.n < j + 1:
         raise DomainError(f"need at least {j + 1} observations for moment order {j}")
-    log_num, _ = _series(spec.law, power=1 + j, expo=spec.n - 1 - j, shifted=False,
-                         rel_tol=tol / 2.0)
-    log_z, _ = _series(spec.law, power=1, expo=spec.n - 1, shifted=False,
-                       rel_tol=min(tol / 2.0, 1e-14))
+    (log_num, _), (log_z, _) = _sums(spec.law, [
+        (1 + j, spec.n - 1 - j, False, math.log(tol / 2.0), True),
+        (1, spec.n - 1, False, math.log(min(tol / 2.0, 1e-14)), True),
+    ])
     if log_num == -math.inf:
         return 0.0
     return math.exp(log_num - log_z)

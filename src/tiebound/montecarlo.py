@@ -105,9 +105,9 @@ class EmpiricalPMF:
 def _discrete_quantile_fn(law: DiscreteLaw):
     """Vectorized inverse cdf, building a lookup table when the law has none.
 
-    The table covers all u below 1 - 2**-53 (certified via the tail bound),
-    so a double drawn from [0, 1) escapes it only at the last representable
-    value; the escape path walks the cdf directly.
+    The table ends at a ``top`` with F(top) >= 1 - 2**-53 by the tail bound,
+    and no double drawn from [0, 1) exceeds 1 - 2**-53, so a draw above the
+    table's last entry (which may round low) maps to ``top``.
     """
     if law.quantile is not None:
         return law.quantile
@@ -120,17 +120,8 @@ def _discrete_quantile_fn(law: DiscreteLaw):
     cum = np.asarray(law.cdf(np.arange(1, top + 1)), dtype=float)
 
     def quantile(u):
-        u = np.asarray(u, dtype=float)
-        idx = np.searchsorted(cum, u, side="left")
-        out = (idx + 1).astype(np.int64)
-        overflow = idx >= cum.size
-        if np.any(overflow):
-            for flat in np.flatnonzero(overflow.ravel()):
-                uu = u.ravel()[flat]
-                j = top
-                while law.cdf(j) < uu:
-                    j += 1
-                out.ravel()[flat] = j
+        idx = np.searchsorted(cum, np.asarray(u, dtype=float), side="left")
+        out = np.minimum(idx + 1, top).astype(np.int64)
         return out if out.ndim else int(out)
 
     return quantile

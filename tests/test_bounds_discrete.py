@@ -1,8 +1,11 @@
 """Discrete-case bounds: frozen hand values, parameter identities, dominance."""
 
+import dataclasses
 import math
+from collections import Counter
 
 import mpmath
+import numpy as np
 import pytest
 
 from tiebound.approximants import (
@@ -23,10 +26,12 @@ from tiebound.distributions import geometric_law, tabulated_law
 from tiebound.errors import DegenerateParameterError, DomainError
 from tiebound.maxima import (
     KnSpec,
+    size_biased_tie_law,
     size_biased_tie_pmf,
     tie_count_factorial_moment,
     tie_count_law,
     tie_count_pmf,
+    tie_given_max_moment,
 )
 
 TOL = 1e-12
@@ -264,3 +269,43 @@ def test_bounds_finite_and_nonnegative_on_grid():
                 values.append(log_bound_second_moment(spec, TOL).bound)
             for v in values:
                 assert math.isfinite(v) and v >= 0.0
+
+
+def _recording_law(law):
+    """The law with pmf and logcdf wrapped to count their calls, and every j
+    passed to pmf recorded."""
+    calls, seen = Counter(), []
+
+    def recorded(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            if name == "pmf":
+                seen.append(np.atleast_1d(x))
+            return fn(x)
+        return wrapper
+
+    wrapped = dataclasses.replace(law, pmf=recorded("pmf", law.pmf),
+                                  logcdf=recorded("logcdf", law.logcdf))
+    return wrapped, calls, seen
+
+
+@pytest.mark.parametrize("compute", [
+    log_bound_singleton, log_bound_second_moment, poisson_bound,
+    lambda spec: tie_given_max_moment(spec, 2),
+], ids=["thm1a", "thm1b", "thm2", "tie_given_max_moment"])
+def test_bounds_evaluate_the_law_once_per_maximum(compute):
+    """All the series a bound needs share one pass: no j reaches pmf twice, and
+    each block takes one pmf and one logcdf call.  The series run to
+    J = 65,472, ten doubling blocks from 64 terms."""
+    law, calls, seen = _recording_law(geometric_law(1e-3))
+    compute(KnSpec(law=law, n=10**5))
+    points = np.concatenate(seen)
+    assert np.unique(points).size == points.size
+    assert calls["pmf"] == calls["logcdf"] <= 10
+
+
+@pytest.mark.parametrize("law_fn", [tie_count_law, size_biased_tie_law])
+def test_laws_make_one_logcdf_call_per_pmf_call(law_fn):
+    law, calls, _ = _recording_law(geometric_law(1e-3))
+    law_fn(KnSpec(law=law, n=10**5), TOL)
+    assert calls["pmf"] == calls["logcdf"] > 0

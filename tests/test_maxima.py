@@ -13,7 +13,10 @@ from tiebound.bounds_continuous import MixedBinomialSpec, NearOrderSpec
 from tiebound.distributions import geometric_law, gumbel_law, tabulated_law
 from tiebound.errors import DomainError, TruncationError
 from tiebound.maxima import (
+    _FIRST_BLOCK,
+    _MAX_BLOCK,
     KnSpec,
+    _sums,
     argmax_value_law,
     size_biased_tie_law,
     size_biased_tie_pmf,
@@ -240,6 +243,56 @@ class TestTieGivenMaxMoments:
             tie_given_max_moment(KnSpec(law=geometric_law(0.4), n=1), 1)
 
 
+def _one_series(law, power, expo, shifted, log_tol, relative):
+    """Reference: one series summed on its own, block by block, as before the
+    engine summed several in one pass."""
+    cap = law.support_max
+    m, s, lo, size = -math.inf, 0.0, 1, _FIRST_BLOCK
+    while True:
+        hi = cap or lo + size - 1
+        j = np.arange(lo, hi + 1)
+        with np.errstate(divide="ignore"):
+            lt = power * np.log(law.pmf(j))
+            if expo > 0:
+                lt += expo * law.logcdf(j - 1 if shifted else j)
+        top = float(lt.max())
+        if top > m:
+            s, m = s * math.exp(m - top), top
+        if m > -math.inf:
+            s += float(np.exp(lt - m).sum())
+        log_sum = m + math.log(s) if s > 0.0 else -math.inf
+        log_rem = -math.inf if cap else (power * (math.log(law.tail_const) + hi * math.log(
+            law.tail_ratio)) - math.log1p(-law.tail_ratio**power))
+        if log_rem <= log_tol + (log_sum if relative else 0.0):
+            return log_sum, log_rem
+        lo, size = hi + 1, min(2 * size, _MAX_BLOCK)
+
+
+@pytest.mark.parametrize("law", [geometric_law(1e-3), geometric_law(0.3), geometric_law(1 - 1e-6),
+                                 tabulated_law([0.2, 0.3, 0.5])])
+@pytest.mark.parametrize("n", [3, 1000, 10**9])
+def test_one_pass_equals_one_series_at_a_time(law, n):
+    """Each series of a pass stops at its own block end, so its sum and
+    remainder are those of the series summed alone, to the last bit."""
+    terms = [(1, n - 1, False, math.log(1e-14), True), (2, n - 2, True, -40.0, False),
+             (3, n - 3, False, math.log(1e-6), True), (1, n - 1, True, -70.0, False)]
+    assert _sums(law, terms) == [_one_series(law, *term) for term in terms]
+
+
+@pytest.mark.parametrize("law", [geometric_law(1e-3), geometric_law(0.3),
+                                 tabulated_law([0.2, 0.3, 0.5])])
+@pytest.mark.parametrize("n", [3, 7, 10**5])
+def test_sequence_gives_the_scalar_values(law, n):
+    """One pass over several orders returns exactly what one call per order does."""
+    spec = KnSpec(law=law, n=n)
+    for fn, orders, tol in ((tie_count_pmf, (2, 1, 3, n), 1e-13),
+                            (tie_count_factorial_moment, (1, 2, 3), TOL)):
+        got = fn(spec, orders, tol)
+        assert type(got) is tuple
+        assert got == tuple(fn(spec, v, tol) for v in orders)
+    assert tie_count_pmf(spec, ()) == ()
+
+
 def test_domain_errors():
     spec = KnSpec(law=geometric_law(0.5), n=5)
     with pytest.raises(DomainError):
@@ -248,6 +301,10 @@ def test_domain_errors():
         tie_count_pmf(spec, 6)
     with pytest.raises(DomainError):
         tie_count_factorial_moment(spec, 6)
+    with pytest.raises(DomainError):
+        tie_count_factorial_moment(spec, (1, 6))
+    with pytest.raises(DomainError):
+        tie_count_pmf(spec, (1, 2), tol=0.0)
     with pytest.raises(DomainError):
         KnSpec(law=geometric_law(0.5), n=0)
 
@@ -278,17 +335,19 @@ def test_full_law_sums_to_one_at_huge_n(n):
 
 def test_series_cap_is_honoured_between_block_ends(monkeypatch):
     """With the term cap off any block boundary, the engine stops at exactly the
-    cap and reports the tail certificate there, C r**J / (1 - r) at J = cap."""
+    cap and reports the largest open tail certificate there, C r**J / (1 - r)
+    at J = cap, which is the first moment's, for one series or several."""
     cap = 1000
     monkeypatch.setattr("tiebound.maxima._SERIES_CAP", cap)
     law = geometric_law(1e-7)
-    with pytest.raises(TruncationError) as exc:
-        tie_count_factorial_moment(KnSpec(law=law, n=5), 1, TOL)
     r = law.tail_ratio
     certificate = law.tail_const * r**cap / (1.0 - r)
-    assert math.isfinite(exc.value.best_bound)
-    # one term more or less moves the certificate by a factor r = 1 - 1e-7
-    assert exc.value.best_bound == pytest.approx(certificate, rel=1e-9)
+    for orders in (1, (1, 2, 3)):
+        with pytest.raises(TruncationError) as exc:
+            tie_count_factorial_moment(KnSpec(law=law, n=5), orders, TOL)
+        assert math.isfinite(exc.value.best_bound)
+        # one term more or less moves the certificate by a factor r = 1 - 1e-7
+        assert exc.value.best_bound == pytest.approx(certificate, rel=1e-9)
 
 
 @pytest.mark.parametrize("p", [0.01, 1e-3])
@@ -415,6 +474,8 @@ INTEGER_SITES = {
     "tie_count_pmf": lambda v: tie_count_pmf(_SPEC, v),
     "tie_count_factorial_moment": lambda v: tie_count_factorial_moment(_SPEC, v),
     "size_biased_tie_pmf": lambda v: size_biased_tie_pmf(_SPEC, v),
+    "tie_count_pmf sequence": lambda v: tie_count_pmf(_SPEC, (1, v)),
+    "tie_count_factorial_moment sequence": lambda v: tie_count_factorial_moment(_SPEC, [1, v]),
 }
 
 

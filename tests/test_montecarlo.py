@@ -8,12 +8,16 @@ and with the exact law within standard errors.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import tiebound
 from tiebound.approximants import TruncatedPMF, truncated_poisson
 from tiebound.bounds_continuous import NearOrderSpec, near_order_count_pmf
 from tiebound.distributions import geometric_law, gumbel_law, tabulated_law, uniform_law
@@ -284,6 +288,25 @@ class TestSizeBiasedSampler:
         exact = [size_biased_tie_pmf(spec, k, 1e-12) for k in range(1, 11)]
         pvalue = _chi_square_pvalue(samples, k_min=1, pmf=exact)
         assert pvalue >= 1e-3
+
+
+def test_quantile_table_maps_draws_above_its_last_entry_to_its_top():
+    """The argmax law's table at geometric (1e-4, 1e5) ends 3.9e-13 below 1; a
+    draw above that entry must return the table's top, not walk the cdf (that
+    walk never ended).  Run in a child, so that a hang fails instead of stalling."""
+    code = ("import math\n"
+            "from tiebound import KnSpec, argmax_value_law, geometric_law\n"
+            "from tiebound.montecarlo import _discrete_quantile_fn\n"
+            "law = argmax_value_law(KnSpec(law=geometric_law(1e-4), n=10**5))\n"
+            "top = math.ceil((math.log(2.0**-53) - math.log(law.tail_const))\n"
+            "                / math.log(law.tail_ratio))\n"
+            "q = _discrete_quantile_fn(law)\n"
+            "print(top, q(1 - 1e-13), q(1 - 2**-53), q(0.5))\n")
+    src = os.path.dirname(os.path.dirname(tiebound.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         timeout=60, env=dict(os.environ, PYTHONPATH=src)).stdout
+    top, high, highest, median = map(int, out.split())
+    assert high == highest == top and median < top
 
 
 def _chi_square_pvalue(samples, k_min, pmf, min_expected=5.0):
