@@ -93,6 +93,9 @@ class NearOrderSpec:
     a: float
 
     def __post_init__(self):
+        if not isinstance(self.law, ContinuousLaw):
+            raise DomainError(f"near-order counts need a continuous law, "
+                              f"got {type(self.law).__name__}")
         object.__setattr__(self, "n", integer_in(self.n, 1, what="sample size"))
         object.__setattr__(self, "ell", integer_in(self.ell, 1, self.n, "rank"))
         if not (self.a > 0.0):

@@ -30,13 +30,12 @@ import argparse
 import functools
 import gc
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from . import approximants, bounds_continuous, bounds_discrete, montecarlo
+from . import approximants, bounds_continuous, bounds_discrete, montecarlo, stein
 from .distributions import law_from_descriptor
 from .errors import DegenerateParameterError, DomainError, NumericError, integer_in
 from .maxima import KnSpec, size_biased_tie_law, tie_count_law
@@ -245,7 +244,7 @@ def _verify_rows(tol, seed, mc_samples, inject_fault):
     # cannot match, so the valid comparison is the positive-part discrepancy
     for alpha in (0.2, 0.5, 0.8):
         for ell in (0.5, 1.0, 2.0):
-            bound = fault * (-math.log1p(-alpha) * ell)
+            bound = fault * stein.log_vs_negbin_bound(alpha, alpha, ell)
             target = approximants.truncated_negbin(ell, alpha, tol / 10)
             ref = approximants.truncated_log(alpha, tol / 10)
             dist_hi = approximants.positive_part_distance(target, ref).hi

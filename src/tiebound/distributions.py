@@ -1,11 +1,14 @@
 """Probability laws for the sampled observations.
 
-Discrete laws live on {1, 2, ...} and carry a certified geometric tail
-bound ``1 - cdf(j) <= tail_const * tail_ratio**j`` that downstream series
-evaluations use to certify truncation remainders.  Continuous laws expose
-the log of their cdf, defined on all of R (-inf below the support and 0
-above it), which keeps expressions such as ``logcdf(x - a)`` well defined
-at and below the support edge, and its inverse ``logquantile``.
+Every law works on the log scale of its distribution function F, since
+the tie and near-order counts raise F to powers n as large as 1e9.  A
+discrete law lives on {1, 2, ...}: its mass function ``pmf``, its
+``logcdf`` and a certified geometric tail bound ``1 - F(j) <= tail_const *
+tail_ratio**j`` that downstream series evaluations use to certify
+truncation remainders.  A continuous law has ``logcdf`` on all of R (-inf
+below the support and 0 above it), which keeps expressions such as
+``logcdf(x - a)`` well defined at and below the support edge, and its
+inverse ``logquantile``.
 
 All laws are immutable after construction and safe for concurrent reads.
 """
@@ -36,31 +39,28 @@ class DiscreteLaw:
     """A probability law on the positive integers.
 
     Attributes:
-        pmf: mass function, defined for integer j >= 1.
-        cdf: distribution function, defined for integer j >= 0 with cdf(0) = 0.
-            Closed form where available; never derived by open-ended summation.
-            Both accept integer arrays as well as scalars: the tie-count
-            series evaluates them over blocks of j.
-        tail_ratio: r in (0, 1) with 1 - cdf(j) <= tail_const * r**j for all j >= 0.
+        pmf: mass function p(j), defined for integer j >= 1.
+        logcdf: log F(j) for integer j >= 0, with logcdf(0) = -inf; accurate
+            where F(j) rounds to 1.  A law gives log F rather than F because
+            the series raise F to a power n, which grows the rounding of F
+            n-fold.  Both accept integer arrays as well as scalars: the
+            tie-count series evaluates them over blocks of j.
+        tail_ratio: r in (0, 1) with 1 - F(j) <= tail_const * r**j for all j >= 0.
         tail_const: the constant C in the tail certificate.
         support_max: largest support point for finitely supported laws, else None.
             When set, all mass beyond it is exactly zero.
-        quantile: u -> smallest j with cdf(j) >= u; accepts floats or numpy
+        quantile: u -> smallest j with F(j) >= u; accepts floats or numpy
             arrays.  None means callers must fall back to generic inversion.
         descriptor: JSON-style dict this law can be rebuilt from, if any.
-        logcdf: log cdf(j) from the survival function, accurate where cdf(j)
-            rounds to 1; accepts arrays.  None means log(cdf(j)), which loses
-            that accuracy: raised to a power n, the cdf's rounding grows n-fold.
     """
 
     pmf: Callable
-    cdf: Callable
+    logcdf: Callable
     tail_ratio: float
     tail_const: float = 1.0
     support_max: Optional[int] = None
     quantile: Optional[Callable] = None
     descriptor: Optional[dict] = None
-    logcdf: Optional[Callable] = None
 
     def tail_bound(self, j: int) -> float:
         """Certified upper bound on P(X > j)."""
@@ -91,8 +91,8 @@ class ContinuousLaw:
 def geometric_law(p: float) -> DiscreteLaw:
     """Geometric law with pmf p*(1-p)**(j-1) on {1, 2, ...}.
 
-    The cdf 1 - (1-p)**j is evaluated in closed form via expm1/log1p so it
-    stays accurate both for p near 0 and for p near 1 (e.g. p = 1 - mu/n
+    log F(j) = log1p(-(1-p)**j) is evaluated in closed form via exp/log1p so
+    it stays accurate both for p near 0 and for p near 1 (e.g. p = 1 - mu/n
     with n up to 1e9).
     """
     if not (0.0 < p < 1.0):
@@ -105,11 +105,6 @@ def geometric_law(p: float) -> DiscreteLaw:
         out = np.where(j >= 1, p * np.exp((j - 1) * log_q), 0.0)
         return out if out.ndim else float(out)
 
-    def cdf(j):
-        j = np.asarray(j)
-        out = np.where(j >= 1, -np.expm1(j * log_q), 0.0)
-        return out if out.ndim else float(out)
-
     def logcdf(j):
         j = np.asarray(j)
         out = np.where(j >= 1, np.log1p(-np.exp(np.maximum(j, 1) * log_q)), -np.inf)
@@ -120,28 +115,29 @@ def geometric_law(p: float) -> DiscreteLaw:
         with np.errstate(divide="ignore"):
             j = np.ceil(np.log1p(-u) / log_q)
         j = np.maximum(j, 1.0).astype(np.int64)
-        # float-edge fixups so that j is the smallest index with cdf(j) >= u
+        # float-edge fixups so that j is the smallest index with F(j) >= u
         j = np.where((j > 1) & (-np.expm1((j - 1) * log_q) >= u), j - 1, j)
         j = np.where(-np.expm1(j * log_q) < u, j + 1, j)
         return j if j.ndim else int(j)
 
     return DiscreteLaw(
         pmf=pmf,
-        cdf=cdf,
+        logcdf=logcdf,
         tail_ratio=q,
         tail_const=1.0,
         support_max=None,
         quantile=quantile,
         descriptor={"kind": "geometric", "p": p},
-        logcdf=logcdf,
     )
 
 
 def tabulated_law(weights) -> DiscreteLaw:
     """Finitely supported law with P(X = j) = weights[j-1] on {1, ..., m}.
 
-    Weights must be non-negative and sum to 1 within 1e-12.  pmf and cdf are
-    exact partial sums of the given weights; the tail beyond m is exactly 0.
+    Weights must be non-negative and sum to 1 within 1e-12.  pmf reads the
+    weights, and log F(j) = log1p(-P(X > j)) takes the tail summed from the
+    top; the tail beyond m is exactly 0.  The certificate 4 * 2**(-j/m) is
+    at least 2 below m, so it holds at every m.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -154,19 +150,13 @@ def tabulated_law(weights) -> DiscreteLaw:
     m = int(w.size)
     cum = np.cumsum(w)
     # tail[j-1] = P(X > j), summed from the top so that it stays accurate
-    # where cum rounds to 1
+    # where F(j) rounds to 1
     tail = np.append(np.cumsum(w[::-1])[::-1][1:], 0.0)
 
     def pmf(j):
         j = np.asarray(j)
         idx = np.clip(j - 1, 0, m - 1)
         out = np.where((j >= 1) & (j <= m), w[idx], 0.0)
-        return out if out.ndim else float(out)
-
-    def cdf(j):
-        j = np.asarray(j)
-        idx = np.clip(j - 1, 0, m - 1)
-        out = np.where(j >= 1, np.where(j <= m, cum[idx], 1.0), 0.0)
         return out if out.ndim else float(out)
 
     def logcdf(j):
@@ -182,17 +172,14 @@ def tabulated_law(weights) -> DiscreteLaw:
         j = np.minimum(j, m).astype(np.int64)
         return j if j.ndim else int(j)
 
-    # Valid but never exercised: series code short-circuits on support_max.
-    tail_const = 2.0 ** min(m, 1023)
     return DiscreteLaw(
         pmf=pmf,
-        cdf=cdf,
-        tail_ratio=0.5,
-        tail_const=tail_const,
+        logcdf=logcdf,
+        tail_ratio=2.0 ** (-1.0 / m),
+        tail_const=4.0,
         support_max=m,
         quantile=quantile,
         descriptor={"kind": "tabulated", "weights": [float(x) for x in w]},
-        logcdf=logcdf,
     )
 
 

@@ -73,6 +73,8 @@ class KnSpec:
     n: int
 
     def __post_init__(self):
+        if not isinstance(self.law, DiscreteLaw):
+            raise DomainError(f"tie counts need a discrete law, got {type(self.law).__name__}")
         object.__setattr__(self, "n", integer_in(self.n, 1, what="sample size"))
 
 
@@ -81,19 +83,11 @@ def _log_falling(n: int, ell: int) -> float:
     return math.fsum(math.log(n - i) for i in range(ell))
 
 
-def _log_cdf(law: DiscreteLaw, j):
-    """log F(j), through the law's ``logcdf`` where it has one."""
-    if law.logcdf is not None:
-        return law.logcdf(j)
-    with np.errstate(divide="ignore"):
-        return np.log(law.cdf(j))
-
-
 def _block(law: DiscreteLaw, lo: int, hi: int):
     """log p(j), log F(j-1) and log F(j) for j = lo..hi, from one call of each function."""
     with np.errstate(divide="ignore"):
         lp = np.log(law.pmf(np.arange(lo, hi + 1)))
-        lf = _log_cdf(law, np.arange(lo - 1, hi + 1))
+        lf = law.logcdf(np.arange(lo - 1, hi + 1))
     return lp, lf[:-1], lf[1:]
 
 
@@ -211,8 +205,7 @@ def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
     and for entries below tiny dropped at either end; and rounding.  For
     rounding the law's p(j) and S(j) = 1 - F(j) are taken to err by at most
     4u (1 + |log p|) and 4u (1 + |log S|) relative, plus gamma_m for a law
-    that sums m weights, and S by 2u more absolutely for a law without
-    ``logcdf``: the geometric law forms both by one exp of j log(1-p).
+    that sums m weights: the geometric law forms both by one exp of j log(1-p).
     Then log F = log1p(-S) errs by S/F times that, plus 2u |log F|, and
     that error e_w of log w_j and e_o of the log odds follow.
     A term d steps from its row's mode takes 4d roundings, the row sum over
@@ -243,11 +236,10 @@ def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
                 best_bound=suffix,
             )
     extra = _gamma(law.support_max or 0)
-    rounded_cdf = 0.0 if law.logcdf is not None else 2.0 * _U  # log of a cdf near 1
 
     def log_cdf_error(lf):
         s = -np.expm1(lf)  # S = 1 - F, whose error log F = log1p(-S) scales by S/F
-        return ((np.where(s > 0.0, s * (4.0 * _U * (1.0 - np.log(s)) + extra), 0.0) + rounded_cdf)
+        return (np.where(s > 0.0, s * (4.0 * _U * (1.0 - np.log(s)) + extra), 0.0)
                 / np.exp(lf) + 2.0 * _U * np.abs(lf))
 
     parts, bounds, k_lo, k_hi, held, depth = [], [suffix], math.inf, -math.inf, 0.0, 0
@@ -335,7 +327,8 @@ def argmax_value_law(spec: KnSpec) -> DiscreteLaw:
 
     P(M = m) = p(m) F(m)**(n-1) / Z with Z = sum_j p(j) F(j)**(n-1); Z equals
     E[K] / n.  The returned law inherits a valid geometric tail certificate
-    from the base law (constant scaled by 1/Z) and memoizes its cdf.
+    from the base law (constant scaled by 1/Z), and its ``logcdf`` sums the
+    mass on the log scale from one :func:`_block` of the base law.
     """
     n = spec.n
     base = spec.law
@@ -348,33 +341,28 @@ def argmax_value_law(spec: KnSpec) -> DiscreteLaw:
         scalar = np.ndim(m) == 0
         m = np.atleast_1d(np.asarray(m))
         pm = np.asarray(base.pmf(m), dtype=float)
-        log_fm = np.asarray(_log_cdf(base, m), dtype=float)
+        log_fm = np.asarray(base.logcdf(m), dtype=float)
         out = np.zeros_like(pm)
         ok = (pm > 0.0) & (log_fm > -np.inf)
         out[ok] = np.exp(np.log(pm[ok]) + (n - 1) * log_fm[ok] - log_z)
         return float(out[0]) if scalar else out
 
-    cum = np.zeros(1)  # cum[j] = P(M <= j), extended on demand
-
-    def cdf(m):
-        nonlocal cum
+    def logcdf(m):
         scalar = np.ndim(m) == 0
-        marr = np.atleast_1d(np.asarray(m)).astype(np.int64)
-        top = int(marr.max(initial=0))
+        m = np.atleast_1d(np.asarray(m)).astype(np.int64)
+        top = int(m.max(initial=0))
         if base.support_max is not None:
             top = min(top, base.support_max)
-        if cum.size <= top:
-            # summed on from the last stored value, one term at a time
-            more = np.cumsum(np.append(cum[-1], pmf(np.arange(cum.size, top + 1))))
-            cum = np.append(cum, np.minimum(1.0, more[1:]))
-        out = cum[np.clip(marr, 0, cum.size - 1)]
+        lp, _, lf1 = _block(base, 1, top)
+        cum = np.minimum(0.0, np.logaddexp.accumulate(lp + (n - 1) * lf1) - log_z)
+        out = np.append(-np.inf, cum)[np.clip(m, 0, top)]  # log F(0) = -inf
         if base.support_max is not None:
-            out = np.where(marr >= base.support_max, 1.0, out)
+            out = np.where(m >= base.support_max, 0.0, out)
         return float(out[0]) if scalar else out
 
     return DiscreteLaw(
         pmf=pmf,
-        cdf=cdf,
+        logcdf=logcdf,
         tail_ratio=base.tail_ratio,
         tail_const=base.tail_const / z,
         support_max=base.support_max,
@@ -386,12 +374,15 @@ def argmax_value_law(spec: KnSpec) -> DiscreteLaw:
 def tie_given_max_prob(law: DiscreteLaw, m):
     """q(m) = P(X = m) / P(X <= m), the tie chance given the maximum sits at m.
 
-    ``m`` may be an integer array; a scalar gives a float.
+    Formed from the odds p(m) / F(m-1) as p(m) / (p(m) + exp(log F(m-1))),
+    which is exactly 1 at the bottom of the support.  ``m`` may be an integer
+    array; a scalar gives a float.
     """
-    F = np.asarray(law.cdf(m))
-    if np.any(F <= 0.0):
+    pm = law.pmf(m)
+    with np.errstate(invalid="ignore"):
+        q = pm / (pm + np.exp(law.logcdf(np.asarray(m) - 1)))
+    if np.isnan(q).any():  # 0 / 0 where F(m) = 0
         raise DomainError(f"cdf vanishes at {m!r}; conditional tie probability undefined")
-    q = np.minimum(1.0, law.pmf(m) / F)
     return q if q.ndim else float(q)
 
 

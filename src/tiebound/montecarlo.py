@@ -117,7 +117,7 @@ def _discrete_quantile_fn(law: DiscreteLaw):
         r, c = law.tail_ratio, law.tail_const
         top = int(math.ceil((math.log(2.0**-53) - math.log(c)) / math.log(r)))
         top = max(top, 1)
-    cum = np.asarray(law.cdf(np.arange(1, top + 1)), dtype=float)
+    cum = np.exp(law.logcdf(np.arange(1, top + 1)))
 
     def quantile(u):
         idx = np.searchsorted(cum, np.asarray(u, dtype=float), side="left")

@@ -173,6 +173,16 @@ class TestVerifyCommand:
         monkeypatch.setattr("tiebound.cli.VERIFY_NS", (10,))
         assert main(["verify", "--mc-samples", "0", "--inject-fault"]) == 4
 
+    def test_checks_the_library_stein_bound(self, runner, monkeypatch):
+        # the bound is 4.8 to 22 times the distance on these rows, so halving
+        # it would still pass; a tenth of it fails most of them
+        bound = tiebound.stein.log_vs_negbin_bound
+        monkeypatch.setattr("tiebound.stein.log_vs_negbin_bound",
+                            lambda alpha, beta, ell: bound(alpha, beta, ell) / 10.0)
+        result = runner(["verify", "--mc-samples", "0"])
+        assert result.exit_code == 4
+        assert "FAIL log-vs-negbin" in result.output
+
     def test_mc_rows_skippable(self, runner, monkeypatch):
         monkeypatch.setattr("tiebound.cli.VERIFY_PS", (0.2,))
         monkeypatch.setattr("tiebound.cli.VERIFY_NS", (5,))
@@ -453,6 +463,23 @@ def test_exit_codes_of_a_real_process(argv, code):
     if argv == ["--help"]:
         assert all(name in proc.stdout for name in ("bound", "table1", "figure", "verify",
                                                     "simulate"))
+
+
+WRONG_LAW_KIND = {
+    "thm1a-continuous": ["bound", "thm1a", "--law", "gumbel", "--n", "10"],
+    "thm2-continuous": ["bound", "thm2", "--law", "uniform", "--b", "1", "--n", "10"],
+    "ties-continuous": ["simulate", "--law", "gumbel", "--kind", "ties", "--n", "10"],
+    "thm3-discrete": ["bound", "thm3", "--law", "geometric", "--p", "0.2", "--n", "10",
+                      "--a", "0.1"],
+}
+
+
+@pytest.mark.parametrize("argv", WRONG_LAW_KIND.values(), ids=WRONG_LAW_KIND.keys())
+def test_a_law_of_the_wrong_kind_is_a_configuration_error(argv):
+    proc = _python("-m", "tiebound.cli", *argv, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("invalid configuration:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_main_leaves_the_collector_alone(runner):

@@ -22,7 +22,7 @@ class TestGeometric:
     def test_point_values(self):
         law = geometric_law(0.5)
         assert law.pmf(1) == pytest.approx(0.5, abs=0)
-        assert law.cdf(3) == pytest.approx(0.875, abs=1e-15)
+        assert np.exp(law.logcdf(3)) == pytest.approx(0.875, abs=1e-15)
         # substitution p (1-p)^(j-1); full mass sums to 1 within 1e-12
         law = geometric_law(0.25)
         assert law.pmf(2) == pytest.approx(0.1875, abs=1e-15)
@@ -33,21 +33,22 @@ class TestGeometric:
         # 1-ulp slack: numpy and libm expm1 may round the last bit differently
         law = geometric_law(0.3)
         for j in range(0, 60):
-            assert law.cdf(j) == pytest.approx(-math.expm1(j * math.log1p(-0.3)), rel=5e-16)
+            expected = -math.expm1(j * math.log1p(-0.3))
+            assert np.exp(law.logcdf(j)) == pytest.approx(expected, rel=5e-16)
 
     def test_cdf_pmf_consistency_and_tail(self):
         law = geometric_law(0.2)
         for j in range(1, 80):
-            assert abs((law.cdf(j) - law.cdf(j - 1)) - law.pmf(j)) < 1e-14
-            assert 1.0 - law.cdf(j) <= law.tail_const * law.tail_ratio**j + 1e-15
+            assert abs((np.exp(law.logcdf(j)) - np.exp(law.logcdf(j - 1))) - law.pmf(j)) < 1e-14
+            assert 1.0 - np.exp(law.logcdf(j)) <= law.tail_const * law.tail_ratio**j + 1e-15
 
     def test_quantile_is_smallest_index(self):
         law = geometric_law(0.35)
         rng = np.random.default_rng(7)
         for u in rng.random(300):
             j = law.quantile(u)
-            assert law.cdf(j) >= u
-            assert j == 1 or law.cdf(j - 1) < u
+            assert np.exp(law.logcdf(j)) >= u
+            assert j == 1 or np.exp(law.logcdf(j - 1)) < u
 
     def test_domain(self):
         for bad in (0.0, 1.0, -0.3, 1.5):
@@ -59,21 +60,29 @@ class TestTabulated:
     def test_point_values(self):
         law = tabulated_law([0.5, 0.5])
         assert law.pmf(2) == 0.5
-        assert law.cdf(1) == 0.5
-        assert tabulated_law([1.0]).cdf(1) == 1.0
-        assert tabulated_law([0.2, 0.3, 0.5]).cdf(2) == 0.5
+        assert np.exp(law.logcdf(1)) == 0.5
+        assert np.exp(tabulated_law([1.0]).logcdf(1)) == 1.0
+        assert np.exp(tabulated_law([0.2, 0.3, 0.5]).logcdf(2)) == 0.5
 
     def test_tail_is_exactly_zero(self):
         law = tabulated_law([0.2, 0.8])
         assert law.support_max == 2
         assert law.tail_bound(2) == 0.0
         assert law.pmf(3) == 0.0
-        assert law.cdf(5) == 1.0
+        assert np.exp(law.logcdf(5)) == 1.0
 
     def test_declared_certificate_holds_inside_support(self):
         law = tabulated_law([0.25, 0.25, 0.25, 0.25])
         for j in range(0, 6):
-            assert 1.0 - law.cdf(j) <= law.tail_const * law.tail_ratio**j
+            assert 1.0 - np.exp(law.logcdf(j)) <= law.tail_const * law.tail_ratio**j
+
+    @pytest.mark.parametrize("m", [1, 2, 2000])
+    def test_tail_certificate_holds_at_every_support_size(self, m):
+        # 2000 outcomes: a constant 2**min(m, 1023) with ratio 1/2 read 0 at j = 1500
+        w = [1.0 / m] * m
+        law = tabulated_law(w)
+        for j in range(0, m + 2):
+            assert law.tail_bound(j) >= math.fsum(w[j:])
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -183,7 +192,6 @@ class TestLogCdf:
 
     def test_tabulated_tail_near_one(self):
         law = tabulated_law([1.0 - 1e-20, 1e-20])
-        assert law.cdf(1) == 1.0  # rounded, so log(cdf) would read 0
         assert law.logcdf(1) == pytest.approx(-1e-20, rel=1e-12)
         assert law.logcdf(2) == 0.0 and law.logcdf(5) == 0.0
         assert law.logcdf(0) == -math.inf
@@ -192,7 +200,8 @@ class TestLogCdf:
         law = tabulated_law([0.0, 0.2, 0.3, 0.5])
         j = np.arange(0, 6)
         with np.errstate(divide="ignore"):
-            np.testing.assert_allclose(law.logcdf(j), np.log(law.cdf(j)), rtol=1e-15)
+            np.testing.assert_allclose(law.logcdf(j), np.log([0.0, 0.0, 0.2, 0.5, 1.0, 1.0]),
+                                       rtol=1e-15)
 
 
 def test_descriptor_round_trip():

@@ -159,8 +159,8 @@ class TestArgmaxLaw:
         m_law = argmax_value_law(spec)
         assert m_law.pmf(1) == pytest.approx(1.0 / 3.0, rel=1e-12)
         assert m_law.pmf(2) == pytest.approx(2.0 / 3.0, rel=1e-12)
-        assert m_law.cdf(1) == pytest.approx(1.0 / 3.0, rel=1e-12)
-        assert m_law.cdf(2) == pytest.approx(1.0, rel=1e-12)
+        assert np.exp(m_law.logcdf(1)) == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert np.exp(m_law.logcdf(2)) == pytest.approx(1.0, rel=1e-12)
 
     def test_single_observation_returns_base_law(self):
         base = geometric_law(0.4)
@@ -175,7 +175,7 @@ class TestArgmaxLaw:
     def test_tail_certificate(self):
         m_law = argmax_value_law(KnSpec(law=geometric_law(0.3), n=5))
         for m in (1, 5, 10, 30):
-            true_tail = 1.0 - m_law.cdf(m)
+            true_tail = 1.0 - np.exp(m_law.logcdf(m))
             assert true_tail <= m_law.tail_const * m_law.tail_ratio**m + 1e-12
 
 
@@ -307,6 +307,13 @@ def test_domain_errors():
         tie_count_pmf(spec, (1, 2), tol=0.0)
     with pytest.raises(DomainError):
         KnSpec(law=geometric_law(0.5), n=0)
+
+
+def test_specs_reject_a_law_of_the_wrong_kind():
+    with pytest.raises(DomainError, match="discrete law"):
+        KnSpec(law=gumbel_law(), n=10)
+    with pytest.raises(DomainError, match="continuous law"):
+        NearOrderSpec(law=geometric_law(0.2), n=10, ell=1, a=0.1)
 
 
 def test_huge_sample_sizes_stay_finite():

@@ -63,7 +63,7 @@ def _direct_size_biased(spec: KnSpec, gen, size):
     """Oracle: the argmax value M, then n-1 draws conditioned to be at most M
     (inverse cdf at u F(M)); one plus those equal to M."""
     m = _discrete_quantile_fn(argmax_value_law(spec))(gen.random(size))
-    f_at_m = spec.law.cdf(m)
+    f_at_m = np.exp(spec.law.logcdf(m))
     x = _discrete_quantile_fn(spec.law)(gen.random((size, spec.n - 1)) * f_at_m[:, None])
     return 1 + (x == m[:, None]).sum(axis=1)
 
@@ -181,7 +181,7 @@ def _counting_law(law):
         return wrapper
 
     names = [f.name for f in dataclasses.fields(law)
-             if f.name in ("pmf", "cdf", "logcdf", "quantile", "logquantile")
+             if f.name in ("pmf", "logcdf", "quantile", "logquantile")
              and getattr(law, f.name) is not None]
     wrapped = dataclasses.replace(law, **{k: counted(k, getattr(law, k)) for k in names})
     return wrapped, calls, points

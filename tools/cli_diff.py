@@ -34,6 +34,17 @@ COMMANDS = [
     ["simulate", "--kind", "size-biased", "--p", "0.2", "--n", "20"],
     ["simulate", "--kind", "size-biased", "--p", "0.001", "--n", "100000"],
     ["simulate", "--law", "tabulated", "--weights", "0.5,0.5", "--n", "1000"],
+    ["bound", "thm3", "--law", "gumbel", "--n", "100", "--a", "0.3"],
+    ["bound", "thm3", "--law", "uniform", "--b", "1", "--n", "200", "--ell", "3", "--a", "0.05"],
+    ["bound", "thm3", "--law", "gumbel", "--n", "1000000", "--a", "0.3"],
+    ["bound", "thm4", "--n", "10", "--ell", "2", "--eq", "0.1", "--eq2", "0.012"],
+    ["simulate", "--law", "gumbel", "--n", "100", "--a", "0.3"],
+    ["simulate", "--law", "uniform", "--b", "1", "--n", "200", "--ell", "3", "--a", "0.05"],
+    # a law of the wrong kind for the command: a one-line error and exit 1
+    ["bound", "thm1a", "--law", "gumbel", "--n", "10"],
+    ["bound", "thm2", "--law", "uniform", "--b", "1", "--n", "10"],
+    ["simulate", "--law", "gumbel", "--kind", "ties", "--n", "10"],
+    ["bound", "thm3", "--law", "geometric", "--p", "0.2", "--n", "10", "--a", "0.1"],
 ]
 
 
