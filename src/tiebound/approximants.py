@@ -2,9 +2,10 @@
 
 The exchange format for distance computation is :class:`TruncatedPMF`: a
 finite probability vector together with a certified upper bound on the mass
-it omits.  Total variation between two truncated pmfs is then a rigorous
-interval rather than a point value, so "bound dominates distance" checks
-remain meaningful despite truncation.
+it omits.  Total variation between two truncated pmfs then has a rigorous
+upper bound next to its point estimate, so "bound dominates distance" checks
+remain meaningful despite truncation.  Every target's tail certificate
+comes from one ratio rule (``_truncate_by_ratio``).
 
 All pmfs are evaluated in log space (via log-gamma) and exponentiated, so
 they stay finite for very large arguments and parameters.
@@ -18,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError, TruncationError, positive_tol
 
 __all__ = [
     "TruncatedPMF",
@@ -75,7 +76,7 @@ class TruncatedPMF:
 
 
 class TVInterval(NamedTuple):
-    """Certified enclosure of a total variation distance."""
+    """A total variation distance: ``hi`` a certified upper bound, ``lo`` a point estimate."""
 
     lo: float
     hi: float
@@ -133,100 +134,92 @@ def truncate_law(pmf: Callable[[int], float],
     yet).  Raises :class:`TruncationError` carrying the best achieved bound
     if the certificate cannot reach ``tol`` within ``max_terms`` entries.
     """
-    if not (tol > 0.0):
-        raise DomainError("tolerance must be positive")
-    probs = []
-    best = math.inf
-    k = k_min
-    while k < k_min + max_terms:
+    positive_tol(tol)
+    probs, best = [], math.inf
+    for k in range(k_min, k_min + max_terms):
         probs.append(pmf(k))
         bound = tail_after(k)
         best = min(best, bound)
         if bound <= tol:
             return TruncatedPMF(k_min=k_min, probs=np.array(probs), tail_mass_bound=bound)
-        k += 1
-    raise TruncationError(
-        f"tail certificate did not reach {tol!r} within {max_terms} terms "
-        f"(best achieved: {best!r})",
-        best_bound=best,
-    )
+    raise TruncationError(f"tail certificate did not reach {tol!r} within {max_terms} terms "
+                          f"(best achieved: {best!r})", best_bound=best)
+
+
+def _truncate_by_ratio(pmf: Callable[[int], float], rho: Callable[[int], float],
+                       tol: float, k_min: int) -> TruncatedPMF:
+    """``truncate_law`` with the tail certificate of a ratio bound.
+
+    The one obligation on ``rho``: ``rho(k)`` bounds every ratio
+    P(j+1) / P(j) with j > k.  Then P(k+1+i) <= P(k+1) rho(k)**i, so the mass
+    above k is at most ``tail_after(k) = P(k+1) / (1 - rho(k))``, and no
+    bound is available while ``rho(k) >= 1``.
+    """
+    def tail_after(k):
+        ratio = rho(k)
+        return pmf(k + 1) / (1.0 - ratio) if ratio < 1.0 else math.inf
+
+    return truncate_law(pmf, tail_after, tol, k_min=k_min)
 
 
 def truncated_log(alpha: float, tol: float) -> TruncatedPMF:
     """Logarithmic law as a TruncatedPMF with certified tail <= tol."""
-    norm = -math.log1p(-alpha)
-
-    def tail_after(k):
-        # sum_{j>k} alpha**j / (j * norm) <= alpha**(k+1) / ((k+1)(1-alpha) norm)
-        return math.exp((k + 1) * math.log(alpha)) / ((k + 1) * (1.0 - alpha) * norm)
-
-    return truncate_law(lambda k: log_pmf(alpha, k), tail_after, tol, k_min=1)
+    # the ratios alpha j / (j+1) rise to alpha
+    return _truncate_by_ratio(lambda k: log_pmf(alpha, k), lambda k: alpha, tol, k_min=1)
 
 
 def truncated_poisson(lam: float, tol: float) -> TruncatedPMF:
     """Poisson law as a TruncatedPMF with certified tail <= tol."""
-    if not (lam > 0.0):
-        raise DomainError("Poisson rate must be positive")
-
-    def tail_after(k):
-        # beyond the mode the term ratio lam/(k+1) is < 1 and decreasing
-        ratio = lam / (k + 2)
-        if ratio >= 1.0:
-            return math.inf
-        return poisson_pmf(lam, k + 1) / (1.0 - ratio)
-
-    return truncate_law(lambda k: poisson_pmf(lam, k), tail_after, tol, k_min=0)
+    # the ratios lam / (j+1) fall, so the first one past k bounds the rest
+    return _truncate_by_ratio(lambda k: poisson_pmf(lam, k), lambda k: lam / (k + 2), tol, k_min=0)
 
 
 def truncated_negbin(ell: float, beta: float, tol: float) -> TruncatedPMF:
     """Negative binomial law as a TruncatedPMF with certified tail <= tol."""
-    if not (ell > 0.0) or not (0.0 < beta < 1.0):
-        raise DomainError("invalid negative binomial parameters")
-
-    def tail_after(k):
-        ratio = beta * (ell + k + 1) / (k + 2)
-        if ratio >= 1.0:
-            return math.inf
-        return negbin_pmf(ell, beta, k + 1) / (1.0 - ratio)
-
-    return truncate_law(lambda k: negbin_pmf(ell, beta, k), tail_after, tol, k_min=0)
+    # the ratios beta (ell+j) / (j+1) fall to beta for ell >= 1 and rise to it for ell < 1
+    return _truncate_by_ratio(lambda k: negbin_pmf(ell, beta, k),
+                              lambda k: beta * max(1.0, (ell + k + 1) / (k + 2)), tol, k_min=0)
 
 
 def truncated_geometric(beta: float, tol: float) -> TruncatedPMF:
     """Geometric law on {1, 2, ...} with failure odds beta: P(k) = (1-beta) beta**(k-1).
 
-    This is the unit-shape negative binomial shifted up by one.  The tail
-    beyond k is exactly beta**k.
+    This is the unit-shape negative binomial shifted up by one, so its tail
+    bound beyond k is beta**k up to rounding.
     """
-    if not (0.0 < beta < 1.0):
-        raise DomainError("geometric odds must lie in (0, 1)")
-    return truncate_law(
-        lambda k: (1.0 - beta) * beta ** (k - 1),
-        lambda k: beta**k,
-        tol,
-        k_min=1,
-    )
+    law = truncated_negbin(1.0, beta, tol)
+    return TruncatedPMF(k_min=1, probs=law.probs, tail_mass_bound=law.tail_mass_bound)
+
+
+def _dense(k_min: int, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``values``, held from outcome ``k_min`` up, on outcomes ``lo..hi``; zero elsewhere."""
+    out = np.zeros(max(hi - lo + 1, 0), dtype=values.dtype)
+    first, last = max(lo, k_min), min(hi, k_min + values.size - 1)
+    if first <= last:
+        out[first - lo: last - lo + 1] = values[first - k_min: last - k_min + 1]
+    return out
 
 
 def positive_part_distance(p: TruncatedPMF, q: TruncatedPMF) -> TVInterval:
-    """Certified interval for sup_E |P(X in E, X >= 1) - P(X >= 1) P(Y in E)|.
+    """Interval for sup_E |P(X in E, X >= 1) - P(X >= 1) P(Y in E)|.
 
     Here X may place mass at zero while Y lives on {1, 2, ...}.  This is the
     discrepancy a first-order Stein identity controls when the identity only
     holds from k = 1 upward: mass of X at zero is scaled out rather than
     compared, so the value equals P(X >= 1) times the total variation
-    distance between X conditioned to be positive and Y.
+    distance between X conditioned to be positive and Y.  As in
+    :func:`tv_distance`, only ``hi`` is certified.
     """
     scale = 1.0 - p.prob(0)
     k_hi = max(p.k_max, q.k_max)
-    total = math.fsum(abs(p.prob(k) - scale * q.prob(k)) for k in range(1, k_hi + 1))
-    lo = min(max(0.5 * total, 0.0), 1.0)
+    diff = _dense(p.k_min, p.probs, 1, k_hi) - scale * _dense(q.k_min, q.probs, 1, k_hi)
+    lo = min(max(0.5 * math.fsum(np.abs(diff).tolist()), 0.0), 1.0)
     slack = p.tail_mass_bound + q.tail_mass_bound
     return TVInterval(lo=lo, hi=min(1.0, lo + slack))
 
 
 def tv_distance(p: TruncatedPMF, q: TruncatedPMF) -> TVInterval:
-    """Certified interval around the total variation distance of two laws.
+    """Interval around the total variation distance of two laws.
 
     The point estimate ``lo`` is half the L1 distance over the union of the
     explicit supports (half-L1 equals the supremum discrepancy over outcome
@@ -234,14 +227,8 @@ def tv_distance(p: TruncatedPMF, q: TruncatedPMF) -> TVInterval:
     and at least ``lo`` minus the same slack, so ``hi`` is always a rigorous
     upper bound and ``hi - lo`` never exceeds the combined tail budgets.
     """
-    k_lo = min(p.k_min, q.k_min)
-    k_hi = max(p.k_max, q.k_max)
-    size = k_hi - k_lo + 1
-    pv = np.zeros(size)
-    qv = np.zeros(size)
-    pv[p.k_min - k_lo: p.k_min - k_lo + p.probs.size] = p.probs
-    qv[q.k_min - k_lo: q.k_min - k_lo + q.probs.size] = q.probs
-    lo = 0.5 * float(np.abs(pv - qv).sum())
-    lo = min(max(lo, 0.0), 1.0)
+    k_lo, k_hi = min(p.k_min, q.k_min), max(p.k_max, q.k_max)
+    diff = _dense(p.k_min, p.probs, k_lo, k_hi) - _dense(q.k_min, q.probs, k_lo, k_hi)
+    lo = min(max(0.5 * float(np.abs(diff).sum()), 0.0), 1.0)
     slack = 0.5 * (p.tail_mass_bound + q.tail_mass_bound)
     return TVInterval(lo=lo, hi=min(1.0, lo + slack))

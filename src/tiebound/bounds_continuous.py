@@ -38,7 +38,8 @@ from .approximants import TruncatedPMF
 from .binomial import _EPS, _log_binom_tail, _log_binom_term, _mode, binom_rows, binom_window
 from .bounds_discrete import BoundReport
 from .distributions import ContinuousLaw
-from .errors import DegenerateParameterError, DomainError, IntegrationError, integer_in
+from .errors import (DegenerateParameterError, DomainError, IntegrationError, integer_in,
+                     positive_tol)
 
 __all__ = [
     "MixedBinomialSpec",
@@ -373,8 +374,7 @@ def gap_ratio_moment(spec: NearOrderSpec, j: int, tol: float = 1e-10) -> float:
     """
     if j not in (1, 2):
         raise DomainError(f"moment order must be 1 or 2, got {j!r}")
-    if not (tol > 0.0):
-        raise DomainError("tolerance must be positive")
+    positive_tol(tol)
     return float(_gap_ratio_moments(spec, [j], tol)[0][0])
 
 
@@ -496,6 +496,7 @@ def negbin_bound_near_order(spec: NearOrderSpec, tol: float = 1e-10) -> BoundRep
     n, ell = spec.n, spec.ell
     if n - ell < 1:
         raise DomainError(f"need n - ell >= 1, got n = {n}, ell = {ell}")
+    positive_tol(tol)
     (m1, m2), (e1, e2) = (map(float, v) for v in _gap_ratio_moments(spec, [1, 2], tol))
     if m1 <= 0.0:
         raise DegenerateParameterError(
@@ -528,8 +529,8 @@ def gumbel_max_bound(n: int, a: float) -> float:
     """
     if n < 2:
         raise DomainError(f"need at least two observations, got {n!r}")
-    if a < 0.0:
-        raise DomainError(f"distance threshold must be non-negative, got {a!r}")
+    if not 0.0 <= a < math.inf:
+        raise DomainError(f"distance threshold must be a non-negative real, got {a!r}")
     if a == 0.0:
         return 0.0
     c = math.expm1(a)
@@ -560,6 +561,7 @@ def near_order_count_pmf(spec: NearOrderSpec, tol: float = 1e-10) -> TruncatedPM
     error vector.  Like every QUADPACK-style error estimate it is not a
     certificate.
     """
+    positive_tol(tol)
     m, union = spec.n - spec.ell, []
 
     def rows(r, log_density):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DegenerateParameterError, DomainError, NumericError
+from .errors import DegenerateParameterError, DomainError, NumericError, positive_tol
 from .maxima import DEFAULT_TOL, KnSpec, _tie_values, tie_count_factorial_moment
 # not called here: bound because the benchmark's tracer test checks it patches this name
 from .maxima import tie_count_pmf  # noqa: F401
@@ -91,8 +91,7 @@ def log_bound_singleton(spec: KnSpec, tol: float = DEFAULT_TOL) -> BoundReport:
     supported laws).  For a geometric base law alpha equals the geometric
     parameter itself.
     """
-    if not (tol > 0.0):
-        raise DomainError("tolerance must be positive")
+    positive_tol(tol)
     if spec.n == 1:
         # a single observation always ties itself: P(K=1) = E[K] = 1 exactly
         raise DegenerateParameterError(
@@ -129,8 +128,7 @@ def log_bound_second_moment(spec: KnSpec, tol: float = DEFAULT_TOL) -> BoundRepo
     """
     if spec.n < 4:
         raise DomainError(f"second-moment bound needs n >= 4, got n = {spec.n}")
-    if not (tol > 0.0):
-        raise DomainError("tolerance must be positive")
+    positive_tol(tol)
     n = spec.n
     e1, e2, e3 = tie_count_factorial_moment(spec, (1, 2, 3), tol)
     ek2 = e2 + e1  # E[K^2]
@@ -184,8 +182,7 @@ def poisson_bound(spec: KnSpec, tol: float = DEFAULT_TOL) -> BoundReport:
     """
     if spec.n < 3:
         raise DomainError(f"Poisson bound needs n >= 3, got n = {spec.n}")
-    if not (tol > 0.0):
-        raise DomainError("tolerance must be positive")
+    positive_tol(tol)
     n = spec.n
     e1, e2, e3 = tie_count_factorial_moment(spec, (1, 2, 3), tol)
     if not (e2 > 0.0):

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import approximants, bounds_continuous, bounds_discrete, montecarlo, stein
 from .distributions import law_from_descriptor
-from .errors import DegenerateParameterError, DomainError, NumericError, integer_in
+from .errors import DegenerateParameterError, DomainError, NumericError, integer_in, positive_tol
 from .maxima import KnSpec, size_biased_tie_law, tie_count_law
 
 DEFAULT_SEED = 202608
@@ -142,7 +142,7 @@ def cmd_bound(args):
         law_desc = _descriptor_from_flags(args)
         law_obj = law_from_descriptor(law_desc)
         spec = bounds_continuous.NearOrderSpec(law=law_obj, n=n, ell=ell, a=args.a)
-        report = bounds_continuous.negbin_bound_near_order(spec, max(tol, 1e-11))
+        report = bounds_continuous.negbin_bound_near_order(spec, max(positive_tol(tol), 1e-11))
     else:
         law_desc = _descriptor_from_flags(args)
         law_obj = law_from_descriptor(law_desc)
@@ -323,13 +323,12 @@ def cmd_simulate(args):
         exact = tie_count_law(spec, args.tol)
         samples = montecarlo.sample_tie_count(spec, rng, size=args.mc_samples)
     emp = montecarlo.EmpiricalPMF.from_samples(samples)
-    rows = []
     k_lo = min(emp.k_min, exact.k_min)
     k_hi = max(emp.k_min + emp.counts.size - 1, exact.k_max)
-    for k in range(k_lo, k_hi + 1):
-        idx = k - emp.k_min
-        count = int(emp.counts[idx]) if 0 <= idx < emp.counts.size else 0
-        rows.append([k, count, count / emp.sample_size, exact.prob(k)])
+    counts = approximants._dense(emp.k_min, emp.counts, k_lo, k_hi).tolist()
+    probs = approximants._dense(exact.k_min, exact.probs, k_lo, k_hi).tolist()
+    rows = [[k, count, count / emp.sample_size, prob]
+            for k, count, prob in zip(range(k_lo, k_hi + 1), counts, probs)]
     _emit(_csv(rows, ["k", "count", "frequency", "exact_pmf"]), args.out)
 
 

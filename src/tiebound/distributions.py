@@ -145,7 +145,7 @@ def tabulated_law(weights) -> DiscreteLaw:
     if np.any(w < 0.0):
         raise DomainError("weights must be non-negative")
     total = math.fsum(w.tolist())
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:  # a NaN weight fails it too
         raise DomainError(f"weights must sum to 1 within 1e-12, got {total!r}")
     m = int(w.size)
     cum = np.cumsum(w)

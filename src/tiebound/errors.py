@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, and the integer-argument check."""
+"""Exception hierarchy shared across the package, and the integer and tolerance checks."""
 
+import math
 import operator
 
 
@@ -59,3 +60,10 @@ def integer_in(value, lo: int, hi=None, what: str = "value") -> int:
         where = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise DomainError(f"{what} must be an integer {where}, got {value!r}")
     return k
+
+
+def positive_tol(tol: float) -> float:
+    """``tol`` if it is a positive finite number; a NaN or infinite ``tol`` fails too."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be a positive finite number, got {tol!r}")
+    return tol

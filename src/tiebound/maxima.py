@@ -37,7 +37,7 @@ import numpy as np
 from .approximants import TruncatedPMF
 from .binomial import _U, _gamma, _log_choose, _pairwise_sum, binom_rows, binom_window
 from .distributions import DiscreteLaw
-from .errors import DomainError, TruncationError, integer_in
+from .errors import DomainError, TruncationError, integer_in, positive_tol
 
 __all__ = [
     "KnSpec",
@@ -166,8 +166,7 @@ def _values(spec: KnSpec, orders, tol: float, pmf: bool):
     many = np.ndim(orders) > 0
     orders = [integer_in(v, 1, spec.n, "tie count" if pmf else "moment order")
               for v in (orders if many else (orders,))]
-    if not (tol > 0.0):
-        raise DomainError("tolerance must be positive")
+    positive_tol(tol)
     pairs = _tie_values(spec, orders, (), tol) if pmf else _tie_values(spec, (), orders, tol)
     values = tuple(value for value, _ in pairs)
     return values if many else values[0]
@@ -219,8 +218,7 @@ def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
     normalised by T rather than Z, so its certificate is 2 b / (T - b) plus
     the rounding of that division.
     """
-    if not (tol > 0.0):
-        raise DomainError("tolerance must be positive")
+    positive_tol(tol)
     law, n = spec.law, spec.n
     m = n - 1 if biased else n
     log_z = _sums(law, [(1, n - 1, False, math.log(1e-14), True)])[0][0] if biased else 0.0
@@ -402,6 +400,7 @@ def tie_given_max_moment(spec: KnSpec, j: int, tol: float = DEFAULT_TOL) -> floa
         raise DomainError(f"moment order must be 1 or 2, got {j!r}")
     if spec.n < j + 1:
         raise DomainError(f"need at least {j + 1} observations for moment order {j}")
+    positive_tol(tol)
     (log_num, _), (log_z, _) = _sums(spec.law, [
         (1 + j, spec.n - 1 - j, False, math.log(tol / 2.0), True),
         (1, spec.n - 1, False, math.log(min(tol / 2.0, 1e-14)), True),

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds_continuous
-from .approximants import TruncatedPMF
+from .approximants import TruncatedPMF, _dense
 from .distributions import DiscreteLaw
 from .errors import DomainError
 from .maxima import KnSpec, argmax_value_law, tie_given_max_prob
@@ -232,10 +232,7 @@ def empirical_tv(emp: EmpiricalPMF, target: TruncatedPMF):
     Whenever the samples really come from the target, |estimate - true
     distance| <= radius except with probability at most delta.
     """
-    idx = np.arange(target.k_min, target.k_max + 1) - emp.k_min
-    seen = (idx >= 0) & (idx < emp.counts.size)
-    counts = np.zeros(target.probs.size, dtype=np.int64)
-    counts[seen] = emp.counts[idx[seen]]
+    counts = _dense(emp.k_min, emp.counts, target.k_min, target.k_max)
     overflow = (emp.sample_size - int(counts.sum())) / emp.sample_size
     missing = max(0.0, 1.0 - math.fsum(target.probs.tolist()))
     estimate = 0.5 * (float(np.abs(counts / emp.sample_size - target.probs).sum())

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximants import log_pmf
-from .errors import DomainError, TruncationError
+from .errors import DomainError, TruncationError, positive_tol
 
 __all__ = [
     "SteinTestFn",
@@ -80,8 +80,7 @@ def stein_solution(test: SteinTestFn, k: int, tol: float = 1e-13) -> float:
     """
     if k < 0:
         raise DomainError("the solution is defined on the non-negative integers")
-    if not (tol > 0.0):
-        raise DomainError("tolerance must be positive")
+    positive_tol(tol)
     alpha = test.alpha
     log_a = math.log(alpha)
     # closed-form starting guess for the truncation length, then verify

@@ -3,6 +3,7 @@
 import math
 from itertools import combinations
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,11 @@ from scipy import stats
 
 from tiebound.approximants import (
     TruncatedPMF,
+    _dense,
     log_pmf,
     negbin_pmf,
     poisson_pmf,
+    positive_part_distance,
     truncate_law,
     truncated_geometric,
     truncated_log,
@@ -220,3 +223,92 @@ def test_tv_metric_properties(p, q, r):
     assert pq == qp
     assert 0.0 <= pq <= 1.0
     assert pq <= tv_distance(p, r).lo + tv_distance(r, q).lo + 1e-12
+
+
+def _mp_pmf(kind, params, k):
+    """P(k) of a target law in 40-digit mpmath."""
+    with mp.workdps(40):
+        if kind == "log":
+            alpha = mp.mpf(params[0])
+            return alpha**k / (k * -mp.log1p(-alpha))
+        if kind == "poisson":
+            lam = mp.mpf(params[0])
+            return mp.exp(-lam) * lam**k / mp.factorial(k)
+        if kind == "negbin":
+            ell, beta = mp.mpf(params[0]), mp.mpf(params[1])
+            return mp.binomial(ell + k - 1, k) * (1 - beta) ** ell * beta**k
+        beta = mp.mpf(params[0])
+        return (1 - beta) * beta ** (k - 1)
+
+
+TARGETS = {"log": truncated_log, "poisson": truncated_poisson, "negbin": truncated_negbin,
+           "geometric": truncated_geometric}
+CERTIFICATE_GRID = ([("log", (alpha,)) for alpha in (0.1, 0.5, 0.9)]
+                    + [("poisson", (lam,)) for lam in (0.5, 3.0, 20.0)]
+                    + [("negbin", (ell, beta)) for ell in (0.1, 0.5, 1.0, 2.5)
+                       for beta in (0.2, 0.8)]
+                    + [("geometric", (beta,)) for beta in (0.3, 0.9)])
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-13])
+@pytest.mark.parametrize("kind,params", CERTIFICATE_GRID)
+def test_tail_bound_covers_the_40_digit_tail(kind, params, tol):
+    # the 1e-14 allows for rounding in the bound itself where it is exact
+    # (geometric, unit shape); shapes below 1 have ratios that rise to beta
+    law = TARGETS[kind](*params, tol)
+    with mp.workdps(40):
+        tail = 1 - mp.fsum(_mp_pmf(kind, params, k) for k in range(law.k_min, law.k_max + 1))
+        assert law.tail_mass_bound >= (1 - 1e-14) * tail
+    assert law.tail_mass_bound <= tol
+
+
+class TestDense:
+    values = np.array([1.0, 2.0, 3.0])  # held on outcomes 5, 6, 7
+
+    @pytest.mark.parametrize("lo,hi,expected", [
+        (3, 5, [0.0, 0.0, 1.0]),            # overlaps on the left only
+        (7, 9, [3.0, 0.0, 0.0]),            # on the right only
+        (0, 3, [0.0, 0.0, 0.0, 0.0]),       # below the values
+        (9, 10, [0.0, 0.0]),                # above them
+        (4, 8, [0.0, 1.0, 2.0, 3.0, 0.0]),  # around them
+        (6, 6, [2.0]),                      # inside them
+    ])
+    def test_layout(self, lo, hi, expected):
+        out = _dense(5, self.values, lo, hi)
+        assert out.tolist() == expected
+        assert out.dtype == self.values.dtype
+
+    def test_keeps_integer_counts(self):
+        assert _dense(2, np.array([4, 5], dtype=np.int64), 1, 3).tolist() == [0, 4, 5]
+
+
+def _positive_part_lo(p: TruncatedPMF, q: TruncatedPMF) -> float:
+    """Oracle: the per-outcome fsum of |p_k - s q_k| over k >= 1, with s = 1 - p_0."""
+    scale = 1.0 - p.prob(0)
+    k_hi = max(p.k_max, q.k_max)
+    total = math.fsum(abs(p.prob(k) - scale * q.prob(k)) for k in range(1, k_hi + 1))
+    return min(max(0.5 * total, 0.0), 1.0)
+
+
+class TestPositivePartDistance:
+    def test_matches_the_per_outcome_sum(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            p_start, q_start = int(rng.integers(0, 6)), int(rng.integers(1, 12))
+            w1, w2 = rng.random(int(rng.integers(1, 8))), rng.random(int(rng.integers(1, 8)))
+            p = TruncatedPMF(p_start, w1 / w1.sum(), float(rng.random()) * 1e-9)
+            q = TruncatedPMF(q_start, w2 / w2.sum(), 0.0)
+            lo, hi = positive_part_distance(p, q)
+            assert lo == _positive_part_lo(p, q)
+            assert hi == min(1.0, lo + p.tail_mass_bound + q.tail_mass_bound)
+
+    def test_mass_at_zero_and_supports_that_do_not_meet(self):
+        p = TruncatedPMF(0, np.array([0.25, 0.75]), 0.0)
+        q = TruncatedPMF(5, np.array([0.5, 0.5]), 0.0)
+        # 0.75 at outcome 1 against 0.75 spread over 5 and 6
+        assert positive_part_distance(p, q) == (0.75, 0.75) == (_positive_part_lo(p, q), 0.75)
+
+    def test_mass_at_zero_only(self):
+        p = TruncatedPMF(0, np.array([1.0]), 0.0)
+        q = truncated_log(0.5, 1e-12)
+        assert positive_part_distance(p, q).lo == _positive_part_lo(p, q) == 0.0

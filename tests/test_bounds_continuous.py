@@ -780,3 +780,20 @@ class TestGumbelMaxBound:
             gumbel_max_bound(1, 0.5)
         with pytest.raises(DomainError):
             gumbel_max_bound(10, -0.1)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf])
+def test_gumbel_max_bound_rejects_a_threshold_that_is_not_a_real(a):
+    with pytest.raises(DomainError):
+        gumbel_max_bound(20, a)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_near_order_tolerance_must_be_positive_and_finite(tol):
+    spec = NearOrderSpec(law=gumbel_law(), n=10, ell=1, a=0.3)
+    with pytest.raises(DomainError):
+        negbin_bound_near_order(spec, tol)
+    with pytest.raises(DomainError):
+        near_order_count_pmf(spec, tol)
+    with pytest.raises(DomainError):
+        gap_ratio_moment(spec, 1, tol)

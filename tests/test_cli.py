@@ -482,6 +482,30 @@ def test_a_law_of_the_wrong_kind_is_a_configuration_error(argv):
     assert "Traceback" not in proc.stderr
 
 
+NOT_FINITE = {
+    "verify-infinite-tol": ["verify", "--tol", "inf", "--mc-samples", "0"],
+    "simulate-infinite-tol": ["simulate", "--p", "0.2", "--n", "10", "--tol", "inf",
+                              "--mc-samples", "10"],
+    "thm2-infinite-tol": ["bound", "thm2", "--p", "0.2", "--n", "10", "--tol", "inf"],
+    "thm3-nan-tol": ["bound", "thm3", "--law", "gumbel", "--n", "10", "--a", "0.3",
+                     "--tol", "nan"],
+    "thm3-negative-tol": ["bound", "thm3", "--law", "gumbel", "--n", "10", "--a", "0.3",
+                          "--tol", "-1"],
+    "thm1a-nan-weight": ["bound", "thm1a", "--law", "tabulated", "--weights", "nan", "--n", "5"],
+    "thm2-nan-weight": ["bound", "thm2", "--law", "tabulated", "--weights", "0.5,nan,0.5",
+                        "--n", "5"],
+    "fig2-nan-threshold": ["figure", "fig2", "--a-min", "nan", "--a-count", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", NOT_FINITE.values(), ids=NOT_FINITE.keys())
+def test_a_number_that_is_not_finite_is_a_configuration_error(argv):
+    proc = _python("-m", "tiebound.cli", *argv, check=False)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("invalid configuration:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_main_leaves_the_collector_alone(runner):
     before = gc.get_freeze_count()
     assert runner(["bound", "thm2", "--p", "0.1", "--n", "10"]).exit_code == 0

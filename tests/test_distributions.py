@@ -220,3 +220,9 @@ def test_descriptor_rejects_unknown_kind():
         law_from_descriptor({"kind": "zipf", "s": 2.0})
     with pytest.raises(DomainError):
         law_from_descriptor({"p": 0.5})
+
+
+@pytest.mark.parametrize("weights", [[math.nan], [0.5, math.nan, 0.5], [math.inf, 0.5]])
+def test_tabulated_rejects_weights_that_are_not_finite(weights):
+    with pytest.raises(DomainError):
+        tabulated_law(weights)

@@ -495,3 +495,14 @@ def test_integer_arguments(site):
     for bad in (True, False, 2.0, "2"):
         with pytest.raises(DomainError):
             site(bad)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+def test_tolerance_must_be_positive_and_finite(tol):
+    spec = KnSpec(law=geometric_law(0.5), n=5)
+    with pytest.raises(DomainError):
+        tie_count_law(spec, tol)
+    with pytest.raises(DomainError):
+        tie_count_factorial_moment(spec, 1, tol)
+    with pytest.raises(DomainError):
+        tie_given_max_moment(spec, 1, tol)

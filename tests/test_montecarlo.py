@@ -18,7 +18,7 @@ import pytest
 from scipy import stats
 
 import tiebound
-from tiebound.approximants import TruncatedPMF, truncated_poisson
+from tiebound.approximants import TruncatedPMF, truncated_log, truncated_poisson
 from tiebound.bounds_continuous import NearOrderSpec, near_order_count_pmf
 from tiebound.distributions import geometric_law, gumbel_law, tabulated_law, uniform_law
 from tiebound.maxima import (
@@ -387,6 +387,13 @@ class TestEmpiricalTV:
         far = EmpiricalPMF(k_min=0, counts=np.r_[[400, 300], np.zeros(400), [300]],
                            sample_size=1000)
         assert empirical_tv(near, target) == empirical_tv(far, target)
+
+    def test_samples_beyond_the_target(self):
+        # no sample lands on the target's outcomes 1..17: all the mass is in
+        # the overflow cell, against the target's missing mass
+        emp = EmpiricalPMF.from_samples(np.arange(500, 1500))
+        estimate, _ = empirical_tv(emp, truncated_log(0.2, 1e-12))
+        assert estimate == 0.999999999999574
 
     def test_counts_must_sum(self):
         from tiebound.errors import DomainError

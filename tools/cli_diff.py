@@ -8,7 +8,10 @@ Each SRC is a directory that holds the ``tiebound`` package, such as the
 ``src`` of two checkouts.  Every command in ``COMMANDS`` runs in a fresh
 interpreter under each tree, with ``TIEBOUND_SEED`` unset so the default
 seed applies.  Prints one line per command and exits 1 if any stdout or exit
-code differs, else 0.
+code differs, or if a command prints a ``Traceback`` under SRC_B, else 0.  A
+``Traceback`` under SRC_A, the base, is reported but does not fail the run:
+an uncaught exception also exits 1 with empty stdout, so only stderr tells
+a crash from a clean error.
 """
 
 from __future__ import annotations
@@ -45,16 +48,20 @@ COMMANDS = [
     ["bound", "thm2", "--law", "uniform", "--b", "1", "--n", "10"],
     ["simulate", "--law", "gumbel", "--kind", "ties", "--n", "10"],
     ["bound", "thm3", "--law", "geometric", "--p", "0.2", "--n", "10", "--a", "0.1"],
+    # an infinite tolerance or a NaN weight: a one-line error and exit 1
+    ["verify", "--tol", "inf", "--mc-samples", "0"],
+    ["simulate", "--p", "0.2", "--n", "10", "--tol", "inf", "--mc-samples", "10"],
+    ["bound", "thm1a", "--law", "tabulated", "--weights", "nan", "--n", "5"],
 ]
 
 
 def run(src: str, argv: list) -> tuple:
-    """(exit code, stdout) of ``python -m tiebound.cli argv`` with ``src`` on the path."""
+    """(exit code, stdout, stderr) of ``python -m tiebound.cli argv`` with ``src`` on the path."""
     env = {k: v for k, v in os.environ.items() if k != "TIEBOUND_SEED"}
     env["PYTHONPATH"] = os.path.abspath(src)
     proc = subprocess.run([sys.executable, "-m", "tiebound.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=600)
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def main(argv=None) -> int:
@@ -62,17 +69,22 @@ def main(argv=None) -> int:
     if len(args) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    differ = 0
+    differ = crashed = 0
     for command in COMMANDS:
-        (code_a, out_a), (code_b, out_b) = run(args[0], command), run(args[1], command)
+        (code_a, out_a, err_a), (code_b, out_b, err_b) = (run(src, command) for src in args)
         same = code_a == code_b and out_a == out_b
         differ += not same
-        print(f"{'same' if same else 'DIFFERS'}  (exit {code_a}/{code_b})  {' '.join(command)}")
+        crashed += "Traceback" in err_b
+        crash = "".join(f"  Traceback under {src}" for src, err in zip(args, (err_a, err_b))
+                        if "Traceback" in err)
+        print(f"{'same' if same else 'DIFFERS'}  (exit {code_a}/{code_b})  "
+              f"{' '.join(command)}{crash}")
         if not same:
             sys.stdout.writelines(difflib.unified_diff(
                 out_a.splitlines(True), out_b.splitlines(True), args[0], args[1], n=1))
-    print(f"{differ} of {len(COMMANDS)} commands differ")
-    return 1 if differ else 0
+    print(f"{differ} of {len(COMMANDS)} commands differ, "
+          f"{crashed} print a Traceback under {args[1]}")
+    return 1 if differ or crashed else 0
 
 
 if __name__ == "__main__":
