@@ -9,12 +9,16 @@ total-variation distances.
 
 ``import tiebound`` runs only ``errors``.  Every other submodule is in
 ``sys.modules`` from the start but runs on first attribute access
-(``importlib.util.LazyLoader``), and a package-level name loads only the
-module that defines it, so a command runs just the modules it uses.
+(``_LazyModule``), and a package-level name loads only the module that
+defines it, so a command runs just the modules it uses.  First loads run
+under one package lock, so threads that touch a submodule at once all see
+it fully run.
 """
 
 import importlib.util
 import sys
+import threading
+import types
 
 from .errors import (
     DegenerateParameterError,
@@ -48,11 +52,36 @@ _EXPORTS = {
 # public name -> the submodule that defines it
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
+_LOAD_LOCK = threading.RLock()
+_RUNNING = set()  # submodules whose code is running, each in the thread that holds the lock
+
+
+class _LazyModule(types.ModuleType):
+    """A registered submodule whose code runs on its first attribute access.
+
+    ``importlib.util.LazyLoader`` on Python 3.11 turns the module into a
+    plain one before running its code, so a second thread can read a
+    half-run module.  Here the code runs under ``_LOAD_LOCK`` and the class
+    changes only after it has run; an access from the loading thread itself,
+    as by the loader or an import cycle, reads the module as it stands.
+    """
+
+    def __getattribute__(self, name):
+        with _LOAD_LOCK:
+            if type(self) is _LazyModule and self not in _RUNNING:
+                _RUNNING.add(self)
+                try:
+                    object.__getattribute__(self, "__spec__").loader.exec_module(self)
+                finally:
+                    _RUNNING.discard(self)
+                self.__class__ = types.ModuleType
+        return object.__getattribute__(self, name)
+
+
 for _module in _EXPORTS:
     _spec = importlib.util.find_spec(f"{__name__}.{_module}")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
     globals()[_module] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(globals()[_module])
+    globals()[_module].__class__ = _LazyModule
 del _module, _spec
 
 __all__ = sorted([*_SOURCE, *_EXPORTS, "errors", "DegenerateParameterError", "DomainError",

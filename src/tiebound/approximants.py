@@ -47,8 +47,15 @@ class TruncatedPMF:
     the first outcome held, which need not be the first of the support: the
     tie-count laws start where their mass reaches the smallest normal
     double.  ``tail_mass_bound`` bounds the mass outside ``k_min..k_max``,
-    on both sides, plus the certified rounding error of the stored entries
-    (their L1 distance from the exact values).
+    on both sides.  Whether it also covers the rounding error of the stored
+    entries (their L1 distance from the exact values) depends on the
+    producer.  The mixture laws ``maxima.tie_count_law`` and
+    ``maxima.size_biased_tie_law`` include it.  The target laws built by
+    ``truncate_law`` (``truncated_log``, ``truncated_poisson``,
+    ``truncated_negbin``, ``truncated_geometric``) do not: the entries of
+    ``truncated_poisson(20.0, 1e-13)`` are 4.3e-15 (L1) off their exact
+    values.  ``near_order_count_pmf`` adds a quadrature error estimate,
+    which is not a certificate.  Rounding in every bound is ROADMAP item 4.
     """
 
     k_min: int

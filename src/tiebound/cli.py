@@ -30,6 +30,7 @@ import argparse
 import functools
 import gc
 import json
+import math
 import os
 import sys
 
@@ -196,17 +197,25 @@ def cmd_table1(args):
         _emit(_csv([[mu] + cells for mu, cells in rows], header), args.out)
 
 
+def _sweep(flag, first, last, count):
+    """``count`` points from ``first`` to ``last``, the ends of ``--{flag}-min/max``."""
+    for end, value in (("min", first), ("max", last)):
+        if not math.isfinite(value):  # np.linspace would turn an infinite end into nan
+            raise DomainError(f"--{flag}-{end} must be finite, got {value!r}")
+    return np.linspace(first, last, count)
+
+
 def cmd_figure(args):
     """Emit plot-ready CSV sweeps."""
     rows = []
     if args.name == "fig1":
-        for p in np.linspace(args.p_min, args.p_max, args.p_count):
+        for p in _sweep("p", args.p_min, args.p_max, args.p_count):
             law = law_from_descriptor({"kind": "geometric", "p": float(p)})
             report = bounds_discrete.log_bound_singleton(KnSpec(law=law, n=args.n), args.tol)
             rows.append([float(p), report.bound])
         header = ["p", "thm1a_bound"]
     else:
-        for a in np.linspace(args.a_min, args.a_max, args.a_count):
+        for a in _sweep("a", args.a_min, args.a_max, args.a_count):
             rows.append([float(a),
                          bounds_continuous.gumbel_max_bound(20, float(a)),
                          bounds_continuous.gumbel_max_bound(100, float(a))])
@@ -273,10 +282,8 @@ def _verify_rows(tol, seed, mc_samples, inject_fault):
             law = law_from_descriptor({"kind": "geometric", "p": p})
             spec = KnSpec(law=law, n=n)
             report = bounds_discrete.log_bound_singleton(spec, tol)
-            samples = montecarlo.sample_tie_count(
-                spec, montecarlo.RngStream(seed=seed, stream_id=stream_id),
-                size=mc_samples)
-            emp = montecarlo.EmpiricalPMF.from_samples(samples)
+            emp = montecarlo.empirical_law(
+                "ties", spec, montecarlo.RngStream(seed=seed, stream_id=stream_id), mc_samples)
             target = approximants.truncated_log(report.params["alpha"], 1e-11)
             est, radius = montecarlo.empirical_tv(emp, target)
             bound = fault * report.bound
@@ -313,16 +320,13 @@ def cmd_simulate(args):
             raise UsageError("near-order simulation needs a continuous law and --a")
         spec = bounds_continuous.NearOrderSpec(law=law_obj, n=args.n, ell=args.ell, a=args.a)
         exact = bounds_continuous.near_order_count_pmf(spec, 1e-9)
-        samples = montecarlo.sample_near_order_count(spec, rng, size=args.mc_samples)
     elif kind == "size-biased":
         spec = KnSpec(law=law_obj, n=args.n)
         exact = size_biased_tie_law(spec, args.tol)
-        samples = montecarlo.sample_size_biased_ties(spec, rng, size=args.mc_samples)
     else:
         spec = KnSpec(law=law_obj, n=args.n)
         exact = tie_count_law(spec, args.tol)
-        samples = montecarlo.sample_tie_count(spec, rng, size=args.mc_samples)
-    emp = montecarlo.EmpiricalPMF.from_samples(samples)
+    emp = montecarlo.empirical_law(kind, spec, rng, args.mc_samples)
     k_lo = min(emp.k_min, exact.k_min)
     k_hi = max(emp.k_min + emp.counts.size - 1, exact.k_max)
     counts = approximants._dense(emp.k_min, emp.counts, k_lo, k_hi).tolist()

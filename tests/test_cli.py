@@ -328,6 +328,44 @@ def test_commands_run_only_the_modules_they_need():
     assert set(after_touch) == set(after_simulate) - {"stein"}
 
 
+def test_threads_that_first_touch_a_submodule_together_see_it_run():
+    # each run needs a fresh interpreter, where `maxima` has not run yet
+    code = ("import json, sys, threading\n"
+            "import tiebound\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "barrier = threading.Barrier(4)\n"
+            "seen = []\n"
+            "def touch():\n"
+            "    barrier.wait()\n"
+            "    try:\n"
+            "        seen.append(tiebound.maxima.KnSpec.__name__)\n"
+            "    except AttributeError as exc:\n"
+            "        seen.append(str(exc))\n"
+            "threads = [threading.Thread(target=touch, daemon=True) for _ in range(4)]\n"
+            "for t in threads:\n"
+            "    t.start()\n"
+            "for t in threads:\n"
+            "    t.join(timeout=60)\n"
+            "print(json.dumps([seen, [t.is_alive() for t in threads]]))\n")
+    for _ in range(3):
+        seen, alive = json.loads(_run_python(code))
+        assert alive == [False] * 4
+        assert seen == ["KnSpec"] * 4
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_simulate_memory_follows_the_support_not_the_draws():
+    # holding the 1e7 draws took 188.5 MB; VmHWM, unlike ru_maxrss, starts
+    # afresh at exec and so does not see the memory of the test process
+    code = ("import contextlib, io, tiebound.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert tiebound.cli.main(['simulate', '--p', '0.2', '--n', '20',\n"
+            "                              '--mc-samples', '10000000']) == 0\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM')))\n")
+    assert int(_run_python(code)) < 64 * 1024  # kB
+
+
 # what `from tiebound import *` bound when the package imported every module eagerly
 PUBLIC_NAMES = {
     "BoundReport", "ContinuousLaw", "DegenerateParameterError", "DiscreteLaw", "DomainError",
@@ -495,6 +533,9 @@ NOT_FINITE = {
     "thm2-nan-weight": ["bound", "thm2", "--law", "tabulated", "--weights", "0.5,nan,0.5",
                         "--n", "5"],
     "fig2-nan-threshold": ["figure", "fig2", "--a-min", "nan", "--a-count", "2"],
+    # np.linspace turns an infinite end into nan, with a RuntimeWarning
+    "fig2-infinite-a-max": ["figure", "fig2", "--a-max", "inf", "--a-count", "2"],
+    "fig1-infinite-p-max": ["figure", "fig1", "--p-max", "inf", "--p-count", "2"],
 }
 
 
@@ -503,7 +544,13 @@ def test_a_number_that_is_not_finite_is_a_configuration_error(argv):
     proc = _python("-m", "tiebound.cli", *argv, check=False)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("invalid configuration:")
+    assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_an_infinite_sweep_end_is_named(capsys):
+    assert main(["figure", "fig2", "--a-max", "inf", "--a-count", "2"]) == 1
+    assert capsys.readouterr().err == "invalid configuration: --a-max must be finite, got inf\n"
 
 
 def test_main_leaves_the_collector_alone(runner):

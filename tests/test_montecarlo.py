@@ -21,6 +21,7 @@ import tiebound
 from tiebound.approximants import TruncatedPMF, truncated_log, truncated_poisson
 from tiebound.bounds_continuous import NearOrderSpec, near_order_count_pmf
 from tiebound.distributions import geometric_law, gumbel_law, tabulated_law, uniform_law
+from tiebound.errors import DomainError
 from tiebound.maxima import (
     KnSpec,
     argmax_value_law,
@@ -33,6 +34,7 @@ from tiebound.montecarlo import (
     EmpiricalPMF,
     RngStream,
     _discrete_quantile_fn,
+    empirical_law,
     empirical_tv,
     sample_near_order_count,
     sample_size_biased_ties,
@@ -236,6 +238,44 @@ class TestReproducibility:
         spec = KnSpec(law=geometric_law(0.4), n=6)
         value = sample_tie_count(spec, RngStream(seed=5))
         assert isinstance(value, int) and 1 <= value <= 6
+
+
+TALLY_CASES = {
+    "ties-geometric": ("ties", sample_tie_count, KnSpec(law=geometric_law(0.2), n=20)),
+    # K is about 500 give or take 16, so blocks start and end at different
+    # outcomes and the tally grows on both sides
+    "ties-tabulated": ("ties", sample_tie_count, KnSpec(law=tabulated_law([0.5, 0.5]), n=1000)),
+    "size-biased-geometric": ("size-biased", sample_size_biased_ties,
+                              KnSpec(law=geometric_law(0.2), n=20)),
+    "size-biased-tabulated": ("size-biased", sample_size_biased_ties,
+                              KnSpec(law=tabulated_law([0.2, 0.3, 0.5]), n=7)),
+    "near-order-gumbel": ("near-order", sample_near_order_count,
+                          NearOrderSpec(law=gumbel_law(), n=100, ell=1, a=0.3)),
+    "near-order-uniform": ("near-order", sample_near_order_count,
+                           NearOrderSpec(law=uniform_law(1.0), n=200, ell=3, a=0.05)),
+}
+
+
+class TestEmpiricalLaw:
+    @pytest.mark.parametrize("seed", (3, 41))
+    @pytest.mark.parametrize("size", (1, 8191, 8192, 8193, 100_000))
+    @pytest.mark.parametrize("case", TALLY_CASES.values(), ids=TALLY_CASES.keys())
+    def test_tally_equals_the_held_samples(self, case, size, seed):
+        kind, sampler, spec = case
+        tally = empirical_law(kind, spec, RngStream(seed=seed, stream_id=2), size)
+        held = EmpiricalPMF.from_samples(sampler(spec, RngStream(seed=seed, stream_id=2),
+                                                 size=size))
+        assert (tally.k_min, tally.sample_size) == (held.k_min, held.sample_size)
+        assert tally.counts.dtype == held.counts.dtype
+        np.testing.assert_array_equal(tally.counts, held.counts)
+
+    def test_unknown_kind(self):
+        with pytest.raises(DomainError, match="kind"):
+            empirical_law("maxima", KnSpec(law=geometric_law(0.2), n=20), RngStream(seed=1), 10)
+
+    def test_needs_a_draw(self):
+        with pytest.raises(DomainError, match="sample_size"):
+            empirical_law("ties", KnSpec(law=geometric_law(0.2), n=20), RngStream(seed=1), 0)
 
 
 class TestTieCountSampler:

@@ -43,6 +43,10 @@ COMMANDS = [
     ["bound", "thm4", "--n", "10", "--ell", "2", "--eq", "0.1", "--eq2", "0.012"],
     ["simulate", "--law", "gumbel", "--n", "100", "--a", "0.3"],
     ["simulate", "--law", "uniform", "--b", "1", "--n", "200", "--ell", "3", "--a", "0.05"],
+    # many draws over few outcomes: the counts must not depend on how the draws are held
+    ["simulate", "--p", "0.2", "--n", "20", "--mc-samples", "1000000"],
+    ["simulate", "--kind", "size-biased", "--p", "0.2", "--n", "20", "--mc-samples", "200000"],
+    ["simulate", "--law", "gumbel", "--n", "100", "--a", "0.3", "--mc-samples", "200000"],
     # a law of the wrong kind for the command: a one-line error and exit 1
     ["bound", "thm1a", "--law", "gumbel", "--n", "10"],
     ["bound", "thm2", "--law", "uniform", "--b", "1", "--n", "10"],
