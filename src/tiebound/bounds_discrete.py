@@ -1,12 +1,17 @@
 """Explicit total-variation error bounds for the tie count at a discrete maximum.
 
-Three bounds are computed from the exact tie-count series, each packaged as
-a :class:`BoundReport` carrying the matched approximation parameter, the
-moments used, and the certified truncation error:
+Three bounds are formulas of one set of tie-count values: P(K=1), P(K=2),
+E[K], E[(K)_2] and E[(K)_3], which one pass over the maximum gives together
+(``maxima._tie_values``).  Each is packaged as a :class:`BoundReport`
+carrying the matched approximation parameter, the moments used, and the
+certified truncation error:
 
 * ``log_bound_singleton``     - logarithmic target, parameter from P(K=1)/E[K];
 * ``log_bound_second_moment`` - logarithmic target, parameter from E[K]/E[K^2];
 * ``poisson_bound``           - Poisson target, rate E[(K)_2]/E[K].
+
+Each public function sums only the values its formula reads; ``_reports``
+gives all three reports of one sample from a single pass.
 
 ``log_bound_from_moments`` is the same logarithmic bound expressed directly
 in terms of the mean and P(K=2) of an arbitrary positive integer random
@@ -97,7 +102,12 @@ def log_bound_singleton(spec: KnSpec, tol: float = DEFAULT_TOL) -> BoundReport:
         raise DegenerateParameterError(
             "matched logarithmic parameter is degenerate (alpha = 0 at n = 1)"
         )
-    (pk1, _), (pk2, pk2_err), (e1, e1_err) = _tie_values(spec, (1, 2), (1,), tol)
+    return _singleton(*_tie_values(spec, (1, 2), (1,), tol))
+
+
+def _singleton(pk1, pk2, e1) -> BoundReport:
+    """The thm1a report from ``(value, remainder)`` pairs of P(K=1), P(K=2) and E[K]."""
+    (pk1, _), (pk2, pk2_err), (e1, e1_err) = pk1, pk2, e1
     alpha = 1.0 - pk1 / e1
     if not (0.0 < alpha < 1.0):
         raise DegenerateParameterError(
@@ -129,8 +139,11 @@ def log_bound_second_moment(spec: KnSpec, tol: float = DEFAULT_TOL) -> BoundRepo
     if spec.n < 4:
         raise DomainError(f"second-moment bound needs n >= 4, got n = {spec.n}")
     positive_tol(tol)
-    n = spec.n
-    e1, e2, e3 = tie_count_factorial_moment(spec, (1, 2, 3), tol)
+    return _second_moment(spec.n, *tie_count_factorial_moment(spec, (1, 2, 3), tol), tol)
+
+
+def _second_moment(n: int, e1: float, e2: float, e3: float, tol: float) -> BoundReport:
+    """The thm1b report from E[K], E[(K)_2] and E[(K)_3] of a sample of n >= 4."""
     ek2 = e2 + e1  # E[K^2]
     beta = 1.0 - e1 / ek2
     if not (0.0 < beta < 1.0):
@@ -183,8 +196,11 @@ def poisson_bound(spec: KnSpec, tol: float = DEFAULT_TOL) -> BoundReport:
     if spec.n < 3:
         raise DomainError(f"Poisson bound needs n >= 3, got n = {spec.n}")
     positive_tol(tol)
-    n = spec.n
-    e1, e2, e3 = tie_count_factorial_moment(spec, (1, 2, 3), tol)
+    return _poisson(spec.n, *tie_count_factorial_moment(spec, (1, 2, 3), tol), tol)
+
+
+def _poisson(n: int, e1: float, e2: float, e3: float, tol: float) -> BoundReport:
+    """The thm2 report from E[K], E[(K)_2] and E[(K)_3] of a sample of n >= 3."""
     if not (e2 > 0.0):
         raise DegenerateParameterError("second factorial moment vanishes; no Poisson rate")
     lam = e2 / e1
@@ -206,3 +222,13 @@ def poisson_bound(spec: KnSpec, tol: float = DEFAULT_TOL) -> BoundReport:
         truncation_error=8.0 * tol * max(1.0, bound),
         method="thm2",
     )
+
+
+def _reports(spec: KnSpec, tol: float) -> list:
+    """The thm1a, thm1b (for n >= 4) and thm2 reports of a sample of n >= 3, in that
+    order, from one pass over the maximum; each equals its public function's report."""
+    positive_tol(tol)
+    pk1, pk2, *moments = _tie_values(spec, (1, 2), (1, 2, 3), tol)
+    e = [value for value, _ in moments]
+    second = [_second_moment(spec.n, *e, tol)] if spec.n >= 4 else []
+    return [_singleton(pk1, pk2, moments[0]), *second, _poisson(spec.n, *e, tol)]

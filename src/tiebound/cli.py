@@ -18,6 +18,10 @@ Exit codes: 0 success, 1 usage error, 2 degenerate parameter, 3 numeric
 failure (truncation/integration), 4 verification failure.  The default seed
 comes from the TIEBOUND_SEED environment variable when set.
 
+Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is set already,
+so the CLI runs its few small BLAS calls on one thread; set it before the
+first ``import numpy`` to choose another count.
+
 The console entry point ``run`` freezes the heap before the command starts:
 the modules just imported live until exit, so no garbage collection during the
 command or at shutdown needs to walk them again.  The package's submodules load
@@ -33,6 +37,11 @@ import json
 import math
 import os
 import sys
+
+# numpy's bundled OpenBLAS starts worker threads at import that spin for about
+# 0.1 s of CPU, while a command's only BLAS calls are two small dot products;
+# OpenBLAS reads this once, when numpy first loads, and a value the user set wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -227,39 +236,31 @@ def _verify_rows(tol, seed, mc_samples, inject_fault):
     """Yield (ok, line) pairs for every dominance check."""
     fault = 0.5 if inject_fault else 1.0
 
+    def row(check, bound, hi, hi_name="tv_hi"):
+        bound *= fault
+        ok = bound >= hi
+        return ok, f"{'PASS' if ok else 'FAIL'} {check} bound={bound:.9f} {hi_name}={hi:.9f}"
+
+    targets = {"thm1a": approximants.truncated_log, "thm1b": approximants.truncated_log,
+               "thm2": approximants.truncated_poisson}
     for p in VERIFY_PS:
         for n in VERIFY_NS:
-            law = law_from_descriptor({"kind": "geometric", "p": p})
-            spec = KnSpec(law=law, n=n)
+            spec = KnSpec(law=law_from_descriptor({"kind": "geometric", "p": p}), n=n)
             exact = tie_count_law(spec, tol)
-            checks = []
-            r1 = bounds_discrete.log_bound_singleton(spec, tol)
-            target = approximants.truncated_log(r1.params["alpha"], tol / 10)
-            checks.append(("thm1a", r1.bound, approximants.tv_distance(exact, target).hi))
-            if n >= 4:
-                r2 = bounds_discrete.log_bound_second_moment(spec, tol)
-                target = approximants.truncated_log(r2.params["beta"], tol / 10)
-                checks.append(("thm1b", r2.bound, approximants.tv_distance(exact, target).hi))
-            r3 = bounds_discrete.poisson_bound(spec, tol)
-            target = approximants.truncated_poisson(r3.params["lambda"], tol / 10)
-            checks.append(("thm2", r3.bound, approximants.tv_distance(exact, target).hi))
-            for method, bound, tv_hi in checks:
-                bound *= fault
-                ok = bound >= tv_hi
-                yield ok, (f"{'PASS' if ok else 'FAIL'} discrete {method} "
-                           f"p={p} n={n} bound={bound:.9f} tv_hi={tv_hi:.9f}")
+            for report in bounds_discrete._reports(spec, tol):
+                target = targets[report.method](*report.params.values(), tol / 10)
+                yield row(f"discrete {report.method} p={p} n={n}", report.bound,
+                          approximants.tv_distance(exact, target).hi)
 
     # the negative binomial carries an atom at zero that the logarithmic law
     # cannot match, so the valid comparison is the positive-part discrepancy
     for alpha in (0.2, 0.5, 0.8):
+        ref = approximants.truncated_log(alpha, tol / 10)
         for ell in (0.5, 1.0, 2.0):
-            bound = fault * stein.log_vs_negbin_bound(alpha, alpha, ell)
             target = approximants.truncated_negbin(ell, alpha, tol / 10)
-            ref = approximants.truncated_log(alpha, tol / 10)
-            dist_hi = approximants.positive_part_distance(target, ref).hi
-            ok = bound >= dist_hi
-            yield ok, (f"{'PASS' if ok else 'FAIL'} log-vs-negbin alpha={alpha} "
-                       f"ell={ell} bound={bound:.9f} positive_part_hi={dist_hi:.9f}")
+            yield row(f"log-vs-negbin alpha={alpha} ell={ell}",
+                      stein.log_vs_negbin_bound(alpha, alpha, ell),
+                      approximants.positive_part_distance(target, ref).hi, "positive_part_hi")
 
     continuous = [
         ({"kind": "uniform", "b": 1.0}, 8, 1, 0.05),
@@ -271,11 +272,8 @@ def _verify_rows(tol, seed, mc_samples, inject_fault):
         report = bounds_continuous.negbin_bound_near_order(spec, 1e-10)
         mixture = bounds_continuous.near_order_count_pmf(spec, 1e-10)
         target = approximants.truncated_negbin(ell, report.params["beta"], 1e-11)
-        tv_hi = approximants.tv_distance(mixture, target).hi
-        bound = fault * report.bound
-        ok = bound >= tv_hi
-        yield ok, (f"{'PASS' if ok else 'FAIL'} continuous thm3 {desc['kind']} "
-                   f"n={n} ell={ell} a={a} bound={bound:.9f} tv_hi={tv_hi:.9f}")
+        yield row(f"continuous thm3 {desc['kind']} n={n} ell={ell} a={a}", report.bound,
+                  approximants.tv_distance(mixture, target).hi)
 
     if mc_samples > 0:
         for stream_id, (p, n) in enumerate(MC_POINTS):

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import tiebound
-from tiebound import bounds_continuous
-from tiebound.cli import main, round3
+from tiebound import bounds_continuous, bounds_discrete
+from tiebound.cli import VERIFY_NS, VERIFY_PS, main, round3
 from tiebound.distributions import geometric_law, gumbel_law
 from tiebound.maxima import KnSpec, size_biased_tie_law, size_biased_tie_pmf
 
@@ -189,6 +189,34 @@ class TestVerifyCommand:
         result = runner(["verify", "--mc-samples", "0"])
         assert result.exit_code == 0
         assert "montecarlo" not in result.output
+
+
+@pytest.fixture
+def series_passes(monkeypatch):
+    """The calls of ``maxima._sums``, each one pass over the maximum, from here on."""
+    calls = []
+    sums = tiebound.maxima._sums
+    monkeypatch.setattr(tiebound.maxima, "_sums", lambda *args: calls.append(args) or sums(*args))
+    return calls
+
+
+def test_verify_sums_the_series_of_each_spec_once(runner, series_passes):
+    assert runner(["verify", "--mc-samples", "0"]).exit_code == 0
+    assert len(series_passes) == len(VERIFY_PS) * len(VERIFY_NS) == 24
+
+
+def test_verify_reports_equal_the_public_bounds(series_passes):
+    # every grid n is at least 4, so each spec has all three reports
+    public = (bounds_discrete.log_bound_singleton, bounds_discrete.log_bound_second_moment,
+              bounds_discrete.poisson_bound)
+    for p in VERIFY_PS:
+        for n in VERIFY_NS:
+            spec = KnSpec(law=geometric_law(p), n=n)
+            series_passes.clear()
+            reports = [r.as_dict() for r in bounds_discrete._reports(spec, 1e-12)]
+            assert len(series_passes) == 1
+            assert reports == [bound(spec, 1e-12).as_dict() for bound in public]
+            assert len(series_passes) == 1 + len(public)  # one pass per public call
 
 
 class TestSimulateCommand:
@@ -407,6 +435,23 @@ def test_public_api_is_unchanged():
     assert tiebound.__version__ == "0.1.0"
     with pytest.raises(AttributeError, match="no_such_name"):
         tiebound.no_such_name
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_the_cli_runs_blas_on_one_thread_unless_told_otherwise(preset):
+    # the variable is set in the child before anything imports numpy
+    preset_it = (f"os.environ['OPENBLAS_NUM_THREADS'] = {preset!r}" if preset
+                 else "os.environ.pop('OPENBLAS_NUM_THREADS', None)")
+    code = ("import json, os\n"
+            f"{preset_it}\n"
+            "import tiebound.cli\n"
+            "tasks = '/proc/self/task'  # Linux only\n"
+            "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
+            "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), threads]))\n")
+    value, threads = json.loads(_run_python(code))
+    assert value == (preset or "1")
+    if preset is None:
+        assert threads in (1, None)
 
 
 def test_a_fresh_process_raises_no_warning():

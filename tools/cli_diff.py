@@ -33,6 +33,14 @@ COMMANDS = [
     ["bound", "thm2", "--p", "1e-3", "--n", "100000"],
     ["bound", "thm2", "--mu", "300", "--n", "1000000000"],
     ["bound", "thm1a", "--law", "tabulated", "--weights", "0.2,0.3,0.5", "--n", "7"],
+    # the discrete bounds at the smallest n each takes and at a `verify` grid point, which
+    # `verify` prints to 9 decimals only
+    ["bound", "thm1a", "--p", "0.5", "--n", "2"],
+    ["bound", "thm2", "--p", "0.5", "--n", "3"],
+    ["bound", "thm1b", "--p", "0.05", "--n", "4"],
+    ["bound", "thm1a", "--p", "0.3", "--n", "10"],
+    ["bound", "thm1b", "--p", "0.3", "--n", "10"],
+    ["bound", "thm2", "--p", "0.3", "--n", "10"],
     ["simulate", "--p", "0.01", "--n", "10000"],
     ["simulate", "--kind", "size-biased", "--p", "0.2", "--n", "20"],
     ["simulate", "--kind", "size-biased", "--p", "0.001", "--n", "100000"],
