@@ -35,7 +35,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .approximants import TruncatedPMF
-from .binomial import _EPS, _log_binom_tail, _log_binom_term, _mode, binom_rows, binom_window
+from .binomial import (_EPS, _log_binom_tail, _log_binom_term, _log_choose, _mode, binom_rows,
+                       binom_window)
 from .bounds_discrete import BoundReport
 from .distributions import ContinuousLaw
 from .errors import (DegenerateParameterError, DomainError, IntegrationError, integer_in,
@@ -150,6 +151,17 @@ def gap_ratio(law: ContinuousLaw, a: float, x):
     return r if r.ndim else float(r)
 
 
+def _normal_quantile(log_p: float) -> float:
+    """The standard normal quantile z at p = exp(log_p) <= 1/2: Abramowitz
+    and Stegun 26.2.23, good to 4.5e-4, then one Newton step on log Phi(z)
+    by ``math.erfc``, for about 1e-7.  A start for Newton, not a value."""
+    t = math.sqrt(-2.0 * log_p)
+    z = (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))) - t
+    cdf = 0.5 * math.erfc(-z / math.sqrt(2.0))
+    return z - (math.log(cdf) - log_p) * cdf * math.sqrt(2.0 * math.pi) * math.exp(0.5 * z * z)
+
+
 def _log_beta_root(a: int, b: int, log_p: float) -> float:
     """x = log u with log I_u(a, b) = log_p, for integers a, b >= 2 and p <= 1/2.
 
@@ -157,25 +169,32 @@ def _log_beta_root(a: int, b: int, log_p: float) -> float:
     of log U is log-concave), so Newton's iterates that start left of the
     root rise to it; one from the right lands left of it.  The start is
     the normal approximation, inside the bracket from I_u <= C(a+b-1, a) u**a
-    on the left and x = 0 on the right; a step leaving the bracket bisects.
+    on the left, with log C from Loader's form (:func:`_log_choose`; an
+    lgamma difference at a+b = 1e9 puts this end past the root), and x = 0
+    on the right; a step leaving the bracket bisects.  The search stops
+    once |log I_u - log_p| is within the tail's own rounding, 4 eps
+    max(1, |log_p|), or a Newton step within x's own, 2 eps |x|.
     """
-    from statistics import NormalDist  # here, so that other commands skip its import
-
     m = a + b - 1
-    lo, hi = (log_p - math.lgamma(m + 1) + math.lgamma(a + 1) + math.lgamma(b)) / a, 0.0
+    lo, hi = (log_p - _log_choose(m, a)) / a, 0.0
     mean, var = a / (m + 1.0), a * b / ((m + 1.0) ** 2 * (m + 2.0))
-    guess = mean + NormalDist().inv_cdf(math.exp(log_p)) * math.sqrt(var)
+    guess = mean + _normal_quantile(log_p) * math.sqrt(var)
     x = max(math.log(guess), lo) if 0.0 < guess < 1.0 else lo
+    rounding = 4.0 * _EPS * max(1.0, abs(log_p))
     for _ in range(200):
+        # I_u = P(Bin(m, u) >= a) = P(Bin(m, 1-u) <= b-1), in 1 - u = -expm1(x)
+        # past u = 1/2, so that the tail never sees a u rounded next to 1
         u = math.exp(x)
-        log_tail = _log_binom_tail(m, a - 1, u, upper=True)
-        if log_tail == log_p:
+        upper = u < 0.5
+        q, k = (u, a - 1) if upper else (-math.expm1(x), b - 1)
+        log_tail = _log_binom_tail(m, k, q, upper)
+        if abs(log_tail - log_p) <= rounding:
             return x
         lo, hi = (x, hi) if log_tail < log_p else (lo, x)
-        # d log I / dx = u f(u) / I, and u f(u) = a P(Bin(m, u) = a)
-        slope = a * math.exp(_log_binom_term(m, a, u) - log_tail)
+        # d log I / dx = u f(u) / I, and u f(u) = a P(Bin(m, u) = a) = a P(Bin(m, 1-u) = b-1)
+        slope = a * math.exp(_log_binom_term(m, k + upper, q) - log_tail)
         x_new = x - (log_tail - log_p) / slope if slope > 0.0 else math.nan
-        if abs(x_new - x) <= 2.0 * _EPS * max(1.0, abs(x)):  # a relative step in u
+        if abs(x_new - x) <= 2.0 * _EPS * abs(x):
             return x_new
         x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
     return x

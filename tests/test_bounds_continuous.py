@@ -15,11 +15,13 @@ import pytest
 from scipy import integrate, stats
 
 import tiebound
+from tiebound import bounds_continuous
 from tiebound.approximants import truncated_negbin, tv_distance
 from tiebound.binomial import _log_binom_tail, _log_choose, binom_rows, binom_window
 from tiebound.bounds_continuous import (
     MixedBinomialSpec,
     NearOrderSpec,
+    _BULK_PROBS,
     _TAIL_PROBS,
     _beta_quantile,
     _gap_ratio_moments,
@@ -547,11 +549,18 @@ class TestBinomialTails:
 BETA_PROBS = (1e-9, 0.05, 0.5, 0.95, 1.0 - 1e-9)
 
 
+def _quantile_tol(x):
+    """1e-11 relative to the nearer end, plus 4 eps: relative to x below 1/2,
+    where a double holds x to eps relative, and absolute above."""
+    return 1e-11 * min(x, 1.0 - x) + 4.0 * np.finfo(float).eps * (x if x < 0.5 else 1.0)
+
+
 class TestBetaQuantile:
     @pytest.mark.parametrize("n,ell", [(8, 1), (10, 2), (50, 3), (200, 3), (10**6, 1), (10**6, 3),
-                                       (10**9, 1), (10, 10), (1000, 500), (10**9, 5 * 10**8)])
+                                       (10**9, 1), (10, 10), (1000, 500), (10**9, 5 * 10**8),
+                                       (10**9, 3), (10**4, 7)])
     def test_matches_high_precision_inversion(self, n, ell):
-        lower = _beta_quantile(n, ell, BETA_PROBS)
+        lower = _beta_quantile(n, ell, _TAIL_PROBS + BETA_PROBS)
         upper = _beta_quantile(n, ell, _TAIL_PROBS, upper=True)
         assert np.all(np.diff(lower) >= 0.0) and np.all(np.diff(upper) <= 0.0)
 
@@ -564,12 +573,26 @@ class TestBetaQuantile:
         # |x - v*| <= tol, with v* the exact quantile, iff the exact cdf
         # brackets p on [x - tol, x + tol]
         with mp.workdps(50):
-            for p, x in zip(BETA_PROBS, lower.tolist()):
-                tol = 1e-11 * min(x, 1.0 - x) + 4.0 * np.finfo(float).eps
+            for p, x in zip(_TAIL_PROBS + BETA_PROBS, lower.tolist()):
+                tol = _quantile_tol(x)
                 assert below(mp.mpf(x) - tol) <= p <= below(mp.mpf(x) + tol), (p, x)
             for p, x in zip(_TAIL_PROBS, upper.tolist()):
-                tol = 1e-11 * min(x, 1.0 - x) + 4.0 * np.finfo(float).eps
+                tol = _quantile_tol(x)
                 assert above(mp.mpf(x) + tol) <= p <= above(mp.mpf(x) - tol), (p, x)
+
+    @pytest.mark.parametrize("n,ell", [(10**9, 3), (10**4, 7), (200, 3), (10**9, 5 * 10**8)])
+    def test_newton_converges_in_few_tail_evaluations(self, n, ell, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return _log_binom_tail(*args, **kwargs)
+
+        monkeypatch.setattr(bounds_continuous, "_log_binom_tail", counted)
+        for p, upper in itertools.product(_TAIL_PROBS + _BULK_PROBS, (False, True)):
+            calls.clear()
+            _beta_quantile(n, ell, [p], upper=upper)
+            assert len(calls) <= 10, (p, upper, len(calls))
 
     def test_huge_symmetric_shapes_are_fast_and_small(self):
         elapsed = []

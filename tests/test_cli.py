@@ -294,6 +294,8 @@ class TestSimulateCommand:
 SCIPY_FREE_COMMANDS = {
     "discrete": ["bound", "thm2", "--p", "0.1", "--n", "10"],
     "thm3": ["bound", "thm3", "--law", "gumbel", "--n", "100", "--a", "0.3"],
+    "thm3-ell3": ["bound", "thm3", "--law", "uniform", "--b", "1", "--n", "200", "--ell", "3",
+                  "--a", "0.05"],
     "simulate-near-order": ["simulate", "--law", "uniform", "--b", "1", "--n", "20", "--a", "0.1",
                             "--mc-samples", "100"],
     "simulate-near-order-ell3": ["simulate", "--law", "uniform", "--b", "1", "--n", "20",
@@ -316,14 +318,15 @@ def _run_python(code):
 
 
 @pytest.mark.parametrize("argv", SCIPY_FREE_COMMANDS.values(), ids=SCIPY_FREE_COMMANDS.keys())
-def test_commands_import_only_the_scipy_they_need(argv):
-    # since no command needs scipy, none may load any of it
+def test_commands_skip_scipy_statistics_and_fractions(argv):
+    # no command needs scipy, nor the standard library's statistics or the
+    # fractions it imports, so none may load any of them
     code = ("import contextlib, io, json, sys, tiebound.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert tiebound.cli.main({argv!r}) == 0\n"
             "print(json.dumps(sorted(sys.modules)))\n")
     loaded = json.loads(_run_python(code).strip().split("\n")[-1])
-    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
+    assert [m for m in loaded if m.split(".")[0] in ("scipy", "statistics", "fractions")] == []
 
 
 def test_commands_run_only_the_modules_they_need():

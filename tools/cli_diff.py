@@ -48,6 +48,9 @@ COMMANDS = [
     ["bound", "thm3", "--law", "gumbel", "--n", "100", "--a", "0.3"],
     ["bound", "thm3", "--law", "uniform", "--b", "1", "--n", "200", "--ell", "3", "--a", "0.05"],
     ["bound", "thm3", "--law", "gumbel", "--n", "1000000", "--a", "0.3"],
+    # near-order panel edges at the rank-3 lower tail of n = 1e9 and the (1e4, 7) tails
+    ["bound", "thm3", "--law", "gumbel", "--n", "1000000000", "--ell", "3", "--a", "0.3"],
+    ["bound", "thm3", "--law", "uniform", "--b", "1", "--n", "10000", "--ell", "7", "--a", "0.001"],
     ["bound", "thm4", "--n", "10", "--ell", "2", "--eq", "0.1", "--eq2", "0.012"],
     ["simulate", "--law", "gumbel", "--n", "100", "--a", "0.3"],
     ["simulate", "--law", "uniform", "--b", "1", "--n", "200", "--ell", "3", "--a", "0.05"],
