@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, TruncationError, positive_tol
+from .errors import DomainError, TruncationError, integer_in, positive_tol, real_in
 
 __all__ = [
     "TruncatedPMF",
@@ -66,7 +66,7 @@ class TruncatedPMF:
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
         if self.probs.ndim != 1 or self.probs.size == 0:
             raise DomainError("probs must be a non-empty 1-d vector")
-        if self.tail_mass_bound < 0.0:
+        if not (0.0 <= self.tail_mass_bound <= math.inf):
             raise DomainError("tail_mass_bound must be non-negative")
 
     @property
@@ -91,20 +91,16 @@ class TVInterval(NamedTuple):
 
 def log_pmf(alpha: float, k: int) -> float:
     """Logarithmic law on {1, 2, ...}: P(k) = -alpha**k / (k * log(1 - alpha))."""
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"logarithmic parameter must lie in (0, 1), got {alpha!r}")
-    if k < 1:
-        raise DomainError("logarithmic support starts at 1")
+    real_in(alpha, 0.0, 1.0, "logarithmic parameter")
+    k = integer_in(k, 1, what="logarithmic outcome")
     norm = -math.log1p(-alpha)
     return math.exp(k * math.log(alpha) - math.log(k) - math.log(norm))
 
 
 def poisson_pmf(lam: float, k: int) -> float:
     """Poisson law on {0, 1, ...}: P(k) = exp(-lam) * lam**k / k!."""
-    if not (lam > 0.0) or not math.isfinite(lam):
-        raise DomainError(f"Poisson rate must be a positive real, got {lam!r}")
-    if k < 0:
-        raise DomainError("Poisson support starts at 0")
+    real_in(lam, 0.0, math.inf, "Poisson rate")
+    k = integer_in(k, 0, what="Poisson outcome")
     if k == 0:
         return math.exp(-lam)
     return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
@@ -117,12 +113,9 @@ def negbin_pmf(ell: float, beta: float, k: int) -> float:
     For ell = 1 this reduces to (1 - beta) * beta**k, which is returned
     exactly (no log-gamma round trip).
     """
-    if not (ell > 0.0) or not math.isfinite(ell):
-        raise DomainError(f"negative binomial shape must be positive, got {ell!r}")
-    if not (0.0 < beta < 1.0):
-        raise DomainError(f"negative binomial odds must lie in (0, 1), got {beta!r}")
-    if k < 0:
-        raise DomainError("negative binomial support starts at 0")
+    real_in(ell, 0.0, math.inf, "negative binomial shape")
+    real_in(beta, 0.0, 1.0, "negative binomial odds")
+    k = integer_in(k, 0, what="negative binomial outcome")
     if ell == 1.0:
         return (1.0 - beta) * beta**k
     lg = math.lgamma(ell + k) - math.lgamma(ell) - math.lgamma(k + 1)

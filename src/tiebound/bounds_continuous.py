@@ -40,7 +40,7 @@ from .binomial import (_EPS, _log_binom_tail, _log_binom_term, _log_choose, _mod
 from .bounds_discrete import BoundReport
 from .distributions import ContinuousLaw
 from .errors import (DegenerateParameterError, DomainError, IntegrationError, integer_in,
-                     positive_tol)
+                     positive_tol, real_in)
 
 __all__ = [
     "MixedBinomialSpec",
@@ -77,12 +77,9 @@ class MixedBinomialSpec:
         object.__setattr__(self, "ell", integer_in(self.ell, 1, self.n, "rank"))
         if not (0.0 <= self.eq <= 1.0):
             raise DomainError(f"E[Q] must lie in [0, 1], got {self.eq!r}")
-        if self.eq2 < 0.0 or self.eq2 > self.eq + 1e-9:
-            raise DomainError(f"E[Q^2] = {self.eq2!r} incompatible with E[Q] = {self.eq!r}")
-        if self.eq2 < self.eq * self.eq - 1e-9:
-            raise DomainError(
-                f"E[Q^2] = {self.eq2!r} below E[Q]^2 = {self.eq * self.eq!r}"
-            )
+        if not (max(0.0, self.eq * self.eq - 1e-9) <= self.eq2 <= self.eq + 1e-9):
+            raise DomainError(f"E[Q^2] = {self.eq2!r} must lie in [E[Q]^2, E[Q]] within 1e-9, "
+                              f"E[Q] = {self.eq!r}")
 
 
 @dataclass(frozen=True)
@@ -100,8 +97,7 @@ class NearOrderSpec:
                               f"got {type(self.law).__name__}")
         object.__setattr__(self, "n", integer_in(self.n, 1, what="sample size"))
         object.__setattr__(self, "ell", integer_in(self.ell, 1, self.n, "rank"))
-        if not (self.a > 0.0):
-            raise DomainError(f"distance threshold must be positive, got {self.a!r}")
+        real_in(self.a, 0.0, math.inf, "distance threshold")
 
 
 def negbin_bound_mixed(spec: MixedBinomialSpec) -> BoundReport:
@@ -391,10 +387,16 @@ def gap_ratio_moment(spec: NearOrderSpec, j: int, tol: float = 1e-10) -> float:
     certificate.  Raises :class:`IntegrationError` carrying the achieved
     estimate when it does not.
     """
-    if j not in (1, 2):
-        raise DomainError(f"moment order must be 1 or 2, got {j!r}")
+    j = integer_in(j, 1, 2, "moment order")
     positive_tol(tol)
     return float(_gap_ratio_moments(spec, [j], tol)[0][0])
+
+
+def _closed_form_args(n, ell, a, j) -> tuple:
+    """``(n, ell, j)`` of a closed-form gap-ratio moment as ints, once they and ``a`` pass."""
+    n = integer_in(n, 1, what="sample size")
+    real_in(a, 0.0, math.inf, "distance threshold")
+    return n, integer_in(ell, 1, n, "rank"), integer_in(j, 1, 2, "moment order")
 
 
 def gumbel_gap_moment(n: int, a: float, j: int) -> float:
@@ -403,16 +405,11 @@ def gumbel_gap_moment(n: int, a: float, j: int) -> float:
     With c = e**a - 1:  j=1 gives c / (n + c); j=2 gives
     2 c**2 / ((n + c)(n + 2c)).  Exact for every a > 0.
     """
-    if n < 1:
-        raise DomainError(f"sample size must be positive, got {n!r}")
-    if not (a > 0.0):
-        raise DomainError(f"distance threshold must be positive, got {a!r}")
+    n, _, j = _closed_form_args(n, 1, a, j)
     c = math.expm1(a)
     if j == 1:
         return c / (n + c)
-    if j == 2:
-        return 2.0 * c * c / ((n + c) * (n + 2.0 * c))
-    raise DomainError(f"moment order must be 1 or 2, got {j!r}")
+    return 2.0 * c * c / ((n + c) * (n + 2.0 * c))
 
 
 def gumbel_gap_moment_exact(n: int, ell: int, a: float, j: int) -> float:
@@ -429,12 +426,7 @@ def gumbel_gap_moment_exact(n: int, ell: int, a: float, j: int) -> float:
     that expands the same moments.  Reduces to :func:`gumbel_gap_moment`
     at ell = 1.
     """
-    if not (1 <= ell <= n):
-        raise DomainError(f"rank must lie in [1, {n}], got {ell!r}")
-    if not (a > 0.0):
-        raise DomainError(f"distance threshold must be positive, got {a!r}")
-    if j not in (1, 2):
-        raise DomainError(f"moment order must be 1 or 2, got {j!r}")
+    n, ell, j = _closed_form_args(n, ell, a, j)
     c = math.expm1(a)
     ms = range(n - ell + 1, n + 1)
     log_p1 = math.fsum(math.log1p(-c / (m + c)) for m in ms)
@@ -455,19 +447,13 @@ def uniform_gap_moment(n: int, ell: int, a: float, b: float, j: int) -> float:
     are the forms whose bound specializes nicely (see
     :func:`uniform_gap_moment_exact` for the exact expectation).
     """
-    if not (1 <= ell <= n):
-        raise DomainError(f"rank must lie in [1, {n}], got {ell!r}")
-    if not (a > 0.0) or not (b > 0.0):
-        raise DomainError("threshold and width must be positive")
+    n, ell, j = _closed_form_args(n, ell, a, j)
+    real_in(b, 0.0, math.inf, "uniform width")
+    if n - ell < j:
+        raise DomainError(f"need n - ell >= {j} for the moment form of order {j}")
     if j == 1:
-        if n - ell < 1:
-            raise DomainError("need n - ell >= 1 for the first moment form")
         return a * n / (b * (n - ell))
-    if j == 2:
-        if n - ell < 2:
-            raise DomainError("need n - ell >= 2 for the second moment form")
-        return a * a * n * (n - 1) / (b * b * (n - ell) * (n - ell - 1))
-    raise DomainError(f"moment order must be 1 or 2, got {j!r}")
+    return a * a * n * (n - 1) / (b * b * (n - ell) * (n - ell - 1))
 
 
 def uniform_gap_moment_exact(n: int, ell: int, a: float, b: float, j: int) -> float:
@@ -486,12 +472,8 @@ def uniform_gap_moment_exact(n: int, ell: int, a: float, b: float, j: int) -> fl
     For a >= b the ratio saturates everywhere and the moment is exactly 1.
     Requires n - ell >= j so the second tail is defined.
     """
-    if not (1 <= ell <= n):
-        raise DomainError(f"rank must lie in [1, {n}], got {ell!r}")
-    if not (a > 0.0) or not (b > 0.0):
-        raise DomainError("threshold and width must be positive")
-    if j not in (1, 2):
-        raise DomainError(f"moment order must be 1 or 2, got {j!r}")
+    n, ell, j = _closed_form_args(n, ell, a, j)
+    real_in(b, 0.0, math.inf, "uniform width")
     if a >= b:
         return 1.0
     if n - ell < j:
@@ -546,8 +528,7 @@ def gumbel_max_bound(n: int, a: float) -> float:
     Vanishes as a -> 0 (the a = 0 limit is returned exactly) and matches the
     generic quadrature pipeline at rank 1.
     """
-    if n < 2:
-        raise DomainError(f"need at least two observations, got {n!r}")
+    n = integer_in(n, 2, what="sample size")
     if not 0.0 <= a < math.inf:
         raise DomainError(f"distance threshold must be a non-negative real, got {a!r}")
     if a == 0.0:

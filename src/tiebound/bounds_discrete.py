@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DegenerateParameterError, DomainError, NumericError, positive_tol
+from .errors import DegenerateParameterError, DomainError, NumericError, positive_tol, real_in
 from .maxima import DEFAULT_TOL, KnSpec, _tie_values, tie_count_factorial_moment
 # not called here: bound because the benchmark's tracer test checks it patches this name
 from .maxima import tie_count_pmf  # noqa: F401
@@ -76,12 +76,10 @@ def log_bound_from_moments(mean: float, p_two: float, alpha: float) -> float:
     With alpha = P(K* > 1) for the size-biased K*, the distance to L(alpha)
     is at most -2 log(1-alpha) (E[K] - 2 (1-alpha)/alpha * P(K=2)).
     """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"parameter must lie in (0, 1), got {alpha!r}")
-    if not (mean > 0.0):
-        raise DomainError(f"mean must be positive, got {mean!r}")
-    if p_two < 0.0:
-        raise DomainError(f"P(K=2) must be non-negative, got {p_two!r}")
+    real_in(alpha, 0.0, 1.0, "logarithmic parameter")
+    real_in(mean, 0.0, math.inf, "mean")
+    if not (0.0 <= p_two <= 1.0):
+        raise DomainError(f"P(K=2) must lie in [0, 1], got {p_two!r}")
     return -2.0 * math.log1p(-alpha) * (mean - 2.0 * (1.0 - alpha) / alpha * p_two)
 
 
@@ -171,10 +169,8 @@ def geometric_link_bound(mean: float, beta: float, tv_star_geometric: float) -> 
 
     of the logarithmic law L(beta).
     """
-    if not (0.0 < beta < 1.0):
-        raise DomainError(f"odds must lie in (0, 1), got {beta!r}")
-    if not (mean > 0.0):
-        raise DomainError(f"mean must be positive, got {mean!r}")
+    real_in(beta, 0.0, 1.0, "geometric odds")
+    real_in(mean, 0.0, math.inf, "mean")
     if not (0.0 <= tv_star_geometric <= 1.0):
         raise DomainError("a total variation distance must lie in [0, 1]")
     return (-2.0 * (1.0 + beta) * math.log1p(-beta) / beta

@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import json
 import math
 import os
 import sys
@@ -167,6 +166,8 @@ def cmd_bound(args):
     doc["n"] = n
     doc["bound_rounded"] = round3(report.bound)
     if args.fmt == "json":
+        import json  # here, so that commands that write no JSON skip its import
+
         _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)
     else:
         header = ["method", "bound", "bound_rounded", "informative", "truncation_error"]
@@ -198,6 +199,8 @@ def cmd_table1(args):
                 cells.append(DASH if report.bound > 1.0 else round3(report.bound))
         rows.append((mu, cells))
     if args.fmt == "json":
+        import json
+
         doc = [{"mu": mu, "cells": {str(n): c for n, c in zip(TABLE1_NS, cells)}}
                for mu, cells in rows]
         _emit(json.dumps(doc, sort_keys=True) + "\n", args.out)

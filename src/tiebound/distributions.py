@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, real_in
 
 __all__ = [
     "DiscreteLaw",
@@ -95,8 +95,7 @@ def geometric_law(p: float) -> DiscreteLaw:
     it stays accurate both for p near 0 and for p near 1 (e.g. p = 1 - mu/n
     with n up to 1e9).
     """
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"geometric parameter must lie in (0, 1), got {p!r}")
+    real_in(p, 0.0, 1.0, "geometric parameter")
     q = 1.0 - p
     log_q = math.log1p(-p)
 
@@ -212,8 +211,7 @@ def gumbel_law() -> ContinuousLaw:
 
 def uniform_law(b: float) -> ContinuousLaw:
     """Uniform law on (0, b): log F(x) = log(clamp(x/b, 0, 1)), x = b u."""
-    if not (b > 0.0) or not math.isfinite(b):
-        raise DomainError(f"uniform width must be a positive real, got {b!r}")
+    real_in(b, 0.0, math.inf, "uniform width")
 
     def logcdf(x):
         with np.errstate(divide="ignore"):  # log 0 = -inf at and below 0

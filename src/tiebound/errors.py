@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the integer and tolerance checks."""
+"""Exception hierarchy shared across the package, and its one check per kind of argument."""
 
 import math
 import operator
@@ -62,8 +62,13 @@ def integer_in(value, lo: int, hi=None, what: str = "value") -> int:
     return k
 
 
+def real_in(value, lo: float, hi: float, what: str = "value"):
+    """``value`` if ``lo < value < hi``: an open interval, which a NaN never lies in."""
+    if not lo < value < hi:
+        raise DomainError(f"{what} must lie in ({lo!r}, {hi!r}), got {value!r}")
+    return value
+
+
 def positive_tol(tol: float) -> float:
-    """``tol`` if it is a positive finite number; a NaN or infinite ``tol`` fails too."""
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tolerance must be a positive finite number, got {tol!r}")
-    return tol
+    """``tol`` if it is a positive finite number."""
+    return real_in(tol, 0.0, math.inf, "tolerance")

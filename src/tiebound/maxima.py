@@ -186,6 +186,11 @@ def tie_count_factorial_moment(spec: KnSpec, ell, tol: float = DEFAULT_TOL):
     return _values(spec, ell, tol, pmf=False)
 
 
+def _log_z(law: DiscreteLaw, n: int) -> float:
+    """log Z, Z = sum_j p(j) F(j)**(n-1) = E[K] / n, within 1e-14 relatively."""
+    return _sums(law, [(1, n - 1, False, math.log(1e-14), True)])[0][0]
+
+
 def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
     """The law of K, or of K*, from one blocked pass of binomial rows over j.
 
@@ -221,7 +226,7 @@ def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
     positive_tol(tol)
     law, n = spec.law, spec.n
     m = n - 1 if biased else n
-    log_z = _sums(law, [(1, n - 1, False, math.log(1e-14), True)])[0][0] if biased else 0.0
+    log_z = _log_z(law, n) if biased else 0.0
     last, suffix = law.support_max, 0.0
     if last is None:
         log_scale = math.log(law.tail_const) - (log_z if biased else -math.log(n))
@@ -313,10 +318,15 @@ def size_biased_tie_law(spec: KnSpec, tol: float = DEFAULT_TOL) -> TruncatedPMF:
 
 
 def size_biased_tie_pmf(spec: KnSpec, k: int, tol: float = DEFAULT_TOL) -> float:
-    """P(K* = k) = k P(K = k) / E[K] for the size-biased tie count."""
+    """P(K* = k) = k P(K = k) / E[K] for the size-biased tie count, within ``tol``.
+
+    One pass gives P(K = k) within d = tol / (4k) absolutely and E[K] within
+    e = d relatively.  As E[K] >= 1 and k P(K = k) <= E[K], the quotient then
+    errs by at most (k d + e) / (1 - e) <= 2 tol / 3 for tol <= 1.
+    """
     k = integer_in(k, 1, spec.n, "tie count")
-    e1 = tie_count_factorial_moment(spec, 1, tol / 4.0)
-    v = tie_count_pmf(spec, k, tol * e1 / (4.0 * k))
+    positive_tol(tol)
+    (v, _), (e1, _) = _tie_values(spec, (k,), (1,), tol / (4 * k))
     return k * v / e1
 
 
@@ -332,7 +342,7 @@ def argmax_value_law(spec: KnSpec) -> DiscreteLaw:
     base = spec.law
     if n == 1:
         return base
-    log_z = _sums(base, [(1, n - 1, False, math.log(1e-14), True)])[0][0]
+    log_z = _log_z(base, n)
     z = math.exp(log_z)
 
     def pmf(m):
@@ -396,8 +406,7 @@ def tie_given_max_moment(spec: KnSpec, j: int, tol: float = DEFAULT_TOL) -> floa
     stay non-negative, and the matching factorial-moment identities divide
     by n - 1 and n - 2).
     """
-    if j not in (1, 2):
-        raise DomainError(f"moment order must be 1 or 2, got {j!r}")
+    j = integer_in(j, 1, 2, "moment order")
     if spec.n < j + 1:
         raise DomainError(f"need at least {j + 1} observations for moment order {j}")
     positive_tol(tol)

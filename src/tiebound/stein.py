@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximants import log_pmf
-from .errors import DomainError, TruncationError, positive_tol
+from .errors import TruncationError, integer_in, positive_tol, real_in
 
 __all__ = [
     "SteinTestFn",
@@ -50,11 +50,8 @@ class SteinTestFn:
     complement: bool = False
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"parameter must lie in (0, 1), got {self.alpha!r}")
-        members = frozenset(int(k) for k in self.members)
-        if any(k < 0 for k in members):
-            raise DomainError("outcome sets live on the non-negative integers")
+        real_in(self.alpha, 0.0, 1.0, "logarithmic parameter")
+        members = frozenset(integer_in(k, 0, what="test-set outcome") for k in self.members)
         object.__setattr__(self, "members", members)
         inside = math.fsum(log_pmf(self.alpha, k) for k in members if k >= 1)
         prob = 1.0 - inside if self.complement else inside
@@ -78,8 +75,7 @@ def stein_solution(test: SteinTestFn, k: int, tol: float = 1e-13) -> float:
     The remainder after J terms is at most alpha**J / ((1-alpha) (J+k+1)) in
     absolute value since |h| <= 1.
     """
-    if k < 0:
-        raise DomainError("the solution is defined on the non-negative integers")
+    k = integer_in(k, 0, what="Stein solution argument")
     positive_tol(tol)
     alpha = test.alpha
     log_a = math.log(alpha)
@@ -104,8 +100,7 @@ def stein_residual(test: SteinTestFn, k: int, tol: float = 1e-13) -> float:
     With both solution values certified within ``tol`` the residual is
     bounded by k (1 + alpha) tol plus roundoff.
     """
-    if k < 1:
-        raise DomainError("the defining identity starts at k = 1")
+    k = integer_in(k, 1, what="Stein identity argument")
     f_prev = stein_solution(test, k - 1, tol)
     f_here = stein_solution(test, k, tol)
     return k * f_prev - test.alpha * k * f_here - test(k)
@@ -113,8 +108,7 @@ def stein_residual(test: SteinTestFn, k: int, tol: float = 1e-13) -> float:
 
 def solution_sup_bound(alpha: float) -> float:
     """Uniform bound -log(1 - alpha) / alpha on |f|; decreases to 1 as alpha -> 0."""
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"parameter must lie in (0, 1), got {alpha!r}")
+    real_in(alpha, 0.0, 1.0, "logarithmic parameter")
     return -math.log1p(-alpha) / alpha
 
 
@@ -129,12 +123,9 @@ def log_vs_negbin_bound(alpha: float, beta: float, ell: float) -> float:
     valid on either side of alpha = beta.  At alpha = beta this collapses to
     -log(1-alpha) * ell, returned exactly.
     """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"logarithmic parameter must lie in (0, 1), got {alpha!r}")
-    if not (0.0 < beta < 1.0):
-        raise DomainError(f"negative binomial odds must lie in (0, 1), got {beta!r}")
-    if not (ell > 0.0):
-        raise DomainError(f"shape must be positive, got {ell!r}")
+    real_in(alpha, 0.0, 1.0, "logarithmic parameter")
+    real_in(beta, 0.0, 1.0, "negative binomial odds")
+    real_in(ell, 0.0, math.inf, "negative binomial shape")
     if alpha == beta:
         return -math.log1p(-alpha) * ell
     root = math.sqrt(beta * ell)

@@ -302,6 +302,7 @@ SCIPY_FREE_COMMANDS = {
                                  "--ell", "3", "--a", "0.1", "--mc-samples", "100"],
     "verify": ["verify", "--mc-samples", "0"],
     "fig2": ["figure", "fig2"],
+    "table1": ["table1"],
 }
 
 
@@ -320,13 +321,15 @@ def _run_python(code):
 @pytest.mark.parametrize("argv", SCIPY_FREE_COMMANDS.values(), ids=SCIPY_FREE_COMMANDS.keys())
 def test_commands_skip_scipy_statistics_and_fractions(argv):
     # no command needs scipy, nor the standard library's statistics or the
-    # fractions it imports, so none may load any of them
-    code = ("import contextlib, io, json, sys, tiebound.cli\n"
+    # fractions it imports, so none may load any of them; and only `bound`
+    # writes JSON here, so the others may not load json either
+    code = ("import contextlib, io, sys, tiebound.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert tiebound.cli.main({argv!r}) == 0\n"
-            "print(json.dumps(sorted(sys.modules)))\n")
-    loaded = json.loads(_run_python(code).strip().split("\n")[-1])
-    assert [m for m in loaded if m.split(".")[0] in ("scipy", "statistics", "fractions")] == []
+            "print(' '.join(sorted(sys.modules)))\n")
+    loaded = _run_python(code).strip().split("\n")[-1].split()
+    banned = ("scipy", "statistics", "fractions") + (("json",) if argv[0] != "bound" else ())
+    assert [m for m in loaded if m.split(".")[0] in banned] == []
 
 
 def test_commands_run_only_the_modules_they_need():
@@ -584,6 +587,10 @@ NOT_FINITE = {
     # np.linspace turns an infinite end into nan, with a RuntimeWarning
     "fig2-infinite-a-max": ["figure", "fig2", "--a-max", "inf", "--a-count", "2"],
     "fig1-infinite-p-max": ["figure", "fig1", "--p-max", "inf", "--p-count", "2"],
+    # a NaN passed every comparison of the E[Q^2] range and printed "bound": NaN
+    "thm4-nan-eq2": ["bound", "thm4", "--n", "10", "--ell", "2", "--eq", "0.1", "--eq2", "nan"],
+    # an infinite threshold printed the uninformative bound 9.0
+    "thm3-infinite-threshold": ["bound", "thm3", "--law", "gumbel", "--n", "10", "--a", "inf"],
 }
 
 

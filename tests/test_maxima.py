@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from tiebound.bounds_continuous import MixedBinomialSpec, NearOrderSpec
+from tiebound.approximants import log_pmf, negbin_pmf, poisson_pmf
+from tiebound.bounds_continuous import (
+    MixedBinomialSpec,
+    NearOrderSpec,
+    gap_ratio_moment,
+    gumbel_gap_moment,
+    gumbel_gap_moment_exact,
+    gumbel_max_bound,
+    uniform_gap_moment_exact,
+)
 from tiebound.distributions import geometric_law, gumbel_law, tabulated_law
 from tiebound.errors import DomainError, TruncationError
 from tiebound.maxima import (
@@ -26,6 +35,7 @@ from tiebound.maxima import (
     tie_given_max_moment,
     tie_given_max_prob,
 )
+from tiebound.stein import SteinTestFn, stein_residual, stein_solution
 
 TOL = 1e-12
 
@@ -137,6 +147,21 @@ class TestSizeBiased:
             assert star == pytest.approx(k * tie_count_pmf(spec, k, TOL) / e1, rel=1e-10)
             total += star
         assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_one_series_pass(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("tiebound.maxima._sums",
+                            lambda *args, sums=_sums: calls.append(args) or sums(*args))
+        size_biased_tie_pmf(KnSpec(law=geometric_law(0.3), n=10), 3)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("p,n,count", [(0.3, 20, 250), (0.05, 50, 2000)])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_within_tol_of_high_precision(self, p, n, count, tol):
+        spec = KnSpec(law=geometric_law(p), n=n)
+        _, star = _mp_tie_laws(_mp_geometric_weights(p, count), n, n)
+        for k in (1, 2, 5, n):
+            assert abs(size_biased_tie_pmf(spec, k, tol) - star[k]) <= tol
 
     @pytest.mark.parametrize("p,n", [(0.3, 6), (0.5, 9)])
     def test_mixed_binomial_representation(self, p, n):
@@ -472,6 +497,8 @@ def test_all_tied_probability_at_a_billion():
 
 
 _SPEC = KnSpec(law=geometric_law(0.5), n=5)
+_NEAR = NearOrderSpec(law=gumbel_law(), n=10, ell=1, a=0.3)
+_TEST = SteinTestFn(members=frozenset({1, 3}), alpha=0.5)
 INTEGER_SITES = {
     "KnSpec.n": lambda v: KnSpec(law=geometric_law(0.5), n=v).n,
     "NearOrderSpec.n": lambda v: NearOrderSpec(law=gumbel_law(), n=v, ell=1, a=0.3).n,
@@ -483,6 +510,19 @@ INTEGER_SITES = {
     "size_biased_tie_pmf": lambda v: size_biased_tie_pmf(_SPEC, v),
     "tie_count_pmf sequence": lambda v: tie_count_pmf(_SPEC, (1, v)),
     "tie_count_factorial_moment sequence": lambda v: tie_count_factorial_moment(_SPEC, [1, v]),
+    "tie_given_max_moment": lambda v: tie_given_max_moment(_SPEC, v),
+    "gap_ratio_moment": lambda v: gap_ratio_moment(_NEAR, v),
+    "gumbel_gap_moment.n": lambda v: gumbel_gap_moment(v, 0.3, 1),
+    "gumbel_gap_moment.j": lambda v: gumbel_gap_moment(10, 0.3, v),
+    "gumbel_gap_moment_exact.n": lambda v: gumbel_gap_moment_exact(v, 1, 0.3, 1),
+    "uniform_gap_moment_exact.ell": lambda v: uniform_gap_moment_exact(10, v, 0.1, 1.0, 1),
+    "gumbel_max_bound.n": lambda v: gumbel_max_bound(v, 0.3),
+    "log_pmf": lambda v: log_pmf(0.5, v),
+    "poisson_pmf": lambda v: poisson_pmf(1.0, v),
+    "negbin_pmf": lambda v: negbin_pmf(2.0, 0.5, v),
+    "SteinTestFn.members": lambda v: SteinTestFn(members=frozenset({v}), alpha=0.5).members,
+    "stein_solution": lambda v: stein_solution(_TEST, v),
+    "stein_residual": lambda v: stein_residual(_TEST, v),
 }
 
 

@@ -67,6 +67,9 @@ COMMANDS = [
     ["verify", "--tol", "inf", "--mc-samples", "0"],
     ["simulate", "--p", "0.2", "--n", "10", "--tol", "inf", "--mc-samples", "10"],
     ["bound", "thm1a", "--law", "tabulated", "--weights", "nan", "--n", "5"],
+    # a NaN second moment or an infinite threshold: a one-line error and exit 1
+    ["bound", "thm4", "--n", "10", "--ell", "2", "--eq", "0.1", "--eq2", "nan"],
+    ["bound", "thm3", "--law", "gumbel", "--n", "10", "--a", "inf"],
 ]
 
 
