@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DomainError, TruncationError, integer_in, positive_tol, real_in
 
 __all__ = [
@@ -153,13 +152,20 @@ def _truncate_by_ratio(pmf: Callable[[int], float], rho: Callable[[int], float],
     The one obligation on ``rho``: ``rho(k)`` bounds every ratio
     P(j+1) / P(j) with j > k.  Then P(k+1+i) <= P(k+1) rho(k)**i, so the mass
     above k is at most ``tail_after(k) = P(k+1) / (1 - rho(k))``, and no
-    bound is available while ``rho(k) >= 1``.
+    bound is available while ``rho(k) >= 1``.  The P(k+1) of a certificate is
+    the entry ``truncate_law`` takes next, so each entry is evaluated once.
     """
+    ahead = {}  # the entry the last certificate evaluated
+
     def tail_after(k):
         ratio = rho(k)
-        return pmf(k + 1) / (1.0 - ratio) if ratio < 1.0 else math.inf
+        if not ratio < 1.0:
+            return math.inf
+        ahead[k + 1] = pmf(k + 1)
+        return ahead[k + 1] / (1.0 - ratio)
 
-    return truncate_law(pmf, tail_after, tol, k_min=k_min)
+    return truncate_law(lambda k: ahead.pop(k) if k in ahead else pmf(k), tail_after, tol,
+                        k_min=k_min)
 
 
 def truncated_log(alpha: float, tol: float) -> TruncatedPMF:

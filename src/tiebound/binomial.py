@@ -9,12 +9,13 @@ the windows of :func:`binom_window`.
 from __future__ import annotations
 
 import math
+import sys
 
-import numpy as np
+from ._numpy import np
 
 __all__ = ["binom_window", "binom_rows"]
 
-_EPS = np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 # unit roundoff, the u of Higham's gamma_k = k u / (1 - k u)
 _U = _EPS / 2.0
 

@@ -29,11 +29,12 @@ the Gumbel cdf is positive on all of R and nothing clamps.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from ._numpy import np
 from .approximants import TruncatedPMF
 from .binomial import (_EPS, _log_binom_tail, _log_binom_term, _log_choose, _mode, binom_rows,
                        binom_window)
@@ -249,25 +250,31 @@ def _mirror(half, sign=1.0):
     return np.array(half + [sign * value for value in half[-2::-1]])
 
 
-# QUADPACK's 21-point Gauss-Kronrod rule (Piessens et al., 1983): the nodes,
-# the Kronrod weights, and the Gauss weight of each node (0 off the Gauss nodes)
-_GK21 = (
-    _mirror([0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-             0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-             0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-             0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-             0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0], -1.0),
-    _mirror([0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-             0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-             0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-             0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
-             0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-             0.149445554002916905664936468389821]),
-    _mirror([0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
-             0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
-             0.0, 0.295524224714752870173892994651338, 0.0]),
-)
-_TINY = np.finfo(float).tiny
+@functools.cache  # built on first use, so that loading this module needs no numpy
+def _gk21():
+    """QUADPACK's 21-point Gauss-Kronrod rule (Piessens et al., 1983): the nodes,
+    the Kronrod weights, and the Gauss weight of each node (0 off the Gauss nodes)."""
+    return (
+        _mirror([0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+                 0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+                 0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+                 0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+                 0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+                 0.0], -1.0),
+        _mirror([0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+                 0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+                 0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+                 0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+                 0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+                 0.149445554002916905664936468389821]),
+        _mirror([0.0, 0.066671344308688137593568809893332, 0.0,
+                 0.149451349150580593145776339657697, 0.0, 0.219086362515982043995534934228163,
+                 0.0, 0.269266719309996355091226921569469, 0.0,
+                 0.295524224714752870173892994651338, 0.0]),
+    )
+
+
+_TINY = sys.float_info.min
 _LOG_TINY = math.log(_TINY)
 _MAX_PANELS = 50
 
@@ -281,7 +288,7 @@ def _gk_panels(f, lo: np.ndarray, hi: np.ndarray):
     integral of |f - mean f|, and at least 50 eps times the integral of
     |f|, the rounding term.
     """
-    x, v, w = _GK21
+    x, v, w = _gk21()
     c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
     fv = f((c[:, None] + h[:, None] * x).ravel()).reshape(lo.size, x.size, -1)
     kronrod = np.einsum("n,pnd->pd", v, fv)

@@ -1,8 +1,9 @@
 """Explicit total-variation error bounds for the tie count at a discrete maximum.
 
 Three bounds are formulas of one set of tie-count values: P(K=1), P(K=2),
-E[K], E[(K)_2] and E[(K)_3], which one pass over the maximum gives together
-(``maxima._tie_values``).  Each is packaged as a :class:`BoundReport`
+E[K], E[(K)_2] and E[(K)_3], which ``maxima._tie_values`` gives together:
+in closed form for a geometric law where that certifies, and otherwise from
+one pass over the maximum.  Each is packaged as a :class:`BoundReport`
 carrying the matched approximation parameter, the moments used, and the
 certified truncation error:
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .binomial import _gamma
 from .errors import DegenerateParameterError, DomainError, NumericError, positive_tol, real_in
 from .maxima import DEFAULT_TOL, KnSpec, _tie_values, tie_count_factorial_moment
 # not called here: bound because the benchmark's tracer test checks it patches this name
@@ -92,7 +94,9 @@ def log_bound_singleton(spec: KnSpec, tol: float = DEFAULT_TOL) -> BoundReport:
     ``log_bound_from_moments(E[K], P(K=2), alpha)``, and its truncation error
     propagates the certified remainders of E[K] and P(K=2) (0 for finitely
     supported laws).  For a geometric base law alpha equals the geometric
-    parameter itself.
+    parameter p itself, and where the closed form of ``maxima`` serves the
+    three values the bound is 2 p**2 (2-p) / (1-p) plus a certified error (see
+    :func:`_singleton`).
     """
     positive_tol(tol)
     if spec.n == 1:
@@ -100,12 +104,31 @@ def log_bound_singleton(spec: KnSpec, tol: float = DEFAULT_TOL) -> BoundReport:
         raise DegenerateParameterError(
             "matched logarithmic parameter is degenerate (alpha = 0 at n = 1)"
         )
-    return _singleton(*_tie_values(spec, (1, 2), (1,), tol))
+    return _singleton(spec.law.lattice_rate, *_tie_values(spec, (1, 2), (1,), tol))
 
 
-def _singleton(pk1, pk2, e1) -> BoundReport:
-    """The thm1a report from ``(value, remainder)`` pairs of P(K=1), P(K=2) and E[K]."""
-    (pk1, _), (pk2, pk2_err), (e1, e1_err) = pk1, pk2, e1
+def _singleton(lam, pk1, pk2, e1) -> BoundReport:
+    """The thm1a report from the ``maxima._TieValue`` of P(K=1), P(K=2) and E[K];
+    ``lam`` is the law's lattice rate.
+
+    Where all three are the closed form's main terms (so n >= 3), P(K=1) / E[K]
+    is q exactly, alpha = p, and the bound is 2 p**2 (2-p) / q + 2 p (eps_1 / q
+    - q eps_2), with eps_1 shared by P(K=1) and E[K]: the closed form gives the
+    first part, free of the cancellation of E[K] - 2 (1-alpha)/alpha P(K=2), and
+    the truncation error bounds the second part and the rounding of the first.
+    """
+    if None not in (pk1.eps, pk2.eps, e1.eps):
+        p, q = -math.expm1(-lam), math.exp(-lam)
+        bound = 2.0 * p * p * (2.0 - p) / q
+        g = _gamma(34 + 4 * lam)  # p errs by 8u and q by (4 + 4 lam) u
+        return BoundReport(
+            bound=bound,
+            params={"alpha": p},
+            moments={"EK": e1.value, "PK1": pk1.value},
+            truncation_error=(bound * g + 2.0 * p * (e1.eps / q + q * pk2.eps)) / (1.0 - g),
+            method="thm1a",
+        )
+    (pk1, _, _), (pk2, pk2_err, _), (e1, e1_err, _) = pk1, pk2, e1
     alpha = 1.0 - pk1 / e1
     if not (0.0 < alpha < 1.0):
         raise DegenerateParameterError(
@@ -225,6 +248,7 @@ def _reports(spec: KnSpec, tol: float) -> list:
     order, from one pass over the maximum; each equals its public function's report."""
     positive_tol(tol)
     pk1, pk2, *moments = _tie_values(spec, (1, 2), (1, 2, 3), tol)
-    e = [value for value, _ in moments]
+    e = [moment.value for moment in moments]
     second = [_second_moment(spec.n, *e, tol)] if spec.n >= 4 else []
-    return [_singleton(pk1, pk2, moments[0]), *second, _poisson(spec.n, *e, tol)]
+    return [_singleton(spec.law.lattice_rate, pk1, pk2, moments[0]), *second,
+            _poisson(spec.n, *e, tol)]

@@ -18,14 +18,23 @@ Exit codes: 0 success, 1 usage error, 2 degenerate parameter, 3 numeric
 failure (truncation/integration), 4 verification failure.  The default seed
 comes from the TIEBOUND_SEED environment variable when set.
 
+Commands that need no array never import numpy: ``--help``, usage errors,
+``figure fig2``, and ``bound thm1a|thm1b|thm2`` on a geometric law wherever
+the closed form of its tie-count values certifies the tolerance (see
+``maxima``).  The rest import it when they first need it, through the
+package's shared lazy handle (``tiebound._numpy``).
+
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is set already,
-so the CLI runs its few small BLAS calls on one thread; set it before the
-first ``import numpy`` to choose another count.
+so the CLI runs its few small BLAS calls on one thread; OpenBLAS reads it when
+numpy first loads, so set it before that to choose another count.
 
 The console entry point ``run`` freezes the heap before the command starts:
 the modules just imported live until exit, so no garbage collection during the
-command or at shutdown needs to walk them again.  The package's submodules load
-lazily, so those a command first touches after the freeze are not frozen.
+command or at shutdown needs to walk them again.  numpy loads after that
+freeze, so the lazy handle freezes the heap once more right after it loads;
+without that, ``verify`` and ``bound thm3`` ran 6-8 ms slower.  The package's
+other submodules load lazily too, and those a command first touches after the
+last freeze are not frozen.
 """
 
 from __future__ import annotations
@@ -41,8 +50,6 @@ import sys
 # 0.1 s of CPU, while a command's only BLAS calls are two small dot products;
 # OpenBLAS reads this once, when numpy first loads, and a value the user set wins
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np
 
 from . import approximants, bounds_continuous, bounds_discrete, montecarlo, stein
 from .distributions import law_from_descriptor
@@ -210,11 +217,22 @@ def cmd_table1(args):
 
 
 def _sweep(flag, first, last, count):
-    """``count`` points from ``first`` to ``last``, the ends of ``--{flag}-min/max``."""
+    """``count`` points from ``first`` to ``last``, the ends of ``--{flag}-min/max``.
+
+    The points of ``numpy.linspace(first, last, count)``, bit for bit: i times
+    the step plus ``first``, or (i / (count - 1)) times the span where the step
+    underflows to 0, and ``last`` exactly at the end.
+    """
     for end, value in (("min", first), ("max", last)):
-        if not math.isfinite(value):  # np.linspace would turn an infinite end into nan
+        if not math.isfinite(value):  # the span would turn an infinite end into nan
             raise DomainError(f"--{flag}-{end} must be finite, got {value!r}")
-    return np.linspace(first, last, count)
+    div, span = count - 1, last - first
+    if div == 0:
+        return [0.0 * span + first]
+    step = span / div
+    points = [(i / div * span if step == 0.0 else i * step) + first for i in range(count)]
+    points[-1] = last
+    return points
 
 
 def cmd_figure(args):

@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DomainError, real_in
 
 __all__ = [
@@ -52,6 +51,11 @@ class DiscreteLaw:
         quantile: u -> smallest j with F(j) >= u; accepts floats or numpy
             arrays.  None means callers must fall back to generic inversion.
         descriptor: JSON-style dict this law can be rebuilt from, if any.
+        lattice_rate: lambda > 0 when the law is geometric, p(j) = (1 - e**-lambda)
+            e**(-lambda (j-1)), else None.  Only :func:`geometric_law` sets it;
+            the tie-count values of such a law have closed forms
+            (``maxima._tie_values``), which the series replaces where they
+            certify the tolerance.
     """
 
     pmf: Callable
@@ -61,6 +65,7 @@ class DiscreteLaw:
     support_max: Optional[int] = None
     quantile: Optional[Callable] = None
     descriptor: Optional[dict] = None
+    lattice_rate: Optional[float] = None
 
     def tail_bound(self, j: int) -> float:
         """Certified upper bound on P(X > j)."""
@@ -93,7 +98,8 @@ def geometric_law(p: float) -> DiscreteLaw:
 
     log F(j) = log1p(-(1-p)**j) is evaluated in closed form via exp/log1p so
     it stays accurate both for p near 0 and for p near 1 (e.g. p = 1 - mu/n
-    with n up to 1e9).
+    with n up to 1e9).  Its ``lattice_rate`` is lambda = -log1p(-p).  Building
+    the law imports nothing; numpy loads when a function of it is first called.
     """
     real_in(p, 0.0, 1.0, "geometric parameter")
     q = 1.0 - p
@@ -127,6 +133,7 @@ def geometric_law(p: float) -> DiscreteLaw:
         support_max=None,
         quantile=quantile,
         descriptor={"kind": "geometric", "p": p},
+        lattice_rate=-log_q,
     )
 
 

@@ -24,16 +24,46 @@ and one blocked pass of binomial rows over j (``_mixture_law``), reading its
 blocks from ``_block`` too, gives each.
 The module also exposes the law of the argmax value M (P(M = m) = p(m)
 F(m)**(n-1) / Z).
+
+A geometric law (``DiscreteLaw.lattice_rate`` = lambda, q = e**-lambda,
+p = 1 - q) has closed forms whose cost does not grow with 1/p or n.  Below
+k = n both series are C * sum_{i>=0} q**(k i) (1 - q**i)**(n-k), and
+Poisson summation over i turns that sum into B(k, n-k+1) / lambda times
+1 + eps_k, so
+
+    P(K = k) = p**k / (k lambda) (1 + eps_k),               1 <= k < n,
+    E[(K)_r] = (r-1)! (p/q)**r / lambda (1 + eps_r),         1 <= r < n,
+    P(K = n) = p**n / (1 - q**n),   E[(K)_n] = n! P(K = n),  exactly,
+
+with eps_k = sum_{m != 0} prod_{j=k..n} j / (j + i m omega), omega =
+2 pi / lambda: the log-periodic terms of Bruss and O'Cinneide (1990) and
+Kirschenhofer and Prodinger (1996).  Term m has modulus T_m = prod_j
+(1 + m**2 omega**2 / j**2)**(-1/2).  As phi(x) = log(1 + omega**2 / x**2)
+is convex and falls, the trapezoid rule bounds sum_j phi(j) below by
+G(n) - G(k) + (phi(k) + phi(n)) / 2, with G(x) = x phi(x) + 2 omega
+atan(x / omega) its antiderivative, and that bounds T_1; and 1 + m**2 a >=
+(1 + a) m**(2a / (1+a)) gives T_m <= T_1 m**-S, with S = omega (atan((n+1)
+/ omega) - atan(k / omega)) at most sum_j omega**2 / (j**2 + omega**2).
+So, where S > 1,
+
+    |eps_k| <= 2 T_1 (1 + 2**-S (S+1) / (S-1)).
+
+``_tie_values`` takes the closed form for a value where this bound plus the
+rounding of the formula meets the tolerance, absolutely for P(K = k) and
+relatively for E[(K)_r], and runs the series for the others.  The rounding
+is counted in units u, taking exp, expm1, log1p, pow and atan to err by at
+most 2 ulp.  No array is needed there, so such a call never imports numpy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-import numpy as np
-
+from ._numpy import np
 from .approximants import TruncatedPMF
 from .binomial import _U, _gamma, _log_choose, _pairwise_sum, binom_rows, binom_window
 from .distributions import DiscreteLaw
@@ -59,10 +89,15 @@ _SERIES_CAP = 2_000_000
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 1 << 15
 # mixture rows at or below the smallest normal double are dropped
-_FLOOR = np.finfo(float).tiny
+_FLOOR = sys.float_info.min
 _LOG_FLOOR = math.log(_FLOOR)
 # cells (rows x window) of one mixture chunk; a single row may exceed it
 _CHUNK_CELLS = 1 << 15
+# the closed form's omega = 2 pi / lambda is capped here, so that omega**2 stays
+# finite; a smaller omega only loosens the eps bound, since every T_m falls as it grows
+_OMEGA_CAP = 1e100
+# the largest order whose (order-1)! or n! the closed form forms as a double
+_MAX_FACTORIAL = 170
 
 
 @dataclass(frozen=True)
@@ -149,26 +184,112 @@ def _sums(law: DiscreteLaw, terms) -> list:
         lo, size = hi + 1, min(2 * size, _MAX_BLOCK)
 
 
+class _TieValue(NamedTuple):
+    """A tie-count value and a certified bound on its distance from the exact value.
+
+    ``eps`` is the bound on |eps_k| when ``value`` is the closed form's main
+    term, p**k / (k lambda) or (k-1)! (p/q)**k / lambda, else None.
+    """
+
+    value: float
+    remainder: float
+    eps: Optional[float] = None
+
+
+def _lattice_eps(lam: float, k: int, n: int) -> float:
+    """The bound on |eps_k| of the module docstring for 1 <= k < n, inf where S <= 1.
+
+    omega is taken a little below 2 pi / lam, which only loosens the bound;
+    S is lowered, and the bound on T_1 raised, by their own rounding.
+    """
+    w = min(2.0 * math.pi / lam, _OMEGA_CAP) * (1.0 - _gamma(8))
+    s = w * math.atan((n + 1 - k) * w / (w * w + k * (n + 1))) * (1.0 - _gamma(10))
+    if not s > 1.0:
+        return math.inf
+    phi_k, phi_n = math.log1p((w / k) ** 2), math.log1p((w / n) ** 2)
+    # G(n) - G(k) + (phi(k) + phi(n)) / 2 as four non-negative parts, atan(n/w) -
+    # atan(k/w) formed as one atan so that close k and n do not cancel
+    parts = (n * phi_n, 2.0 * w * math.atan((n - k) * w / (w * w + n * k)),
+             0.5 * (phi_k + phi_n), k * phi_k)
+    log_t1 = -0.5 * (parts[0] + parts[1] + parts[2] - parts[3]) + _gamma(12) * sum(parts)
+    return 2.0 * math.exp(log_t1) * (1.0 + 2.0**-s * (s + 1.0) / (s - 1.0)) * (1.0 + _gamma(8))
+
+
+def _closed_form(lam: float, n: int, k: int, moment: bool, tol: float):
+    """P(K = k), or E[(K)_k] if ``moment``, for the geometric law of rate ``lam``
+    in closed form, as a :class:`_TieValue`; None where the certificate misses
+    ``tol`` (absolute for P(K = k), relative for E[(K)_k]).
+
+    ``count`` bounds the roundings of the formula in units u: p = -expm1(-lam)
+    errs by 8u, p/q = expm1(lam) by (8 + 4 lam) u, and a power multiplies its
+    base's error by the exponent.  An entry below the smallest normal double
+    adds that double to a pmf remainder; a moment needs its power normal.
+    """
+    p = -math.expm1(-lam)
+    eps = None
+    if k == n:
+        power = p ** (n - 1)
+        value, count = power * p / -math.expm1(-n * lam), 8 * n + 16
+        if moment:
+            if n > _MAX_FACTORIAL:
+                return None
+            value, count = math.factorial(n) * value, count + 2
+    else:
+        eps = _lattice_eps(lam, k, n)
+        if eps == math.inf:
+            return None
+        if moment:
+            if k > _MAX_FACTORIAL:
+                return None
+            rho = math.expm1(lam)
+            power = rho ** (k - 1)
+            value, count = math.factorial(k - 1) * power * (rho / lam), k * (8 + 4 * lam) + 12
+        else:
+            value, count = p ** (k - 1) * (p / lam) / k, 8 * k + 12
+    g = _gamma(count + 2)
+    rel = ((eps or 0.0) + g) / (1.0 - g)
+    if moment:
+        if power >= _FLOOR and rel <= tol:
+            return _TieValue(value, value * rel, eps)
+        return None
+    remainder = value * rel + _FLOOR
+    return _TieValue(value, remainder, eps) if remainder <= tol else None
+
+
 def _tie_values(spec: KnSpec, pmfs, moments, tol: float) -> list:
-    """``(value, certified remainder)`` of P(K = k) for each k in ``pmfs``, within
-    ``tol`` absolutely, then of E[(K)_ell] for each ell in ``moments``, within
-    ``tol`` relatively, from one pass of :func:`_sums`."""
-    n = spec.n
-    logs = [_log_choose(n, k) for k in pmfs] + [_log_falling(n, ell) for ell in moments]
-    terms = ([(k, n - k, True, math.log(tol) - log, False) for k, log in zip(pmfs, logs)]
-             + [(ell, n - ell, False, math.log(tol), True) for ell in moments])
-    return [(math.exp(log + log_sum), math.exp(log + log_rem))
-            for log, (log_sum, log_rem) in zip(logs, _sums(spec.law, terms))]
+    """A :class:`_TieValue` of P(K = k) for each k in ``pmfs``, within ``tol``
+    absolutely, then of E[(K)_ell] for each ell in ``moments``, within ``tol``
+    relatively: in closed form where a geometric law's certificate allows
+    (see the module docstring), the others from one pass of :func:`_sums`."""
+    n, lam = spec.n, spec.law.lattice_rate
+    wanted = [(k, False) for k in pmfs] + [(ell, True) for ell in moments]
+    values = [None if lam is None else _closed_form(lam, n, order, moment, tol)
+              for order, moment in wanted]
+    rest = [(i, order, moment) for i, ((order, moment), value) in enumerate(zip(wanted, values))
+            if value is None]
+    if rest:
+        logs = [_log_falling(n, order) if moment else _log_choose(n, order)
+                for _, order, moment in rest]
+        terms = [(order, n - order, not moment, math.log(tol) - (0.0 if moment else log), moment)
+                 for (_, order, moment), log in zip(rest, logs)]
+        for (i, _, _), log, (log_sum, log_rem) in zip(rest, logs, _sums(spec.law, terms)):
+            values[i] = _TieValue(math.exp(log + log_sum), math.exp(log + log_rem))
+    return values
 
 
 def _values(spec: KnSpec, orders, tol: float, pmf: bool):
-    """The public pmf (or moment) values at an order or a sequence of orders."""
-    many = np.ndim(orders) > 0
+    """The public pmf (or moment) values at an order or a sequence of orders.
+
+    A sequence is what ``numpy.ndim`` gives a positive rank: an array of rank
+    1 or more, or a list, tuple or other sequence that is not a string.
+    """
+    many = (orders.ndim > 0 if hasattr(orders, "ndim")
+            else isinstance(orders, Sequence) and not isinstance(orders, (str, bytes)))
     orders = [integer_in(v, 1, spec.n, "tie count" if pmf else "moment order")
               for v in (orders if many else (orders,))]
     positive_tol(tol)
     pairs = _tie_values(spec, orders, (), tol) if pmf else _tie_values(spec, (), orders, tol)
-    values = tuple(value for value, _ in pairs)
+    values = tuple(pair.value for pair in pairs)
     return values if many else values[0]
 
 
@@ -326,8 +447,8 @@ def size_biased_tie_pmf(spec: KnSpec, k: int, tol: float = DEFAULT_TOL) -> float
     """
     k = integer_in(k, 1, spec.n, "tie count")
     positive_tol(tol)
-    (v, _), (e1, _) = _tie_values(spec, (k,), (1,), tol / (4 * k))
-    return k * v / e1
+    v, e1 = _tie_values(spec, (k,), (1,), tol / (4 * k))
+    return k * v.value / e1.value
 
 
 def argmax_value_law(spec: KnSpec) -> DiscreteLaw:

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, and byte stability."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -14,8 +15,15 @@ import pytest
 import tiebound
 from tiebound import bounds_continuous, bounds_discrete
 from tiebound.cli import VERIFY_NS, VERIFY_PS, main, round3
-from tiebound.distributions import geometric_law, gumbel_law
+from tiebound.distributions import geometric_law, gumbel_law, law_from_descriptor
 from tiebound.maxima import KnSpec, size_biased_tie_law, size_biased_tie_pmf
+
+
+def _series_law(descriptor):
+    """The law of ``descriptor`` without a lattice rate: a geometric law then runs
+    the tie-count series, not its closed form."""
+    law = law_from_descriptor(descriptor)
+    return dataclasses.replace(law, lattice_rate=None) if hasattr(law, "lattice_rate") else law
 
 
 @pytest.fixture
@@ -95,8 +103,10 @@ class TestBoundCommand:
 
     def test_numeric_failure_exit_code(self, monkeypatch, capsys):
         # a near-unit tail ratio cannot certify the tolerance within the
-        # (shrunken) iteration cap, so the series must fail loudly
+        # (shrunken) iteration cap, so the series must fail loudly; the law has
+        # no lattice rate, since the closed form would certify this point
         monkeypatch.setattr("tiebound.maxima._SERIES_CAP", 1000)
+        monkeypatch.setattr("tiebound.cli.law_from_descriptor", _series_law)
         assert main(["bound", "thm2", "--law", "geometric",
                      "--p", "1e-7", "--n", "5"]) == 3
         err = capsys.readouterr().err.splitlines()
@@ -200,23 +210,36 @@ def series_passes(monkeypatch):
     return calls
 
 
-def test_verify_sums_the_series_of_each_spec_once(runner, series_passes):
+def test_verify_sums_the_series_of_each_spec_once(runner, series_passes, monkeypatch):
+    # without lattice rates every spec runs the series
+    monkeypatch.setattr("tiebound.cli.law_from_descriptor", _series_law)
     assert runner(["verify", "--mc-samples", "0"]).exit_code == 0
     assert len(series_passes) == len(VERIFY_PS) * len(VERIFY_NS) == 24
 
 
-def test_verify_reports_equal_the_public_bounds(series_passes):
+def test_verify_takes_the_closed_form_for_four_specs(runner, series_passes):
+    # the specs whose five tie-count values all certify in closed form make no pass
+    assert runner(["verify", "--mc-samples", "0"]).exit_code == 0
+    assert len(series_passes) == len(VERIFY_PS) * len(VERIFY_NS) - 4
+
+
+@pytest.mark.parametrize("series", [True, False], ids=["series", "closed-form"])
+def test_verify_reports_equal_the_public_bounds(series_passes, series):
     # every grid n is at least 4, so each spec has all three reports
     public = (bounds_discrete.log_bound_singleton, bounds_discrete.log_bound_second_moment,
               bounds_discrete.poisson_bound)
     for p in VERIFY_PS:
         for n in VERIFY_NS:
-            spec = KnSpec(law=geometric_law(p), n=n)
+            descriptor = {"kind": "geometric", "p": p}
+            law = _series_law(descriptor) if series else law_from_descriptor(descriptor)
+            spec = KnSpec(law=law, n=n)
             series_passes.clear()
             reports = [r.as_dict() for r in bounds_discrete._reports(spec, 1e-12)]
-            assert len(series_passes) == 1
+            passes = len(series_passes)
+            assert (passes == 1) if series else (passes <= 1)
             assert reports == [bound(spec, 1e-12).as_dict() for bound in public]
-            assert len(series_passes) == 1 + len(public)  # one pass per public call
+            if series:
+                assert len(series_passes) == 1 + len(public)  # one pass per public call
 
 
 class TestSimulateCommand:
@@ -451,6 +474,8 @@ def test_the_cli_runs_blas_on_one_thread_unless_told_otherwise(preset):
     code = ("import json, os\n"
             f"{preset_it}\n"
             "import tiebound.cli\n"
+            "from tiebound._numpy import np\n"
+            "np.ndarray  # numpy loads at the first use, after the CLI's import\n"
             "tasks = '/proc/self/task'  # Linux only\n"
             "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
             "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), threads]))\n")
@@ -618,5 +643,68 @@ def test_run_freezes_the_import_heap_before_the_command():
     code = ("import gc, tiebound.cli as cli\n"
             "cli.main = lambda argv=None: print(gc.get_freeze_count()) or 0\n"
             "cli.run()\n")
-    # importing numpy and the package alone leaves over 10^4 objects to freeze
+    # importing the package alone, without numpy, leaves over 10^4 objects to freeze
     assert int(_run_python(code)) > 10_000
+
+
+def test_numpy_loading_after_a_freeze_is_frozen_too():
+    # numpy loads after `run` froze the heap; the handle freezes its objects as well, and
+    # leaves a process that never froze its heap alone
+    code = ("import gc, json\n"
+            "from tiebound._numpy import np\n"
+            "for freeze in {freeze}:\n"
+            "    gc.freeze()\n"
+            "before = gc.get_freeze_count()\n"
+            "np.ndarray\n"
+            "print(json.dumps([before, gc.get_freeze_count()]))\n")
+    before, after = json.loads(_run_python(code.format(freeze="[1]")))
+    assert after > before + 5_000  # numpy's own objects
+    assert json.loads(_run_python(code.format(freeze="[]"))) == [0, 0]
+
+
+# commands that need no array, with their exit codes
+NUMPY_FREE_COMMANDS = {
+    "thm1a": (["bound", "thm1a", "--p", "1e-3", "--n", "100000"], 0),
+    "thm1b": (["bound", "thm1b", "--p", "1e-3", "--n", "100000"], 0),
+    "thm2": (["bound", "thm2", "--p", "1e-3", "--n", "100000"], 0),
+    "fig2": (["figure", "fig2"], 0),
+    "help": (["--help"], 0),
+    "usage-error": (["bound", "thm2", "--p", "1e-3"], 1),
+}
+_MAIN_AND_NUMPY = ("import contextlib, io, json, sys, tiebound.cli\n"
+                   "out, err = io.StringIO(), io.StringIO()\n"
+                   "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+                   "    code = tiebound.cli.main({argv!r})\n"
+                   "print(json.dumps([code, 'numpy' in sys.modules, out.getvalue()]))\n")
+
+
+@pytest.mark.parametrize("argv,exit_code", NUMPY_FREE_COMMANDS.values(),
+                         ids=NUMPY_FREE_COMMANDS.keys())
+def test_commands_without_arrays_never_import_numpy(argv, exit_code):
+    code, numpy_loaded, _ = json.loads(_run_python(_MAIN_AND_NUMPY.format(argv=argv)))
+    assert (code, numpy_loaded) == (exit_code, False)
+
+
+def test_a_series_point_imports_numpy_and_keeps_its_result():
+    # control: p = 0.3, n = 10 lies past the closed form's border, so the series runs
+    argv = ["bound", "thm2", "--p", "0.3", "--n", "10"]
+    code, numpy_loaded, out = json.loads(_run_python(_MAIN_AND_NUMPY.format(argv=argv)))
+    assert (code, numpy_loaded) == (0, True)
+    assert out == (
+        '{"bound": 1.5642061429629175, "bound_rounded": "1.564", "informative": false, '
+        '"law": {"kind": "geometric", "p": 0.3}, "method": "thm2", "moments": '
+        '{"EK": 1.2015759467343854, "EK2_factorial": 0.5149635143481841, '
+        '"EK3_factorial": 0.44130169088686005}, "n": 10, "params": {"lambda": '
+        '0.42857342122047276}, "truncation_error": 1.251364914370334e-11}\n')
+
+
+@pytest.mark.parametrize("first,last,count", [
+    (0.02, 0.5, 25), (0.0, 2.0, 41), (2.0, -1.0, 7), (0.3, 0.3, 4), (1.0, 5.0, 1),
+    (0.0, 5e-324, 3), (-1e300, 1e300, 5), (0.1, 0.7, 1000),
+])
+def test_sweep_points_are_those_of_numpy_linspace(first, last, count):
+    from tiebound.cli import _sweep
+
+    points = _sweep("p", first, last, count)
+    assert all(type(x) is float for x in points)
+    assert np.array_equal(np.array(points), np.linspace(first, last, count))

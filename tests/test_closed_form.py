@@ -1,0 +1,165 @@
+"""The geometric law's tie-count values in closed form, against 40-digit values and the series."""
+
+import dataclasses
+import math
+import time
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tiebound import bounds_discrete, maxima
+from tiebound.distributions import geometric_law, tabulated_law
+from tiebound.maxima import (
+    KnSpec,
+    _closed_form,
+    _tie_values,
+    argmax_value_law,
+    tie_count_factorial_moment,
+    tie_count_pmf,
+)
+
+TOL = 1e-12
+# the five values behind thm1a, thm1b and thm2, as (order, moment)
+FIVE = ((1, False), (2, False), (1, True), (2, True), (3, True))
+
+
+def _exact(p: float, n: int, k: int, moment: bool):
+    """P(K = k), or E[(K)_k] if ``moment``, at 40 digits: the main term times 1
+    plus the Fourier terms m = +-1, +-2, +-3, each a ratio of complex Beta
+    functions, B(k + i m omega, n-k+1) / B(k, n-k+1); exact at k = n."""
+    with mp.workdps(40):
+        p = mp.mpf(p)
+        q, lam = 1 - p, -mp.log1p(-p)
+        if k == n:
+            value = p**n / (1 - q**n)
+            return +(value * mp.factorial(n) if moment else value)
+        omega = 2 * mp.pi / lam
+        eps = 0
+        for m in (1, 2, 3):
+            y = m * omega
+            eps += 2 * mp.re(mp.exp(mp.loggamma(k + 1j * y) - mp.loggamma(k) + mp.loggamma(n + 1)
+                                    - mp.loggamma(n + 1 + 1j * y)))
+        main = mp.factorial(k - 1) * (p / q)**k / lam if moment else p**k / (k * lam)
+        return main * (1 + eps)
+
+
+def _gap(value: float, p: float, n: int, k: int, moment: bool) -> float:
+    with mp.workdps(40):
+        return float(abs(mp.mpf(value) - _exact(p, n, k, moment)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(p_exp=st.floats(-9.0, math.log10(0.3)), n_exp=st.floats(math.log10(2.0), 9.0),
+       k=st.integers(1, 40))
+# the eps bound is nearly tight at n = 3, k = 2 (both Fourier terms m = +-1 are real there)
+@example(p_exp=-6.0, n_exp=math.log10(3.0), k=2)
+def test_closed_form_is_within_its_remainder_of_40_digit_values(p_exp, n_exp, k):
+    p, n = 10.0**p_exp, max(2, round(10.0**n_exp))
+    lam = geometric_law(p).lattice_rate
+    for order, moment in FIVE + ((min(k, n), False), (min(k, n), True)):
+        if order > n:
+            continue
+        value = _closed_form(lam, n, order, moment, TOL)
+        if value is not None:
+            assert _gap(value.value, p, n, order, moment) <= value.remainder, (order, moment)
+            assert value.remainder <= (TOL * value.value if moment else TOL)
+
+
+def test_closed_form_serves_the_five_values_far_from_the_border():
+    # ten or more terms of the series for every 1/p, and n large: no Fourier term survives
+    for p, n in ((1e-9, 10**9), (1e-5, 10**6), (1e-3, 10**5), (0.05, 50)):
+        values = _tie_values(KnSpec(geometric_law(p), n), (1, 2), (1, 2, 3), TOL)
+        assert all(v.eps is not None for v in values)
+
+
+def test_certificate_is_within_a_hundredfold_of_the_true_gap():
+    # near the border the eps bound carries the remainder: it must not be vacuous
+    p, n = 0.3, 50
+    lam = geometric_law(p).lattice_rate
+    for order, moment in FIVE:
+        value = _closed_form(lam, n, order, moment, 1.0)
+        gap = _gap(value.value, p, n, order, moment)
+        assert gap <= value.remainder <= 100.0 * gap, (order, moment)
+
+
+def test_points_past_the_border_run_the_series():
+    # the benchmark's tracer test counts pmf calls at (0.2, 20), so that point must stay a
+    # series one; and S <= 1 where p is near 1, so no closed form exists there
+    assert _closed_form(geometric_law(0.2).lattice_rate, 20, 1, True, TOL) is None
+    assert _closed_form(geometric_law(0.99999).lattice_rate, 10, 1, False, 1.0) is None
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(p_exp=st.floats(-4.0, math.log10(0.3)), n_exp=st.floats(1.0, 6.0))
+def test_closed_form_agrees_with_the_series(p_exp, n_exp):
+    p, n = 10.0**p_exp, round(10.0**n_exp)
+    law = geometric_law(p)
+    series_law = dataclasses.replace(law, lattice_rate=None)
+    closed = _tie_values(KnSpec(law, n), (1, 2), (1, 2, 3), TOL)
+    series = _tie_values(KnSpec(series_law, n), (1, 2), (1, 2, 3), TOL)
+    for a, b in zip(closed, series):
+        assert b.eps is None
+        assert abs(a.value - b.value) <= 1e-13 * abs(b.value) + a.remainder + b.remainder
+
+
+def test_other_laws_never_take_the_closed_form(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("closed form taken")
+
+    monkeypatch.setattr(maxima, "_closed_form", refuse)
+    spec = KnSpec(geometric_law(0.05), 50)
+    for law in (argmax_value_law(spec), tabulated_law([0.2, 0.3, 0.5])):
+        assert law.lattice_rate is None
+        values = _tie_values(KnSpec(law, 6), (1, 2), (1, 2, 3), TOL)
+        assert all(v.eps is None for v in values)
+
+
+@pytest.mark.parametrize("series", [False, True], ids=["closed-form", "series"])
+def test_orders_may_be_numpy_integers_or_arrays(series):
+    law = geometric_law(1e-3)
+    spec = KnSpec(dataclasses.replace(law, lattice_rate=None) if series else law, 1000)
+    for fn in (tie_count_pmf, tie_count_factorial_moment):
+        scalar = fn(spec, 2)
+        assert type(scalar) is float
+        for same in (np.int64(2), np.array(2)):
+            assert fn(spec, same) == scalar
+        for orders in (np.array([1, 2]), [np.int32(1), 2], (1, 2), range(1, 3)):
+            assert fn(spec, orders) == (fn(spec, 1), scalar)
+        assert fn(spec, np.array([], dtype=int)) == ()
+
+
+def _exact_reports(p: float, n: int) -> dict:
+    """thm1a, thm1b and thm2 at 40 digits, from the 40-digit tie-count values."""
+    with mp.workdps(40):
+        pk1, pk2, e1, e2, e3 = (_exact(p, n, k, moment) for k, moment in FIVE)
+        alpha = 1 - pk1 / e1
+        ek2 = e2 + e1
+        beta = 1 - e1 / ek2
+        return {
+            "thm1a": -2 * mp.log1p(-alpha) * (e1 - 2 * (1 - alpha) / alpha * pk2),
+            "thm1b": -2 * (1 + beta) * mp.log1p(-beta) * ek2
+                     * (beta + (1 - beta) * (e3 / e2 - (n - 3) * e2 / ((n - 1) * e1))),
+            "thm2": (mp.sqrt(e2 - e1 * (e1 - 1)) / (2 * e1) + mp.sqrt(e1 / (4 * e2))
+                     + (n - 1) * e3 / ((n - 2) * e2) - (n - 2) * e2 / ((n - 1) * e1)),
+        }
+
+
+@pytest.mark.parametrize("p,n", [(1e-9, 10**9), (1e-3, 10**5)])
+def test_discrete_bounds_are_within_their_truncation_error_of_40_digit_values(p, n):
+    # the series would need 2e10 terms at p = 1e-9 and stop at its cap; at 1e-3 thm1a's
+    # series form cancels (E[K] - 2 (1-alpha)/alpha P(K=2)), which the closed form avoids
+    exact = _exact_reports(p, n)
+    spec = KnSpec(geometric_law(p), n)
+    start = time.perf_counter()
+    reports = {r.method: r for r in bounds_discrete._reports(spec, TOL)}
+    assert time.perf_counter() - start < 1.0
+    for method, value in exact.items():
+        report = reports[method]
+        with mp.workdps(40):
+            assert abs(mp.mpf(report.bound) - value) <= report.truncation_error, method
+    # for the main terms alpha = p and the bound is 2 p**2 (2-p) / q
+    assert reports["thm1a"].params["alpha"] == pytest.approx(p, rel=1e-15)
+    assert reports["thm1a"].bound == pytest.approx(2 * p * p * (2 - p) / (1 - p), rel=1e-15)

@@ -1,5 +1,6 @@
 """Exact tie-count law against brute-force oracles and closed-form identities."""
 
+import dataclasses
 import itertools
 import math
 import time
@@ -368,10 +369,11 @@ def test_full_law_sums_to_one_at_huge_n(n):
 def test_series_cap_is_honoured_between_block_ends(monkeypatch):
     """With the term cap off any block boundary, the engine stops at exactly the
     cap and reports the largest open tail certificate there, C r**J / (1 - r)
-    at J = cap, which is the first moment's, for one series or several."""
+    at J = cap, which is the first moment's, for one series or several.  The
+    law has no lattice rate: the closed form would certify these moments."""
     cap = 1000
     monkeypatch.setattr("tiebound.maxima._SERIES_CAP", cap)
-    law = geometric_law(1e-7)
+    law = dataclasses.replace(geometric_law(1e-7), lattice_rate=None)
     r = law.tail_ratio
     certificate = law.tail_const * r**cap / (1.0 - r)
     for orders in (1, (1, 2, 3)):

@@ -32,6 +32,13 @@ COMMANDS = [
     ["bound", "thm1b", "--p", "1e-3", "--n", "100000"],
     ["bound", "thm2", "--p", "1e-3", "--n", "100000"],
     ["bound", "thm2", "--mu", "300", "--n", "1000000000"],
+    # geometric tie-count values in closed form, where the series would need 2e9 and
+    # 3e6 terms; and a point just on the series side of the closed form's border
+    ["bound", "thm1a", "--p", "1e-9", "--n", "1000000000"],
+    ["bound", "thm1b", "--p", "1e-9", "--n", "1000000000"],
+    ["bound", "thm2", "--p", "1e-9", "--n", "1000000000"],
+    ["bound", "thm2", "--p", "1e-5", "--n", "1000000"],
+    ["bound", "thm2", "--p", "0.2", "--n", "20"],
     ["bound", "thm1a", "--law", "tabulated", "--weights", "0.2,0.3,0.5", "--n", "7"],
     # the discrete bounds at the smallest n each takes and at a `verify` grid point, which
     # `verify` prints to 9 decimals only
