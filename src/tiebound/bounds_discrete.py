@@ -92,8 +92,9 @@ def log_bound_singleton(spec: KnSpec, tol: float = DEFAULT_TOL) -> BoundReport:
     - (1-alpha)(n-1)/alpha * p(j) F(j-1)**(n-2)).  As n sum_j p F(j)**(n-1)
     = E[K] and n(n-1) sum_j p**2 F(j-1)**(n-2) = 2 P(K=2), it is evaluated as
     ``log_bound_from_moments(E[K], P(K=2), alpha)``, and its truncation error
-    propagates the certified remainders of E[K] and P(K=2) (0 for finitely
-    supported laws).  For a geometric base law alpha equals the geometric
+    is the most the bound moves over the box of the certified remainders of
+    P(K=1), P(K=2) and E[K] (0 for finitely supported laws; inf where alpha
+    may leave (0, 1) in it).  For a geometric base law alpha equals the geometric
     parameter p itself, and where the closed form of ``maxima`` serves the
     three values the bound is 2 p**2 (2-p) / (1-p) plus a certified error (see
     :func:`_singleton`).
@@ -128,19 +129,28 @@ def _singleton(lam, pk1, pk2, e1) -> BoundReport:
             truncation_error=(bound * g + 2.0 * p * (e1.eps / q + q * pk2.eps)) / (1.0 - g),
             method="thm1a",
         )
-    (pk1, _, _), (pk2, pk2_err, _), (e1, e1_err, _) = pk1, pk2, e1
+    (pk1, pk1_err, _), (pk2, pk2_err, _), (e1, e1_err, _) = pk1, pk2, e1
     alpha = 1.0 - pk1 / e1
     if not (0.0 < alpha < 1.0):
         raise DegenerateParameterError(
             f"matched logarithmic parameter is degenerate (alpha = {alpha!r}); "
             "the tie count admits no logarithmic approximation of this form"
         )
-    prefactor = -2.0 * math.log1p(-alpha)
+    bound = log_bound_from_moments(e1, pk2, alpha)
+
+    def moved(s):
+        # the bound rises with alpha and E[K] and falls with P(K=2), and alpha rises with
+        # E[K] and falls with P(K=1): the box of remainders moves the bound most up (s = 1)
+        # and down (s = -1) at two corners, where alpha stays in (0, 1) if it does at both
+        e, p1, p2 = e1 + s * e1_err, pk1 - s * pk1_err, min(1.0, max(0.0, pk2 - s * pk2_err))
+        return s * (log_bound_from_moments(e, p2, 1.0 - p1 / e) - bound)
+
+    inside = 0.0 < pk1 - pk1_err and pk1 + pk1_err < e1 - e1_err
     return BoundReport(
-        bound=log_bound_from_moments(e1, pk2, alpha),
+        bound=bound,
         params={"alpha": alpha},
         moments={"EK": e1, "PK1": pk1},
-        truncation_error=prefactor * (e1_err + 2.0 * (1.0 - alpha) / alpha * pk2_err),
+        truncation_error=max(moved(1), moved(-1)) if inside else math.inf,
         method="thm1a",
     )
 
@@ -166,7 +176,7 @@ def log_bound_second_moment(spec: KnSpec, tol: float = DEFAULT_TOL) -> BoundRepo
 def _second_moment(n: int, e1: float, e2: float, e3: float, tol: float) -> BoundReport:
     """The thm1b report from E[K], E[(K)_2] and E[(K)_3] of a sample of n >= 4."""
     ek2 = e2 + e1  # E[K^2]
-    beta = 1.0 - e1 / ek2
+    beta = e2 / ek2  # 1 - E[K] / E[K^2], without its cancellation at small beta
     if not (0.0 < beta < 1.0):
         raise DegenerateParameterError(
             f"matched logarithmic parameter is degenerate (beta = {beta!r})"

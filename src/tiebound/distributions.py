@@ -3,12 +3,11 @@
 Every law works on the log scale of its distribution function F, since
 the tie and near-order counts raise F to powers n as large as 1e9.  A
 discrete law lives on {1, 2, ...}: its mass function ``pmf``, its
-``logcdf`` and a certified geometric tail bound ``1 - F(j) <= tail_const *
-tail_ratio**j`` that downstream series evaluations use to certify
-truncation remainders.  A continuous law has ``logcdf`` on all of R (-inf
-below the support and 0 above it), which keeps expressions such as
-``logcdf(x - a)`` well defined at and below the support edge, and its
-inverse ``logquantile``.
+``logcdf`` and ``log_tail``, the log of a certified bound on 1 - F(j) from
+which the series over j certify their truncation remainders.  A
+continuous law has ``logcdf`` on all of R (-inf below the support and 0
+above it), which keeps expressions such as ``logcdf(x - a)`` well defined
+at and below the support edge, and its inverse ``logquantile``.
 
 All laws are immutable after construction and safe for concurrent reads.
 """
@@ -44,8 +43,9 @@ class DiscreteLaw:
             the series raise F to a power n, which grows the rounding of F
             n-fold.  Both accept integer arrays as well as scalars: the
             tie-count series evaluates them over blocks of j.
-        tail_ratio: r in (0, 1) with 1 - F(j) <= tail_const * r**j for all j >= 0.
-        tail_const: the constant C in the tail certificate.
+        log_tail: j -> log of a certified bound on P(X > j), for a scalar integer
+            j >= 0; it never rises as j grows, and is -inf where the tail is
+            exactly 0.  The series over j end and bound what they omit by it.
         support_max: largest support point for finitely supported laws, else None.
             When set, all mass beyond it is exactly zero.
         quantile: u -> smallest j with F(j) >= u; accepts floats or numpy
@@ -60,18 +60,11 @@ class DiscreteLaw:
 
     pmf: Callable
     logcdf: Callable
-    tail_ratio: float
-    tail_const: float = 1.0
+    log_tail: Callable
     support_max: Optional[int] = None
     quantile: Optional[Callable] = None
     descriptor: Optional[dict] = None
     lattice_rate: Optional[float] = None
-
-    def tail_bound(self, j: int) -> float:
-        """Certified upper bound on P(X > j)."""
-        if self.support_max is not None and j >= self.support_max:
-            return 0.0
-        return min(1.0, self.tail_const * self.tail_ratio**j)
 
 
 @dataclass(frozen=True)
@@ -98,11 +91,11 @@ def geometric_law(p: float) -> DiscreteLaw:
 
     log F(j) = log1p(-(1-p)**j) is evaluated in closed form via exp/log1p so
     it stays accurate both for p near 0 and for p near 1 (e.g. p = 1 - mu/n
-    with n up to 1e9).  Its ``lattice_rate`` is lambda = -log1p(-p).  Building
+    with n up to 1e9).  Its ``lattice_rate`` is lambda = -log1p(-p), and its
+    tail P(X > j) = (1-p)**j gives ``log_tail(j) = j log1p(-p)``.  Building
     the law imports nothing; numpy loads when a function of it is first called.
     """
     real_in(p, 0.0, 1.0, "geometric parameter")
-    q = 1.0 - p
     log_q = math.log1p(-p)
 
     def pmf(j):
@@ -128,8 +121,7 @@ def geometric_law(p: float) -> DiscreteLaw:
     return DiscreteLaw(
         pmf=pmf,
         logcdf=logcdf,
-        tail_ratio=q,
-        tail_const=1.0,
+        log_tail=lambda j: j * log_q,
         support_max=None,
         quantile=quantile,
         descriptor={"kind": "geometric", "p": p},
@@ -142,8 +134,7 @@ def tabulated_law(weights) -> DiscreteLaw:
 
     Weights must be non-negative and sum to 1 within 1e-12.  pmf reads the
     weights, and log F(j) = log1p(-P(X > j)) takes the tail summed from the
-    top; the tail beyond m is exactly 0.  The certificate 4 * 2**(-j/m) is
-    at least 2 below m, so it holds at every m.
+    top; the tail beyond m is exactly 0, and ``log_tail`` bounds it by 1 below m.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -181,8 +172,7 @@ def tabulated_law(weights) -> DiscreteLaw:
     return DiscreteLaw(
         pmf=pmf,
         logcdf=logcdf,
-        tail_ratio=2.0 ** (-1.0 / m),
-        tail_const=4.0,
+        log_tail=lambda j: 0.0 if j < m else -math.inf,
         support_max=m,
         quantile=quantile,
         descriptor={"kind": "tabulated", "weights": [float(x) for x in w]},

@@ -11,8 +11,9 @@ sum_j p(j)**power * F(j or j-1)**expo, as are E[q(M)**j] and the argmax
 normaliser Z below.  One engine (``_sums``) walks the maximum j for all the
 series a call asks for: it evaluates the law once per block of j
 (``_block``: log p(j), log F(j-1) and log F(j)), merges the block into each
-series' running log-sum-exp, and checks the law's geometric tail certificate
-at each block end.  Working in log space keeps n as large as 1e9 meaningful.
+series' running log-sum-exp, and checks the law's tail certificate
+(``log_tail``) at each block end.  Working in log space keeps n as large as
+1e9 meaningful.
 
 The full laws of K and of the size-biased count K* are binomial mixtures
 over the maximum M, with the conditional tie probability q(j) = p(j) / F(j):
@@ -135,26 +136,23 @@ def _sums(law: DiscreteLaw, terms) -> list:
     evaluated once per block of j (64, 128, ... values, at most
     ``_MAX_BLOCK``, by :func:`_block`), and each term merges the block into
     its own running log-sum-exp, so a result is meaningful even when every
-    term underflows a plain double.  A finitely supported law is one block
-    with zero remainder.  Otherwise the remainder certificate, checked at
-    each block end, uses p(j) <= C * r**(j-1) and F <= 1:
+    term underflows a plain double.  A finitely supported law is one block.
+    At each block end J, F <= 1 and power >= 1 certify the remainder:
 
-        sum_{j>J} p(j)**power <= C**power * r**(power*J) / (1 - r**power).
+        sum_{j>J} p(j)**power <= P(X > J)**power <= exp(power * law.log_tail(J)).
 
     A term stops adding blocks at the first block end where its remainder
     meets ``log_tol`` (plus its log sum if ``relative``), so its value does
     not depend on the other terms.  Raises :class:`TruncationError` with the
     largest open remainder if a term has not stopped by ``_SERIES_CAP`` terms.
     """
-    finite = law.support_max is not None
-    cap = law.support_max if finite else _SERIES_CAP
-    log_r, log_c = math.log(law.tail_ratio), math.log(law.tail_const)
+    cap = law.support_max or _SERIES_CAP
     runs = [[-math.inf, 0.0, None] for _ in terms]  # log-sum-exp scale, scaled sum, result
     lo, size = 1, _FIRST_BLOCK
     while True:
-        hi = cap if finite else min(cap, lo + size - 1)
+        hi = law.support_max or min(cap, lo + size - 1)
         lp, lf0, lf1 = _block(law, lo, hi)
-        worst = -math.inf
+        log_tail, worst = law.log_tail(hi), -math.inf
         for (power, expo, shifted, log_tol, relative), run in zip(terms, runs):
             if run[2] is not None:
                 continue
@@ -168,9 +166,7 @@ def _sums(law: DiscreteLaw, terms) -> list:
             if m > -math.inf:
                 s += float(np.exp(lt - m).sum())
             log_sum = m + math.log(s) if s > 0.0 else -math.inf
-            rp = law.tail_ratio**power
-            log_rem = (-math.inf if finite else power * (log_c + hi * log_r)
-                       - (math.log1p(-rp) if rp < 1.0 else -math.inf))
+            log_rem = power * log_tail
             run[:2] = m, s
             if log_rem <= log_tol + (log_sum if relative else 0.0):
                 run[2] = log_sum, log_rem
@@ -312,6 +308,18 @@ def _log_z(law: DiscreteLaw, n: int) -> float:
     return _sums(law, [(1, n - 1, False, math.log(1e-14), True)])[0][0]
 
 
+def _tail_end(law: DiscreteLaw, log_bound: float) -> int:
+    """The least j >= 1 with ``law.log_tail(j) <= log_bound``, which must exist: j
+    doubles until it gets there, then bisection narrows the last step."""
+    lo, hi = 0, 1
+    while law.log_tail(hi) > log_bound:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if law.log_tail(mid) > log_bound else (lo, mid)
+    return hi
+
+
 def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
     """The law of K, or of K*, from one blocked pass of binomial rows over j.
 
@@ -321,8 +329,8 @@ def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
     p(j) / F(j-1), formed in logs.  Rows with w_j below tiny, the smallest
     normal double, are skipped; the others span the window where w_j times
     their Chernoff bound reaches tiny (:func:`binom_window`), and each chunk
-    of rows is summed pairwise.  The pass ends at the J where P(M > J) <=
-    n C r**J (for K*, C r**J / Z) meets tol / 2.
+    of rows is summed pairwise.  The pass ends at the first J where P(M > J)
+    <= n P(X > J) (for K*, P(X > J) / Z) meets tol / 2 by ``law.log_tail``.
 
     The certificate b of K adds: tiny per skipped row; the suffix beyond J;
     twice the mass past each row's window (omitted, and moved by the row's
@@ -348,17 +356,14 @@ def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
     law, n = spec.law, spec.n
     m = n - 1 if biased else n
     log_z = _log_z(law, n) if biased else 0.0
-    last, suffix = law.support_max, 0.0
-    if last is None:
-        log_scale = math.log(law.tail_const) - (log_z if biased else -math.log(n))
-        log_r = math.log(law.tail_ratio)
-        last = max(1, math.ceil((math.log(tol / 2.0) - log_scale) / log_r))
-        suffix = min(1.0, math.exp(log_scale + min(last, _SERIES_CAP) * log_r))
-        if last > _SERIES_CAP:
-            raise TruncationError(
-                f"tie-count law did not certify its tolerance within {_SERIES_CAP} maxima",
-                best_bound=suffix,
-            )
+    log_scale = -log_z if biased else math.log(n)
+    last = _tail_end(law, math.log(tol / 2.0) - log_scale)
+    suffix = math.exp(min(0.0, log_scale + law.log_tail(min(last, _SERIES_CAP))))
+    if last > _SERIES_CAP:
+        raise TruncationError(
+            f"tie-count law did not certify its tolerance within {_SERIES_CAP} maxima",
+            best_bound=suffix,
+        )
     extra = _gamma(law.support_max or 0)
 
     def log_cdf_error(lf):
@@ -455,16 +460,15 @@ def argmax_value_law(spec: KnSpec) -> DiscreteLaw:
     """Law of the value M at which the maximum is attained, size-bias weighted.
 
     P(M = m) = p(m) F(m)**(n-1) / Z with Z = sum_j p(j) F(j)**(n-1); Z equals
-    E[K] / n.  The returned law inherits a valid geometric tail certificate
-    from the base law (constant scaled by 1/Z), and its ``logcdf`` sums the
-    mass on the log scale from one :func:`_block` of the base law.
+    E[K] / n.  As F <= 1, P(M > j) <= P(X > j) / Z, so the returned law's
+    ``log_tail`` is the base law's less log Z, capped at 0; its ``logcdf`` sums
+    the mass on the log scale from one :func:`_block` of the base law.
     """
     n = spec.n
     base = spec.law
     if n == 1:
         return base
     log_z = _log_z(base, n)
-    z = math.exp(log_z)
 
     def pmf(m):
         scalar = np.ndim(m) == 0
@@ -492,8 +496,7 @@ def argmax_value_law(spec: KnSpec) -> DiscreteLaw:
     return DiscreteLaw(
         pmf=pmf,
         logcdf=logcdf,
-        tail_ratio=base.tail_ratio,
-        tail_const=base.tail_const / z,
+        log_tail=lambda j: min(0.0, base.log_tail(j) - log_z),
         support_max=base.support_max,
         quantile=None,
         descriptor=None,

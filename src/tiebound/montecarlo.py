@@ -42,7 +42,7 @@ from . import bounds_continuous
 from .approximants import TruncatedPMF, _dense
 from .distributions import DiscreteLaw
 from .errors import DomainError
-from .maxima import KnSpec, argmax_value_law, tie_given_max_prob
+from .maxima import KnSpec, _tail_end, argmax_value_law, tie_given_max_prob
 
 __all__ = [
     "RngStream",
@@ -110,18 +110,14 @@ class EmpiricalPMF:
 def _discrete_quantile_fn(law: DiscreteLaw):
     """Vectorized inverse cdf, building a lookup table when the law has none.
 
-    The table ends at a ``top`` with F(top) >= 1 - 2**-53 by the tail bound,
-    and no double drawn from [0, 1) exceeds 1 - 2**-53, so a draw above the
-    table's last entry (which may round low) maps to ``top``.
+    The table ends at the first ``top`` with F(top) >= 1 - 2**-53 by the law's
+    ``log_tail`` (at m for a law on {1, ..., m}), and no double drawn from
+    [0, 1) exceeds 1 - 2**-53, so a draw above the table's last entry (which
+    may round low) maps to ``top``.
     """
     if law.quantile is not None:
         return law.quantile
-    if law.support_max is not None:
-        top = law.support_max
-    else:
-        r, c = law.tail_ratio, law.tail_const
-        top = int(math.ceil((math.log(2.0**-53) - math.log(c)) / math.log(r)))
-        top = max(top, 1)
+    top = _tail_end(law, math.log(2.0**-53))
     cum = np.exp(law.logcdf(np.arange(1, top + 1)))
 
     def quantile(u):

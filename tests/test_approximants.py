@@ -252,7 +252,7 @@ CERTIFICATE_GRID = ([("log", (alpha,)) for alpha in (0.1, 0.5, 0.9)]
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-13])
 @pytest.mark.parametrize("kind,params", CERTIFICATE_GRID)
-def test_tail_bound_covers_the_40_digit_tail(kind, params, tol):
+def test_tail_mass_bound_covers_the_40_digit_tail(kind, params, tol):
     # the 1e-14 allows for rounding in the bound itself where it is exact
     # (geometric, unit shape); shapes below 1 have ratios that rise to beta
     law = TARGETS[kind](*params, tol)

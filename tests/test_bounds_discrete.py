@@ -95,6 +95,23 @@ class TestLogBoundSingleton:
             assert abs(report.bound - oracle) <= (report.truncation_error
                                                   + 1e-13 * max(1.0, oracle))
 
+    @pytest.mark.parametrize("p,tol", [(0.38, 1e-6), (0.32, 1e-9), (0.38, TOL)])
+    def test_series_certificate_covers_the_40_digit_bound(self, p, tol):
+        """At n = 20 the three values come from the series; the truncation error
+        covers the distance to the bound at the exact alpha, which P(K=1)'s
+        remainder moves too.  The 1e-13 is for rounding."""
+        n = 20
+        report = log_bound_singleton(KnSpec(law=geometric_law(p), n=n), tol)
+        with mpmath.workdps(40):
+            pmf, cdf, cdf_prev = _mp_geometric(p, n)
+            pk1 = n * mpmath.fsum(pj * Fp**(n - 1) for pj, Fp in zip(pmf, cdf_prev))
+            pk2 = mpmath.binomial(n, 2) * mpmath.fsum(pj**2 * Fp**(n - 2)
+                                                      for pj, Fp in zip(pmf, cdf_prev))
+            ek = n * mpmath.fsum(pj * Fj**(n - 1) for pj, Fj in zip(pmf, cdf))
+            alpha = 1 - pk1 / ek
+            exact = -2 * mpmath.log1p(-alpha) * (ek - 2 * (1 - alpha) / alpha * pk2)
+            assert abs(report.bound - exact) <= report.truncation_error + 1e-13
+
     def test_series_values_match_high_precision_oracle(self):
         """E[(K)_ell] and P(K = k) agree with their series summed in 40 digits,
         within the requested tolerance (relative for moments, absolute for

@@ -163,3 +163,5 @@ def test_discrete_bounds_are_within_their_truncation_error_of_40_digit_values(p,
     # for the main terms alpha = p and the bound is 2 p**2 (2-p) / q
     assert reports["thm1a"].params["alpha"] == pytest.approx(p, rel=1e-15)
     assert reports["thm1a"].bound == pytest.approx(2 * p * p * (2 - p) / (1 - p), rel=1e-15)
+    # beta = E[(K)_2] / E[K^2] does not cancel as 1 - E[K] / E[K^2] did
+    assert reports["thm1b"].bound == pytest.approx(float(exact["thm1b"]), rel=1e-14)

@@ -40,7 +40,7 @@ class TestGeometric:
         law = geometric_law(0.2)
         for j in range(1, 80):
             assert abs((np.exp(law.logcdf(j)) - np.exp(law.logcdf(j - 1))) - law.pmf(j)) < 1e-14
-            assert 1.0 - np.exp(law.logcdf(j)) <= law.tail_const * law.tail_ratio**j + 1e-15
+            assert 1.0 - np.exp(law.logcdf(j)) <= math.exp(law.log_tail(j)) + 1e-15
 
     def test_quantile_is_smallest_index(self):
         law = geometric_law(0.35)
@@ -67,22 +67,21 @@ class TestTabulated:
     def test_tail_is_exactly_zero(self):
         law = tabulated_law([0.2, 0.8])
         assert law.support_max == 2
-        assert law.tail_bound(2) == 0.0
+        assert law.log_tail(2) == -math.inf
         assert law.pmf(3) == 0.0
         assert np.exp(law.logcdf(5)) == 1.0
 
     def test_declared_certificate_holds_inside_support(self):
         law = tabulated_law([0.25, 0.25, 0.25, 0.25])
         for j in range(0, 6):
-            assert 1.0 - np.exp(law.logcdf(j)) <= law.tail_const * law.tail_ratio**j
+            assert 1.0 - np.exp(law.logcdf(j)) <= math.exp(law.log_tail(j))
 
     @pytest.mark.parametrize("m", [1, 2, 2000])
     def test_tail_certificate_holds_at_every_support_size(self, m):
-        # 2000 outcomes: a constant 2**min(m, 1023) with ratio 1/2 read 0 at j = 1500
         w = [1.0 / m] * m
         law = tabulated_law(w)
         for j in range(0, m + 2):
-            assert law.tail_bound(j) >= math.fsum(w[j:])
+            assert math.exp(law.log_tail(j)) >= math.fsum(w[j:])
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -167,9 +166,9 @@ def test_discrete_tail_covers_unit_mass():
     """Partial pmf sums plus the declared tail bound cover 1 within 1e-10."""
     for p in (0.1, 0.4, 0.7):
         law = geometric_law(p)
-        target = int(math.ceil(math.log(1e-12) / math.log(law.tail_ratio)))
+        target = int(math.ceil(math.log(1e-12) / math.log1p(-p)))
         partial = math.fsum(law.pmf(j) for j in range(1, target + 1))
-        assert partial + law.tail_bound(target) >= 1.0 - 1e-10
+        assert partial + math.exp(law.log_tail(target)) >= 1.0 - 1e-10
         assert partial <= 1.0 + 1e-12
 
 

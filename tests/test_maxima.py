@@ -27,6 +27,7 @@ from tiebound.maxima import (
     _MAX_BLOCK,
     KnSpec,
     _sums,
+    _tail_end,
     argmax_value_law,
     size_biased_tie_law,
     size_biased_tie_pmf,
@@ -202,7 +203,7 @@ class TestArgmaxLaw:
         m_law = argmax_value_law(KnSpec(law=geometric_law(0.3), n=5))
         for m in (1, 5, 10, 30):
             true_tail = 1.0 - np.exp(m_law.logcdf(m))
-            assert true_tail <= m_law.tail_const * m_law.tail_ratio**m + 1e-12
+            assert true_tail <= math.exp(m_law.log_tail(m)) + 1e-12
 
 
 class TestTieGivenMax:
@@ -287,8 +288,7 @@ def _one_series(law, power, expo, shifted, log_tol, relative):
         if m > -math.inf:
             s += float(np.exp(lt - m).sum())
         log_sum = m + math.log(s) if s > 0.0 else -math.inf
-        log_rem = -math.inf if cap else (power * (math.log(law.tail_const) + hi * math.log(
-            law.tail_ratio)) - math.log1p(-law.tail_ratio**power))
+        log_rem = power * law.log_tail(hi)
         if log_rem <= log_tol + (log_sum if relative else 0.0):
             return log_sum, log_rem
         lo, size = hi + 1, min(2 * size, _MAX_BLOCK)
@@ -303,6 +303,61 @@ def test_one_pass_equals_one_series_at_a_time(law, n):
     terms = [(1, n - 1, False, math.log(1e-14), True), (2, n - 2, True, -40.0, False),
              (3, n - 3, False, math.log(1e-6), True), (1, n - 1, True, -70.0, False)]
     assert _sums(law, terms) == [_one_series(law, *term) for term in terms]
+
+
+TAIL_LAWS = {
+    "geometric-0.3": geometric_law(0.3),
+    "geometric-1e-3": geometric_law(1e-3),
+    "tabulated": tabulated_law([0.2, 0.3, 0.5]),
+    "argmax-geometric": argmax_value_law(KnSpec(law=geometric_law(0.05), n=50)),
+    "argmax-tabulated": argmax_value_law(KnSpec(law=tabulated_law([0.2, 0.3, 0.5]), n=7)),
+}
+
+
+@pytest.mark.parametrize("name", TAIL_LAWS)
+@pytest.mark.parametrize("log_bound", [0.5, 0.0, -1e-3, math.log(1e-12), math.log(2.0**-53)])
+def test_tail_end_is_the_first_index_the_tail_meets(name, log_bound):
+    """The doubling-then-bisecting search finds what a scan from j = 1 finds;
+    a finitely supported law's tail meets any negative bound first at m."""
+    law = TAIL_LAWS[name]
+    first = next(j for j in itertools.count(1) if law.log_tail(j) <= log_bound)
+    assert _tail_end(law, log_bound) == first
+    if law.support_max is not None and log_bound < 0.0:
+        assert first == law.support_max
+
+
+def _stopped_sum(law, term):
+    """``_sums`` of one term, with the block end J where it stopped."""
+    ends = []
+    traced = dataclasses.replace(law, log_tail=lambda j: ends.append(j) or law.log_tail(j))
+    (log_sum, log_rem), = _sums(traced, [term])
+    return log_rem, ends[-1]
+
+
+@pytest.mark.parametrize("p,n", [(0.05, 5), (0.3, 50), (0.7, 20)])
+@pytest.mark.parametrize("power,shifted", [(1, False), (1, True), (2, True)])
+def test_series_remainder_covers_the_40_digit_omitted_sum(p, n, power, shifted):
+    """sum_{j>J} p(j)**power F(j or j-1)**(n-power), summed in 40 digits, lies
+    within the remainder at the J where the series stopped, up to the rounding
+    of the exponent J log1p(-p), some 1e-14 relative.  The negative control
+    halves the law's tail bound: with power 1 the bound is nearly the omitted
+    sum itself, so the halved one falls short of it."""
+    law = dataclasses.replace(geometric_law(p), lattice_rate=None)
+    term = (power, n - power, shifted, math.log(1e-12), True)
+    with mp.workdps(40):
+        q = 1 - mp.mpf(p)
+
+        def omitted(end):
+            j = range(end + 1, end + 1 + int(120.0 / -math.log1p(-p)))  # past it: e**-120
+            return mp.fsum((p * q**(i - 1))**power * (1 - q**(i - shifted))**(n - power)
+                           for i in j)
+
+        log_rem, end = _stopped_sum(law, term)
+        assert mp.exp(log_rem) * (1 + 1e-13) >= omitted(end)
+        if power == 1:
+            halved = dataclasses.replace(law, log_tail=lambda j: law.log_tail(j) - math.log(2.0))
+            log_rem, end = _stopped_sum(halved, term)
+            assert mp.exp(log_rem) < omitted(end)
 
 
 @pytest.mark.parametrize("law", [geometric_law(1e-3), geometric_law(0.3),
@@ -368,19 +423,18 @@ def test_full_law_sums_to_one_at_huge_n(n):
 
 def test_series_cap_is_honoured_between_block_ends(monkeypatch):
     """With the term cap off any block boundary, the engine stops at exactly the
-    cap and reports the largest open tail certificate there, C r**J / (1 - r)
-    at J = cap, which is the first moment's, for one series or several.  The
+    cap and reports the largest open tail certificate there, q**J at J = cap,
+    which is the first moment's, for one series or several.  The
     law has no lattice rate: the closed form would certify these moments."""
     cap = 1000
     monkeypatch.setattr("tiebound.maxima._SERIES_CAP", cap)
     law = dataclasses.replace(geometric_law(1e-7), lattice_rate=None)
-    r = law.tail_ratio
-    certificate = law.tail_const * r**cap / (1.0 - r)
+    certificate = (1.0 - 1e-7) ** cap
     for orders in (1, (1, 2, 3)):
         with pytest.raises(TruncationError) as exc:
             tie_count_factorial_moment(KnSpec(law=law, n=5), orders, TOL)
         assert math.isfinite(exc.value.best_bound)
-        # one term more or less moves the certificate by a factor r = 1 - 1e-7
+        # one term more or less moves the certificate by a factor q = 1 - 1e-7
         assert exc.value.best_bound == pytest.approx(certificate, rel=1e-9)
 
 

@@ -334,12 +334,11 @@ def test_quantile_table_maps_draws_above_its_last_entry_to_its_top():
     """The argmax law's table at geometric (1e-4, 1e5) ends 3.9e-13 below 1; a
     draw above that entry must return the table's top, not walk the cdf (that
     walk never ended).  Run in a child, so that a hang fails instead of stalling."""
-    code = ("import math\n"
+    code = ("import itertools, math\n"
             "from tiebound import KnSpec, argmax_value_law, geometric_law\n"
             "from tiebound.montecarlo import _discrete_quantile_fn\n"
             "law = argmax_value_law(KnSpec(law=geometric_law(1e-4), n=10**5))\n"
-            "top = math.ceil((math.log(2.0**-53) - math.log(law.tail_const))\n"
-            "                / math.log(law.tail_ratio))\n"
+            "top = next(j for j in itertools.count(1) if law.log_tail(j) <= math.log(2.0**-53))\n"
             "q = _discrete_quantile_fn(law)\n"
             "print(top, q(1 - 1e-13), q(1 - 2**-53), q(0.5))\n")
     src = os.path.dirname(os.path.dirname(tiebound.__file__))

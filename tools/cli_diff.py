@@ -48,10 +48,16 @@ COMMANDS = [
     ["bound", "thm1a", "--p", "0.3", "--n", "10"],
     ["bound", "thm1b", "--p", "0.3", "--n", "10"],
     ["bound", "thm2", "--p", "0.3", "--n", "10"],
+    # thm1a's series certificate at a coarse tolerance, and the bound across p at n = 50
+    ["bound", "thm1a", "--p", "0.38", "--n", "20", "--tol", "1e-6"],
+    ["figure", "fig1", "--n", "50"],
     ["simulate", "--p", "0.01", "--n", "10000"],
     ["simulate", "--kind", "size-biased", "--p", "0.2", "--n", "20"],
     ["simulate", "--kind", "size-biased", "--p", "0.001", "--n", "100000"],
     ["simulate", "--law", "tabulated", "--weights", "0.5,0.5", "--n", "1000"],
+    # the argmax quantile table of a finitely supported law
+    ["simulate", "--kind", "size-biased", "--law", "tabulated", "--weights", "0.2,0.3,0.5",
+     "--n", "50"],
     ["bound", "thm3", "--law", "gumbel", "--n", "100", "--a", "0.3"],
     ["bound", "thm3", "--law", "uniform", "--b", "1", "--n", "200", "--ell", "3", "--a", "0.05"],
     ["bound", "thm3", "--law", "gumbel", "--n", "1000000", "--a", "0.3"],
