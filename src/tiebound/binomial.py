@@ -18,6 +18,9 @@ __all__ = ["binom_window", "binom_rows"]
 _EPS = sys.float_info.epsilon
 # unit roundoff, the u of Higham's gamma_k = k u / (1 - k u)
 _U = _EPS / 2.0
+# the smallest normal double: the mixture laws skip rows and trim entries below it
+_TINY = sys.float_info.min
+_LOG_TINY = math.log(_TINY)
 
 # _stirlerr(k) for k = 1, ..., 15, where the series below is not yet accurate
 # and lgamma(k + 1) - (k + 1/2) log k + ... cancels to about 5e-15

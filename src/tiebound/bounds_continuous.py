@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, replace
 
 from ._numpy import np
 from .approximants import TruncatedPMF
-from .binomial import (_EPS, _log_binom_tail, _log_binom_term, _log_choose, _mode, binom_rows,
-                       binom_window)
+from .binomial import (_EPS, _LOG_TINY, _TINY, _log_binom_tail, _log_binom_term, _log_choose,
+                       _mode, binom_rows, binom_window)
 from .bounds_discrete import BoundReport
 from .distributions import ContinuousLaw
 from .errors import (DegenerateParameterError, DomainError, IntegrationError, integer_in,
@@ -274,8 +273,6 @@ def _gk21():
     )
 
 
-_TINY = sys.float_info.min
-_LOG_TINY = math.log(_TINY)
 _MAX_PANELS = 50
 
 

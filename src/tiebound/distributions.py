@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ._numpy import np
+from .binomial import _U
 from .errors import DomainError, real_in
 
 __all__ = [
@@ -92,8 +93,10 @@ def geometric_law(p: float) -> DiscreteLaw:
     log F(j) = log1p(-(1-p)**j) is evaluated in closed form via exp/log1p so
     it stays accurate both for p near 0 and for p near 1 (e.g. p = 1 - mu/n
     with n up to 1e9).  Its ``lattice_rate`` is lambda = -log1p(-p), and its
-    tail P(X > j) = (1-p)**j gives ``log_tail(j) = j log1p(-p)``.  Building
-    the law imports nothing; numpy loads when a function of it is first called.
+    tail P(X > j) = (1-p)**j gives ``log_tail(j) = j log1p(-p) (1 - 6u)``:
+    log1p errs by at most 4u and each product by u, so raising the value by
+    6u keeps it at or above the true log tail.  Building the law imports
+    nothing; numpy loads when a function of it is first called.
     """
     real_in(p, 0.0, 1.0, "geometric parameter")
     log_q = math.log1p(-p)
@@ -121,7 +124,7 @@ def geometric_law(p: float) -> DiscreteLaw:
     return DiscreteLaw(
         pmf=pmf,
         logcdf=logcdf,
-        log_tail=lambda j: j * log_q,
+        log_tail=lambda j: j * log_q * (1.0 - 6.0 * _U),
         support_max=None,
         quantile=quantile,
         descriptor={"kind": "geometric", "p": p},

@@ -6,10 +6,12 @@ function F, the number K of observations tied with the sample maximum has
     P(K = k)            = C(n, k) * sum_j p(j)**k * F(j-1)**(n-k)
     E[(K)_ell]          = (n)_ell * sum_j p(j)**ell * F(j)**(n-ell)
 
-where (k)_ell is the falling factorial.  Both are instances of one series,
-sum_j p(j)**power * F(j or j-1)**expo, as are E[q(M)**j] and the argmax
-normaliser Z below.  One engine (``_sums``) walks the maximum j for all the
-series a call asks for: it evaluates the law once per block of j
+where (k)_ell is the falling factorial.  Every tie-count value goes through
+``_tie_values``, as do the argmax normaliser Z = E[K] / n and E[q(M)**j] =
+E[(K)_{1+j}] / ((n-1)_j E[K]) below: it takes the closed form at the end of
+this docstring where that certifies, and otherwise one pass of the engine
+``_sums``, which walks the maximum j for all the series sum_j p(j)**power *
+F(j or j-1)**expo of a call: it evaluates the law once per block of j
 (``_block``: log p(j), log F(j-1) and log F(j)), merges the block into each
 series' running log-sum-exp, and checks the law's tail certificate
 (``log_tail``) at each block end.  Working in log space keeps n as large as
@@ -59,14 +61,14 @@ most 2 ulp.  No array is needed there, so such a call never imports numpy.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from ._numpy import np
 from .approximants import TruncatedPMF
-from .binomial import _U, _gamma, _log_choose, _pairwise_sum, binom_rows, binom_window
+from .binomial import (_LOG_TINY, _TINY, _U, _gamma, _log_choose, _pairwise_sum, binom_rows,
+                       binom_window)
 from .distributions import DiscreteLaw
 from .errors import DomainError, TruncationError, integer_in, positive_tol
 
@@ -89,9 +91,6 @@ _SERIES_CAP = 2_000_000
 # mixture laws, whose last maximum is known, take blocks of _MAX_BLOCK at once
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 1 << 15
-# mixture rows at or below the smallest normal double are dropped
-_FLOOR = sys.float_info.min
-_LOG_FLOOR = math.log(_FLOOR)
 # cells (rows x window) of one mixture chunk; a single row may exceed it
 _CHUNK_CELLS = 1 << 15
 # the closed form's omega = 2 pi / lambda is capped here, so that omega**2 stays
@@ -245,10 +244,10 @@ def _closed_form(lam: float, n: int, k: int, moment: bool, tol: float):
     g = _gamma(count + 2)
     rel = ((eps or 0.0) + g) / (1.0 - g)
     if moment:
-        if power >= _FLOOR and rel <= tol:
+        if power >= _TINY and rel <= tol:
             return _TieValue(value, value * rel, eps)
         return None
-    remainder = value * rel + _FLOOR
+    remainder = value * rel + _TINY
     return _TieValue(value, remainder, eps) if remainder <= tol else None
 
 
@@ -303,9 +302,9 @@ def tie_count_factorial_moment(spec: KnSpec, ell, tol: float = DEFAULT_TOL):
     return _values(spec, ell, tol, pmf=False)
 
 
-def _log_z(law: DiscreteLaw, n: int) -> float:
-    """log Z, Z = sum_j p(j) F(j)**(n-1) = E[K] / n, within 1e-14 relatively."""
-    return _sums(law, [(1, n - 1, False, math.log(1e-14), True)])[0][0]
+def _log_z(spec: KnSpec) -> float:
+    """log Z, Z = sum_j p(j) F(j)**(n-1) = E[K] / n, with E[K] within 1e-14 relatively."""
+    return math.log(_tie_values(spec, (), (1,), 1e-14)[0].value / spec.n)
 
 
 def _tail_end(law: DiscreteLaw, log_bound: float) -> int:
@@ -355,7 +354,7 @@ def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
     positive_tol(tol)
     law, n = spec.law, spec.n
     m = n - 1 if biased else n
-    log_z = _log_z(law, n) if biased else 0.0
+    log_z = _log_z(spec) if biased else 0.0
     log_scale = -log_z if biased else math.log(n)
     last = _tail_end(law, math.log(tol / 2.0) - log_scale)
     suffix = math.exp(min(0.0, log_scale + law.log_tail(min(last, _SERIES_CAP))))
@@ -376,8 +375,8 @@ def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
         lp, lf0, lf1 = _block(law, lo, min(last, lo + _MAX_BLOCK - 1))
         with np.errstate(divide="ignore", invalid="ignore"):
             lw = lp + (n - 1) * lf1 - log_z if biased else n * lf1
-            keep = lw >= _LOG_FLOOR
-            bounds.append((lp.size - np.count_nonzero(keep)) * _FLOOR)
+            keep = lw >= _LOG_TINY
+            bounds.append((lp.size - np.count_nonzero(keep)) * _TINY)
             if not keep.any():
                 continue
             lp, lf0, lf1, lw = lp[keep], lf0[keep], lf1[keep], lw[keep]
@@ -389,7 +388,7 @@ def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
                 e_w += d_lp + 3.0 * _U * (np.abs(lp) + abs(log_z))
             e_odds = np.where((odds > 0.0) & (odds < np.inf),
                               d_lp + log_cdf_error(lf0) + _U * (np.abs(lp - lf0) + 2.0), 0.0)
-        w_lo, w_hi = binom_window(m, odds, lw - _LOG_FLOOR)
+        w_lo, w_hi = binom_window(m, odds, lw - _LOG_TINY)
         per_chunk = max(1, _CHUNK_CELLS // int(w_hi.max() - w_lo.min() + 1))
         for s in range(0, odds.size, per_chunk):
             c = slice(s, s + per_chunk)
@@ -406,7 +405,7 @@ def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
             norm = _gamma(math.ceil(math.log2(g_hi - g_lo + 1)) + 3)
             bounds.append(w @ (mass * (np.expm1(e_w[c]) + norm + 4.0 * _U * (sigma + 2.0))
                                + np.minimum(sigma, 2.0 * m * q[c]) * (e_odds[c] + 4.0 * _U)
-                               + 2.0 * outside) + 2.0 * rows.size * _FLOOR)
+                               + 2.0 * outside) + 2.0 * rows.size * _TINY)
             parts.append((start, _pairwise_sum(w[:, None] * rows[:, first:])))
             held += float(parts[-1][1].sum())
             depth = max(depth, math.ceil(math.log2(w.size)))
@@ -416,7 +415,7 @@ def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
     probs = np.zeros(k_hi - k_lo + 1)
     for start, summed in parts:
         probs[start - k_lo: start - k_lo + summed.size] += summed
-    big = np.flatnonzero(probs >= _FLOOR)
+    big = np.flatnonzero(probs >= _TINY)
     probs = probs[big[0]: big[-1] + 1]
     total = math.fsum(probs.tolist())
     b = math.fsum(bounds) + _gamma(depth + len(parts)) * total
@@ -468,7 +467,7 @@ def argmax_value_law(spec: KnSpec) -> DiscreteLaw:
     base = spec.law
     if n == 1:
         return base
-    log_z = _log_z(base, n)
+    log_z = _log_z(spec)
 
     def pmf(m):
         scalar = np.ndim(m) == 0
@@ -519,25 +518,17 @@ def tie_given_max_prob(law: DiscreteLaw, m):
 
 
 def tie_given_max_moment(spec: KnSpec, j: int, tol: float = DEFAULT_TOL) -> float:
-    """E[q(M)**j] for j in {1, 2}, certified within ``tol`` relatively.
+    """E[q(M)**j] for j in {1, 2}, certified within ``tol`` relatively, as
 
-    Computed directly as sum_m P(M = m) q(m)**j, which collapses to the
-    tie-count series with mass exponent 1 + j:
+        E[q(M)**j] = sum_m p(m)**(1+j) F(m)**(n-1-j) / Z = E[(K)_{1+j}] / ((n-1)_j E[K])
 
-        E[q(M)**j] = sum_m p(m)**(1+j) F(m)**(n-1-j) / Z.
-
-    Requires n >= 2 for j = 1 and n >= 3 for j = 2 (the cdf exponent must
-    stay non-negative, and the matching factorial-moment identities divide
-    by n - 1 and n - 2).
+    from one :func:`_tie_values` call that gives both moments within tol / 3
+    relatively: the quotient then errs by at most (2 tol / 3) / (1 - tol / 3)
+    <= tol for tol <= 1.  Requires n >= 2 for j = 1 and n >= 3 for j = 2.
     """
     j = integer_in(j, 1, 2, "moment order")
     if spec.n < j + 1:
         raise DomainError(f"need at least {j + 1} observations for moment order {j}")
     positive_tol(tol)
-    (log_num, _), (log_z, _) = _sums(spec.law, [
-        (1 + j, spec.n - 1 - j, False, math.log(tol / 2.0), True),
-        (1, spec.n - 1, False, math.log(min(tol / 2.0, 1e-14)), True),
-    ])
-    if log_num == -math.inf:
-        return 0.0
-    return math.exp(log_num - log_z)
+    e1, e_top = _tie_values(spec, (), (1, 1 + j), tol / 3.0)
+    return e_top.value / (math.perm(spec.n - 1, j) * e1.value)

@@ -41,8 +41,8 @@ import numpy as np
 from . import bounds_continuous
 from .approximants import TruncatedPMF, _dense
 from .distributions import DiscreteLaw
-from .errors import DomainError
-from .maxima import KnSpec, _tail_end, argmax_value_law, tie_given_max_prob
+from .errors import DomainError, TruncationError
+from .maxima import _SERIES_CAP, KnSpec, _tail_end, argmax_value_law, tie_given_max_prob
 
 __all__ = [
     "RngStream",
@@ -113,11 +113,16 @@ def _discrete_quantile_fn(law: DiscreteLaw):
     The table ends at the first ``top`` with F(top) >= 1 - 2**-53 by the law's
     ``log_tail`` (at m for a law on {1, ..., m}), and no double drawn from
     [0, 1) exceeds 1 - 2**-53, so a draw above the table's last entry (which
-    may round low) maps to ``top``.
+    may round low) maps to ``top``.  Raises :class:`TruncationError` before
+    building anything when ``top`` exceeds ``maxima._SERIES_CAP``, the cap of
+    the series and the mixture laws.
     """
     if law.quantile is not None:
         return law.quantile
     top = _tail_end(law, math.log(2.0**-53))
+    if top > _SERIES_CAP:
+        raise TruncationError(f"quantile table would exceed {_SERIES_CAP} entries",
+                              best_bound=math.exp(law.log_tail(_SERIES_CAP)))
     cum = np.exp(law.logcdf(np.arange(1, top + 1)))
 
     def quantile(u):

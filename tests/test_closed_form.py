@@ -1,6 +1,7 @@
 """The geometric law's tie-count values in closed form, against 40-digit values and the series."""
 
 import dataclasses
+import functools
 import math
 import time
 
@@ -17,8 +18,10 @@ from tiebound.maxima import (
     _closed_form,
     _tie_values,
     argmax_value_law,
+    size_biased_tie_law,
     tie_count_factorial_moment,
     tie_count_pmf,
+    tie_given_max_moment,
 )
 
 TOL = 1e-12
@@ -109,12 +112,81 @@ def test_other_laws_never_take_the_closed_form(monkeypatch):
     def refuse(*args):
         raise AssertionError("closed form taken")
 
+    # the argmax law's Z is its geometric base law's E[K] / n, which does take the closed
+    # form; the argmax law's own values must not
+    argmax = argmax_value_law(KnSpec(geometric_law(0.05), 50))
     monkeypatch.setattr(maxima, "_closed_form", refuse)
-    spec = KnSpec(geometric_law(0.05), 50)
-    for law in (argmax_value_law(spec), tabulated_law([0.2, 0.3, 0.5])):
+    for law in (argmax, tabulated_law([0.2, 0.3, 0.5])):
         assert law.lattice_rate is None
         values = _tie_values(KnSpec(law, 6), (1, 2), (1, 2, 3), TOL)
         assert all(v.eps is None for v in values)
+
+
+def _exact_tie_given_max(p: float, n: int, j: int):
+    """E[q(M)**j] = E[(K)_{1+j}] / ((n-1)_j E[K]) at 40 digits."""
+    with mp.workdps(40):
+        return _exact(p, n, 1 + j, True) / (math.perm(n - 1, j) * _exact(p, n, 1, True))
+
+
+@functools.lru_cache(maxsize=None)
+def _direct_tie_given_max(p: float, n: int) -> tuple:
+    """E[q(M)] and E[q(M)**2] as direct 40-digit sums, sum_m p(m)**(1+j) F(m)**(n-1-j)
+    / sum_m p(m) F(m)**(n-1), over the m where F(m)**n reaches 1e-20 and up to q**m
+    = 1e-20 / n, past which every sum loses under 1e-19 relatively."""
+    with mp.workdps(40):
+        p = mp.mpf(p)
+        lam = -mp.log1p(-p)
+        lo = max(1, int(mp.floor((mp.log(n) - mp.log(46)) / lam)))
+        hi = int(mp.ceil((mp.log(n) + 20 * mp.log(10)) / lam))
+        sums = [mp.mpf(0)] * 3
+        qm = (1 - p)**(lo - 1)  # q**(m-1)
+        for _ in range(lo, hi + 1):
+            pm, f = p * qm, 1 - (1 - p) * qm
+            term, ratio = pm * mp.exp((n - 1) * mp.log(f)), pm / f
+            sums = [sums[0] + term, sums[1] + term * ratio, sums[2] + term * ratio**2]
+            qm *= 1 - p
+        return sums[1] / sums[0], sums[2] / sums[0]
+
+
+@pytest.mark.parametrize("p,n", [(0.3, 10), (1e-3, 10**5), (1e-6, 10**6), (1e-9, 10**9)])
+@pytest.mark.parametrize("j", [1, 2])
+def test_tie_given_max_moment_is_within_tol_of_40_digit_values(p, n, j):
+    spec = KnSpec(geometric_law(p), n)
+    start = time.perf_counter()
+    value = tie_given_max_moment(spec, j)
+    if p < 1e-3:  # the series would need more than its 2e6-term cap
+        assert time.perf_counter() - start < 0.01
+    with mp.workdps(40):
+        if p <= 1e-3:  # where _exact's three Fourier terms are all there is
+            assert abs(mp.mpf(value) / _exact_tie_given_max(p, n, j) - 1) <= TOL
+        if n <= 10**5:
+            assert abs(mp.mpf(value) / _direct_tie_given_max(p, n)[j - 1] - 1) <= TOL
+
+
+@pytest.mark.parametrize("p,n", [(1e-6, 10**6), (1e-9, 10**9)])
+def test_argmax_law_past_the_series_cap_is_within_tol_of_40_digit_values(p, n):
+    spec = KnSpec(geometric_law(p), n)
+    start = time.perf_counter()
+    law = argmax_value_law(spec)
+    assert time.perf_counter() - start < 0.01
+    # P(M = m) = p(m) F(m)**(n-1) / Z with Z = E[K] / n, around the mode log(n) / p
+    with mp.workdps(40):
+        q, z = 1 - mp.mpf(p), _exact(p, n, 1, True) / n
+        for m in (round(c * math.log(n) / p) for c in (0.9, 1.0, 1.2)):
+            exact = p * q**(m - 1) * (1 - q**m)**(n - 1) / z
+            assert abs(mp.mpf(law.pmf(m)) / exact - 1) <= TOL, m
+
+
+@pytest.mark.parametrize("build", [size_biased_tie_law, argmax_value_law])
+def test_size_biased_laws_take_z_from_the_closed_form(build, monkeypatch):
+    calls = []
+    monkeypatch.setattr(maxima, "_sums",
+                        lambda *args, sums=maxima._sums: calls.append(args) or sums(*args))
+    law = geometric_law(1e-3)
+    build(KnSpec(law, 10**5))
+    assert calls == []
+    build(KnSpec(dataclasses.replace(law, lattice_rate=None), 10**5))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("series", [False, True], ids=["closed-form", "series"])

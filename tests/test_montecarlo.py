@@ -11,6 +11,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -21,7 +23,7 @@ import tiebound
 from tiebound.approximants import TruncatedPMF, truncated_log, truncated_poisson
 from tiebound.bounds_continuous import NearOrderSpec, near_order_count_pmf
 from tiebound.distributions import geometric_law, gumbel_law, tabulated_law, uniform_law
-from tiebound.errors import DomainError
+from tiebound.errors import DomainError, TruncationError
 from tiebound.maxima import (
     KnSpec,
     argmax_value_law,
@@ -348,6 +350,23 @@ def test_quantile_table_maps_draws_above_its_last_entry_to_its_top():
     assert high == highest == top and median < top
 
 
+@pytest.mark.parametrize("p,n", [(1e-6, 10**6), (1e-9, 10**9)])
+def test_quantile_table_past_the_series_cap_is_refused_before_it_is_built(p, n):
+    """Z now comes from the closed form, so the argmax table alone would reach
+    5.1e7 entries at (1e-6, 1e6) and 5.7e10 at (1e-9, 1e9)."""
+    spec = KnSpec(law=geometric_law(p), n=n)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(TruncationError):
+            sample_size_biased_ties(spec, RngStream(seed=1), size=10)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 10e6
+
+
 def _chi_square_pvalue(samples, k_min, pmf, min_expected=5.0):
     """Chi-square goodness of fit with tail bins merged to keep cells full."""
     n = samples.size
@@ -435,13 +454,13 @@ class TestEmpiricalTV:
         assert estimate == 0.999999999999574
 
     def test_counts_must_sum(self):
-        from tiebound.errors import DomainError
+        from tiebound.errors import DomainError, TruncationError
 
         with pytest.raises(DomainError):
             EmpiricalPMF(k_min=0, counts=np.array([3, 4]), sample_size=10)
 
     def test_needs_a_sample(self):
-        from tiebound.errors import DomainError
+        from tiebound.errors import DomainError, TruncationError
 
         with pytest.raises(DomainError):
             EmpiricalPMF.from_samples([])

@@ -54,6 +54,8 @@ COMMANDS = [
     ["simulate", "--p", "0.01", "--n", "10000"],
     ["simulate", "--kind", "size-biased", "--p", "0.2", "--n", "20"],
     ["simulate", "--kind", "size-biased", "--p", "0.001", "--n", "100000"],
+    # Z of the argmax law in closed form, and its quantile table of 459k entries
+    ["simulate", "--kind", "size-biased", "--p", "1e-4", "--n", "10000", "--mc-samples", "2000"],
     ["simulate", "--law", "tabulated", "--weights", "0.5,0.5", "--n", "1000"],
     # the argmax quantile table of a finitely supported law
     ["simulate", "--kind", "size-biased", "--law", "tabulated", "--weights", "0.2,0.3,0.5",
