@@ -4,7 +4,9 @@ The modules that a command without arrays runs (``distributions``,
 ``maxima``, ``approximants``, ``binomial`` and ``bounds_continuous``; ``cli``
 needs no numpy) read it through ``np`` here, so that a command that never
 builds an array, such as ``bound thm2`` on a geometric law in the
-closed-form region, never imports numpy, about 90 ms of a fresh process.
+closed-form region, or ``table1`` and ``figure fig1`` at its default n,
+whose tie-count series are short enough to sum in plain Python, never
+imports numpy, about 90 ms of a fresh process.
 The first attribute read imports numpy, and each name read is kept on the
 handle, so later reads of it are plain attribute lookups.
 

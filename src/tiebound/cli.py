@@ -19,10 +19,12 @@ failure (truncation/integration), 4 verification failure.  The default seed
 comes from the TIEBOUND_SEED environment variable when set.
 
 Commands that need no array never import numpy: ``--help``, usage errors,
-``figure fig2``, and ``bound thm1a|thm1b|thm2`` on a geometric law wherever
-the closed form of its tie-count values certifies the tolerance (see
-``maxima``).  The rest import it when they first need it, through the
-package's shared lazy handle (``tiebound._numpy``).
+``figure fig2``, ``table1``, ``figure fig1`` at its default n = 20, and
+``bound thm1a|thm1b|thm2`` on a geometric law wherever the closed form of
+its tie-count values certifies the tolerance or their series is short
+enough to sum in plain Python (see ``maxima``).  The rest import it when
+they first need it, through the package's shared lazy handle
+(``tiebound._numpy``).
 
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is set already,
 so the CLI runs its few small BLAS calls on one thread; OpenBLAS reads it when

@@ -57,6 +57,11 @@ class DiscreteLaw:
             the tie-count values of such a law have closed forms
             (``maxima._tie_values``), which the series replaces where they
             certify the tolerance.
+        takes_range: True when ``pmf`` and ``logcdf`` also take a ``range``
+            and answer it with a list of floats, without numpy.  Only
+            :func:`geometric_law` sets it; the tie-count series then sum
+            their first blocks in plain Python (``maxima._sums``), and give
+            every other law numpy arrays.
     """
 
     pmf: Callable
@@ -66,6 +71,7 @@ class DiscreteLaw:
     quantile: Optional[Callable] = None
     descriptor: Optional[dict] = None
     lattice_rate: Optional[float] = None
+    takes_range: bool = False
 
 
 @dataclass(frozen=True)
@@ -96,17 +102,25 @@ def geometric_law(p: float) -> DiscreteLaw:
     tail P(X > j) = (1-p)**j gives ``log_tail(j) = j log1p(-p) (1 - 6u)``:
     log1p errs by at most 4u and each product by u, so raising the value by
     6u keeps it at or above the true log tail.  Building the law imports
-    nothing; numpy loads when a function of it is first called.
+    nothing.  ``pmf`` and ``logcdf`` answer a ``range`` with a list formed by
+    ``math`` (``takes_range``), so the first blocks of a tie-count series
+    need no numpy; numpy loads when they are first called with an integer or
+    an array.
     """
     real_in(p, 0.0, 1.0, "geometric parameter")
     log_q = math.log1p(-p)
 
     def pmf(j):
+        if isinstance(j, range):
+            return [p * math.exp((i - 1) * log_q) if i >= 1 else 0.0 for i in j]
         j = np.asarray(j)
         out = np.where(j >= 1, p * np.exp((j - 1) * log_q), 0.0)
         return out if out.ndim else float(out)
 
     def logcdf(j):
+        if isinstance(j, range):  # log1p(-(1-p)**j), -inf where (1-p)**j >= 1, as at j <= 0
+            return [math.log1p(-t) if t < 1.0 else -math.inf
+                    for t in (math.exp(i * log_q) for i in j)]
         j = np.asarray(j)
         out = np.where(j >= 1, np.log1p(-np.exp(np.maximum(j, 1) * log_q)), -np.inf)
         return out if out.ndim else float(out)
@@ -129,6 +143,7 @@ def geometric_law(p: float) -> DiscreteLaw:
         quantile=quantile,
         descriptor={"kind": "geometric", "p": p},
         lattice_rate=-log_q,
+        takes_range=True,
     )
 
 

@@ -15,7 +15,9 @@ F(j or j-1)**expo of a call: it evaluates the law once per block of j
 (``_block``: log p(j), log F(j-1) and log F(j)), merges the block into each
 series' running log-sum-exp, and checks the law's tail certificate
 (``log_tail``) at each block end.  Working in log space keeps n as large as
-1e9 meaningful.
+1e9 meaningful.  A pass whose series can all certify within the first two
+blocks, of a law that takes a ``range`` (``DiscreteLaw.takes_range``), sums
+those in plain Python, with no numpy.
 
 The full laws of K and of the size-biased count K* are binomial mixtures
 over the maximum M, with the conditional tie probability q(j) = p(j) / F(j):
@@ -91,6 +93,9 @@ _SERIES_CAP = 2_000_000
 # mixture laws, whose last maximum is known, take blocks of _MAX_BLOCK at once
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 1 << 15
+# the first two blocks: a pass whose every series can certify its tolerance by here
+# sums them in plain Python, where numpy's import would cost more than the sums
+_SHORT = 3 * _FIRST_BLOCK
 # cells (rows x window) of one mixture chunk; a single row may exceed it
 _CHUNK_CELLS = 1 << 15
 # the closed form's omega = 2 pi / lambda is capped here, so that omega**2 stays
@@ -118,8 +123,14 @@ def _log_falling(n: int, ell: int) -> float:
     return math.fsum(math.log(n - i) for i in range(ell))
 
 
-def _block(law: DiscreteLaw, lo: int, hi: int):
-    """log p(j), log F(j-1) and log F(j) for j = lo..hi, from one call of each function."""
+def _block(law: DiscreteLaw, lo: int, hi: int, python: bool = False):
+    """log p(j), log F(j-1) and log F(j) for j = lo..hi, from one call of each
+    function: arrays from a numpy ``arange``, or lists from a ``range`` if
+    ``python`` (for a law that ``takes_range``)."""
+    if python:
+        lp = [math.log(x) if x > 0.0 else -math.inf for x in law.pmf(range(lo, hi + 1))]
+        lf = law.logcdf(range(lo - 1, hi + 1))
+        return lp, lf[:-1], lf[1:]
     with np.errstate(divide="ignore"):
         lp = np.log(law.pmf(np.arange(lo, hi + 1)))
         lf = law.logcdf(np.arange(lo - 1, hi + 1))
@@ -141,29 +152,51 @@ def _sums(law: DiscreteLaw, terms) -> list:
         sum_{j>J} p(j)**power <= P(X > J)**power <= exp(power * law.log_tail(J)).
 
     A term stops adding blocks at the first block end where its remainder
-    meets ``log_tol`` (plus its log sum if ``relative``), so its value does
-    not depend on the other terms.  Raises :class:`TruncationError` with the
-    largest open remainder if a term has not stopped by ``_SERIES_CAP`` terms.
+    meets ``log_tol`` (plus its log sum if ``relative``), so where it stops
+    does not depend on the other terms (up to the rounding of a relative
+    term's log sum at its border).  Raises :class:`TruncationError`
+    with the largest open remainder if a term has not stopped by
+    ``_SERIES_CAP`` terms.
+
+    A short pass, of a law that ``takes_range`` and with
+    ``power * law.log_tail(_SHORT) <= log_tol`` for every term, evaluates
+    its blocks up to ``_SHORT`` from a ``range`` and sums them in plain
+    Python, a block's log-sum-exp by ``math.fsum``; any other pass, and any
+    block past ``_SHORT``, is summed by numpy.  The two kinds differ only in
+    rounding, so a term's value can depend on the other terms of its pass,
+    through the pass's kind, in its last bits.  (Summing the first blocks
+    of every pass in Python would keep the terms apart, but costs a long
+    pass more than numpy's blocks do.)
     """
     cap = law.support_max or _SERIES_CAP
+    tail = law.log_tail(_SHORT)
+    short = law.takes_range and all(power * tail <= log_tol for power, _, _, log_tol, _ in terms)
     runs = [[-math.inf, 0.0, None] for _ in terms]  # log-sum-exp scale, scaled sum, result
     lo, size = 1, _FIRST_BLOCK
     while True:
         hi = law.support_max or min(cap, lo + size - 1)
-        lp, lf0, lf1 = _block(law, lo, hi)
+        python = short and hi <= _SHORT
+        lp, lf0, lf1 = _block(law, lo, hi, python)
         log_tail, worst = law.log_tail(hi), -math.inf
         for (power, expo, shifted, log_tol, relative), run in zip(terms, runs):
             if run[2] is not None:
                 continue
-            lt = power * lp
-            if expo > 0:  # F**0 = 1, even where F vanishes
-                lt += expo * (lf0 if shifted else lf1)
+            lf = lf0 if shifted else lf1
+            if python:  # float factors, as numpy takes them, multiply faster than int ones
+                pw, ex = float(power), float(expo)
+                lt = [pw * a + ex * b for a, b in zip(lp, lf)] if expo > 0 else [pw * a for a in lp]
+                top = max(lt)
+            else:
+                lt = power * lp
+                if expo > 0:  # F**0 = 1, even where F vanishes
+                    lt += expo * lf
+                top = float(lt.max())
             m, s, _ = run
-            top = float(lt.max())
             if top > m:
                 s, m = s * math.exp(m - top), top
             if m > -math.inf:
-                s += float(np.exp(lt - m).sum())
+                s += (math.fsum([math.exp(x - m) for x in lt]) if python
+                      else float(np.exp(lt - m).sum()))
             log_sum = m + math.log(s) if s > 0.0 else -math.inf
             log_rem = power * log_tail
             run[:2] = m, s

@@ -290,15 +290,16 @@ def test_bounds_finite_and_nonnegative_on_grid():
 
 def _recording_law(law):
     """The law with pmf and logcdf wrapped to count their calls, and every j
-    passed to pmf recorded.  It has no lattice rate, so that a geometric law
-    runs the series these counts are about rather than its closed form."""
+    passed to pmf recorded as it came.  It has no lattice rate, so that a
+    geometric law runs the series these counts are about rather than its
+    closed form."""
     calls, seen = Counter(), []
 
     def recorded(name, fn):
         def wrapper(x):
             calls[name] += 1
             if name == "pmf":
-                seen.append(np.atleast_1d(x))
+                seen.append(x)
             return fn(x)
         return wrapper
 
@@ -307,19 +308,24 @@ def _recording_law(law):
     return wrapped, calls, seen
 
 
-@pytest.mark.parametrize("compute", [
-    log_bound_singleton, log_bound_second_moment, poisson_bound,
-    lambda spec: tie_given_max_moment(spec, 2),
-], ids=["thm1a", "thm1b", "thm2", "tie_given_max_moment"])
-def test_bounds_evaluate_the_law_once_per_maximum(compute):
+@pytest.mark.parametrize("compute,p,n,blocks,kind", [
+    pytest.param(compute, *case, id=name + suffix)
+    for compute, name in ((log_bound_singleton, "thm1a"), (log_bound_second_moment, "thm1b"),
+                          (poisson_bound, "thm2"),
+                          (lambda spec: tie_given_max_moment(spec, 2), "tie_given_max_moment"))
+    for case, suffix in (((1e-3, 10**5, 10, np.ndarray), ""), ((0.3, 10, 2, range), "-short"))
+])
+def test_bounds_evaluate_the_law_once_per_maximum(compute, p, n, blocks, kind):
     """All the series a bound needs share one pass: no j reaches pmf twice, and
-    each block takes one pmf and one logcdf call.  The series run to
-    J = 65,472, ten doubling blocks from 64 terms."""
-    law, calls, seen = _recording_law(geometric_law(1e-3))
-    compute(KnSpec(law=law, n=10**5))
-    points = np.concatenate(seen)
+    each block takes one pmf and one logcdf call.  At (1e-3, 1e5) the series
+    run to J = 65,472, ten doubling blocks from 64 terms, of numpy arrays; at
+    (0.3, 10) to J = 192 at most, two blocks, each a ``range``."""
+    law, calls, seen = _recording_law(geometric_law(p))
+    compute(KnSpec(law=law, n=n))
+    points = np.concatenate([np.atleast_1d(x) for x in seen])
     assert np.unique(points).size == points.size
-    assert calls["pmf"] == calls["logcdf"] <= 10
+    assert calls["pmf"] == calls["logcdf"] <= blocks
+    assert {type(x) for x in seen} == {kind}
 
 
 @pytest.mark.parametrize("law_fn", [tie_count_law, size_biased_tie_law])

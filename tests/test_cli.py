@@ -668,6 +668,12 @@ NUMPY_FREE_COMMANDS = {
     "thm1b": (["bound", "thm1b", "--p", "1e-3", "--n", "100000"], 0),
     "thm2": (["bound", "thm2", "--p", "1e-3", "--n", "100000"], 0),
     "fig2": (["figure", "fig2"], 0),
+    # short series: every pass certifies within its first two blocks, summed in Python
+    "table1": (["table1"], 0),
+    "table1-raw": (["table1", "--raw"], 0),
+    "fig1": (["figure", "fig1"], 0),
+    "fig1-n50": (["figure", "fig1", "--n", "50"], 0),
+    "thm2-series": (["bound", "thm2", "--p", "0.3", "--n", "10"], 0),
     "help": (["--help"], 0),
     "usage-error": (["bound", "thm2", "--p", "1e-3"], 1),
 }
@@ -685,17 +691,25 @@ def test_commands_without_arrays_never_import_numpy(argv, exit_code):
     assert (code, numpy_loaded) == (exit_code, False)
 
 
-def test_a_series_point_imports_numpy_and_keeps_its_result():
-    # control: p = 0.3, n = 10 lies past the closed form's border, so the series runs
+def test_a_short_series_point_skips_numpy_and_keeps_its_result():
+    # p = 0.3, n = 10 lies past the closed form's border, so the series runs, in a short
+    # pass; its stdout is the one the numpy blocks gave, bit for bit
     argv = ["bound", "thm2", "--p", "0.3", "--n", "10"]
     code, numpy_loaded, out = json.loads(_run_python(_MAIN_AND_NUMPY.format(argv=argv)))
-    assert (code, numpy_loaded) == (0, True)
+    assert (code, numpy_loaded) == (0, False)
     assert out == (
         '{"bound": 1.5642061429629175, "bound_rounded": "1.564", "informative": false, '
         '"law": {"kind": "geometric", "p": 0.3}, "method": "thm2", "moments": '
         '{"EK": 1.2015759467343854, "EK2_factorial": 0.5149635143481841, '
         '"EK3_factorial": 0.44130169088686005}, "n": 10, "params": {"lambda": '
         '0.42857342122047276}, "truncation_error": 1.251364914370334e-11}\n')
+
+
+def test_a_series_past_the_short_budget_imports_numpy():
+    # control: at tol 1e-300 the series of p = 0.1 cannot certify within 192 terms
+    argv = ["bound", "thm2", "--p", "0.1", "--n", "10", "--tol", "1e-300"]
+    code, numpy_loaded, _ = json.loads(_run_python(_MAIN_AND_NUMPY.format(argv=argv)))
+    assert (code, numpy_loaded) == (0, True)
 
 
 @pytest.mark.parametrize("first,last,count", [

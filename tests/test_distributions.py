@@ -42,6 +42,22 @@ class TestGeometric:
             assert abs((np.exp(law.logcdf(j)) - np.exp(law.logcdf(j - 1))) - law.pmf(j)) < 1e-14
             assert 1.0 - np.exp(law.logcdf(j)) <= math.exp(law.log_tail(j)) + 1e-15
 
+    @pytest.mark.parametrize("p", [1e-3, 0.3, 1.0 - 2e-9])
+    def test_a_range_gives_lists_of_the_array_values(self, p):
+        # math answers a range and numpy an array, and the two may round exp apart
+        law = geometric_law(p)
+        pmf, logcdf = law.pmf(range(-2, 70)), law.logcdf(range(-2, 70))
+        assert type(pmf) is list and type(logcdf) is list
+        j = np.arange(-2, 70)
+        np.testing.assert_allclose(pmf, law.pmf(j), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(logcdf, law.logcdf(j), rtol=1e-13, atol=0)
+
+    def test_a_range_gives_minus_inf_where_the_tail_rounds_to_one(self):
+        # (1-p)**1 rounds to 1 at p = 1e-17: F(1) is then 0 on the log scale, not an error
+        law = geometric_law(1e-17)
+        assert law.logcdf(range(0, 2)) == [-math.inf, -math.inf]
+        assert law.pmf(range(0, 2)) == [0.0, 1e-17]
+
     def test_quantile_is_smallest_index(self):
         law = geometric_law(0.35)
         rng = np.random.default_rng(7)

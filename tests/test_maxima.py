@@ -11,6 +11,8 @@ import pytest
 from scipy import stats
 
 from tiebound.approximants import log_pmf, negbin_pmf, poisson_pmf
+from tiebound.binomial import _U
+from tiebound.bounds_discrete import log_bound_singleton
 from tiebound.bounds_continuous import (
     MixedBinomialSpec,
     NearOrderSpec,
@@ -20,14 +22,16 @@ from tiebound.bounds_continuous import (
     gumbel_max_bound,
     uniform_gap_moment_exact,
 )
-from tiebound.distributions import geometric_law, gumbel_law, tabulated_law
+from tiebound.distributions import DiscreteLaw, geometric_law, gumbel_law, tabulated_law
 from tiebound.errors import DomainError, TruncationError
 from tiebound.maxima import (
     _FIRST_BLOCK,
     _MAX_BLOCK,
+    _SHORT,
     KnSpec,
     _sums,
     _tail_end,
+    _tie_values,
     argmax_value_law,
     size_biased_tie_law,
     size_biased_tie_pmf,
@@ -270,23 +274,33 @@ class TestTieGivenMaxMoments:
             tie_given_max_moment(KnSpec(law=geometric_law(0.4), n=1), 1)
 
 
-def _one_series(law, power, expo, shifted, log_tol, relative):
+def _one_series(law, power, expo, shifted, log_tol, relative, short):
     """Reference: one series summed on its own, block by block, as before the
-    engine summed several in one pass."""
+    engine summed several in one pass; the blocks up to ``_SHORT`` of a
+    ``short`` pass from a ``range`` and by ``math.fsum``, the rest by numpy."""
     cap = law.support_max
     m, s, lo, size = -math.inf, 0.0, 1, _FIRST_BLOCK
     while True:
         hi = cap or lo + size - 1
-        j = np.arange(lo, hi + 1)
-        with np.errstate(divide="ignore"):
-            lt = power * np.log(law.pmf(j))
+        if short and hi <= _SHORT:
+            lt = [power * math.log(x) if x > 0.0 else -math.inf
+                  for x in law.pmf(range(lo, hi + 1))]
             if expo > 0:
-                lt += expo * law.logcdf(j - 1 if shifted else j)
-        top = float(lt.max())
+                lf = law.logcdf(range(lo - shifted, hi + 1 - shifted))
+                lt = [a + expo * b for a, b in zip(lt, lf)]
+            top = max(lt)
+        else:
+            j = np.arange(lo, hi + 1)
+            with np.errstate(divide="ignore"):
+                lt = power * np.log(law.pmf(j))
+                if expo > 0:
+                    lt += expo * law.logcdf(j - 1 if shifted else j)
+            top = float(lt.max())
         if top > m:
             s, m = s * math.exp(m - top), top
         if m > -math.inf:
-            s += float(np.exp(lt - m).sum())
+            s += (math.fsum(math.exp(x - m) for x in lt) if short and hi <= _SHORT
+                  else float(np.exp(lt - m).sum()))
         log_sum = m + math.log(s) if s > 0.0 else -math.inf
         log_rem = power * law.log_tail(hi)
         if log_rem <= log_tol + (log_sum if relative else 0.0):
@@ -294,15 +308,154 @@ def _one_series(law, power, expo, shifted, log_tol, relative):
         lo, size = hi + 1, min(2 * size, _MAX_BLOCK)
 
 
-@pytest.mark.parametrize("law", [geometric_law(1e-3), geometric_law(0.3), geometric_law(1 - 1e-6),
-                                 tabulated_law([0.2, 0.3, 0.5])])
+def _short(law, terms) -> bool:
+    """Whether ``_sums`` takes ``terms`` as a short pass."""
+    return law.takes_range and all(term[0] * law.log_tail(_SHORT) <= term[3] for term in terms)
+
+
+def _four_terms(n):
+    return [(1, n - 1, False, math.log(1e-14), True), (2, n - 2, True, -40.0, False),
+            (3, n - 3, False, math.log(1e-6), True), (1, n - 1, True, -70.0, False)]
+
+
+# the passes of _four_terms are short for geometric 1 - 1e-6 and long for the other
+# geometric laws, but each of their terms alone is short for geometric 0.2 and 0.3;
+# alone, the first term at geometric 0.2 and n = 1e9 needs a numpy block after its two
+# Python blocks.  The tabulated law takes no range, so its passes are never short
+SERIES_LAWS = [geometric_law(1e-3), geometric_law(0.2), geometric_law(0.3),
+               geometric_law(1 - 1e-6), tabulated_law([0.2, 0.3, 0.5])]
+
+
+@pytest.mark.parametrize("law", SERIES_LAWS)
 @pytest.mark.parametrize("n", [3, 1000, 10**9])
 def test_one_pass_equals_one_series_at_a_time(law, n):
     """Each series of a pass stops at its own block end, so its sum and
-    remainder are those of the series summed alone, to the last bit."""
-    terms = [(1, n - 1, False, math.log(1e-14), True), (2, n - 2, True, -40.0, False),
-             (3, n - 3, False, math.log(1e-6), True), (1, n - 1, True, -70.0, False)]
-    assert _sums(law, terms) == [_one_series(law, *term) for term in terms]
+    remainder are those of the series summed alone with the pass's kind of
+    blocks, to the last bit; and a series in a pass of its own is that series
+    summed alone with its own kind."""
+    terms = _four_terms(n)
+    assert _short(law, terms) == (law.takes_range and law.descriptor["p"] > 0.5)
+    assert _sums(law, terms) == [_one_series(law, *term, _short(law, terms)) for term in terms]
+    for term in terms:
+        assert _sums(law, [term]) == [_one_series(law, *term, _short(law, [term]))]
+
+
+@pytest.mark.parametrize("p,n", [(0.3, 10), (0.5, 3), (1e-3, 10**5)])
+def test_a_law_written_for_arrays_is_given_arrays(p, n):
+    """A law built outside the package, whose pmf and logcdf take arrays by plain
+    arithmetic (a ``range`` would break them), is given numpy blocks in short and
+    long passes alike: its tie-count values are the geometric law's, which its
+    first blocks sum in Python at (0.3, 10) and (0.5, 3)."""
+    q = 1.0 - p
+    law = DiscreteLaw(pmf=lambda j: p * q ** (j - 1), logcdf=lambda j: np.log1p(-q ** j),
+                      log_tail=geometric_law(p).log_tail)
+    geometric = dataclasses.replace(geometric_law(p), lattice_rate=None)
+    for ours, theirs in zip(_tie_values(KnSpec(law, n), (1, 2), (1, 2, 3), 1e-12),
+                            _tie_values(KnSpec(geometric, n), (1, 2), (1, 2, 3), 1e-12)):
+        assert ours.value == pytest.approx(theirs.value, rel=1e-12, abs=0)
+        assert ours.remainder == theirs.remainder
+
+
+def _exact_sum(law, power, expo, shifted):
+    """sum_{j>=1} p(j)**power F(j - shifted)**expo at 40 digits, for the laws of
+    ``SERIES_LAWS``.  For a geometric law, with x = q**(j - shifted): terms with
+    expo x > 300 lie under e**-300 and are left out; from the first j with
+    expo x <= 1/2 on, the binomial series of (1 - x)**expo, whose i-th term is
+    at most 2**-i / i!, sums the tail in closed form, to i = 80."""
+    with mp.workdps(40):
+        if law.lattice_rate is None:
+            w = [mp.mpf(x) for x in law.descriptor["weights"]]
+            return mp.fsum(w[j - 1]**power * mp.fsum(w[:j - shifted])**expo
+                           for j in range(1, len(w) + 1))
+        p = mp.mpf(law.descriptor["p"])
+        q = 1 - p
+        j = 1 + shifted + max(0, int(math.log(300.0 / expo) / math.log(float(q)))) if expo else 1
+        terms, x, pj = [], q**(j - shifted), p**power * q**(power * (j - 1))
+        while expo * x > 0.5:
+            terms.append(pj * (1 - x)**expo)
+            j, x, pj = j + 1, x * q, pj * q**power
+        tail = mp.fsum(mp.binomial(expo, i) * (-1)**i * q**(power * (j - 1) + i * (j - shifted))
+                       / (1 - q**(power + i)) for i in range(min(expo, 80) + 1))
+        return mp.fsum(terms) + p**power * tail
+
+
+@pytest.mark.parametrize("law", SERIES_LAWS)
+@pytest.mark.parametrize("n", [3, 1000, 10**9])
+def test_each_series_is_within_its_remainder_of_40_digit_values(law, n):
+    """The exact sum lies between a series' partial sum and that sum plus its
+    certified remainder, up to 4 units in the last place of its log-sum, in a
+    pass of the four series and in a pass of its own, numpy's or Python's."""
+    terms = _four_terms(n)
+    for term, together in zip(terms, _sums(law, terms)):
+        exact = mp.log(_exact_sum(law, *term[:3]))
+        for log_sum, log_rem in (together, *_sums(law, [term])):
+            slack = 4 * _U * max(1.0, abs(log_sum))
+            with mp.workdps(40):
+                high = mp.log(mp.exp(log_sum) + mp.exp(log_rem))
+                assert log_sum - slack <= exact <= high + slack, term
+
+
+# figure fig1's p grid; its n is 20 by default
+FIG1_PS = np.linspace(0.02, 0.5, 25).tolist()
+THM1A, THM2 = ((1, 2), (1,)), ((), (1, 2, 3))
+# the specs behind the CLI outputs that summing short passes in Python moved in their
+# last bits, with the tie-count values each reads
+MOVED_OUTPUTS = {
+    "figure fig1": [(p, 20, THM1A) for p in FIG1_PS],
+    "figure fig1 --n 50": [(p, 50, THM1A) for p in FIG1_PS],
+    "table1 --raw": [(1 - 500 / 10**8, 10**8, THM2)],
+    "bound thm2 --p 0.2 --n 20": [(0.2, 20, THM2)],
+    "bound thm1a --p 0.5 --n 2": [(0.5, 2, THM1A)],
+    "bound thm2 --p 0.5 --n 3": [(0.5, 3, THM2)],
+}
+
+
+def _exact_tie_value(p, n, order, moment):
+    """P(K = order), or E[(K)_order] if ``moment``, of a geometric law at 40 digits,
+    with the log of its factor C(n, order) or (n)_order."""
+    with mp.workdps(40):
+        factor = mp.ff(n, order) if moment else mp.binomial(n, order)
+        value = factor * _exact_sum(geometric_law(p), order, n - order, not moment)
+        return value, float(mp.log(factor))
+
+
+@pytest.mark.parametrize("command", MOVED_OUTPUTS)
+def test_tie_values_behind_moved_outputs_are_within_their_remainders_of_40_digit_values(
+        command):
+    """Each value lies within its remainder, plus 4 units in the last place of
+    the two logs it is formed from (its factor's and its series'), of the
+    exact one: in closed form (fig1 up to p = 0.16) or from a short pass."""
+    for p, n, (pmfs, moments) in MOVED_OUTPUTS[command]:
+        values = _tie_values(KnSpec(geometric_law(p), n), pmfs, moments, 1e-12)
+        wanted = [(k, False) for k in pmfs] + [(r, True) for r in moments]
+        for (order, moment), value in zip(wanted, values):
+            exact, log_factor = _exact_tie_value(p, n, order, moment)
+            logs = abs(log_factor) + abs(math.log(value.value) - log_factor)
+            slack = 4 * _U * value.value * max(1.0, logs)
+            with mp.workdps(40):
+                assert abs(value.value - exact) <= value.remainder + slack, (p, n, order, moment)
+
+
+FIG1_FOUND = (
+    "FOUND: thm1a's series-path truncation_error leaves out rounding: on figure fig1's "
+    "grid (n = 20) it reads 0.0 at 8 of the 17 series points (p = 0.2, 0.22, 0.3, 0.32, "
+    "0.34, 0.36, 0.48, 0.5) and 1.3e-15 at p = 0.46, where the bound is up to 4.1e-15 "
+    "off its 40-digit value (ROADMAP item 4)")
+
+
+@pytest.mark.xfail(strict=True, reason=FIG1_FOUND)
+def test_fig1_thm1a_bounds_are_within_their_truncation_error_of_40_digit_values():
+    misses = []
+    for p in FIG1_PS:
+        (pk1, _), (pk2, _), (e1, _) = (_exact_tie_value(p, 20, order, moment)
+                                       for order, moment in ((1, False), (2, False), (1, True)))
+        report = log_bound_singleton(KnSpec(geometric_law(p), 20), 1e-12)
+        with mp.workdps(40):
+            alpha = 1 - pk1 / e1
+            exact = -2 * mp.log1p(-alpha) * (e1 - 2 * (1 - alpha) / alpha * pk2)
+            if abs(report.bound - exact) > report.truncation_error:
+                misses.append(p)
+    assert misses == []
 
 
 TAIL_LAWS = {
