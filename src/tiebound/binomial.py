@@ -21,6 +21,8 @@ _U = _EPS / 2.0
 # the smallest normal double: the mixture laws skip rows and trim entries below it
 _TINY = sys.float_info.min
 _LOG_TINY = math.log(_TINY)
+# terms of each way of a binomial tail summed in plain Python before numpy blocks take over
+_SHORT_RUN = 128
 
 # _stirlerr(k) for k = 1, ..., 15, where the series below is not yet accurate
 # and lgamma(k + 1) - (k + 1/2) log k + ... cancels to about 5e-15
@@ -52,13 +54,20 @@ def _bd0(x: float, mu):
     There v = (x - mu) / (x + mu) and the odd series in v has terms of power
     j at most 2 (x + mu) |v|**j / j against a sum above 0.9 (x + mu) v**2,
     so every term past j = 19 is below 2e-20 of the sum and rounds away.
+    A float ``mu`` is answered through ``math``, without numpy.
     """
-    mu = np.asarray(mu, dtype=float)
+    scalar = isinstance(mu, float)
+    if not scalar:
+        mu = np.asarray(mu, dtype=float)
     v = (x - mu) / (x + mu)
     s, term, v2 = (x - mu) * v, 2.0 * x * v, v * v
     for j in range(3, 21, 2):
         term = term * v2
         s = s + term / j
+    if scalar:
+        if abs(v) < 0.1:
+            return s
+        return x * math.log(x / mu) + mu - x if mu > 0.0 else math.inf
     with np.errstate(divide="ignore"):
         return np.where(np.abs(v) < 0.1, s, x * np.log(x / mu) + mu - x)
 
@@ -69,10 +78,14 @@ def _log_binom_term(m: int, k: int, q):
 
     Stirling errors and the deviance terms ``_bd0`` replace the lgamma
     differences, which at m = 1e9 would cost about 1e-6 absolute (C. Loader,
-    "Fast and accurate computation of binomial probabilities", 2000).
+    "Fast and accurate computation of binomial probabilities", 2000).  A
+    float ``q`` is answered through ``math``, without numpy.
     """
     if k == 0 or k == m:
-        with np.errstate(divide="ignore"):  # log 0 = -inf at q = 1 or 0
+        if isinstance(q, float):  # log 0 = -inf at q = 1 or 0
+            rest = 1.0 - q if k == 0 else q
+            return m * (math.log1p(-q) if k == 0 else math.log(q)) if rest > 0.0 else -math.inf
+        with np.errstate(divide="ignore"):
             return m * (np.log1p(-q) if k == 0 else np.log(q))
     return (_stirlerr(m) - _stirlerr(k) - _stirlerr(m - k) - _bd0(k, m * q)
             - _bd0(m - k, m * (1.0 - q)) + 0.5 * math.log(m / (2.0 * math.pi * k * (m - k))))
@@ -94,10 +107,12 @@ def _log_binom_tail(m: int, k: int, q: float, upper: bool) -> float:
     Each side is a direct sum over its own terms, never one minus the other.
     The sum starts at the side's largest term (the mode, or the side's end
     nearest to it), whose log is :func:`_log_binom_term`, and runs outward
-    both ways by the term ratios, which fall below 1 there.  A run of up to
-    4096 terms is summed in full; a longer one goes on in doubling blocks
-    until the geometric bound on what is left, last term * rho / (1 - rho)
-    with rho the next ratio, is below eps of the sum.
+    both ways by the term ratios, which fall below 1 there.  The first
+    ``_SHORT_RUN`` terms of each way are formed and summed (``math.fsum``) in
+    plain Python, so a short tail never needs numpy; a longer run goes on in
+    numpy blocks of 4096 terms, then of doubling size, until the geometric
+    bound on what is left, last term * rho / (1 - rho) with rho the next
+    ratio, is below eps of the sum.
     """
     lo, hi = (k + 1, m) if upper else (0, k)
     if lo > hi or (q <= 0.0 and lo > 0) or (q >= 1.0 and hi < m):
@@ -108,15 +123,26 @@ def _log_binom_tail(m: int, k: int, q: float, upper: bool) -> float:
     odds, inv_odds = q / (1.0 - q), (1.0 - q) / q
     total = 1.0  # the sum relative to the anchor term
     for step, end in ((1, hi), (-1, lo)):
-        i, term, size = anchor, 1.0, 4096
+        i, term, size = anchor, 1.0, _SHORT_RUN
         while i != end:
-            idx = i + step * np.arange(min(size, abs(end - i)), dtype=float)
-            # the ratio of the term after each index to the term at it
-            ratios = ((m - idx) / (idx + 1.0) * odds if step > 0
-                      else idx / (m - idx + 1.0) * inv_odds)
-            terms = term * np.cumprod(ratios)
-            total += float(terms.sum())
-            i, term, size = i + step * idx.size, float(terms[-1]), 2 * size
+            count = min(size, abs(end - i))
+            if size == _SHORT_RUN:  # the first run, in plain Python; its first term is 1
+                terms = []
+                for idx in range(i, i + step * count, step):
+                    term *= ((m - idx) / (idx + 1.0) * odds if step > 0
+                             else idx / (m - idx + 1.0) * inv_odds)
+                    terms.append(term)
+                total += math.fsum(terms)
+                size = 4096
+            else:
+                idx = i + step * np.arange(count, dtype=float)
+                # the ratio of the term after each index to the term at it
+                ratios = ((m - idx) / (idx + 1.0) * odds if step > 0
+                          else idx / (m - idx + 1.0) * inv_odds)
+                terms = term * np.cumprod(ratios)
+                total += float(terms.sum())
+                term, size = float(terms[-1]), 2 * size
+            i += step * count
             rho = (m - i) / (i + 1.0) * odds if step > 0 else i / (m - i + 1.0) * inv_odds
             if term == 0.0 or (rho < 1.0 and term * rho / (1.0 - rho) <= _EPS * total):
                 break

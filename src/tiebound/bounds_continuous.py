@@ -9,22 +9,21 @@ count is a binomial mixture Bin(n - l, r_a(X_(n-l+1:n))) over the gap ratio
 so the general engine here is a negative binomial bound for mixed binomial
 random variables (``negbin_bound_mixed``), parameterized by the first two
 moments of the mixing variable.  For the count near an order statistic the
-mixing moments and the law of the count are integrals of vectors of
-functions of r_a over the order statistic's probability scale
-V = 1 - F(X_(n-l+1:n)), which is Beta(l, n-l+1) for every law: one adaptive
-Gauss-Kronrod pass each (``_gk21_pass``) over v in (0, 1), with the law
-entering only through ``logcdf`` and ``logquantile``, and closed forms for
-the Gumbel and uniform laws as cross-checks.  The errors of these passes
-are QUADPACK-style estimates, not certificates.  No scipy is used: with
+law of the count, and the mixing moments of a law without a closed form
+for them, are integrals of vectors of functions of r_a over the order
+statistic's probability scale V = 1 - F(X_(n-l+1:n)), which is
+Beta(l, n-l+1) for every law: one adaptive Gauss-Kronrod pass each
+(``_gk21_pass``) over v in (0, 1), with the law entering only through
+``logcdf`` and ``logquantile``.  The errors of these passes are
+QUADPACK-style estimates, not certificates.  No scipy is used: with
 integer shapes the Beta cdf is a binomial tail (``_log_binom_tail``), and
 the quantiles of V that place the panel edges are roots of that tail
 (``_beta_quantile``).
 
-The uniform closed forms come in two flavours: the idealized forms that
-treat r_a(x) as a/x across the whole interval (accurate when a is small
-relative to the interval width) and exact forms, as binomial tails, that
-account for r_a = 1 on (0, a).  The Gumbel closed forms are exact as stated, since
-the Gumbel cdf is positive on all of R and nothing clamps.
+The Gumbel and uniform laws give the thm3 bound its mixing moments in
+closed form instead (``ContinuousLaw.gap_moments``, from ``moments``, whose
+public forms this module re-exports), so the bound integrates nothing and
+needs no numpy.
 """
 
 from __future__ import annotations
@@ -35,12 +34,14 @@ from dataclasses import dataclass, replace
 
 from ._numpy import np
 from .approximants import TruncatedPMF
-from .binomial import (_EPS, _LOG_TINY, _TINY, _log_binom_tail, _log_binom_term, _log_choose,
-                       _mode, binom_rows, binom_window)
+from .binomial import (_EPS, _LOG_TINY, _TINY, _gamma, _log_binom_tail, _log_binom_term,
+                       _log_choose, _mode, binom_rows, binom_window)
 from .bounds_discrete import BoundReport
 from .distributions import ContinuousLaw
 from .errors import (DegenerateParameterError, DomainError, IntegrationError, integer_in,
                      positive_tol, real_in)
+from .moments import (gumbel_gap_moment, gumbel_gap_moment_exact, uniform_gap_moment,
+                      uniform_gap_moment_exact)
 
 __all__ = [
     "MixedBinomialSpec",
@@ -396,120 +397,49 @@ def gap_ratio_moment(spec: NearOrderSpec, j: int, tol: float = 1e-10) -> float:
     return float(_gap_ratio_moments(spec, [j], tol)[0][0])
 
 
-def _closed_form_args(n, ell, a, j) -> tuple:
-    """``(n, ell, j)`` of a closed-form gap-ratio moment as ints, once they and ``a`` pass."""
-    n = integer_in(n, 1, what="sample size")
-    real_in(a, 0.0, math.inf, "distance threshold")
-    return n, integer_in(ell, 1, n, "rank"), integer_in(j, 1, 2, "moment order")
-
-
-def gumbel_gap_moment(n: int, a: float, j: int) -> float:
-    """Closed-form E[r_a**j] at the Gumbel maximum (rank ell = 1).
-
-    With c = e**a - 1:  j=1 gives c / (n + c); j=2 gives
-    2 c**2 / ((n + c)(n + 2c)).  Exact for every a > 0.
-    """
-    n, _, j = _closed_form_args(n, 1, a, j)
-    c = math.expm1(a)
-    if j == 1:
-        return c / (n + c)
-    return 2.0 * c * c / ((n + c) * (n + 2.0 * c))
-
-
-def gumbel_gap_moment_exact(n: int, ell: int, a: float, j: int) -> float:
-    """Exact E[r_a**j] at the ell-th largest Gumbel order statistic.
-
-    Here r_a = 1 - U**c with c = e**a - 1 and U = F(X_(n-ell+1:n)) ~
-    Beta(n-ell+1, ell), whose moments are E[U**s] = prod_i m_i / (m_i + s)
-    over m_i = n - ell + 1 + i, i < ell.  So, with every sum taken in logs,
-
-        E[r]    = A = 1 - P1,   P1 = prod_i m_i / (m_i + c),
-        E[r**2] = 1 - 2 P1 + P2 = A**2 + P1**2 (prod_i (m_i + c)**2 / (m_i (m_i + 2c)) - 1),
-
-    two positive terms, free of the cancellation of the alternating sum
-    that expands the same moments.  Reduces to :func:`gumbel_gap_moment`
-    at ell = 1.
-    """
-    n, ell, j = _closed_form_args(n, ell, a, j)
-    c = math.expm1(a)
-    ms = range(n - ell + 1, n + 1)
-    log_p1 = math.fsum(math.log1p(-c / (m + c)) for m in ms)
-    mean = -math.expm1(log_p1)
-    if j == 1:
-        return mean
-    log_ratio = math.fsum(math.log1p(c / m * (c / (m + 2.0 * c))) for m in ms)
-    return mean * mean + math.exp(2.0 * log_p1) * math.expm1(log_ratio)
-
-
-def uniform_gap_moment(n: int, ell: int, a: float, b: float, j: int) -> float:
-    """Idealized closed-form E[r_a**j] for the uniform law on (0, b).
-
-    j=1: a n / (b (n - ell));  j=2: a**2 n (n-1) / (b**2 (n-ell)(n-ell-1)).
-    These treat the gap ratio as a/x on the whole interval, ignoring that it
-    saturates at 1 on (0, a); they are accurate when a/b is small relative
-    to the (n - ell)-th power decay of the order-statistic density, and they
-    are the forms whose bound specializes nicely (see
-    :func:`uniform_gap_moment_exact` for the exact expectation).
-    """
-    n, ell, j = _closed_form_args(n, ell, a, j)
-    real_in(b, 0.0, math.inf, "uniform width")
-    if n - ell < j:
-        raise DomainError(f"need n - ell >= {j} for the moment form of order {j}")
-    if j == 1:
-        return a * n / (b * (n - ell))
-    return a * a * n * (n - 1) / (b * b * (n - ell) * (n - ell - 1))
-
-
-def uniform_gap_moment_exact(n: int, ell: int, a: float, b: float, j: int) -> float:
-    """Exact E[r_a**j] for the uniform law on (0, b), as two binomial tails.
-
-    With u = a/b, U = F(X_(n-ell+1:n)) ~ Beta(n-ell+1, ell) and r_a = 1 on
-    U <= u, r_a = (u/U)**j above it:
-
-        E[r_a**j] = P(Bin(n, 1-u) <= ell-1)
-                    + uniform_gap_moment(n, ell, a, b, j) * P(Bin(n-j, 1-u) >= ell).
-
-    The first term is P(U <= u) = I_u(n-ell+1, ell); the second follows from
-    n C(n-1, ell-1) B(n-ell+1, ell) = 1 applied at n and at n - j, which
-    turns u**j E[U**-j; U > u] into the idealized moment times the tail.
-    Both tails are summed over their own terms (:func:`_log_binom_tail`).
-    For a >= b the ratio saturates everywhere and the moment is exactly 1.
-    Requires n - ell >= j so the second tail is defined.
-    """
-    n, ell, j = _closed_form_args(n, ell, a, j)
-    real_in(b, 0.0, math.inf, "uniform width")
-    if a >= b:
-        return 1.0
-    if n - ell < j:
-        raise DomainError(f"need n - ell >= {j} for the exact moment form")
-    u = a / b
-    # in terms of Bin(., u): P(Bin(n, u) > n-ell) and P(Bin(n-j, u) <= n-j-ell)
-    head = math.exp(_log_binom_tail(n, n - ell, u, upper=True))
-    tail = math.exp(_log_binom_tail(n - j, n - j - ell, u, upper=False))
-    return head + uniform_gap_moment(n, ell, a, b, j) * tail
+def _formula_rounding(report: BoundReport, n: int, ell: int) -> float:
+    """A bound on the rounding of :func:`negbin_bound_mixed`'s formula at the
+    report's moments, in units u: 8 for the bracket, counted on the sum of
+    the magnitudes of its parts, which cancel where the gap ratio varies
+    little, and 24 for the factor, E[W] and beta in the product."""
+    beta, ew, eq, eq2 = (report.params["beta"], report.moments["EW"], report.moments["EQ"],
+                         report.moments["EQ2"])
+    factor = -math.expm1(ell * math.log1p(-beta)) / (beta * ell)
+    parts = beta + (1.0 - beta) * ((n - ell - 1) * eq2 / eq + abs(n - ell - 2) * eq)
+    return _gamma(8) * factor * ew * parts + _gamma(24) * report.bound
 
 
 def negbin_bound_near_order(spec: NearOrderSpec, tol: float = 1e-10) -> BoundReport:
     """Negative binomial bound for the count near the ell-th largest observation.
 
-    Computes the gap-ratio moments by quadrature and delegates to
+    Takes the gap-ratio moments from the law's closed form (``gap_moments``)
+    where it has one, else by quadrature, and delegates to
     :func:`negbin_bound_mixed` with E[Q] = M1, E[Q^2] = M2; the shifted mean
     is E[count] = (n - ell) M1.  ``truncation_error`` is the largest change
-    of the bound over the corners (M1 +- e1, M2 +- e2) of the quadrature's
-    error estimates: an estimate, not a certified error.
+    of the bound over the corners (M1 +- e1, M2 +- e2) of the moments'
+    errors, plus three times a bound on the rounding of the formula (at the
+    report and at either end of a change).  It is certified for the Gumbel
+    law, whose closed form bounds its own rounding; the uniform law's
+    closed form and the quadrature give estimates of their errors, and
+    with them an estimate.
     """
     n, ell = spec.n, spec.ell
     if n - ell < 1:
         raise DomainError(f"need n - ell >= 1, got n = {n}, ell = {ell}")
     positive_tol(tol)
-    (m1, m2), (e1, e2) = (map(float, v) for v in _gap_ratio_moments(spec, [1, 2], tol))
-    if m1 <= 0.0:
+    moments = spec.law.gap_moments and spec.law.gap_moments(n, ell, spec.a)
+    if moments:
+        m1, m2, e1, e2 = moments
+    else:
+        (m1, m2), (e1, e2) = (map(float, v) for v in _gap_ratio_moments(spec, [1, 2], tol))
+    if not m1 * m1 > 0.0:  # the bound's bracket needs M2 >= M1**2 > 0
         raise DegenerateParameterError(
-            "first gap-ratio moment vanishes; no negative binomial target exists"
+            "first gap-ratio moment vanishes, or its square underflows; no negative binomial "
+            "target exists"
         )
 
     def bound_at(m1, m2):
-        # clamp quadrature noise into the feasible region 0 < M1 <= 1, M1^2 <= M2 <= M1
+        # clamp noise into the feasible region 0 < M1 <= 1, M1^2 <= M2 <= M1
         m1 = min(max(m1, _TINY), 1.0)
         m2 = min(max(m2, m1 * m1), m1)
         return negbin_bound_mixed(MixedBinomialSpec(n=n, ell=ell, eq=m1, eq2=m2))
@@ -519,7 +449,8 @@ def negbin_bound_near_order(spec: NearOrderSpec, tol: float = 1e-10) -> BoundRep
     error = max(abs(bound_at(m1 + s1 * e1, m2 + s2 * e2).bound - report.bound)
                 for s1 in (-1.0, 1.0) for s2 in (-1.0, 1.0))
     return replace(report, moments={**report.moments, "M1": m1, "M2": m2},
-                   truncation_error=error, method="thm3")
+                   truncation_error=error + 3.0 * _formula_rounding(report, n, ell),
+                   method="thm3")
 
 
 def gumbel_max_bound(n: int, a: float) -> float:
@@ -586,7 +517,7 @@ def near_order_count_pmf(spec: NearOrderSpec, tol: float = 1e-10) -> TruncatedPM
     (k_lo, k_hi), probs = union, total[1:]
     big = np.flatnonzero(probs >= _TINY)
     cut = math.fsum(probs[: big[0]].tolist()) + math.fsum(probs[big[-1] + 1:].tolist())
-    l1_err = float(total[0]) + cut + math.sqrt(k_hi - k_lo + 1) * err
+    l1_err = float(total[0] + cut + math.sqrt(k_hi - k_lo + 1) * err)
     if not l1_err <= max(tol, 1e-7):
         raise IntegrationError(
             f"mixture pmf quadrature error {l1_err!r} exceeds {tol!r}",

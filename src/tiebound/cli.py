@@ -19,10 +19,13 @@ failure (truncation/integration), 4 verification failure.  The default seed
 comes from the TIEBOUND_SEED environment variable when set.
 
 Commands that need no array never import numpy: ``--help``, usage errors,
-``figure fig2``, ``table1``, ``figure fig1`` at its default n = 20, and
+``figure fig2``, ``table1``, ``figure fig1`` at its default n = 20,
 ``bound thm1a|thm1b|thm2`` on a geometric law wherever the closed form of
 its tie-count values certifies the tolerance or their series is short
-enough to sum in plain Python (see ``maxima``).  The rest import it when
+enough to sum in plain Python (see ``maxima``), and ``bound thm3`` on the
+Gumbel law and, wherever its binomial tails are short, on the uniform law
+with n - ell >= 2, whose gap-ratio moments have closed forms (see
+``bounds_continuous``).  The rest import it when
 they first need it, through the package's shared lazy handle
 (``tiebound._numpy``).
 
@@ -34,7 +37,8 @@ The console entry point ``run`` freezes the heap before the command starts:
 the modules just imported live until exit, so no garbage collection during the
 command or at shutdown needs to walk them again.  numpy loads after that
 freeze, so the lazy handle freezes the heap once more right after it loads;
-without that, ``verify`` and ``bound thm3`` ran 6-8 ms slower.  The package's
+without that, ``verify`` and ``bound thm3``, which then integrated, ran 6-8 ms
+slower.  The package's
 other submodules load lazily too, and those a command first touches after the
 last freeze are not frozen.
 """

@@ -7,7 +7,9 @@ discrete law lives on {1, 2, ...}: its mass function ``pmf``, its
 which the series over j certify their truncation remainders.  A
 continuous law has ``logcdf`` on all of R (-inf below the support and 0
 above it), which keeps expressions such as ``logcdf(x - a)`` well defined
-at and below the support edge, and its inverse ``logquantile``.
+at and below the support edge, its inverse ``logquantile`` and, for the
+Gumbel and uniform laws, its gap-ratio moments in closed form
+(``gap_moments``).
 
 All laws are immutable after construction and safe for concurrent reads.
 """
@@ -85,12 +87,33 @@ class ContinuousLaw:
             accepts arrays.  Exact in the upper tail, log u = log1p(-v).
         support: (lower, upper) endpoints; may be infinite.
         descriptor: JSON-style dict this law can be rebuilt from, if any.
+        gap_moments: (n, ell, a) -> (M1, M2, e1, e2), the first two moments
+            of the gap ratio r_a at the ell-th largest of n observations in
+            closed form, with e1, e2 bounds on their errors (the Gumbel
+            law's) or estimates of them (the uniform law's); or None where
+            the form does not apply.  :func:`gumbel_law` and
+            :func:`uniform_law` set it, and the thm3 bound then needs no
+            quadrature and no numpy; without it the bound integrates the
+            moments from ``logcdf`` and ``logquantile``.
     """
 
     logcdf: Callable
     logquantile: Callable
     support: tuple
     descriptor: Optional[dict] = None
+    gap_moments: Optional[Callable] = None
+
+
+def _closed_gap_moments(name: str, *args) -> Callable:
+    """The ``gap_moments`` of a built-in law: ``moments.<name>(n, ell, a,
+    *args)``, with the module imported at the first call, so that a command
+    without the thm3 bound never loads it."""
+    def gap_moments(n: int, ell: int, a: float):
+        from . import moments
+
+        return getattr(moments, name)(n, ell, a, *args)
+
+    return gap_moments
 
 
 def geometric_law(p: float) -> DiscreteLaw:
@@ -203,7 +226,8 @@ def gumbel_law() -> ContinuousLaw:
     The density is exp(-x - exp(-x)), the derivative of the cdf.  (A plus
     sign in front of the inner exponential, sometimes seen in print, is a
     slip: that expression is not integrable.)  The mean is the
-    Euler-Mascheroni constant 0.5772...
+    Euler-Mascheroni constant 0.5772...  Its gap-ratio moments have a closed
+    form with a certified error (``moments._gumbel_moments``).
     """
 
     def logcdf(x):
@@ -221,11 +245,16 @@ def gumbel_law() -> ContinuousLaw:
         logquantile=logquantile,
         support=(-math.inf, math.inf),
         descriptor={"kind": "gumbel"},
+        gap_moments=_closed_gap_moments("_gumbel_moments"),
     )
 
 
 def uniform_law(b: float) -> ContinuousLaw:
-    """Uniform law on (0, b): log F(x) = log(clamp(x/b, 0, 1)), x = b u."""
+    """Uniform law on (0, b): log F(x) = log(clamp(x/b, 0, 1)), x = b u.
+
+    Its gap-ratio moments have a closed form as binomial tails, with
+    estimated errors (``moments._uniform_moments``).
+    """
     real_in(b, 0.0, math.inf, "uniform width")
 
     def logcdf(x):
@@ -242,6 +271,7 @@ def uniform_law(b: float) -> ContinuousLaw:
         logquantile=logquantile,
         support=(0.0, b),
         descriptor={"kind": "uniform", "b": float(b)},
+        gap_moments=_closed_gap_moments("_uniform_moments", b),
     )
 
 

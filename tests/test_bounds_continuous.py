@@ -1,5 +1,6 @@
 """Continuous-case bounds: quadrature vs closed forms, delegation, dominance."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -15,7 +16,7 @@ import pytest
 from scipy import integrate, stats
 
 import tiebound
-from tiebound import bounds_continuous
+from tiebound import binomial, bounds_continuous
 from tiebound.approximants import truncated_negbin, tv_distance
 from tiebound.binomial import _log_binom_tail, _log_choose, binom_rows, binom_window
 from tiebound.bounds_continuous import (
@@ -40,7 +41,7 @@ from tiebound.bounds_continuous import (
     uniform_gap_moment_exact,
 )
 from tiebound.distributions import ContinuousLaw, gumbel_law, uniform_law
-from tiebound.errors import DegenerateParameterError, DomainError
+from tiebound.errors import DegenerateParameterError, DomainError, IntegrationError
 
 GRID_A = (0.1, 0.5, 1.0, 2.0)
 GRID_N = (5, 20, 100)
@@ -436,6 +437,33 @@ class TestNearOrderBound:
         assert report.bound == direct.bound
         assert report.params == direct.params
 
+    def test_a_law_without_closed_moments_integrates_them(self, monkeypatch):
+        # a user law without `gap_moments` takes the quadrature; the built-in law skips it
+        law = dataclasses.replace(gumbel_law(), gap_moments=None)
+        calls = []
+        gk21_pass = bounds_continuous._gk21_pass
+        monkeypatch.setattr(bounds_continuous, "_gk21_pass",
+                            lambda *args, **kwargs: calls.append(1) or gk21_pass(*args, **kwargs))
+        closed = negbin_bound_near_order(NearOrderSpec(law=gumbel_law(), n=20, ell=2, a=0.4))
+        assert not calls
+        report = negbin_bound_near_order(NearOrderSpec(law=law, n=20, ell=2, a=0.4))
+        assert calls
+        assert report.bound == pytest.approx(closed.bound, rel=1e-9)
+        for key in ("M1", "M2"):
+            assert report.moments[key] == pytest.approx(closed.moments[key], rel=1e-9)
+
+    def test_a_law_without_closed_moments_reports_integration_failure(self, monkeypatch):
+        # the pass returns the normaliser first: it integrates the density too
+        monkeypatch.setattr(bounds_continuous, "_gk21_pass",
+                            lambda *args, **kwargs: (np.array([1.0, 0.5, 0.25]), 0.125))
+        law = dataclasses.replace(gumbel_law(), gap_moments=None)
+        with pytest.raises(IntegrationError) as info:
+            negbin_bound_near_order(NearOrderSpec(law=law, n=10, ell=1, a=0.3))
+        assert info.value.error_estimate == pytest.approx(info.value.value / 4.0)
+        # the built-in law never integrates its moments
+        spec = NearOrderSpec(law=gumbel_law(), n=10, ell=1, a=0.3)
+        assert negbin_bound_near_order(spec).bound > 0
+
     @pytest.mark.parametrize("kind,n,ell,a", [("gumbel", 100, 1, 0.3), ("uniform", 200, 3, 0.05),
                                               ("gumbel", 10**6, 1, 0.3),
                                               ("gumbel", 10**7, 1, 0.01)])
@@ -501,6 +529,107 @@ class TestNearOrderBound:
                 m * (m - 1) * gumbel_gap_moment_exact(n, ell, a, 2), rel=1e-8)
 
 
+def _gumbel_moments_mp(n, ell, a):
+    """1 - E[U**c] and 1 - 2 E[U**c] + E[U**2c] at 50 digits, c = e**a - 1 and
+    U ~ Beta(n-ell+1, ell), with log E[U**s] a sum of log-gamma values at 90
+    digits (the sum cancels about 20 of them at n = 1e9)."""
+    with mp.workdps(90):
+        c, first = mp.expm1(mp.mpf(a)), n - ell + 1
+
+        def log_moment(s):
+            return (mp.loggamma(n + 1) - mp.loggamma(n + 1 + s)
+                    + mp.loggamma(first + s) - mp.loggamma(first))
+
+        p1, p2 = mp.exp(log_moment(c)), mp.exp(log_moment(2 * c))
+        return 1 - p1, 1 - 2 * p1 + p2
+
+
+def _uniform_moments_mp(n, ell, a):
+    """E[r_a] and E[r_a**2] on the uniform (0, 1) law: exact rationals up to
+    n = 1000, and beyond it the idealized forms, once the Chernoff bounds of
+    both binomial tails that correct them are checked to be below 1e-300."""
+    with mp.workdps(50):
+        if n <= 1000:
+            return [mp.mpf(f.numerator) / f.denominator
+                    for f in (_uniform_moment_fraction(n, ell, Fraction(a), j) for j in (1, 2))]
+        u = mp.mpf(a)
+        for m, k in ((n, n - ell), (n - 1, n - 1 - ell), (n - 2, n - 2 - ell)):
+            x = mp.mpf(k) / m  # P(Bin(m, u) > k) <= exp(-m KL(x || u)), x > u
+            assert x > u and m * (x * mp.log(x / u) + (1 - x) * mp.log((1 - x) / (1 - u))) > 700
+        return [u * n / (n - ell), u * u * n * (n - 1) / ((n - ell) * (n - ell - 1))]
+
+
+def _negbin_bound_mp(n, ell, m1, m2):
+    """negbin_bound_mixed's formula at 50 digits."""
+    with mp.workdps(50):
+        ew = (n - ell) * m1
+        beta = ew / (ew + ell)
+        bracket = beta + (1 - beta) * ((n - ell - 1) * m2 / m1 - (n - ell - 2) * m1)
+        return (1 - (1 - beta) ** ell) / (beta * ell) * ew * bracket
+
+
+CERTIFICATE_POINTS = [
+    # verify's three continuous points
+    ("uniform", 8, 1, 0.05), ("uniform", 10, 2, 0.1), ("gumbel", 10, 1, 0.3),
+    ("gumbel", 100, 1, 0.3), ("gumbel", 10**6, 3, 0.3), ("gumbel", 10**9, 1, 0.01),
+    ("gumbel", 10**9, 5 * 10**8, 0.3), ("gumbel", 100, 1, 1e-9),
+    ("uniform", 200, 3, 0.05), ("uniform", 10**9, 5 * 10**8, 0.3),
+    # Euler-Maclaurin from m = 33, where its corrections count
+    ("gumbel", 100, 99, 0.3), ("gumbel", 1000, 500, 3.0),
+]
+
+
+class TestClosedFormCertificates:
+    """thm3 on the built-in laws against 50-digit values: the moments lie within their
+    stated errors, and ``truncation_error`` covers the bound's distance from the
+    50-digit bound (for the uniform law both are estimates that must still hold)."""
+
+    @pytest.mark.parametrize("kind,n,ell,a", CERTIFICATE_POINTS)
+    def test_moments_and_bound_within_their_errors(self, kind, n, ell, a):
+        law = gumbel_law() if kind == "gumbel" else uniform_law(1.0)
+        m1, m2, e1, e2 = law.gap_moments(n, ell, a)
+        exact = (_gumbel_moments_mp if kind == "gumbel" else _uniform_moments_mp)(n, ell, a)
+        with mp.workdps(50):
+            assert abs(m1 - exact[0]) <= e1 and abs(m2 - exact[1]) <= e2
+            report = negbin_bound_near_order(NearOrderSpec(law=law, n=n, ell=ell, a=a))
+            assert (report.moments["M1"], report.moments["M2"]) == (m1, m2)
+            assert abs(report.bound - _negbin_bound_mp(n, ell, *exact)) <= report.truncation_error
+
+    def test_gumbel_errors_are_a_few_units_of_rounding(self):
+        # certified, yet tight: within 1e-14 (90 u) relative at every rank
+        for n, ell, a in ((100, 1, 0.3), (100, 99, 0.3), (10**9, 5 * 10**8, 0.3),
+                          (10**9, 10**9 - 1, 1e-12), (1000, 500, 3.0)):
+            m1, m2, e1, e2 = gumbel_law().gap_moments(n, ell, a)
+            assert e1 <= 1e-14 * m1 and e2 <= 1e-14 * m2
+
+    def test_gumbel_cost_is_flat_in_the_rank(self):
+        spec = NearOrderSpec(law=gumbel_law(), n=10**9, ell=5 * 10**8, a=0.3)
+        elapsed = []
+        for _ in range(5):
+            start = time.perf_counter()
+            negbin_bound_near_order(spec)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.005
+
+    @pytest.mark.parametrize("law_fn", (gumbel_law, lambda: uniform_law(1.0)))
+    def test_extreme_thresholds(self, law_fn):
+        # M1**2 underflows: no target, as where the quadrature's M1 vanished
+        with pytest.raises(DegenerateParameterError):
+            negbin_bound_near_order(NearOrderSpec(law=law_fn(), n=10**9, ell=5 * 10**8, a=1e-200))
+        # the gap ratio is 1 within rounding: beta = 0.97 and the bracket is 1
+        report = negbin_bound_near_order(NearOrderSpec(law=law_fn(), n=100, ell=3, a=800.0))
+        assert (report.moments["M1"], report.moments["M2"]) == (1.0, 1.0)
+        assert report.bound == pytest.approx((1.0 - 0.03**3) * 100.0 / 3.0, rel=1e-14)
+
+    def test_uniform_without_a_second_moment_form_integrates(self):
+        # n - ell = 1: the second moment has no closed form here, and the bound integrates
+        law = uniform_law(1.0)
+        assert law.gap_moments(5, 4, 0.1) is None
+        report = negbin_bound_near_order(NearOrderSpec(law=law, n=5, ell=4, a=0.1))
+        assert report.moments["M1"] == pytest.approx(uniform_gap_moment_exact(5, 4, 0.1, 1.0, 1),
+                                                     rel=1e-9)
+
+
 def _binom_pmf(m, r):
     """Full Bin(m, r) rows from the kernel, one for each entry of ``r``."""
     with np.errstate(divide="ignore"):
@@ -544,6 +673,21 @@ class TestBinomialTails:
         assert _log_binom_tail(5, 2, 1.0, False) == -math.inf
         assert _log_binom_tail(5, 2, 1.0, True) == 0.0
         assert _log_binom_tail(5, 5, 1.0, False) == 0.0
+
+    @pytest.mark.parametrize("m", (5, 127, 129, 300, 5000, 10**5))
+    @pytest.mark.parametrize("q", (1e-3, 0.01, 0.3, 0.5, 0.9))
+    def test_python_run_matches_numpy_blocks(self, m, q, monkeypatch):
+        # the first _SHORT_RUN terms of each way are summed in plain Python; with a run
+        # of one term the same tails come from numpy blocks alone.  The grid holds short
+        # runs and runs past the Python budget (the mode's side at m = 5000 and 1e5)
+        mode = math.floor((m + 1) * q)
+        ks = {k for k in (0, mode - 300, mode - 140, mode - 5, mode, mode + 5, mode + 140,
+                          mode + 300, m - 1) if 0 <= k < m}
+        got = {(k, upper): _log_binom_tail(m, k, q, upper) for k in ks for upper in (False, True)}
+        monkeypatch.setattr(binomial, "_SHORT_RUN", 1)
+        for (k, upper), value in got.items():
+            ref = _log_binom_tail(m, k, q, upper)
+            assert abs(value - ref) <= 4.0 * np.finfo(float).eps * max(1.0, abs(ref)), (k, upper)
 
 
 BETA_PROBS = (1e-9, 0.05, 0.5, 0.95, 1.0 - 1e-9)

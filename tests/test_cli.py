@@ -114,14 +114,18 @@ class TestBoundCommand:
         assert err[1].startswith("best_bound: ") and float(err[1].split()[1]) > 1e-12
 
     def test_integration_failure_reports_estimate(self, monkeypatch, capsys):
-        # the pass returns the normaliser first: it integrates the density too
+        # thm3 on the built-in laws takes closed-form moments, so the failure is driven
+        # through the near-order law, which integrates: the pass keeps its integral but
+        # reports an error estimate of 0.125, which the law scales by the square root of
+        # its width; a pmf has no single value, so `value` is nan
+        gk21_pass = bounds_continuous._gk21_pass
         monkeypatch.setattr("tiebound.bounds_continuous._gk21_pass",
-                            lambda *args, **kwargs: (np.array([1.0, 0.5, 0.25]), 0.125))
-        assert main(["bound", "thm3", "--law", "gumbel", "--n", "10", "--a", "0.3"]) == 3
+                            lambda *args, **kwargs: (gk21_pass(*args, **kwargs)[0], 0.125))
+        assert main(["simulate", "--law", "gumbel", "--n", "10", "--a", "0.3"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err[1].startswith("value: ") and err[2].startswith("error_estimate: ")
         value, estimate = float(err[1].split()[1]), float(err[2].split()[1])
-        assert estimate == pytest.approx(value / 4.0)  # 0.125 / 0.5, both rescaled alike
+        assert math.isnan(value) and 0.125 <= estimate < math.inf
 
 
 class TestTable1Command:
@@ -674,6 +678,10 @@ NUMPY_FREE_COMMANDS = {
     "fig1": (["figure", "fig1"], 0),
     "fig1-n50": (["figure", "fig1", "--n", "50"], 0),
     "thm2-series": (["bound", "thm2", "--p", "0.3", "--n", "10"], 0),
+    # thm3 on the built-in laws: closed-form gap-ratio moments, no quadrature
+    "thm3-gumbel": (["bound", "thm3", "--law", "gumbel", "--n", "100", "--a", "0.3"], 0),
+    "thm3-uniform": (["bound", "thm3", "--law", "uniform", "--b", "1", "--n", "200", "--ell", "3",
+                      "--a", "0.05"], 0),
     "help": (["--help"], 0),
     "usage-error": (["bound", "thm2", "--p", "1e-3"], 1),
 }

@@ -66,6 +66,12 @@ COMMANDS = [
     # near-order panel edges at the rank-3 lower tail of n = 1e9 and the (1e4, 7) tails
     ["bound", "thm3", "--law", "gumbel", "--n", "1000000000", "--ell", "3", "--a", "0.3"],
     ["bound", "thm3", "--law", "uniform", "--b", "1", "--n", "10000", "--ell", "7", "--a", "0.001"],
+    # closed-form thm3 moments at a central rank of n = 1e9, whose cost must not grow with
+    # the rank, and at a distance so small that x - a would lose its digits
+    ["bound", "thm3", "--law", "gumbel", "--n", "1000000000", "--ell", "500000000", "--a", "0.3"],
+    ["bound", "thm3", "--law", "uniform", "--b", "1", "--n", "1000000000", "--ell", "500000000",
+     "--a", "0.3"],
+    ["bound", "thm3", "--law", "gumbel", "--n", "100", "--a", "1e-9"],
     ["bound", "thm4", "--n", "10", "--ell", "2", "--eq", "0.1", "--eq2", "0.012"],
     ["simulate", "--law", "gumbel", "--n", "100", "--a", "0.3"],
     ["simulate", "--law", "uniform", "--b", "1", "--n", "200", "--ell", "3", "--a", "0.05"],
