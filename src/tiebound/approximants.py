@@ -1,14 +1,15 @@
 """Approximating target laws and exact total-variation distance.
 
 The exchange format for distance computation is :class:`TruncatedPMF`: a
-finite probability vector together with a certified upper bound on the mass
-it omits.  Total variation between two truncated pmfs then has a rigorous
-upper bound next to its point estimate, so "bound dominates distance" checks
-remain meaningful despite truncation.  Every target's tail certificate
+finite probability vector (a tuple of floats) together with a certified
+upper bound on the mass it omits.  Total variation between two truncated
+pmfs then has a rigorous upper bound next to its point estimate, so "bound
+dominates distance" checks remain meaningful despite truncation.  Every target's tail certificate
 comes from one ratio rule (``_truncate_by_ratio``).
 
 All pmfs are evaluated in log space (via log-gamma) and exponentiated, so
-they stay finite for very large arguments and parameters.
+they stay finite for very large arguments and parameters.  The module needs
+no numpy: the targets, the containers and the distances are plain Python.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from ._numpy import np
 from .errors import DomainError, TruncationError, integer_in, positive_tol, real_in
 
 __all__ = [
@@ -42,6 +42,7 @@ _MAX_TERMS = 10_000_000
 class TruncatedPMF:
     """A finite probability vector plus a certified omitted-mass bound.
 
+    ``probs`` is a tuple of floats (any sequence given is converted), and
     ``probs[i]`` is the probability of outcome ``k_min + i``.  ``k_min`` is
     the first outcome held, which need not be the first of the support: the
     tie-count laws start where their mass reaches the smallest normal
@@ -49,7 +50,11 @@ class TruncatedPMF:
     on both sides.  Whether it also covers the rounding error of the stored
     entries (their L1 distance from the exact values) depends on the
     producer.  The mixture laws ``maxima.tie_count_law`` and
-    ``maxima.size_biased_tie_law`` include it.  The target laws built by
+    ``maxima.size_biased_tie_law`` include it, and so does the closed-form
+    law that ``tie_count_law`` gives a geometric law where every entry
+    certifies: each entry comes with a certified remainder, which bounds
+    both its own error and, through 1 - sum(entries) + sum(remainders),
+    the omitted mass.  The target laws built by
     ``truncate_law`` (``truncated_log``, ``truncated_poisson``,
     ``truncated_negbin``, ``truncated_geometric``) do not: the entries of
     ``truncated_poisson(20.0, 1e-13)`` are 4.3e-15 (L1) off their exact
@@ -58,27 +63,31 @@ class TruncatedPMF:
     """
 
     k_min: int
-    probs: np.ndarray
+    probs: tuple
     tail_mass_bound: float
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
-        if self.probs.ndim != 1 or self.probs.size == 0:
+        try:  # an array of another rank, or a scalar, holds no 1-d vector
+            probs = tuple(map(float, self.probs)) if getattr(self.probs, "ndim", 1) == 1 else ()
+        except TypeError:
+            probs = ()
+        if not probs:
             raise DomainError("probs must be a non-empty 1-d vector")
+        object.__setattr__(self, "probs", probs)
         if not (0.0 <= self.tail_mass_bound <= math.inf):
             raise DomainError("tail_mass_bound must be non-negative")
 
     @property
     def k_max(self) -> int:
-        return self.k_min + self.probs.size - 1
+        return self.k_min + len(self.probs) - 1
 
     def prob(self, k: int) -> float:
         if self.k_min <= k <= self.k_max:
-            return float(self.probs[k - self.k_min])
+            return self.probs[k - self.k_min]
         return 0.0
 
     def total(self) -> float:
-        return float(math.fsum(self.probs.tolist()))
+        return math.fsum(self.probs)
 
 
 class TVInterval(NamedTuple):
@@ -140,7 +149,7 @@ def truncate_law(pmf: Callable[[int], float],
         bound = tail_after(k)
         best = min(best, bound)
         if bound <= tol:
-            return TruncatedPMF(k_min=k_min, probs=np.array(probs), tail_mass_bound=bound)
+            return TruncatedPMF(k_min=k_min, probs=probs, tail_mass_bound=bound)
     raise TruncationError(f"tail certificate did not reach {tol!r} within {max_terms} terms "
                           f"(best achieved: {best!r})", best_bound=best)
 
@@ -197,13 +206,14 @@ def truncated_geometric(beta: float, tol: float) -> TruncatedPMF:
     return TruncatedPMF(k_min=1, probs=law.probs, tail_mass_bound=law.tail_mass_bound)
 
 
-def _dense(k_min: int, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """``values``, held from outcome ``k_min`` up, on outcomes ``lo..hi``; zero elsewhere."""
-    out = np.zeros(max(hi - lo + 1, 0), dtype=values.dtype)
-    first, last = max(lo, k_min), min(hi, k_min + values.size - 1)
-    if first <= last:
-        out[first - lo: last - lo + 1] = values[first - k_min: last - k_min + 1]
-    return out
+def _dense(k_min: int, values, lo: int, hi: int, zero=0.0) -> list:
+    """``values``, held from outcome ``k_min`` up, as a list on outcomes ``lo..hi``;
+    ``zero`` elsewhere (0 for counts)."""
+    first, last = max(lo, k_min), min(hi, k_min + len(values) - 1)
+    if first > last:
+        return [zero] * max(hi - lo + 1, 0)
+    return ([zero] * (first - lo) + list(values[first - k_min: last - k_min + 1])
+            + [zero] * (hi - last))
 
 
 def positive_part_distance(p: TruncatedPMF, q: TruncatedPMF) -> TVInterval:
@@ -218,8 +228,8 @@ def positive_part_distance(p: TruncatedPMF, q: TruncatedPMF) -> TVInterval:
     """
     scale = 1.0 - p.prob(0)
     k_hi = max(p.k_max, q.k_max)
-    diff = _dense(p.k_min, p.probs, 1, k_hi) - scale * _dense(q.k_min, q.probs, 1, k_hi)
-    lo = min(max(0.5 * math.fsum(np.abs(diff).tolist()), 0.0), 1.0)
+    diff = zip(_dense(p.k_min, p.probs, 1, k_hi), _dense(q.k_min, q.probs, 1, k_hi))
+    lo = min(max(0.5 * math.fsum(abs(a - scale * b) for a, b in diff), 0.0), 1.0)
     slack = p.tail_mass_bound + q.tail_mass_bound
     return TVInterval(lo=lo, hi=min(1.0, lo + slack))
 
@@ -234,7 +244,7 @@ def tv_distance(p: TruncatedPMF, q: TruncatedPMF) -> TVInterval:
     upper bound and ``hi - lo`` never exceeds the combined tail budgets.
     """
     k_lo, k_hi = min(p.k_min, q.k_min), max(p.k_max, q.k_max)
-    diff = _dense(p.k_min, p.probs, k_lo, k_hi) - _dense(q.k_min, q.probs, k_lo, k_hi)
-    lo = min(max(0.5 * float(np.abs(diff).sum()), 0.0), 1.0)
+    diff = zip(_dense(p.k_min, p.probs, k_lo, k_hi), _dense(q.k_min, q.probs, k_lo, k_hi))
+    lo = min(max(0.5 * math.fsum(abs(a - b) for a, b in diff), 0.0), 1.0)
     slack = 0.5 * (p.tail_mass_bound + q.tail_mass_bound)
     return TVInterval(lo=lo, hi=min(1.0, lo + slack))

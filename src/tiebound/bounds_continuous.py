@@ -523,5 +523,5 @@ def near_order_count_pmf(spec: NearOrderSpec, tol: float = 1e-10) -> TruncatedPM
             f"mixture pmf quadrature error {l1_err!r} exceeds {tol!r}",
             value=float("nan"), error_estimate=l1_err,
         )
-    return TruncatedPMF(k_min=k_lo + int(big[0]), probs=probs[big[0]: big[-1] + 1],
+    return TruncatedPMF(k_min=k_lo + int(big[0]), probs=probs[big[0]: big[-1] + 1].tolist(),
                         tail_mass_bound=l1_err)

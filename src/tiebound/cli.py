@@ -22,12 +22,14 @@ Commands that need no array never import numpy: ``--help``, usage errors,
 ``figure fig2``, ``table1``, ``figure fig1`` at its default n = 20,
 ``bound thm1a|thm1b|thm2`` on a geometric law wherever the closed form of
 its tie-count values certifies the tolerance or their series is short
-enough to sum in plain Python (see ``maxima``), and ``bound thm3`` on the
+enough to sum in plain Python (see ``maxima``), ``bound thm3`` on the
 Gumbel law and, wherever its binomial tails are short, on the uniform law
 with n - ell >= 2, whose gap-ratio moments have closed forms (see
-``bounds_continuous``).  The rest import it when
-they first need it, through the package's shared lazy handle
-(``tiebound._numpy``).
+``bounds_continuous``), and ``simulate`` of the tie count on a geometric
+law where its exact law certifies in closed form and its draws fit in one
+plain-Python block, such as ``simulate --p 0.01 --n 10000 --mc-samples
+2000`` (see ``montecarlo``).  The rest import it when they first need it,
+through the package's shared lazy handle (``tiebound._numpy``).
 
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is set already,
 so the CLI runs its few small BLAS calls on one thread; OpenBLAS reads it when
@@ -353,9 +355,9 @@ def cmd_simulate(args):
         exact = tie_count_law(spec, args.tol)
     emp = montecarlo.empirical_law(kind, spec, rng, args.mc_samples)
     k_lo = min(emp.k_min, exact.k_min)
-    k_hi = max(emp.k_min + emp.counts.size - 1, exact.k_max)
-    counts = approximants._dense(emp.k_min, emp.counts, k_lo, k_hi).tolist()
-    probs = approximants._dense(exact.k_min, exact.probs, k_lo, k_hi).tolist()
+    k_hi = max(emp.k_min + len(emp.counts) - 1, exact.k_max)
+    counts = approximants._dense(emp.k_min, emp.counts, k_lo, k_hi, 0)
+    probs = approximants._dense(exact.k_min, exact.probs, k_lo, k_hi)
     rows = [[k, count, count / emp.sample_size, prob]
             for k, count, prob in zip(range(k_lo, k_hi + 1), counts, probs)]
     _emit(_csv(rows, ["k", "count", "frequency", "exact_pmf"]), args.out)

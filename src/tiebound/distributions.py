@@ -60,10 +60,12 @@ class DiscreteLaw:
             (``maxima._tie_values``), which the series replaces where they
             certify the tolerance.
         takes_range: True when ``pmf`` and ``logcdf`` also take a ``range``
-            and answer it with a list of floats, without numpy.  Only
-            :func:`geometric_law` sets it; the tie-count series then sum
-            their first blocks in plain Python (``maxima._sums``), and give
-            every other law numpy arrays.
+            and answer it with a list of floats, and answer a Python ``int``
+            (``quantile`` a Python ``float``) with a Python number, all
+            without numpy.  Only :func:`geometric_law` sets it; the tie-count
+            series then sum their first blocks in plain Python
+            (``maxima._sums``), short ``ties`` runs draw in plain Python
+            (``montecarlo``), and every other law is given numpy arrays.
     """
 
     pmf: Callable
@@ -125,30 +127,48 @@ def geometric_law(p: float) -> DiscreteLaw:
     tail P(X > j) = (1-p)**j gives ``log_tail(j) = j log1p(-p) (1 - 6u)``:
     log1p errs by at most 4u and each product by u, so raising the value by
     6u keeps it at or above the true log tail.  Building the law imports
-    nothing.  ``pmf`` and ``logcdf`` answer a ``range`` with a list formed by
-    ``math`` (``takes_range``), so the first blocks of a tie-count series
-    need no numpy; numpy loads when they are first called with an integer or
-    an array.
+    nothing.  ``pmf`` and ``logcdf`` answer a ``range`` with a list, and a
+    Python ``int`` with a float, formed by ``math``, as ``quantile`` answers
+    a Python ``float`` (``takes_range``), so the first blocks of a tie-count
+    series and a short ``ties`` run need no numpy; numpy loads when they are
+    first called with a numpy number or an array.  The two routes apply the
+    same formulas, but numpy's ``exp`` and ``log1p`` may differ from
+    ``math``'s in the last bit.
     """
     real_in(p, 0.0, 1.0, "geometric parameter")
     log_q = math.log1p(-p)
 
+    def pmf1(i):
+        return p * math.exp((i - 1) * log_q) if i >= 1 else 0.0
+
+    def logcdf1(i):  # log1p(-(1-p)**i), -inf where (1-p)**i >= 1, as at i <= 0
+        t = math.exp(i * log_q)
+        return math.log1p(-t) if t < 1.0 else -math.inf
+
     def pmf(j):
         if isinstance(j, range):
-            return [p * math.exp((i - 1) * log_q) if i >= 1 else 0.0 for i in j]
+            return [pmf1(i) for i in j]
+        if type(j) is int:
+            return pmf1(j)
         j = np.asarray(j)
         out = np.where(j >= 1, p * np.exp((j - 1) * log_q), 0.0)
         return out if out.ndim else float(out)
 
     def logcdf(j):
-        if isinstance(j, range):  # log1p(-(1-p)**j), -inf where (1-p)**j >= 1, as at j <= 0
-            return [math.log1p(-t) if t < 1.0 else -math.inf
-                    for t in (math.exp(i * log_q) for i in j)]
+        if isinstance(j, range):
+            return [logcdf1(i) for i in j]
+        if type(j) is int:
+            return logcdf1(j)
         j = np.asarray(j)
         out = np.where(j >= 1, np.log1p(-np.exp(np.maximum(j, 1) * log_q)), -np.inf)
         return out if out.ndim else float(out)
 
     def quantile(u):
+        if type(u) is float:  # the same steps as for an array, for u in [0, 1)
+            j = max(math.ceil(math.log1p(-u) / log_q), 1)
+            if j > 1 and -math.expm1((j - 1) * log_q) >= u:
+                j -= 1
+            return j + 1 if -math.expm1(j * log_q) < u else j
         u = np.asarray(u, dtype=float)
         with np.errstate(divide="ignore"):
             j = np.ceil(np.log1p(-u) / log_q)

@@ -26,7 +26,9 @@ over the maximum M, with the conditional tie probability q(j) = p(j) / F(j):
     P(K* = k) = sum_j p(j) F(j)**(n-1) / Z P(1 + Bin(n-1, q(j)) = k),
 
 and one blocked pass of binomial rows over j (``_mixture_law``), reading its
-blocks from ``_block`` too, gives each.
+blocks from ``_block`` too, gives each; for a geometric law ``tie_count_law``
+takes each P(K = k) from the closed form below instead, where all of them
+certify (``_closed_form_law``).
 The module also exposes the law of the argmax value M (P(M = m) = p(m)
 F(m)**(n-1) / Z).
 
@@ -454,19 +456,58 @@ def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
     b = math.fsum(bounds) + _gamma(depth + len(parts)) * total
     if biased:
         probs, b = probs / total, 2.0 * b / (total - b) + _gamma(2)
-    return TruncatedPMF(k_min=k_lo + int(big[0]), probs=probs, tail_mass_bound=b)
+    return TruncatedPMF(k_min=k_lo + int(big[0]), probs=probs.tolist(), tail_mass_bound=b)
+
+
+def _closed_form_law(spec: KnSpec, tol: float) -> Optional[TruncatedPMF]:
+    """The law of K of a geometric law, entry by entry from :func:`_closed_form`,
+    or None unless every entry and the whole law certify ``tol``.
+
+    The entries run from k = 1 to the mixture's own floor: the first entry
+    below the smallest normal double, which is left out, or k = n, which is
+    exact.  Each entry v_k comes with a remainder r_k >= |v_k - P(K = k)|,
+    so the omitted mass, 1 - sum_k P(K = k) over the held k, is at most
+    1 - sum v + sum r, and the held entries err by at most sum r (L1):
+    ``tail_mass_bound`` is their total, 1 - sum v + 2 sum r, plus the
+    rounding of those two sums and of the additions.  Markov's inequality on
+    E[(K)_{k+1}] would bound the omitted mass too, but not once p/q >= 1.
+    """
+    lam, n = spec.law.lattice_rate, spec.n
+    values, remainders = [], []
+    for k in range(1, n + 1):
+        entry = _closed_form(lam, n, k, False, tol)
+        if entry is None:
+            return None
+        if entry.value < _TINY:
+            break
+        values.append(entry.value)
+        remainders.append(entry.remainder)
+    total, rem = math.fsum(values), math.fsum(remainders)
+    bound = (1.0 - total) + 2.0 * rem + _gamma(3) * (1.0 + total + 2.0 * rem)
+    return TruncatedPMF(k_min=1, probs=values, tail_mass_bound=bound) if bound <= tol else None
 
 
 def tie_count_law(spec: KnSpec, tol: float = DEFAULT_TOL) -> TruncatedPMF:
-    """The law of K, from one binomial-mixture pass over the maximum.
+    """The law of K, in closed form for a geometric law where that certifies,
+    else from one binomial-mixture pass over the maximum.
 
-    It holds the outcomes where the mixture reaches the smallest normal
-    double, so ``k_min`` may exceed 1.  ``tail_mass_bound`` covers the mass
-    omitted on both sides, at most ``tol / 2`` past the last maximum, plus
-    the rounding of the entries (see :func:`_mixture_law`), about 1e-14 at
-    n = 1e9.  Raises :class:`TruncationError` when those outcomes span more
-    than ``_SERIES_CAP`` values, as when mass sits near both k = n and 1.
+    The closed form (:func:`_closed_form_law`) serves a law that sets
+    ``lattice_rate`` only when every entry certifies its remainder and the
+    law's total certificate meets ``tol``; otherwise the mixture runs as for
+    every other law.  Either law holds the outcomes where it reaches the
+    smallest normal double, so the mixture's ``k_min`` may exceed 1.
+    ``tail_mass_bound`` covers the mass omitted on both sides plus the
+    rounding of the entries: for the mixture at most ``tol / 2`` past the
+    last maximum plus the rounding (see :func:`_mixture_law`), about 1e-14
+    at n = 1e9.  The mixture raises :class:`TruncationError` when those
+    outcomes span more than ``_SERIES_CAP`` values, as when mass sits near
+    both k = n and 1.
     """
+    positive_tol(tol)
+    if spec.law.lattice_rate is not None:
+        law = _closed_form_law(spec, tol)
+        if law is not None:
+            return law
     return _mixture_law(spec, tol, biased=False)
 
 
@@ -542,9 +583,10 @@ def tie_given_max_prob(law: DiscreteLaw, m):
     which is exactly 1 at the bottom of the support.  ``m`` may be an integer
     array; a scalar gives a float.
     """
-    pm = law.pmf(m)
+    j = np.asarray(m)  # numpy's route for a scalar too, so that it matches an array's entry
+    pm = law.pmf(j)
     with np.errstate(invalid="ignore"):
-        q = pm / (pm + np.exp(law.logcdf(np.asarray(m) - 1)))
+        q = pm / (pm + np.exp(law.logcdf(j - 1)))
     if np.isnan(q).any():  # 0 / 0 where F(m) = 0
         raise DomainError(f"cdf vanishes at {m!r}; conditional tie probability undefined")
     return q if q.ndim else float(q)

@@ -4,17 +4,31 @@ Each replication costs a fixed number of draws, whatever the sample size n:
 both counts are binomial mixtures over a sample extreme, so a sampler draws
 the extreme (the maximum through the inverse cdf at U**(1/n), or the
 ell-th largest through the log quantile at the log of a Beta(n-ell+1, ell)
-variate) and then one binomial count given it.  Sampling therefore no longer goes
-through the inverse cdf alone: it also uses numpy's ``binomial`` and
-``beta`` generators.  One code path still covers tabulated, geometric,
-Gumbel and uniform laws alike.
+variate) and then one binomial count given it.
 
-Streams are keyed by (seed, stream_id) through numpy's SeedSequence
-spawning: identical keys reproduce identical draws for a fixed numpy
-version (numpy does not promise the ``binomial`` and ``beta`` streams
-across releases), and distinct stream ids give statistically independent
-streams, so parallel workers can each own stream_id = worker index and
-merge their counts in any order.
+Two generators serve the runs, each keyed by (seed, stream_id):
+
+* A ``ties`` run of a geometric law (one that ``takes_range`` and sets
+  ``lattice_rate``) of at most one block whose expected work, size times
+  1 + E[K] with E[K] from the closed form's main term, is within
+  ``_PYTHON_WORK`` is drawn in plain Python from ``random.Random``
+  (``RngStream.python_random``), through the law's own ``quantile``,
+  ``pmf`` and ``logcdf`` on Python numbers and a binomial inversion, so it
+  never imports numpy.  The Mersenne Twister and its string seeding are
+  fixed across Python releases, so such a key reproduces its draws on
+  every Python and platform, up to the last bit of ``math``'s functions.
+* Every other run, longer ``ties`` runs and every ``size-biased`` and
+  ``near-order`` run included, is drawn from numpy's PCG64 through
+  SeedSequence spawning (``RngStream.generator``), with numpy's
+  ``binomial`` and ``beta`` generators.  Such a key reproduces its draws
+  for a fixed numpy version (numpy does not promise the ``binomial`` and
+  ``beta`` streams across releases).
+
+The generator is chosen once per run, from the law and the run's size, so
+``sample_tie_count`` and ``empirical_law`` draw the same values for the same
+spec, key and size.  Distinct stream ids give statistically independent
+streams on either path, so parallel workers can each own stream_id = worker
+index and merge their counts in any order.
 
 Replications are drawn in blocks of 8192 (``_CHUNK_ROWS``), so each
 per-block float64 temporary takes 64 KB whatever the sample size: blocks
@@ -34,11 +48,11 @@ variate lies within about n*eps (in probability) of a cdf step.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import bounds_continuous
+from ._numpy import np
 from .approximants import TruncatedPMF, _dense
 from .distributions import DiscreteLaw
 from .errors import DomainError, TruncationError
@@ -65,6 +79,12 @@ TV_CONFIDENCE_DELTA = 1e-4
 # a million draws take about 0.1 s with either size
 _CHUNK_ROWS = 1 << 13
 _BELOW_ONE = 1.0 - 2.0**-53
+# the largest expected work, replications times (1 + E[K]), of a `ties` run drawn
+# in plain Python.  Such a run takes at most about 40 ms on a shared 2-vCPU VM (8192
+# draws took 19-36 ms at E[K] near 1, 39 ms near 4), where numpy's import took 110-160 ms
+_PYTHON_WORK = 1 << 15
+# a binomial inversion walks chunks of trials whose P(0) = (1-q)**trials stays above e**-700
+_LOG_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -75,8 +95,14 @@ class RngStream:
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
+        """numpy's PCG64 stream of this key, through SeedSequence spawning."""
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         return np.random.Generator(np.random.PCG64(ss))
+
+    def python_random(self) -> random.Random:
+        """The Mersenne Twister of this key, for runs drawn in plain Python; the key
+        string is hashed by SHA-512, so distinct keys seed distinct states."""
+        return random.Random(f"{self.seed}:{self.stream_id}")
 
     def split(self, count: int) -> list:
         """Streams (seed, 0..count-1) for independent parallel workers."""
@@ -85,26 +111,26 @@ class RngStream:
 
 @dataclass(frozen=True)
 class EmpiricalPMF:
-    """Outcome counts from a simulation; counts sum to sample_size >= 1."""
+    """Outcome counts from a simulation, a tuple of ints that sums to sample_size >= 1."""
 
     k_min: int
-    counts: np.ndarray
+    counts: tuple
     sample_size: int
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
-        if self.sample_size < 1 or int(self.counts.sum()) != self.sample_size:
+        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        if self.sample_size < 1 or sum(self.counts) != self.sample_size:
             raise DomainError("sample_size must be >= 1 and equal the sum of the counts")
 
     @classmethod
     def from_samples(cls, samples) -> "EmpiricalPMF":
         samples = np.asarray(samples, dtype=np.int64)
         k_min = int(samples.min()) if samples.size else 0
-        counts = np.bincount(samples - k_min)
+        counts = np.bincount(samples - k_min).tolist()
         return cls(k_min=k_min, counts=counts, sample_size=int(samples.size))
 
-    def frequencies(self) -> np.ndarray:
-        return self.counts / self.sample_size
+    def frequencies(self) -> tuple:
+        return tuple(c / self.sample_size for c in self.counts)
 
 
 def _discrete_quantile_fn(law: DiscreteLaw):
@@ -145,11 +171,12 @@ def _replicate(size, draw_rows):
     With ``size=None`` returns a single int; otherwise an int64 array of
     that many independent replications.
     """
-    scalar = size is None
-    out = np.empty(1 if scalar else int(size), dtype=np.int64)
+    if size is None:
+        return int(draw_rows(1)[0])
+    out = np.empty(int(size), dtype=np.int64)
     for start, block in _blocks(out.size, draw_rows):
-        out[start:start + block.size] = block
-    return int(out[0]) if scalar else out
+        out[start:start + len(block)] = block
+    return out
 
 
 def _positive_binomial(gen: np.random.Generator, n: int, q: np.ndarray) -> np.ndarray:
@@ -168,10 +195,78 @@ def _positive_binomial(gen: np.random.Generator, n: int, q: np.ndarray) -> np.nd
     return 1 + gen.binomial(n - first, q)
 
 
-def _tie_count_rows(spec: KnSpec, rng: RngStream):
-    """``draw_rows`` for the tie count at the sample maximum."""
-    gen = rng.generator()
+def _python_positive_binomial(uniform, n: int, q: float) -> int:
+    """One draw of :func:`_positive_binomial` in plain Python, from ``uniform()``
+    in [0, 1): the same first-success split, then Bin(n - J, q) by inversion.
+
+    The inversion walks k = 0, 1, ... up the pmf from P(0) = (1-q)**m, by the
+    term ratios (m-k)/(k+1) q/(1-q), to the first k whose cdf exceeds a
+    uniform.  Where P(0) would fall below e**-700 the m trials are split into
+    chunks whose P(0) stays above it, one uniform and one walk per chunk, and
+    the chunks' counts are summed, which is again Bin(m, q).  A walk costs 1
+    plus its count, so a draw costs about 1 + n q steps.
+    """
+    if q >= 1.0:  # log1p(-1) = -inf: J = 1, and the n - 1 later trials all succeed
+        return n
+    log_miss = math.log1p(-q)
+    hit = -math.expm1(n * log_miss)
+    m = n - min(max(math.ceil(math.log1p(-uniform() * hit) / log_miss), 1), n)
+    odds = q / (1.0 - q)
+    chunk = m if m * log_miss >= _LOG_FLOOR else max(1, int(_LOG_FLOOR / log_miss))
+    count = 1
+    while m > 0:
+        trials = min(m, chunk)
+        m -= trials
+        u, k = uniform(), 0
+        term = cdf = math.exp(trials * log_miss)
+        while cdf <= u and k < trials and term > 0.0:  # a term of 0 lies past the mode
+            term *= (trials - k) / (k + 1) * odds
+            k += 1
+            cdf += term
+        count += k
+    return count
+
+
+def _expected_ties(law: DiscreteLaw, n: int) -> float:
+    """E[K] of a geometric law by the closed form's main term (p/q) / lambda,
+    capped at n: the sampler's cost model, not a certified value."""
+    lam = law.lattice_rate
+    return min(float(n), math.expm1(lam) / lam)
+
+
+def _python_tie_rows(law: DiscreteLaw, n: int, gen: random.Random):
+    """``draw_rows`` for the tie count in plain Python, for a law that ``takes_range``:
+    each replication draws the maximum M by the law's ``quantile`` at U**(1/n),
+    q(M) = p(M) / (p(M) + F(M-1)) from its ``pmf`` and ``logcdf`` as
+    :func:`~tiebound.maxima.tie_given_max_prob` forms it, and the count by
+    :func:`_python_positive_binomial`; a list per block."""
+    uniform = gen.random
+
+    def draw_rows(rows):
+        out = []
+        for _ in range(rows):
+            m = law.quantile(min(math.exp(math.log1p(-uniform()) / n), _BELOW_ONE))
+            pm = law.pmf(m)
+            q = pm / (pm + math.exp(law.logcdf(m - 1)))
+            out.append(_python_positive_binomial(uniform, n, q))
+        return out
+
+    return draw_rows
+
+
+def _tie_count_rows(spec: KnSpec, rng: RngStream, size: int):
+    """``draw_rows`` for the tie count at the sample maximum, for a run of ``size``.
+
+    A run of at most one block of a geometric law (one that ``takes_range``
+    and sets ``lattice_rate``) whose expected work, size (1 + E[K]), stays
+    within ``_PYTHON_WORK`` is drawn in plain Python from
+    ``rng.python_random()``; every other run from ``rng.generator()``.
+    """
     law, n = spec.law, spec.n
+    if (law.takes_range and law.lattice_rate is not None and size <= _CHUNK_ROWS
+            and size * (1.0 + _expected_ties(law, n)) <= _PYTHON_WORK):
+        return _python_tie_rows(law, n, rng.python_random())
+    gen = rng.generator()
     quantile = _discrete_quantile_fn(law)
 
     def draw_rows(rows):
@@ -190,13 +285,14 @@ def sample_tie_count(spec: KnSpec, rng: RngStream, size=None):
     U**(1/n) (the maximum has cdf F**n), then the tie count as a
     Bin(n, q(M)) conditioned on at least one tie.  With ``size=None``
     returns a single int; otherwise an int64 array of that many independent
-    replications.
+    replications.  A short run of a geometric law is drawn in plain Python
+    (see the module docstring).
     """
-    return _replicate(size, _tie_count_rows(spec, rng))
+    return _replicate(size, _tie_count_rows(spec, rng, 1 if size is None else int(size)))
 
 
-def _size_biased_rows(spec: KnSpec, rng: RngStream):
-    """``draw_rows`` for the size-biased tie count."""
+def _size_biased_rows(spec: KnSpec, rng: RngStream, size: int):
+    """``draw_rows`` for the size-biased tie count, from numpy's stream at every ``size``."""
     gen = rng.generator()
     law, n = spec.law, spec.n
     m_quantile = _discrete_quantile_fn(argmax_value_law(spec))
@@ -214,11 +310,11 @@ def sample_size_biased_ties(spec: KnSpec, rng: RngStream, size=None):
     Samples the argmax value M, then returns one plus a Bin(n - 1, q(M))
     count of the other observations tied with it.
     """
-    return _replicate(size, _size_biased_rows(spec, rng))
+    return _replicate(size, _size_biased_rows(spec, rng, size))
 
 
-def _near_order_rows(spec: bounds_continuous.NearOrderSpec, rng: RngStream):
-    """``draw_rows`` for the near-order count."""
+def _near_order_rows(spec: bounds_continuous.NearOrderSpec, rng: RngStream, size: int):
+    """``draw_rows`` for the near-order count, from numpy's stream at every ``size``."""
     gen = rng.generator()
     n, ell, a = spec.n, spec.ell, spec.a
 
@@ -240,10 +336,10 @@ def sample_near_order_count(spec: bounds_continuous.NearOrderSpec, rng: RngStrea
     count as Bin(n - ell, r_a(x)): the n - ell observations below x are
     independent draws conditioned on lying below it.
     """
-    return _replicate(size, _near_order_rows(spec, rng))
+    return _replicate(size, _near_order_rows(spec, rng, size))
 
 
-# the CLI's `simulate --kind` values
+# the CLI's `simulate --kind` values; each factory takes (spec, rng, size of the run)
 _ROWS = {"ties": _tie_count_rows, "size-biased": _size_biased_rows,
          "near-order": _near_order_rows}
 
@@ -260,16 +356,24 @@ def empirical_law(kind: str, spec, rng: RngStream, size: int) -> EmpiricalPMF:
     """
     if kind not in _ROWS:
         raise DomainError(f"kind must be one of {sorted(_ROWS)}, got {kind!r}")
-    k_min, counts = 0, np.zeros(0, dtype=np.int64)
-    for _, block in _blocks(int(size), _ROWS[kind](spec, rng)):
-        lo = int(block.min())
-        tally = np.bincount(block - lo)
-        if counts.size:  # lay both tallies out on the range seen so far
-            first, last = min(lo, k_min), max(lo + tally.size, k_min + counts.size) - 1
-            tally = _dense(lo, tally, first, last) + _dense(k_min, counts, first, last)
+    size = int(size)
+    k_min, counts = 0, []
+    for _, block in _blocks(size, _ROWS[kind](spec, rng, size)):
+        if isinstance(block, list):  # a run drawn in plain Python
+            lo = min(block)
+            tally = [0] * (max(block) - lo + 1)
+            for k in block:
+                tally[k - lo] += 1
+        else:
+            lo = int(block.min())
+            tally = np.bincount(block - lo).tolist()
+        if counts:  # lay both tallies out on the range seen so far
+            first, last = min(lo, k_min), max(lo + len(tally), k_min + len(counts)) - 1
+            tally = [a + b for a, b in zip(_dense(lo, tally, first, last, 0),
+                                           _dense(k_min, counts, first, last, 0))]
             lo = first
         k_min, counts = lo, tally
-    return EmpiricalPMF(k_min=k_min, counts=counts, sample_size=int(size))
+    return EmpiricalPMF(k_min=k_min, counts=counts, sample_size=size)
 
 
 def empirical_tv(emp: EmpiricalPMF, target: TruncatedPMF):
@@ -287,12 +391,13 @@ def empirical_tv(emp: EmpiricalPMF, target: TruncatedPMF):
     Whenever the samples really come from the target, |estimate - true
     distance| <= radius except with probability at most delta.
     """
-    counts = _dense(emp.k_min, emp.counts, target.k_min, target.k_max)
-    overflow = (emp.sample_size - int(counts.sum())) / emp.sample_size
-    missing = max(0.0, 1.0 - math.fsum(target.probs.tolist()))
-    estimate = 0.5 * (float(np.abs(counts / emp.sample_size - target.probs).sum())
+    size = emp.sample_size
+    counts = _dense(emp.k_min, emp.counts, target.k_min, target.k_max, 0)
+    overflow = (size - sum(counts)) / size
+    missing = max(0.0, 1.0 - math.fsum(target.probs))
+    estimate = 0.5 * (math.fsum(abs(c / size - p) for c, p in zip(counts, target.probs))
                       + abs(overflow - missing))
-    categories = target.probs.size + 1
+    categories = len(target.probs) + 1
     radius = 0.5 * math.sqrt(
         2.0 * (categories * math.log(2.0) + math.log(1.0 / TV_CONFIDENCE_DELTA))
         / emp.sample_size

@@ -518,7 +518,7 @@ class TestNearOrderBound:
         assert mixture.total() == pytest.approx(1.0, abs=1e-9)
         if kind == "uniform":
             exact = _uniform_mixture_pmf(n, ell, Fraction(a))
-            held = mixture.probs.size
+            held = len(mixture.probs)
             l1 = sum(abs(Fraction(float(p)) - e) for p, e in zip(mixture.probs, exact))
             assert l1 + sum(exact[held:]) <= mixture.tail_mass_bound
         else:

@@ -16,7 +16,7 @@ import tiebound
 from tiebound import bounds_continuous, bounds_discrete
 from tiebound.cli import VERIFY_NS, VERIFY_PS, main, round3
 from tiebound.distributions import geometric_law, gumbel_law, law_from_descriptor
-from tiebound.maxima import KnSpec, size_biased_tie_law, size_biased_tie_pmf
+from tiebound.maxima import KnSpec, size_biased_tie_law, size_biased_tie_pmf, tie_count_law
 
 
 def _series_law(descriptor):
@@ -270,7 +270,7 @@ class TestSimulateCommand:
             bounds_continuous.NearOrderSpec(gumbel_law(), n, ell, a), 1e-9)
         rows = [line.split(",") for line in output.strip().split("\n")[1:]]
         assert [int(row[0]) for row in rows] == list(range(law.k_min, law.k_max + 1))
-        assert [float(row[3]) for row in rows] == law.probs.tolist()
+        assert [float(row[3]) for row in rows] == list(law.probs)
         assert law.k_max < n - ell
 
     def test_near_order_beyond_float_binomials(self, runner):
@@ -300,6 +300,17 @@ class TestSimulateCommand:
             k, exact = int(line.split(",")[0]), float(line.split(",")[3])
             assert exact == pytest.approx(size_biased_tie_pmf(spec, k), abs=1e-12)
 
+    def test_a_small_p_past_the_mixture_cap(self, runner):
+        # the mixture would need 3.3e6 maxima, past its cap: this exited 3 before the
+        # closed-form law
+        result = runner(["simulate", "--p", "1e-5", "--n", "100", "--mc-samples", "1000",
+                         "--seed", "3"])
+        assert result.exit_code == 0, result.output
+        rows = [line.split(",") for line in result.output.strip().split("\n")[1:]]
+        law = tie_count_law(KnSpec(law=geometric_law(1e-5), n=100), 1e-12)
+        assert [float(row[3]) for row in rows] == list(law.probs)
+        assert sum(int(row[1]) for row in rows) == 1000
+
     def test_all_tied_sample_at_a_billion(self, runner):
         result = runner(["simulate", "--law", "tabulated", "--weights", "0,1",
                          "--n", "1000000000", "--mc-samples", "1000", "--seed", "3"])
@@ -313,8 +324,8 @@ class TestSimulateCommand:
         law = size_biased_tie_law(spec, 1e-12)
         assert law.k_max < spec.n  # the certified support, not all of 1..n
         reference = np.array([size_biased_tie_pmf(spec, k) for k in range(1, spec.n + 1)])
-        l1 = math.fsum(np.abs(reference[: law.probs.size] - law.probs).tolist())
-        l1 += math.fsum(reference[law.probs.size:].tolist())
+        l1 = math.fsum(np.abs(reference[: len(law.probs)] - law.probs).tolist())
+        l1 += math.fsum(reference[len(law.probs):].tolist())
         assert l1 <= law.tail_mass_bound
 
 
@@ -682,6 +693,8 @@ NUMPY_FREE_COMMANDS = {
     "thm3-gumbel": (["bound", "thm3", "--law", "gumbel", "--n", "100", "--a", "0.3"], 0),
     "thm3-uniform": (["bound", "thm3", "--law", "uniform", "--b", "1", "--n", "200", "--ell", "3",
                       "--a", "0.05"], 0),
+    # one block of a geometric law, drawn from random.Random, and a closed-form exact law
+    "simulate": (["simulate", "--p", "0.01", "--n", "10000", "--mc-samples", "2000"], 0),
     "help": (["--help"], 0),
     "usage-error": (["bound", "thm2", "--p", "1e-3"], 1),
 }
@@ -711,6 +724,17 @@ def test_a_short_series_point_skips_numpy_and_keeps_its_result():
         '{"EK": 1.2015759467343854, "EK2_factorial": 0.5149635143481841, '
         '"EK3_factorial": 0.44130169088686005}, "n": 10, "params": {"lambda": '
         '0.42857342122047276}, "truncation_error": 1.251364914370334e-11}\n')
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--p", "0.01", "--n", "10000", "--mc-samples", "100000"],
+    # E[K] is about 145 here, so 2000 draws are past the plain-Python budget
+    ["simulate", "--p", "0.999", "--n", "1000", "--mc-samples", "2000"],
+], ids=["many-draws", "many-ties"])
+def test_a_simulate_run_past_the_python_budget_imports_numpy(argv):
+    code, numpy_loaded, out = json.loads(_run_python(_MAIN_AND_NUMPY.format(argv=argv)))
+    assert (code, numpy_loaded) == (0, True)
+    assert sum(int(row.split(",")[1]) for row in out.splitlines()[1:]) == int(argv[-1])
 
 
 def test_a_series_past_the_short_budget_imports_numpy():

@@ -1,4 +1,5 @@
-"""The geometric law's tie-count values in closed form, against 40-digit values and the series."""
+"""The geometric law's tie-count values and law in closed form, against 40-digit values,
+the series and the mixture."""
 
 import dataclasses
 import functools
@@ -12,14 +13,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiebound import bounds_discrete, maxima
-from tiebound.distributions import geometric_law, tabulated_law
+from tiebound.approximants import tv_distance
+from tiebound.distributions import DiscreteLaw, geometric_law, tabulated_law
+from tiebound.errors import TruncationError
 from tiebound.maxima import (
     KnSpec,
     _closed_form,
+    _closed_form_law,
+    _mixture_law,
     _tie_values,
     argmax_value_law,
     size_biased_tie_law,
     tie_count_factorial_moment,
+    tie_count_law,
     tie_count_pmf,
     tie_given_max_moment,
 )
@@ -237,3 +243,102 @@ def test_discrete_bounds_are_within_their_truncation_error_of_40_digit_values(p,
     assert reports["thm1a"].bound == pytest.approx(2 * p * p * (2 - p) / (1 - p), rel=1e-15)
     # beta = E[(K)_2] / E[K^2] does not cancel as 1 - E[K] / E[K^2] did
     assert reports["thm1b"].bound == pytest.approx(float(exact["thm1b"]), rel=1e-14)
+
+
+def _direct_law(p: float, n: int) -> list:
+    """P(K = k) for k = 0, ..., n at 40 digits by the direct series C(n, k) p**k
+    sum_{i >= 0} q**(k i) (1 - q**i)**(n-k), cut where q**i < 1e-50; for small n."""
+    with mp.workdps(40):
+        p = mp.mpf(p)
+        q = 1 - p
+        stop = int(mp.ceil(mp.log(mp.mpf(10)**-50) / mp.log(q)))
+        law = [mp.mpf(0)] + [mp.binomial(n, k) * p**k * mp.fsum(
+            q**(k * i) * (1 - q**i)**(n - k) for i in range(stop)) for k in range(1, n)]
+        return law + [p**n / (1 - q**n)]
+
+
+def _law_l1(law, exact) -> float:
+    """L1 distance from the 40-digit law, with the exact mass that the law omits."""
+    with mp.workdps(40):
+        held = [exact(k) for k in range(law.k_min, law.k_max + 1)]
+        return float(mp.fsum(abs(mp.mpf(v) - e) for v, e in zip(law.probs, held))
+                     + 1 - mp.fsum(held))
+
+
+@pytest.mark.parametrize("p,n", [(0.01, 10**4), (1e-4, 10**4), (1e-3, 10**9)])
+def test_closed_form_law_is_within_its_bound_of_40_digit_values(p, n):
+    # no Fourier term survives at these points, so the 40-digit law is its main terms
+    law = tie_count_law(KnSpec(geometric_law(p), n), TOL)
+    assert law == _closed_form_law(KnSpec(geometric_law(p), n), TOL) is not None
+    assert _law_l1(law, lambda k: _exact(p, n, k, False)) <= law.tail_mass_bound <= TOL
+
+
+@pytest.mark.parametrize("p,n,tol", [
+    # eps carries the certificate at these small n: halving _lattice_eps fails the first
+    # point, and leaving the remainders out of the law's bound fails all of them
+    (0.05, 5, 1e-6), (0.1, 15, TOL), (0.2, 20, 1e-8),
+])
+def test_closed_form_law_is_within_its_bound_near_the_border(p, n, tol):
+    law = tie_count_law(KnSpec(geometric_law(p), n), tol)
+    assert law == _closed_form_law(KnSpec(geometric_law(p), n), tol) is not None
+    exact = _direct_law(p, n)
+    assert _law_l1(law, exact.__getitem__) <= law.tail_mass_bound <= tol
+
+
+@pytest.mark.parametrize("p", [1e-4, 1e-3, 0.01, 0.1, 0.3])
+@pytest.mark.parametrize("n", [10, 100, 10**4, 10**6])
+def test_closed_form_law_agrees_with_the_mixture(p, n):
+    """Each law lies within its certificate of the exact law, so the two lie within
+    the sum of both (L1), wherever both run."""
+    law = geometric_law(p)
+    closed = _closed_form_law(KnSpec(law, n), TOL)
+    if closed is None:
+        # some entry does not certify: tie_count_law is the mixture's law, bit for bit
+        assert p in (0.1, 0.3) and (p == 0.3 or n <= 100)
+        return
+    mixture = tie_count_law(KnSpec(dataclasses.replace(law, lattice_rate=None), n), TOL)
+    assert 2.0 * tv_distance(closed, mixture).lo <= closed.tail_mass_bound + mixture.tail_mass_bound
+
+
+@pytest.mark.parametrize("p,n", [(0.3, 50), (0.1, 10), (0.5, 10**4)])
+def test_an_uncertified_entry_gives_the_mixture_bit_for_bit(p, n):
+    spec = KnSpec(geometric_law(p), n)
+    assert _closed_form_law(spec, TOL) is None
+    law = tie_count_law(spec, TOL)
+    assert law == _mixture_law(spec, TOL, biased=False)
+    assert law == tie_count_law(KnSpec(dataclasses.replace(spec.law, lattice_rate=None), n), TOL)
+
+
+def test_other_laws_never_take_the_closed_form_law(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("closed-form law taken")
+
+    geometric = geometric_law(0.05)
+    user = DiscreteLaw(pmf=geometric.pmf, logcdf=geometric.logcdf, log_tail=geometric.log_tail,
+                       quantile=geometric.quantile)
+    monkeypatch.setattr(maxima, "_closed_form_law", refuse)
+    for law in (argmax_value_law(KnSpec(geometric, 5)), tabulated_law([0.2, 0.3, 0.5]), user):
+        assert law.lattice_rate is None
+        tie_count_law(KnSpec(law, 6), TOL)
+
+
+def test_simulate_point_past_the_series_cap_certifies():
+    """At (1e-5, 100) the mixture would need 3.3e6 maxima, past its cap of 2e6."""
+    spec = KnSpec(geometric_law(1e-5), 100)
+    with pytest.raises(TruncationError):
+        _mixture_law(spec, TOL, biased=False)
+    law = tie_count_law(spec, TOL)
+    assert abs(1.0 - math.fsum(law.probs)) <= law.tail_mass_bound <= TOL
+
+
+def test_law_at_a_small_p_takes_milliseconds():
+    """The mixture took 0.7-0.9 s at (1e-4, 1e4), over 4e5 maxima, for 77 entries."""
+    spec = KnSpec(geometric_law(1e-4), 10**4)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        law = tie_count_law(spec, TOL)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 5e-3
+    assert len(law.probs) == 77
+    assert abs(1.0 - math.fsum(law.probs)) <= law.tail_mass_bound <= TOL

@@ -9,6 +9,7 @@ and with the exact law within standard errors.
 import dataclasses
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -32,10 +33,15 @@ from tiebound.maxima import (
     tie_count_law,
 )
 from tiebound.montecarlo import (
+    _CHUNK_ROWS,
+    _PYTHON_WORK,
     TV_CONFIDENCE_DELTA,
     EmpiricalPMF,
     RngStream,
     _discrete_quantile_fn,
+    _expected_ties,
+    _python_positive_binomial,
+    _tie_count_rows,
     empirical_law,
     empirical_tv,
     sample_near_order_count,
@@ -52,7 +58,7 @@ def _assert_within_standard_errors(emp: EmpiricalPMF, exact: TruncatedPMF, z=4.0
     for k in range(exact.k_min, exact.k_max + 1):
         p = exact.prob(k)
         idx = k - emp.k_min
-        f = freqs[idx] if 0 <= idx < freqs.size else 0.0
+        f = freqs[idx] if 0 <= idx < len(freqs) else 0.0
         se = max(np.sqrt(p * (1 - p) / n), 1.0 / n)
         assert abs(f - p) <= z * se + 5.0 / n, f"k={k}: {f} vs {p}"
 
@@ -96,7 +102,7 @@ def _assert_same_law(a, b, k_min, k_max):
 
 def _size_biased_law(spec: KnSpec) -> TruncatedPMF:
     law = tie_count_law(spec, 1e-12)
-    weighted = law.probs * np.arange(1, law.probs.size + 1)
+    weighted = np.array(law.probs) * np.arange(1, len(law.probs) + 1)
     return TruncatedPMF(k_min=1, probs=weighted / weighted.sum(), tail_mass_bound=1e-10)
 
 
@@ -244,6 +250,9 @@ class TestReproducibility:
 
 TALLY_CASES = {
     "ties-geometric": ("ties", sample_tie_count, KnSpec(law=geometric_law(0.2), n=20)),
+    # up to one block in plain Python, from 8193 draws on numpy's stream
+    "ties-geometric-one-block": ("ties", sample_tie_count,
+                                 KnSpec(law=geometric_law(0.01), n=10**4)),
     # K is about 500 give or take 16, so blocks start and end at different
     # outcomes and the tally grows on both sides
     "ties-tabulated": ("ties", sample_tie_count, KnSpec(law=tabulated_law([0.5, 0.5]), n=1000)),
@@ -268,8 +277,8 @@ class TestEmpiricalLaw:
         held = EmpiricalPMF.from_samples(sampler(spec, RngStream(seed=seed, stream_id=2),
                                                  size=size))
         assert (tally.k_min, tally.sample_size) == (held.k_min, held.sample_size)
-        assert tally.counts.dtype == held.counts.dtype
-        np.testing.assert_array_equal(tally.counts, held.counts)
+        assert all(type(c) is int for c in tally.counts + held.counts)
+        assert tally.counts == held.counts
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError, match="kind"):
@@ -464,3 +473,72 @@ class TestEmpiricalTV:
 
         with pytest.raises(DomainError):
             EmpiricalPMF.from_samples([])
+
+
+def _python_size(spec: KnSpec) -> int:
+    """The largest run of ``spec`` that the ties sampler draws in plain Python."""
+    return min(_CHUNK_ROWS, int(_PYTHON_WORK / (1.0 + _expected_ties(spec.law, spec.n))))
+
+
+class TestPlainPythonTies:
+    """Short ties runs of a geometric law, drawn from ``random.Random``."""
+
+    @pytest.mark.parametrize("n", [1, 10, 10**4])
+    def test_the_path_is_chosen_by_the_run(self, n):
+        spec = KnSpec(law=geometric_law(0.3), n=n)
+        size = _python_size(spec)
+        assert type(_tie_count_rows(spec, RngStream(seed=1), size)(size)) is list
+        assert type(_tie_count_rows(spec, RngStream(seed=1), size + 1)(1)) is np.ndarray
+        for other in (tabulated_law([0.2, 0.3, 0.5]),
+                      dataclasses.replace(geometric_law(0.3), takes_range=False),
+                      dataclasses.replace(geometric_law(0.3), lattice_rate=None)):
+            rows = _tie_count_rows(KnSpec(law=other, n=n), RngStream(seed=1), 10)
+            assert type(rows(10)) is np.ndarray
+
+    def test_same_key_same_counts_and_distinct_streams_differ(self):
+        spec = KnSpec(law=geometric_law(0.5), n=10)
+        size = _python_size(spec)
+        runs = [empirical_law("ties", spec, RngStream(seed=90, stream_id=s), size)
+                for s in (3, 3, 4)]
+        assert runs[0] == runs[1] and runs[0].counts != runs[2].counts
+        draws = [sample_tie_count(spec, RngStream(seed=90, stream_id=s), size=500).tolist()
+                 for s in (3, 3, 4)]
+        assert draws[0] == draws[1] != draws[2]
+
+    @pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 10, 10**4])
+    def test_counts_match_the_exact_law(self, p, n):
+        # at n = 2 the maximum sits at 1 with chance p**2 ... (1 - q)**2, where q(1) = 1
+        spec = KnSpec(law=geometric_law(p), n=n)
+        size = _python_size(spec)
+        assert type(_tie_count_rows(spec, RngStream(seed=7), size)(1)) is list
+        emp = empirical_law("ties", spec, RngStream(seed=7, stream_id=n), size)
+        estimate, radius = empirical_tv(emp, tie_count_law(spec, 1e-12))
+        assert estimate <= radius
+
+    @pytest.mark.parametrize("n,q,size", [(1, 0.3, 20_000), (5, 0.3, 20_000), (7, 1.0, 100),
+                                          (40, 0.02, 20_000), (2000, 0.5, 2000),
+                                          (10**5, 0.01, 2000)])
+    def test_positive_binomial_draws(self, n, q, size):
+        """Mean and variance of Bin(n, q) given >= 1 within four standard errors; the
+        last two points split their trials into chunks (n log(1/(1-q)) > 700)."""
+        gen = random.Random(f"{n}:{q}")
+        draws = np.array([_python_positive_binomial(gen.random, n, q) for _ in range(size)])
+        assert draws.min() >= 1 and draws.max() <= n
+        law = stats.binom(n, q)
+        hit = law.sf(0)
+        mean = law.mean() / hit
+        var = (law.var() + law.mean() ** 2) / hit - mean**2
+        assert abs(draws.mean() - mean) <= 4.0 * math.sqrt(var / draws.size) + 1e-12
+        if var > 0.0:
+            assert draws.var() / var == pytest.approx(1.0, abs=4.0 * math.sqrt(2.0 / draws.size)
+                                                      * 2.0)
+        else:
+            assert np.all(draws == n)
+
+    def test_small_positive_binomial_matches_its_pmf(self):
+        n, q = 6, 0.3
+        gen = random.Random("pmf")
+        draws = np.array([_python_positive_binomial(gen.random, n, q) for _ in range(N_UNIT)])
+        pmf = stats.binom.pmf(np.arange(1, n + 1), n, q) / stats.binom.sf(0, n, q)
+        assert _chi_square_pvalue(draws, k_min=1, pmf=pmf) >= 1e-3
