@@ -7,9 +7,9 @@ that a command that never builds an array, such as ``bound thm2`` on a
 geometric law in the closed-form region, ``table1`` and ``figure fig1`` at
 its default n, whose tie-count series are short enough to sum in plain
 Python, ``bound thm3`` on the Gumbel law, whose moments have a closed form,
-or ``simulate --p 0.01 --n 10000 --mc-samples 2000``, whose exact law is in
-closed form and whose draws come from ``random.Random``, never imports
-numpy, about 90 ms of a fresh process.
+or ``simulate --p 0.01 --n 10000`` at any ``--mc-samples``, whose exact law
+is in closed form and whose histogram is drawn from ``random.Random``,
+never imports numpy, about 90 ms of a fresh process.
 The first attribute read imports numpy, and each name read is kept on the
 handle, so later reads of it are plain attribute lookups.
 

@@ -51,8 +51,8 @@ class DiscreteLaw:
             exactly 0.  The series over j end and bound what they omit by it.
         support_max: largest support point for finitely supported laws, else None.
             When set, all mass beyond it is exactly zero.
-        quantile: u -> smallest j with F(j) >= u; accepts floats or numpy
-            arrays.  None means callers must fall back to generic inversion.
+        quantile: u -> smallest j with F(j) >= u, for u in [0, 1); accepts floats
+            or numpy arrays.  None means callers must fall back to generic inversion.
         descriptor: JSON-style dict this law can be rebuilt from, if any.
         lattice_rate: lambda > 0 when the law is geometric, p(j) = (1 - e**-lambda)
             e**(-lambda (j-1)), else None.  Only :func:`geometric_law` sets it;
@@ -64,8 +64,8 @@ class DiscreteLaw:
             (``quantile`` a Python ``float``) with a Python number, all
             without numpy.  Only :func:`geometric_law` sets it; the tie-count
             series then sum their first blocks in plain Python
-            (``maxima._sums``), short ``ties`` runs draw in plain Python
-            (``montecarlo``), and every other law is given numpy arrays.
+            (``maxima._sums``), ``ties`` runs draw their histograms without
+            numpy (``montecarlo``), and every other law is given numpy arrays.
     """
 
     pmf: Callable
@@ -130,10 +130,11 @@ def geometric_law(p: float) -> DiscreteLaw:
     nothing.  ``pmf`` and ``logcdf`` answer a ``range`` with a list, and a
     Python ``int`` with a float, formed by ``math``, as ``quantile`` answers
     a Python ``float`` (``takes_range``), so the first blocks of a tie-count
-    series and a short ``ties`` run need no numpy; numpy loads when they are
+    series and a ``ties`` run need no numpy; numpy loads when they are
     first called with a numpy number or an array.  The two routes apply the
     same formulas, but numpy's ``exp`` and ``log1p`` may differ from
-    ``math``'s in the last bit.
+    ``math``'s in the last bit.  Both raise :class:`DomainError` for a
+    ``quantile`` level outside [0, 1).
     """
     real_in(p, 0.0, 1.0, "geometric parameter")
     log_q = math.log1p(-p)
@@ -164,15 +165,17 @@ def geometric_law(p: float) -> DiscreteLaw:
         return out if out.ndim else float(out)
 
     def quantile(u):
-        if type(u) is float:  # the same steps as for an array, for u in [0, 1)
+        if type(u) is float:  # the same steps as for an array
+            if not 0.0 <= u < 1.0:
+                raise DomainError(f"quantile level must lie in [0, 1), got {u!r}")
             j = max(math.ceil(math.log1p(-u) / log_q), 1)
             if j > 1 and -math.expm1((j - 1) * log_q) >= u:
                 j -= 1
             return j + 1 if -math.expm1(j * log_q) < u else j
         u = np.asarray(u, dtype=float)
-        with np.errstate(divide="ignore"):
-            j = np.ceil(np.log1p(-u) / log_q)
-        j = np.maximum(j, 1.0).astype(np.int64)
+        if not np.all((u >= 0.0) & (u < 1.0)):
+            raise DomainError("quantile levels must lie in [0, 1)")
+        j = np.maximum(np.ceil(np.log1p(-u) / log_q), 1.0).astype(np.int64)
         # float-edge fixups so that j is the smallest index with F(j) >= u
         j = np.where((j > 1) & (-np.expm1((j - 1) * log_q) >= u), j - 1, j)
         j = np.where(-np.expm1(j * log_q) < u, j + 1, j)

@@ -1,52 +1,42 @@
 """Seeded simulation of tie counts and near-order counts.
 
-Each replication costs a fixed number of draws, whatever the sample size n:
-both counts are binomial mixtures over a sample extreme, so a sampler draws
-the extreme (the maximum through the inverse cdf at U**(1/n), or the
-ell-th largest through the log quantile at the log of a Beta(n-ell+1, ell)
-variate) and then one binomial count given it.
+The samplers simulate the data-generating model, not the computed laws, so
+they stay an independent check of them: the maximum M of n observations has
+cdf F**n, and the tie count K given M = j is Bin(n, q(j)) given K >= 1, with
+q(j) = P(X = j) / F(j).
 
-Two generators serve the runs, each keyed by (seed, stream_id):
+The ``ties`` and ``size-biased`` kinds draw the *histogram* of a run, at every
+size, from ``random.Random`` keyed by (seed, stream_id)
+(``RngStream.python_random``).  A walk takes M down its law one hit at a time.
+The ``rest`` maxima still to place lie at or below the value t below the last
+hit, each with latent V = F(M)**n uniform on [0, F(t)**n].  The largest latent
+is v = F(t)**n U**(1/rest), its maximum is the j with F(j-1)**n < v <= F(j)**n,
+and each of the other rest - 1, uniform on [0, v], lands on j with chance
+1 - F(j-1)**n / v.  Each hit's count is spread over k by conditional binomials
+on the row of K given M = j, and every binomial draw is exact (Beta splitting,
+then inversion; Devroye 1986, X.4).  A run costs O(hits + cells drawn), not
+O(size): 1e7 draws at geometric (0.01, 1e4) take about 13 ms on a shared
+2-vCPU VM.  A ``ties`` run on a law that ``takes_range`` never imports numpy;
+``size-biased`` walks the argmax law through numpy tables over its support.
+``sample_tie_count`` and ``sample_size_biased_ties`` expand the histogram and
+shuffle it with the same stream, so ``empirical_law`` equals
+``EmpiricalPMF.from_samples`` of their draws.  A key reproduces these draws
+whatever numpy's version, on every Python release that keeps the algorithms of
+``random``'s string seeding, ``random()``, ``betavariate`` and ``shuffle``, up
+to the last bit of ``math``'s functions.
 
-* A ``ties`` run of a geometric law (one that ``takes_range`` and sets
-  ``lattice_rate``) of at most one block whose expected work, size times
-  1 + E[K] with E[K] from the closed form's main term, is within
-  ``_PYTHON_WORK`` is drawn in plain Python from ``random.Random``
-  (``RngStream.python_random``), through the law's own ``quantile``,
-  ``pmf`` and ``logcdf`` on Python numbers and a binomial inversion, so it
-  never imports numpy.  The Mersenne Twister and its string seeding are
-  fixed across Python releases, so such a key reproduces its draws on
-  every Python and platform, up to the last bit of ``math``'s functions.
-* Every other run, longer ``ties`` runs and every ``size-biased`` and
-  ``near-order`` run included, is drawn from numpy's PCG64 through
-  SeedSequence spawning (``RngStream.generator``), with numpy's
-  ``binomial`` and ``beta`` generators.  Such a key reproduces its draws
-  for a fixed numpy version (numpy does not promise the ``binomial`` and
-  ``beta`` streams across releases).
-
-The generator is chosen once per run, from the law and the run's size, so
-``sample_tie_count`` and ``empirical_law`` draw the same values for the same
-spec, key and size.  Distinct stream ids give statistically independent
-streams on either path, so parallel workers can each own stream_id = worker
-index and merge their counts in any order.
-
-Replications are drawn in blocks of 8192 (``_CHUNK_ROWS``), so each
-per-block float64 temporary takes 64 KB whatever the sample size: blocks
-of 65536 rows made these temporaries the largest working set of
-``verify``.  With a fixed seed the draws depend on the block size, since
-the generators are called once per block.  ``empirical_law`` tallies each
-block as it is drawn and keeps only the counts, so its memory is
-O(support + block) whatever the sample size, where the ``sample_*``
-functions return every draw: ``simulate --p 0.2 --n 20`` at 1e7 draws peaks
-at 36 MB through the tally, against 189 MB holding the draws.
-
-Precision: U**(1/n), computed as exp(log(U)/n), and a Beta variate near 1
-are rounded to about eps, which moves the drawn extreme only when the
-variate lies within about n*eps (in probability) of a cdf step.
+The ``near-order`` kind draws from numpy's PCG64 (``RngStream.generator``) in
+blocks of 8192 replications (``_CHUNK_ROWS``, 64 KB per float64 temporary),
+each tallied as it is drawn: the ell-th largest through the log quantile at the
+log of a Beta(n-ell+1, ell) variate, then one binomial count given it.  Its
+draws are fixed for a given numpy version and block size.  Distinct stream ids
+give independent streams of either kind, so parallel workers can each own
+stream_id = worker index and merge their counts in any order.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -56,7 +46,7 @@ from ._numpy import np
 from .approximants import TruncatedPMF, _dense
 from .distributions import DiscreteLaw
 from .errors import DomainError, TruncationError
-from .maxima import _SERIES_CAP, KnSpec, _tail_end, argmax_value_law, tie_given_max_prob
+from .maxima import _SERIES_CAP, KnSpec, _block, _tail_end, argmax_value_law
 
 __all__ = [
     "RngStream",
@@ -74,17 +64,14 @@ __all__ = [
 # union bound over the 2^d sign patterns of a d-category discrepancy.
 TV_CONFIDENCE_DELTA = 1e-4
 
-# replications per block: 64 KB per float64 temporary.  Blocks of 1 << 16
-# rows set the peak RSS of `verify` at 42.0 MB, against 38.3 MB with these;
-# a million draws take about 0.1 s with either size
+# near-order replications per block: 64 KB per float64 temporary
 _CHUNK_ROWS = 1 << 13
 _BELOW_ONE = 1.0 - 2.0**-53
-# the largest expected work, replications times (1 + E[K]), of a `ties` run drawn
-# in plain Python.  Such a run takes at most about 40 ms on a shared 2-vCPU VM (8192
-# draws took 19-36 ms at E[K] near 1, 39 ms near 4), where numpy's import took 110-160 ms
-_PYTHON_WORK = 1 << 15
-# a binomial inversion walks chunks of trials whose P(0) = (1-q)**trials stays above e**-700
-_LOG_FLOOR = -700.0
+# a binomial draws by inversion once N p, with p <= 1/2, is below this: the walk
+# takes about N p steps, where a Beta split takes two gamma variates
+_INVERSION = 16.0
+# a row of K given M is held where its terms are at least this share of its mode's
+_ROW_FLOOR = 2.0**-60
 
 
 @dataclass(frozen=True)
@@ -100,7 +87,7 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
     def python_random(self) -> random.Random:
-        """The Mersenne Twister of this key, for runs drawn in plain Python; the key
+        """The Mersenne Twister of this key, for the tie-count histograms; the key
         string is hashed by SHA-512, so distinct keys seed distinct states."""
         return random.Random(f"{self.seed}:{self.stream_id}")
 
@@ -133,22 +120,28 @@ class EmpiricalPMF:
         return tuple(c / self.sample_size for c in self.counts)
 
 
-def _discrete_quantile_fn(law: DiscreteLaw):
-    """Vectorized inverse cdf, building a lookup table when the law has none.
-
-    The table ends at the first ``top`` with F(top) >= 1 - 2**-53 by the law's
-    ``log_tail`` (at m for a law on {1, ..., m}), and no double drawn from
-    [0, 1) exceeds 1 - 2**-53, so a draw above the table's last entry (which
-    may round low) maps to ``top``.  Raises :class:`TruncationError` before
-    building anything when ``top`` exceeds ``maxima._SERIES_CAP``, the cap of
-    the series and the mixture laws.
-    """
-    if law.quantile is not None:
-        return law.quantile
+def _table_end(law: DiscreteLaw) -> int:
+    """The first ``top`` with F(top) >= 1 - 2**-53 by the law's ``log_tail`` (m for
+    a law on {1, ..., m}), where a table over the law's support ends.  Raises
+    :class:`TruncationError` when ``top`` exceeds ``maxima._SERIES_CAP``, the cap
+    of the series and the mixture laws, before any table is built."""
     top = _tail_end(law, math.log(2.0**-53))
     if top > _SERIES_CAP:
         raise TruncationError(f"quantile table would exceed {_SERIES_CAP} entries",
                               best_bound=math.exp(law.log_tail(_SERIES_CAP)))
+    return top
+
+
+def _discrete_quantile_fn(law: DiscreteLaw):
+    """Vectorized inverse cdf, building a lookup table up to :func:`_table_end`
+    when the law has none.
+
+    No double drawn from [0, 1) exceeds 1 - 2**-53, so a draw above the table's
+    last entry (which may round low) maps to its top.
+    """
+    if law.quantile is not None:
+        return law.quantile
+    top = _table_end(law)
     cum = np.exp(law.logcdf(np.arange(1, top + 1)))
 
     def quantile(u):
@@ -159,171 +152,184 @@ def _discrete_quantile_fn(law: DiscreteLaw):
     return quantile
 
 
-def _blocks(size: int, draw_rows):
-    """Yield ``(start, block)`` for ``size`` replications, at most _CHUNK_ROWS at a time."""
-    for start in range(0, size, _CHUNK_ROWS):
-        yield start, draw_rows(min(_CHUNK_ROWS, size - start))
+def _binomial(rand: random.Random, trials: int, p: float) -> int:
+    """One exact Bin(trials, p) draw from ``rand``.
 
-
-def _replicate(size, draw_rows):
-    """Fill replications from ``draw_rows(rows)``, one block at a time.
-
-    With ``size=None`` returns a single int; otherwise an int64 array of
-    that many independent replications.
+    While trials * p is at least ``_INVERSION``, the i-th smallest of the
+    trials' uniforms, i = floor((trials + 1) p), is drawn as a Beta(i,
+    trials + 1 - i) variate X: if X <= p, those i trials succeed and the
+    others succeed with chance (p - X) / (1 - X), else only the i - 1 below X
+    may, each with chance p / X (Devroye 1986, X.4).  Each split takes
+    trials * p to about its square root.  A p above 1/2 is reflected, counting
+    failures instead, so that the last step, inversion from P(0) = (1-p)**trials
+    up the term ratios, takes about 1 + trials * p steps.
     """
-    if size is None:
-        return int(draw_rows(1)[0])
-    out = np.empty(int(size), dtype=np.int64)
-    for start, block in _blocks(out.size, draw_rows):
-        out[start:start + len(block)] = block
-    return out
+    base, sign = 0, 1  # the draw is base + sign * Bin(trials, p)
+    while True:
+        if p > 0.5:
+            base, sign, p = base + sign * trials, -sign, 1.0 - p
+        if trials * p < _INVERSION:
+            break
+        i = int((trials + 1) * p)
+        x = rand.betavariate(i, trials + 1 - i)
+        if x <= p:
+            base, trials, p = base + sign * i, trials - i, (p - x) / (1.0 - x)
+        else:
+            trials, p = i - 1, p / x
+    u, k = rand.random(), 0
+    term = cdf = (1.0 - p) ** trials
+    odds = p / (1.0 - p)
+    while cdf <= u and k < trials:
+        term *= (trials - k) / (k + 1) * odds
+        k += 1
+        cdf += term
+    return base + sign * k
 
 
-def _positive_binomial(gen: np.random.Generator, n: int, q: np.ndarray) -> np.ndarray:
-    """Bin(n, q) conditioned on being at least 1, one draw per entry of q.
+def _spread(rand: random.Random, hist: dict, count: int, trials: int, q: float, low: int,
+            shift: int):
+    """Add ``count`` draws of shift + Bin(trials, q), conditioned on Bin >= ``low``
+    (0 or 1), to ``hist`` (outcome -> count).
 
-    The first success J has P(J <= j | J <= n) = (1 - (1-q)**j) / (1 - (1-q)**n),
-    inverted at a uniform V; the n - J later trials are a plain Bin(n - J, q).
-    Exact at q = 1 (J = 1, then n - 1 successes), and one draw per entry
-    however small n q is, where rejecting zero draws would take about 1/(n q).
+    A count below the row's standard deviation is drawn one draw at a time, which
+    costs less than the row's window, about 18 deviations wide: with ``low`` = 1,
+    the first success J has P(J = i) proportional to (1-q)**(i-1) q on 1..trials,
+    drawn by inversion, and the later trials add Bin(trials - J, q).  Otherwise
+    the row is held on its window: terms relative to the mode's, by term ratios
+    out from the mode, until they fall below ``_ROW_FLOOR``.  The count is split
+    along it by conditional binomials, each term's draw Bin(rest, term / suffix sum).
     """
-    with np.errstate(divide="ignore"):
-        log_miss = np.log1p(-q)  # -inf where q == 1
-    hit = -np.expm1(n * log_miss)  # P(Bin(n, q) >= 1)
-    first = np.ceil(np.log1p(-gen.random(q.size) * hit) / log_miss)
-    first = np.clip(first, 1, n).astype(np.int64)
-    return 1 + gen.binomial(n - first, q)
-
-
-def _python_positive_binomial(uniform, n: int, q: float) -> int:
-    """One draw of :func:`_positive_binomial` in plain Python, from ``uniform()``
-    in [0, 1): the same first-success split, then Bin(n - J, q) by inversion.
-
-    The inversion walks k = 0, 1, ... up the pmf from P(0) = (1-q)**m, by the
-    term ratios (m-k)/(k+1) q/(1-q), to the first k whose cdf exceeds a
-    uniform.  Where P(0) would fall below e**-700 the m trials are split into
-    chunks whose P(0) stays above it, one uniform and one walk per chunk, and
-    the chunks' counts are summed, which is again Bin(m, q).  A walk costs 1
-    plus its count, so a draw costs about 1 + n q steps.
-    """
-    if q >= 1.0:  # log1p(-1) = -inf: J = 1, and the n - 1 later trials all succeed
-        return n
-    log_miss = math.log1p(-q)
-    hit = -math.expm1(n * log_miss)
-    m = n - min(max(math.ceil(math.log1p(-uniform() * hit) / log_miss), 1), n)
+    if q >= 1.0:
+        hist[shift + trials] = hist.get(shift + trials, 0) + count
+        return
+    if count * count < trials * q * (1.0 - q):
+        log_miss = math.log1p(-q)
+        hit = -math.expm1(trials * log_miss)
+        for _ in range(count):
+            first = min(max(math.ceil(math.log1p(-rand.random() * hit) / log_miss), 1),
+                        trials) if low else 0
+            k = shift + low + _binomial(rand, trials - first, q)
+            hist[k] = hist.get(k, 0) + 1
+        return
     odds = q / (1.0 - q)
-    chunk = m if m * log_miss >= _LOG_FLOOR else max(1, int(_LOG_FLOOR / log_miss))
-    count = 1
-    while m > 0:
-        trials = min(m, chunk)
-        m -= trials
-        u, k = uniform(), 0
-        term = cdf = math.exp(trials * log_miss)
-        while cdf <= u and k < trials and term > 0.0:  # a term of 0 lies past the mode
-            term *= (trials - k) / (k + 1) * odds
-            k += 1
-            cdf += term
-        count += k
-    return count
+    first = last = min(max(int((trials + 1) * q), low), trials)  # the mode
+    row, term = [1.0], 1.0
+    while first > low and (term := term * first / ((trials - first + 1) * odds)) >= _ROW_FLOOR:
+        row.append(term)
+        first -= 1
+    row.reverse()
+    term = 1.0
+    while last < trials and (term := term * (trials - last) / (last + 1) * odds) >= _ROW_FLOOR:
+        row.append(term)
+        last += 1
+    suffix = list(itertools.accumulate(reversed(row)))
+    for k, term in enumerate(row, shift + first):
+        drawn = _binomial(rand, count, term / suffix.pop())
+        if drawn:
+            hist[k] = hist.get(k, 0) + drawn
+            count -= drawn
+            if not count:
+                return
 
 
-def _expected_ties(law: DiscreteLaw, n: int) -> float:
-    """E[K] of a geometric law by the closed form's main term (p/q) / lambda,
-    capped at n: the sampler's cost model, not a certified value."""
-    lam = law.lattice_rate
-    return min(float(n), math.expm1(lam) / lam)
+def _tie_hits(law: DiscreteLaw, n: int, size: int, rand: random.Random):
+    """Yield ``(count, q(j))`` for each value j that the maxima of ``size`` replications
+    hit, from the top down, by three law calls per hit: ``quantile`` and ``logcdf`` at
+    j and j - 1.  The largest latent is u**n, and each other one lands on j with chance
+    1 - (F(j-1) / u)**n; q(j) = 1 - F(j-1) / F(j)."""
+    quantile = _discrete_quantile_fn(law)
+    rest, top, log_top = size, math.inf, 0.0  # every maximum left is at most top
+    while rest:
+        log_u = log_top + math.log1p(-rand.random()) / (n * rest)
+        j = min(quantile(min(math.exp(log_u), _BELOW_ONE)), top)
+        log_below = law.logcdf(j - 1)
+        count = 1 + _binomial(rand, rest - 1, -math.expm1(min(n * (log_below - log_u), 0.0)))
+        yield count, -math.expm1(log_below - law.logcdf(j))
+        rest, top, log_top = rest - count, j - 1, log_below
 
 
-def _python_tie_rows(law: DiscreteLaw, n: int, gen: random.Random):
-    """``draw_rows`` for the tie count in plain Python, for a law that ``takes_range``:
-    each replication draws the maximum M by the law's ``quantile`` at U**(1/n),
-    q(M) = p(M) / (p(M) + F(M-1)) from its ``pmf`` and ``logcdf`` as
-    :func:`~tiebound.maxima.tie_given_max_prob` forms it, and the count by
-    :func:`_python_positive_binomial`; a list per block."""
-    uniform = gen.random
+def _size_biased_hits(spec: KnSpec, size: int, rand: random.Random):
+    """Yield ``(count, q(j))`` for each value j that the argmax values of ``size``
+    replications hit, from the top down, as :func:`_tie_hits` does.
 
-    def draw_rows(rows):
-        out = []
-        for _ in range(rows):
-            m = law.quantile(min(math.exp(math.log1p(-uniform()) / n), _BELOW_ONE))
-            pm = law.pmf(m)
-            q = pm / (pm + math.exp(law.logcdf(m - 1)))
-            out.append(_python_positive_binomial(uniform, n, q))
-        return out
-
-    return draw_rows
-
-
-def _tie_count_rows(spec: KnSpec, rng: RngStream, size: int):
-    """``draw_rows`` for the tie count at the sample maximum, for a run of ``size``.
-
-    A run of at most one block of a geometric law (one that ``takes_range``
-    and sets ``lattice_rate``) whose expected work, size (1 + E[K]), stays
-    within ``_PYTHON_WORK`` is drawn in plain Python from
-    ``rng.python_random()``; every other run from ``rng.generator()``.
+    The walk reads tables over the argmax law's support, up to :func:`_table_end`,
+    built by one call of each law function: log w_j = log p(j) F(j)**(n-1) and its
+    running log-sum log W(j), both short of the factor 1 / Z.  The latents are
+    uniform on [0, W(t)]: the largest of ``rest`` is log v = log W(t) + log(U) / rest,
+    and each other one lands on its value j with chance 1 - W(j-1) / v.
     """
     law, n = spec.law, spec.n
-    if (law.takes_range and law.lattice_rate is not None and size <= _CHUNK_ROWS
-            and size * (1.0 + _expected_ties(law, n)) <= _PYTHON_WORK):
-        return _python_tie_rows(law, n, rng.python_random())
-    gen = rng.generator()
-    quantile = _discrete_quantile_fn(law)
+    lp, lf0, lf1 = _block(law, 1, _table_end(argmax_value_law(spec)))
+    log_w = lp + (n - 1) * lf1 if n > 1 else lp
+    log_cum = np.logaddexp.accumulate(log_w)
+    rest, log_top = size, float(log_cum[-1])
+    while rest:
+        log_v = log_top + math.log1p(-rand.random()) / rest
+        i = int(np.searchsorted(log_cum, log_v))
+        log_below = float(log_cum[i - 1]) if i else -math.inf
+        count = 1 + _binomial(rand, rest - 1, -math.expm1(min(log_below - log_v, 0.0)))
+        yield count, -math.expm1(lf0[i] - lf1[i])
+        rest, log_top = rest - count, log_below
 
-    def draw_rows(rows):
-        # F(j)**n >= U exactly when F(j) >= U**(1/n), with U = 1 - random()
-        # in (0, 1]; the cap keeps every quantile finite
-        v = np.minimum(np.exp(np.log1p(-gen.random(rows)) / n), _BELOW_ONE)
-        return _positive_binomial(gen, n, tie_given_max_prob(law, quantile(v)))
 
-    return draw_rows
+def _histogram(kind: str, spec: KnSpec, rand: random.Random, size: int) -> dict:
+    """Outcome -> count over ``size`` replications of the ``ties`` or ``size-biased``
+    count: the hits of the maximum's walk, each spread over its row of K given M."""
+    if size < 0:
+        raise DomainError(f"sample_size must be >= 0, got {size}")
+    if kind == "ties":
+        hits, trials, low, shift = _tie_hits(spec.law, spec.n, size, rand), spec.n, 1, 0
+    else:
+        hits, trials, low, shift = _size_biased_hits(spec, size, rand), spec.n - 1, 0, 1
+    hist = {}
+    for count, q in hits:
+        _spread(rand, hist, count, trials, q, low, shift)
+    return hist
+
+
+def _draws(kind: str, spec: KnSpec, rng: RngStream, size):
+    """The histogram of ``size`` replications expanded and shuffled with its own
+    stream: an int64 array, or one int with ``size=None``."""
+    rand = rng.python_random()
+    hist = _histogram(kind, spec, rand, 1 if size is None else int(size))
+    if size is None:
+        return next(iter(hist))
+    draws = list(itertools.chain.from_iterable([k] * hist[k] for k in sorted(hist)))
+    rand.shuffle(draws)
+    return np.array(draws, dtype=np.int64)
 
 
 def sample_tie_count(spec: KnSpec, rng: RngStream, size=None):
     """Number of observations tied with the sample maximum.
 
-    Each replication draws the maximum M through the inverse cdf at
-    U**(1/n) (the maximum has cdf F**n), then the tie count as a
-    Bin(n, q(M)) conditioned on at least one tie.  With ``size=None``
-    returns a single int; otherwise an int64 array of that many independent
-    replications.  A short run of a geometric law is drawn in plain Python
-    (see the module docstring).
+    The maximum M has cdf F**n, and the tie count given it is Bin(n, q(M))
+    conditioned on at least one tie; the draws are a histogram of the run,
+    shuffled (see the module docstring).  With ``size=None`` returns a single
+    int; otherwise an int64 array of that many independent replications.
     """
-    return _replicate(size, _tie_count_rows(spec, rng, 1 if size is None else int(size)))
-
-
-def _size_biased_rows(spec: KnSpec, rng: RngStream, size: int):
-    """``draw_rows`` for the size-biased tie count, from numpy's stream at every ``size``."""
-    gen = rng.generator()
-    law, n = spec.law, spec.n
-    m_quantile = _discrete_quantile_fn(argmax_value_law(spec))
-
-    def draw_rows(rows):
-        m = m_quantile(gen.random(rows))
-        return 1 + gen.binomial(n - 1, tie_given_max_prob(law, m))
-
-    return draw_rows
+    return _draws("ties", spec, rng, size)
 
 
 def sample_size_biased_ties(spec: KnSpec, rng: RngStream, size=None):
     """Draw from the size-biased tie count.
 
     Samples the argmax value M, then returns one plus a Bin(n - 1, q(M))
-    count of the other observations tied with it.
+    count of the other observations tied with it, as :func:`sample_tie_count`
+    does.
     """
-    return _replicate(size, _size_biased_rows(spec, rng, size))
+    return _draws("size-biased", spec, rng, size)
 
 
-def _near_order_rows(spec: bounds_continuous.NearOrderSpec, rng: RngStream, size: int):
-    """``draw_rows`` for the near-order count, from numpy's stream at every ``size``."""
+def _near_order_blocks(spec: bounds_continuous.NearOrderSpec, rng: RngStream, size: int):
+    """Yield the near-order counts of ``size`` replications from numpy's stream, at
+    most _CHUNK_ROWS at a time."""
     gen = rng.generator()
-    n, ell, a = spec.n, spec.ell, spec.a
-
-    def draw_rows(rows):
+    n, ell = spec.n, spec.ell
+    for start in range(0, size, _CHUNK_ROWS):
         with np.errstate(divide="ignore"):  # a draw of 0 has log -inf, and r_a = 1 there
-            x = spec.law.logquantile(np.log(gen.beta(n - ell + 1, ell, size=rows)))
-        return gen.binomial(n - ell, bounds_continuous.gap_ratio(spec.law, a, x))
-
-    return draw_rows
+            x = spec.law.logquantile(np.log(gen.beta(n - ell + 1, ell,
+                                                     size=min(_CHUNK_ROWS, size - start))))
+        yield gen.binomial(n - ell, bounds_continuous.gap_ratio(spec.law, spec.a, x))
 
 
 def sample_near_order_count(spec: bounds_continuous.NearOrderSpec, rng: RngStream, size=None):
@@ -334,45 +340,43 @@ def sample_near_order_count(spec: bounds_continuous.NearOrderSpec, rng: RngStrea
     replication draws u = F(x) of the order statistic x as a Beta(n-ell+1,
     ell) variate and maps it through ``logquantile(log u)``, then draws the
     count as Bin(n - ell, r_a(x)): the n - ell observations below x are
-    independent draws conditioned on lying below it.
+    independent draws conditioned on lying below it.  With ``size=None``
+    returns a single int; otherwise an int64 array.
     """
-    return _replicate(size, _near_order_rows(spec, rng, size))
-
-
-# the CLI's `simulate --kind` values; each factory takes (spec, rng, size of the run)
-_ROWS = {"ties": _tie_count_rows, "size-biased": _size_biased_rows,
-         "near-order": _near_order_rows}
+    draws = np.concatenate([np.empty(0, np.int64),
+                            *_near_order_blocks(spec, rng, 1 if size is None else int(size))])
+    return int(draws[0]) if size is None else draws
 
 
 def empirical_law(kind: str, spec, rng: RngStream, size: int) -> EmpiricalPMF:
-    """Counts of ``size`` replications of a count, tallied block by block.
+    """Counts of ``size`` replications of a count.
 
     ``kind`` is ``"ties"`` (``sample_tie_count``), ``"size-biased"``
     (``sample_size_biased_ties``) or ``"near-order"``
     (``sample_near_order_count``).  The result equals
     ``EmpiricalPMF.from_samples`` of that sampler's draws for the same
-    ``spec``, ``rng`` and ``size``, but only the counts and one block are
-    held, so memory is O(support + block) however large ``size`` is.
+    ``spec``, ``rng`` and ``size``, but no draw is held: the first two kinds
+    draw the histogram itself, and near-order counts are tallied block by
+    block, so memory is O(support + block) however large ``size`` is.
     """
-    if kind not in _ROWS:
-        raise DomainError(f"kind must be one of {sorted(_ROWS)}, got {kind!r}")
+    if kind not in ("ties", "size-biased", "near-order"):
+        raise DomainError(f"kind must be one of ['near-order', 'size-biased', 'ties'], "
+                          f"got {kind!r}")
     size = int(size)
-    k_min, counts = 0, []
-    for _, block in _blocks(size, _ROWS[kind](spec, rng, size)):
-        if isinstance(block, list):  # a run drawn in plain Python
-            lo = min(block)
-            tally = [0] * (max(block) - lo + 1)
-            for k in block:
-                tally[k - lo] += 1
-        else:
+    if size < 1:
+        raise DomainError(f"sample_size must be >= 1, got {size}")
+    if kind != "near-order":
+        hist = _histogram(kind, spec, rng.python_random(), size)
+    else:
+        hist = {}
+        for block in _near_order_blocks(spec, rng, size):
             lo = int(block.min())
-            tally = np.bincount(block - lo).tolist()
-        if counts:  # lay both tallies out on the range seen so far
-            first, last = min(lo, k_min), max(lo + len(tally), k_min + len(counts)) - 1
-            tally = [a + b for a, b in zip(_dense(lo, tally, first, last, 0),
-                                           _dense(k_min, counts, first, last, 0))]
-            lo = first
-        k_min, counts = lo, tally
+            for k, c in enumerate(np.bincount(block - lo).tolist(), lo):
+                hist[k] = hist.get(k, 0) + c
+    k_min = min(hist, default=0)
+    counts = [0] * (max(hist, default=-1) + 1 - k_min)
+    for k, c in hist.items():
+        counts[k - k_min] = c
     return EmpiricalPMF(k_min=k_min, counts=counts, sample_size=size)
 
 

@@ -66,6 +66,17 @@ class TestGeometric:
             assert np.exp(law.logcdf(j)) >= u
             assert j == 1 or np.exp(law.logcdf(j - 1)) < u
 
+    @pytest.mark.parametrize("u", [1.0, 1.5, -0.1, math.nan])
+    def test_quantile_refuses_a_level_outside_the_unit_interval(self, u):
+        # the float route once raised a bare ValueError at u = 1, and the array
+        # route returned -9223372036854775807
+        law = geometric_law(0.3)
+        with pytest.raises(DomainError, match=r"\[0, 1\)"):
+            law.quantile(u)
+        with pytest.raises(DomainError, match=r"\[0, 1\)"):
+            law.quantile(np.array([0.5, u]))
+        assert law.quantile(0.0) == 1 and law.quantile(np.array([0.0])).tolist() == [1]
+
     def test_domain(self):
         for bad in (0.0, 1.0, -0.3, 1.5):
             with pytest.raises(DomainError):

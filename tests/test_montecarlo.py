@@ -7,6 +7,7 @@ and with the exact law within standard errors.
 """
 
 import dataclasses
+import itertools
 import math
 import os
 import random
@@ -21,27 +22,27 @@ import pytest
 from scipy import stats
 
 import tiebound
-from tiebound.approximants import TruncatedPMF, truncated_log, truncated_poisson
+from tiebound import montecarlo
+from tiebound.approximants import TruncatedPMF, _dense, truncated_log, truncated_poisson
 from tiebound.bounds_continuous import NearOrderSpec, near_order_count_pmf
 from tiebound.distributions import geometric_law, gumbel_law, tabulated_law, uniform_law
 from tiebound.errors import DomainError, TruncationError
 from tiebound.maxima import (
     KnSpec,
     argmax_value_law,
+    size_biased_tie_law,
     size_biased_tie_pmf,
     tie_count_factorial_moment,
     tie_count_law,
+    tie_given_max_prob,
 )
 from tiebound.montecarlo import (
-    _CHUNK_ROWS,
-    _PYTHON_WORK,
     TV_CONFIDENCE_DELTA,
     EmpiricalPMF,
     RngStream,
+    _binomial,
     _discrete_quantile_fn,
-    _expected_ties,
-    _python_positive_binomial,
-    _tie_count_rows,
+    _spread,
     empirical_law,
     empirical_tv,
     sample_near_order_count,
@@ -250,11 +251,10 @@ class TestReproducibility:
 
 TALLY_CASES = {
     "ties-geometric": ("ties", sample_tie_count, KnSpec(law=geometric_law(0.2), n=20)),
-    # up to one block in plain Python, from 8193 draws on numpy's stream
+    # E[K] is about 1.005 here: nearly every hit of the walk lands on k = 1
     "ties-geometric-one-block": ("ties", sample_tie_count,
                                  KnSpec(law=geometric_law(0.01), n=10**4)),
-    # K is about 500 give or take 16, so blocks start and end at different
-    # outcomes and the tally grows on both sides
+    # K is about 500 give or take 16: one hit spread over a row of about 300 outcomes
     "ties-tabulated": ("ties", sample_tie_count, KnSpec(law=tabulated_law([0.5, 0.5]), n=1000)),
     "size-biased-geometric": ("size-biased", sample_size_biased_ties,
                               KnSpec(law=geometric_law(0.2), n=20)),
@@ -287,6 +287,12 @@ class TestEmpiricalLaw:
     def test_needs_a_draw(self):
         with pytest.raises(DomainError, match="sample_size"):
             empirical_law("ties", KnSpec(law=geometric_law(0.2), n=20), RngStream(seed=1), 0)
+
+    @pytest.mark.parametrize("case", TALLY_CASES.values(), ids=TALLY_CASES.keys())
+    def test_samplers_hold_no_draw_at_size_zero(self, case):
+        _, sampler, spec = case
+        draws = sampler(spec, RngStream(seed=1), size=0)
+        assert draws.dtype == np.int64 and draws.shape == (0,)
 
 
 class TestTieCountSampler:
@@ -337,7 +343,7 @@ class TestSizeBiasedSampler:
         spec = KnSpec(law=geometric_law(0.3), n=10)
         samples = sample_size_biased_ties(spec, RngStream(seed=6), size=N_UNIT)
         exact = [size_biased_tie_pmf(spec, k, 1e-12) for k in range(1, 11)]
-        pvalue = _chi_square_pvalue(samples, k_min=1, pmf=exact)
+        pvalue = _chi_square_pvalue(EmpiricalPMF.from_samples(samples), k_min=1, pmf=exact)
         assert pvalue >= 1e-3
 
 
@@ -376,10 +382,11 @@ def test_quantile_table_past_the_series_cap_is_refused_before_it_is_built(p, n):
     assert elapsed < 1.0 and peak < 10e6
 
 
-def _chi_square_pvalue(samples, k_min, pmf, min_expected=5.0):
-    """Chi-square goodness of fit with tail bins merged to keep cells full."""
-    n = samples.size
-    counts = np.bincount(np.asarray(samples) - k_min, minlength=len(pmf))[: len(pmf)]
+def _chi_square_pvalue(emp: EmpiricalPMF, k_min, pmf, min_expected=5.0):
+    """Chi-square goodness of fit of the counts to ``pmf`` on k_min, k_min + 1, ...,
+    with tail bins merged to keep cells full."""
+    n = emp.sample_size
+    counts = np.array(_dense(emp.k_min, emp.counts, k_min, k_min + len(pmf) - 1, 0))
     expected = np.asarray(pmf) * n
     # fold sparse high-k cells into the last kept bin
     keep = expected >= min_expected
@@ -475,70 +482,205 @@ class TestEmpiricalTV:
             EmpiricalPMF.from_samples([])
 
 
-def _python_size(spec: KnSpec) -> int:
-    """The largest run of ``spec`` that the ties sampler draws in plain Python."""
-    return min(_CHUNK_ROWS, int(_PYTHON_WORK / (1.0 + _expected_ties(spec.law, spec.n))))
+class _CountingRandom(random.Random):
+    """``random.Random`` that counts its Beta variates."""
+
+    betas = 0
+
+    def betavariate(self, alpha, beta):
+        self.betas += 1
+        return super().betavariate(alpha, beta)
 
 
-class TestPlainPythonTies:
-    """Short ties runs of a geometric law, drawn from ``random.Random``."""
+def _histogram_moments(hist: dict):
+    size = sum(hist.values())
+    mean = sum(k * c for k, c in hist.items()) / size
+    return size, mean, sum((k - mean) ** 2 * c for k, c in hist.items()) / size
 
-    @pytest.mark.parametrize("n", [1, 10, 10**4])
-    def test_the_path_is_chosen_by_the_run(self, n):
-        spec = KnSpec(law=geometric_law(0.3), n=n)
-        size = _python_size(spec)
-        assert type(_tie_count_rows(spec, RngStream(seed=1), size)(size)) is list
-        assert type(_tie_count_rows(spec, RngStream(seed=1), size + 1)(1)) is np.ndarray
-        for other in (tabulated_law([0.2, 0.3, 0.5]),
-                      dataclasses.replace(geometric_law(0.3), takes_range=False),
-                      dataclasses.replace(geometric_law(0.3), lattice_rate=None)):
-            rows = _tie_count_rows(KnSpec(law=other, n=n), RngStream(seed=1), 10)
-            assert type(rows(10)) is np.ndarray
 
-    def test_same_key_same_counts_and_distinct_streams_differ(self):
-        spec = KnSpec(law=geometric_law(0.5), n=10)
-        size = _python_size(spec)
-        runs = [empirical_law("ties", spec, RngStream(seed=90, stream_id=s), size)
-                for s in (3, 3, 4)]
-        assert runs[0] == runs[1] and runs[0].counts != runs[2].counts
-        draws = [sample_tie_count(spec, RngStream(seed=90, stream_id=s), size=500).tolist()
-                 for s in (3, 3, 4)]
-        assert draws[0] == draws[1] != draws[2]
+class TestExactBinomials:
+    """``_binomial`` and the row split ``_spread`` against their laws."""
 
-    @pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.9])
-    @pytest.mark.parametrize("n", [1, 2, 10, 10**4])
-    def test_counts_match_the_exact_law(self, p, n):
-        # at n = 2 the maximum sits at 1 with chance p**2 ... (1 - q)**2, where q(1) = 1
-        spec = KnSpec(law=geometric_law(p), n=n)
-        size = _python_size(spec)
-        assert type(_tie_count_rows(spec, RngStream(seed=7), size)(1)) is list
-        emp = empirical_law("ties", spec, RngStream(seed=7, stream_id=n), size)
-        estimate, radius = empirical_tv(emp, tie_count_law(spec, 1e-12))
-        assert estimate <= radius
+    # inversion; Beta splitting at (1e5, 0.01); the p > 1/2 reflection with and without
+    # splits; q = 1; N = 0
+    POINTS = [(40, 0.3, False), (10**5, 0.01, True), (1000, 0.9, True), (7, 0.8, False),
+              (7, 1.0, False), (0, 0.3, False), (10**9, 0.5, True)]
+
+    @pytest.mark.parametrize("trials,p,splits", POINTS)
+    def test_binomial_draws(self, trials, p, splits):
+        """Mean and variance of 20000 draws within four standard errors of Bin(trials, p)."""
+        rand = _CountingRandom(f"{trials}:{p}")
+        hist = Counter(_binomial(rand, trials, p) for _ in range(20_000))
+        assert (rand.betas > 0) == splits
+        assert min(hist) >= 0 and max(hist) <= trials
+        size, mean, var = _histogram_moments(hist)
+        law = stats.binom(trials, p)
+        assert abs(mean - law.mean()) <= 4.0 * math.sqrt(law.var() / size) + 1e-12
+        if law.var() > 0.0:
+            assert var / law.var() == pytest.approx(1.0, abs=8.0 * math.sqrt(2.0 / size))
+        else:
+            assert var == 0.0
+
+    @pytest.mark.parametrize("trials,p", [(12, 0.3), (300, 0.2), (200, 0.75)])
+    def test_binomial_matches_its_pmf(self, trials, p):
+        rand = random.Random(f"pmf:{trials}")
+        draws = [_binomial(rand, trials, p) for _ in range(N_UNIT)]
+        pmf = stats.binom.pmf(np.arange(trials + 1), trials, p)
+        assert _chi_square_pvalue(EmpiricalPMF.from_samples(draws), k_min=0, pmf=pmf) >= 1e-3
 
     @pytest.mark.parametrize("n,q,size", [(1, 0.3, 20_000), (5, 0.3, 20_000), (7, 1.0, 100),
-                                          (40, 0.02, 20_000), (2000, 0.5, 2000),
-                                          (10**5, 0.01, 2000)])
+                                          (40, 0.02, 20_000), (2000, 0.5, 20_000),
+                                          (10**5, 0.01, 20_000), (10**9, 1e-9, 20_000)])
     def test_positive_binomial_draws(self, n, q, size):
-        """Mean and variance of Bin(n, q) given >= 1 within four standard errors; the
-        last two points split their trials into chunks (n log(1/(1-q)) > 700)."""
-        gen = random.Random(f"{n}:{q}")
-        draws = np.array([_python_positive_binomial(gen.random, n, q) for _ in range(size)])
-        assert draws.min() >= 1 and draws.max() <= n
+        """Mean and variance of Bin(n, q) given >= 1, split over its row, within four
+        standard errors."""
+        hist = {}
+        _spread(random.Random(f"{n}:{q}"), hist, size, n, q, 1, 0)
+        assert min(hist) >= 1 and max(hist) <= n
         law = stats.binom(n, q)
         hit = law.sf(0)
         mean = law.mean() / hit
         var = (law.var() + law.mean() ** 2) / hit - mean**2
-        assert abs(draws.mean() - mean) <= 4.0 * math.sqrt(var / draws.size) + 1e-12
-        if var > 0.0:
-            assert draws.var() / var == pytest.approx(1.0, abs=4.0 * math.sqrt(2.0 / draws.size)
-                                                      * 2.0)
+        drawn, got_mean, got_var = _histogram_moments(hist)
+        assert drawn == size
+        assert abs(got_mean - mean) <= 4.0 * math.sqrt(var / size) + 1e-12
+        if var > 1e-12:
+            assert got_var / var == pytest.approx(1.0, abs=8.0 * math.sqrt(2.0 / size))
         else:
-            assert np.all(draws == n)
+            assert hist == {n: size}
 
     def test_small_positive_binomial_matches_its_pmf(self):
         n, q = 6, 0.3
-        gen = random.Random("pmf")
-        draws = np.array([_python_positive_binomial(gen.random, n, q) for _ in range(N_UNIT)])
+        hist = {}
+        _spread(random.Random("pmf"), hist, N_UNIT, n, q, 1, 0)
+        emp = EmpiricalPMF(k_min=1, counts=[hist.get(k, 0) for k in range(1, n + 1)],
+                           sample_size=N_UNIT)
         pmf = stats.binom.pmf(np.arange(1, n + 1), n, q) / stats.binom.sf(0, n, q)
-        assert _chi_square_pvalue(draws, k_min=1, pmf=pmf) >= 1e-3
+        assert _chi_square_pvalue(emp, k_min=1, pmf=pmf) >= 1e-3
+
+    @pytest.mark.parametrize("trials,q,low", [(300, 0.2, 0), (300, 0.2, 1), (200, 0.01, 1)])
+    def test_draws_one_at_a_time_match_their_pmf(self, trials, q, low):
+        """A count of 1, below the row's standard deviation, is drawn on its own;
+        at (200, 0.01) a row without the conditioning on >= 1 would put 13% on 0."""
+        rand, hist = random.Random(f"one:{trials}:{q}:{low}"), {}
+        for _ in range(20_000):
+            _spread(rand, hist, 1, trials, q, low, 0)
+        emp = EmpiricalPMF(k_min=low, counts=[hist.get(k, 0) for k in range(low, trials + 1)],
+                           sample_size=20_000)
+        pmf = stats.binom.pmf(np.arange(low, trials + 1), trials, q) / stats.binom.sf(low - 1,
+                                                                                      trials, q)
+        assert _chi_square_pvalue(emp, k_min=low, pmf=pmf) >= 1e-3
+
+    @pytest.mark.parametrize("trials", [0, 9])
+    def test_a_size_biased_row_adds_one(self, trials):
+        hist = {}
+        _spread(random.Random("shift"), hist, 1000, trials, 1e-300, 0, 1)
+        assert hist == {1: 1000}
+
+
+def _exact_law(kind: str, spec: KnSpec) -> TruncatedPMF:
+    return (tie_count_law if kind == "ties" else size_biased_tie_law)(spec, 1e-12)
+
+
+class TestHistogram:
+    """ties and size-biased runs, drawn as a histogram from ``random.Random``."""
+
+    def test_a_geometric_ties_run_leaves_numpy_unloaded(self):
+        code = ("import sys\n"
+                "from tiebound import KnSpec, geometric_law\n"
+                "from tiebound.montecarlo import RngStream, empirical_law\n"
+                "spec = KnSpec(law=geometric_law(0.01), n=10**4)\n"
+                "emp = empirical_law('ties', spec, RngStream(seed=1), 10**5)\n"
+                "print(emp.sample_size, 'numpy' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(tiebound.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src)).stdout
+        assert out.split() == ["100000", "False"]
+
+    @pytest.mark.parametrize("kind", ["ties", "size-biased"])
+    def test_same_key_same_counts_and_distinct_streams_differ(self, kind):
+        spec = KnSpec(law=geometric_law(0.5), n=10)
+        runs = [empirical_law(kind, spec, RngStream(seed=90, stream_id=s), 5000)
+                for s in (3, 3, 4)]
+        assert runs[0] == runs[1] and runs[0].counts != runs[2].counts
+
+    @pytest.mark.parametrize("kind", ["ties", "size-biased"])
+    @pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 10, 10**4])
+    def test_counts_match_the_exact_law(self, kind, p, n):
+        # at n = 2 the maximum sits at 1 with chance p**2, where q(1) = 1
+        spec = KnSpec(law=geometric_law(p), n=n)
+        emp = empirical_law(kind, spec, RngStream(seed=7, stream_id=n), N_UNIT)
+        estimate, radius = empirical_tv(emp, _exact_law(kind, spec))
+        assert estimate <= radius
+
+    @pytest.mark.parametrize("kind", ["ties", "size-biased"])
+    @pytest.mark.parametrize("weights,n", [([0.5, 0.5], 1000), ([0.0, 1.0], 1), ([0.0, 1.0], 50)])
+    def test_tabulated_counts_match_the_exact_law(self, kind, weights, n):
+        spec = KnSpec(law=tabulated_law(weights), n=n)
+        emp = empirical_law(kind, spec, RngStream(seed=8), N_UNIT)
+        estimate, radius = empirical_tv(emp, _exact_law(kind, spec))
+        assert estimate <= radius
+
+    @pytest.mark.parametrize("kind", ["ties", "size-biased"])
+    @pytest.mark.parametrize("spec,size", [(KnSpec(law=tabulated_law([0.5, 0.5]), n=2), 2),
+                                           (KnSpec(law=geometric_law(0.5), n=3), 3)],
+                             ids=["tabulated-2", "geometric-3"])
+    def test_small_runs_are_independent_draws(self, kind, spec, size):
+        """The histogram of a run of ``size`` draws follows the multinomial law of
+        ``size`` independent draws, checked over 10000 runs, where each hit's count
+        matters and the TV checks at 1e5 draws cannot see it."""
+        law, runs = _exact_law(kind, spec), 10_000
+        rand = random.Random(f"small:{kind}")
+        seen = Counter(tuple(sorted(montecarlo._histogram(kind, spec, rand, size).items()))
+                       for _ in range(runs))
+        cells = [tuple(sorted(Counter(draws).items())) for draws in
+                 itertools.combinations_with_replacement(range(1, spec.n + 1), size)]
+        expected = [runs * math.factorial(size)
+                    * math.prod(law.prob(k) ** c / math.factorial(c) for k, c in cell)
+                    for cell in cells]
+        assert sum(seen[cell] for cell in cells) == runs
+        assert stats.chisquare([seen[cell] for cell in cells], expected,
+                               sum_check=False).pvalue >= 1e-3
+
+    def test_all_tied_chance_at_huge_n_size_biased(self):
+        # K* = n exactly when the argmax value is 1, which has probability
+        # F(1)**n / Z = n (1 - 2/n)**n / E[K]
+        n = 10**9
+        spec = KnSpec(law=geometric_law(1.0 - 2.0 / n), n=n)
+        emp = empirical_law("size-biased", spec, RngStream(seed=56), N_UNIT)
+        p = n * (1.0 - 2.0 / n) ** n / tie_count_factorial_moment(spec, 1)
+        assert emp.k_min >= 1 and emp.k_min + len(emp.counts) - 1 == n
+        assert emp.counts[-1] / N_UNIT == pytest.approx(
+            p, abs=4.0 * math.sqrt(p * (1.0 - p) / N_UNIT))
+
+    @pytest.mark.parametrize("kind", ["ties", "size-biased"])
+    def test_ten_million_draws_take_a_walk_not_a_loop(self, kind):
+        spec = KnSpec(law=geometric_law(0.01), n=10**4)
+        start = time.perf_counter()
+        emp = empirical_law(kind, spec, RngStream(seed=9), 10**7)
+        assert time.perf_counter() - start < 5.0
+        estimate, radius = empirical_tv(emp, _exact_law(kind, spec))
+        assert estimate <= radius
+
+
+@pytest.mark.parametrize("kind", ["ties", "size-biased"])
+def test_a_perturbed_conditional_probability_fails_the_chi_square_check(kind, monkeypatch):
+    """The check that the samplers pass above fails a sampler whose q(4), one
+    conditional probability of its rows, is raised by 1e-2."""
+    law = geometric_law(0.5)
+    spec = KnSpec(law=law, n=10)
+    exact = _exact_law(kind, spec).probs
+
+    def p_value():
+        emp = empirical_law(kind, spec, RngStream(seed=12), 10**6)
+        return _chi_square_pvalue(emp, k_min=1, pmf=exact)
+
+    assert p_value() >= 1e-3
+    q4, spread = tie_given_max_prob(law, 4), montecarlo._spread
+
+    def perturbed(rand, hist, count, trials, q, low, shift):
+        spread(rand, hist, count, trials, q + 1e-2 if math.isclose(q, q4) else q, low, shift)
+
+    monkeypatch.setattr(montecarlo, "_spread", perturbed)
+    assert p_value() < 1e-6

@@ -52,9 +52,10 @@ COMMANDS = [
     ["bound", "thm1a", "--p", "0.38", "--n", "20", "--tol", "1e-6"],
     ["figure", "fig1", "--n", "50"],
     ["simulate", "--p", "0.01", "--n", "10000"],
-    # one block of a geometric law drawn in plain Python, and a closed-form law at a point
-    # whose mixture would need more maxima than its cap
+    # histograms of a geometric law drawn without numpy, at two sizes, and a closed-form
+    # law at a point whose mixture would need more maxima than its cap
     ["simulate", "--p", "0.01", "--n", "10000", "--mc-samples", "2000"],
+    ["simulate", "--p", "0.01", "--n", "10000", "--mc-samples", "100000"],
     ["simulate", "--p", "1e-5", "--n", "100", "--mc-samples", "1000"],
     ["simulate", "--kind", "size-biased", "--p", "0.2", "--n", "20"],
     ["simulate", "--kind", "size-biased", "--p", "0.001", "--n", "100000"],
