@@ -49,12 +49,12 @@ class TruncatedPMF:
     double.  ``tail_mass_bound`` bounds the mass outside ``k_min..k_max``,
     on both sides.  Whether it also covers the rounding error of the stored
     entries (their L1 distance from the exact values) depends on the
-    producer.  The mixture laws ``maxima.tie_count_law`` and
-    ``maxima.size_biased_tie_law`` include it, and so does the closed-form
-    law that ``tie_count_law`` gives a geometric law where every entry
-    certifies: each entry comes with a certified remainder, which bounds
-    both its own error and, through 1 - sum(entries) + sum(remainders),
-    the omitted mass.  The target laws built by
+    producer.  The tie-count laws ``maxima.tie_count_law`` and
+    ``maxima.size_biased_tie_law`` include it: each entry comes with a
+    certified remainder, rounding included, which bounds both its own error
+    and, through 1 - sum(entries) + sum(remainders), the omitted mass, and
+    the binomial mixture they fall back to counts its own rounding.  The
+    target laws built by
     ``truncate_law`` (``truncated_log``, ``truncated_poisson``,
     ``truncated_negbin``, ``truncated_geometric``) do not: the entries of
     ``truncated_poisson(20.0, 1e-13)`` are 4.3e-15 (L1) off their exact

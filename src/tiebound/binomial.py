@@ -18,7 +18,8 @@ __all__ = ["binom_window", "binom_rows"]
 _EPS = sys.float_info.epsilon
 # unit roundoff, the u of Higham's gamma_k = k u / (1 - k u)
 _U = _EPS / 2.0
-# the smallest normal double: the mixture laws skip rows and trim entries below it
+# the smallest normal double: the tie-count laws stop their entries, and the mixture skips
+# rows and trims entries, below it
 _TINY = sys.float_info.min
 _LOG_TINY = math.log(_TINY)
 # terms of each way of a binomial tail summed in plain Python before numpy blocks take over

@@ -26,10 +26,12 @@ enough to sum in plain Python (see ``maxima``), ``bound thm3`` on the
 Gumbel law and, wherever its binomial tails are short, on the uniform law
 with n - ell >= 2, whose gap-ratio moments have closed forms (see
 ``bounds_continuous``), and ``simulate`` of the tie count on a geometric
-law where its exact law certifies in closed form, such as ``simulate --p
-0.01 --n 10000 --mc-samples 10000000``: the ``ties`` and ``size-biased``
-draws of ``simulate`` and ``verify`` come from one generator,
-``random.Random``, at every size (see ``montecarlo``).  The rest import it
+law where its exact law certifies from its entries, each in closed form or
+from a short series (see ``maxima``), such as ``simulate --p 0.01 --n 10000
+--mc-samples 10000000`` or ``simulate --p 0.3 --n 50``: the ``ties`` and
+``size-biased`` draws of ``simulate`` and ``verify`` come from one
+generator, ``random.Random``, at every size (see ``montecarlo``).  The
+rest import it
 when they first need it, through the package's shared lazy handle
 (``tiebound._numpy``).
 

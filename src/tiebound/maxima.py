@@ -12,23 +12,28 @@ E[(K)_{1+j}] / ((n-1)_j E[K]) below: it takes the closed form at the end of
 this docstring where that certifies, and otherwise one pass of the engine
 ``_sums``, which walks the maximum j for all the series sum_j p(j)**power *
 F(j or j-1)**expo of a call: it evaluates the law once per block of j
-(``_block``: log p(j), log F(j-1) and log F(j)), merges the block into each
-series' running log-sum-exp, and checks the law's tail certificate
+(``_block``: log p(j), log F(j-1) and log F(j); ``_block_errors``: bounds
+on their errors), merges the block into each series' running log-sum-exp
+and its rounding bound, and checks the law's tail certificate
 (``log_tail``) at each block end.  Working in log space keeps n as large as
 1e9 meaningful.  A pass whose series can all certify within the first two
 blocks, of a law that takes a ``range`` (``DiscreteLaw.takes_range``), sums
 those in plain Python, with no numpy.
 
-The full laws of K and of the size-biased count K* are binomial mixtures
-over the maximum M, with the conditional tie probability q(j) = p(j) / F(j):
+The full laws of K and of the size-biased count K*, P(K* = k) = k P(K = k)
+/ E[K], come from one producer, ``_law``: it takes P(K = k) for k = 1, 2,
+... from ``_tie_values`` in batches, each entry in closed form where that
+certifies and otherwise from the series, and E[K] for K* from the first
+batch's call.  Its certificate adds the entries' remainders and rounding to
+the mass they leave out.  Where that misses the tolerance, as where mass
+sits far from k = 1, the laws are binomial mixtures over the maximum M
+instead, with the conditional tie probability q(j) = p(j) / F(j):
 
     P(K = k)  = sum_j F(j)**n P(Bin(n, q(j)) = k),                 k >= 1,
     P(K* = k) = sum_j p(j) F(j)**(n-1) / Z P(1 + Bin(n-1, q(j)) = k),
 
 and one blocked pass of binomial rows over j (``_mixture_law``), reading its
-blocks from ``_block`` too, gives each; for a geometric law ``tie_count_law``
-takes each P(K = k) from the closed form below instead, where all of them
-certify (``_closed_form_law``).
+blocks from ``_block`` too, gives each.
 The module also exposes the law of the argmax value M (P(M = m) = p(m)
 F(m)**(n-1) / Z).
 
@@ -64,7 +69,9 @@ most 2 ulp.  No array is needed there, so such a call never imports numpy.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -139,12 +146,65 @@ def _block(law: DiscreteLaw, lo: int, hi: int, python: bool = False):
     return lp, lf[:-1], lf[1:]
 
 
-def _sums(law: DiscreteLaw, terms) -> list:
+def _block_errors(law: DiscreteLaw, lp, lf0, lf1):
+    """Bounds on the errors of the three parts of a :func:`_block`, in its kind.
+
+    The law's p(j) and S(j) = 1 - F(j) are taken to err by at most
+    4u (1 + |log p|) and 4u (1 + |log S|) relative, plus gamma_m for a law
+    that sums m weights: the geometric law forms both by one exp of j log(1-p).
+    So log p errs by that plus 2u |log p|, and log F = log1p(-S) by S/F
+    times S's error plus 2u |log F|.  Each bound also holds 3u |log p| or
+    3u |log F|, for forming a term power log p + expo log F (whose two parts
+    have one sign) and taking its exp.  A p or an F of 0 is taken as exact.
+    """
+    extra = _gamma(law.support_max or 0)
+    if isinstance(lp, list):
+        ep = [extra + 4.0 * _U + 9.0 * _U * -x if x > -math.inf else 0.0 for x in lp]
+        ef = [(s * math.exp(min(-x, 709.0)) * (4.0 * _U * (1.0 - math.log(s)) + extra)
+               if s > 0.0 else 0.0) + 5.0 * _U * -x if x > -math.inf else 0.0
+              for x, s in ((x, -math.expm1(x)) for x in lf0 + lf1[-1:])]
+        return ep, ef[:-1], ef[1:]
+    lf = np.append(lf0, lf1[-1:])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = -np.expm1(lf)  # S = 1 - F, whose error log F = log1p(-S) scales by S/F
+        ep = np.where(lp > -np.inf, extra + 4.0 * _U + 9.0 * _U * np.abs(lp), 0.0)
+        ef = np.where(lf > -np.inf, np.where(
+            s > 0.0, s * (4.0 * _U * (1.0 - np.log(s)) + extra), 0.0) / np.exp(lf)
+            + 5.0 * _U * np.abs(lf), 0.0)
+    return ep, ef[:-1], ef[1:]
+
+
+def _block_error(w, lt, m: float, power: int, expo: int, lp, ep, ef, python: bool) -> float:
+    """A bound on the error of a term's block sum sum_j w_j, w_j = exp(lt_j - m)
+    with lt_j = power log p(j) + expo log F(j), under the law model of
+    :func:`_block_errors`, whose bounds for log p and log F are ``ep`` and ``ef``.
+
+    The log of term j errs by at most d_j = power e_p + expo e_F + 3u, so
+    w_j errs by at most w_j expm1(d_j); and as F <= 1, by at most exp(power
+    (log p + e_p) - m + 3u (1 + expo |log F|)) too, which bounds the terms
+    where a tiny F makes e_F useless.  A numpy block adds the smaller of the
+    two for each term.  A Python block, whose d_j are all small on a
+    geometric law, adds exp(max d) sum_j w_j d_j, as expm1(d) <= d exp(d);
+    a term that underflows to 0 there, below 2**-1000 of the top one, is
+    left out.  A term that is 0, where p or F is, is exact.
+    """
+    if python:
+        d = power * max(ep) + expo * max(ef) + 3.0 * _U
+        grow = math.expm1(d) if d < 709.0 else math.inf  # inf for nan too
+        return (1.0 + grow) * (power * math.fsum(map(operator.mul, w, ep)) + 3.0 * _U
+                               * math.fsum(w) + expo * math.fsum(map(operator.mul, w, ef)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.where(lt > -np.inf, np.fmin(
+            np.exp(power * (lp + ep) - m + 3.0 * _U * (1.0 - lt + power * lp)),
+            w * np.expm1(power * ep + (expo * ef if expo > 0 else 0.0) + 3.0 * _U)), 0.0).sum())
+
+
+def _sums(law: DiscreteLaw, terms, rounding: bool = False) -> list:
     """Certified sums_{j>=1} p(j)**power * F(j - 1 or j)**expo, all in one pass.
 
     Each term is ``(power, expo, shifted, log_tol, relative)`` with power >= 1
-    and expo >= 0; returns one ``(log_sum, log_remainder)`` per term, where
-    ``log_remainder`` bounds the omitted mass of its series.  The law is
+    and expo >= 0; returns one ``(log_sum, log_remainder, rel)`` per term,
+    where ``log_remainder`` bounds the omitted mass of its series.  The law is
     evaluated once per block of j (64, 128, ... values, at most
     ``_MAX_BLOCK``, by :func:`_block`), and each term merges the block into
     its own running log-sum-exp, so a result is meaningful even when every
@@ -160,6 +220,13 @@ def _sums(law: DiscreteLaw, terms) -> list:
     with the largest open remainder if a term has not stopped by
     ``_SERIES_CAP`` terms.
 
+    If ``rounding``, ``rel`` bounds the relative error of the scaled sum
+    s = sum_j exp(log term j - m) under the law model of :func:`_block_errors`:
+    the blocks' errors (:func:`_block_error`), plus gamma(4 blocks + 16) for
+    the sums and the rescaling of s at each new top (the pairwise sum of a
+    numpy block of at most 2**15 terms errs by gamma_15); else it bounds
+    only the latter.
+
     A short pass, of a law that ``takes_range`` and with
     ``power * law.log_tail(_SHORT) <= log_tol`` for every term, evaluates
     its blocks up to ``_SHORT`` from a ``range`` and sums them in plain
@@ -168,46 +235,63 @@ def _sums(law: DiscreteLaw, terms) -> list:
     rounding, so a term's value can depend on the other terms of its pass,
     through the pass's kind, in its last bits.  (Summing the first blocks
     of every pass in Python would keep the terms apart, but costs a long
-    pass more than numpy's blocks do.)
+    pass more than numpy's blocks do.)  A Python block takes j by decreasing
+    log p, sorting them where they are out of order; where power times the
+    block's spread of log p passes 746, each term stops where power log
+    p(j), a bound on its log term, falls 746 below its top so far (which its
+    first 8 terms bound from below): exp is 0 past there, so the sums are
+    those of the whole block, at a cost of the j that count, few for a high
+    power.
     """
     cap = law.support_max or _SERIES_CAP
     tail = law.log_tail(_SHORT)
     short = law.takes_range and all(power * tail <= log_tol for power, _, _, log_tol, _ in terms)
-    runs = [[-math.inf, 0.0, None] for _ in terms]  # log-sum-exp scale, scaled sum, result
-    lo, size = 1, _FIRST_BLOCK
+    runs = [[-math.inf, 0.0, 0.0, None] for _ in terms]  # scale, scaled sum and error, result
+    lo, size, blocks = 1, _FIRST_BLOCK, 0
     while True:
         hi = law.support_max or min(cap, lo + size - 1)
         python = short and hi <= _SHORT
         lp, lf0, lf1 = _block(law, lo, hi, python)
-        log_tail, worst = law.log_tail(hi), -math.inf
+        errors = _block_errors(law, lp, lf0, lf1) if rounding else ()
+        falls = [-x for x in lp] if python else None  # power log p(j) bounds term j's log
+        if python and any(map(operator.gt, falls, falls[1:])):  # take j by decreasing log p
+            order = sorted(range(len(lp)), key=falls.__getitem__)
+            lp, lf0, lf1, falls, *errors = ([x[i] for i in order]
+                                            for x in (lp, lf0, lf1, falls, *errors))
+        zeros = [0.0] * len(lp) if python else np.zeros_like(lp)
+        log_tail, worst, blocks = law.log_tail(hi), -math.inf, blocks + 1
         for (power, expo, shifted, log_tol, relative), run in zip(terms, runs):
-            if run[2] is not None:
+            if run[3] is not None:
                 continue
-            lf = lf0 if shifted else lf1
+            lf = (lf0 if shifted else lf1) if expo > 0 else zeros  # F**0 = 1, even where F is 0
             if python:  # float factors, as numpy takes them, multiply faster than int ones
-                pw, ex = float(power), float(expo)
-                lt = [pw * a + ex * b for a, b in zip(lp, lf)] if expo > 0 else [pw * a for a in lp]
+                pw, ex, cut = float(power), float(expo), len(lp)
+                if power * (falls[-1] - falls[0]) > 746.0:  # a term 746 below the top is exp's 0
+                    head = [pw * a + ex * b for a, b in zip(lp[:8], lf)]  # these bound the top
+                    cut = max(8, bisect.bisect_right(falls, (746.0 - max(run[0], *head)) / power))
+                lt = [pw * a + ex * b for a, b in zip(lp[:cut], lf)]
                 top = max(lt)
             else:
-                lt = power * lp
-                if expo > 0:  # F**0 = 1, even where F vanishes
-                    lt += expo * lf
+                lt = power * lp + expo * lf
                 top = float(lt.max())
-            m, s, _ = run
+            m, s, e, _ = run
             if top > m:
-                s, m = s * math.exp(m - top), top
+                s, e, m = s * math.exp(m - top), e * math.exp(m - top), top
             if m > -math.inf:
-                s += (math.fsum([math.exp(x - m) for x in lt]) if python
-                      else float(np.exp(lt - m).sum()))
+                w = [math.exp(x - m) for x in lt] if python else np.exp(lt - m)
+                s += math.fsum(w) if python else float(w.sum())
+                if rounding:
+                    e += _block_error(w, lt, m, power, expo, lp, errors[0],
+                                      errors[1] if shifted else errors[2], python)
             log_sum = m + math.log(s) if s > 0.0 else -math.inf
             log_rem = power * log_tail
-            run[:2] = m, s
+            run[:3] = m, s, e
             if log_rem <= log_tol + (log_sum if relative else 0.0):
-                run[2] = log_sum, log_rem
+                run[3] = log_sum, log_rem, (e / s if s > 0.0 else 0.0) + _gamma(4 * blocks + 16)
             else:
                 worst = max(worst, log_rem)
-        if all(run[2] is not None for run in runs):
-            return [run[2] for run in runs]
+        if all(run[3] is not None for run in runs):
+            return [run[3] for run in runs]
         if hi == cap:
             raise TruncationError(f"tie-count series did not certify its tolerance within {cap} "
                                   "terms", best_bound=math.exp(worst))
@@ -218,7 +302,10 @@ class _TieValue(NamedTuple):
     """A tie-count value and a certified bound on its distance from the exact value.
 
     ``eps`` is the bound on |eps_k| when ``value`` is the closed form's main
-    term, p**k / (k lambda) or (k-1)! (p/q)**k / lambda, else None.
+    term, p**k / (k lambda) or (k-1)! (p/q)**k / lambda, else None.  A
+    closed-form value's ``remainder`` covers its rounding; a series value's
+    covers it only where the caller of :func:`_tie_values` gave a share, and
+    the bounds, which give none, do not count it yet.
     """
 
     value: float
@@ -245,10 +332,11 @@ def _lattice_eps(lam: float, k: int, n: int) -> float:
     return 2.0 * math.exp(log_t1) * (1.0 + 2.0**-s * (s + 1.0) / (s - 1.0)) * (1.0 + _gamma(8))
 
 
-def _closed_form(lam: float, n: int, k: int, moment: bool, tol: float):
+def _closed_form(lam: float, n: int, k: int, moment: bool, tol: float, fourier_tol: float):
     """P(K = k), or E[(K)_k] if ``moment``, for the geometric law of rate ``lam``
     in closed form, as a :class:`_TieValue`; None where the certificate misses
-    ``tol`` (absolute for P(K = k), relative for E[(K)_k]).
+    ``tol``, or where the Fourier part eps alone misses ``fourier_tol`` (both
+    absolute for P(K = k), relative for E[(K)_k]).
 
     ``count`` bounds the roundings of the formula in units u: p = -expm1(-lam)
     errs by 8u, p/q = expm1(lam) by (8 + 4 lam) u, and a power multiplies its
@@ -278,6 +366,8 @@ def _closed_form(lam: float, n: int, k: int, moment: bool, tol: float):
             value, count = p ** (k - 1) * (p / lam) / k, 8 * k + 12
     g = _gamma(count + 2)
     rel = ((eps or 0.0) + g) / (1.0 - g)
+    if (eps or 0.0) * (1.0 if moment else value) > fourier_tol:
+        return None
     if moment:
         if power >= _TINY and rel <= tol:
             return _TieValue(value, value * rel, eps)
@@ -286,24 +376,40 @@ def _closed_form(lam: float, n: int, k: int, moment: bool, tol: float):
     return _TieValue(value, remainder, eps) if remainder <= tol else None
 
 
-def _tie_values(spec: KnSpec, pmfs, moments, tol: float) -> list:
+def _tie_values(spec: KnSpec, pmfs, moments, tol: float, share=None) -> list:
     """A :class:`_TieValue` of P(K = k) for each k in ``pmfs``, within ``tol``
     absolutely, then of E[(K)_ell] for each ell in ``moments``, within ``tol``
     relatively: in closed form where a geometric law's certificate allows
-    (see the module docstring), the others from one pass of :func:`_sums`."""
+    (see the module docstring), the others from one pass of :func:`_sums`.
+
+    ``share(order)``, if given, is the tolerance of that order's series, and
+    a closed-form value's Fourier part must meet it too: the series can beat
+    the closed form on that part only, not on its rounding.  With a share a
+    series value's remainder also covers its rounding: that of its log sum
+    (:func:`_sums`), of log C(n, k) or log (n)_ell (Loader's parts, each
+    formed in at most 3 roundings, add up to at most |log| + log 2n + 1), of
+    the log of the scaled sum and the additions, and of the last exp."""
     n, lam = spec.n, spec.law.lattice_rate
+    share_of = share or (lambda order: tol)
     wanted = [(k, False) for k in pmfs] + [(ell, True) for ell in moments]
-    values = [None if lam is None else _closed_form(lam, n, order, moment, tol)
+    values = [None if lam is None else _closed_form(lam, n, order, moment, tol, share_of(order))
               for order, moment in wanted]
     rest = [(i, order, moment) for i, ((order, moment), value) in enumerate(zip(wanted, values))
             if value is None]
     if rest:
         logs = [_log_falling(n, order) if moment else _log_choose(n, order)
                 for _, order, moment in rest]
-        terms = [(order, n - order, not moment, math.log(tol) - (0.0 if moment else log), moment)
+        terms = [(order, n - order, not moment,
+                  math.log(share_of(order)) - (0.0 if moment else log), moment)
                  for (_, order, moment), log in zip(rest, logs)]
-        for (i, _, _), log, (log_sum, log_rem) in zip(rest, logs, _sums(spec.law, terms)):
-            values[i] = _TieValue(math.exp(log + log_sum), math.exp(log + log_rem))
+        series = _sums(spec.law, terms, share is not None)
+        for (i, _, _), log, (log_sum, log_rem, rel) in zip(rest, logs, series):
+            value, remainder = math.exp(log + log_sum), math.exp(log + log_rem)
+            if share is not None and value > 0.0:  # the log sum's rounding, then the rest
+                log_err = -math.log1p(-rel) if rel < 1.0 else math.inf
+                remainder += value * math.expm1(log_err + _gamma(2) * (16.0 - log_sum)
+                                                + _gamma(9) * (log + math.log(2 * n) + 1.0))
+            values[i] = _TieValue(value, remainder)
     return values
 
 
@@ -370,11 +476,8 @@ def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
     twice the mass past each row's window (omitted, and moved by the row's
     normalisation onto its terms); 2 tiny per cell, for subnormal results
     and for entries below tiny dropped at either end; and rounding.  For
-    rounding the law's p(j) and S(j) = 1 - F(j) are taken to err by at most
-    4u (1 + |log p|) and 4u (1 + |log S|) relative, plus gamma_m for a law
-    that sums m weights: the geometric law forms both by one exp of j log(1-p).
-    Then log F = log1p(-S) errs by S/F times that, plus 2u |log F|, and
-    that error e_w of log w_j and e_o of the log odds follow.
+    rounding, :func:`_block_errors` bounds the errors of log p and log F under
+    its law model, and the error e_w of log w_j and e_o of the log odds follow.
     A term d steps from its row's mode takes 4d roundings, the row sum over
     G terms ceil(log2 G), the division and the weight 2 more, and an odds
     error e moves the normalised term at k by |k - m q| e.  So row j adds
@@ -384,7 +487,9 @@ def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
     times them.  Summing the rows of a chunk pairwise and then the chunks in
     turn adds gamma(ceil(log2 rows) + chunks) of the total T.  K* is
     normalised by T rather than Z, so its certificate is 2 b / (T - b) plus
-    the rounding of that division.
+    the rounding of that division.  Where that certificate is not finite
+    (or T <= b), as where a law's tiny F(j) makes its error bound overflow,
+    :class:`TruncationError` is raised with the trivial L1 bound 2.
     """
     positive_tol(tol)
     law, n = spec.law, spec.n
@@ -398,31 +503,28 @@ def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
             f"tie-count law did not certify its tolerance within {_SERIES_CAP} maxima",
             best_bound=suffix,
         )
-    extra = _gamma(law.support_max or 0)
-
-    def log_cdf_error(lf):
-        s = -np.expm1(lf)  # S = 1 - F, whose error log F = log1p(-S) scales by S/F
-        return (np.where(s > 0.0, s * (4.0 * _U * (1.0 - np.log(s)) + extra), 0.0)
-                / np.exp(lf) + 2.0 * _U * np.abs(lf))
-
     parts, bounds, k_lo, k_hi, held, depth = [], [suffix], math.inf, -math.inf, 0.0, 0
     for lo in range(1, last + 1, _MAX_BLOCK):  # last is known, so the blocks need not grow
         lp, lf0, lf1 = _block(law, lo, min(last, lo + _MAX_BLOCK - 1))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        d_lp, e_lf0, e_lf1 = _block_errors(law, lp, lf0, lf1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             lw = lp + (n - 1) * lf1 - log_z if biased else n * lf1
             keep = lw >= _LOG_TINY
             bounds.append((lp.size - np.count_nonzero(keep)) * _TINY)
             if not keep.any():
                 continue
-            lp, lf0, lf1, lw = lp[keep], lf0[keep], lf1[keep], lw[keep]
+            lp, lf0, lf1, lw, d_lp, e_lf0, e_lf1 = (x[keep] for x in (lp, lf0, lf1, lw, d_lp,
+                                                                      e_lf0, e_lf1))
             odds = np.where(lp > -np.inf, np.exp(lp - lf0), 0.0)
             q = 1.0 / (1.0 + 1.0 / odds)
-            d_lp = 4.0 * _U * (1.0 + np.abs(lp)) + extra + 2.0 * _U * np.abs(lp)
-            e_w = m * (log_cdf_error(lf1) + 3.0 * _U * np.abs(lf1))
+            e_w = m * e_lf1
             if biased:
-                e_w += d_lp + 3.0 * _U * (np.abs(lp) + abs(log_z))
-            e_odds = np.where((odds > 0.0) & (odds < np.inf),
-                              d_lp + log_cdf_error(lf0) + _U * (np.abs(lp - lf0) + 2.0), 0.0)
+                e_w += d_lp + 3.0 * _U * abs(log_z)
+            e_w = np.expm1(e_w)  # inf where the law's error bound is too coarse to use
+            # the odds are one difference, formed without the 3u |log p| + 3u |log F| that
+            # the bounds from _block_errors hold for forming a term
+            e_odds = np.where((odds > 0.0) & (odds < np.inf), d_lp + e_lf0 + _U * (
+                np.abs(lp - lf0) + 2.0 - 3.0 * (np.abs(lp) + np.abs(lf0))), 0.0)
         w_lo, w_hi = binom_window(m, odds, lw - _LOG_TINY)
         per_chunk = max(1, _CHUNK_CELLS // int(w_hi.max() - w_lo.min() + 1))
         for s in range(0, odds.size, per_chunk):
@@ -438,7 +540,7 @@ def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
             w, sigma = np.exp(lw[c]), np.sqrt(m * q[c] * (1.0 - q[c]))
             mass = 1.0 - rows[:, 0] if first else 1.0
             norm = _gamma(math.ceil(math.log2(g_hi - g_lo + 1)) + 3)
-            bounds.append(w @ (mass * (np.expm1(e_w[c]) + norm + 4.0 * _U * (sigma + 2.0))
+            bounds.append(w @ (mass * (e_w[c] + norm + 4.0 * _U * (sigma + 2.0))
                                + np.minimum(sigma, 2.0 * m * q[c]) * (e_odds[c] + 4.0 * _U)
                                + 2.0 * outside) + 2.0 * rows.size * _TINY)
             parts.append((start, _pairwise_sum(w[:, None] * rows[:, first:])))
@@ -456,64 +558,90 @@ def _mixture_law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
     b = math.fsum(bounds) + _gamma(depth + len(parts)) * total
     if biased:
         probs, b = probs / total, 2.0 * b / (total - b) + _gamma(2)
+    if not 0.0 <= b < math.inf:
+        raise TruncationError("the tie-count law's rounding bound is not finite",
+                              best_bound=2.0)
     return TruncatedPMF(k_min=k_lo + int(big[0]), probs=probs.tolist(), tail_mass_bound=b)
 
 
-def _closed_form_law(spec: KnSpec, tol: float) -> Optional[TruncatedPMF]:
-    """The law of K of a geometric law, entry by entry from :func:`_closed_form`,
-    or None unless every entry and the whole law certify ``tol``.
+def _law(spec: KnSpec, tol: float, biased: bool) -> TruncatedPMF:
+    """The law of K, or of K* if ``biased``, entry by entry from :func:`_tie_values`,
+    or from :func:`_mixture_law` where those entries do not certify ``tol``.
 
-    The entries run from k = 1 to the mixture's own floor: the first entry
-    below the smallest normal double, which is left out, or k = n, which is
-    exact.  Each entry v_k comes with a remainder r_k >= |v_k - P(K = k)|,
-    so the omitted mass, 1 - sum_k P(K = k) over the held k, is at most
-    1 - sum v + sum r, and the held entries err by at most sum r (L1):
-    ``tail_mass_bound`` is their total, 1 - sum v + 2 sum r, plus the
-    rounding of those two sums and of the additions.  Markov's inequality on
-    E[(K)_{k+1}] would bound the omitted mass too, but not once p/q >= 1.
+    The entries v_k of P(K = k) come in batches of k = 1..64, 65..128, ...,
+    each from one :func:`_tie_values` call, up to the first entry below the
+    smallest normal double, which is left out, or to k = n.  Entry k's share
+    of the tolerance is tol / (16 k**3): its series certifies that, and a
+    closed-form entry, which must still certify ``tol`` as for any other
+    caller, gives way to the series where its Fourier part alone misses the
+    share, as near the closed form's border, where the series is short.  The
+    shares add up to under tol / 8, with weights k too.  Each entry comes
+    with a remainder, of its truncation and rounding, r_k >= |v_k - P(K = k)|.
+
+    With weights w_k = 1 and mass U = 1 for K, or w_k = k and U = E + e for K*,
+    where E[K] = E within e is taken from the first batch's call, the held
+    entries err by at most sum w r (L1), and the omitted mass, U less the held
+    w_k P(K = k), by at most U - T + sum w r with T = sum w v.  So B = |U - T|
+    + 2 sum w r, plus the rounding of those sums and of the additions, bounds
+    the distance of K's entries from its law.  K*'s entries k v_k / T are
+    normalised by T, which is within B of E[K] >= E - e, so they err by at
+    most 2 B / (E - e - B), plus the rounding of the division.  The entries
+    stand where that certificate meets ``tol``; otherwise (mass far from
+    k = 1, as for p = 1 - 2/n), or where an entry's series does not meet its
+    share within ``_SERIES_CAP`` maxima, the mixture runs.
     """
-    lam, n = spec.law.lattice_rate, spec.n
-    values, remainders = [], []
-    for k in range(1, n + 1):
-        entry = _closed_form(lam, n, k, False, tol)
-        if entry is None:
-            return None
-        if entry.value < _TINY:
-            break
-        values.append(entry.value)
-        remainders.append(entry.remainder)
-    total, rem = math.fsum(values), math.fsum(remainders)
-    bound = (1.0 - total) + 2.0 * rem + _gamma(3) * (1.0 + total + 2.0 * rem)
-    return TruncatedPMF(k_min=1, probs=values, tail_mass_bound=bound) if bound <= tol else None
+    positive_tol(tol)
+    n, held, moments = spec.n, [], (1,) if biased else ()
+    try:
+        for lo in range(1, n + 1, _FIRST_BLOCK):
+            batch = _tie_values(spec, range(lo, min(n + 1, lo + _FIRST_BLOCK)), moments, tol,
+                                lambda k: tol / (16 * k**3))
+            if moments:
+                mean, moments = batch.pop(), ()
+            cut = next((i for i, entry in enumerate(batch) if entry.value < _TINY), len(batch))
+            held += batch[:cut]
+            if cut < len(batch):
+                break
+    except TruncationError:  # an entry's series missed its share within the cap
+        return _mixture_law(spec, tol, biased)
+    weights = range(1, len(held) + 1) if biased else [1] * len(held)
+    values = [w * entry.value for w, entry in zip(weights, held)]
+    total = math.fsum(values)
+    rem = math.fsum(w * entry.remainder for w, entry in zip(weights, held))
+    mass = mean.value + mean.remainder if biased else 1.0
+    bound = abs(mass - total) + 2.0 * rem + _gamma(4) * (mass + total + 2.0 * rem)
+    if biased:
+        low = mean.value - mean.remainder - bound
+        bound = 2.0 * bound / low * (1.0 + _gamma(3)) + _gamma(2) if low > 0.0 else math.inf
+        values = [v / total for v in values]
+    if held and bound <= tol:
+        return TruncatedPMF(k_min=1, probs=values, tail_mass_bound=bound)
+    return _mixture_law(spec, tol, biased)
 
 
 def tie_count_law(spec: KnSpec, tol: float = DEFAULT_TOL) -> TruncatedPMF:
-    """The law of K, in closed form for a geometric law where that certifies,
-    else from one binomial-mixture pass over the maximum.
+    """The law of K from its entries P(K = k), k = 1, 2, ..., each in closed form
+    where that certifies and otherwise from the series, or from one
+    binomial-mixture pass over the maximum where those entries do not
+    certify ``tol`` (see :func:`_law`).
 
-    The closed form (:func:`_closed_form_law`) serves a law that sets
-    ``lattice_rate`` only when every entry certifies its remainder and the
-    law's total certificate meets ``tol``; otherwise the mixture runs as for
-    every other law.  Either law holds the outcomes where it reaches the
-    smallest normal double, so the mixture's ``k_min`` may exceed 1.
-    ``tail_mass_bound`` covers the mass omitted on both sides plus the
-    rounding of the entries: for the mixture at most ``tol / 2`` past the
-    last maximum plus the rounding (see :func:`_mixture_law`), about 1e-14
-    at n = 1e9.  The mixture raises :class:`TruncationError` when those
+    Either law holds the outcomes where it reaches the smallest normal
+    double, so the mixture's ``k_min`` may exceed 1.  ``tail_mass_bound``
+    covers the mass omitted on both sides plus the entries' errors: their
+    certified remainders, or for the mixture at most ``tol / 2`` past the last
+    maximum plus the rounding (see :func:`_mixture_law`), about 1e-14 at
+    n = 1e9.  The mixture raises :class:`TruncationError` when those
     outcomes span more than ``_SERIES_CAP`` values, as when mass sits near
-    both k = n and 1.
+    both k = n and 1, or when its rounding bound is not finite.
     """
-    positive_tol(tol)
-    if spec.law.lattice_rate is not None:
-        law = _closed_form_law(spec, tol)
-        if law is not None:
-            return law
-    return _mixture_law(spec, tol, biased=False)
+    return _law(spec, tol, biased=False)
 
 
 def size_biased_tie_law(spec: KnSpec, tol: float = DEFAULT_TOL) -> TruncatedPMF:
-    """The law of K*, P(K* = k) = k P(K = k) / E[K], by the pass of :func:`tie_count_law`."""
-    return _mixture_law(spec, tol, biased=True)
+    """The law of K*, P(K* = k) = k P(K = k) / E[K], from the entries of
+    :func:`tie_count_law` and E[K] in one call, or from the mixture where those
+    do not certify ``tol`` (see :func:`_law`)."""
+    return _law(spec, tol, biased=True)
 
 
 def size_biased_tie_pmf(spec: KnSpec, k: int, tol: float = DEFAULT_TOL) -> float:

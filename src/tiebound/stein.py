@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .approximants import log_pmf
 from .errors import TruncationError, integer_in, positive_tol, real_in
 

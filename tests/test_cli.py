@@ -215,16 +215,18 @@ def series_passes(monkeypatch):
 
 
 def test_verify_sums_the_series_of_each_spec_once(runner, series_passes, monkeypatch):
-    # without lattice rates every spec runs the series
+    # without lattice rates every spec runs the series: one pass for its five bound values
+    # and one for its law's entries, which at n <= 50 are one batch
     monkeypatch.setattr("tiebound.cli.law_from_descriptor", _series_law)
     assert runner(["verify", "--mc-samples", "0"]).exit_code == 0
-    assert len(series_passes) == len(VERIFY_PS) * len(VERIFY_NS) == 24
+    assert len(series_passes) == 2 * len(VERIFY_PS) * len(VERIFY_NS) == 48
 
 
 def test_verify_takes_the_closed_form_for_four_specs(runner, series_passes):
-    # the specs whose five tie-count values all certify in closed form make no pass
+    # the specs whose tie-count values all certify in closed form make no pass, for their
+    # bounds or for their laws
     assert runner(["verify", "--mc-samples", "0"]).exit_code == 0
-    assert len(series_passes) == len(VERIFY_PS) * len(VERIFY_NS) - 4
+    assert len(series_passes) == 2 * (len(VERIFY_PS) * len(VERIFY_NS) - 4)
 
 
 @pytest.mark.parametrize("series", [True, False], ids=["series", "closed-form"])
@@ -697,6 +699,8 @@ NUMPY_FREE_COMMANDS = {
     "simulate": (["simulate", "--p", "0.01", "--n", "10000", "--mc-samples", "2000"], 0),
     "simulate-many-draws": (["simulate", "--p", "0.01", "--n", "10000", "--mc-samples",
                              "10000000"], 0),
+    # an exact law past the closed form's border, its entries from short series
+    "simulate-series": (["simulate", "--p", "0.3", "--n", "50", "--mc-samples", "2000"], 0),
     "help": (["--help"], 0),
     "usage-error": (["bound", "thm2", "--p", "1e-3"], 1),
 }

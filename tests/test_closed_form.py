@@ -1,9 +1,12 @@
-"""The geometric law's tie-count values and law in closed form, against 40-digit values,
-the series and the mixture."""
+"""The geometric law's tie-count values in closed form, and the laws of K and K* built
+from tie-count values, against 40-digit values, the series and the mixture."""
 
 import dataclasses
 import functools
 import math
+import os
+import subprocess
+import sys
 import time
 
 import mpmath as mp
@@ -12,14 +15,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tiebound
 from tiebound import bounds_discrete, maxima
 from tiebound.approximants import tv_distance
+from tiebound.cli import VERIFY_NS, VERIFY_PS
 from tiebound.distributions import DiscreteLaw, geometric_law, tabulated_law
 from tiebound.errors import TruncationError
 from tiebound.maxima import (
     KnSpec,
     _closed_form,
-    _closed_form_law,
     _mixture_law,
     _tie_values,
     argmax_value_law,
@@ -71,7 +75,7 @@ def test_closed_form_is_within_its_remainder_of_40_digit_values(p_exp, n_exp, k)
     for order, moment in FIVE + ((min(k, n), False), (min(k, n), True)):
         if order > n:
             continue
-        value = _closed_form(lam, n, order, moment, TOL)
+        value = _closed_form(lam, n, order, moment, TOL, TOL)
         if value is not None:
             assert _gap(value.value, p, n, order, moment) <= value.remainder, (order, moment)
             assert value.remainder <= (TOL * value.value if moment else TOL)
@@ -89,7 +93,7 @@ def test_certificate_is_within_a_hundredfold_of_the_true_gap():
     p, n = 0.3, 50
     lam = geometric_law(p).lattice_rate
     for order, moment in FIVE:
-        value = _closed_form(lam, n, order, moment, 1.0)
+        value = _closed_form(lam, n, order, moment, 1.0, 1.0)
         gap = _gap(value.value, p, n, order, moment)
         assert gap <= value.remainder <= 100.0 * gap, (order, moment)
 
@@ -97,8 +101,8 @@ def test_certificate_is_within_a_hundredfold_of_the_true_gap():
 def test_points_past_the_border_run_the_series():
     # the benchmark's tracer test counts pmf calls at (0.2, 20), so that point must stay a
     # series one; and S <= 1 where p is near 1, so no closed form exists there
-    assert _closed_form(geometric_law(0.2).lattice_rate, 20, 1, True, TOL) is None
-    assert _closed_form(geometric_law(0.99999).lattice_rate, 10, 1, False, 1.0) is None
+    assert _closed_form(geometric_law(0.2).lattice_rate, 20, 1, True, TOL, TOL) is None
+    assert _closed_form(geometric_law(0.99999).lattice_rate, 10, 1, False, 1.0, 1.0) is None
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -192,7 +196,8 @@ def test_size_biased_laws_take_z_from_the_closed_form(build, monkeypatch):
     build(KnSpec(law, 10**5))
     assert calls == []
     build(KnSpec(dataclasses.replace(law, lattice_rate=None), 10**5))
-    assert len(calls) == 1
+    # the series law's E[K] = n Z (power 1, F(j)**(n-1)) is summed once, in the first pass
+    assert [term[:3] for args in calls for term in args[1]].count((1, 10**5 - 1, False)) == 1
 
 
 @pytest.mark.parametrize("series", [False, True], ids=["closed-form", "series"])
@@ -265,11 +270,29 @@ def _law_l1(law, exact) -> float:
                      + 1 - mp.fsum(held))
 
 
+@pytest.fixture
+def no_mixture(monkeypatch):
+    """Make ``_mixture_law`` raise, so that a law built under it comes from its entries."""
+    def refuse(*args):
+        raise AssertionError("mixture taken")
+
+    monkeypatch.setattr(maxima, "_mixture_law", refuse)
+
+
+def _size_biased(law: list) -> list:
+    """P(K* = k) = k P(K = k) / E[K] at 40 digits, from P(K = k) for k = 0, ..., n."""
+    with mp.workdps(40):
+        mean = mp.fsum(k * v for k, v in enumerate(law))
+        return [k * v / mean for k, v in enumerate(law)]
+
+
 @pytest.mark.parametrize("p,n", [(0.01, 10**4), (1e-4, 10**4), (1e-3, 10**9)])
-def test_closed_form_law_is_within_its_bound_of_40_digit_values(p, n):
-    # no Fourier term survives at these points, so the 40-digit law is its main terms
-    law = tie_count_law(KnSpec(geometric_law(p), n), TOL)
-    assert law == _closed_form_law(KnSpec(geometric_law(p), n), TOL) is not None
+def test_entry_law_is_within_its_bound_of_40_digit_values(p, n, no_mixture):
+    # no Fourier term survives at these points, so the 40-digit law is its main terms,
+    # and every entry is in closed form
+    spec = KnSpec(geometric_law(p), n)
+    law = tie_count_law(spec, TOL)
+    assert all(v.eps is not None for v in _tie_values(spec, range(1, len(law.probs) + 1), (), TOL))
     assert _law_l1(law, lambda k: _exact(p, n, k, False)) <= law.tail_mass_bound <= TOL
 
 
@@ -277,49 +300,113 @@ def test_closed_form_law_is_within_its_bound_of_40_digit_values(p, n):
     # eps carries the certificate at these small n: halving _lattice_eps fails the first
     # point, and leaving the remainders out of the law's bound fails all of them
     (0.05, 5, 1e-6), (0.1, 15, TOL), (0.2, 20, 1e-8),
+    # the Fourier parts near the border give way to the series here
+    (0.05, 10, TOL), (0.3, 50, TOL), (0.4, 5, TOL),
 ])
-def test_closed_form_law_is_within_its_bound_near_the_border(p, n, tol):
-    law = tie_count_law(KnSpec(geometric_law(p), n), tol)
-    assert law == _closed_form_law(KnSpec(geometric_law(p), n), tol) is not None
-    exact = _direct_law(p, n)
-    assert _law_l1(law, exact.__getitem__) <= law.tail_mass_bound <= tol
-
-
-@pytest.mark.parametrize("p", [1e-4, 1e-3, 0.01, 0.1, 0.3])
-@pytest.mark.parametrize("n", [10, 100, 10**4, 10**6])
-def test_closed_form_law_agrees_with_the_mixture(p, n):
-    """Each law lies within its certificate of the exact law, so the two lie within
-    the sum of both (L1), wherever both run."""
-    law = geometric_law(p)
-    closed = _closed_form_law(KnSpec(law, n), TOL)
-    if closed is None:
-        # some entry does not certify: tie_count_law is the mixture's law, bit for bit
-        assert p in (0.1, 0.3) and (p == 0.3 or n <= 100)
-        return
-    mixture = tie_count_law(KnSpec(dataclasses.replace(law, lattice_rate=None), n), TOL)
-    assert 2.0 * tv_distance(closed, mixture).lo <= closed.tail_mass_bound + mixture.tail_mass_bound
-
-
-@pytest.mark.parametrize("p,n", [(0.3, 50), (0.1, 10), (0.5, 10**4)])
-def test_an_uncertified_entry_gives_the_mixture_bit_for_bit(p, n):
+def test_entry_laws_are_within_their_bounds_near_the_border(p, n, tol, no_mixture):
     spec = KnSpec(geometric_law(p), n)
-    assert _closed_form_law(spec, TOL) is None
+    exact = _direct_law(p, n)
+    for law, oracle in ((tie_count_law(spec, tol), exact),
+                        (size_biased_tie_law(spec, tol), _size_biased(exact))):
+        assert _law_l1(law, oracle.__getitem__) <= law.tail_mass_bound <= tol
+
+
+@pytest.mark.parametrize("p", [1e-4, 1e-3, 0.01, 0.1, 0.3, 0.5])
+@pytest.mark.parametrize("n", [5, 10, 50, 100, 10**4, 10**6])
+def test_entry_laws_agree_with_the_mixture(p, n, monkeypatch):
+    """Each law lies within its certificate of the exact law, so the two lie within
+    the sum of both (L1)."""
+    spec = KnSpec(geometric_law(p), n)
+    for biased, build in ((False, tie_count_law), (True, size_biased_tie_law)):
+        mixture = _mixture_law(spec, TOL, biased)
+        with monkeypatch.context() as patch:
+            patch.setattr(maxima, "_mixture_law", lambda *args: pytest.fail("mixture taken"))
+            entries = build(spec, TOL)
+        gap = 2.0 * tv_distance(entries, mixture).lo
+        assert gap <= entries.tail_mass_bound + mixture.tail_mass_bound, biased
+
+
+@pytest.mark.parametrize("law,n", [
+    (geometric_law(0.999), 1000), (geometric_law(1.0 - 2.0 / 1000), 1000),
+    (tabulated_law([0.5, 0.5]), 2000),
+], ids=["0.999", "1-2/n", "tabulated"])
+def test_an_uncertified_law_gives_the_mixture_bit_for_bit(law, n):
+    # mass far from k = 1, past the entries' first one below tiny (at k = 1 for the
+    # tabulated law, where P(K = 1) = n 2**-n): the certificate misses
+    spec = KnSpec(law, n)
+    assert tie_count_law(spec, TOL) == _mixture_law(spec, TOL, biased=False)
+    assert size_biased_tie_law(spec, TOL) == _mixture_law(spec, TOL, biased=True)
+
+
+def test_an_entry_past_the_series_cap_gives_the_mixture(monkeypatch):
+    # entry k = 1 certifies tol / 16 on a scale of n where the mixture needs tol / 2 past
+    # its last maximum: at 1.6e-5 its series runs past the cap of 2e6 maxima, and the
+    # mixture, at 1.9e6 maxima, still certifies
+    spec = KnSpec(dataclasses.replace(geometric_law(1.6e-5), lattice_rate=None), 10)
+    calls = []
+
+    def mixture(*args):
+        calls.append(args)
+        return _mixture_law(*args)
+
+    monkeypatch.setattr(maxima, "_mixture_law", mixture)
     law = tie_count_law(spec, TOL)
-    assert law == _mixture_law(spec, TOL, biased=False)
-    assert law == tie_count_law(KnSpec(dataclasses.replace(spec.law, lattice_rate=None), n), TOL)
+    assert calls == [(spec, TOL, False)]
+    assert abs(1.0 - math.fsum(law.probs)) <= law.tail_mass_bound <= TOL
 
 
-def test_other_laws_never_take_the_closed_form_law(monkeypatch):
+def test_other_laws_never_take_the_closed_form_in_their_laws(monkeypatch):
     def refuse(*args):
-        raise AssertionError("closed-form law taken")
+        raise AssertionError("closed form taken")
 
     geometric = geometric_law(0.05)
     user = DiscreteLaw(pmf=geometric.pmf, logcdf=geometric.logcdf, log_tail=geometric.log_tail,
                        quantile=geometric.quantile)
-    monkeypatch.setattr(maxima, "_closed_form_law", refuse)
-    for law in (argmax_value_law(KnSpec(geometric, 5)), tabulated_law([0.2, 0.3, 0.5]), user):
+    laws = (argmax_value_law(KnSpec(geometric, 5)), tabulated_law([0.2, 0.3, 0.5]), user)
+    monkeypatch.setattr(maxima, "_closed_form", refuse)
+    for law in laws:
         assert law.lattice_rate is None
         tie_count_law(KnSpec(law, 6), TOL)
+        size_biased_tie_law(KnSpec(law, 6), TOL)
+
+
+ARGMAX_SPEC = KnSpec(argmax_value_law(KnSpec(geometric_law(0.05), 50)), 6)
+
+
+@pytest.mark.parametrize("law,n", [(geometric_law(p), n) for p in VERIFY_PS for n in VERIFY_NS]
+                         + [(geometric_law(0.01), 10**4), (tabulated_law([0.2, 0.3, 0.5]), 7),
+                            (ARGMAX_SPEC.law, ARGMAX_SPEC.n)])
+def test_entry_laws_certify_without_the_mixture(law, n, no_mixture):
+    # the verify grid, the simulate default, a law without a closed form and the argmax law
+    for build in (tie_count_law, size_biased_tie_law):
+        assert build(KnSpec(law, n), TOL).tail_mass_bound <= TOL
+
+
+@pytest.mark.parametrize("biased", [False, True], ids=["ties", "size-biased"])
+def test_the_argmax_law_certifies_where_its_mixture_cannot(biased):
+    # a tiny F(j) at the argmax law's first maxima makes the mixture's rounding bound
+    # overflow; it raises with a finite bound where it returned inf (or a NaN for K*)
+    with pytest.raises(TruncationError) as raised:
+        _mixture_law(ARGMAX_SPEC, TOL, biased)
+    assert math.isfinite(raised.value.best_bound)
+    law = (size_biased_tie_law if biased else tie_count_law)(ARGMAX_SPEC, TOL)
+    assert law.k_min == 1 and len(law.probs) == 6
+    assert abs(1.0 - math.fsum(law.probs)) <= law.tail_mass_bound <= 1e-12
+
+
+@pytest.mark.parametrize("build,p,n", [("tie_count_law", 0.3, 20),
+                                       ("size_biased_tie_law", 0.01, 10**4)])
+def test_geometric_laws_leave_numpy_unloaded(build, p, n):
+    # (0.3, 20) takes its entries from short series, (0.01, 1e4) from the closed form
+    code = ("import sys\n"
+            "from tiebound import KnSpec, geometric_law\n"
+            f"from tiebound.maxima import {build}\n"
+            f"law = {build}(KnSpec(geometric_law({p}), {n}))\n"
+            "print(law.k_min, law.tail_mass_bound <= 1e-12, 'numpy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(tiebound.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.split() == ["1", "True", "False"]
 
 
 def test_simulate_point_past_the_series_cap_certifies():

@@ -335,9 +335,46 @@ def test_one_pass_equals_one_series_at_a_time(law, n):
     summed alone with its own kind."""
     terms = _four_terms(n)
     assert _short(law, terms) == (law.takes_range and law.descriptor["p"] > 0.5)
-    assert _sums(law, terms) == [_one_series(law, *term, _short(law, terms)) for term in terms]
+    assert [r[:2] for r in _sums(law, terms)] == [_one_series(law, *term, _short(law, terms))
+                                                  for term in terms]
+    # bounding the rounding leaves the sums as they are
+    assert [r[:2] for r in _sums(law, terms, rounding=True)] == [r[:2] for r in _sums(law, terms)]
     for term in terms:
-        assert _sums(law, [term]) == [_one_series(law, *term, _short(law, [term]))]
+        assert [r[:2] for r in _sums(law, [term])] == [_one_series(law, *term,
+                                                                   _short(law, [term]))]
+
+
+def _ranged(base):
+    """``base`` with ``takes_range`` set: a ``range`` is answered with a list."""
+    def ranged(f):
+        return lambda j: f(np.asarray(j)).tolist() if isinstance(j, range) else f(j)
+
+    return dataclasses.replace(base, pmf=ranged(base.pmf), logcdf=ranged(base.logcdf),
+                               takes_range=True)
+
+
+def _normalised(weights) -> list:
+    return [w / math.fsum(weights) for w in weights]
+
+
+# laws whose p(j) are out of order, so a Python block sorts its j: one bump at j = 10,
+# and peaks at j = 1 and 30
+BUMP = _ranged(tabulated_law(_normalised([math.exp(-((j - 10) / 3) ** 2) for j in range(1, 41)])))
+PEAKS = _ranged(tabulated_law(_normalised([
+    math.exp(-1.0 if j == 1 else -0.5 if j == 30 else -50.0 if j < 30 else -100.0)
+    for j in range(1, 41)])))
+
+
+@pytest.mark.parametrize("law", [geometric_law(0.9), BUMP, PEAKS],
+                         ids=["geometric-0.9", "bump-40", "peaks-40"])
+@pytest.mark.parametrize("n", [50, 10**4])
+def test_a_short_pass_of_high_powers_sums_its_whole_blocks(law, n):
+    """A Python block takes j by decreasing log p and stops each series where
+    its terms are exp's 0, which for a high power is after a few j; the sums
+    are those of the whole blocks, to the last bit."""
+    terms = [(k, n - k, shifted, -400.0, False) for k in (1, 10, 40) for shifted in (False, True)]
+    assert _short(law, terms)
+    assert [r[:2] for r in _sums(law, terms)] == [_one_series(law, *term, True) for term in terms]
 
 
 @pytest.mark.parametrize("p,n", [(0.3, 10), (0.5, 3), (1e-3, 10**5)])
@@ -384,15 +421,23 @@ def _exact_sum(law, power, expo, shifted):
 def test_each_series_is_within_its_remainder_of_40_digit_values(law, n):
     """The exact sum lies between a series' partial sum and that sum plus its
     certified remainder, up to 4 units in the last place of its log-sum, in a
-    pass of the four series and in a pass of its own, numpy's or Python's."""
+    pass of the four series and in a pass of its own, numpy's or Python's; and
+    within the series' own rounding bound of those, which ``_tie_values``
+    takes: the relative error ``rel`` of the scaled sum, plus the rounding of
+    its log and of adding the scale.  That bound is below 1e-12 on the
+    geometric laws; the tabulated law's F(2) = 1/2 is taken to err by about
+    1e-15, which its shifted terms raise to the power n - 2."""
     terms = _four_terms(n)
-    for term, together in zip(terms, _sums(law, terms)):
+    for term, together in zip(terms, _sums(law, terms, rounding=True)):
         exact = mp.log(_exact_sum(law, *term[:3]))
-        for log_sum, log_rem in (together, *_sums(law, [term])):
+        for log_sum, log_rem, rel in (together, *_sums(law, [term], rounding=True)):
             slack = 4 * _U * max(1.0, abs(log_sum))
+            rounding = -math.log1p(-rel) + 2.0 * _U * (16.0 - log_sum)
+            assert rounding <= (1e-12 if law.lattice_rate else max(1e-12, 2e-15 * n))
             with mp.workdps(40):
                 high = mp.log(mp.exp(log_sum) + mp.exp(log_rem))
                 assert log_sum - slack <= exact <= high + slack, term
+                assert log_sum - rounding <= exact <= high + rounding, term
 
 
 # figure fig1's p grid; its n is 20 by default
@@ -483,7 +528,7 @@ def _stopped_sum(law, term):
     """``_sums`` of one term, with the block end J where it stopped."""
     ends = []
     traced = dataclasses.replace(law, log_tail=lambda j: ends.append(j) or law.log_tail(j))
-    (log_sum, log_rem), = _sums(traced, [term])
+    (log_sum, log_rem, _), = _sums(traced, [term])
     return log_rem, ends[-1]
 
 
@@ -634,6 +679,16 @@ def _mp_geometric_weights(p, count):
         return [p * (1 - p) ** (j - 1) for j in range(1, count + 1)]
 
 
+def _mp_argmax_weights(p, n, count):
+    """P(M = m) = p(m) F(m)**(n-1) / Z of a geometric sample of n, normalised over
+    m <= count."""
+    with mp.workdps(40):
+        w = [x * (1 - (1 - mp.mpf(p)) ** m) ** (n - 1)
+             for m, x in enumerate(_mp_geometric_weights(p, count), 1)]
+        z = mp.fsum(w)
+        return [x / z for x in w]
+
+
 @pytest.mark.parametrize("law, weights, n, k_max", [
     pytest.param(geometric_law(0.3), lambda: _mp_geometric_weights(0.3, 250), 20, 20,
                  id="geometric-0.3-20"),
@@ -641,6 +696,16 @@ def _mp_geometric_weights(p, count):
                  id="geometric-0.01-1e4"),
     pytest.param(tabulated_law([0.2, 0.3, 0.5]), lambda: [0.2, 0.3, 0.5], 7, 7,
                  id="tabulated-7"),
+    # every entry from the series, of a law without a closed form
+    pytest.param(tabulated_law([0.1, 0.2, 0.3, 0.4]), lambda: [0.1, 0.2, 0.3, 0.4], 40, 40,
+                 id="tabulated-series-40"),
+    # mass at k = n past entries below tiny: the entries miss their certificate and the
+    # mixture serves
+    pytest.param(geometric_law(0.999), lambda: _mp_geometric_weights(0.999, 14), 1000, 1000,
+                 id="geometric-mixture-0.999-1000"),
+    # series entries of a law whose F(j) is tiny at its first maxima
+    pytest.param(argmax_value_law(KnSpec(geometric_law(0.05), 50)),
+                 lambda: _mp_argmax_weights(0.05, 50, 1500), 6, 6, id="argmax-6"),
 ])
 def test_laws_match_high_precision(law, weights, n, k_max):
     """L1 distance to the 40-digit laws, with the mass they put above k_max."""

@@ -1,10 +1,14 @@
 """Stein-equation machinery: solution series, residuals, and the bound constants."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tiebound
 from tiebound.approximants import (
     log_pmf,
     positive_part_distance,
@@ -229,3 +233,13 @@ class TestLogVsNegbin:
             log_vs_negbin_bound(0.5, 1.0, 1.0)
         with pytest.raises(DomainError):
             log_vs_negbin_bound(0.5, 0.5, 0.0)
+
+
+def test_the_negbin_bound_leaves_numpy_unloaded():
+    code = ("import sys\n"
+            "from tiebound.stein import log_vs_negbin_bound\n"
+            "print(log_vs_negbin_bound(0.5, 0.3, 2.0), 'numpy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(tiebound.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.split() == [repr(log_vs_negbin_bound(0.5, 0.3, 2.0)), "False"]

@@ -65,6 +65,12 @@ COMMANDS = [
     # the argmax quantile table of a finitely supported law
     ["simulate", "--kind", "size-biased", "--law", "tabulated", "--weights", "0.2,0.3,0.5",
      "--n", "50"],
+    # exact laws built entry by entry: K* of the closed form, K of a law without one, and a
+    # point whose entries miss their certificate, so that the mixture serves it
+    ["simulate", "--kind", "size-biased", "--p", "0.01", "--n", "10000", "--mc-samples", "2000"],
+    ["simulate", "--law", "tabulated", "--weights", "0.2,0.3,0.5", "--n", "7",
+     "--mc-samples", "2000"],
+    ["simulate", "--p", "0.999", "--n", "1000", "--mc-samples", "2000"],
     ["bound", "thm3", "--law", "gumbel", "--n", "100", "--a", "0.3"],
     ["bound", "thm3", "--law", "uniform", "--b", "1", "--n", "200", "--ell", "3", "--a", "0.05"],
     ["bound", "thm3", "--law", "gumbel", "--n", "1000000", "--a", "0.3"],
