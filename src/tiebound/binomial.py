@@ -22,7 +22,7 @@ _U = _EPS / 2.0
 # rows and trims entries, below it
 _TINY = sys.float_info.min
 _LOG_TINY = math.log(_TINY)
-# terms of each way of a binomial tail summed in plain Python before numpy blocks take over
+# terms of a binomial tail summed in plain Python before numpy blocks take over
 _SHORT_RUN = 128
 
 # _stirlerr(k) for k = 1, ..., 15, where the series below is not yet accurate
@@ -105,48 +105,48 @@ def _log_choose(m: int, k: int) -> float:
 def _log_binom_tail(m: int, k: int, q: float, upper: bool) -> float:
     """log P(Bin(m, q) > k) if ``upper``, else log P(Bin(m, q) <= k).
 
-    Each side is a direct sum over its own terms, never one minus the other.
-    The sum starts at the side's largest term (the mode, or the side's end
-    nearest to it), whose log is :func:`_log_binom_term`, and runs outward
-    both ways by the term ratios, which fall below 1 there.  The first
-    ``_SHORT_RUN`` terms of each way are formed and summed (``math.fsum``) in
-    plain Python, so a short tail never needs numpy; a longer run goes on in
-    numpy blocks of 4096 terms, then of doubling size, until the geometric
-    bound on what is left, last term * rho / (1 - rho) with rho the next
-    ratio, is below eps of the sum.
+    The side that holds the mode floor((m+1) q) is log(-expm1(other side)),
+    never above 0.  The other side is a direct sum over its terms from its
+    end nearest the mode, whose log is :func:`_log_binom_term`, outward by
+    the term ratios, which fall below 1 there.  Its first ``_SHORT_RUN``
+    terms are formed and summed (``math.fsum``) in plain Python, so a short
+    tail never needs numpy; a longer run goes on in numpy blocks of 4096
+    terms, then of doubling size, until the geometric bound on what is left,
+    last term * rho / (1 - rho) with rho the next ratio, is below eps of the
+    sum.
     """
     lo, hi = (k + 1, m) if upper else (0, k)
     if lo > hi or (q <= 0.0 and lo > 0) or (q >= 1.0 and hi < m):
         return -math.inf
     if q <= 0.0 or q >= 1.0:
         return 0.0
-    anchor = min(max(math.floor((m + 1) * q), lo), hi)
+    if lo <= math.floor((m + 1) * q) <= hi:
+        return math.log(-math.expm1(_log_binom_tail(m, k, q, not upper)))
+    anchor, step, end = (lo, 1, hi) if upper else (hi, -1, lo)
     odds, inv_odds = q / (1.0 - q), (1.0 - q) / q
-    total = 1.0  # the sum relative to the anchor term
-    for step, end in ((1, hi), (-1, lo)):
-        i, term, size = anchor, 1.0, _SHORT_RUN
-        while i != end:
-            count = min(size, abs(end - i))
-            if size == _SHORT_RUN:  # the first run, in plain Python; its first term is 1
-                terms = []
-                for idx in range(i, i + step * count, step):
-                    term *= ((m - idx) / (idx + 1.0) * odds if step > 0
-                             else idx / (m - idx + 1.0) * inv_odds)
-                    terms.append(term)
-                total += math.fsum(terms)
-                size = 4096
-            else:
-                idx = i + step * np.arange(count, dtype=float)
-                # the ratio of the term after each index to the term at it
-                ratios = ((m - idx) / (idx + 1.0) * odds if step > 0
-                          else idx / (m - idx + 1.0) * inv_odds)
-                terms = term * np.cumprod(ratios)
-                total += float(terms.sum())
-                term, size = float(terms[-1]), 2 * size
-            i += step * count
-            rho = (m - i) / (i + 1.0) * odds if step > 0 else i / (m - i + 1.0) * inv_odds
-            if term == 0.0 or (rho < 1.0 and term * rho / (1.0 - rho) <= _EPS * total):
-                break
+    total, i, term, size = 1.0, anchor, 1.0, _SHORT_RUN  # the sum relative to the anchor term
+    while i != end:
+        count = min(size, abs(end - i))
+        if size == _SHORT_RUN:  # the first run, in plain Python; its first term is 1
+            terms = []
+            for idx in range(i, i + step * count, step):
+                term *= ((m - idx) / (idx + 1.0) * odds if step > 0
+                         else idx / (m - idx + 1.0) * inv_odds)
+                terms.append(term)
+            total += math.fsum(terms)
+            size = 4096
+        else:
+            idx = i + step * np.arange(count, dtype=float)
+            # the ratio of the term after each index to the term at it
+            ratios = ((m - idx) / (idx + 1.0) * odds if step > 0
+                      else idx / (m - idx + 1.0) * inv_odds)
+            terms = term * np.cumprod(ratios)
+            total += float(terms.sum())
+            term, size = float(terms[-1]), 2 * size
+        i += step * count
+        rho = (m - i) / (i + 1.0) * odds if step > 0 else i / (m - i + 1.0) * inv_odds
+        if term == 0.0 or (rho < 1.0 and term * rho / (1.0 - rho) <= _EPS * total):
+            break
     return _log_binom_term(m, anchor, q) + math.log(total)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .binomial import _gamma
+from .binomial import _U, _gamma
 from .errors import DegenerateParameterError, DomainError, NumericError, positive_tol, real_in
 from .maxima import DEFAULT_TOL, KnSpec, _tie_values, tie_count_factorial_moment
 # not called here: bound because the benchmark's tracer test checks it patches this name
@@ -93,11 +93,11 @@ def log_bound_singleton(spec: KnSpec, tol: float = DEFAULT_TOL) -> BoundReport:
     = E[K] and n(n-1) sum_j p**2 F(j-1)**(n-2) = 2 P(K=2), it is evaluated as
     ``log_bound_from_moments(E[K], P(K=2), alpha)``, and its truncation error
     is the most the bound moves over the box of the certified remainders of
-    P(K=1), P(K=2) and E[K] (0 for finitely supported laws; inf where alpha
-    may leave (0, 1) in it).  For a geometric base law alpha equals the geometric
-    parameter p itself, and where the closed form of ``maxima`` serves the
-    three values the bound is 2 p**2 (2-p) / (1-p) plus a certified error (see
-    :func:`_singleton`).
+    P(K=1), P(K=2) and E[K], truncation and rounding, plus the rounding of the
+    formula (inf where alpha may leave (0, 1) in the box).  For a geometric
+    base law alpha equals the geometric parameter p itself, and where the
+    closed form of ``maxima`` serves the three values the bound is 2 p**2
+    (2-p) / (1-p) plus a certified error (see :func:`_singleton`).
     """
     positive_tol(tol)
     if spec.n == 1:
@@ -117,6 +117,13 @@ def _singleton(lam, pk1, pk2, e1) -> BoundReport:
     - q eps_2), with eps_1 shared by P(K=1) and E[K]: the closed form gives the
     first part, free of the cancellation of E[K] - 2 (1-alpha)/alpha P(K=2), and
     the truncation error bounds the second part and the rounding of the first.
+
+    Otherwise the exact bound lies between its values at two corners of the
+    box of remainders, so the truncation error adds to the most the bound
+    moves there the formula's rounding at the corner, in units u on the
+    magnitudes of L = -2 log1p(-alpha) and E[K] + T, T = 2 (1-alpha)/alpha
+    P(K=2): the corner and alpha leave alpha 4u off, which moves L and T by
+    4u / (alpha (1-alpha)) relatively each, and the other operations add 12u.
     """
     if None not in (pk1.eps, pk2.eps, e1.eps):
         p, q = -math.expm1(-lam), math.exp(-lam)
@@ -143,14 +150,18 @@ def _singleton(lam, pk1, pk2, e1) -> BoundReport:
         # E[K] and falls with P(K=1): the box of remainders moves the bound most up (s = 1)
         # and down (s = -1) at two corners, where alpha stays in (0, 1) if it does at both
         e, p1, p2 = e1 + s * e1_err, pk1 - s * pk1_err, min(1.0, max(0.0, pk2 - s * pk2_err))
-        return s * (log_bound_from_moments(e, p2, 1.0 - p1 / e) - bound)
+        a = 1.0 - p1 / e
+        count = 12.0 + 8.0 / (a * (1.0 - a))
+        rounding = (_gamma(count) if count * _U < 0.5 else math.inf) * -2.0 * math.log1p(-a)
+        return (s * (log_bound_from_moments(e, p2, a) - bound)
+                + rounding * (e + 2.0 * (1.0 - a) / a * p2))
 
     inside = 0.0 < pk1 - pk1_err and pk1 + pk1_err < e1 - e1_err
     return BoundReport(
         bound=bound,
         params={"alpha": alpha},
         moments={"EK": e1, "PK1": pk1},
-        truncation_error=max(moved(1), moved(-1)) if inside else math.inf,
+        truncation_error=max(moved(1), moved(-1)) * (1.0 + _gamma(3)) if inside else math.inf,
         method="thm1a",
     )
 

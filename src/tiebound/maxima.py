@@ -199,7 +199,7 @@ def _block_error(w, lt, m: float, power: int, expo: int, lp, ep, ef, python: boo
             w * np.expm1(power * ep + (expo * ef if expo > 0 else 0.0) + 3.0 * _U)), 0.0).sum())
 
 
-def _sums(law: DiscreteLaw, terms, rounding: bool = False) -> list:
+def _sums(law: DiscreteLaw, terms) -> list:
     """Certified sums_{j>=1} p(j)**power * F(j - 1 or j)**expo, all in one pass.
 
     Each term is ``(power, expo, shifted, log_tol, relative)`` with power >= 1
@@ -220,12 +220,11 @@ def _sums(law: DiscreteLaw, terms, rounding: bool = False) -> list:
     with the largest open remainder if a term has not stopped by
     ``_SERIES_CAP`` terms.
 
-    If ``rounding``, ``rel`` bounds the relative error of the scaled sum
-    s = sum_j exp(log term j - m) under the law model of :func:`_block_errors`:
-    the blocks' errors (:func:`_block_error`), plus gamma(4 blocks + 16) for
-    the sums and the rescaling of s at each new top (the pairwise sum of a
-    numpy block of at most 2**15 terms errs by gamma_15); else it bounds
-    only the latter.
+    ``rel`` bounds the relative error of the scaled sum s = sum_j exp(log
+    term j - m) under the law model of :func:`_block_errors`: the blocks'
+    errors (:func:`_block_error`), plus gamma(4 blocks + 16) for the sums and
+    the rescaling of s at each new top (the pairwise sum of a numpy block of
+    at most 2**15 terms errs by gamma_15).
 
     A short pass, of a law that ``takes_range`` and with
     ``power * law.log_tail(_SHORT) <= log_tol`` for every term, evaluates
@@ -252,7 +251,7 @@ def _sums(law: DiscreteLaw, terms, rounding: bool = False) -> list:
         hi = law.support_max or min(cap, lo + size - 1)
         python = short and hi <= _SHORT
         lp, lf0, lf1 = _block(law, lo, hi, python)
-        errors = _block_errors(law, lp, lf0, lf1) if rounding else ()
+        errors = _block_errors(law, lp, lf0, lf1)
         falls = [-x for x in lp] if python else None  # power log p(j) bounds term j's log
         if python and any(map(operator.gt, falls, falls[1:])):  # take j by decreasing log p
             order = sorted(range(len(lp)), key=falls.__getitem__)
@@ -280,9 +279,8 @@ def _sums(law: DiscreteLaw, terms, rounding: bool = False) -> list:
             if m > -math.inf:
                 w = [math.exp(x - m) for x in lt] if python else np.exp(lt - m)
                 s += math.fsum(w) if python else float(w.sum())
-                if rounding:
-                    e += _block_error(w, lt, m, power, expo, lp, errors[0],
-                                      errors[1] if shifted else errors[2], python)
+                e += _block_error(w, lt, m, power, expo, lp, errors[0],
+                                  errors[1] if shifted else errors[2], python)
             log_sum = m + math.log(s) if s > 0.0 else -math.inf
             log_rem = power * log_tail
             run[:3] = m, s, e
@@ -302,10 +300,9 @@ class _TieValue(NamedTuple):
     """A tie-count value and a certified bound on its distance from the exact value.
 
     ``eps`` is the bound on |eps_k| when ``value`` is the closed form's main
-    term, p**k / (k lambda) or (k-1)! (p/q)**k / lambda, else None.  A
-    closed-form value's ``remainder`` covers its rounding; a series value's
-    covers it only where the caller of :func:`_tie_values` gave a share, and
-    the bounds, which give none, do not count it yet.
+    term, p**k / (k lambda) or (k-1)! (p/q)**k / lambda, else None.
+    ``remainder`` bounds |value - exact| with both the truncation and the
+    rounding counted, for a closed-form value and a series value alike.
     """
 
     value: float
@@ -384,11 +381,12 @@ def _tie_values(spec: KnSpec, pmfs, moments, tol: float, share=None) -> list:
 
     ``share(order)``, if given, is the tolerance of that order's series, and
     a closed-form value's Fourier part must meet it too: the series can beat
-    the closed form on that part only, not on its rounding.  With a share a
-    series value's remainder also covers its rounding: that of its log sum
-    (:func:`_sums`), of log C(n, k) or log (n)_ell (Loader's parts, each
-    formed in at most 3 roundings, add up to at most |log| + log 2n + 1), of
-    the log of the scaled sum and the additions, and of the last exp."""
+    the closed form on that part only, not on its rounding.  A series value's
+    remainder, which may exceed the tolerance, adds to its truncation the
+    rounding of its log sum (:func:`_sums`), of log C(n, k) or log (n)_ell
+    (Loader's parts, each formed in at most 3 roundings, add up to at most
+    |log| + log 2n + 1), of the log of the scaled sum and the additions, and
+    of the last exp, and tiny for an exp below the normal doubles."""
     n, lam = spec.n, spec.law.lattice_rate
     share_of = share or (lambda order: tol)
     wanted = [(k, False) for k in pmfs] + [(ell, True) for ell in moments]
@@ -402,10 +400,9 @@ def _tie_values(spec: KnSpec, pmfs, moments, tol: float, share=None) -> list:
         terms = [(order, n - order, not moment,
                   math.log(share_of(order)) - (0.0 if moment else log), moment)
                  for (_, order, moment), log in zip(rest, logs)]
-        series = _sums(spec.law, terms, share is not None)
-        for (i, _, _), log, (log_sum, log_rem, rel) in zip(rest, logs, series):
-            value, remainder = math.exp(log + log_sum), math.exp(log + log_rem)
-            if share is not None and value > 0.0:  # the log sum's rounding, then the rest
+        for (i, _, _), log, (log_sum, log_rem, rel) in zip(rest, logs, _sums(spec.law, terms)):
+            value, remainder = math.exp(log + log_sum), math.exp(log + log_rem) + _TINY
+            if value > 0.0:  # the log sum's rounding, then the rest
                 log_err = -math.log1p(-rel) if rel < 1.0 else math.inf
                 remainder += value * math.expm1(log_err + _gamma(2) * (16.0 - log_sum)
                                                 + _gamma(9) * (log + math.log(2 * n) + 1.0))

@@ -201,19 +201,6 @@ def uniform_gap_moment(n: int, ell: int, a: float, b: float, j: int) -> float:
     return a * a * n * (n - 1) / (b * b * (n - ell) * (n - ell - 1))
 
 
-def _binom_side(m: int, k: int, q: float, upper: bool) -> float:
-    """P(Bin(m, q) > k) if ``upper``, else P(Bin(m, q) <= k).
-
-    The side that holds the mode floor((m+1) q) is one minus the other side,
-    whose sum (:func:`_log_binom_tail`) runs one way from its end and is
-    short wherever the mode's side is near 1; summed directly, the mode's
-    side would run both ways and carry the rounding of every term.
-    """
-    if (math.floor((m + 1) * q) > k) == upper:
-        return -math.expm1(_log_binom_tail(m, k, q, not upper))
-    return math.exp(_log_binom_tail(m, k, q, upper))
-
-
 def uniform_gap_moment_exact(n: int, ell: int, a: float, b: float, j: int) -> float:
     """Exact E[r_a**j] for the uniform law on (0, b), as two binomial tails.
 
@@ -226,8 +213,8 @@ def uniform_gap_moment_exact(n: int, ell: int, a: float, b: float, j: int) -> fl
     The first term is P(U <= u) = I_u(n-ell+1, ell); the second follows from
     n C(n-1, ell-1) B(n-ell+1, ell) = 1 applied at n and at n - j, which
     turns u**j E[U**-j; U > u] into the idealized moment times the tail.
-    Each tail is a sum over the terms of the side without the mode
-    (:func:`_binom_side`).  For a >= b the ratio saturates everywhere and
+    Each tail comes from :func:`_log_binom_tail`, a sum over the terms of the
+    side without the mode.  For a >= b the ratio saturates everywhere and
     the moment is exactly 1.  Requires n - ell >= j so the second tail is
     defined.
     """
@@ -239,8 +226,8 @@ def uniform_gap_moment_exact(n: int, ell: int, a: float, b: float, j: int) -> fl
         raise DomainError(f"need n - ell >= {j} for the exact moment form")
     u = a / b
     # in terms of Bin(., u): P(Bin(n, u) > n-ell) and P(Bin(n-j, u) <= n-j-ell)
-    head = _binom_side(n, n - ell, u, upper=True)
-    tail = _binom_side(n - j, n - j - ell, u, upper=False)
+    head = math.exp(_log_binom_tail(n, n - ell, u, upper=True))
+    tail = math.exp(_log_binom_tail(n - j, n - j - ell, u, upper=False))
     return head + uniform_gap_moment(n, ell, a, b, j) * tail
 
 

@@ -667,6 +667,13 @@ class TestBinomialTails:
                     # cannot be closer than its own rounding
                     assert abs(got - log_exact) <= 1e-14 * max(1.0, abs(log_exact)), (k, upper)
 
+    @pytest.mark.parametrize("k", [5 * 10**8, 10**9 - 1])
+    def test_the_side_holding_the_mode_is_a_log_probability(self, k):
+        # P(Bin(1e9, 0.3) <= k) holds the mode 3e8 and is 1 less a tail below e**-1e7, so
+        # its log is 0; a direct sum from the mode would round above 0
+        assert _log_binom_tail(10**9, k, 0.3, True) < -1e7
+        assert _log_binom_tail(10**9, k, 0.3, False) == 0.0
+
     def test_degenerate_chances(self):
         assert _log_binom_tail(5, 2, 0.0, False) == 0.0
         assert _log_binom_tail(5, 2, 0.0, True) == -math.inf
@@ -677,9 +684,9 @@ class TestBinomialTails:
     @pytest.mark.parametrize("m", (5, 127, 129, 300, 5000, 10**5))
     @pytest.mark.parametrize("q", (1e-3, 0.01, 0.3, 0.5, 0.9))
     def test_python_run_matches_numpy_blocks(self, m, q, monkeypatch):
-        # the first _SHORT_RUN terms of each way are summed in plain Python; with a run
-        # of one term the same tails come from numpy blocks alone.  The grid holds short
-        # runs and runs past the Python budget (the mode's side at m = 5000 and 1e5)
+        # the first _SHORT_RUN terms of a tail are summed in plain Python; with a run of
+        # one term the same tails come from numpy blocks alone.  The grid holds short
+        # runs and runs past the Python budget (the sides next to the mode at m = 5000 and 1e5)
         mode = math.floor((m + 1) * q)
         ks = {k for k in (0, mode - 300, mode - 140, mode - 5, mode, mode + 5, mode + 140,
                           mode + 300, m - 1) if 0 <= k < m}

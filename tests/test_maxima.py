@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from tiebound import maxima
 from tiebound.approximants import log_pmf, negbin_pmf, poisson_pmf
 from tiebound.binomial import _U
 from tiebound.bounds_discrete import log_bound_singleton
@@ -22,6 +23,7 @@ from tiebound.bounds_continuous import (
     gumbel_max_bound,
     uniform_gap_moment_exact,
 )
+from tiebound.cli import VERIFY_NS, VERIFY_PS
 from tiebound.distributions import DiscreteLaw, geometric_law, gumbel_law, tabulated_law
 from tiebound.errors import DomainError, TruncationError
 from tiebound.maxima import (
@@ -337,8 +339,6 @@ def test_one_pass_equals_one_series_at_a_time(law, n):
     assert _short(law, terms) == (law.takes_range and law.descriptor["p"] > 0.5)
     assert [r[:2] for r in _sums(law, terms)] == [_one_series(law, *term, _short(law, terms))
                                                   for term in terms]
-    # bounding the rounding leaves the sums as they are
-    assert [r[:2] for r in _sums(law, terms, rounding=True)] == [r[:2] for r in _sums(law, terms)]
     for term in terms:
         assert [r[:2] for r in _sums(law, [term])] == [_one_series(law, *term,
                                                                    _short(law, [term]))]
@@ -382,7 +382,9 @@ def test_a_law_written_for_arrays_is_given_arrays(p, n):
     """A law built outside the package, whose pmf and logcdf take arrays by plain
     arithmetic (a ``range`` would break them), is given numpy blocks in short and
     long passes alike: its tie-count values are the geometric law's, which its
-    first blocks sum in Python at (0.3, 10) and (0.5, 3)."""
+    first blocks sum in Python at (0.3, 10) and (0.5, 3), and its series stop
+    where the geometric law's do, with the same log remainders to the last bit.
+    (The values' remainders also hold each block kind's rounding bound.)"""
     q = 1.0 - p
     law = DiscreteLaw(pmf=lambda j: p * q ** (j - 1), logcdf=lambda j: np.log1p(-q ** j),
                       log_tail=geometric_law(p).log_tail)
@@ -390,7 +392,9 @@ def test_a_law_written_for_arrays_is_given_arrays(p, n):
     for ours, theirs in zip(_tie_values(KnSpec(law, n), (1, 2), (1, 2, 3), 1e-12),
                             _tie_values(KnSpec(geometric, n), (1, 2), (1, 2, 3), 1e-12)):
         assert ours.value == pytest.approx(theirs.value, rel=1e-12, abs=0)
-        assert ours.remainder == theirs.remainder
+    terms = [(k, n - k, True, math.log(1e-12), False) for k in (1, 2)] + [
+        (r, n - r, False, math.log(1e-12), True) for r in (1, 2, 3)]
+    assert [r[1] for r in _sums(law, terms)] == [r[1] for r in _sums(geometric, terms)]
 
 
 def _exact_sum(law, power, expo, shifted):
@@ -400,7 +404,7 @@ def _exact_sum(law, power, expo, shifted):
     expo x <= 1/2 on, the binomial series of (1 - x)**expo, whose i-th term is
     at most 2**-i / i!, sums the tail in closed form, to i = 80."""
     with mp.workdps(40):
-        if law.lattice_rate is None:
+        if law.descriptor["kind"] == "tabulated":
             w = [mp.mpf(x) for x in law.descriptor["weights"]]
             return mp.fsum(w[j - 1]**power * mp.fsum(w[:j - shifted])**expo
                            for j in range(1, len(w) + 1))
@@ -428,9 +432,9 @@ def test_each_series_is_within_its_remainder_of_40_digit_values(law, n):
     geometric laws; the tabulated law's F(2) = 1/2 is taken to err by about
     1e-15, which its shifted terms raise to the power n - 2."""
     terms = _four_terms(n)
-    for term, together in zip(terms, _sums(law, terms, rounding=True)):
+    for term, together in zip(terms, _sums(law, terms)):
         exact = mp.log(_exact_sum(law, *term[:3]))
-        for log_sum, log_rem, rel in (together, *_sums(law, [term], rounding=True)):
+        for log_sum, log_rem, rel in (together, *_sums(law, [term])):
             slack = 4 * _U * max(1.0, abs(log_sum))
             rounding = -math.log1p(-rel) + 2.0 * _U * (16.0 - log_sum)
             assert rounding <= (1e-12 if law.lattice_rate else max(1e-12, 2e-15 * n))
@@ -455,52 +459,98 @@ MOVED_OUTPUTS = {
 }
 
 
-def _exact_tie_value(p, n, order, moment):
-    """P(K = order), or E[(K)_order] if ``moment``, of a geometric law at 40 digits,
-    with the log of its factor C(n, order) or (n)_order."""
+def _exact_tie_value(law, n, order, moment):
+    """P(K = order), or E[(K)_order] if ``moment``, of a law of ``SERIES_LAWS``'
+    kinds at 40 digits."""
     with mp.workdps(40):
         factor = mp.ff(n, order) if moment else mp.binomial(n, order)
-        value = factor * _exact_sum(geometric_law(p), order, n - order, not moment)
-        return value, float(mp.log(factor))
+        return factor * _exact_sum(law, order, n - order, not moment)
 
 
 @pytest.mark.parametrize("command", MOVED_OUTPUTS)
 def test_tie_values_behind_moved_outputs_are_within_their_remainders_of_40_digit_values(
         command):
-    """Each value lies within its remainder, plus 4 units in the last place of
-    the two logs it is formed from (its factor's and its series'), of the
+    """Each value lies within its remainder, which counts its rounding, of the
     exact one: in closed form (fig1 up to p = 0.16) or from a short pass."""
     for p, n, (pmfs, moments) in MOVED_OUTPUTS[command]:
         values = _tie_values(KnSpec(geometric_law(p), n), pmfs, moments, 1e-12)
         wanted = [(k, False) for k in pmfs] + [(r, True) for r in moments]
         for (order, moment), value in zip(wanted, values):
-            exact, log_factor = _exact_tie_value(p, n, order, moment)
-            logs = abs(log_factor) + abs(math.log(value.value) - log_factor)
-            slack = 4 * _U * value.value * max(1.0, logs)
+            exact = _exact_tie_value(geometric_law(p), n, order, moment)
             with mp.workdps(40):
-                assert abs(value.value - exact) <= value.remainder + slack, (p, n, order, moment)
+                assert abs(value.value - exact) <= value.remainder, (p, n, order, moment)
 
 
-FIG1_FOUND = (
-    "FOUND: thm1a's series-path truncation_error leaves out rounding: on figure fig1's "
-    "grid (n = 20) it reads 0.0 at 8 of the 17 series points (p = 0.2, 0.22, 0.3, 0.32, "
-    "0.34, 0.36, 0.48, 0.5) and 1.3e-15 at p = 0.46, where the bound is up to 4.1e-15 "
-    "off its 40-digit value (ROADMAP item 4)")
-
-
-@pytest.mark.xfail(strict=True, reason=FIG1_FOUND)
-def test_fig1_thm1a_bounds_are_within_their_truncation_error_of_40_digit_values():
-    misses = []
-    for p in FIG1_PS:
-        (pk1, _), (pk2, _), (e1, _) = (_exact_tie_value(p, 20, order, moment)
-                                       for order, moment in ((1, False), (2, False), (1, True)))
-        report = log_bound_singleton(KnSpec(geometric_law(p), 20), 1e-12)
+@pytest.mark.parametrize("law", [dataclasses.replace(geometric_law(p), lattice_rate=None)
+                                 for p in (0.05, 0.3, 0.9)] + [tabulated_law([0.2, 0.3, 0.5])],
+                         ids=["series-0.05", "series-0.3", "series-0.9", "tabulated"])
+@pytest.mark.parametrize("n", [3, 7, 50, 10**4])
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+def test_a_bounds_tie_values_are_within_their_remainders_of_40_digit_values(law, n, tol):
+    """The values a bound reads, from a call that gives no share, each lie within
+    their remainder of the exact value, which counts their rounding as well as
+    their truncation: in short passes and numpy ones, at any tolerance."""
+    values = _tie_values(KnSpec(law, n), (1, 2), (1, 2, 3), tol)
+    for (order, moment), value in zip([(1, False), (2, False), (1, True), (2, True), (3, True)],
+                                      values):
+        exact = _exact_tie_value(law, n, order, moment)
         with mp.workdps(40):
-            alpha = 1 - pk1 / e1
-            exact = -2 * mp.log1p(-alpha) * (e1 - 2 * (1 - alpha) / alpha * pk2)
-            if abs(report.bound - exact) > report.truncation_error:
-                misses.append(p)
+            assert abs(value.value - exact) <= value.remainder, (order, moment)
+
+
+def _thm1a_exact(law, n):
+    """thm1a's bound at 40 digits, from P(K=1), P(K=2) and E[K] at 40 digits."""
+    pk1, pk2, e1 = (_exact_tie_value(law, n, order, moment)
+                    for order, moment in ((1, False), (2, False), (1, True)))
+    with mp.workdps(40):
+        alpha = 1 - pk1 / e1
+        return -2 * mp.log1p(-alpha) * (e1 - 2 * (1 - alpha) / alpha * pk2)
+
+
+def _thm1a_series(law, n) -> bool:
+    """Whether thm1a's report at (law, n) takes the series branch of its certificate:
+    one of its three values is not a closed-form main term."""
+    return None in [value.eps for value in _tie_values(KnSpec(law, n), (1, 2), (1,), 1e-12)]
+
+
+# thm1a's points that take the series branch: on figure fig1's grid (n = 20), on verify's,
+# a series past the short budget, summed in numpy blocks, a tabulated law, and points
+# with alpha within 1e-6 and 2e-12 of 1, where the formula's own rounding is most of the
+# error; with the number of series points and a cap on the truncation error of each
+SERIES_0_05 = dataclasses.replace(geometric_law(0.05), lattice_rate=None)
+THM1A_POINTS = {
+    "fig1": ([(geometric_law(p), 20) for p in FIG1_PS], 17, 1e-11),
+    "verify": ([(geometric_law(p), n) for p in VERIFY_PS for n in VERIFY_NS], 18, 1e-11),
+    "numpy": ([(SERIES_0_05, 10)], 1, 1e-11),
+    "tabulated": ([(tabulated_law([0.2, 0.3, 0.5]), 7)], 1, 1e-11),
+    "alpha-near-1": ([(tabulated_law([0.001, 0.999]), 3), (tabulated_law([0.2, 0.3, 0.5]), 40)],
+                     2, 1.0),
+}
+
+
+@pytest.mark.parametrize("grid", THM1A_POINTS)
+def test_thm1a_bounds_are_within_their_truncation_error_of_40_digit_values(grid):
+    points, count, cap = THM1A_POINTS[grid]
+    points = [(law, n) for law, n in points if _thm1a_series(law, n)]
+    assert len(points) == count
+    misses = []
+    for law, n in points:
+        report = log_bound_singleton(KnSpec(law, n), 1e-12)
+        assert report.truncation_error < cap
+        with mp.workdps(40):
+            if abs(report.bound - _thm1a_exact(law, n)) > report.truncation_error:
+                misses.append((law.descriptor, n))
     assert misses == []
+
+
+def test_thm1a_at_a_series_point_past_the_short_budget_sums_numpy_blocks(monkeypatch):
+    """The series of the geometric law 0.05 at n = 10 run past 192 terms, so
+    their pass is summed in numpy blocks only."""
+    kinds = []
+    monkeypatch.setattr(maxima, "_block", lambda law, lo, hi, python=False, block=maxima._block:
+                        kinds.append(python) or block(law, lo, hi, python))
+    log_bound_singleton(KnSpec(SERIES_0_05, 10), 1e-12)
+    assert kinds and not any(kinds)
 
 
 TAIL_LAWS = {

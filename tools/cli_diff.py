@@ -50,6 +50,9 @@ COMMANDS = [
     ["bound", "thm2", "--p", "0.3", "--n", "10"],
     # thm1a's series certificate at a coarse tolerance, and the bound across p at n = 50
     ["bound", "thm1a", "--p", "0.38", "--n", "20", "--tol", "1e-6"],
+    # thm1a's series certificate at a fig1 series point, and at a point of the closed form
+    ["bound", "thm1a", "--p", "0.2", "--n", "20"],
+    ["bound", "thm1a", "--p", "0.05", "--n", "10"],
     ["figure", "fig1", "--n", "50"],
     ["simulate", "--p", "0.01", "--n", "10000"],
     # histograms of a geometric law drawn without numpy, at two sizes, and a closed-form
