@@ -2,14 +2,15 @@
 
 The modules that a command without arrays runs (``distributions``,
 ``maxima``, ``binomial``, ``bounds_continuous``, ``montecarlo`` and
-``stein``; ``cli`` and ``approximants`` need no numpy) read it through
-``np`` here, so that a command that never builds an array, such as ``bound
-thm2`` on a geometric law in the closed-form region, ``table1`` and
+``stein``; ``cli``, ``approximants`` and ``moments`` need no numpy) read it
+through ``np`` here, so that a command that never builds an array, such as
+``bound thm2`` on a geometric law in the closed-form region, ``table1`` and
 ``figure fig1`` at its default n, whose tie-count series are short enough
 to sum in plain Python, ``bound thm3`` on the Gumbel law, whose moments
-have a closed form, or ``simulate`` of a geometric law's tie count whose
-exact law certifies from entries in closed form or from short series, such
-as ``simulate --p 0.01 --n 10000`` at any ``--mc-samples`` or ``simulate
+have a closed form, ``verify``, whose near-order laws have closed forms
+too, or ``simulate`` of a geometric law's tie count whose exact law
+certifies from entries in closed form or from short series, such as
+``simulate --p 0.01 --n 10000`` at any ``--mc-samples`` or ``simulate
 --p 0.3 --n 50``, whose histogram is drawn from ``random.Random``, never
 imports numpy, about 90 ms of a fresh process.
 The first attribute read imports numpy, and each name read is kept on the

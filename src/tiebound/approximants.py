@@ -5,7 +5,8 @@ finite probability vector (a tuple of floats) together with a certified
 upper bound on the mass it omits.  Total variation between two truncated
 pmfs then has a rigorous upper bound next to its point estimate, so "bound
 dominates distance" checks remain meaningful despite truncation.  Every target's tail certificate
-comes from one ratio rule (``_truncate_by_ratio``).
+comes from one ratio rule (``_truncate_by_ratio``), and counts the rounding
+of the entries it holds too.
 
 All pmfs are evaluated in log space (via log-gamma) and exponentiated, so
 they stay finite for very large arguments and parameters.  The module needs
@@ -18,6 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from .binomial import _U, _gamma
 from .errors import DomainError, TruncationError, integer_in, positive_tol, real_in
 
 __all__ = [
@@ -53,13 +55,14 @@ class TruncatedPMF:
     ``maxima.size_biased_tie_law`` include it: each entry comes with a
     certified remainder, rounding included, which bounds both its own error
     and, through 1 - sum(entries) + sum(remainders), the omitted mass, and
-    the binomial mixture they fall back to counts its own rounding.  The
-    target laws built by
-    ``truncate_law`` (``truncated_log``, ``truncated_poisson``,
-    ``truncated_negbin``, ``truncated_geometric``) do not: the entries of
-    ``truncated_poisson(20.0, 1e-13)`` are 4.3e-15 (L1) off their exact
-    values.  ``near_order_count_pmf`` adds a quadrature error estimate,
-    which is not a certificate.  Rounding in every bound is ROADMAP item 4.
+    the binomial mixture they fall back to counts its own rounding.  So do
+    the near-order laws in closed form of the Gumbel and uniform laws, and
+    the target laws (``truncated_log``, ``truncated_poisson``,
+    ``truncated_negbin``, ``truncated_geometric``; see
+    :func:`_truncate_by_ratio`), whose Poisson and negative binomial entries
+    take ``math.lgamma`` to err no more than :func:`_lgamma_error`'s model.  A plain ``truncate_law`` does not, and
+    ``near_order_count_pmf`` by quadrature adds an error estimate, which is
+    not a certificate.
     """
 
     k_min: int
@@ -155,45 +158,124 @@ def truncate_law(pmf: Callable[[int], float],
 
 
 def _truncate_by_ratio(pmf: Callable[[int], float], rho: Callable[[int], float],
-                       tol: float, k_min: int) -> TruncatedPMF:
-    """``truncate_law`` with the tail certificate of a ratio bound.
+                       tol: float, k_min: int, rel: Callable[[int], float]) -> TruncatedPMF:
+    """``truncate_law`` with the tail certificate of a ratio bound, plus the
+    rounding of the entries held.
 
     The one obligation on ``rho``: ``rho(k)`` bounds every ratio
     P(j+1) / P(j) with j > k.  Then P(k+1+i) <= P(k+1) rho(k)**i, so the mass
-    above k is at most ``tail_after(k) = P(k+1) / (1 - rho(k))``, and no
-    bound is available while ``rho(k) >= 1``.  The P(k+1) of a certificate is
-    the entry ``truncate_law`` takes next, so each entry is evaluated once.
+    above k is at most P(k+1) / (1 - rho(k)), and no bound is available
+    while ``rho(k) >= 1``.  The P(k+1) of a certificate is the entry
+    ``truncate_law`` takes next, so each entry and its ``rel`` are evaluated
+    once.  ``rel(k)`` bounds the relative error of ``pmf(k)`` as computed, so the
+    exact P(k+1) is at most the entry times 1 + rel(k+1), and ``tail_after(k)``
+    adds the errors of the entries up to k, rel(j) times entry j, to the
+    mass above k: the result bounds the omitted mass plus the L1 error of
+    the entries held.  A rounding of ``rho`` and of these sums is counted
+    as gamma(3) and gamma(k - k_min + 3).  Where the entries' errors alone
+    exceed ``tol``, the certificate cannot meet it, and
+    :class:`TruncationError` is raised at once.
     """
-    ahead = {}  # the entry the last certificate evaluated
+    ahead, held = {}, [0.0]  # the entry the last certificate evaluated, and rel; their errors
+
+    def entry(k):
+        value, error = ahead.pop(k) if k in ahead else (pmf(k), rel(k))
+        held[0] += value * error
+        return value
 
     def tail_after(k):
-        ratio = rho(k)
+        errors = held[0] * (1.0 + _gamma(k - k_min + 3))
+        if errors > tol:
+            raise TruncationError(f"the entries' rounding, {errors!r}, exceeds {tol!r}",
+                                  best_bound=errors)
+        ratio = rho(k) * (1.0 + _gamma(3))
         if not ratio < 1.0:
             return math.inf
-        ahead[k + 1] = pmf(k + 1)
-        return ahead[k + 1] / (1.0 - ratio)
+        value, error = ahead[k + 1] = pmf(k + 1), rel(k + 1)
+        return (value * (1.0 + error) / (1.0 - ratio) + errors) * (1.0 + _gamma(3))
 
-    return truncate_law(lambda k: ahead.pop(k) if k in ahead else pmf(k), tail_after, tol,
-                        k_min=k_min)
+    return truncate_law(entry, tail_after, tol, k_min=k_min)
+
+
+def _exp_rounding(exponent_error: float) -> float:
+    """A bound on the relative error of an entry exp(E) whose exponent E errs by
+    at most ``exponent_error``: that error, exp's own 2 ulp, and one unit u
+    for this bound's own rounding."""
+    return math.expm1(exponent_error + 5.0 * _U)
+
+
+def _lgamma_error(x: float, value: float) -> float:
+    """A bound on the error of ``math.lgamma(x) = value`` for x > 0: 4u times
+    (|value| + x + 8).  This is an error model, not a proof: against
+    40-digit values it holds with a factor of at least 1.7 to spare on a grid
+    over x from 1e-300 to 1e300, integers and halves among them, and the
+    tests check it on the platform at hand; lgamma(1) = lgamma(2) = 0 are
+    exact."""
+    return 4.0 * _U * (abs(value) + x + 8.0)
 
 
 def truncated_log(alpha: float, tol: float) -> TruncatedPMF:
-    """Logarithmic law as a TruncatedPMF with certified tail <= tol."""
+    """Logarithmic law as a TruncatedPMF with certified tail <= tol.
+
+    Entry k is exp(k log alpha - log k - log norm), norm = -log1p(-alpha),
+    with log and log1p taken to err by at most 2 ulp: k log alpha errs by
+    5u k |log alpha|, log k by 4u log k, log norm by 4u |log norm| + 5u, and
+    the two subtractions by u times the sum of these magnitudes each.
+    """
+    la, ln = math.log(alpha), math.log(-math.log1p(-alpha))
+
+    def rel(k):
+        return _exp_rounding(_U * (7.0 * k * abs(la) + 6.0 * math.log(k) + 6.0 * abs(ln) + 5.0))
+
     # the ratios alpha j / (j+1) rise to alpha
-    return _truncate_by_ratio(lambda k: log_pmf(alpha, k), lambda k: alpha, tol, k_min=1)
+    return _truncate_by_ratio(lambda k: log_pmf(alpha, k), lambda k: alpha, tol, 1, rel)
 
 
 def truncated_poisson(lam: float, tol: float) -> TruncatedPMF:
-    """Poisson law as a TruncatedPMF with certified tail <= tol."""
+    """Poisson law as a TruncatedPMF with certified tail <= tol.
+
+    Entry k >= 1 is exp(k log lam - lam - lgamma(k+1)): k log lam errs by
+    5u k |log lam|, lgamma by :func:`_lgamma_error`, and the two
+    subtractions by u times the sum of the magnitudes each; exp(-lam) errs
+    by exp's 2 ulp alone.
+    """
+    ll = math.log(lam)
+
+    def rel(k):
+        g = math.lgamma(k + 1)
+        return _exp_rounding(_U * (7.0 * k * abs(ll) + 2.0 * lam + 2.0 * g)
+                             + _lgamma_error(k + 1, g) if k else 0.0)
+
     # the ratios lam / (j+1) fall, so the first one past k bounds the rest
-    return _truncate_by_ratio(lambda k: poisson_pmf(lam, k), lambda k: lam / (k + 2), tol, k_min=0)
+    return _truncate_by_ratio(lambda k: poisson_pmf(lam, k), lambda k: lam / (k + 2), tol, 0, rel)
 
 
 def truncated_negbin(ell: float, beta: float, tol: float) -> TruncatedPMF:
-    """Negative binomial law as a TruncatedPMF with certified tail <= tol."""
+    """Negative binomial law as a TruncatedPMF with certified tail <= tol.
+
+    At ell = 1 entry k is (1 - beta) beta**k, within gamma(6).  Otherwise it is
+    exp(lgamma(ell+k) - lgamma(ell) - lgamma(k+1) + ell log1p(-beta) + k
+    log beta): each lgamma errs by :func:`_lgamma_error`, ell + k is rounded
+    once, which moves its lgamma by at most u (1 + x (|log x| + 1)) at
+    x = ell + k, the two products by 5u of their magnitudes, and the four
+    additions by u times the sum of the magnitudes each.
+    """
+    l1, lb = math.log1p(-beta), math.log(beta)
+
+    def rel(k):
+        if ell == 1.0:
+            return _gamma(6)
+        x = ell + k
+        ga, gb, gc = math.lgamma(x), math.lgamma(ell), math.lgamma(k + 1)
+        size = abs(ga) + abs(gb) + gc + ell * abs(l1) + k * abs(lb)
+        return _exp_rounding(_lgamma_error(x, ga) + _lgamma_error(ell, gb)
+                             + _lgamma_error(k + 1, gc) + _U * (
+                                 1.0 + x * (abs(math.log(x)) + 1.0) + 4.0 * size
+                                 + 5.0 * (ell * abs(l1) + k * abs(lb))))
+
     # the ratios beta (ell+j) / (j+1) fall to beta for ell >= 1 and rise to it for ell < 1
     return _truncate_by_ratio(lambda k: negbin_pmf(ell, beta, k),
-                              lambda k: beta * max(1.0, (ell + k + 1) / (k + 2)), tol, k_min=0)
+                              lambda k: beta * max(1.0, (ell + k + 1) / (k + 2)), tol, 0, rel)
 
 
 def truncated_geometric(beta: float, tol: float) -> TruncatedPMF:

@@ -23,7 +23,10 @@ the quantiles of V that place the panel edges are roots of that tail
 The Gumbel and uniform laws give the thm3 bound its mixing moments in
 closed form instead (``ContinuousLaw.gap_moments``, from ``moments``, whose
 public forms this module re-exports), so the bound integrates nothing and
-needs no numpy.
+needs no numpy; and they give the near-order law in closed form too
+(``ContinuousLaw.near_order_law``: the uniform law at every rank, the
+Gumbel law at the maximum), with a certified ``tail_mass_bound`` where the
+quadrature's is in part an estimate.
 """
 
 from __future__ import annotations
@@ -474,7 +477,21 @@ def gumbel_max_bound(n: int, a: float) -> float:
 
 
 def near_order_count_pmf(spec: NearOrderSpec, tol: float = 1e-10) -> TruncatedPMF:
-    """Exact law of the near-order count, as a binomial mixture by quadrature.
+    """Exact law of the near-order count: the law's closed form where it has
+    one (``ContinuousLaw.near_order_law``), else the binomial mixture by
+    quadrature (:func:`_mixture_pmf`).
+
+    The closed form's ``tail_mass_bound`` is certified: it bounds the mass
+    outside the entries held plus their rounding.  The quadrature's is in
+    part an estimate.
+    """
+    positive_tol(tol)
+    law = spec.law.near_order_law and spec.law.near_order_law(spec.n, spec.ell, spec.a, tol)
+    return law or _mixture_pmf(spec, tol)
+
+
+def _mixture_pmf(spec: NearOrderSpec, tol: float) -> TruncatedPMF:
+    """The law of the near-order count as a binomial mixture by quadrature.
 
     P(count = k) = integral of Bin(n - ell, r_a(v)).pmf(k) against the
     density of V, from one pass over a vector of pmf rows.  The rows span
@@ -496,7 +513,6 @@ def near_order_count_pmf(spec: NearOrderSpec, tol: float = 1e-10) -> TruncatedPM
     error vector.  Like every QUADPACK-style error estimate it is not a
     certificate.
     """
-    positive_tol(tol)
     m, union = spec.n - spec.ell, []
 
     def rows(r, log_density):

@@ -19,7 +19,8 @@ failure (truncation/integration), 4 verification failure.  The default seed
 comes from the TIEBOUND_SEED environment variable when set.
 
 Commands that need no array never import numpy: ``--help``, usage errors,
-``figure fig2``, ``table1``, ``figure fig1`` at its default n = 20,
+``figure fig2``, ``table1``, ``verify``, whose continuous rows take the
+near-order laws in closed form, ``figure fig1`` at its default n = 20,
 ``bound thm1a|thm1b|thm2`` on a geometric law wherever the closed form of
 its tie-count values certifies the tolerance or their series is short
 enough to sum in plain Python (see ``maxima``), ``bound thm3`` on the
@@ -276,21 +277,24 @@ def _verify_rows(tol, seed, mc_samples, inject_fault):
 
     targets = {"thm1a": approximants.truncated_log, "thm1b": approximants.truncated_log,
                "thm2": approximants.truncated_poisson}
+    # a target's certificate counts its entries' rounding, up to about 1e-14 here, so
+    # its tolerance stops at 1e-13
+    target_tol = max(tol / 10, 1e-13)
     for p in VERIFY_PS:
         for n in VERIFY_NS:
             spec = KnSpec(law=law_from_descriptor({"kind": "geometric", "p": p}), n=n)
             exact = tie_count_law(spec, tol)
             for report in bounds_discrete._reports(spec, tol):
-                target = targets[report.method](*report.params.values(), tol / 10)
+                target = targets[report.method](*report.params.values(), target_tol)
                 yield row(f"discrete {report.method} p={p} n={n}", report.bound,
                           approximants.tv_distance(exact, target).hi)
 
     # the negative binomial carries an atom at zero that the logarithmic law
     # cannot match, so the valid comparison is the positive-part discrepancy
     for alpha in (0.2, 0.5, 0.8):
-        ref = approximants.truncated_log(alpha, tol / 10)
+        ref = approximants.truncated_log(alpha, target_tol)
         for ell in (0.5, 1.0, 2.0):
-            target = approximants.truncated_negbin(ell, alpha, tol / 10)
+            target = approximants.truncated_negbin(ell, alpha, target_tol)
             yield row(f"log-vs-negbin alpha={alpha} ell={ell}",
                       stein.log_vs_negbin_bound(alpha, alpha, ell),
                       approximants.positive_part_distance(target, ref).hi, "positive_part_hi")

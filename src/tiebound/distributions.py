@@ -8,8 +8,8 @@ which the series over j certify their truncation remainders.  A
 continuous law has ``logcdf`` on all of R (-inf below the support and 0
 above it), which keeps expressions such as ``logcdf(x - a)`` well defined
 at and below the support edge, its inverse ``logquantile`` and, for the
-Gumbel and uniform laws, its gap-ratio moments in closed form
-(``gap_moments``).
+Gumbel and uniform laws, its gap-ratio moments and its near-order laws in
+closed form (``gap_moments``, ``near_order_law``).
 
 All laws are immutable after construction and safe for concurrent reads.
 """
@@ -97,6 +97,14 @@ class ContinuousLaw:
             :func:`uniform_law` set it, and the thm3 bound then needs no
             quadrature and no numpy; without it the bound integrates the
             moments from ``logcdf`` and ``logquantile``.
+        near_order_law: (n, ell, a, tol) -> the law of the count within a
+            below the ell-th largest of n observations, as a ``TruncatedPMF``
+            in closed form whose ``tail_mass_bound`` is certified within
+            ``tol``, or None where the form does not apply or its certificate
+            misses ``tol``.  :func:`gumbel_law` (at the maximum) and
+            :func:`uniform_law` (at every rank) set it, and
+            ``near_order_count_pmf`` then needs no quadrature and no numpy;
+            without it, it integrates the binomial mixture.
     """
 
     logcdf: Callable
@@ -104,18 +112,19 @@ class ContinuousLaw:
     support: tuple
     descriptor: Optional[dict] = None
     gap_moments: Optional[Callable] = None
+    near_order_law: Optional[Callable] = None
 
 
-def _closed_gap_moments(name: str, *args) -> Callable:
-    """The ``gap_moments`` of a built-in law: ``moments.<name>(n, ell, a,
+def _closed_form(name: str, *args) -> Callable:
+    """A closed-form field of a built-in law: ``moments.<name>(*call,
     *args)``, with the module imported at the first call, so that a command
-    without the thm3 bound never loads it."""
-    def gap_moments(n: int, ell: int, a: float):
+    that never calls the field never loads it."""
+    def field(*call):
         from . import moments
 
-        return getattr(moments, name)(n, ell, a, *args)
+        return getattr(moments, name)(*call, *args)
 
-    return gap_moments
+    return field
 
 
 def geometric_law(p: float) -> DiscreteLaw:
@@ -250,7 +259,8 @@ def gumbel_law() -> ContinuousLaw:
     sign in front of the inner exponential, sometimes seen in print, is a
     slip: that expression is not integrable.)  The mean is the
     Euler-Mascheroni constant 0.5772...  Its gap-ratio moments have a closed
-    form with a certified error (``moments._gumbel_moments``).
+    form with a certified error (``moments._gumbel_moments``), and so has
+    the near-order law at the maximum (``moments._gumbel_near_order_law``).
     """
 
     def logcdf(x):
@@ -268,7 +278,8 @@ def gumbel_law() -> ContinuousLaw:
         logquantile=logquantile,
         support=(-math.inf, math.inf),
         descriptor={"kind": "gumbel"},
-        gap_moments=_closed_gap_moments("_gumbel_moments"),
+        gap_moments=_closed_form("_gumbel_moments"),
+        near_order_law=_closed_form("_gumbel_near_order_law"),
     )
 
 
@@ -276,7 +287,9 @@ def uniform_law(b: float) -> ContinuousLaw:
     """Uniform law on (0, b): log F(x) = log(clamp(x/b, 0, 1)), x = b u.
 
     Its gap-ratio moments have a closed form as binomial tails, with
-    estimated errors (``moments._uniform_moments``).
+    estimated errors (``moments._uniform_moments``), and its near-order
+    count is a binomial law cut at n - ell, with a certified error
+    (``moments._uniform_near_order_law``).
     """
     real_in(b, 0.0, math.inf, "uniform width")
 
@@ -294,7 +307,8 @@ def uniform_law(b: float) -> ContinuousLaw:
         logquantile=logquantile,
         support=(0.0, b),
         descriptor={"kind": "uniform", "b": float(b)},
-        gap_moments=_closed_gap_moments("_uniform_moments", b),
+        gap_moments=_closed_form("_uniform_moments", b),
+        near_order_law=_closed_form("_uniform_near_order_law", b),
     )
 
 

@@ -16,9 +16,9 @@ F(j or j-1)**expo of a call: it evaluates the law once per block of j
 on their errors), merges the block into each series' running log-sum-exp
 and its rounding bound, and checks the law's tail certificate
 (``log_tail``) at each block end.  Working in log space keeps n as large as
-1e9 meaningful.  A pass whose series can all certify within the first two
-blocks, of a law that takes a ``range`` (``DiscreteLaw.takes_range``), sums
-those in plain Python, with no numpy.
+1e9 meaningful.  A pass whose series can all certify within the first four
+blocks (960 terms), of a law that takes a ``range``
+(``DiscreteLaw.takes_range``), sums those in plain Python, with no numpy.
 
 The full laws of K and of the size-biased count K*, P(K* = k) = k P(K = k)
 / E[K], come from one producer, ``_law``: it takes P(K = k) for k = 1, 2,
@@ -102,9 +102,10 @@ _SERIES_CAP = 2_000_000
 # mixture laws, whose last maximum is known, take blocks of _MAX_BLOCK at once
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 1 << 15
-# the first two blocks: a pass whose every series can certify its tolerance by here
-# sums them in plain Python, where numpy's import would cost more than the sums
-_SHORT = 3 * _FIRST_BLOCK
+# the first four blocks, 64 + 128 + 256 + 512 terms: a pass whose every series can
+# certify its tolerance by here sums them in plain Python, where numpy's import would
+# cost more than the sums (about 90 ms, against at most a few ms for these blocks)
+_SHORT = 15 * _FIRST_BLOCK
 # cells (rows x window) of one mixture chunk; a single row may exceed it
 _CHUNK_CELLS = 1 << 15
 # the closed form's omega = 2 pi / lambda is capped here, so that omega**2 stays

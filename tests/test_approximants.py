@@ -13,6 +13,7 @@ from scipy import stats
 from tiebound.approximants import (
     TruncatedPMF,
     _dense,
+    _lgamma_error,
     log_pmf,
     negbin_pmf,
     poisson_pmf,
@@ -225,9 +226,9 @@ def test_tv_metric_properties(p, q, r):
     assert pq <= tv_distance(p, r).lo + tv_distance(r, q).lo + 1e-12
 
 
-def _mp_pmf(kind, params, k):
-    """P(k) of a target law in 40-digit mpmath."""
-    with mp.workdps(40):
+def _mp_pmf(kind, params, k, dps=40):
+    """P(k) of a target law in ``dps``-digit mpmath."""
+    with mp.workdps(dps):
         if kind == "log":
             alpha = mp.mpf(params[0])
             return alpha**k / (k * -mp.log1p(-alpha))
@@ -260,6 +261,35 @@ def test_tail_mass_bound_covers_the_40_digit_tail(kind, params, tol):
         tail = 1 - mp.fsum(_mp_pmf(kind, params, k) for k in range(law.k_min, law.k_max + 1))
         assert law.tail_mass_bound >= (1 - 1e-14) * tail
     assert law.tail_mass_bound <= tol
+
+
+@pytest.mark.parametrize("kind,params,tol", [("poisson", (20.0,), 1e-13),
+                                             ("negbin", (2.5, 0.8), 1e-13)]
+                         + [(kind, params, 1e-12) for kind, params in CERTIFICATE_GRID])
+def test_tail_mass_bound_covers_the_entries_rounding_too(kind, params, tol):
+    """The certificate bounds the L1 distance of the entries from their
+    50-digit values plus the mass omitted: the entries of
+    truncated_poisson(20.0, 1e-13) are about 4.3e-15 off in L1."""
+    law = TARGETS[kind](*params, tol)
+    with mp.workdps(50):
+        exact = [_mp_pmf(kind, params, k, 50) for k in range(law.k_min, law.k_max + 1)]
+        l1 = mp.fsum(abs(mp.mpf(x) - e) for x, e in zip(law.probs, exact))
+        assert l1 + 1 - mp.fsum(exact) <= law.tail_mass_bound <= tol
+
+
+def test_lgamma_keeps_within_its_error_model():
+    """The certificates of truncated_poisson and truncated_negbin take
+    math.lgamma to err by at most ``_lgamma_error``, a model and not a proof:
+    it is checked here against 40-digit values, with a factor of 1.5 to
+    spare, on a log grid of x from 1e-300 to 1e300 and on integers and
+    halves up to 2000."""
+    grid = [10.0 ** (i / 8) for i in range(-2400, 2401)]
+    grid += [k / 2 for k in range(1, 4001)]
+    with mp.workdps(40):
+        misses = [x for x in grid
+                  if 1.5 * abs(mp.mpf(math.lgamma(x)) - mp.loggamma(x))
+                  > _lgamma_error(x, math.lgamma(x))]
+    assert misses == []
 
 
 class TestDense:

@@ -510,7 +510,7 @@ class TestNearOrderBound:
     def test_mixture_pmf_is_proper(self, kind, n, ell, a):
         law = uniform_law(1.0) if kind == "uniform" else gumbel_law()
         spec = NearOrderSpec(law=law, n=n, ell=ell, a=a)
-        mixture = near_order_count_pmf(spec, 1e-10)
+        mixture = bounds_continuous._mixture_pmf(spec, 1e-10)
         m = n - ell
         # the law spans its entries at or above tiny, which here start at 0
         assert mixture.k_min == 0 and mixture.k_max <= m
@@ -813,7 +813,8 @@ class TestQuadratureKernels:
         ],
     )
     def test_pass_matches_oracle(self, kind, n, ell, a):
-        """Moments to 1e-12 relative, and the pmf within its own error budget in L1."""
+        """Moments to 1e-12 relative, and the quadrature's pmf within its own error
+        budget in L1."""
         m, pmf = n - ell, None
         if kind == "gumbel":
             law, moments = gumbel_law(), [_gumbel_moment_mp(n, ell, a, j) for j in (1, 2)]
@@ -846,7 +847,7 @@ class TestQuadratureKernels:
         for value, exact in zip(got.tolist(), moments):
             assert abs(value - exact) <= 1e-12 * exact
         if pmf is not None:
-            mixture = near_order_count_pmf(spec, 1e-10)
+            mixture = bounds_continuous._mixture_pmf(spec, 1e-10)
             held = range(mixture.k_min, mixture.k_max + 1)
             with mp.workdps(40):
                 l1 = mp.fsum(abs(mp.mpf(mixture.prob(k)) - mp.mpf(e)) for k, e in enumerate(pmf))
@@ -864,7 +865,9 @@ def _full_row_law(spec, tol):
 
 
 class TestWindowedLaw:
-    """The law integrates rows only over the union of the nodes' windows."""
+    """The quadrature's law (``_mixture_pmf``, for laws without a closed-form
+    ``near_order_law``; here the Gumbel and uniform laws stand in for them)
+    integrates rows only over the union of the nodes' windows."""
 
     @pytest.mark.parametrize("law_fn,n,ell,a", [
         (gumbel_law, 100, 1, 0.3),
@@ -877,7 +880,7 @@ class TestWindowedLaw:
     ])
     def test_matches_full_rows(self, law_fn, n, ell, a):
         spec = NearOrderSpec(law=law_fn(), n=n, ell=ell, a=a)
-        law = near_order_count_pmf(spec, 1e-10)
+        law = bounds_continuous._mixture_pmf(spec, 1e-10)
         full, full_err = _full_row_law(spec, 1e-10)
         held = np.arange(law.k_min, law.k_max + 1)
         assert np.all(np.abs(law.probs - full[held]) <= 1e-12)
@@ -892,10 +895,10 @@ class TestWindowedLaw:
         # pytest process that the child was forked from
         code = ("import re, time\n"
                 "from tiebound import gumbel_law\n"
-                "from tiebound.bounds_continuous import NearOrderSpec, near_order_count_pmf\n"
+                "from tiebound.bounds_continuous import NearOrderSpec, _mixture_pmf\n"
                 "for n in (10**6, 10**9):\n"
                 "    start = time.perf_counter()\n"
-                "    law = near_order_count_pmf(NearOrderSpec(gumbel_law(), n, 1, 0.3))\n"
+                "    law = _mixture_pmf(NearOrderSpec(gumbel_law(), n, 1, 0.3), 1e-10)\n"
                 "    print(time.perf_counter() - start, law.k_min, law.k_max,\n"
                 "          law.tail_mass_bound, law.total())\n"
                 "status = open('/proc/self/status').read()\n"
@@ -971,3 +974,147 @@ def test_near_order_tolerance_must_be_positive_and_finite(tol):
         near_order_count_pmf(spec, tol)
     with pytest.raises(DomainError):
         gap_ratio_moment(spec, 1, tol)
+
+
+def _exact_uniform_entry(n, ell, a, b, k):
+    """P(count = k) for the uniform law on (0, b) at 50 digits: P(Bin(n, a/b) = k)
+    below n - ell, and P(Bin(n, a/b) >= n - ell) there."""
+    with mp.workdps(50):
+        u = mp.mpf(a) / mp.mpf(b)
+
+        def term(j):
+            return mp.exp(mp.loggamma(n + 1) - mp.loggamma(j + 1) - mp.loggamma(n - j + 1)
+                          + j * mp.log(u) + (n - j) * mp.log1p(-u))
+
+        if k < n - ell:
+            return term(k)
+        return 1 - mp.fsum(term(j) for j in range(n - ell))
+
+
+def _exact_gumbel_entries(n, a, count):
+    """P(count = k) at the Gumbel maximum for k < ``count``, at 50 digits: P(0) =
+    s / (m + s) and P(k+1) / P(k) = (m - k) / (m - k - 1 + s), s = n / expm1(a)."""
+    with mp.workdps(50):
+        m, s = n - 1, n / mp.expm1(mp.mpf(a))
+        entries = [s / (m + s)]
+        for k in range(count - 1):
+            entries.append(entries[-1] * (m - k) / (m - k - 1 + s))
+        return entries
+
+
+def _certificate_misses(law, exact) -> list:
+    """The entries of ``law`` farther from ``exact`` (k -> 50-digit value) than its
+    ``tail_mass_bound``, and, last, the L1 error plus the omitted mass where those
+    exceed it too: an empty list where the certificate holds."""
+    with mp.workdps(50):
+        held = range(law.k_min, law.k_max + 1)
+        errors = {k: abs(mp.mpf(law.prob(k)) - exact[k]) for k in held}
+        misses = [k for k, e in errors.items() if e > law.tail_mass_bound]
+        total = mp.fsum(errors.values()) + 1 - mp.fsum(exact[k] for k in held)
+        return misses + (["L1"] if total > law.tail_mass_bound else [])
+
+
+# the three points of `verify`, a `simulate` point and the closed forms at large n and
+# small a
+UNIFORM_POINTS = [(8, 1, 0.05), (10, 2, 0.1), (200, 3, 0.05)]
+GUMBEL_POINTS = [(10, 1, 0.3), (10**9, 1, 0.01), (100, 1, 1e-9)]
+
+
+class TestClosedFormNearOrderLaw:
+    """The near-order laws of the uniform and Gumbel laws in closed form
+    (``ContinuousLaw.near_order_law``), against 50-digit values."""
+
+    @pytest.mark.parametrize("n,ell,a", UNIFORM_POINTS)
+    def test_uniform_entries_lie_within_their_certificate(self, n, ell, a):
+        law = uniform_law(1.0).near_order_law(n, ell, a, 1e-10)
+        assert law.tail_mass_bound <= 1e-13
+        exact = {k: _exact_uniform_entry(n, ell, a, 1.0, k) for k in range(n - ell + 1)}
+        assert _certificate_misses(law, exact) == []
+        # every outcome at or above tiny is held
+        assert all(law.k_min <= k <= law.k_max for k, e in exact.items() if e >= sys.float_info.min)
+
+    def test_uniform_entries_at_a_central_rank_of_n_1e9(self):
+        """1.08 million entries, too many for 50-digit values of each: every
+        997th and the last lie within their relative share of the certificate,
+        the row's normalisation (at most the certificate) plus 5u per step
+        from the mode, 3e8."""
+        n, ell, a = 10**9, 5 * 10**8, 0.3
+        law = uniform_law(1.0).near_order_law(n, ell, a, 1e-9)
+        assert law.tail_mass_bound <= 1e-10
+        for k in [*range(law.k_min, law.k_max + 1, 997), law.k_max]:
+            exact = _exact_uniform_entry(n, ell, a, 1.0, k)
+            share = law.tail_mass_bound + 5.0 * binomial._U * abs(k - 3 * 10**8)
+            assert abs(law.prob(k) - exact) <= share * exact
+        assert abs(law.total() - 1.0) <= law.tail_mass_bound
+        assert law.prob(law.k_min) >= sys.float_info.min > law.prob(law.k_min) * 1e-3
+
+    @pytest.mark.parametrize("n,a", [(n, a) for n, _, a in GUMBEL_POINTS])
+    def test_gumbel_entries_lie_within_their_certificate(self, n, a):
+        law = gumbel_law().near_order_law(n, 1, a, 1e-10)
+        assert law.k_min == 0 and law.tail_mass_bound <= 1e-14
+        entries = _exact_gumbel_entries(n, a, law.k_max + 400)
+        assert _certificate_misses(law, dict(enumerate(entries))) == []
+        assert entries[law.k_max + 1] < sys.float_info.min
+
+    def test_a_gap_ratio_shifted_by_1e_3_is_caught(self):
+        # uniform: a/b, the gap ratio at x = b, up by 1e-3; Gumbel: E[r] = c / (n + c) up
+        # by 1e-3, with c = expm1(a)
+        n, ell, a = UNIFORM_POINTS[2]
+        shifted = uniform_law(1.0).near_order_law(n, ell, a + 1e-3, 1e-10)
+        exact = {k: _exact_uniform_entry(n, ell, a, 1.0, k) for k in range(n - ell + 1)}
+        assert _certificate_misses(shifted, exact) != []
+        n, _, a = GUMBEL_POINTS[0]
+        mean = math.expm1(a) / (n + math.expm1(a)) + 1e-3
+        shifted = gumbel_law().near_order_law(n, 1, math.log1p(n * mean / (1.0 - mean)), 1e-10)
+        exact = dict(enumerate(_exact_gumbel_entries(n, a, shifted.k_max + 1)))
+        assert _certificate_misses(shifted, exact) != []
+
+    @pytest.mark.parametrize("law,ell", [
+        (dataclasses.replace(gumbel_law(), near_order_law=None), 1),
+        (dataclasses.replace(uniform_law(1.0), near_order_law=None), 2),
+        (gumbel_law(), 2),  # a rank the form does not serve
+    ], ids=["gumbel-without-the-field", "uniform-without-the-field", "gumbel-rank-2"])
+    def test_a_law_without_the_form_takes_the_quadrature_bit_for_bit(self, law, ell):
+        spec = NearOrderSpec(law, 10, ell, 0.3)
+        assert near_order_count_pmf(spec, 1e-10) == bounds_continuous._mixture_pmf(spec, 1e-10)
+
+    def test_the_forms_meet_the_quadrature(self):
+        # the three points of `verify` and the two of `simulate`: within the quadrature's
+        # error estimate, in L1
+        for law, n, ell, a in [(uniform_law(1.0), *UNIFORM_POINTS[0]),
+                               (uniform_law(1.0), *UNIFORM_POINTS[1]),
+                               (uniform_law(1.0), *UNIFORM_POINTS[2]),
+                               (gumbel_law(), 10, 1, 0.3), (gumbel_law(), 100, 1, 0.3)]:
+            spec = NearOrderSpec(law, n, ell, a)
+            ours = near_order_count_pmf(spec, 1e-10)
+            theirs = bounds_continuous._mixture_pmf(spec, 1e-10)
+            assert (ours.k_min, ours.k_max) == (theirs.k_min, theirs.k_max)
+            l1 = math.fsum(abs(x - y) for x, y in zip(ours.probs, theirs.probs))
+            assert l1 <= theirs.tail_mass_bound + ours.tail_mass_bound
+
+    def test_the_forms_give_none_where_they_do_not_certify_or_apply(self):
+        # a certificate that cannot meet tol is known before the long rows are walked:
+        # the first holds 1.08 million entries, the second a million
+        start = time.perf_counter()
+        assert uniform_law(1.0).near_order_law(10**9, 5 * 10**8, 0.3, 1e-12) is None
+        assert gumbel_law().near_order_law(10**6, 1, math.log(10**6) - 0.01, 1e-14) is None
+        assert time.perf_counter() - start < 0.5
+        assert gumbel_law().near_order_law(10, 2, 0.3, 1e-10) is None
+        assert gumbel_law().near_order_law(100, 1, 10.0, 1e-10) is None  # s = 100 / expm1(10) < 1
+        # a >= b: every observation below the order statistic is within a of it
+        law = uniform_law(1.0).near_order_law(10, 2, 1.5, 1e-30)
+        assert (law.k_min, law.probs, law.tail_mass_bound) == (8, (1.0,), 0.0)
+
+    def test_uniform_law_at_n_1e6_is_fast_without_numpy(self):
+        code = ("import sys, time\n"
+                "from tiebound import uniform_law\n"
+                "from tiebound.bounds_continuous import NearOrderSpec, near_order_count_pmf\n"
+                "spec = NearOrderSpec(uniform_law(1.0), 10**6, 5 * 10**5, 0.3)\n"
+                "near_order_count_pmf(spec)\n"  # the first call imports `moments`
+                "start = time.perf_counter()\n"
+                "law = near_order_count_pmf(spec)\n"
+                "print(time.perf_counter() - start, 'numpy' in sys.modules, law.tail_mass_bound)\n")
+        src = os.path.dirname(os.path.dirname(tiebound.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src)).stdout.split()
+        assert float(out[0]) < 0.1 and out[1] == "False" and float(out[2]) <= 1e-10

@@ -115,13 +115,15 @@ class TestBoundCommand:
 
     def test_integration_failure_reports_estimate(self, monkeypatch, capsys):
         # thm3 on the built-in laws takes closed-form moments, so the failure is driven
-        # through the near-order law, which integrates: the pass keeps its integral but
-        # reports an error estimate of 0.125, which the law scales by the square root of
-        # its width; a pmf has no single value, so `value` is nan
+        # through the near-order law at a Gumbel rank 2, which has no closed form and
+        # integrates: the pass keeps its integral but reports an error estimate of 0.125,
+        # which the law scales by the square root of its width; a pmf has no single
+        # value, so `value` is nan
         gk21_pass = bounds_continuous._gk21_pass
         monkeypatch.setattr("tiebound.bounds_continuous._gk21_pass",
                             lambda *args, **kwargs: (gk21_pass(*args, **kwargs)[0], 0.125))
-        assert main(["simulate", "--law", "gumbel", "--n", "10", "--a", "0.3"]) == 3
+        assert main(["simulate", "--law", "gumbel", "--n", "10", "--ell", "2", "--a",
+                     "0.3"]) == 3
         err = capsys.readouterr().err.splitlines()
         assert err[1].startswith("value: ") and err[2].startswith("error_estimate: ")
         value, estimate = float(err[1].split()[1]), float(err[2].split()[1])
@@ -203,6 +205,14 @@ class TestVerifyCommand:
         result = runner(["verify", "--mc-samples", "0"])
         assert result.exit_code == 0
         assert "montecarlo" not in result.output
+
+    @pytest.mark.parametrize("tol", ["1e-13", "1e-15"])
+    def test_a_tolerance_below_the_targets_rounding_still_passes(self, runner, tol):
+        # the target laws' certificates count about 1e-14 of rounding, so their
+        # tolerance stops at 1e-13 and these rows print as at the default
+        result = runner(["verify", "--mc-samples", "0", "--tol", tol])
+        assert result.exit_code == 0, result.output
+        assert result.output == runner(["verify", "--mc-samples", "0"]).output
 
 
 @pytest.fixture
@@ -510,14 +520,15 @@ def test_a_fresh_process_raises_no_warning():
 
 def test_continuous_path_runs_with_scipy_blocked():
     # a None entry in sys.modules makes every `import scipy...` raise
-    code = ("import contextlib, io, sys\n"
+    code = ("import contextlib, dataclasses, io, sys\n"
             "sys.modules['scipy'] = None\n"
             "import tiebound.cli\n"
             "from tiebound import bounds_continuous as bc, gumbel_law, uniform_law\n"
             f"for argv in {list(SCIPY_FREE_COMMANDS.values())!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert tiebound.cli.main(argv) == 0, argv\n"
-            "for law in (gumbel_law(), uniform_law(1.0)):\n"
+            "uniform = uniform_law(1.0)\n"  # and its law without the closed form, by quadrature
+            "for law in (gumbel_law(), uniform, dataclasses.replace(uniform, near_order_law=None)):\n"
             "    spec = bc.NearOrderSpec(law=law, n=50, ell=3, a=0.1)\n"
             "    assert bc.negbin_bound_near_order(spec).bound > 0.0\n"
             "    assert abs(bc.near_order_count_pmf(spec).total() - 1.0) < 1e-9\n"
@@ -685,7 +696,7 @@ NUMPY_FREE_COMMANDS = {
     "thm1b": (["bound", "thm1b", "--p", "1e-3", "--n", "100000"], 0),
     "thm2": (["bound", "thm2", "--p", "1e-3", "--n", "100000"], 0),
     "fig2": (["figure", "fig2"], 0),
-    # short series: every pass certifies within its first two blocks, summed in Python
+    # short series: every pass certifies within its first four blocks, summed in Python
     "table1": (["table1"], 0),
     "table1-raw": (["table1", "--raw"], 0),
     "fig1": (["figure", "fig1"], 0),
@@ -701,6 +712,11 @@ NUMPY_FREE_COMMANDS = {
                              "10000000"], 0),
     # an exact law past the closed form's border, its entries from short series
     "simulate-series": (["simulate", "--p", "0.3", "--n", "50", "--mc-samples", "2000"], 0),
+    # series of up to about 600 terms, closed-form near-order laws and histograms drawn
+    # from random.Random
+    "verify": (["verify"], 0),
+    "verify-seed": (["verify", "--seed", "3"], 0),
+    "verify-no-mc": (["verify", "--mc-samples", "0"], 0),
     "help": (["--help"], 0),
     "usage-error": (["bound", "thm2", "--p", "1e-3"], 1),
 }
@@ -733,7 +749,8 @@ def test_a_short_series_point_skips_numpy_and_keeps_its_result():
 
 
 def test_a_series_past_the_short_budget_imports_numpy():
-    # control: at tol 1e-300 the series of p = 0.1 cannot certify within 192 terms
+    # control: at tol 1e-300 the series of p = 0.1 cannot certify within 960 terms, as
+    # 960 log 0.9 is about -101
     argv = ["bound", "thm2", "--p", "0.1", "--n", "10", "--tol", "1e-300"]
     code, numpy_loaded, _ = json.loads(_run_python(_MAIN_AND_NUMPY.format(argv=argv)))
     assert (code, numpy_loaded) == (0, True)

@@ -320,12 +320,12 @@ def _four_terms(n):
             (3, n - 3, False, math.log(1e-6), True), (1, n - 1, True, -70.0, False)]
 
 
-# the passes of _four_terms are short for geometric 1 - 1e-6 and long for the other
-# geometric laws, but each of their terms alone is short for geometric 0.2 and 0.3;
-# alone, the first term at geometric 0.2 and n = 1e9 needs a numpy block after its two
-# Python blocks.  The tabulated law takes no range, so its passes are never short
-SERIES_LAWS = [geometric_law(1e-3), geometric_law(0.2), geometric_law(0.3),
-               geometric_law(1 - 1e-6), tabulated_law([0.2, 0.3, 0.5])]
+# the passes of _four_terms are short for geometric 0.2, 0.3 and 1 - 1e-6 and long for
+# 1e-3 and 0.05, but each of their terms but the last alone is short for geometric 0.05;
+# alone, the first term at geometric 0.05 and n = 1e9 needs a numpy block after its
+# four Python blocks.  The tabulated law takes no range, so its passes are never short
+SERIES_LAWS = [geometric_law(1e-3), geometric_law(0.05), geometric_law(0.2),
+               geometric_law(0.3), geometric_law(1 - 1e-6), tabulated_law([0.2, 0.3, 0.5])]
 
 
 @pytest.mark.parametrize("law", SERIES_LAWS)
@@ -336,7 +336,7 @@ def test_one_pass_equals_one_series_at_a_time(law, n):
     blocks, to the last bit; and a series in a pass of its own is that series
     summed alone with its own kind."""
     terms = _four_terms(n)
-    assert _short(law, terms) == (law.takes_range and law.descriptor["p"] > 0.5)
+    assert _short(law, terms) == (law.takes_range and law.descriptor["p"] >= 0.2)
     assert [r[:2] for r in _sums(law, terms)] == [_one_series(law, *term, _short(law, terms))
                                                   for term in terms]
     for term in terms:
@@ -518,10 +518,11 @@ def _thm1a_series(law, n) -> bool:
 # with alpha within 1e-6 and 2e-12 of 1, where the formula's own rounding is most of the
 # error; with the number of series points and a cap on the truncation error of each
 SERIES_0_05 = dataclasses.replace(geometric_law(0.05), lattice_rate=None)
+SERIES_0_02 = dataclasses.replace(geometric_law(0.02), lattice_rate=None)
 THM1A_POINTS = {
     "fig1": ([(geometric_law(p), 20) for p in FIG1_PS], 17, 1e-11),
     "verify": ([(geometric_law(p), n) for p in VERIFY_PS for n in VERIFY_NS], 18, 1e-11),
-    "numpy": ([(SERIES_0_05, 10)], 1, 1e-11),
+    "numpy": ([(SERIES_0_02, 10)], 1, 1e-11),
     "tabulated": ([(tabulated_law([0.2, 0.3, 0.5]), 7)], 1, 1e-11),
     "alpha-near-1": ([(tabulated_law([0.001, 0.999]), 3), (tabulated_law([0.2, 0.3, 0.5]), 40)],
                      2, 1.0),
@@ -543,14 +544,36 @@ def test_thm1a_bounds_are_within_their_truncation_error_of_40_digit_values(grid)
     assert misses == []
 
 
-def test_thm1a_at_a_series_point_past_the_short_budget_sums_numpy_blocks(monkeypatch):
-    """The series of the geometric law 0.05 at n = 10 run past 192 terms, so
-    their pass is summed in numpy blocks only."""
+def _block_kinds(monkeypatch) -> list:
+    """Whether each later :func:`maxima._block` call is a plain-Python block."""
     kinds = []
     monkeypatch.setattr(maxima, "_block", lambda law, lo, hi, python=False, block=maxima._block:
                         kinds.append(python) or block(law, lo, hi, python))
-    log_bound_singleton(KnSpec(SERIES_0_05, 10), 1e-12)
+    return kinds
+
+
+def test_thm1a_at_a_series_point_past_the_short_budget_sums_numpy_blocks(monkeypatch):
+    """The series of the geometric law 0.02 at n = 10 run past 960 terms, so
+    their pass is summed in numpy blocks only."""
+    kinds = _block_kinds(monkeypatch)
+    log_bound_singleton(KnSpec(SERIES_0_02, 10), 1e-12)
     assert kinds and not any(kinds)
+
+
+def test_a_pass_within_the_short_budget_agrees_with_the_numpy_blocks(monkeypatch):
+    """The tie-count values of the geometric law 0.05 at n = 5, a law of
+    `verify`, need about 600 terms: their pass sums four Python blocks, and
+    agrees with the numpy blocks that sum it where the budget is 0 within the
+    sum of the two values' remainders."""
+    spec, pmfs, moments = KnSpec(SERIES_0_05, 5), range(1, 6), (1, 2, 3)
+    kinds = _block_kinds(monkeypatch)
+    python = _tie_values(spec, pmfs, moments, 1e-12)
+    assert kinds == [True] * 4
+    monkeypatch.setattr(maxima, "_SHORT", 0)
+    arrays = _tie_values(spec, pmfs, moments, 1e-12)
+    assert len(kinds) > 4 and not any(kinds[4:])
+    for ours, theirs in zip(python, arrays):
+        assert abs(ours.value - theirs.value) <= ours.remainder + theirs.remainder
 
 
 TAIL_LAWS = {
