@@ -4,22 +4,26 @@ The exchange format for distance computation is :class:`TruncatedPMF`: a
 finite probability vector (a tuple of floats) together with a certified
 upper bound on the mass it omits.  Total variation between two truncated
 pmfs then has a rigorous upper bound next to its point estimate, so "bound
-dominates distance" checks remain meaningful despite truncation.  Every target's tail certificate
-comes from one ratio rule (``_truncate_by_ratio``), and counts the rounding
-of the entries it holds too.
+dominates distance" checks remain meaningful despite truncation.
 
-All pmfs are evaluated in log space (via log-gamma) and exponentiated, so
-they stay finite for very large arguments and parameters.  The module needs
-no numpy: the targets, the containers and the distances are plain Python.
+One row walker (:func:`_walk`) makes every law here whose terms have
+closed-form ratios: the logarithmic, Poisson and negative binomial targets,
+and the near-order laws of ``moments``.  Its certificate counts the omitted
+mass, the normalisation and each entry's rounding in units u, with no
+log-gamma.  The geometric target keeps its exact entries; the single-entry
+pmfs are evaluated in log space.  The module needs no numpy.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, chain, count, islice, repeat, tee
+from operator import add, mul, neg, truediv
 from typing import Callable, NamedTuple
 
-from .binomial import _U, _gamma
+from .binomial import _TINY, _U, _gamma
 from .errors import DomainError, TruncationError, integer_in, positive_tol, real_in
 
 __all__ = [
@@ -56,13 +60,9 @@ class TruncatedPMF:
     certified remainder, rounding included, which bounds both its own error
     and, through 1 - sum(entries) + sum(remainders), the omitted mass, and
     the binomial mixture they fall back to counts its own rounding.  So do
-    the near-order laws in closed form of the Gumbel and uniform laws, and
-    the target laws (``truncated_log``, ``truncated_poisson``,
-    ``truncated_negbin``, ``truncated_geometric``; see
-    :func:`_truncate_by_ratio`), whose Poisson and negative binomial entries
-    take ``math.lgamma`` to err no more than :func:`_lgamma_error`'s model.  A plain ``truncate_law`` does not, and
-    ``near_order_count_pmf`` by quadrature adds an error estimate, which is
-    not a certificate.
+    the four target laws and the near-order laws in closed form, the row
+    walker's (:func:`_walk`).  A plain ``truncate_law`` does not, and
+    ``near_order_count_pmf`` by quadrature adds an error estimate.
     """
 
     k_min: int
@@ -157,125 +157,133 @@ def truncate_law(pmf: Callable[[int], float],
                           f"(best achieved: {best!r})", best_bound=best)
 
 
-def _truncate_by_ratio(pmf: Callable[[int], float], rho: Callable[[int], float],
-                       tol: float, k_min: int, rel: Callable[[int], float]) -> TruncatedPMF:
-    """``truncate_law`` with the tail certificate of a ratio bound, plus the
-    rounding of the entries held.
+def _walk(mode: int, up, down, floor: float, units: int, base: int = 0):
+    """A law from its terms relative to the mode's, as a ``TruncatedPMF``
+    whose ``tail_mass_bound`` counts the omitted mass and the entries'
+    rounding; None past ``_MAX_TERMS`` entries or where rho reaches 1.
 
-    The one obligation on ``rho``: ``rho(k)`` bounds every ratio
-    P(j+1) / P(j) with j > k.  Then P(k+1+i) <= P(k+1) rho(k)**i, so the mass
-    above k is at most P(k+1) / (1 - rho(k)), and no bound is available
-    while ``rho(k) >= 1``.  The P(k+1) of a certificate is the entry
-    ``truncate_law`` takes next, so each entry and its ``rel`` are evaluated
-    once.  ``rel(k)`` bounds the relative error of ``pmf(k)`` as computed, so the
-    exact P(k+1) is at most the entry times 1 + rel(k+1), and ``tail_after(k)``
-    adds the errors of the entries up to k, rel(j) times entry j, to the
-    mass above k: the result bounds the omitted mass plus the L1 error of
-    the entries held.  A rounding of ``rho`` and of these sums is counted
-    as gamma(3) and gamma(k - k_min + 3).  Where the entries' errors alone
-    exceed ``tol``, the certificate cannot meet it, and
-    :class:`TruncationError` is raised at once.
+    ``up`` and ``down`` yield (t, rho) from the mode outward: t the next
+    term, the mode's being 1, and rho a bound on every term ratio from t on
+    (see :func:`_products`).  A side ends at its support's edge, or at the
+    first t below ``floor`` whose tail bound t / (1 - rho) meets ``floor``
+    too, or below tiny.  The row is divided by its ``math.fsum`` plus those
+    tail bounds, P, so the omitted mass counts once; entries below tiny at
+    its ends are cut.  A term d steps out errs by at most gamma(base +
+    units d) relative (pow and expm1 taken to err by 2 ulp), the row by
+    E <= u (base + units M) / (1 - 2 u (base + units D)) of its sum, M the
+    mean of d and D the longest side; a tiny per side covers subnormal
+    rounding.  With out = P over the row's sum, the entries and the omitted
+    mass err by at most 2E + out + out (out + E) / (1 - E) in L1, plus
+    gamma(4) for the sum, adding P, the division and one more sum (the
+    uniform law's fold); the certificate adds the entries cut.
     """
-    ahead, held = {}, [0.0]  # the entry the last certificate evaluated, and rel; their errors
+    sides, past, room = [], 0.0, _MAX_TERMS
+    for side in (up, down):
+        held = []
+        for t, rho in islice(side, room):
+            if t < floor and (t < _TINY or t <= floor * (1.0 - rho)):
+                rho *= 1.0 + _gamma(units + 1)
+                if not rho < 1.0:
+                    return None
+                past += (t * (1.0 + _gamma(base + units * (len(held) + 1))) + _TINY) / (1.0 - rho)
+                break
+            held.append(t)
+        if len(held) == room:  # a break holds fewer
+            return None
+        room -= len(held)
+        sides.append(held)
+    row = sides[1][::-1] + [1.0] + sides[0]
+    # the sides fall from the mode, and terms below u**2 / _MAX_TERMS add at most u**2 to
+    # the row's sum (at least 1) and D u**2 to its moment sum(d t): leave them out
+    longest = max(map(len, sides))
+    big = [side[:bisect_left(side, -_U * _U / _MAX_TERMS, key=neg)] for side in sides]
+    row_sum = math.fsum(chain([1.0], *big))
+    moment = sum(sum(map(mul, side, count(1.0))) for side in big) + longest * _U * _U
+    probs = list(map(truediv, row, repeat(row_sum + past)))
+    first = next(i for i, x in enumerate(probs) if x >= _TINY)  # 1 / sum >= tiny
+    last = len(probs) - next(i for i, x in enumerate(reversed(probs)) if x >= _TINY)
+    cut = math.fsum(probs[:first]) + math.fsum(probs[last:])
+    # E, with the moment's plain sum and E's own rounding counted
+    e = (_U * (base + units * moment * (1.0 + _gamma(len(row) + 1)) / row_sum)
+         * (1.0 + _gamma(3)) / (1.0 - 2.0 * (base + units * longest) * _U))
+    out = past * (1.0 + _gamma(2)) / row_sum
+    bound = ((out + cut + (2.0 * e + out * (out + e)) / (1.0 - out - e) + _gamma(4))
+             * (1.0 + _gamma(4)))
+    return TruncatedPMF(k_min=mode - len(sides[1]) + first, probs=probs[first:last],
+                        tail_mass_bound=bound)
 
-    def entry(k):
-        value, error = ahead.pop(k) if k in ahead else (pmf(k), rel(k))
-        held[0] += value * error
-        return value
 
-    def tail_after(k):
-        errors = held[0] * (1.0 + _gamma(k - k_min + 3))
-        if errors > tol:
-            raise TruncationError(f"the entries' rounding, {errors!r}, exceeds {tol!r}",
-                                  best_bound=errors)
-        ratio = rho(k) * (1.0 + _gamma(3))
-        if not ratio < 1.0:
-            return math.inf
-        value, error = ahead[k + 1] = pmf(k + 1), rel(k + 1)
-        return (value * (1.0 + error) / (1.0 - ratio) + errors) * (1.0 + _gamma(3))
-
-    return truncate_law(entry, tail_after, tol, k_min=k_min)
+def _products(ratios, limit=None):
+    """(t, rho) for :func:`_walk`: t the running product of ``ratios``, rho
+    ``limit``, a bound on them all, or else the ratio that made t, which
+    bounds the later ones where they fall."""
+    if limit is not None:
+        return zip(accumulate(ratios, mul), repeat(limit))
+    ratios, rhos = tee(ratios)
+    return zip(accumulate(ratios, mul), rhos)
 
 
-def _exp_rounding(exponent_error: float) -> float:
-    """A bound on the relative error of an entry exp(E) whose exponent E errs by
-    at most ``exponent_error``: that error, exp's own 2 ulp, and one unit u
-    for this bound's own rounding."""
-    return math.expm1(exponent_error + 5.0 * _U)
-
-
-def _lgamma_error(x: float, value: float) -> float:
-    """A bound on the error of ``math.lgamma(x) = value`` for x > 0: 4u times
-    (|value| + x + 8).  This is an error model, not a proof: against
-    40-digit values it holds with a factor of at least 1.7 to spare on a grid
-    over x from 1e-300 to 1e300, integers and halves among them, and the
-    tests check it on the platform at hand; lgamma(1) = lgamma(2) = 0 are
-    exact."""
-    return 4.0 * _U * (abs(value) + x + 8.0)
+def _certified(law, tol: float, what: str) -> TruncatedPMF:
+    """``law`` where it certifies ``tol``, else :class:`TruncationError`."""
+    best = math.inf if law is None else law.tail_mass_bound
+    if not best <= tol:
+        raise TruncationError(f"the {what} law's certificate, {best!r}, misses {tol!r}",
+                              best_bound=best)
+    return law
 
 
 def truncated_log(alpha: float, tol: float) -> TruncatedPMF:
     """Logarithmic law as a TruncatedPMF with certified tail <= tol.
 
-    Entry k is exp(k log alpha - log k - log norm), norm = -log1p(-alpha),
-    with log and log1p taken to err by at most 2 ulp: k log alpha errs by
-    5u k |log alpha|, log k by 4u log k, log norm by 4u |log norm| + 5u, and
-    the two subtractions by u times the sum of these magnitudes each.
+    The term at k + 1 is alpha**k / (k+1) of P(1)'s, formed directly, within
+    gamma(5) at every k: a running product's rounding would grow along the
+    long rows of alpha near 1.  The ratios alpha k / (k+1) rise to alpha.
     """
-    la, ln = math.log(alpha), math.log(-math.log1p(-alpha))
-
-    def rel(k):
-        return _exp_rounding(_U * (7.0 * k * abs(la) + 6.0 * math.log(k) + 6.0 * abs(ln) + 5.0))
-
-    # the ratios alpha j / (j+1) rise to alpha
-    return _truncate_by_ratio(lambda k: log_pmf(alpha, k), lambda k: alpha, tol, 1, rel)
+    positive_tol(tol)
+    real_in(alpha, 0.0, 1.0, "logarithmic parameter")
+    # the row's sum is 1 / P(1) = -log1p(-alpha) / alpha: a floor of tol, less 32u for
+    # the rounding, in probability
+    floor = (tol - 32.0 * _U) * -math.log1p(-alpha) / alpha
+    terms = map(truediv, map(pow, repeat(alpha), count(1)), count(2))
+    law = _walk(1, zip(terms, repeat(alpha)), (), floor, 0, 5) if floor > 0.0 else None
+    return _certified(law, tol, "logarithmic")
 
 
 def truncated_poisson(lam: float, tol: float) -> TruncatedPMF:
     """Poisson law as a TruncatedPMF with certified tail <= tol.
 
-    Entry k >= 1 is exp(k log lam - lam - lgamma(k+1)): k log lam errs by
-    5u k |log lam|, lgamma by :func:`_lgamma_error`, and the two
-    subtractions by u times the sum of the magnitudes each; exp(-lam) errs
-    by exp's 2 ulp alone.
+    From the mode floor(lam), the term ratios are lam / (k+1) up and
+    k / lam down, both falling away from the mode; each step rounds twice.
     """
-    ll = math.log(lam)
-
-    def rel(k):
-        g = math.lgamma(k + 1)
-        return _exp_rounding(_U * (7.0 * k * abs(ll) + 2.0 * lam + 2.0 * g)
-                             + _lgamma_error(k + 1, g) if k else 0.0)
-
-    # the ratios lam / (j+1) fall, so the first one past k bounds the rest
-    return _truncate_by_ratio(lambda k: poisson_pmf(lam, k), lambda k: lam / (k + 2), tol, 0, rel)
+    positive_tol(tol)
+    real_in(lam, 0.0, math.inf, "Poisson rate")
+    mode = math.floor(lam)
+    up = _products(map(truediv, repeat(lam), count(mode + 1)))
+    down = _products(map(truediv, range(mode, 0, -1), repeat(lam)))
+    return _certified(_walk(mode, up, down, tol / 4.0, 2), tol, "Poisson")
 
 
 def truncated_negbin(ell: float, beta: float, tol: float) -> TruncatedPMF:
     """Negative binomial law as a TruncatedPMF with certified tail <= tol.
 
-    At ell = 1 entry k is (1 - beta) beta**k, within gamma(6).  Otherwise it is
-    exp(lgamma(ell+k) - lgamma(ell) - lgamma(k+1) + ell log1p(-beta) + k
-    log beta): each lgamma errs by :func:`_lgamma_error`, ell + k is rounded
-    once, which moves its lgamma by at most u (1 + x (|log x| + 1)) at
-    x = ell + k, the two products by 5u of their magnitudes, and the four
-    additions by u times the sum of the magnitudes each.
+    At ell = 1 entry k is (1 - beta) beta**k, within gamma(6), and the mass
+    above k is beta**(k+1), so beta**(k+1) (1 + gamma(4)) + gamma(7) bounds
+    it and the entries' rounding.  Otherwise, from the mode, the term ratios
+    are beta (ell+k) / (k+1) up and k / (beta (ell+k-1)) down, four roundings
+    a step; for ell < 1 the upward ones rise to beta, else they fall.
     """
-    l1, lb = math.log1p(-beta), math.log(beta)
-
-    def rel(k):
-        if ell == 1.0:
-            return _gamma(6)
-        x = ell + k
-        ga, gb, gc = math.lgamma(x), math.lgamma(ell), math.lgamma(k + 1)
-        size = abs(ga) + abs(gb) + gc + ell * abs(l1) + k * abs(lb)
-        return _exp_rounding(_lgamma_error(x, ga) + _lgamma_error(ell, gb)
-                             + _lgamma_error(k + 1, gc) + _U * (
-                                 1.0 + x * (abs(math.log(x)) + 1.0) + 4.0 * size
-                                 + 5.0 * (ell * abs(l1) + k * abs(lb))))
-
-    # the ratios beta (ell+j) / (j+1) fall to beta for ell >= 1 and rise to it for ell < 1
-    return _truncate_by_ratio(lambda k: negbin_pmf(ell, beta, k),
-                              lambda k: beta * max(1.0, (ell + k + 1) / (k + 2)), tol, 0, rel)
+    positive_tol(tol)
+    real_in(ell, 0.0, math.inf, "negative binomial shape")
+    real_in(beta, 0.0, 1.0, "negative binomial odds")
+    if ell == 1.0:
+        return truncate_law(lambda k: (1.0 - beta) * beta**k,
+                            lambda k: beta ** (k + 1) * (1.0 + _gamma(4)) + _gamma(7), tol)
+    mode = math.floor((ell - 1.0) * beta / (1.0 - beta)) if ell > 1.0 else 0
+    up = _products(map(truediv, map(mul, repeat(beta), map(add, repeat(ell), count(mode))),
+                       count(mode + 1)), None if ell > 1.0 else beta)
+    down = _products(map(truediv, range(mode, 0, -1),
+                         map(mul, repeat(beta), map(add, repeat(ell), range(mode - 1, -1, -1)))))
+    return _certified(_walk(mode, up, down, tol / 4.0, 4), tol, "negative binomial")
 
 
 def truncated_geometric(beta: float, tol: float) -> TruncatedPMF:

@@ -14,19 +14,22 @@ account for r_a = 1 on (0, a), whose error is an estimate.
 
 The same two laws give the near-order count itself in closed form
 (``ContinuousLaw.near_order_law``): :func:`_uniform_near_order_law` at every
-rank and :func:`_gumbel_near_order_law` at the maximum, each a
-``TruncatedPMF`` whose ``tail_mass_bound`` counts the omitted mass and the
-rounding of its entries.  ``bounds_continuous`` re-exports the public names.
+rank and :func:`_gumbel_near_order_law` at the maximum.  Each states its
+term ratios and leaves the row to ``approximants._walk``, the walker of the
+target laws, whose ``TruncatedPMF`` counts the omitted mass and the rounding
+of its entries.  ``bounds_continuous`` re-exports the public names.
 """
 
 from __future__ import annotations
 
 import math
 
-from .approximants import TruncatedPMF
+from itertools import accumulate, repeat
+from operator import add, mul, truediv
+
+from .approximants import TruncatedPMF, _products, _walk
 from .binomial import _EPS, _TINY, _U, _gamma, _log_binom_tail
 from .errors import DomainError, integer_in, real_in
-from .maxima import _SERIES_CAP
 
 __all__ = [
     "gumbel_gap_moment",
@@ -258,8 +261,7 @@ def _uniform_moments(n: int, ell: int, a: float, b: float):
 def _uniform_near_order_law(n: int, ell: int, a: float, tol: float, b: float):
     """The law of the count within ``a`` below the ell-th largest of n uniform
     observations on (0, b), as a ``TruncatedPMF`` within ``tol``; None where
-    its certificate misses ``tol`` or its row would pass ``_SERIES_CAP``
-    outcomes.
+    its certificate misses ``tol`` or its row would pass the walker's cap.
 
     Given the order statistic at x, the count is Bin(n - ell, min(1, a/x)),
     and x/b ~ Beta(n-ell+1, ell); on x > a the density's x**(n-ell) cancels
@@ -267,24 +269,14 @@ def _uniform_near_order_law(n: int, ell: int, a: float, tol: float, b: float):
 
         count = min(Bin(n, a/b), n - ell)
 
-    exactly for a < b, and n - ell for a >= b.  The row of Bin(n, q) starts
-    at 1 at the mode floor((n+1) q) and steps outward by the term ratios
-    (n-k)/(k+1) * odds and k/(n-k+1) / odds, odds = a / (b - a), to the
-    first term below tiny on each side; it is divided by its ``fsum``, and
-    the entries past n - ell fold into that one.  Entries below tiny at the
-    ends are cut.
-
-    Each step takes 3 roundings and the odds' 2, so a term d steps from the
-    start errs by at most gamma(5d) relative, and over the law by E <= 5u
-    (sigma + 2) / (1 - 5 D u), sigma**2 = n q (1-q) and D the longest side,
-    as E|K - start| <= sigma + 2.  Past either end the ratios keep falling,
-    so the mass there is at most 2 tiny / (1 - rho) of the start term's,
-    with rho the next ratio; their sum ``out`` bounds the mass outside the
-    row, whose true sum is at least the start term's.  Then the normalised
-    row errs by at most (2E + out) / (1 - out - E) in L1, plus gamma(3) for
-    the sum, the division and the fold, and the certificate adds ``out``
-    and the entries cut.  It is at least 2E >= 10u (sigma + 2), so a ``tol``
-    below that gives None before the row is walked.
+    exactly for a < b, and n - ell for a >= b.  ``approximants._walk`` takes
+    the row of Bin(n, q) from its mode floor((n+1) q) by the term ratios
+    (n-k)/(k+1) * odds and k/(n-k+1) / odds, odds = a / (b - a), 3 roundings
+    a step and the odds' 2, to tiny; the entries past n - ell then fold.
+    Its certificate is at least 2E, about 10u E|K - mode|, and a binomial's
+    mean absolute deviation is at least sigma / sqrt(2), sigma**2 = n q (1-q)
+    (Berend and Kontorovich, 2013), with its median within 1 of its mean:
+    a ``tol`` below 10u (sigma / sqrt(2) - 1) gives None at once.
     """
     top = n - ell
     if a >= b:
@@ -293,56 +285,19 @@ def _uniform_near_order_law(n: int, ell: int, a: float, tol: float, b: float):
     if not (_TINY <= odds < math.inf and n < 2**53):
         return None
     q = a / b
-    sigma = math.sqrt(n * q * (1.0 - q)) * (1.0 + _gamma(4))
-    if not 10.0 * _U * (sigma + 2.0) <= tol:  # 2E alone, before the row is walked
+    if not 10.0 * _U * (math.sqrt(n * q * (1.0 - q) / 2.0) - 1.0) <= tol:
         return None
     start = min(math.floor((n + 1) * q), n)
-    down, up, t = [], [], 1.0
-    for k in range(start, max(start - _SERIES_CAP, 0), -1):  # t is the term at k - 1
-        t *= k / (n - k + 1) / odds
-        if t < _TINY:
-            break
-        down.append(t)
-    else:
-        if start > _SERIES_CAP:
-            return None
-    rho_down = (start - len(down) - 1) / (n - start + len(down) + 2) / odds
-    t = 1.0
-    for k in range(start, min(start + _SERIES_CAP, n)):  # t is the term at k + 1
-        t *= (n - k) / (k + 1) * odds
-        if t < _TINY:
-            break
-        up.append(t)
-    else:
-        if n - start > _SERIES_CAP:
-            return None
-    k_lo, k_hi = start - len(down), start + len(up)
-    rho_up = (n - k_hi - 1) / (k_hi + 2) * odds
-    out = 0.0
-    for end, rho in ((k_lo > 0, rho_down), (k_hi < n, rho_up)):
-        rho *= 1.0 + _gamma(5)
-        if end:
-            if not rho < 1.0:
-                return None
-            out += 2.0 * _TINY / (1.0 - rho)
-    down.reverse()
-    row = down + [1.0] + up
-    total = math.fsum(row)
-    probs = [x / total for x in row]
-    if k_hi > top:
-        fold = max(top - k_lo, 0)
-        probs[fold:] = [math.fsum(probs[fold:])]
-        k_lo = min(k_lo, top)
-    first = next((i for i, x in enumerate(probs) if x >= _TINY), None)
-    if first is None:
-        return None
-    last = len(probs) - next(i for i, x in enumerate(reversed(probs)) if x >= _TINY)
-    cut = math.fsum(probs[:first]) + math.fsum(probs[last:])
-    e = 5.0 * _U * (sigma + 2.0) / (1.0 - 5.0 * (max(len(down), len(up)) + 1) * _U)
-    bound = (out + cut + (2.0 * e + out) / (1.0 - out - e) + _gamma(3)) * (1.0 + _gamma(4))
-    if not bound <= tol:
-        return None
-    return TruncatedPMF(k_min=k_lo + first, probs=probs[first:last], tail_mass_bound=bound)
+    up = _products(map(mul, map(truediv, range(n - start, 0, -1), range(start + 1, n + 1)),
+                       repeat(odds)))
+    down = _products(map(truediv, map(truediv, range(start, 0, -1), range(n - start + 1, n + 1)),
+                         repeat(odds)))
+    law = _walk(start, up, down, _TINY, 5)
+    if law is not None and law.k_max > top:
+        fold = max(top - law.k_min, 0)
+        law = TruncatedPMF(k_min=min(law.k_min, top), tail_mass_bound=law.tail_mass_bound,
+                           probs=law.probs[:fold] + (math.fsum(law.probs[fold:]),))
+    return law if law is not None and law.tail_mass_bound <= tol else None
 
 
 def _gumbel_near_order_law(n: int, ell: int, a: float, tol: float):
@@ -350,7 +305,7 @@ def _gumbel_near_order_law(n: int, ell: int, a: float, tol: float):
     observations, as a ``TruncatedPMF`` within ``tol``; None at ranks ell >= 2,
     where the form is an alternating sum over j < ell whose cancellation is
     not counted, where s <= 1 below, where its certificate misses ``tol``,
-    or where it would hold more than ``_SERIES_CAP`` outcomes.
+    or where its row would pass the walker's cap.
 
     With U = F(X_(n:n)) ~ Beta(n, 1), the gap ratio is 1 - U**c, c = e**a - 1,
     and the count given U is Bin(m, 1 - U**c), m = n - 1.  Substituting
@@ -358,15 +313,10 @@ def _gumbel_near_order_law(n: int, ell: int, a: float, tol: float):
 
         P(0) = s / (m + s),   P(k+1) / P(k) = (m - k) / (m - k - 1 + s).
 
-    For s > 1 the ratios are below 1 and fall, so the law falls from k = 0;
-    its entries are taken from k = 0 up to the first below tiny, and the
-    mass past the last is at most 2 tiny / (1 - rho), rho the last ratio.
-    Rounding is counted in units u, with expm1 taken to err by at most
-    2 ulp: s errs by 5u, P(0) by 12u and each ratio step adds 8u, so entry
-    k errs by at most gamma(12 + 8k) relative.  Their sum, u times the
-    running sum of (12 + 8k) P(k) over the N entries held, within
-    gamma(N + 1), only grows along the row, so the walk gives None as soon
-    as it passes ``tol``.
+    For s > 1 the ratios are below 1 and fall, and ``approximants._walk``
+    takes the row from the mode 0 to tiny; s errs by 5u (expm1 by 2 ulp),
+    so a step takes 8 roundings.  The certificate is at least 2E, about
+    16u E[K] = 16u m c / (n + c): a ``tol`` below that gives None at once.
     """
     if ell > 1 or n >= 2**53 or a >= 709.0:
         return None
@@ -374,28 +324,10 @@ def _gumbel_near_order_law(n: int, ell: int, a: float, tol: float):
     s = n / c
     if not 1.0 < s < math.inf:  # s <= 1: the mass rises to k = m, across the whole support
         return None
-    probs, t, past, units = [], s / (m + s), 0.0, 0.0
-    for k in range(min(m, _SERIES_CAP)):  # t is P(k)
-        probs.append(t)
-        units += (12 + 8 * k) * t
-        if not _U * units <= tol:
-            return None
-        ratio = (m - k) / (m - k - 1 + s)
-        t *= ratio
-        if t < _TINY:
-            rho = ratio * (1.0 + _gamma(8))
-            if not rho < 1.0:
-                return None
-            past = 2.0 * _TINY / (1.0 - rho)
-            break
-    else:
-        if m > _SERIES_CAP:
-            return None
-        probs.append(t)  # P(m), the last outcome
-        units += (12 + 8 * m) * t
-    worst = 2.0 * (12 + 8 * len(probs)) * _U
-    err = _U * units * (1.0 + _gamma(len(probs) + 1)) / (1.0 - worst)
-    bound = (err + past) * (1.0 + _gamma(4))
-    if not bound <= tol:
+    if not 16.0 * _U * m * c / (n + c) <= tol:
         return None
-    return TruncatedPMF(k_min=0, probs=probs, tail_mass_bound=bound)
+    # the ratios for k < m from float counts, exact below 2**53; the first bounds them all
+    ratios = map(truediv, accumulate(repeat(-1.0, m - 1), initial=float(m)),
+                 map(add, accumulate(repeat(-1.0, m - 1), initial=m - 1.0), repeat(s)))
+    law = _walk(0, _products(ratios, m / (m - 1 + s)), (), _TINY, 8)
+    return law if law is not None and law.tail_mass_bound <= tol else None

@@ -13,7 +13,6 @@ from scipy import stats
 from tiebound.approximants import (
     TruncatedPMF,
     _dense,
-    _lgamma_error,
     log_pmf,
     negbin_pmf,
     poisson_pmf,
@@ -242,6 +241,17 @@ def _mp_pmf(kind, params, k, dps=40):
         return (1 - beta) * beta ** (k - 1)
 
 
+def _mp_ratio(kind, params, k):
+    """P(k+1) / P(k) of a target law in the current mpmath precision."""
+    if kind == "log":
+        return mp.mpf(params[0]) * k / (k + 1)
+    if kind == "poisson":
+        return mp.mpf(params[0]) / (k + 1)
+    if kind == "negbin":
+        return mp.mpf(params[1]) * (mp.mpf(params[0]) + k) / (k + 1)
+    return mp.mpf(params[0])
+
+
 TARGETS = {"log": truncated_log, "poisson": truncated_poisson, "negbin": truncated_negbin,
            "geometric": truncated_geometric}
 CERTIFICATE_GRID = ([("log", (alpha,)) for alpha in (0.1, 0.5, 0.9)]
@@ -264,32 +274,65 @@ def test_tail_mass_bound_covers_the_40_digit_tail(kind, params, tol):
 
 
 @pytest.mark.parametrize("kind,params,tol", [("poisson", (20.0,), 1e-13),
-                                             ("negbin", (2.5, 0.8), 1e-13)]
+                                             ("negbin", (2.5, 0.8), 1e-13),
+                                             # long rows about large modes, and a row of one
+                                             ("poisson", (300.0,), 1e-12),
+                                             ("poisson", (1e4,), 1e-12),
+                                             ("negbin", (400.0, 0.5), 1e-13),
+                                             ("log", (1e-300,), 1e-13),
+                                             # heavy tails: about 440k and 32k entries
+                                             ("log", (0.9999,), 1e-13),
+                                             ("geometric", (0.999,), 1e-13)]
                          + [(kind, params, 1e-12) for kind, params in CERTIFICATE_GRID])
 def test_tail_mass_bound_covers_the_entries_rounding_too(kind, params, tol):
     """The certificate bounds the L1 distance of the entries from their
     50-digit values plus the mass omitted: the entries of
-    truncated_poisson(20.0, 1e-13) are about 4.3e-15 off in L1."""
+    truncated_poisson(20.0, 1e-13) are about 1.1e-16 off in L1 and omit
+    1.3e-15, and it certifies 3.4e-15.  The exact row is taken by its term
+    ratios, in 50 digits, from its first entry."""
     law = TARGETS[kind](*params, tol)
     with mp.workdps(50):
-        exact = [_mp_pmf(kind, params, k, 50) for k in range(law.k_min, law.k_max + 1)]
+        exact = [_mp_pmf(kind, params, law.k_min, 50)]
+        for k in range(law.k_min, law.k_max):
+            exact.append(exact[-1] * _mp_ratio(kind, params, k))
         l1 = mp.fsum(abs(mp.mpf(x) - e) for x, e in zip(law.probs, exact))
         assert l1 + 1 - mp.fsum(exact) <= law.tail_mass_bound <= tol
 
 
-def test_lgamma_keeps_within_its_error_model():
-    """The certificates of truncated_poisson and truncated_negbin take
-    math.lgamma to err by at most ``_lgamma_error``, a model and not a proof:
-    it is checked here against 40-digit values, with a factor of 1.5 to
-    spare, on a log grid of x from 1e-300 to 1e300 and on integers and
-    halves up to 2000."""
-    grid = [10.0 ** (i / 8) for i in range(-2400, 2401)]
-    grid += [k / 2 for k in range(1, 4001)]
-    with mp.workdps(40):
-        misses = [x for x in grid
-                  if 1.5 * abs(mp.mpf(math.lgamma(x)) - mp.loggamma(x))
-                  > _lgamma_error(x, math.lgamma(x))]
-    assert misses == []
+# The targets' parity grid: log alpha in {0.05, 0.3, 0.5, 0.8, 0.9, 0.95, 0.99, 0.995,
+# 0.999, 0.9995, 0.9999}, Poisson lam in {1e-3, 0.1, 1, 5, 20, 100, 300, 1e3} and negative
+# binomial ell in {0.5, 1, 2, 10, 100} x beta in {0.05, 0.5, 0.8, 0.95, 0.99, 0.999}, each
+# at tol 1e-11, 1e-12 and 1e-13.  These are the points that certified when the entries
+# came from lgamma, keyed by the tolerances each met; the row walker certifies them all,
+# and 27 more.
+CERTIFIED_BEFORE_THE_WALKER = {
+    (1e-11, 1e-12, 1e-13): (
+        [("log", (alpha,)) for alpha in (0.05, 0.3, 0.5, 0.8, 0.9, 0.95, 0.99, 0.995, 0.999,
+                                         0.9995, 0.9999)]
+        + [("poisson", (lam,)) for lam in (1e-3, 0.1, 1.0, 5.0, 20.0)]
+        + [("negbin", (0.5, beta)) for beta in (0.05, 0.5, 0.8, 0.95)]
+        + [("negbin", (1.0, beta)) for beta in (0.05, 0.5, 0.8, 0.95, 0.99, 0.999)]
+        + [("negbin", (2.0, beta)) for beta in (0.05, 0.5, 0.8)]
+        + [("negbin", (10.0, 0.05))]),
+    (1e-11, 1e-12): [("poisson", (100.0,)), ("negbin", (0.5, 0.99)), ("negbin", (2.0, 0.95)),
+                     ("negbin", (10.0, 0.5)), ("negbin", (10.0, 0.8)), ("negbin", (100.0, 0.05))],
+    (1e-11,): [("poisson", (300.0,)), ("poisson", (1e3,)), ("negbin", (0.5, 0.999)),
+               ("negbin", (2.0, 0.99)), ("negbin", (10.0, 0.95)), ("negbin", (100.0, 0.5)),
+               ("negbin", (100.0, 0.8))],
+}
+
+
+def test_the_targets_certify_every_point_they_certified_before_the_walker():
+    grid = [(kind, params, tol) for tols, points in CERTIFIED_BEFORE_THE_WALKER.items()
+            for kind, params in points for tol in tols]
+    misses = []
+    for kind, params, tol in grid:
+        try:
+            if not TARGETS[kind](*params, tol).tail_mass_bound <= tol:
+                misses.append((kind, params, tol))
+        except TruncationError:
+            misses.append((kind, params, tol))
+    assert len(grid) == 109 and misses == []
 
 
 class TestDense:

@@ -1014,10 +1014,10 @@ def _certificate_misses(law, exact) -> list:
         return misses + (["L1"] if total > law.tail_mass_bound else [])
 
 
-# the three points of `verify`, a `simulate` point and the closed forms at large n and
+# the three points of `verify`, the two of `simulate` and the closed forms at large n and
 # small a
 UNIFORM_POINTS = [(8, 1, 0.05), (10, 2, 0.1), (200, 3, 0.05)]
-GUMBEL_POINTS = [(10, 1, 0.3), (10**9, 1, 0.01), (100, 1, 1e-9)]
+GUMBEL_POINTS = [(10, 1, 0.3), (100, 1, 0.3), (10**9, 1, 0.01), (100, 1, 1e-9)]
 
 
 class TestClosedFormNearOrderLaw:
@@ -1033,17 +1033,18 @@ class TestClosedFormNearOrderLaw:
         # every outcome at or above tiny is held
         assert all(law.k_min <= k <= law.k_max for k, e in exact.items() if e >= sys.float_info.min)
 
-    def test_uniform_entries_at_a_central_rank_of_n_1e9(self):
-        """1.08 million entries, too many for 50-digit values of each: every
-        997th and the last lie within their relative share of the certificate,
-        the row's normalisation (at most the certificate) plus 5u per step
-        from the mode, 3e8."""
-        n, ell, a = 10**9, 5 * 10**8, 0.3
+    @pytest.mark.parametrize("n", [10**5, 10**9])
+    def test_uniform_entries_at_a_central_rank(self, n):
+        """10.9 thousand and 1.08 million entries, too many for 50-digit values
+        of each: every 997th and the last lie within their relative share of
+        the certificate, the row's normalisation (at most the certificate) plus
+        5u per step from the mode, 0.3 n."""
+        ell, a = n // 2, 0.3
         law = uniform_law(1.0).near_order_law(n, ell, a, 1e-9)
         assert law.tail_mass_bound <= 1e-10
         for k in [*range(law.k_min, law.k_max + 1, 997), law.k_max]:
             exact = _exact_uniform_entry(n, ell, a, 1.0, k)
-            share = law.tail_mass_bound + 5.0 * binomial._U * abs(k - 3 * 10**8)
+            share = law.tail_mass_bound + 5.0 * binomial._U * abs(k - 3 * n // 10)
             assert abs(law.prob(k) - exact) <= share * exact
         assert abs(law.total() - 1.0) <= law.tail_mass_bound
         assert law.prob(law.k_min) >= sys.float_info.min > law.prob(law.k_min) * 1e-3

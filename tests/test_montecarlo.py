@@ -463,11 +463,15 @@ class TestEmpiricalTV:
         assert empirical_tv(near, target) == empirical_tv(far, target)
 
     def test_samples_beyond_the_target(self):
-        # no sample lands on the target's outcomes 1..17: all the mass is in
+        # no sample lands on the target's outcomes 1..16: all the mass is in
         # the overflow cell, against the target's missing mass
         emp = EmpiricalPMF.from_samples(np.arange(500, 1500))
-        estimate, _ = empirical_tv(emp, truncated_log(0.2, 1e-12))
-        assert estimate == 0.999999999999574
+        target = truncated_log(0.2, 1e-12)
+        estimate, _ = empirical_tv(emp, target)
+        # the estimate is the mass the target holds: 1 less the omitted mass's bound, which
+        # its normaliser counts
+        assert (target.k_min, target.k_max) == (1, 16)
+        assert estimate == math.fsum(target.probs) == 0.9999999999995681
 
     def test_counts_must_sum(self):
         from tiebound.errors import DomainError, TruncationError

@@ -28,6 +28,8 @@ COMMANDS = [
     ["figure", "fig2"],
     ["verify"],
     ["verify", "--mc-samples", "0"],
+    # the target laws at their tolerance's floor, 1e-13
+    ["verify", "--mc-samples", "0", "--tol", "1e-14"],
     ["bound", "thm1a", "--p", "1e-3", "--n", "100000"],
     ["bound", "thm1b", "--p", "1e-3", "--n", "100000"],
     ["bound", "thm2", "--p", "1e-3", "--n", "100000"],
@@ -89,6 +91,9 @@ COMMANDS = [
     ["bound", "thm4", "--n", "10", "--ell", "2", "--eq", "0.1", "--eq2", "0.012"],
     ["simulate", "--law", "gumbel", "--n", "100", "--a", "0.3"],
     ["simulate", "--law", "uniform", "--b", "1", "--n", "200", "--ell", "3", "--a", "0.05"],
+    # a long near-order row, 20k entries about a central rank
+    ["simulate", "--law", "uniform", "--b", "1", "--n", "100000", "--ell", "50000", "--a", "0.3",
+     "--mc-samples", "2000"],
     # many draws over few outcomes: the counts must not depend on how the draws are held
     ["simulate", "--p", "0.2", "--n", "20", "--mc-samples", "1000000"],
     ["simulate", "--kind", "size-biased", "--p", "0.2", "--n", "20", "--mc-samples", "200000"],
