@@ -29,12 +29,13 @@ with n - ell >= 2, whose gap-ratio moments have closed forms (see
 ``bounds_continuous``), and ``simulate`` of the tie count on a geometric
 law where its exact law certifies from its entries, each in closed form or
 from a short series (see ``maxima``), such as ``simulate --p 0.01 --n 10000
---mc-samples 10000000`` or ``simulate --p 0.3 --n 50``: the ``ties`` and
-``size-biased`` draws of ``simulate`` and ``verify`` come from one
+--mc-samples 10000000`` or ``simulate --p 0.3 --n 50``, and ``simulate`` of
+the near-order count on the Gumbel and uniform laws wherever their
+near-order laws have closed forms, such as ``simulate --law gumbel --n 100
+--a 0.3``: every draw of ``simulate`` and ``verify`` comes from one
 generator, ``random.Random``, at every size (see ``montecarlo``).  The
-rest import it
-when they first need it, through the package's shared lazy handle
-(``tiebound._numpy``).
+rest import it when they first need it, through the package's shared lazy
+handle (``tiebound._numpy``).
 
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is set already,
 so the CLI runs its few small BLAS calls on one thread; OpenBLAS reads it when

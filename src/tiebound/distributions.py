@@ -261,14 +261,22 @@ def gumbel_law() -> ContinuousLaw:
     Euler-Mascheroni constant 0.5772...  Its gap-ratio moments have a closed
     form with a certified error (``moments._gumbel_moments``), and so has
     the near-order law at the maximum (``moments._gumbel_near_order_law``).
+    ``logcdf`` and ``logquantile`` answer a Python ``float`` with a float
+    formed by ``math`` through the same formulas, so that near-order draws
+    (``montecarlo``) need no numpy; numpy's ``exp`` and ``log`` may differ
+    from ``math``'s in the last bit.
     """
 
     def logcdf(x):
+        if type(x) is float:
+            return -math.exp(-x) if x >= -709.782712893384 else -math.inf  # exp(-x) = inf
         with np.errstate(over="ignore"):  # exp(-x) = inf below x = -709.8: log F = -inf
             out = -np.exp(-np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
 
     def logquantile(log_u):
+        if type(log_u) is float:
+            return -math.log(-log_u) if log_u else math.inf
         with np.errstate(divide="ignore"):  # u = 1 maps to +inf
             out = -np.log(-np.asarray(log_u, dtype=float))
         return out if out.ndim else float(out)
@@ -289,16 +297,22 @@ def uniform_law(b: float) -> ContinuousLaw:
     Its gap-ratio moments have a closed form as binomial tails, with
     estimated errors (``moments._uniform_moments``), and its near-order
     count is a binomial law cut at n - ell, with a certified error
-    (``moments._uniform_near_order_law``).
+    (``moments._uniform_near_order_law``).  ``logcdf`` and ``logquantile``
+    answer a Python ``float`` through ``math``, as :func:`gumbel_law`'s do.
     """
     real_in(b, 0.0, math.inf, "uniform width")
 
     def logcdf(x):
+        if type(x) is float:
+            u = min(max(x / b, 0.0), 1.0)
+            return math.log(u) if u else -math.inf
         with np.errstate(divide="ignore"):  # log 0 = -inf at and below 0
             out = np.log(np.clip(np.asarray(x, dtype=float) / b, 0.0, 1.0))
         return out if out.ndim else float(out)
 
     def logquantile(log_u):
+        if type(log_u) is float:
+            return b * math.exp(log_u)
         out = b * np.exp(np.asarray(log_u, dtype=float))
         return out if out.ndim else float(out)
 

@@ -5,9 +5,9 @@ they stay an independent check of them: the maximum M of n observations has
 cdf F**n, and the tie count K given M = j is Bin(n, q(j)) given K >= 1, with
 q(j) = P(X = j) / F(j).
 
-The ``ties`` and ``size-biased`` kinds draw the *histogram* of a run, at every
-size, from ``random.Random`` keyed by (seed, stream_id)
-(``RngStream.python_random``).  A walk takes M down its law one hit at a time.
+Every kind draws the *histogram* of a run, at every size, from one generator,
+``random.Random`` keyed by (seed, stream_id) (``RngStream.python_random``).
+For ``ties`` and ``size-biased``, a walk takes M down its law one hit at a time.
 The ``rest`` maxima still to place lie at or below the value t below the last
 hit, each with latent V = F(M)**n uniform on [0, F(t)**n].  The largest latent
 is v = F(t)**n U**(1/rest), its maximum is the j with F(j-1)**n < v <= F(j)**n,
@@ -18,19 +18,18 @@ then inversion; Devroye 1986, X.4).  A run costs O(hits + cells drawn), not
 O(size): 1e7 draws at geometric (0.01, 1e4) take about 13 ms on a shared
 2-vCPU VM.  A ``ties`` run on a law that ``takes_range`` never imports numpy;
 ``size-biased`` walks the argmax law through numpy tables over its support.
-``sample_tie_count`` and ``sample_size_biased_ties`` expand the histogram and
-shuffle it with the same stream, so ``empirical_law`` equals
-``EmpiricalPMF.from_samples`` of their draws.  A key reproduces these draws
-whatever numpy's version, on every Python release that keeps the algorithms of
-``random``'s string seeding, ``random()``, ``betavariate`` and ``shuffle``, up
-to the last bit of ``math``'s functions.
+The ``near-order`` kind draws each replication on its own, at a cost that does
+not grow with n: V = 1 - F(X) at the ell-th largest X as a Beta(ell, n-ell+1)
+variate, X through ``logquantile`` at log1p(-V), then one exact binomial count
+given X.  The built-in continuous laws answer a float through ``math``, so a
+near-order run of them never imports numpy.
 
-The ``near-order`` kind draws from numpy's PCG64 (``RngStream.generator``) in
-blocks of 8192 replications (``_CHUNK_ROWS``, 64 KB per float64 temporary),
-each tallied as it is drawn: the ell-th largest through the log quantile at the
-log of a Beta(n-ell+1, ell) variate, then one binomial count given it.  Its
-draws are fixed for a given numpy version and block size.  Distinct stream ids
-give independent streams of either kind, so parallel workers can each own
+The samplers expand the histogram and shuffle it with the same stream, so
+``empirical_law`` equals ``EmpiricalPMF.from_samples`` of their draws.  A key
+reproduces these draws whatever numpy's version, on every Python release that
+keeps the algorithms of ``random``'s string seeding, ``random()``,
+``betavariate`` and ``shuffle``, up to the last bit of ``math``'s functions.
+Distinct stream ids give independent streams, so parallel workers can each own
 stream_id = worker index and merge their counts in any order.
 """
 
@@ -39,6 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from . import bounds_continuous
@@ -64,8 +64,6 @@ __all__ = [
 # union bound over the 2^d sign patterns of a d-category discrepancy.
 TV_CONFIDENCE_DELTA = 1e-4
 
-# near-order replications per block: 64 KB per float64 temporary
-_CHUNK_ROWS = 1 << 13
 _BELOW_ONE = 1.0 - 2.0**-53
 # a binomial draws by inversion once N p, with p <= 1/2, is below this: the walk
 # takes about N p steps, where a Beta split takes two gamma variates
@@ -81,18 +79,14 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
-    def generator(self) -> np.random.Generator:
-        """numpy's PCG64 stream of this key, through SeedSequence spawning."""
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
-        return np.random.Generator(np.random.PCG64(ss))
-
     def python_random(self) -> random.Random:
-        """The Mersenne Twister of this key, for the tie-count histograms; the key
-        string is hashed by SHA-512, so distinct keys seed distinct states."""
+        """The Mersenne Twister of this key, the one generator of every sampler; the
+        key string is hashed by SHA-512, so distinct keys seed distinct states."""
         return random.Random(f"{self.seed}:{self.stream_id}")
 
     def split(self, count: int) -> list:
-        """Streams (seed, 0..count-1) for independent parallel workers."""
+        """Streams (seed, 0..count-1) for independent parallel workers, whose counts
+        merge in any order."""
         return [RngStream(seed=self.seed, stream_id=i) for i in range(count)]
 
 
@@ -272,11 +266,27 @@ def _size_biased_hits(spec: KnSpec, size: int, rand: random.Random):
         rest, log_top = rest - count, log_below
 
 
-def _histogram(kind: str, spec: KnSpec, rand: random.Random, size: int) -> dict:
-    """Outcome -> count over ``size`` replications of the ``ties`` or ``size-biased``
-    count: the hits of the maximum's walk, each spread over its row of K given M."""
+def _near_order_counts(spec: bounds_continuous.NearOrderSpec, rand: random.Random, size: int):
+    """Yield the near-order counts of ``size`` replications, by two law calls each:
+    V = 1 - F(X) at the ell-th largest X is a Beta(ell, n - ell + 1) variate, log u =
+    log1p(-V), X = logquantile(log u), and the count is Bin(n - ell, r_a) with r_a =
+    1 - F(X - a) / F(X) = -expm1(logcdf(X - a) - log u), taken as 1 where F(X) = 0."""
+    law, n, ell, a = spec.law, spec.n, spec.ell, spec.a
+    for _ in range(size):
+        log_u = math.log1p(-rand.betavariate(ell, n - ell + 1))
+        r_a = (-math.expm1(law.logcdf(law.logquantile(log_u) - a) - log_u)
+               if log_u > -math.inf else 1.0)
+        yield _binomial(rand, n - ell, r_a)
+
+
+def _histogram(kind: str, spec, rand: random.Random, size: int) -> dict:
+    """Outcome -> count over ``size`` replications of the count ``kind``: for ``ties``
+    and ``size-biased``, the hits of the maximum's walk, each spread over its row of K
+    given M; for ``near-order``, one count per replication."""
     if size < 0:
         raise DomainError(f"sample_size must be >= 0, got {size}")
+    if kind == "near-order":
+        return Counter(_near_order_counts(spec, rand, size))
     if kind == "ties":
         hits, trials, low, shift = _tie_hits(spec.law, spec.n, size, rand), spec.n, 1, 0
     else:
@@ -287,7 +297,7 @@ def _histogram(kind: str, spec: KnSpec, rand: random.Random, size: int) -> dict:
     return hist
 
 
-def _draws(kind: str, spec: KnSpec, rng: RngStream, size):
+def _draws(kind: str, spec, rng: RngStream, size):
     """The histogram of ``size`` replications expanded and shuffled with its own
     stream: an int64 array, or one int with ``size=None``."""
     rand = rng.python_random()
@@ -320,32 +330,19 @@ def sample_size_biased_ties(spec: KnSpec, rng: RngStream, size=None):
     return _draws("size-biased", spec, rng, size)
 
 
-def _near_order_blocks(spec: bounds_continuous.NearOrderSpec, rng: RngStream, size: int):
-    """Yield the near-order counts of ``size`` replications from numpy's stream, at
-    most _CHUNK_ROWS at a time."""
-    gen = rng.generator()
-    n, ell = spec.n, spec.ell
-    for start in range(0, size, _CHUNK_ROWS):
-        with np.errstate(divide="ignore"):  # a draw of 0 has log -inf, and r_a = 1 there
-            x = spec.law.logquantile(np.log(gen.beta(n - ell + 1, ell,
-                                                     size=min(_CHUNK_ROWS, size - start))))
-        yield gen.binomial(n - ell, bounds_continuous.gap_ratio(spec.law, spec.a, x))
-
-
 def sample_near_order_count(spec: bounds_continuous.NearOrderSpec, rng: RngStream, size=None):
     """Count of observations strictly inside (X_(n-ell+1:n) - a, X_(n-ell+1:n)).
 
     The order statistic itself is not counted (the window is open on both
     sides; with a continuous law ties occur with probability zero).  Each
-    replication draws u = F(x) of the order statistic x as a Beta(n-ell+1,
-    ell) variate and maps it through ``logquantile(log u)``, then draws the
-    count as Bin(n - ell, r_a(x)): the n - ell observations below x are
-    independent draws conditioned on lying below it.  With ``size=None``
-    returns a single int; otherwise an int64 array.
+    replication draws v = 1 - F(x) of the order statistic x as a Beta(ell,
+    n-ell+1) variate and maps it through ``logquantile(log1p(-v))``, then
+    draws the count as Bin(n - ell, r_a(x)): the n - ell observations below
+    x are independent draws conditioned on lying below it.  The draws are a
+    histogram of the run, shuffled, as :func:`sample_tie_count`'s are.  With
+    ``size=None`` returns a single int; otherwise an int64 array.
     """
-    draws = np.concatenate([np.empty(0, np.int64),
-                            *_near_order_blocks(spec, rng, 1 if size is None else int(size))])
-    return int(draws[0]) if size is None else draws
+    return _draws("near-order", spec, rng, size)
 
 
 def empirical_law(kind: str, spec, rng: RngStream, size: int) -> EmpiricalPMF:
@@ -355,9 +352,8 @@ def empirical_law(kind: str, spec, rng: RngStream, size: int) -> EmpiricalPMF:
     (``sample_size_biased_ties``) or ``"near-order"``
     (``sample_near_order_count``).  The result equals
     ``EmpiricalPMF.from_samples`` of that sampler's draws for the same
-    ``spec``, ``rng`` and ``size``, but no draw is held: the first two kinds
-    draw the histogram itself, and near-order counts are tallied block by
-    block, so memory is O(support + block) however large ``size`` is.
+    ``spec``, ``rng`` and ``size``, but no draw is held: every kind draws the
+    histogram itself, so memory is O(support) however large ``size`` is.
     """
     if kind not in ("ties", "size-biased", "near-order"):
         raise DomainError(f"kind must be one of ['near-order', 'size-biased', 'ties'], "
@@ -365,14 +361,7 @@ def empirical_law(kind: str, spec, rng: RngStream, size: int) -> EmpiricalPMF:
     size = int(size)
     if size < 1:
         raise DomainError(f"sample_size must be >= 1, got {size}")
-    if kind != "near-order":
-        hist = _histogram(kind, spec, rng.python_random(), size)
-    else:
-        hist = {}
-        for block in _near_order_blocks(spec, rng, size):
-            lo = int(block.min())
-            for k, c in enumerate(np.bincount(block - lo).tolist(), lo):
-                hist[k] = hist.get(k, 0) + c
+    hist = _histogram(kind, spec, rng.python_random(), size)
     k_min = min(hist, default=0)
     counts = [0] * (max(hist, default=-1) + 1 - k_min)
     for k, c in hist.items():

@@ -189,6 +189,26 @@ def test_logcdf_matches_high_precision(law_fn, exact):
             assert law.logquantile(float(log_f)) == pytest.approx(x, rel=1e-14, abs=1e-14)
 
 
+EXP_OVERFLOW = 709.782712893384  # the largest x whose exp(x) is finite
+
+
+@pytest.mark.parametrize("law", [gumbel_law(), uniform_law(2.0)], ids=["gumbel", "uniform"])
+@pytest.mark.parametrize("name,grid", [
+    ("logcdf", [-math.inf, -800.0, math.nextafter(-EXP_OVERFLOW, -math.inf), -EXP_OVERFLOW,
+                -3.0, -0.0, 0.0, 1e-300, 0.5, 1.0, 2.0, 3.0, 40.0, 800.0, math.inf]),
+    ("logquantile", [-math.inf, -800.0, -40.0, -1.0, -0.5, -1e-10, -1e-300, -0.0, 0.0]),
+])
+def test_a_float_gets_the_array_value(law, name, grid):
+    """A Python float takes the ``math`` path, and gets the array path's value within
+    2 ulp, also where exp overflows, at log u = +-0, outside the uniform support and
+    at +-inf."""
+    fn = getattr(law, name)
+    for x, want in zip(grid, fn(np.array(grid)).tolist()):
+        got = fn(x)
+        assert type(got) is float
+        assert got == want or abs(got - want) <= 2.0 * math.ulp(want), (x, got, want)
+
+
 def test_discrete_tail_covers_unit_mass():
     """Partial pmf sums plus the declared tail bound cover 1 within 1e-10."""
     for p in (0.1, 0.4, 0.7):

@@ -64,6 +64,13 @@ def _assert_within_standard_errors(emp: EmpiricalPMF, exact: TruncatedPMF, z=4.0
         assert abs(f - p) <= z * se + 5.0 / n, f"k={k}: {f} vs {p}"
 
 
+def _pcg64(seed, stream_id=0):
+    """numpy's PCG64 stream of (seed, stream_id) through SeedSequence spawning, for
+    the oracles: a generator independent of the samplers'."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))))
+
+
 def _direct_tie_count(spec: KnSpec, gen, size):
     """Oracle: draw n values, count how many equal the largest."""
     x = _discrete_quantile_fn(spec.law)(gen.random((size, spec.n)))
@@ -122,7 +129,7 @@ class TestAgainstDirectConstruction:
     def test_tie_count(self, law, n):
         spec = KnSpec(law=law, n=n)
         fast = sample_tie_count(spec, RngStream(seed=41), size=N_UNIT)
-        direct = _direct_tie_count(spec, RngStream(seed=42).generator(), N_UNIT)
+        direct = _direct_tie_count(spec, _pcg64(42), N_UNIT)
         _assert_same_law(fast, direct, 1, n)
         _assert_within_standard_errors(EmpiricalPMF.from_samples(fast),
                                        tie_count_law(spec, 1e-12))
@@ -131,7 +138,7 @@ class TestAgainstDirectConstruction:
     def test_size_biased(self, law, n):
         spec = KnSpec(law=law, n=n)
         fast = sample_size_biased_ties(spec, RngStream(seed=43), size=N_UNIT)
-        direct = _direct_size_biased(spec, RngStream(seed=44).generator(), N_UNIT)
+        direct = _direct_size_biased(spec, _pcg64(44), N_UNIT)
         _assert_same_law(fast, direct, 1, n)
         _assert_within_standard_errors(EmpiricalPMF.from_samples(fast), _size_biased_law(spec))
 
@@ -139,7 +146,7 @@ class TestAgainstDirectConstruction:
     def test_near_order_count(self, law, n, ell, a):
         spec = NearOrderSpec(law=law, n=n, ell=ell, a=a)
         fast = sample_near_order_count(spec, RngStream(seed=45), size=N_UNIT)
-        direct = _direct_near_order(spec, RngStream(seed=46).generator(), N_UNIT)
+        direct = _direct_near_order(spec, _pcg64(46), N_UNIT)
         _assert_same_law(fast, direct, 0, n - ell)
         _assert_within_standard_errors(EmpiricalPMF.from_samples(fast),
                                        near_order_count_pmf(spec, 1e-10))
@@ -212,7 +219,7 @@ class TestCostPerReplication:
         law, _, points = _counting_law(gumbel_law())
         spec = NearOrderSpec(law=law, n=10**5, ell=2, a=0.3)
         sample_near_order_count(spec, RngStream(seed=61), size=self.SIZE)
-        assert 0 < sum(points.values()) <= 4 * self.SIZE
+        assert 0 < sum(points.values()) <= 2 * self.SIZE
 
     def test_size_biased_table_takes_few_calls(self):
         # the argmax law's inverse-cdf table spans about 50/p = 5e5 values; it
@@ -445,7 +452,7 @@ class TestEmpiricalTV:
         target = truncated_poisson(2.0, 1e-9)
         failures = 0
         for rep in range(30):
-            gen = RngStream(seed=1234, stream_id=rep).generator()
+            gen = _pcg64(1234, rep)
             samples = gen.poisson(2.0, size=50_000)
             emp = EmpiricalPMF.from_samples(samples)
             estimate, radius = empirical_tv(emp, target)
@@ -590,20 +597,30 @@ class TestHistogram:
     """ties and size-biased runs, drawn as a histogram from ``random.Random``."""
 
     def test_a_geometric_ties_run_leaves_numpy_unloaded(self):
+        """So do near-order runs of the Gumbel and uniform laws."""
         code = ("import sys\n"
-                "from tiebound import KnSpec, geometric_law\n"
+                "from tiebound import KnSpec, NearOrderSpec, geometric_law, gumbel_law, "
+                "uniform_law\n"
                 "from tiebound.montecarlo import RngStream, empirical_law\n"
-                "spec = KnSpec(law=geometric_law(0.01), n=10**4)\n"
-                "emp = empirical_law('ties', spec, RngStream(seed=1), 10**5)\n"
-                "print(emp.sample_size, 'numpy' in sys.modules)\n")
+                "runs = [('ties', KnSpec(law=geometric_law(0.01), n=10**4), 10**5),\n"
+                "        ('near-order', NearOrderSpec(law=gumbel_law(), n=100, ell=1, a=0.3),"
+                " 20000),\n"
+                "        ('near-order', NearOrderSpec(law=uniform_law(1.0), n=200, ell=3,"
+                " a=0.05), 20000)]\n"
+                "for kind, spec, size in runs:\n"
+                "    emp = empirical_law(kind, spec, RngStream(seed=1), size)\n"
+                "    print(emp.sample_size, 'numpy' in sys.modules)\n")
         src = os.path.dirname(os.path.dirname(tiebound.__file__))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src)).stdout
-        assert out.split() == ["100000", "False"]
+        assert out.split() == ["100000", "False", "20000", "False", "20000", "False"]
 
-    @pytest.mark.parametrize("kind", ["ties", "size-biased"])
-    def test_same_key_same_counts_and_distinct_streams_differ(self, kind):
-        spec = KnSpec(law=geometric_law(0.5), n=10)
+    @pytest.mark.parametrize("kind,spec", [
+        ("ties", KnSpec(law=geometric_law(0.5), n=10)),
+        ("size-biased", KnSpec(law=geometric_law(0.5), n=10)),
+        ("near-order", NearOrderSpec(law=gumbel_law(), n=20, ell=2, a=0.5)),
+    ], ids=["ties", "size-biased", "near-order"])
+    def test_same_key_same_counts_and_distinct_streams_differ(self, kind, spec):
         runs = [empirical_law(kind, spec, RngStream(seed=90, stream_id=s), 5000)
                 for s in (3, 3, 4)]
         assert runs[0] == runs[1] and runs[0].counts != runs[2].counts
@@ -668,19 +685,31 @@ class TestHistogram:
         assert estimate <= radius
 
 
-@pytest.mark.parametrize("kind", ["ties", "size-biased"])
+@pytest.mark.parametrize("kind", ["ties", "size-biased", "near-order"])
 def test_a_perturbed_conditional_probability_fails_the_chi_square_check(kind, monkeypatch):
     """The check that the samplers pass above fails a sampler whose q(4), one
-    conditional probability of its rows, is raised by 1e-2."""
-    law = geometric_law(0.5)
-    spec = KnSpec(law=law, n=10)
-    exact = _exact_law(kind, spec).probs
+    conditional probability of its rows, is raised by 1e-2; and a near-order sampler
+    whose every gap ratio r_a is raised by 1e-2."""
+    if kind == "near-order":
+        law, a = uniform_law(1.0), 0.1
+        spec, size = NearOrderSpec(law=law, n=10, ell=2, a=a), 20_000
+        exact = near_order_count_pmf(spec, 1e-12)
+    else:
+        law = geometric_law(0.5)
+        spec, size = KnSpec(law=law, n=10), 10**6
+        exact = _exact_law(kind, spec)
 
     def p_value():
-        emp = empirical_law(kind, spec, RngStream(seed=12), 10**6)
-        return _chi_square_pvalue(emp, k_min=1, pmf=exact)
+        emp = empirical_law(kind, spec, RngStream(seed=12), size)
+        return _chi_square_pvalue(emp, k_min=exact.k_min, pmf=exact.probs)
 
     assert p_value() >= 1e-3
+    if kind == "near-order":
+        # F is linear on the support, so F(y - 1e-2 x) = F(x - a) - 1e-2 F(x) at y = x - a
+        raised = dataclasses.replace(law, logcdf=lambda y: law.logcdf(y - 1e-2 * (y + a)))
+        spec = dataclasses.replace(spec, law=raised)
+        assert p_value() < 1e-6
+        return
     q4, spread = tie_given_max_prob(law, 4), montecarlo._spread
 
     def perturbed(rand, hist, count, trials, q, low, shift):

@@ -88,6 +88,8 @@ COMMANDS = [
     ["bound", "thm3", "--law", "uniform", "--b", "1", "--n", "1000000000", "--ell", "500000000",
      "--a", "0.3"],
     ["bound", "thm3", "--law", "gumbel", "--n", "100", "--a", "1e-9"],
+    # a float's logcdf feeds the quadrature's panel edges here
+    ["bound", "thm3", "--law", "uniform", "--b", "1", "--n", "2", "--ell", "1", "--a", "0.5"],
     ["bound", "thm4", "--n", "10", "--ell", "2", "--eq", "0.1", "--eq2", "0.012"],
     ["simulate", "--law", "gumbel", "--n", "100", "--a", "0.3"],
     ["simulate", "--law", "uniform", "--b", "1", "--n", "200", "--ell", "3", "--a", "0.05"],
@@ -98,6 +100,12 @@ COMMANDS = [
     ["simulate", "--p", "0.2", "--n", "20", "--mc-samples", "1000000"],
     ["simulate", "--kind", "size-biased", "--p", "0.2", "--n", "20", "--mc-samples", "200000"],
     ["simulate", "--law", "gumbel", "--n", "100", "--a", "0.3", "--mc-samples", "200000"],
+    # near-order draws against a quadrature law, and at rank n, where V ~ Beta(n, 1) and the
+    # count is Bin(0, r)
+    ["simulate", "--law", "gumbel", "--n", "20", "--ell", "2", "--a", "0.5",
+     "--mc-samples", "2000"],
+    ["simulate", "--law", "uniform", "--b", "1", "--n", "10", "--ell", "10", "--a", "0.3",
+     "--mc-samples", "1000"],
     # a law of the wrong kind for the command: a one-line error and exit 1
     ["bound", "thm1a", "--law", "gumbel", "--n", "10"],
     ["bound", "thm2", "--law", "uniform", "--b", "1", "--n", "10"],
