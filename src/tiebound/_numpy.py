@@ -1,9 +1,9 @@
 """numpy, imported on first use: the one handle the package's modules share.
 
 The modules that a command without arrays runs (``distributions``,
-``maxima``, ``binomial``, ``bounds_continuous``, ``montecarlo`` and
-``stein``; ``cli``, ``approximants`` and ``moments`` need no numpy) read it
-through ``np`` here, so that a command that never builds an array, such as
+``maxima``, ``binomial``, ``bounds_continuous`` and ``montecarlo``; ``cli``,
+``approximants``, ``moments`` and ``stein`` need no numpy) read it through
+``np`` here, so that a command that never builds an array, such as
 ``bound thm2`` on a geometric law in the closed-form region, ``table1`` and
 ``figure fig1`` at its default n, whose tie-count series are short enough
 to sum in plain Python, ``bound thm3`` on the Gumbel law, whose moments

@@ -268,14 +268,19 @@ def truncated_negbin(ell: float, beta: float, tol: float) -> TruncatedPMF:
 
     At ell = 1 entry k is (1 - beta) beta**k, within gamma(6), and the mass
     above k is beta**(k+1), so beta**(k+1) (1 + gamma(4)) + gamma(7) bounds
-    it and the entries' rounding.  Otherwise, from the mode, the term ratios
-    are beta (ell+k) / (k+1) up and k / (beta (ell+k-1)) down, four roundings
-    a step; for ell < 1 the upward ones rise to beta, else they fall.
+    it and the entries' rounding; no ``tol`` at or below gamma(7) is
+    reached, and such a ``tol`` is refused at once.  Otherwise, from the
+    mode, the term ratios are beta (ell+k) / (k+1) up and k / (beta
+    (ell+k-1)) down, four roundings a step; for ell < 1 the upward ones
+    rise to beta, else they fall.
     """
     positive_tol(tol)
     real_in(ell, 0.0, math.inf, "negative binomial shape")
     real_in(beta, 0.0, 1.0, "negative binomial odds")
     if ell == 1.0:
+        if not tol > _gamma(7):
+            raise TruncationError(f"the geometric rounding floor, {_gamma(7)!r}, misses {tol!r}",
+                                  best_bound=_gamma(7))
         return truncate_law(lambda k: (1.0 - beta) * beta**k,
                             lambda k: beta ** (k + 1) * (1.0 + _gamma(4)) + _gamma(7), tol)
     mode = math.floor((ell - 1.0) * beta / (1.0 - beta)) if ell > 1.0 else 0

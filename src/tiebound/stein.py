@@ -7,11 +7,25 @@ function f solves
 
     h(k) = k f(k-1) - alpha k f(k)          (k = 1, 2, ...)
 
-and admits the series form f(k) = (1/alpha) sum_{j>=1} h(j+k) alpha**j / (j+k),
-which is what this module evaluates (the forward recursion seeded at
-f(0) = 0 produces the same values whenever E[h(L)] = 0, but amplifies error
-by 1/alpha per step, so it is kept as a test oracle only).  The solution is
-uniformly bounded by -log(1 - alpha) / alpha.
+and admits the series form f(k) = (1/alpha) sum_{j>=1} h(j+k) alpha**j / (j+k)
+(the forward recursion seeded at f(0) = 0 produces the same values whenever
+E[h(L)] = 0, but amplifies error by 1/alpha per step, so it is kept as a
+test oracle only).  The solution is uniformly bounded by
+-log(1 - alpha) / alpha.
+
+This module evaluates the series split by the test set.  For E a finite
+set M, with P = P(L in M) and S_k = sum_{j>=1} alpha**j / (j+k), the
+indicator's part of the series keeps only the terms at j + k = i in M, so
+
+    f(k) = (sum_{i in M, i > k} alpha**(i-k) / i - P S_k) / alpha,
+
+and the complement of M, whose h is -h of M, has the solution -f.  The
+member sum is finite and exact up to rounding; S_k is the one series,
+summed by ``math.fsum`` of terms each from ``pow``, with no cancellation
+inside it.  ``tol`` bounds its truncation: P <= 1, and the terms after J
+sum to at most alpha**(J+1) / ((1-alpha) (J+k+1)).  The rounding, a few u
+times (|sum_M| + P S_k) / alpha with u the unit roundoff, is stated here
+but not certified.
 """
 
 from __future__ import annotations
@@ -19,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._numpy import np
 from .approximants import log_pmf
 from .errors import TruncationError, integer_in, positive_tol, real_in
 
@@ -39,9 +52,9 @@ class SteinTestFn:
     """Indicator-minus-mean test function for a logarithmic law.
 
     ``members`` is a finite outcome set; with ``complement=True`` the test
-    set is its complement in {0, 1, 2, ...}.  The offset P(L in E) is fixed
-    at construction so that the function integrates to zero under the
-    logarithmic law with parameter ``alpha``.
+    set is its complement in {0, 1, 2, ...}.  The members' probability
+    P(L in members) under the logarithmic law with parameter ``alpha`` is
+    fixed at construction, so that the function integrates to zero.
     """
 
     members: frozenset
@@ -52,27 +65,22 @@ class SteinTestFn:
         real_in(self.alpha, 0.0, 1.0, "logarithmic parameter")
         members = frozenset(integer_in(k, 0, what="test-set outcome") for k in self.members)
         object.__setattr__(self, "members", members)
-        inside = math.fsum(log_pmf(self.alpha, k) for k in members if k >= 1)
-        prob = 1.0 - inside if self.complement else inside
-        object.__setattr__(self, "_target_prob", prob)
-        object.__setattr__(self, "_member_arr",
-                           np.array(sorted(members), dtype=np.int64))
+        object.__setattr__(self, "_prob",
+                           math.fsum(log_pmf(self.alpha, k) for k in members if k >= 1))
 
-    def __call__(self, k):
-        """h(k), always in [-1, 1]; vectorized over integer arrays."""
-        k = np.asarray(k)
-        ind = np.isin(k, self._member_arr)
-        if self.complement:
-            ind = ~ind
-        out = ind.astype(float) - self._target_prob
-        return out if out.ndim else float(out)
+    def __call__(self, k: int) -> float:
+        """h(k) = 1{k in members} - P(L in members), negated for a complement; in [-1, 1]."""
+        h = (k in self.members) - self._prob
+        return -h if self.complement else h
 
 
 def stein_solution(test: SteinTestFn, k: int, tol: float = 1e-13) -> float:
-    """f(k) = (1/alpha) sum_{j>=1} h(j+k) alpha**j / (j+k), certified within tol.
+    """f(k) = (sum_{i in M, i > k} alpha**(i-k) / i - P S_k) / alpha, negated
+    for a complement, with S_k's truncation certified within tol.
 
-    The remainder after J terms is at most alpha**J / ((1-alpha) (J+k+1)) in
-    absolute value since |h| <= 1.
+    The remainder after J terms is at most alpha**J / ((1-alpha) (J+k+1))
+    once divided by alpha, since P <= 1.  Raises :class:`TruncationError`
+    if that takes more than ``_MAX_TERMS`` terms.
     """
     k = integer_in(k, 0, what="Stein solution argument")
     positive_tol(tol)
@@ -83,14 +91,13 @@ def stein_solution(test: SteinTestFn, k: int, tol: float = 1e-13) -> float:
     terms = max(8, int(math.ceil(target / log_a)))
     while terms * log_a - math.log1p(-alpha) - math.log(terms + k + 1) > math.log(tol):
         terms *= 2
-        if terms > _MAX_TERMS:
-            raise TruncationError(
-                f"series for the Stein solution did not reach {tol!r}",
-                best_bound=math.exp(_MAX_TERMS * log_a - math.log1p(-alpha)),
-            )
-    j = np.arange(1, terms + 1, dtype=np.int64)
-    weights = np.exp(j * log_a - np.log(j + k))
-    return float(np.dot(test(j + k), weights)) / alpha
+    if terms > _MAX_TERMS:
+        raise TruncationError(f"series for the Stein solution did not reach {tol!r}",
+                              best_bound=math.exp(_MAX_TERMS * log_a - math.log1p(-alpha)))
+    inside = math.fsum(pow(alpha, i - k) / i for i in test.members if i > k)
+    series = math.fsum(pow(alpha, j) / (j + k) for j in range(1, terms + 1))
+    f = (inside - test._prob * series) / alpha
+    return -f if test.complement else f
 
 
 def stein_residual(test: SteinTestFn, k: int, tol: float = 1e-13) -> float:

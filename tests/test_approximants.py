@@ -1,6 +1,7 @@
 """Target pmfs, certified truncation, and the total-variation interval."""
 
 import math
+import time
 from itertools import combinations
 
 import mpmath as mp
@@ -24,6 +25,7 @@ from tiebound.approximants import (
     truncated_poisson,
     tv_distance,
 )
+from tiebound.binomial import _gamma
 from tiebound.errors import DomainError, TruncationError
 
 
@@ -126,6 +128,19 @@ class TestTruncation:
         with pytest.raises(TruncationError) as exc:
             truncate_law(lambda k: 0.0, lambda k: 0.5, tol=1e-3, max_terms=50)
         assert exc.value.best_bound == 0.5
+
+    @pytest.mark.parametrize("target", [lambda tol: truncated_negbin(1.0, 0.5, tol),
+                                        lambda tol: truncated_geometric(0.5, tol)],
+                             ids=["negbin", "geometric"])
+    def test_a_geometric_tolerance_below_the_rounding_floor_raises_at_once(self, target):
+        # gamma(7) of the certificate counts the entries' rounding, so no row meets less;
+        # the raise comes before the row, not after 1e7 entries of it
+        start = time.perf_counter()
+        with pytest.raises(TruncationError) as exc:
+            target(1e-16)
+        assert time.perf_counter() - start < 0.1
+        assert exc.value.best_bound == _gamma(7)
+        assert target(1.1 * _gamma(7)).tail_mass_bound <= 1.1 * _gamma(7)
 
     def test_shifted_geometric(self):
         law = truncated_geometric(0.5, 1e-12)

@@ -391,16 +391,17 @@ def test_quantile_table_past_the_series_cap_is_refused_before_it_is_built(p, n):
 
 def _chi_square_pvalue(emp: EmpiricalPMF, k_min, pmf, min_expected=5.0):
     """Chi-square goodness of fit of the counts to ``pmf`` on k_min, k_min + 1, ...,
-    with tail bins merged to keep cells full."""
+    with the cells below ``min_expected`` at each end pooled into one bin per end."""
     n = emp.sample_size
     counts = np.array(_dense(emp.k_min, emp.counts, k_min, k_min + len(pmf) - 1, 0))
     expected = np.asarray(pmf) * n
-    # fold sparse high-k cells into the last kept bin
-    keep = expected >= min_expected
-    cut = int(np.argmax(~keep)) if not keep.all() else len(pmf)
-    cut = max(cut, 2)
-    obs = np.append(counts[:cut], counts[cut:].sum() + (n - counts.sum()))
-    exp = np.append(expected[:cut], max(n - expected[:cut].sum(), 1e-9))
+    full = np.flatnonzero(expected >= min_expected)
+    lo, hi = full[0], max(full[-1] + 1, 2)
+    # the high bin also takes the draws and the mass outside the pmf's range
+    obs = np.concatenate([[counts[:lo].sum()], counts[lo:hi], [n - counts[:hi].sum()]])
+    exp = np.concatenate([[expected[:lo].sum()], expected[lo:hi],
+                          [max(n - expected[:hi].sum(), 1e-9)]])
+    obs, exp = obs[exp > 0.0], exp[exp > 0.0]  # no low bin when the first cell is full
     chi2 = float(((obs - exp) ** 2 / exp).sum())
     return float(stats.chi2.sf(chi2, df=len(obs) - 1))
 
@@ -685,14 +686,19 @@ class TestHistogram:
         assert estimate <= radius
 
 
-@pytest.mark.parametrize("kind", ["ties", "size-biased", "near-order"])
-def test_a_perturbed_conditional_probability_fails_the_chi_square_check(kind, monkeypatch):
+@pytest.mark.parametrize("kind,point", [("ties", None), ("size-biased", None),
+                                        ("near-order", (10, 2, 0.1)),
+                                        ("near-order", (200, 3, 0.05))],
+                         ids=["ties", "size-biased", "near-order", "near-order-200"])
+def test_a_perturbed_conditional_probability_fails_the_chi_square_check(kind, point,
+                                                                        monkeypatch):
     """The check that the samplers pass above fails a sampler whose q(4), one
     conditional probability of its rows, is raised by 1e-2; and a near-order sampler
-    whose every gap ratio r_a is raised by 1e-2."""
+    whose every gap ratio r_a is raised by 1e-2, at the uniform law's (n, ell, a) =
+    (10, 2, 0.1) and at (200, 3, 0.05), whose law has sparse cells at both ends."""
     if kind == "near-order":
-        law, a = uniform_law(1.0), 0.1
-        spec, size = NearOrderSpec(law=law, n=10, ell=2, a=a), 20_000
+        law, (n, ell, a) = uniform_law(1.0), point
+        spec, size = NearOrderSpec(law=law, n=n, ell=ell, a=a), 20_000
         exact = near_order_count_pmf(spec, 1e-12)
     else:
         law = geometric_law(0.5)

@@ -1,10 +1,12 @@
-"""Stein-equation machinery: solution series, residuals, and the bound constants."""
+"""Stein-equation machinery: the solution as a member sum and one series, residuals,
+and the bound constants."""
 
 import math
 import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -38,6 +40,13 @@ RECURSION_E25_A03 = [
 ]
 
 
+def _child_stdout(code):
+    """stdout of ``code`` run by a fresh interpreter on this package."""
+    src = os.path.dirname(os.path.dirname(tiebound.__file__))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src)).stdout
+
+
 def _random_test_fns(count, seed):
     rng = np.random.default_rng(seed)
     fns = []
@@ -67,13 +76,12 @@ class TestTestFunction:
     def test_zero_mean_under_target(self):
         for t in _random_test_fns(20, seed=5):
             law = truncated_log(t.alpha, 1e-14)
-            mean = float(np.dot(t(np.arange(law.k_min, law.k_max + 1)), law.probs))
+            mean = math.fsum(t(k) * law.prob(k) for k in range(law.k_min, law.k_max + 1))
             assert abs(mean) < 1e-12
 
     def test_range(self):
         for t in _random_test_fns(10, seed=8):
-            vals = t(np.arange(0, 50))
-            assert np.all(vals >= -1.0) and np.all(vals <= 1.0)
+            assert all(-1.0 <= t(k) <= 1.0 for k in range(0, 50))
 
 
 class TestSolution:
@@ -101,6 +109,62 @@ class TestSolution:
         t = SteinTestFn(members=frozenset({0}), alpha=0.6)
         assert stein_solution(t, 3) == 0.0
         assert abs(stein_residual(t, 7)) < 1e-10
+
+
+# outcome sets E as (members, complement): a singleton, a pair, a complement, a set
+# outside the support and the empty set
+ORACLE_SETS = [(frozenset({1}), False), (frozenset({2, 7}), False), (frozenset({1, 2}), True),
+               (frozenset({0}), False), (frozenset(), False)]
+
+
+def _exact_solution(test, k):
+    """f(k) = (sum_{i in M, i > k} alpha**(i-k) / i - P S_k) / alpha to 50 digits, with
+    S_k = alpha**-k (c - sum_{i<=k} alpha**i / i) exactly; the digits of alpha**-k lost
+    to that cancellation are added to the working precision."""
+    with mpmath.workdps(50 + int(k * -math.log10(test.alpha))):
+        a = mpmath.mpf(test.alpha)
+        c = -mpmath.log1p(-a)
+        prob = sum(a**i / i for i in test.members if i >= 1) / c
+        s_k = a**-k * (c - sum(a**i / i for i in range(1, k + 1)))
+        f = (sum(a**(i - k) / i for i in test.members if i > k) - prob * s_k) / a
+        return float(-f if test.complement else f)
+
+
+class TestSplitForm:
+    @pytest.mark.parametrize("tol", [1e-13, 1e-14])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.9, 0.99])
+    def test_within_tol(self, alpha, tol):
+        for members, complement in ORACLE_SETS:
+            t = SteinTestFn(members=members, alpha=alpha, complement=complement)
+            for k in (0, 1, 3, 30, 500):
+                assert abs(stein_solution(t, k, tol) - _exact_solution(t, k)) <= tol, (t, k)
+
+    @pytest.mark.parametrize("members,complement,k,tol", [
+        (frozenset({1}), False, 0, 1e-14),
+        (frozenset({2, 7}), False, 1, 1e-14),
+        (frozenset({1, 2}), True, 0, 1e-13),
+    ])
+    def test_within_tol_near_alpha_one(self, members, complement, k, tol):
+        # 4e6 series terms; summing h(j+k) alpha**j / (j+k) instead misses tol by
+        # cancellation, 7.75e-14 at the singleton
+        t = SteinTestFn(members=members, alpha=0.99999, complement=complement)
+        assert abs(stein_solution(t, k, tol) - _exact_solution(t, k)) <= tol
+
+    def test_a_series_past_the_term_cap_raises_at_once(self):
+        # 4.6e8 terms would be needed; in 1 GB of address space, the refusal must
+        # come before any series is summed
+        code = ("import resource, sys, time\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from tiebound.errors import TruncationError\n"
+                "from tiebound.stein import SteinTestFn, stein_solution\n"
+                "t = SteinTestFn(members=frozenset({1}), alpha=1.0 - 1e-7)\n"
+                "start = time.perf_counter()\n"
+                "try:\n"
+                "    stein_solution(t, 0, 1e-13)\n"
+                "except TruncationError:\n"
+                "    print('raised', time.perf_counter() - start)\n")
+        out = _child_stdout(code).split()
+        assert out[0] == "raised" and float(out[1]) < 0.1
 
 
 class TestResidual:
@@ -236,10 +300,14 @@ class TestLogVsNegbin:
 
 
 def test_the_negbin_bound_leaves_numpy_unloaded():
+    """So do the test function, the solution and the residual."""
     code = ("import sys\n"
-            "from tiebound.stein import log_vs_negbin_bound\n"
-            "print(log_vs_negbin_bound(0.5, 0.3, 2.0), 'numpy' in sys.modules)\n")
-    src = os.path.dirname(os.path.dirname(tiebound.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.split() == [repr(log_vs_negbin_bound(0.5, 0.3, 2.0)), "False"]
+            "from tiebound.stein import SteinTestFn, log_vs_negbin_bound, stein_residual, "
+            "stein_solution\n"
+            "t = SteinTestFn(members=frozenset({1, 3}), alpha=0.5, complement=True)\n"
+            "print(log_vs_negbin_bound(0.5, 0.3, 2.0), stein_solution(t, 4), "
+            "stein_residual(t, 4), 'numpy' in sys.modules)\n")
+    out = _child_stdout(code)
+    t = SteinTestFn(members=frozenset({1, 3}), alpha=0.5, complement=True)
+    assert out.split() == [repr(log_vs_negbin_bound(0.5, 0.3, 2.0)), repr(stein_solution(t, 4)),
+                           repr(stein_residual(t, 4)), "False"]
