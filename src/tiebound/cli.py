@@ -267,15 +267,12 @@ def cmd_figure(args):
     _emit(_csv(rows, header), args.out)
 
 
-def _verify_rows(tol, seed, mc_samples, inject_fault):
-    """Yield (ok, line) pairs for every dominance check."""
-    fault = 0.5 if inject_fault else 1.0
-
-    def row(check, bound, hi, hi_name="tv_hi"):
-        bound *= fault
-        ok = bound >= hi
-        return ok, f"{'PASS' if ok else 'FAIL'} {check} bound={bound:.9f} {hi_name}={hi:.9f}"
-
+def _verify_checks(tol, seed, mc_samples):
+    """Yield every check of ``verify``, in row order, as a record (label, bound,
+    slack, distance, names) that holds when bound + slack >= distance.  ``slack`` is
+    a Monte-Carlo row's sampling radius, 0 for a certified distance; ``names`` name
+    the bound side and the distance, which a Monte-Carlo row prints first.
+    """
     targets = {"thm1a": approximants.truncated_log, "thm1b": approximants.truncated_log,
                "thm2": approximants.truncated_poisson}
     # a target's certificate counts its entries' rounding, up to about 5e-15 here, so
@@ -287,8 +284,8 @@ def _verify_rows(tol, seed, mc_samples, inject_fault):
             exact = tie_count_law(spec, tol)
             for report in bounds_discrete._reports(spec, tol):
                 target = targets[report.method](*report.params.values(), target_tol)
-                yield row(f"discrete {report.method} p={p} n={n}", report.bound,
-                          approximants.tv_distance(exact, target).hi)
+                yield (f"discrete {report.method} p={p} n={n}", report.bound, 0.0,
+                       approximants.tv_distance(exact, target).hi, ("bound", "tv_hi"))
 
     # the negative binomial carries an atom at zero that the logarithmic law
     # cannot match, so the valid comparison is the positive-part discrepancy
@@ -296,9 +293,10 @@ def _verify_rows(tol, seed, mc_samples, inject_fault):
         ref = approximants.truncated_log(alpha, target_tol)
         for ell in (0.5, 1.0, 2.0):
             target = approximants.truncated_negbin(ell, alpha, target_tol)
-            yield row(f"log-vs-negbin alpha={alpha} ell={ell}",
-                      stein.log_vs_negbin_bound(alpha, alpha, ell),
-                      approximants.positive_part_distance(target, ref).hi, "positive_part_hi")
+            yield (f"log-vs-negbin alpha={alpha} ell={ell}",
+                   stein.log_vs_negbin_bound(alpha, alpha, ell), 0.0,
+                   approximants.positive_part_distance(target, ref).hi,
+                   ("bound", "positive_part_hi"))
 
     continuous = [
         ({"kind": "uniform", "b": 1.0}, 8, 1, 0.05),
@@ -310,32 +308,32 @@ def _verify_rows(tol, seed, mc_samples, inject_fault):
         report = bounds_continuous.negbin_bound_near_order(spec, 1e-10)
         mixture = bounds_continuous.near_order_count_pmf(spec, 1e-10)
         target = approximants.truncated_negbin(ell, report.params["beta"], 1e-11)
-        yield row(f"continuous thm3 {desc['kind']} n={n} ell={ell} a={a}", report.bound,
-                  approximants.tv_distance(mixture, target).hi)
+        yield (f"continuous thm3 {desc['kind']} n={n} ell={ell} a={a}", report.bound, 0.0,
+               approximants.tv_distance(mixture, target).hi, ("bound", "tv_hi"))
 
     if mc_samples > 0:
         for stream_id, (p, n) in enumerate(MC_POINTS):
-            law = law_from_descriptor({"kind": "geometric", "p": p})
-            spec = KnSpec(law=law, n=n)
+            spec = KnSpec(law=law_from_descriptor({"kind": "geometric", "p": p}), n=n)
             report = bounds_discrete.log_bound_singleton(spec, tol)
             emp = montecarlo.empirical_law(
                 "ties", spec, montecarlo.RngStream(seed=seed, stream_id=stream_id), mc_samples)
             target = approximants.truncated_log(report.params["alpha"], 1e-11)
             est, radius = montecarlo.empirical_tv(emp, target)
-            bound = fault * report.bound
-            ok = est <= bound + radius
-            yield ok, (f"{'PASS' if ok else 'FAIL'} montecarlo thm1a p={p} n={n} "
-                       f"samples={mc_samples} tv_est={est:.9f} "
-                       f"bound+radius={bound + radius:.9f}")
+            yield (f"montecarlo thm1a p={p} n={n} samples={mc_samples}", report.bound, radius,
+                   est, ("bound+radius", "tv_est"))
 
 
 def cmd_verify(args):
     """Dominance sweeps: every bound against certified exact distances."""
-    lines = []
-    all_ok = True
-    for ok, line in _verify_rows(args.tol, args.seed, args.mc_samples, args.inject_fault):
+    fault = 0.5 if args.inject_fault else 1.0
+    lines, all_ok = [], True
+    for label, bound, slack, distance, (bound_name, distance_name) in _verify_checks(
+            args.tol, args.seed, args.mc_samples):
+        bound = fault * bound + slack
+        ok = bound >= distance
         all_ok = all_ok and ok
-        lines.append(line)
+        sides = [f"{bound_name}={bound:.9f}", f"{distance_name}={distance:.9f}"]
+        lines.append(" ".join(["PASS" if ok else "FAIL", label, *sides[::-1 if slack else 1]]))
     lines.append("VERIFY " + ("PASS" if all_ok else "FAIL"))
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if all_ok else EXIT_VERIFY

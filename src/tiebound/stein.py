@@ -79,8 +79,8 @@ def stein_solution(test: SteinTestFn, k: int, tol: float = 1e-13) -> float:
     for a complement, with S_k's truncation certified within tol.
 
     The remainder after J terms is at most alpha**J / ((1-alpha) (J+k+1))
-    once divided by alpha, since P <= 1.  Raises :class:`TruncationError`
-    if that takes more than ``_MAX_TERMS`` terms.
+    once divided by alpha, since P <= 1.  Past ``_MAX_TERMS`` terms, raises
+    :class:`TruncationError` with that remainder at the cap as ``best_bound``.
     """
     k = integer_in(k, 0, what="Stein solution argument")
     positive_tol(tol)
@@ -92,8 +92,9 @@ def stein_solution(test: SteinTestFn, k: int, tol: float = 1e-13) -> float:
     while terms * log_a - math.log1p(-alpha) - math.log(terms + k + 1) > math.log(tol):
         terms *= 2
     if terms > _MAX_TERMS:
+        best = pow(alpha, _MAX_TERMS) / ((1.0 - alpha) * (_MAX_TERMS + k + 1))
         raise TruncationError(f"series for the Stein solution did not reach {tol!r}",
-                              best_bound=math.exp(_MAX_TERMS * log_a - math.log1p(-alpha)))
+                              best_bound=best)
     inside = math.fsum(pow(alpha, i - k) / i for i in test.members if i > k)
     series = math.fsum(pow(alpha, j) / (j + k) for j in range(1, terms + 1))
     f = (inside - test._prob * series) / alpha

@@ -215,6 +215,47 @@ class TestVerifyCommand:
         assert result.output == runner(["verify", "--mc-samples", "0"]).output
 
 
+class TestVerifyLoop:
+    """``cmd_verify`` on three stand-in records: the fault factor, the comparison and
+    the row format live only there."""
+
+    PASSES = ("passes", 0.5, 0.0, 0.375, ("bound", "tv_hi"))
+    FAILS = ("fails", 0.25, 0.0, 0.375, ("bound", "tv_hi"))
+    # a Monte-Carlo record: 0.25 alone is below the estimate, 0.25 + 0.25 is not
+    SAMPLED = ("sampled", 0.25, 0.25, 0.3125, ("bound+radius", "tv_est"))
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        def use(*records):
+            monkeypatch.setattr("tiebound.cli._verify_checks", lambda *args: iter(records))
+        return use
+
+    def test_a_failing_record_fails_the_run(self, runner, checks):
+        checks(self.PASSES, self.FAILS, self.SAMPLED)
+        result = runner(["verify"])
+        assert result.exit_code == 4
+        assert result.output == ("PASS passes bound=0.500000000 tv_hi=0.375000000\n"
+                                 "FAIL fails bound=0.250000000 tv_hi=0.375000000\n"
+                                 "PASS sampled tv_est=0.312500000 bound+radius=0.500000000\n"
+                                 "VERIFY FAIL\n")
+
+    def test_passing_records_pass_the_run(self, runner, checks):
+        checks(self.PASSES, self.SAMPLED)
+        result = runner(["verify"])
+        assert result.exit_code == 0
+        assert result.output.endswith("PASS sampled tv_est=0.312500000 "
+                                      "bound+radius=0.500000000\nVERIFY PASS\n")
+
+    def test_the_fault_halves_the_bound_before_the_slack(self, runner, checks):
+        # 0.125 + 0.25 still covers 0.3125; (0.25 + 0.25) / 2 would not
+        checks(self.PASSES, self.SAMPLED)
+        result = runner(["verify", "--inject-fault"])
+        assert result.exit_code == 4
+        assert result.output == ("FAIL passes bound=0.250000000 tv_hi=0.375000000\n"
+                                 "PASS sampled tv_est=0.312500000 bound+radius=0.375000000\n"
+                                 "VERIFY FAIL\n")
+
+
 @pytest.fixture
 def series_passes(monkeypatch):
     """The calls of ``maxima._sums``, each one pass over the maximum, from here on."""

@@ -150,9 +150,10 @@ class TestSplitForm:
         t = SteinTestFn(members=members, alpha=0.99999, complement=complement)
         assert abs(stein_solution(t, k, tol) - _exact_solution(t, k)) <= tol
 
-    def test_a_series_past_the_term_cap_raises_at_once(self):
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_a_series_past_the_term_cap_raises_at_once(self, k):
         # 4.6e8 terms would be needed; in 1 GB of address space, the refusal must
-        # come before any series is summed
+        # come before any series is summed, and report the remainder bound at the cap
         code = ("import resource, sys, time\n"
                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
                 "from tiebound.errors import TruncationError\n"
@@ -160,11 +161,16 @@ class TestSplitForm:
                 "t = SteinTestFn(members=frozenset({1}), alpha=1.0 - 1e-7)\n"
                 "start = time.perf_counter()\n"
                 "try:\n"
-                "    stein_solution(t, 0, 1e-13)\n"
-                "except TruncationError:\n"
-                "    print('raised', time.perf_counter() - start)\n")
+                f"    stein_solution(t, {k}, 1e-13)\n"
+                "except TruncationError as exc:\n"
+                "    print('raised', time.perf_counter() - start, repr(exc.best_bound))\n")
         out = _child_stdout(code).split()
         assert out[0] == "raised" and float(out[1]) < 0.1
+        # alpha**J / ((1 - alpha) (J + k + 1)) at J = _MAX_TERMS, about 0.068
+        with mpmath.workdps(50):
+            alpha, cap = mpmath.mpf(1.0 - 1e-7), tiebound.stein._MAX_TERMS
+            exact = alpha**cap / ((1 - alpha) * (cap + k + 1))
+        assert abs(float(out[2]) / exact - 1) <= 1e-12
 
 
 class TestResidual:

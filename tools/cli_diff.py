@@ -27,9 +27,17 @@ COMMANDS = [
     ["figure", "fig1"],
     ["figure", "fig2"],
     ["verify"],
+    ["verify", "--seed", "1"],
+    ["verify", "--seed", "3"],
     ["verify", "--mc-samples", "0"],
-    # the target laws at their tolerance's floor, 1e-13
+    ["verify", "--mc-samples", "0", "--tol", "1e-6"],
+    # the target laws at their tolerance's floor, 1e-13, and below it
     ["verify", "--mc-samples", "0", "--tol", "1e-14"],
+    ["verify", "--mc-samples", "0", "--tol", "1e-16"],
+    # the negative control halves every bound, Monte-Carlo rows included: FAIL rows and exit 4
+    ["verify", "--inject-fault", "--mc-samples", "2000"],
+    # the verify flags: none added
+    ["verify", "--help"],
     ["bound", "thm1a", "--p", "1e-3", "--n", "100000"],
     ["bound", "thm1b", "--p", "1e-3", "--n", "100000"],
     ["bound", "thm2", "--p", "1e-3", "--n", "100000"],
@@ -79,7 +87,8 @@ COMMANDS = [
     ["bound", "thm3", "--law", "gumbel", "--n", "100", "--a", "0.3"],
     ["bound", "thm3", "--law", "uniform", "--b", "1", "--n", "200", "--ell", "3", "--a", "0.05"],
     ["bound", "thm3", "--law", "gumbel", "--n", "1000000", "--a", "0.3"],
-    # near-order panel edges at the rank-3 lower tail of n = 1e9 and the (1e4, 7) tails
+    # closed-form near-order moments: the Gumbel law's at rank 3 of n = 1e9, and the uniform
+    # law's binomial tails at (1e4, 7)
     ["bound", "thm3", "--law", "gumbel", "--n", "1000000000", "--ell", "3", "--a", "0.3"],
     ["bound", "thm3", "--law", "uniform", "--b", "1", "--n", "10000", "--ell", "7", "--a", "0.001"],
     # closed-form thm3 moments at a central rank of n = 1e9, whose cost must not grow with
