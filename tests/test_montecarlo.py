@@ -37,6 +37,7 @@ from tiebound.maxima import (
     tie_given_max_prob,
 )
 from tiebound.montecarlo import (
+    _SPACINGS,
     TV_CONFIDENCE_DELTA,
     EmpiricalPMF,
     RngStream,
@@ -588,6 +589,41 @@ class TestExactBinomials:
         hist = {}
         _spread(random.Random("shift"), hist, 1000, trials, 1e-300, 0, 1)
         assert hist == {1: 1000}
+
+
+class TestNearOrderDraws:
+    """log F(X) at the ell-th largest X: a sum of ell exponential spacings up to rank
+    ``_SPACINGS``, a Beta variate past it."""
+
+    @pytest.mark.parametrize("ell", [1, 3, _SPACINGS, _SPACINGS + 1])
+    @pytest.mark.parametrize("n", [20, 10**6])
+    def test_log_f_follows_the_beta_law(self, n, ell):
+        """V = 1 - F(X) = -expm1(log F(X)) is Beta(ell, n - ell + 1): a KS test of the
+        log F(X) that each of 50000 draws passes to ``logquantile``."""
+        law, seen = gumbel_law(), []
+
+        def logquantile(log_u):
+            seen.append(log_u)
+            return law.logquantile(log_u)
+
+        spec = NearOrderSpec(law=dataclasses.replace(law, logquantile=logquantile), n=n,
+                             ell=ell, a=0.3)
+        empirical_law("near-order", spec, RngStream(seed=ell, stream_id=n), 50_000)
+        assert len(seen) == 50_000
+        v = -np.expm1(np.array(seen))
+        assert stats.kstest(v, stats.beta(ell, n - ell + 1).cdf).pvalue >= 1e-3
+
+    @pytest.mark.parametrize("ell", [_SPACINGS, _SPACINGS + 1])
+    def test_counts_match_the_exact_law_with_betas_only_past_the_cutoff(self, ell):
+        """At n = 30 no count's binomial reaches ``_INVERSION``, so every Beta
+        variate is a V: one per draw past ``_SPACINGS``, none up to it."""
+        spec, size = NearOrderSpec(law=gumbel_law(), n=30, ell=ell, a=0.5), 20_000
+        rand = _CountingRandom(f"near-order:{ell}")
+        hist = montecarlo._histogram("near-order", spec, rand, size)
+        assert rand.betas == (size if ell > _SPACINGS else 0)
+        exact = near_order_count_pmf(spec, 1e-12)
+        emp = EmpiricalPMF.from_samples(list(hist.elements()))
+        assert _chi_square_pvalue(emp, k_min=exact.k_min, pmf=exact.probs) >= 1e-3
 
 
 def _exact_law(kind: str, spec: KnSpec) -> TruncatedPMF:

@@ -109,12 +109,18 @@ COMMANDS = [
     ["simulate", "--p", "0.2", "--n", "20", "--mc-samples", "1000000"],
     ["simulate", "--kind", "size-biased", "--p", "0.2", "--n", "20", "--mc-samples", "200000"],
     ["simulate", "--law", "gumbel", "--n", "100", "--a", "0.3", "--mc-samples", "200000"],
-    # near-order draws against a quadrature law, and at rank n, where V ~ Beta(n, 1) and the
-    # count is Bin(0, r)
+    # near-order draws against a quadrature law, and at rank n, where log F(X) sums n
+    # spacings and the count is Bin(0, r)
     ["simulate", "--law", "gumbel", "--n", "20", "--ell", "2", "--a", "0.5",
      "--mc-samples", "2000"],
     ["simulate", "--law", "uniform", "--b", "1", "--n", "10", "--ell", "10", "--a", "0.3",
      "--mc-samples", "1000"],
+    # near-order draws at the last rank of the spacings, montecarlo._SPACINGS = 16, and at
+    # the first rank of the Beta variate
+    ["simulate", "--law", "gumbel", "--n", "100", "--ell", "16", "--a", "0.3",
+     "--mc-samples", "2000"],
+    ["simulate", "--law", "gumbel", "--n", "100", "--ell", "17", "--a", "0.3",
+     "--mc-samples", "2000"],
     # a law of the wrong kind for the command: a one-line error and exit 1
     ["bound", "thm1a", "--law", "gumbel", "--n", "10"],
     ["bound", "thm2", "--law", "uniform", "--b", "1", "--n", "10"],
