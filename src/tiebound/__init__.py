@@ -29,16 +29,17 @@ from .errors import (
 )
 
 _EXPORTS = {
-    "approximants": ("TruncatedPMF", "TVInterval", "log_pmf", "negbin_pmf", "poisson_pmf",
-                     "positive_part_distance", "truncate_law", "truncated_geometric",
-                     "truncated_log", "truncated_negbin", "truncated_poisson", "tv_distance"),
+    "approximants": ("BoundReport", "TruncatedPMF", "TVInterval", "log_pmf", "negbin_pmf",
+                     "poisson_pmf", "positive_part_distance", "truncate_law",
+                     "truncated_geometric", "truncated_log", "truncated_negbin",
+                     "truncated_poisson", "tv_distance"),
     "binomial": (),
     "bounds_continuous": ("MixedBinomialSpec", "NearOrderSpec", "gap_ratio", "gap_ratio_moment",
                           "gumbel_gap_moment", "gumbel_gap_moment_exact", "gumbel_max_bound",
                           "near_order_count_pmf", "negbin_bound_mixed",
                           "negbin_bound_near_order", "uniform_gap_moment",
                           "uniform_gap_moment_exact"),
-    "bounds_discrete": ("BoundReport", "geometric_link_bound", "log_bound_from_moments",
+    "bounds_discrete": ("geometric_link_bound", "log_bound_from_moments",
                         "log_bound_second_moment", "log_bound_singleton", "poisson_bound"),
     "distributions": ("ContinuousLaw", "DiscreteLaw", "geometric_law", "gumbel_law",
                       "law_from_descriptor", "tabulated_law", "uniform_law"),
@@ -48,6 +49,10 @@ _EXPORTS = {
                    "sample_size_biased_ties", "sample_tie_count"),
     "stein": ("SteinTestFn", "log_vs_negbin_bound", "solution_sup_bound", "stein_residual",
               "stein_solution"),
+    # internal layers, lazy like the rest but not exported: the tie-count series and
+    # the near-order quadrature, which only some calls of maxima and bounds_continuous run
+    "_series": (),
+    "_quadrature": (),
 }
 # public name -> the submodule that defines it
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -84,8 +89,9 @@ for _module in _EXPORTS:
     globals()[_module].__class__ = _LazyModule
 del _module, _spec
 
-__all__ = sorted([*_SOURCE, *_EXPORTS, "errors", "DegenerateParameterError", "DomainError",
-                  "IntegrationError", "NumericError", "TruncationError"])
+__all__ = sorted([*_SOURCE, *(m for m in _EXPORTS if not m.startswith("_")), "errors",
+                  "DegenerateParameterError", "DomainError", "IntegrationError", "NumericError",
+                  "TruncationError"])
 __version__ = "0.1.0"
 
 

@@ -4,7 +4,9 @@ The exchange format for distance computation is :class:`TruncatedPMF`: a
 finite probability vector (a tuple of floats) together with a certified
 upper bound on the mass it omits.  Total variation between two truncated
 pmfs then has a rigorous upper bound next to its point estimate, so "bound
-dominates distance" checks remain meaningful despite truncation.
+dominates distance" checks remain meaningful despite truncation.  A bound
+comes as a :class:`BoundReport`, the third result type, which both bounds
+modules return.
 
 One row walker (:func:`_walk`) makes every law here whose terms have
 closed-form ratios: the logarithmic, Poisson and negative binomial targets,
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain, count, islice, repeat, tee
 from operator import add, mul, neg, truediv
 from typing import Callable, NamedTuple
@@ -27,6 +29,7 @@ from .binomial import _TINY, _U, _gamma
 from .errors import DomainError, TruncationError, integer_in, positive_tol, real_in
 
 __all__ = [
+    "BoundReport",
     "TruncatedPMF",
     "TVInterval",
     "log_pmf",
@@ -98,6 +101,35 @@ class TVInterval(NamedTuple):
 
     lo: float
     hi: float
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """A bound value with the parameters and moments behind it.
+
+    ``informative`` is True exactly when the bound is below 1 (a total
+    variation bound of 1 or more carries no information).
+    """
+
+    bound: float
+    params: dict = field(default_factory=dict)
+    moments: dict = field(default_factory=dict)
+    truncation_error: float = 0.0
+    method: str = ""
+
+    @property
+    def informative(self) -> bool:
+        return self.bound < 1.0
+
+    def as_dict(self) -> dict:
+        return {
+            "method": self.method,
+            "bound": self.bound,
+            "informative": self.informative,
+            "params": dict(self.params),
+            "moments": dict(self.moments),
+            "truncation_error": self.truncation_error,
+        }
 
 
 def log_pmf(alpha: float, k: int) -> float:

@@ -4,8 +4,9 @@ Three bounds are formulas of one set of tie-count values: P(K=1), P(K=2),
 E[K], E[(K)_2] and E[(K)_3], which ``maxima._tie_values`` gives together:
 in closed form for a geometric law where that certifies, and otherwise from
 one pass over the maximum.  Each is packaged as a :class:`BoundReport`
-carrying the matched approximation parameter, the moments used, and the
-certified truncation error:
+(defined in ``approximants``, re-exported here) carrying the matched
+approximation parameter, the moments used, and the certified truncation
+error:
 
 * ``log_bound_singleton``     - logarithmic target, parameter from P(K=1)/E[K];
 * ``log_bound_second_moment`` - logarithmic target, parameter from E[K]/E[K^2];
@@ -25,8 +26,8 @@ the count itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from .approximants import BoundReport
 from .binomial import _U, _gamma
 from .errors import DegenerateParameterError, DomainError, NumericError, positive_tol, real_in
 from .maxima import DEFAULT_TOL, KnSpec, _tie_values, tie_count_factorial_moment
@@ -41,35 +42,6 @@ __all__ = [
     "geometric_link_bound",
     "poisson_bound",
 ]
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """A bound value with the parameters and moments behind it.
-
-    ``informative`` is True exactly when the bound is below 1 (a total
-    variation bound of 1 or more carries no information).
-    """
-
-    bound: float
-    params: dict = field(default_factory=dict)
-    moments: dict = field(default_factory=dict)
-    truncation_error: float = 0.0
-    method: str = ""
-
-    @property
-    def informative(self) -> bool:
-        return self.bound < 1.0
-
-    def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "bound": self.bound,
-            "informative": self.informative,
-            "params": dict(self.params),
-            "moments": dict(self.moments),
-            "truncation_error": self.truncation_error,
-        }
 
 
 def log_bound_from_moments(mean: float, p_two: float, alpha: float) -> float:

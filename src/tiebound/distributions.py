@@ -64,7 +64,7 @@ class DiscreteLaw:
             (``quantile`` a Python ``float``) with a Python number, all
             without numpy.  Only :func:`geometric_law` sets it; the tie-count
             series then sum their first blocks in plain Python
-            (``maxima._sums``), ``ties`` runs draw their histograms without
+            (``_series._sums``), ``ties`` runs draw their histograms without
             numpy (``montecarlo``), and every other law is given numpy arrays.
     """
 

@@ -45,12 +45,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from . import bounds_continuous
+from . import _series, bounds_continuous
 from ._numpy import np
 from .approximants import TruncatedPMF, _dense
 from .distributions import DiscreteLaw
 from .errors import DomainError, TruncationError
-from .maxima import _SERIES_CAP, KnSpec, _block, _tail_end, argmax_value_law
+from .maxima import KnSpec, _tail_end, argmax_value_law
 
 __all__ = [
     "RngStream",
@@ -125,12 +125,12 @@ class EmpiricalPMF:
 def _table_end(law: DiscreteLaw) -> int:
     """The first ``top`` with F(top) >= 1 - 2**-53 by the law's ``log_tail`` (m for
     a law on {1, ..., m}), where a table over the law's support ends.  Raises
-    :class:`TruncationError` when ``top`` exceeds ``maxima._SERIES_CAP``, the cap
+    :class:`TruncationError` when ``top`` exceeds ``_series._SERIES_CAP``, the cap
     of the series and the mixture laws, before any table is built."""
-    top = _tail_end(law, math.log(2.0**-53))
-    if top > _SERIES_CAP:
-        raise TruncationError(f"quantile table would exceed {_SERIES_CAP} entries",
-                              best_bound=math.exp(law.log_tail(_SERIES_CAP)))
+    top, cap = _tail_end(law, math.log(2.0**-53)), _series._SERIES_CAP
+    if top > cap:
+        raise TruncationError(f"quantile table would exceed {cap} entries",
+                              best_bound=math.exp(law.log_tail(cap)))
     return top
 
 
@@ -261,7 +261,7 @@ def _size_biased_hits(spec: KnSpec, size: int, rand: random.Random):
     and each other one lands on its value j with chance 1 - W(j-1) / v.
     """
     law, n = spec.law, spec.n
-    lp, lf0, lf1 = _block(law, 1, _table_end(argmax_value_law(spec)))
+    lp, lf0, lf1 = _series._block(law, 1, _table_end(argmax_value_law(spec)))
     log_w = lp + (n - 1) * lf1 if n > 1 else lp
     log_cum = np.logaddexp.accumulate(log_w)
     rest, log_top = size, float(log_cum[-1])

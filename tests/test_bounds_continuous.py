@@ -16,12 +16,10 @@ import pytest
 from scipy import integrate, stats
 
 import tiebound
-from tiebound import binomial, bounds_continuous
+from tiebound import _quadrature, binomial
 from tiebound.approximants import truncated_negbin, tv_distance
 from tiebound.binomial import _log_binom_tail, _log_choose, binom_rows, binom_window
-from tiebound.bounds_continuous import (
-    MixedBinomialSpec,
-    NearOrderSpec,
+from tiebound._quadrature import (
     _BULK_PROBS,
     _TAIL_PROBS,
     _beta_quantile,
@@ -29,6 +27,10 @@ from tiebound.bounds_continuous import (
     _log_order_density,
     _mixture_integral,
     _panel_edges,
+)
+from tiebound.bounds_continuous import (
+    MixedBinomialSpec,
+    NearOrderSpec,
     gap_ratio,
     gap_ratio_moment,
     gumbel_gap_moment,
@@ -441,8 +443,8 @@ class TestNearOrderBound:
         # a user law without `gap_moments` takes the quadrature; the built-in law skips it
         law = dataclasses.replace(gumbel_law(), gap_moments=None)
         calls = []
-        gk21_pass = bounds_continuous._gk21_pass
-        monkeypatch.setattr(bounds_continuous, "_gk21_pass",
+        gk21_pass = _quadrature._gk21_pass
+        monkeypatch.setattr(_quadrature, "_gk21_pass",
                             lambda *args, **kwargs: calls.append(1) or gk21_pass(*args, **kwargs))
         closed = negbin_bound_near_order(NearOrderSpec(law=gumbel_law(), n=20, ell=2, a=0.4))
         assert not calls
@@ -454,7 +456,7 @@ class TestNearOrderBound:
 
     def test_a_law_without_closed_moments_reports_integration_failure(self, monkeypatch):
         # the pass returns the normaliser first: it integrates the density too
-        monkeypatch.setattr(bounds_continuous, "_gk21_pass",
+        monkeypatch.setattr(_quadrature, "_gk21_pass",
                             lambda *args, **kwargs: (np.array([1.0, 0.5, 0.25]), 0.125))
         law = dataclasses.replace(gumbel_law(), gap_moments=None)
         with pytest.raises(IntegrationError) as info:
@@ -510,7 +512,7 @@ class TestNearOrderBound:
     def test_mixture_pmf_is_proper(self, kind, n, ell, a):
         law = uniform_law(1.0) if kind == "uniform" else gumbel_law()
         spec = NearOrderSpec(law=law, n=n, ell=ell, a=a)
-        mixture = bounds_continuous._mixture_pmf(spec, 1e-10)
+        mixture = _quadrature._mixture_pmf(spec, 1e-10)
         m = n - ell
         # the law spans its entries at or above tiny, which here start at 0
         assert mixture.k_min == 0 and mixture.k_max <= m
@@ -739,7 +741,7 @@ class TestBetaQuantile:
             calls.append(args)
             return _log_binom_tail(*args, **kwargs)
 
-        monkeypatch.setattr(bounds_continuous, "_log_binom_tail", counted)
+        monkeypatch.setattr(_quadrature, "_log_binom_tail", counted)
         for p, upper in itertools.product(_TAIL_PROBS + _BULK_PROBS, (False, True)):
             calls.clear()
             _beta_quantile(n, ell, [p], upper=upper)
@@ -847,7 +849,7 @@ class TestQuadratureKernels:
         for value, exact in zip(got.tolist(), moments):
             assert abs(value - exact) <= 1e-12 * exact
         if pmf is not None:
-            mixture = bounds_continuous._mixture_pmf(spec, 1e-10)
+            mixture = _quadrature._mixture_pmf(spec, 1e-10)
             held = range(mixture.k_min, mixture.k_max + 1)
             with mp.workdps(40):
                 l1 = mp.fsum(abs(mp.mpf(mixture.prob(k)) - mp.mpf(e)) for k, e in enumerate(pmf))
@@ -880,7 +882,7 @@ class TestWindowedLaw:
     ])
     def test_matches_full_rows(self, law_fn, n, ell, a):
         spec = NearOrderSpec(law=law_fn(), n=n, ell=ell, a=a)
-        law = bounds_continuous._mixture_pmf(spec, 1e-10)
+        law = _quadrature._mixture_pmf(spec, 1e-10)
         full, full_err = _full_row_law(spec, 1e-10)
         held = np.arange(law.k_min, law.k_max + 1)
         assert np.all(np.abs(law.probs - full[held]) <= 1e-12)
@@ -895,7 +897,8 @@ class TestWindowedLaw:
         # pytest process that the child was forked from
         code = ("import re, time\n"
                 "from tiebound import gumbel_law\n"
-                "from tiebound.bounds_continuous import NearOrderSpec, _mixture_pmf\n"
+                "from tiebound._quadrature import _mixture_pmf\n"
+                "from tiebound.bounds_continuous import NearOrderSpec\n"
                 "for n in (10**6, 10**9):\n"
                 "    start = time.perf_counter()\n"
                 "    law = _mixture_pmf(NearOrderSpec(gumbel_law(), n, 1, 0.3), 1e-10)\n"
@@ -1077,7 +1080,7 @@ class TestClosedFormNearOrderLaw:
     ], ids=["gumbel-without-the-field", "uniform-without-the-field", "gumbel-rank-2"])
     def test_a_law_without_the_form_takes_the_quadrature_bit_for_bit(self, law, ell):
         spec = NearOrderSpec(law, 10, ell, 0.3)
-        assert near_order_count_pmf(spec, 1e-10) == bounds_continuous._mixture_pmf(spec, 1e-10)
+        assert near_order_count_pmf(spec, 1e-10) == _quadrature._mixture_pmf(spec, 1e-10)
 
     def test_the_forms_meet_the_quadrature(self):
         # the three points of `verify` and the two of `simulate`: within the quadrature's
@@ -1088,7 +1091,7 @@ class TestClosedFormNearOrderLaw:
                                (gumbel_law(), 10, 1, 0.3), (gumbel_law(), 100, 1, 0.3)]:
             spec = NearOrderSpec(law, n, ell, a)
             ours = near_order_count_pmf(spec, 1e-10)
-            theirs = bounds_continuous._mixture_pmf(spec, 1e-10)
+            theirs = _quadrature._mixture_pmf(spec, 1e-10)
             assert (ours.k_min, ours.k_max) == (theirs.k_min, theirs.k_max)
             l1 = math.fsum(abs(x - y) for x, y in zip(ours.probs, theirs.probs))
             assert l1 <= theirs.tail_mass_bound + ours.tail_mass_bound

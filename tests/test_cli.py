@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import tiebound
-from tiebound import bounds_continuous, bounds_discrete
+from tiebound import _quadrature, bounds_continuous, bounds_discrete
 from tiebound.cli import VERIFY_NS, VERIFY_PS, main, round3
 from tiebound.distributions import geometric_law, gumbel_law, law_from_descriptor
 from tiebound.maxima import KnSpec, size_biased_tie_law, size_biased_tie_pmf, tie_count_law
@@ -105,7 +105,7 @@ class TestBoundCommand:
         # a near-unit tail ratio cannot certify the tolerance within the
         # (shrunken) iteration cap, so the series must fail loudly; the law has
         # no lattice rate, since the closed form would certify this point
-        monkeypatch.setattr("tiebound.maxima._SERIES_CAP", 1000)
+        monkeypatch.setattr("tiebound._series._SERIES_CAP", 1000)
         monkeypatch.setattr("tiebound.cli.law_from_descriptor", _series_law)
         assert main(["bound", "thm2", "--law", "geometric",
                      "--p", "1e-7", "--n", "5"]) == 3
@@ -119,8 +119,8 @@ class TestBoundCommand:
         # integrates: the pass keeps its integral but reports an error estimate of 0.125,
         # which the law scales by the square root of its width; a pmf has no single
         # value, so `value` is nan
-        gk21_pass = bounds_continuous._gk21_pass
-        monkeypatch.setattr("tiebound.bounds_continuous._gk21_pass",
+        gk21_pass = _quadrature._gk21_pass
+        monkeypatch.setattr("tiebound._quadrature._gk21_pass",
                             lambda *args, **kwargs: (gk21_pass(*args, **kwargs)[0], 0.125))
         assert main(["simulate", "--law", "gumbel", "--n", "10", "--ell", "2", "--a",
                      "0.3"]) == 3
@@ -258,10 +258,10 @@ class TestVerifyLoop:
 
 @pytest.fixture
 def series_passes(monkeypatch):
-    """The calls of ``maxima._sums``, each one pass over the maximum, from here on."""
+    """The calls of ``_series._sums``, each one pass over the maximum, from here on."""
     calls = []
-    sums = tiebound.maxima._sums
-    monkeypatch.setattr(tiebound.maxima, "_sums", lambda *args: calls.append(args) or sums(*args))
+    sums = tiebound._series._sums
+    monkeypatch.setattr(tiebound._series, "_sums", lambda *args: calls.append(args) or sums(*args))
     return calls
 
 
@@ -423,16 +423,19 @@ def test_commands_skip_scipy_statistics_and_fractions(argv):
     assert [m for m in loaded if m.split(".")[0] in banned] == []
 
 
+# a module that has run has its `__all__`; reading its `__dict__` through
+# object.__getattribute__ does not start a lazy load
+_UNRUN = ("import sys\n"
+          "def unrun(names=('approximants', 'binomial', 'distributions', 'maxima',\n"
+          "                 'bounds_discrete', 'bounds_continuous', 'montecarlo', 'stein')):\n"
+          "    return sorted(m for m in names if '__all__' not in\n"
+          "                  object.__getattribute__(sys.modules['tiebound.' + m], '__dict__'))\n")
+
+
 def test_commands_run_only_the_modules_they_need():
-    # a module that has run has its `__all__`; reading its `__dict__` through
-    # object.__getattribute__ does not start a lazy load
-    code = ("import contextlib, io, json, sys\n"
+    code = ("import contextlib, io, json\n"
             "import tiebound\n"
-            "def unrun():\n"
-            "    names = ('approximants', 'binomial', 'distributions', 'maxima',\n"
-            "             'bounds_discrete', 'bounds_continuous', 'montecarlo', 'stein')\n"
-            "    return sorted(m for m in names if '__all__' not in\n"
-            "                  object.__getattribute__(sys.modules['tiebound.' + m], '__dict__'))\n"
+            f"{_UNRUN}"
             "seen = [unrun()]\n"
             "import tiebound.cli\n"
             "for argv in (['bound', 'thm2', '--p', '0.2', '--n', '20'],\n"
@@ -451,6 +454,48 @@ def test_commands_run_only_the_modules_they_need():
     # negative control: touching an attribute runs the module, and the probe sees it
     assert "stein" not in after_touch
     assert set(after_touch) == set(after_simulate) - {"stein"}
+
+    # the layers of the benchmark's commands, run in turn in one interpreter, so that a
+    # layer unrun after a group of commands was run by none of them
+    seed = ["--seed", "3"]
+    groups = [
+        # the continuous commands: closed forms only, with no tie-count values
+        [["bound", "thm3", "--law", "gumbel", "--n", "100", "--a", "0.3"],
+         ["bound", "thm3", "--law", "uniform", "--b", "1", "--n", "200", "--ell", "3",
+          "--a", "0.05"],
+         ["bound", "thm3", "--law", "gumbel", "--n", "1000000", "--a", "0.3"],
+         ["figure", "fig2"],
+         ["simulate", "--law", "gumbel", "--n", "100", "--a", "0.3", "--mc-samples", "20000",
+          *seed],
+         ["simulate", "--law", "uniform", "--b", "1", "--n", "200", "--ell", "3", "--a", "0.05",
+          "--mc-samples", "20000", *seed]],
+        # the discrete bounds in closed form
+        [["bound", method, "--p", "1e-3", "--n", "100000"] for method in ("thm1a", "thm1b",
+                                                                          "thm2")],
+        # positive control: a law whose entries miss the tolerance is the mixture's
+        [["simulate", "--p", "0.999", "--n", "1000", "--mc-samples", "2000", *seed]],
+        [["table1"], ["figure", "fig1"]],
+        # positive control: the Gumbel law has no closed near-order law past rank 1
+        [["simulate", "--law", "gumbel", "--n", "20", "--ell", "2", "--a", "0.5",
+          "--mc-samples", "2000", *seed]],
+    ]
+    code = ("import contextlib, io, json\n"
+            "import tiebound.cli\n"
+            f"{_UNRUN}"
+            "layers = ('_series', '_quadrature', 'bounds_discrete')\n"
+            "seen = []\n"
+            f"for group in {groups!r}:\n"
+            "    for argv in group:\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            assert tiebound.cli.main(argv) == 0, argv\n"
+            "    seen.append(unrun(layers))\n"
+            "print(json.dumps(seen))\n")
+    continuous, discrete, mixture, paper, quadrature = json.loads(_run_python(code))
+    assert continuous == ["_quadrature", "_series", "bounds_discrete"]
+    assert {"_quadrature", "_series"} <= set(discrete)
+    assert "_series" not in mixture and "_quadrature" in mixture
+    assert "_quadrature" in paper
+    assert "_quadrature" not in quadrature
 
 
 def test_threads_that_first_touch_a_submodule_together_see_it_run():

@@ -16,15 +16,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tiebound
-from tiebound import bounds_discrete, maxima
+from tiebound import _series, bounds_discrete, maxima
 from tiebound.approximants import tv_distance
 from tiebound.cli import VERIFY_NS, VERIFY_PS
 from tiebound.distributions import DiscreteLaw, geometric_law, tabulated_law
 from tiebound.errors import TruncationError
+from tiebound._series import _mixture_law
 from tiebound.maxima import (
     KnSpec,
     _closed_form,
-    _mixture_law,
     _tie_values,
     argmax_value_law,
     size_biased_tie_law,
@@ -190,8 +190,8 @@ def test_argmax_law_past_the_series_cap_is_within_tol_of_40_digit_values(p, n):
 @pytest.mark.parametrize("build", [size_biased_tie_law, argmax_value_law])
 def test_size_biased_laws_take_z_from_the_closed_form(build, monkeypatch):
     calls = []
-    monkeypatch.setattr(maxima, "_sums",
-                        lambda *args, sums=maxima._sums: calls.append(args) or sums(*args))
+    monkeypatch.setattr(_series, "_sums",
+                        lambda *args, sums=_series._sums: calls.append(args) or sums(*args))
     law = geometric_law(1e-3)
     build(KnSpec(law, 10**5))
     assert calls == []
@@ -276,7 +276,7 @@ def no_mixture(monkeypatch):
     def refuse(*args):
         raise AssertionError("mixture taken")
 
-    monkeypatch.setattr(maxima, "_mixture_law", refuse)
+    monkeypatch.setattr(_series, "_mixture_law", refuse)
 
 
 def _size_biased(law: list) -> list:
@@ -320,7 +320,7 @@ def test_entry_laws_agree_with_the_mixture(p, n, monkeypatch):
     for biased, build in ((False, tie_count_law), (True, size_biased_tie_law)):
         mixture = _mixture_law(spec, TOL, biased)
         with monkeypatch.context() as patch:
-            patch.setattr(maxima, "_mixture_law", lambda *args: pytest.fail("mixture taken"))
+            patch.setattr(_series, "_mixture_law", lambda *args: pytest.fail("mixture taken"))
             entries = build(spec, TOL)
         gap = 2.0 * tv_distance(entries, mixture).lo
         assert gap <= entries.tail_mass_bound + mixture.tail_mass_bound, biased
@@ -349,7 +349,7 @@ def test_an_entry_past_the_series_cap_gives_the_mixture(monkeypatch):
         calls.append(args)
         return _mixture_law(*args)
 
-    monkeypatch.setattr(maxima, "_mixture_law", mixture)
+    monkeypatch.setattr(_series, "_mixture_law", mixture)
     law = tie_count_law(spec, TOL)
     assert calls == [(spec, TOL, False)]
     assert abs(1.0 - math.fsum(law.probs)) <= law.tail_mass_bound <= TOL

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from tiebound import maxima
+from tiebound import _series
 from tiebound.approximants import log_pmf, negbin_pmf, poisson_pmf
 from tiebound.binomial import _U
 from tiebound.bounds_discrete import log_bound_singleton
@@ -26,12 +26,9 @@ from tiebound.bounds_continuous import (
 from tiebound.cli import VERIFY_NS, VERIFY_PS
 from tiebound.distributions import DiscreteLaw, geometric_law, gumbel_law, tabulated_law
 from tiebound.errors import DomainError, TruncationError
+from tiebound._series import _FIRST_BLOCK, _MAX_BLOCK, _SHORT, _sums
 from tiebound.maxima import (
-    _FIRST_BLOCK,
-    _MAX_BLOCK,
-    _SHORT,
     KnSpec,
-    _sums,
     _tail_end,
     _tie_values,
     argmax_value_law,
@@ -158,7 +155,7 @@ class TestSizeBiased:
 
     def test_one_series_pass(self, monkeypatch):
         calls = []
-        monkeypatch.setattr("tiebound.maxima._sums",
+        monkeypatch.setattr("tiebound._series._sums",
                             lambda *args, sums=_sums: calls.append(args) or sums(*args))
         size_biased_tie_pmf(KnSpec(law=geometric_law(0.3), n=10), 3)
         assert len(calls) == 1
@@ -545,9 +542,9 @@ def test_thm1a_bounds_are_within_their_truncation_error_of_40_digit_values(grid)
 
 
 def _block_kinds(monkeypatch) -> list:
-    """Whether each later :func:`maxima._block` call is a plain-Python block."""
+    """Whether each later :func:`_series._block` call is a plain-Python block."""
     kinds = []
-    monkeypatch.setattr(maxima, "_block", lambda law, lo, hi, python=False, block=maxima._block:
+    monkeypatch.setattr(_series, "_block", lambda law, lo, hi, python=False, block=_series._block:
                         kinds.append(python) or block(law, lo, hi, python))
     return kinds
 
@@ -569,7 +566,7 @@ def test_a_pass_within_the_short_budget_agrees_with_the_numpy_blocks(monkeypatch
     kinds = _block_kinds(monkeypatch)
     python = _tie_values(spec, pmfs, moments, 1e-12)
     assert kinds == [True] * 4
-    monkeypatch.setattr(maxima, "_SHORT", 0)
+    monkeypatch.setattr(_series, "_SHORT", 0)
     arrays = _tie_values(spec, pmfs, moments, 1e-12)
     assert len(kinds) > 4 and not any(kinds[4:])
     for ours, theirs in zip(python, arrays):
@@ -698,7 +695,7 @@ def test_series_cap_is_honoured_between_block_ends(monkeypatch):
     which is the first moment's, for one series or several.  The
     law has no lattice rate: the closed form would certify these moments."""
     cap = 1000
-    monkeypatch.setattr("tiebound.maxima._SERIES_CAP", cap)
+    monkeypatch.setattr("tiebound._series._SERIES_CAP", cap)
     law = dataclasses.replace(geometric_law(1e-7), lattice_rate=None)
     certificate = (1.0 - 1e-7) ** cap
     for orders in (1, (1, 2, 3)):
