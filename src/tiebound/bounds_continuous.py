@@ -29,7 +29,7 @@ from . import _quadrature
 from ._numpy import np
 from .approximants import BoundReport, TruncatedPMF
 from .binomial import _TINY, _gamma
-from .distributions import ContinuousLaw
+from .distributions import ContinuousLaw, _many
 from .errors import DegenerateParameterError, DomainError, integer_in, positive_tol, real_in
 from .moments import (gumbel_gap_moment, gumbel_gap_moment_exact, uniform_gap_moment,
                       uniform_gap_moment_exact)
@@ -132,11 +132,12 @@ def gap_ratio(law: ContinuousLaw, a: float, x):
     no subtraction of nearly equal numbers; the value is always in [0, 1].
     ``x`` may be an array; a scalar gives a float.
     """
-    x = np.asarray(x, dtype=float)
-    log_f = law.logcdf(x)
+    def r(x):
+        log_f = law.logcdf(x)
+        return np.where(log_f > -np.inf, np.clip(-np.expm1(law.logcdf(x - a) - log_f), 0.0, 1.0), 1.0)
+
     with np.errstate(invalid="ignore"):  # -inf - (-inf) where F(x) = 0
-        r = np.where(log_f > -np.inf, np.clip(-np.expm1(law.logcdf(x - a) - log_f), 0.0, 1.0), 1.0)
-    return r if r.ndim else float(r)
+        return _many(np.asarray(x, dtype=float), None, r)
 
 
 def gap_ratio_moment(spec: NearOrderSpec, j: int, tol: float = 1e-10) -> float:

@@ -22,20 +22,21 @@ Commands that need no array never import numpy: ``--help``, usage errors,
 ``figure fig2``, ``table1``, ``verify``, whose continuous rows take the
 near-order laws in closed form, ``figure fig1`` at its default n = 20,
 ``bound thm1a|thm1b|thm2`` on a geometric law wherever the closed form of
-its tie-count values certifies the tolerance or their series is short
-enough to sum in plain Python (see ``maxima``), ``bound thm3`` on the
-Gumbel law and, wherever its binomial tails are short, on the uniform law
-with n - ell >= 2, whose gap-ratio moments have closed forms (see
-``bounds_continuous``), and ``simulate`` of the tie count on a geometric
-law where its exact law certifies from its entries, each in closed form or
-from a short series (see ``maxima``), such as ``simulate --p 0.01 --n 10000
---mc-samples 10000000`` or ``simulate --p 0.3 --n 50``, and ``simulate`` of
-the near-order count on the Gumbel and uniform laws wherever their
-near-order laws have closed forms, such as ``simulate --law gumbel --n 100
---a 0.3``: every draw of ``simulate`` and ``verify`` comes from one
-generator, ``random.Random``, at every size (see ``montecarlo``).  The
-rest import it when they first need it, through the package's shared lazy
-handle (``tiebound._numpy``).
+its tie-count values certifies the tolerance or their series is short enough
+to sum in plain Python (see ``maxima``), and on a tabulated law on at most
+960 points, whose series always are, ``bound thm3`` on the Gumbel law and,
+wherever its binomial tails are short, on the uniform law with n - ell >= 2,
+whose gap-ratio moments have closed forms (see ``bounds_continuous``), and
+``simulate`` of the tie count on a geometric or such a tabulated law where
+its exact law certifies from its entries, each in closed form or from a
+short series (see ``maxima``), such as ``simulate --p 0.01 --n 10000
+--mc-samples 10000000``, ``simulate --p 0.3 --n 50`` or ``simulate --law
+tabulated --weights 0.2,0.3,0.5 --n 7``, and ``simulate`` of the near-order
+count on the Gumbel and uniform laws wherever their near-order laws have
+closed forms, such as ``simulate --law gumbel --n 100 --a 0.3``: every draw
+of ``simulate`` and ``verify`` comes from one generator, ``random.Random``,
+at every size (see ``montecarlo``).  The rest import it when they first
+need it, through the package's shared lazy handle (``tiebound._numpy``).
 
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is set already,
 so the CLI runs its few small BLAS calls on one thread; OpenBLAS reads it when

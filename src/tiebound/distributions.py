@@ -16,6 +16,8 @@ All laws are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -52,7 +54,9 @@ class DiscreteLaw:
         support_max: largest support point for finitely supported laws, else None.
             When set, all mass beyond it is exactly zero.
         quantile: u -> smallest j with F(j) >= u, for u in [0, 1); accepts floats
-            or numpy arrays.  None means callers must fall back to generic inversion.
+            or numpy arrays.  The built-in laws raise :class:`DomainError` for a
+            level outside [0, 1), NaN included.  None means callers must fall
+            back to generic inversion.
         descriptor: JSON-style dict this law can be rebuilt from, if any.
         lattice_rate: lambda > 0 when the law is geometric, p(j) = (1 - e**-lambda)
             e**(-lambda (j-1)), else None.  Only :func:`geometric_law` sets it;
@@ -62,10 +66,11 @@ class DiscreteLaw:
         takes_range: True when ``pmf`` and ``logcdf`` also take a ``range``
             and answer it with a list of floats, and answer a Python ``int``
             (``quantile`` a Python ``float``) with a Python number, all
-            without numpy.  Only :func:`geometric_law` sets it; the tie-count
-            series then sum their first blocks in plain Python
-            (``_series._sums``), ``ties`` runs draw their histograms without
-            numpy (``montecarlo``), and every other law is given numpy arrays.
+            without numpy.  :func:`geometric_law` and :func:`tabulated_law`
+            set it; the tie-count series then sum their first blocks in plain
+            Python (``_series._sums``) and ``ties`` runs draw their histograms
+            without numpy (``montecarlo``).  Every other law, such as one
+            written for numpy arrays, is given numpy arrays.
     """
 
     pmf: Callable
@@ -127,6 +132,24 @@ def _closed_form(name: str, *args) -> Callable:
     return field
 
 
+def _many(x, one: Optional[Callable], many: Callable):
+    """A law function's answer to any ``x`` but the Python number its own
+    branch answers: a list of ``one(i)`` for a ``range`` (where ``one`` is
+    given), else ``many(np.asarray(x))``, made a Python number where that is
+    0-d, as for a numpy number."""
+    if one is not None and isinstance(x, range):
+        return [one(i) for i in x]
+    out = many(np.asarray(x))
+    return out if out.ndim else out.item()
+
+
+def _levels(u):
+    """The array ``u`` of quantile levels, once each lies in [0, 1)."""
+    if not np.all((u >= 0.0) & (u < 1.0)):
+        raise DomainError("quantile levels must lie in [0, 1)")
+    return u
+
+
 def geometric_law(p: float) -> DiscreteLaw:
     """Geometric law with pmf p*(1-p)**(j-1) on {1, 2, ...}.
 
@@ -142,36 +165,24 @@ def geometric_law(p: float) -> DiscreteLaw:
     series and a ``ties`` run need no numpy; numpy loads when they are
     first called with a numpy number or an array.  The two routes apply the
     same formulas, but numpy's ``exp`` and ``log1p`` may differ from
-    ``math``'s in the last bit.  Both raise :class:`DomainError` for a
-    ``quantile`` level outside [0, 1).
+    ``math``'s in the last bit, which ``logcdf`` magnifies by t / (1 - t),
+    t = (1-p)**j, where F(j) is small.  Both raise :class:`DomainError` for
+    a ``quantile`` level outside [0, 1).
     """
     real_in(p, 0.0, 1.0, "geometric parameter")
     log_q = math.log1p(-p)
 
-    def pmf1(i):
-        return p * math.exp((i - 1) * log_q) if i >= 1 else 0.0
-
-    def logcdf1(i):  # log1p(-(1-p)**i), -inf where (1-p)**i >= 1, as at i <= 0
-        t = math.exp(i * log_q)
-        return math.log1p(-t) if t < 1.0 else -math.inf
-
     def pmf(j):
-        if isinstance(j, range):
-            return [pmf1(i) for i in j]
         if type(j) is int:
-            return pmf1(j)
-        j = np.asarray(j)
-        out = np.where(j >= 1, p * np.exp((j - 1) * log_q), 0.0)
-        return out if out.ndim else float(out)
+            return p * math.exp((j - 1) * log_q) if j >= 1 else 0.0
+        return _many(j, pmf, lambda j: np.where(j >= 1, p * np.exp((j - 1) * log_q), 0.0))
 
     def logcdf(j):
-        if isinstance(j, range):
-            return [logcdf1(i) for i in j]
-        if type(j) is int:
-            return logcdf1(j)
-        j = np.asarray(j)
-        out = np.where(j >= 1, np.log1p(-np.exp(np.maximum(j, 1) * log_q)), -np.inf)
-        return out if out.ndim else float(out)
+        if type(j) is int:  # log1p(-(1-p)**j), -inf where (1-p)**j >= 1, as at j <= 0
+            t = math.exp(j * log_q)
+            return math.log1p(-t) if t < 1.0 else -math.inf
+        return _many(j, logcdf, lambda j: np.where(
+            j >= 1, np.log1p(-np.exp(np.maximum(j, 1) * log_q)), -np.inf))
 
     def quantile(u):
         if type(u) is float:  # the same steps as for an array
@@ -181,14 +192,13 @@ def geometric_law(p: float) -> DiscreteLaw:
             if j > 1 and -math.expm1((j - 1) * log_q) >= u:
                 j -= 1
             return j + 1 if -math.expm1(j * log_q) < u else j
-        u = np.asarray(u, dtype=float)
-        if not np.all((u >= 0.0) & (u < 1.0)):
-            raise DomainError("quantile levels must lie in [0, 1)")
-        j = np.maximum(np.ceil(np.log1p(-u) / log_q), 1.0).astype(np.int64)
+        return _many(u, None, many_quantile)
+
+    def many_quantile(u):
+        j = np.maximum(np.ceil(np.log1p(-_levels(u)) / log_q), 1.0).astype(np.int64)
         # float-edge fixups so that j is the smallest index with F(j) >= u
         j = np.where((j > 1) & (-np.expm1((j - 1) * log_q) >= u), j - 1, j)
-        j = np.where(-np.expm1(j * log_q) < u, j + 1, j)
-        return j if j.ndim else int(j)
+        return np.where(-np.expm1(j * log_q) < u, j + 1, j)
 
     return DiscreteLaw(
         pmf=pmf,
@@ -205,42 +215,55 @@ def geometric_law(p: float) -> DiscreteLaw:
 def tabulated_law(weights) -> DiscreteLaw:
     """Finitely supported law with P(X = j) = weights[j-1] on {1, ..., m}.
 
-    Weights must be non-negative and sum to 1 within 1e-12.  pmf reads the
-    weights, and log F(j) = log1p(-P(X > j)) takes the tail summed from the
-    top; the tail beyond m is exactly 0, and ``log_tail`` bounds it by 1 below m.
+    Weights must be real numbers in a non-empty 1-d sequence, non-negative
+    and summing to 1 within 1e-12.  The law keeps Python lists: the weights,
+    the head sums P(X <= j) and log F(j) = log1p(-P(X > j)), with the tail
+    P(X > j) summed from the top so that log F stays accurate where F(j)
+    rounds to 1; both sums run in the order of numpy's ``cumsum``.  Where the
+    tail sum reaches 1, as it may for weights that sum to a little over 1,
+    log F(j) is the log of the head sum instead (-inf where that is 0).  The
+    tail beyond m is exactly 0, and ``log_tail`` bounds it by 1 below m.
+    ``pmf`` and ``logcdf`` answer an ``int`` and a ``range`` from the lists,
+    and ``quantile`` a ``float`` by ``bisect`` (``takes_range``), so building
+    the law, its short series and ``ties`` runs need no numpy; an array reads
+    the same lists, so both routes give the same values.  Both ``quantile``
+    routes raise :class:`DomainError` for a level outside [0, 1).
     """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
+    import numbers  # here, as no other law needs it: about 0.5 ms of a command's start
+
+    w = list(weights) if hasattr(weights, "__iter__") and getattr(weights, "ndim", 1) == 1 else []
+    if not w or not all(issubclass(t, numbers.Real) for t in set(map(type, w))):  # no str, no row
         raise DomainError("weights must be a non-empty 1-d sequence")
-    if np.any(w < 0.0):
+    w = [float(x) for x in w]
+    if min(w) < 0.0:
         raise DomainError("weights must be non-negative")
-    total = math.fsum(w.tolist())
+    total = math.fsum(w)
     if not abs(total - 1.0) <= 1e-12:  # a NaN weight fails it too
         raise DomainError(f"weights must sum to 1 within 1e-12, got {total!r}")
-    m = int(w.size)
-    cum = np.cumsum(w)
-    # tail[j-1] = P(X > j), summed from the top so that it stays accurate
-    # where F(j) rounds to 1
-    tail = np.append(np.cumsum(w[::-1])[::-1][1:], 0.0)
+    m = len(w)
+    cum = list(itertools.accumulate(w))
+    tail = list(itertools.accumulate(reversed(w)))[-2::-1] + [0.0]  # tail[j-1] = P(X > j)
+    log_f = [-math.inf] + [math.log1p(-t) if t < 1.0 else math.log(c) if c > 0.0 else -math.inf
+                           for t, c in zip(tail, cum)]
+    masses = [0.0, *w, 0.0]
 
     def pmf(j):
-        j = np.asarray(j)
-        idx = np.clip(j - 1, 0, m - 1)
-        out = np.where((j >= 1) & (j <= m), w[idx], 0.0)
-        return out if out.ndim else float(out)
+        if type(j) is int:
+            return masses[min(max(j, 0), m + 1)]
+        return _many(j, pmf, lambda j: np.asarray(masses)[np.clip(j, 0, m + 1)])
 
     def logcdf(j):
-        j = np.asarray(j)
-        idx = np.clip(j - 1, 0, m - 1)
-        with np.errstate(divide="ignore"):
-            out = np.where(j >= 1, np.log1p(-tail[idx]), -np.inf)
-        return out if out.ndim else float(out)
+        if type(j) is int:
+            return log_f[min(max(j, 0), m)]
+        return _many(j, logcdf, lambda j: np.asarray(log_f)[np.clip(j, 0, m)])
 
     def quantile(u):
-        u = np.asarray(u, dtype=float)
-        j = np.searchsorted(cum, u, side="left") + 1
-        j = np.minimum(j, m).astype(np.int64)
-        return j if j.ndim else int(j)
+        if type(u) is float:
+            if not 0.0 <= u < 1.0:
+                raise DomainError(f"quantile level must lie in [0, 1), got {u!r}")
+            return min(bisect.bisect_left(cum, u) + 1, m)
+        return _many(u, None, lambda u: np.minimum(
+            np.searchsorted(cum, _levels(u), side="left") + 1, m).astype(np.int64))
 
     return DiscreteLaw(
         pmf=pmf,
@@ -248,7 +271,8 @@ def tabulated_law(weights) -> DiscreteLaw:
         log_tail=lambda j: 0.0 if j < m else -math.inf,
         support_max=m,
         quantile=quantile,
-        descriptor={"kind": "tabulated", "weights": [float(x) for x in w]},
+        descriptor={"kind": "tabulated", "weights": w},
+        takes_range=True,
     )
 
 
@@ -271,15 +295,13 @@ def gumbel_law() -> ContinuousLaw:
         if type(x) is float:
             return -math.exp(-x) if x >= -709.782712893384 else -math.inf  # exp(-x) = inf
         with np.errstate(over="ignore"):  # exp(-x) = inf below x = -709.8: log F = -inf
-            out = -np.exp(-np.asarray(x, dtype=float))
-        return out if out.ndim else float(out)
+            return _many(x, None, lambda x: -np.exp(-x))
 
     def logquantile(log_u):
         if type(log_u) is float:
             return -math.log(-log_u) if log_u else math.inf
         with np.errstate(divide="ignore"):  # u = 1 maps to +inf
-            out = -np.log(-np.asarray(log_u, dtype=float))
-        return out if out.ndim else float(out)
+            return _many(log_u, None, lambda log_u: -np.log(-log_u))
 
     return ContinuousLaw(
         logcdf=logcdf,
@@ -307,14 +329,12 @@ def uniform_law(b: float) -> ContinuousLaw:
             u = min(max(x / b, 0.0), 1.0)
             return math.log(u) if u else -math.inf
         with np.errstate(divide="ignore"):  # log 0 = -inf at and below 0
-            out = np.log(np.clip(np.asarray(x, dtype=float) / b, 0.0, 1.0))
-        return out if out.ndim else float(out)
+            return _many(x, None, lambda x: np.log(np.clip(x / b, 0.0, 1.0)))
 
     def logquantile(log_u):
         if type(log_u) is float:
             return b * math.exp(log_u)
-        out = b * np.exp(np.asarray(log_u, dtype=float))
-        return out if out.ndim else float(out)
+        return _many(log_u, None, lambda log_u: b * np.exp(log_u))
 
     return ContinuousLaw(
         logcdf=logcdf,

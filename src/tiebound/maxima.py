@@ -64,7 +64,7 @@ from . import _series
 from ._numpy import np
 from .approximants import TruncatedPMF
 from .binomial import _TINY, _gamma, _log_choose
-from .distributions import DiscreteLaw
+from .distributions import DiscreteLaw, _many
 from .errors import DomainError, TruncationError, integer_in, positive_tol
 
 __all__ = [
@@ -377,19 +377,16 @@ def argmax_value_law(spec: KnSpec) -> DiscreteLaw:
         return base
     log_z = _log_z(spec)
 
-    def pmf(m):
-        scalar = np.ndim(m) == 0
-        m = np.atleast_1d(np.asarray(m))
+    def pmf(m):  # of an array m, as logcdf below
         pm = np.asarray(base.pmf(m), dtype=float)
         log_fm = np.asarray(base.logcdf(m), dtype=float)
         out = np.zeros_like(pm)
         ok = (pm > 0.0) & (log_fm > -np.inf)
         out[ok] = np.exp(np.log(pm[ok]) + (n - 1) * log_fm[ok] - log_z)
-        return float(out[0]) if scalar else out
+        return out
 
     def logcdf(m):
-        scalar = np.ndim(m) == 0
-        m = np.atleast_1d(np.asarray(m)).astype(np.int64)
+        m = m.astype(np.int64)
         top = int(m.max(initial=0))
         if base.support_max is not None:
             top = min(top, base.support_max)
@@ -398,11 +395,11 @@ def argmax_value_law(spec: KnSpec) -> DiscreteLaw:
         out = np.append(-np.inf, cum)[np.clip(m, 0, top)]  # log F(0) = -inf
         if base.support_max is not None:
             out = np.where(m >= base.support_max, 0.0, out)
-        return float(out[0]) if scalar else out
+        return out
 
     return DiscreteLaw(
-        pmf=pmf,
-        logcdf=logcdf,
+        pmf=lambda m: _many(m, None, pmf),
+        logcdf=lambda m: _many(m, None, logcdf),
         log_tail=lambda j: min(0.0, base.log_tail(j) - log_z),
         support_max=base.support_max,
         quantile=None,
@@ -415,15 +412,18 @@ def tie_given_max_prob(law: DiscreteLaw, m):
 
     Formed from the odds p(m) / F(m-1) as p(m) / (p(m) + exp(log F(m-1))),
     which is exactly 1 at the bottom of the support.  ``m`` may be an integer
-    array; a scalar gives a float.
+    array; a scalar gives a float, by numpy's route too, so that it matches an
+    array's entry.
     """
-    j = np.asarray(m)  # numpy's route for a scalar too, so that it matches an array's entry
-    pm = law.pmf(j)
+    def odds(j):
+        pm = law.pmf(j)
+        return pm / (pm + np.exp(law.logcdf(j - 1)))
+
     with np.errstate(invalid="ignore"):
-        q = pm / (pm + np.exp(law.logcdf(j - 1)))
+        q = _many(m, None, odds)
     if np.isnan(q).any():  # 0 / 0 where F(m) = 0
         raise DomainError(f"cdf vanishes at {m!r}; conditional tie probability undefined")
-    return q if q.ndim else float(q)
+    return q
 
 
 def tie_given_max_moment(spec: KnSpec, j: int, tol: float = DEFAULT_TOL) -> float:

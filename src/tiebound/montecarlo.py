@@ -16,8 +16,10 @@ and each of the other rest - 1, uniform on [0, v], lands on j with chance
 on the row of K given M = j, and every binomial draw is exact (Beta splitting,
 then inversion; Devroye 1986, X.4).  A run costs O(hits + cells drawn), not
 O(size): 1e7 draws at geometric (0.01, 1e4) take about 13 ms on a shared
-2-vCPU VM.  A ``ties`` run on a law that ``takes_range`` never imports numpy;
-``size-biased`` walks the argmax law through numpy tables over its support.
+2-vCPU VM.  A ``ties`` run on a law that ``takes_range``, the geometric or
+tabulated law, never imports numpy: its ``quantile`` answers a float and its
+``logcdf`` an int in plain Python.  ``size-biased`` walks the argmax law
+through numpy tables over its support.
 The ``near-order`` kind draws each replication on its own, at a cost that does
 not grow with n: log F(X) at the ell-th largest X, X through ``logquantile`` at
 it, then one exact binomial count given X.  Up to rank ``_SPACINGS``, log F(X)
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 from . import _series, bounds_continuous
 from ._numpy import np
 from .approximants import TruncatedPMF, _dense
-from .distributions import DiscreteLaw
+from .distributions import DiscreteLaw, _many
 from .errors import DomainError, TruncationError
 from .maxima import KnSpec, _tail_end, argmax_value_law
 
@@ -147,11 +149,9 @@ def _discrete_quantile_fn(law: DiscreteLaw):
     cum = np.exp(law.logcdf(np.arange(1, top + 1)))
 
     def quantile(u):
-        idx = np.searchsorted(cum, np.asarray(u, dtype=float), side="left")
-        out = np.minimum(idx + 1, top).astype(np.int64)
-        return out if out.ndim else int(out)
+        return np.minimum(np.searchsorted(cum, u, side="left") + 1, top).astype(np.int64)
 
-    return quantile
+    return lambda u: _many(u, None, quantile)
 
 
 def _binomial(rand: random.Random, trials: int, p: float) -> int:

@@ -370,6 +370,23 @@ class TestSimulateCommand:
         assert result.exit_code == 0, result.output
         assert result.output.splitlines()[1:] == ["1000000000,1000,1.0,1.0"]
 
+    def test_weights_whose_tail_sums_past_one_end(self):
+        # these weights sum to 1 within 1e-12, but their tail summed from the top passes
+        # 1 at j = 1, where log F(1) was NaN: then neither call below returned within 20 s
+        code = ("import contextlib, io, math\n"
+                "from tiebound.cli import main\n"
+                "from tiebound.distributions import tabulated_law\n"
+                "from tiebound.maxima import KnSpec, tie_count_law\n"
+                "law = tie_count_law(KnSpec(tabulated_law([0.0, 0.6, 0.4 + 5e-13]), 10))\n"
+                "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+                "    code = main(['simulate', '--law', 'tabulated', '--weights',\n"
+                "                 '0,0.6,0.4000000000005', '--n', '10', '--mc-samples', '100'])\n"
+                "rows = out.getvalue().strip().split('\\n')[1:]\n"
+                "print(code, math.fsum(law.probs), sum(int(r.split(',')[1]) for r in rows))\n")
+        code, total, count = _python("-c", code, timeout=30).stdout.split()
+        assert (code, count) == ("0", "100")
+        assert abs(float(total) - 1.0) < 1e-12
+
     def test_size_biased_tail_budget_covers_omitted_outcomes(self):
         # P(K* = k) falls below the smallest normal double, where the law stops,
         # from k = 237 on
@@ -397,12 +414,12 @@ SCIPY_FREE_COMMANDS = {
 }
 
 
-def _python(*args, check=True):
+def _python(*args, check=True, timeout=None):
     """A fresh interpreter that imports this ``tiebound``; returns the finished process."""
     src = os.path.dirname(os.path.dirname(tiebound.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          check=check)
+                          check=check, timeout=timeout)
 
 
 def _run_python(code):
@@ -803,6 +820,15 @@ NUMPY_FREE_COMMANDS = {
     "verify": (["verify"], 0),
     "verify-seed": (["verify", "--seed", "3"], 0),
     "verify-no-mc": (["verify", "--mc-samples", "0"], 0),
+    # a tabulated law's short series and histogram, from its Python lists
+    "thm1a-tabulated": (["bound", "thm1a", "--law", "tabulated", "--weights", "0.2,0.3,0.5",
+                         "--n", "7"], 0),
+    "thm1b-tabulated": (["bound", "thm1b", "--law", "tabulated", "--weights", "0.2,0.3,0.5",
+                         "--n", "100"], 0),
+    "thm2-tabulated": (["bound", "thm2", "--law", "tabulated", "--weights", "0.2,0.3,0.5",
+                        "--n", "100"], 0),
+    "simulate-tabulated": (["simulate", "--law", "tabulated", "--weights", "0.2,0.3,0.5",
+                            "--n", "7", "--mc-samples", "2000"], 0),
     "help": (["--help"], 0),
     "usage-error": (["bound", "thm2", "--p", "1e-3"], 1),
 }

@@ -1,6 +1,7 @@
 """Law constructors: exact values, certificates, and descriptor round trips."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -68,14 +69,14 @@ class TestGeometric:
 
     @pytest.mark.parametrize("u", [1.0, 1.5, -0.1, math.nan])
     def test_quantile_refuses_a_level_outside_the_unit_interval(self, u):
-        # the float route once raised a bare ValueError at u = 1, and the array
-        # route returned -9223372036854775807
-        law = geometric_law(0.3)
-        with pytest.raises(DomainError, match=r"\[0, 1\)"):
-            law.quantile(u)
-        with pytest.raises(DomainError, match=r"\[0, 1\)"):
-            law.quantile(np.array([0.5, u]))
-        assert law.quantile(0.0) == 1 and law.quantile(np.array([0.0])).tolist() == [1]
+        # the geometric float route once raised a bare ValueError at u = 1, and the
+        # array route returned -9223372036854775807; the tabulated law answered 1 or m
+        for law in (geometric_law(0.3), tabulated_law([0.2, 0.3, 0.5])):
+            with pytest.raises(DomainError, match=r"\[0, 1\)"):
+                law.quantile(u)
+            with pytest.raises(DomainError, match=r"\[0, 1\)"):
+                law.quantile(np.array([0.5, u]))
+            assert law.quantile(0.0) == 1 and law.quantile(np.array([0.0])).tolist() == [1]
 
     def test_domain(self):
         for bad in (0.0, 1.0, -0.3, 1.5):
@@ -109,6 +110,29 @@ class TestTabulated:
         law = tabulated_law(w)
         for j in range(0, m + 2):
             assert math.exp(law.log_tail(j)) >= math.fsum(w[j:])
+
+    @pytest.mark.parametrize("weights", [
+        np.full((3, 1), 1 / 3), np.full((1, 3), 1 / 3), 1.0, np.array(1.0), [], "1", [[1.0]],
+    ], ids=["column", "row", "scalar", "0-d", "empty", "string", "nested"])
+    def test_refuses_weights_that_are_not_a_1d_sequence_of_numbers(self, weights):
+        # a law read from Python lists must refuse what numpy's 1-d reading refused,
+        # without so much as a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="1-d sequence"):
+                tabulated_law(weights)
+
+    def test_a_tail_that_sums_past_one_takes_the_head_sum(self):
+        # these weights sum to 1 within 1e-12, but the tail summed from the top is
+        # 1 + 5e-13 at j = 1, where log1p(-tail) was NaN; the other entries keep it
+        w3 = 0.4 + 5e-13
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            law = tabulated_law([0.0, 0.6, w3])
+            assert law.logcdf(range(5)) == [-math.inf, -math.inf, math.log1p(-w3), 0.0, 0.0]
+            law = tabulated_law([1e-14, 0.6, w3 - 1e-14])
+            assert law.logcdf(range(3)) == [-math.inf, math.log(1e-14), math.log1p(-(w3 - 1e-14))]
+            assert law.logcdf(np.arange(3)).tolist() == law.logcdf(range(3))
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -207,6 +231,35 @@ def test_a_float_gets_the_array_value(law, name, grid):
         got = fn(x)
         assert type(got) is float
         assert got == want or abs(got - want) <= 2.0 * math.ulp(want), (x, got, want)
+
+
+@pytest.mark.parametrize("law,ulps", [
+    (geometric_law(0.3), 2), (geometric_law(0.05), 2), (geometric_law(1 - 1e-6), 2),
+    (tabulated_law([0.2, 0.3, 0.5]), 0), (tabulated_law([0.0, 0.6, 0.4 + 5e-13]), 0),
+], ids=["geometric-0.3", "geometric-0.05", "geometric-1-1e-6", "tabulated", "tabulated-past-1"])
+def test_an_int_a_range_and_a_float_level_get_the_array_value(law, ulps):
+    """The discrete laws' counterpart of :func:`test_a_float_gets_the_array_value`:
+    a Python ``int`` and a ``range`` take ``pmf`` and ``logcdf`` through ``math``,
+    and a Python ``float`` takes ``quantile`` there, and each gets the array
+    path's value, within 2 ulp for the geometric law and exactly for the
+    tabulated law, whose two paths read the same tables.  (At a small
+    geometric p, log1p(-t) magnifies the last-bit difference of t = (1-p)**j
+    where t is near 1: 12 ulp at p = 1e-3.)"""
+    def close(got, want):
+        return got == want or abs(got - want) <= ulps * math.ulp(want)
+
+    grid = [-2, 0, 1, 2, 3, 4, 10, 1000, 10**6]
+    for name in ("pmf", "logcdf"):
+        fn = getattr(law, name)
+        for j, want in zip(grid, fn(np.array(grid)).tolist()):
+            got = fn(j)
+            assert type(got) is float and close(got, want), (name, j, got, want)
+        got = fn(range(-2, 40))
+        assert all(map(close, got, fn(np.arange(-2, 40)).tolist())), (name, got)
+    levels = [0.0, 1e-300, 0.1, 0.25, 0.5, 0.75, 0.9999, 1.0 - 2.0**-53]
+    for u, want in zip(levels, law.quantile(np.array(levels)).tolist()):
+        got = law.quantile(u)
+        assert type(got) is int and got == want, (u, got, want)
 
 
 def test_discrete_tail_covers_unit_mass():

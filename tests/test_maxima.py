@@ -320,7 +320,8 @@ def _four_terms(n):
 # the passes of _four_terms are short for geometric 0.2, 0.3 and 1 - 1e-6 and long for
 # 1e-3 and 0.05, but each of their terms but the last alone is short for geometric 0.05;
 # alone, the first term at geometric 0.05 and n = 1e9 needs a numpy block after its
-# four Python blocks.  The tabulated law takes no range, so its passes are never short
+# four Python blocks.  The tabulated law's support ends within the first block, so its
+# passes are always short
 SERIES_LAWS = [geometric_law(1e-3), geometric_law(0.05), geometric_law(0.2),
                geometric_law(0.3), geometric_law(1 - 1e-6), tabulated_law([0.2, 0.3, 0.5])]
 
@@ -333,21 +334,12 @@ def test_one_pass_equals_one_series_at_a_time(law, n):
     blocks, to the last bit; and a series in a pass of its own is that series
     summed alone with its own kind."""
     terms = _four_terms(n)
-    assert _short(law, terms) == (law.takes_range and law.descriptor["p"] >= 0.2)
+    assert _short(law, terms) == (law.descriptor.get("p", 1.0) >= 0.2)
     assert [r[:2] for r in _sums(law, terms)] == [_one_series(law, *term, _short(law, terms))
                                                   for term in terms]
     for term in terms:
         assert [r[:2] for r in _sums(law, [term])] == [_one_series(law, *term,
                                                                    _short(law, [term]))]
-
-
-def _ranged(base):
-    """``base`` with ``takes_range`` set: a ``range`` is answered with a list."""
-    def ranged(f):
-        return lambda j: f(np.asarray(j)).tolist() if isinstance(j, range) else f(j)
-
-    return dataclasses.replace(base, pmf=ranged(base.pmf), logcdf=ranged(base.logcdf),
-                               takes_range=True)
 
 
 def _normalised(weights) -> list:
@@ -356,10 +348,10 @@ def _normalised(weights) -> list:
 
 # laws whose p(j) are out of order, so a Python block sorts its j: one bump at j = 10,
 # and peaks at j = 1 and 30
-BUMP = _ranged(tabulated_law(_normalised([math.exp(-((j - 10) / 3) ** 2) for j in range(1, 41)])))
-PEAKS = _ranged(tabulated_law(_normalised([
+BUMP = tabulated_law(_normalised([math.exp(-((j - 10) / 3) ** 2) for j in range(1, 41)]))
+PEAKS = tabulated_law(_normalised([
     math.exp(-1.0 if j == 1 else -0.5 if j == 30 else -50.0 if j < 30 else -100.0)
-    for j in range(1, 41)])))
+    for j in range(1, 41)]))
 
 
 @pytest.mark.parametrize("law", [geometric_law(0.9), BUMP, PEAKS],
