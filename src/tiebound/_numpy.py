@@ -1,11 +1,12 @@
-"""numpy, imported on first use: the one handle the package's modules share.
+"""numpy, imported on first use: the one handle the package's modules share,
+and ``_many``, the one way a float formula answers an array.
 
 The modules that use numpy (``distributions``, ``maxima`` and its
-``_series``, ``binomial``, ``bounds_continuous`` and its ``_quadrature``,
-and ``montecarlo``; ``cli``, ``approximants``, ``moments`` and ``stein``
-need none) read it through ``np`` here, so that a command that never builds
-an array, such as ``bound thm2`` on a geometric law in the closed-form
-region, ``table1`` and ``figure fig1`` at its default n, whose tie-count
+``_series``, ``binomial``, ``_quadrature`` and ``montecarlo``;
+``bounds_continuous`` reaches it only through ``_many``, and ``cli``,
+``approximants``, ``moments`` and ``stein`` need none) read it through
+``np`` here, so that a command that never builds an array, such as ``bound
+thm2`` on a geometric law in the closed-form region, ``table1`` and ``figure fig1`` at its default n, whose tie-count
 series are short enough to sum in plain Python, ``bound thm2`` on a
 tabulated law of a few points, whose law reads Python lists and whose series
 are short too, ``bound thm3`` on the Gumbel law, whose moments have a closed
@@ -47,3 +48,23 @@ class _Numpy:
 
 
 np = _Numpy()
+
+
+def _many(x, one, many=None, dtype=float):
+    """A function's answer to any ``x`` but the Python number its own formula
+    ``one`` answers.
+
+    Without a numpy formula ``many``, ``one`` is mapped over the entries of
+    ``x``, taken as floats, into an array of ``dtype`` and of x's shape, empty
+    or 0-d ones too, so that an array's entry is exactly the float's answer.
+    Given ``many``, as a discrete law's ``pmf`` and ``logcdf`` are for the
+    speed of their blocks, a ``range`` gets a list of ``one(i)`` (where
+    ``one`` is given) and anything else ``many(np.asarray(x))``.  A 0-d
+    answer is made a Python number, as for a numpy number.
+    """
+    if many is not None and one is not None and isinstance(x, range):
+        return [one(i) for i in x]
+    x = np.asarray(x, dtype=None if many else float)
+    out = (many(x) if many else
+           np.fromiter(map(one, x.ravel().tolist()), dtype, x.size).reshape(x.shape))
+    return out if out.ndim else out.item()

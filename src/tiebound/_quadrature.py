@@ -211,7 +211,8 @@ def _log_order_density(n: int, ell: int, v: np.ndarray) -> np.ndarray:
 
     Loader's form keeps every term small: at n = 1e9, ell = n/2 the two
     terms (ell-1) log v and (n-ell) log(1-v) would each be about 3.5e8, and
-    their rounding about 4e-8 relative to the density.
+    their rounding about 4e-8 relative to the density.  Its float formula
+    is mapped over the nodes (``_log_binom_term``).
     """
     if n == 1:  # V is uniform; the form below would give 0 * log 0 at v = 1
         return np.zeros(np.shape(v))

@@ -107,15 +107,26 @@ def _block_error(w, lt, m: float, power: int, expo: int, lp, ep, ef, python: boo
     (log p + e_p) - m + 3u (1 + expo |log F|)) too, which bounds the terms
     where a tiny F makes e_F useless.  A numpy block adds the smaller of the
     two for each term.  A Python block, whose d_j are all small on a
-    geometric law, adds exp(max d) sum_j w_j d_j, as expm1(d) <= d exp(d);
-    a term that underflows to 0 there, below 2**-1000 of the top one, is
+    geometric law, adds exp(max d) sum_j w_j d_j, as expm1(d) <= d exp(d),
+    while max d is below 1; past it, as where a tabulated law's F(j) is
+    tiny, it adds the smaller of the two for each term too.  A term that
+    underflows to 0 in a Python block, below 2**-1000 of the top one, is
     left out.  A term that is 0, where p or F is, is exact.
     """
     if python:
         d = power * max(ep) + expo * max(ef) + 3.0 * _U
-        grow = math.expm1(d) if d < 709.0 else math.inf  # inf for nan too
-        return (1.0 + grow) * (power * math.fsum(map(operator.mul, w, ep)) + 3.0 * _U
-                               * math.fsum(w) + expo * math.fsum(map(operator.mul, w, ef)))
+        if d < 1.0:
+            grow = math.expm1(d)
+            return (1.0 + grow) * (power * math.fsum(map(operator.mul, w, ep)) + 3.0 * _U
+                                   * math.fsum(w) + expo * math.fsum(map(operator.mul, w, ef)))
+        bounds = []
+        for wj, x, a, b, c in zip(w, lt, lp, ep, ef):
+            if x > -math.inf:  # F <= 1's bound first, as w_j expm1(d_j) is nan at 0 * inf
+                y, dj = (power * (a + b) - m + 3.0 * _U * (1.0 - x + power * a),
+                         power * b + expo * c + 3.0 * _U)
+                bounds.append(min(math.exp(y) if y < 709.0 else math.inf,
+                                  wj * (math.expm1(dj) if dj < 709.0 else math.inf)))
+        return sum(bounds)  # inf past the largest double, where fsum would raise
     with np.errstate(invalid="ignore", over="ignore"):
         return float(np.where(lt > -np.inf, np.fmin(
             np.exp(power * (lp + ep) - m + 3.0 * _U * (1.0 - lt + power * lp)),

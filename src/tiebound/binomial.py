@@ -1,9 +1,11 @@
 """Binomial terms, tails, coefficients and rows: the package's binomial code.
 
 Single terms and log C(m, k) use Loader's saddle-point form, accurate at
-m = 1e9 where lgamma differences lose about 1e-6.  :func:`binom_rows` is the
-row kernel that the near-order count and the tie-count laws both use, on
-the windows of :func:`binom_window`.
+m = 1e9 where lgamma differences lose about 1e-6.  They are float formulas
+through ``math``: a term answers an array of chances by mapping its formula
+over the entries.  numpy serves where a block needs speed: the long runs of
+a tail, and :func:`binom_rows`, the row kernel that the near-order count
+and the tie-count laws both use, on the windows of :func:`binom_window`.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 
-from ._numpy import np
+from ._numpy import _many, np
 
 __all__ = ["binom_window", "binom_rows"]
 
@@ -48,46 +50,38 @@ def _stirlerr(k: int) -> float:
     return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / kk) / kk) / kk) / kk) / k
 
 
-def _bd0(x: float, mu):
-    """x log(x/mu) + mu - x, elementwise over ``mu``, by a series free of
-    cancellation where |x - mu| < 0.1 (x + mu).
+def _bd0(x: float, mu: float) -> float:
+    """x log(x/mu) + mu - x, by a series free of cancellation where
+    |x - mu| < 0.1 (x + mu).
 
     There v = (x - mu) / (x + mu) and the odd series in v has terms of power
     j at most 2 (x + mu) |v|**j / j against a sum above 0.9 (x + mu) v**2,
     so every term past j = 19 is below 2e-20 of the sum and rounds away.
-    A float ``mu`` is answered through ``math``, without numpy.
     """
-    scalar = isinstance(mu, float)
-    if not scalar:
-        mu = np.asarray(mu, dtype=float)
     v = (x - mu) / (x + mu)
+    if not abs(v) < 0.1:
+        return x * math.log(x / mu) + mu - x if mu > 0.0 else math.inf
     s, term, v2 = (x - mu) * v, 2.0 * x * v, v * v
     for j in range(3, 21, 2):
         term = term * v2
         s = s + term / j
-    if scalar:
-        if abs(v) < 0.1:
-            return s
-        return x * math.log(x / mu) + mu - x if mu > 0.0 else math.inf
-    with np.errstate(divide="ignore"):
-        return np.where(np.abs(v) < 0.1, s, x * np.log(x / mu) + mu - x)
+    return s
 
 
 def _log_binom_term(m: int, k: int, q):
-    """log P(Bin(m, q) = k), elementwise over ``q`` in [0, 1], by Loader's
-    saddle-point form.
+    """log P(Bin(m, q) = k) for q in [0, 1], by Loader's saddle-point form.
 
     Stirling errors and the deviance terms ``_bd0`` replace the lgamma
     differences, which at m = 1e9 would cost about 1e-6 absolute (C. Loader,
     "Fast and accurate computation of binomial probabilities", 2000).  A
-    float ``q`` is answered through ``math``, without numpy.
+    float ``q`` is answered through ``math``; an array of them by mapping
+    that formula over its entries (``_many``).
     """
-    if k == 0 or k == m:
-        if isinstance(q, float):  # log 0 = -inf at q = 1 or 0
-            rest = 1.0 - q if k == 0 else q
-            return m * (math.log1p(-q) if k == 0 else math.log(q)) if rest > 0.0 else -math.inf
-        with np.errstate(divide="ignore"):
-            return m * (np.log1p(-q) if k == 0 else np.log(q))
+    if type(q) is not float:
+        return _many(q, lambda q: _log_binom_term(m, k, q))
+    if k == 0 or k == m:  # log 0 = -inf at q = 1 or 0
+        rest = 1.0 - q if k == 0 else q
+        return m * (math.log1p(-q) if k == 0 else math.log(q)) if rest > 0.0 else -math.inf
     return (_stirlerr(m) - _stirlerr(k) - _stirlerr(m - k) - _bd0(k, m * q)
             - _bd0(m - k, m * (1.0 - q)) + 0.5 * math.log(m / (2.0 * math.pi * k * (m - k))))
 

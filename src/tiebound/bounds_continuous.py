@@ -26,10 +26,10 @@ import math
 from dataclasses import dataclass, replace
 
 from . import _quadrature
-from ._numpy import np
+from ._numpy import _many
 from .approximants import BoundReport, TruncatedPMF
 from .binomial import _TINY, _gamma
-from .distributions import ContinuousLaw, _many
+from .distributions import ContinuousLaw
 from .errors import DegenerateParameterError, DomainError, integer_in, positive_tol, real_in
 from .moments import (gumbel_gap_moment, gumbel_gap_moment_exact, uniform_gap_moment,
                       uniform_gap_moment_exact)
@@ -130,14 +130,14 @@ def gap_ratio(law: ContinuousLaw, a: float, x):
 
     Formed as -expm1(log F(x - a) - log F(x)) from the law's ``logcdf``, with
     no subtraction of nearly equal numbers; the value is always in [0, 1].
-    ``x`` may be an array; a scalar gives a float.
+    A float ``x`` gives a float; an array of them maps that formula over its
+    entries (``_many``).
     """
-    def r(x):
-        log_f = law.logcdf(x)
-        return np.where(log_f > -np.inf, np.clip(-np.expm1(law.logcdf(x - a) - log_f), 0.0, 1.0), 1.0)
-
-    with np.errstate(invalid="ignore"):  # -inf - (-inf) where F(x) = 0
-        return _many(np.asarray(x, dtype=float), None, r)
+    if type(x) is not float:
+        return _many(x, lambda x: gap_ratio(law, a, x))
+    log_f = law.logcdf(x)
+    r = -math.expm1(law.logcdf(x - a) - log_f) if log_f > -math.inf else 1.0
+    return min(max(r, 0.0), 1.0)
 
 
 def gap_ratio_moment(spec: NearOrderSpec, j: int, tol: float = 1e-10) -> float:

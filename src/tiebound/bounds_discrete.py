@@ -203,7 +203,9 @@ def poisson_bound(spec: KnSpec, tol: float = DEFAULT_TOL) -> BoundReport:
         + (n-1) E[(K)_3] / ((n-2) E[(K)_2]) - (n-2) E[(K)_2] / ((n-1) E[K]).
 
     The first radicand is Var(K) and must be non-negative; a materially
-    negative value indicates a numerical failure upstream.  Requires n >= 3.
+    negative value indicates a numerical failure upstream.  It cancels
+    where Var(K) is small against E[K]**2, so ``truncation_error`` adds the
+    error of its square root (see :func:`_poisson`).  Requires n >= 3.
     """
     if spec.n < 3:
         raise DomainError(f"Poisson bound needs n >= 3, got n = {spec.n}")
@@ -212,7 +214,14 @@ def poisson_bound(spec: KnSpec, tol: float = DEFAULT_TOL) -> BoundReport:
 
 
 def _poisson(n: int, e1: float, e2: float, e3: float, tol: float) -> BoundReport:
-    """The thm2 report from E[K], E[(K)_2] and E[(K)_3] of a sample of n >= 3."""
+    """The thm2 report from E[K], E[(K)_2] and E[(K)_3] of a sample of n >= 3.
+
+    The radicand v = E[(K)_2] - E[K] (E[K] - 1) errs by at most delta =
+    tol (E[(K)_2] + |2 E[K] - 1| E[K]), from the moments' relative
+    tolerance, plus gamma_3 (E[(K)_2] + E[K] |E[K] - 1|), from its own
+    rounding; its square root then errs by at most min(sqrt delta, delta /
+    sqrt v), which ``truncation_error`` adds, over 2 E[K].
+    """
     if not (e2 > 0.0):
         raise DegenerateParameterError("second factorial moment vanishes; no Poisson rate")
     lam = e2 / e1
@@ -223,6 +232,8 @@ def _poisson(n: int, e1: float, e2: float, e3: float, tol: float) -> BoundReport
                 f"variance identity produced {variance!r} < 0 beyond tolerance"
             )
         variance = 0.0
+    delta = tol * (e2 + abs(2.0 * e1 - 1.0) * e1) + _gamma(3) * (e2 + e1 * abs(e1 - 1.0))
+    root_error = min(math.sqrt(delta), delta / math.sqrt(variance) if variance else math.inf)
     bound = (math.sqrt(variance) / (2.0 * e1)
              + math.sqrt(e1 / (4.0 * e2))
              + (n - 1) * e3 / ((n - 2) * e2)
@@ -231,7 +242,7 @@ def _poisson(n: int, e1: float, e2: float, e3: float, tol: float) -> BoundReport
         bound=bound,
         params={"lambda": lam},
         moments={"EK": e1, "EK2_factorial": e2, "EK3_factorial": e3},
-        truncation_error=8.0 * tol * max(1.0, bound),
+        truncation_error=8.0 * tol * max(1.0, bound) + root_error / (2.0 * e1),
         method="thm2",
     )
 

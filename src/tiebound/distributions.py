@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ._numpy import np
+from ._numpy import _many, np
 from .binomial import _U
 from .errors import DomainError, real_in
 
@@ -54,9 +54,11 @@ class DiscreteLaw:
         support_max: largest support point for finitely supported laws, else None.
             When set, all mass beyond it is exactly zero.
         quantile: u -> smallest j with F(j) >= u, for u in [0, 1); accepts floats
-            or numpy arrays.  The built-in laws raise :class:`DomainError` for a
-            level outside [0, 1), NaN included.  None means callers must fall
-            back to generic inversion.
+            or numpy arrays.  The built-in laws write it once, for a float,
+            and map that over an array's entries into int64 (``_many``); they
+            raise :class:`DomainError` for a level outside [0, 1), NaN
+            included.  None means callers must fall back to generic
+            inversion.
         descriptor: JSON-style dict this law can be rebuilt from, if any.
         lattice_rate: lambda > 0 when the law is geometric, p(j) = (1 - e**-lambda)
             e**(-lambda (j-1)), else None.  Only :func:`geometric_law` sets it;
@@ -86,6 +88,12 @@ class DiscreteLaw:
 @dataclass(frozen=True)
 class ContinuousLaw:
     """An absolutely continuous law on an interval of the reals, on the log scale.
+
+    The built-in laws write ``logcdf`` and ``logquantile`` once, as a
+    ``math`` formula for a Python float, and answer an array by mapping that
+    formula over its entries (``_many``), so an array's entries equal the
+    floats' answers exactly; the quadrature's nodes, at most 1050 per pass,
+    are the only arrays the package gives them.
 
     Attributes:
         logcdf: x -> log F(x) on all of R, -inf below the support and 0
@@ -132,24 +140,6 @@ def _closed_form(name: str, *args) -> Callable:
     return field
 
 
-def _many(x, one: Optional[Callable], many: Callable):
-    """A law function's answer to any ``x`` but the Python number its own
-    branch answers: a list of ``one(i)`` for a ``range`` (where ``one`` is
-    given), else ``many(np.asarray(x))``, made a Python number where that is
-    0-d, as for a numpy number."""
-    if one is not None and isinstance(x, range):
-        return [one(i) for i in x]
-    out = many(np.asarray(x))
-    return out if out.ndim else out.item()
-
-
-def _levels(u):
-    """The array ``u`` of quantile levels, once each lies in [0, 1)."""
-    if not np.all((u >= 0.0) & (u < 1.0)):
-        raise DomainError("quantile levels must lie in [0, 1)")
-    return u
-
-
 def geometric_law(p: float) -> DiscreteLaw:
     """Geometric law with pmf p*(1-p)**(j-1) on {1, 2, ...}.
 
@@ -160,14 +150,15 @@ def geometric_law(p: float) -> DiscreteLaw:
     log1p errs by at most 4u and each product by u, so raising the value by
     6u keeps it at or above the true log tail.  Building the law imports
     nothing.  ``pmf`` and ``logcdf`` answer a ``range`` with a list, and a
-    Python ``int`` with a float, formed by ``math``, as ``quantile`` answers
-    a Python ``float`` (``takes_range``), so the first blocks of a tie-count
-    series and a ``ties`` run need no numpy; numpy loads when they are
-    first called with a numpy number or an array.  The two routes apply the
-    same formulas, but numpy's ``exp`` and ``log1p`` may differ from
-    ``math``'s in the last bit, which ``logcdf`` magnifies by t / (1 - t),
-    t = (1-p)**j, where F(j) is small.  Both raise :class:`DomainError` for
-    a ``quantile`` level outside [0, 1).
+    Python ``int`` with a float, formed by ``math`` (``takes_range``), so the
+    first blocks of a tie-count series need no numpy; numpy loads when they
+    are first called with a numpy number or an array, whose blocks keep a
+    numpy formula for speed.  The two formulas are the same, but numpy's
+    ``exp`` and ``log1p`` may differ from ``math``'s in the last bit, which
+    ``logcdf`` magnifies by t / (1 - t), t = (1-p)**j, where F(j) is small.
+    ``quantile`` has one formula, for a Python ``float``, so a ``ties`` run
+    needs no numpy either; an array maps it.  It raises
+    :class:`DomainError` for a level outside [0, 1).
     """
     real_in(p, 0.0, 1.0, "geometric parameter")
     log_q = math.log1p(-p)
@@ -185,20 +176,15 @@ def geometric_law(p: float) -> DiscreteLaw:
             j >= 1, np.log1p(-np.exp(np.maximum(j, 1) * log_q)), -np.inf))
 
     def quantile(u):
-        if type(u) is float:  # the same steps as for an array
-            if not 0.0 <= u < 1.0:
-                raise DomainError(f"quantile level must lie in [0, 1), got {u!r}")
-            j = max(math.ceil(math.log1p(-u) / log_q), 1)
-            if j > 1 and -math.expm1((j - 1) * log_q) >= u:
-                j -= 1
-            return j + 1 if -math.expm1(j * log_q) < u else j
-        return _many(u, None, many_quantile)
-
-    def many_quantile(u):
-        j = np.maximum(np.ceil(np.log1p(-_levels(u)) / log_q), 1.0).astype(np.int64)
+        if type(u) is not float:
+            return _many(u, quantile, dtype="int64")
+        if not 0.0 <= u < 1.0:
+            raise DomainError(f"quantile level must lie in [0, 1), got {u!r}")
+        j = max(math.ceil(math.log1p(-u) / log_q), 1)
         # float-edge fixups so that j is the smallest index with F(j) >= u
-        j = np.where((j > 1) & (-np.expm1((j - 1) * log_q) >= u), j - 1, j)
-        return np.where(-np.expm1(j * log_q) < u, j + 1, j)
+        if j > 1 and -math.expm1((j - 1) * log_q) >= u:
+            j -= 1
+        return j + 1 if -math.expm1(j * log_q) < u else j
 
     return DiscreteLaw(
         pmf=pmf,
@@ -225,9 +211,10 @@ def tabulated_law(weights) -> DiscreteLaw:
     tail beyond m is exactly 0, and ``log_tail`` bounds it by 1 below m.
     ``pmf`` and ``logcdf`` answer an ``int`` and a ``range`` from the lists,
     and ``quantile`` a ``float`` by ``bisect`` (``takes_range``), so building
-    the law, its short series and ``ties`` runs need no numpy; an array reads
-    the same lists, so both routes give the same values.  Both ``quantile``
-    routes raise :class:`DomainError` for a level outside [0, 1).
+    the law, its short series and ``ties`` runs need no numpy.  An array
+    given to ``pmf`` or ``logcdf`` reads the same lists, so both routes give
+    the same values; one given to ``quantile`` maps its float formula, which
+    raises :class:`DomainError` for a level outside [0, 1).
     """
     import numbers  # here, as no other law needs it: about 0.5 ms of a command's start
 
@@ -258,12 +245,11 @@ def tabulated_law(weights) -> DiscreteLaw:
         return _many(j, logcdf, lambda j: np.asarray(log_f)[np.clip(j, 0, m)])
 
     def quantile(u):
-        if type(u) is float:
-            if not 0.0 <= u < 1.0:
-                raise DomainError(f"quantile level must lie in [0, 1), got {u!r}")
-            return min(bisect.bisect_left(cum, u) + 1, m)
-        return _many(u, None, lambda u: np.minimum(
-            np.searchsorted(cum, _levels(u), side="left") + 1, m).astype(np.int64))
+        if type(u) is not float:
+            return _many(u, quantile, dtype="int64")
+        if not 0.0 <= u < 1.0:
+            raise DomainError(f"quantile level must lie in [0, 1), got {u!r}")
+        return min(bisect.bisect_left(cum, u) + 1, m)
 
     return DiscreteLaw(
         pmf=pmf,
@@ -285,23 +271,21 @@ def gumbel_law() -> ContinuousLaw:
     Euler-Mascheroni constant 0.5772...  Its gap-ratio moments have a closed
     form with a certified error (``moments._gumbel_moments``), and so has
     the near-order law at the maximum (``moments._gumbel_near_order_law``).
-    ``logcdf`` and ``logquantile`` answer a Python ``float`` with a float
-    formed by ``math`` through the same formulas, so that near-order draws
-    (``montecarlo``) need no numpy; numpy's ``exp`` and ``log`` may differ
-    from ``math``'s in the last bit.
+    ``logcdf`` and ``logquantile`` are ``math`` formulas for a Python
+    ``float``, so that near-order draws (``montecarlo``) need no numpy; an
+    array maps them.  ``logcdf`` is -inf where exp(-x) overflows, and NaN at
+    NaN.
     """
 
     def logcdf(x):
-        if type(x) is float:
-            return -math.exp(-x) if x >= -709.782712893384 else -math.inf  # exp(-x) = inf
-        with np.errstate(over="ignore"):  # exp(-x) = inf below x = -709.8: log F = -inf
-            return _many(x, None, lambda x: -np.exp(-x))
+        if type(x) is not float:
+            return _many(x, logcdf)
+        return -math.inf if x < -709.782712893384 else -math.exp(-x)  # exp(-x) = inf; NaN: NaN
 
     def logquantile(log_u):
-        if type(log_u) is float:
-            return -math.log(-log_u) if log_u else math.inf
-        with np.errstate(divide="ignore"):  # u = 1 maps to +inf
-            return _many(log_u, None, lambda log_u: -np.log(-log_u))
+        if type(log_u) is not float:
+            return _many(log_u, logquantile)
+        return -math.log(-log_u) if log_u else math.inf  # u = 1 maps to +inf
 
     return ContinuousLaw(
         logcdf=logcdf,
@@ -320,21 +304,19 @@ def uniform_law(b: float) -> ContinuousLaw:
     estimated errors (``moments._uniform_moments``), and its near-order
     count is a binomial law cut at n - ell, with a certified error
     (``moments._uniform_near_order_law``).  ``logcdf`` and ``logquantile``
-    answer a Python ``float`` through ``math``, as :func:`gumbel_law`'s do.
+    are ``math`` formulas for a Python ``float``, mapped over an array, as
+    :func:`gumbel_law`'s are.
     """
     real_in(b, 0.0, math.inf, "uniform width")
 
     def logcdf(x):
-        if type(x) is float:
-            u = min(max(x / b, 0.0), 1.0)
-            return math.log(u) if u else -math.inf
-        with np.errstate(divide="ignore"):  # log 0 = -inf at and below 0
-            return _many(x, None, lambda x: np.log(np.clip(x / b, 0.0, 1.0)))
+        if type(x) is not float:
+            return _many(x, logcdf)
+        u = min(max(x / b, 0.0), 1.0)
+        return math.log(u) if u else -math.inf  # log 0 = -inf at and below 0
 
     def logquantile(log_u):
-        if type(log_u) is float:
-            return b * math.exp(log_u)
-        return _many(log_u, None, lambda log_u: b * np.exp(log_u))
+        return b * math.exp(log_u) if type(log_u) is float else _many(log_u, logquantile)
 
     return ContinuousLaw(
         logcdf=logcdf,

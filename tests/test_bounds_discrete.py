@@ -254,6 +254,15 @@ class TestPoissonBound:
                 e2 = tie_count_factorial_moment(spec, 2, TOL)
                 assert e2 - e1 * (e1 - 1.0) >= -1e-9
 
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6])
+    def test_the_error_covers_the_root_of_a_cancelling_variance(self, tol):
+        """A point mass ties all n = 5 observations: Var(K) = 0 and the bound is
+        exactly 1/4 + 4 - 3, but E[(K)_2] - E[K](E[K] - 1) rounds away from 0, and
+        its square root moves the bound by 6e-9, which the error covers."""
+        report = poisson_bound(KnSpec(law=tabulated_law([1.0]), n=5), tol)
+        assert report.bound != 1.25
+        assert abs(report.bound - 1.25) <= report.truncation_error <= math.sqrt(tol)
+
     def test_dominates_exact_tv(self):
         spec = KnSpec(law=geometric_law(0.3), n=10)
         report = poisson_bound(spec, TOL)

@@ -848,7 +848,8 @@ def test_commands_without_arrays_never_import_numpy(argv, exit_code):
 
 def test_a_short_series_point_skips_numpy_and_keeps_its_result():
     # p = 0.3, n = 10 lies past the closed form's border, so the series runs, in a short
-    # pass; its stdout is the one the numpy blocks gave, bit for bit
+    # pass; its stdout is the one the numpy blocks gave, bit for bit, but for the
+    # truncation error, which also counts the error of thm2's square root of Var(K)
     argv = ["bound", "thm2", "--p", "0.3", "--n", "10"]
     code, numpy_loaded, out = json.loads(_run_python(_MAIN_AND_NUMPY.format(argv=argv)))
     assert (code, numpy_loaded) == (0, False)
@@ -857,7 +858,7 @@ def test_a_short_series_point_skips_numpy_and_keeps_its_result():
         '"law": {"kind": "geometric", "p": 0.3}, "method": "thm2", "moments": '
         '{"EK": 1.2015759467343854, "EK2_factorial": 0.5149635143481841, '
         '"EK3_factorial": 0.44130169088686005}, "n": 10, "params": {"lambda": '
-        '0.42857342122047276}, "truncation_error": 1.251364914370334e-11}\n')
+        '0.42857342122047276}, "truncation_error": 1.4267505355973377e-11}\n')
 
 
 def test_a_series_past_the_short_budget_imports_numpy():

@@ -57,3 +57,24 @@ def test_a_traceback_under_the_new_tree_fails_the_run(cli_diff, capsys, tmp_path
     out = capsys.readouterr().out
     assert f"same  (exit 1/1)  table1  Traceback under {broken}  Traceback under {broken}\n" in out
     assert out.endswith(f"0 of 2 commands differ, 1 print a Traceback under {broken}\n")
+
+
+def test_a_changed_number_reports_its_largest_relative_change(cli_diff, capsys, tmp_path):
+    changed = _copy(tmp_path, "n", 'doc["n"] = n\n', 'doc["n"] = n * 1.25\n')
+    assert cli_diff.main([str(PACKAGE.parent), changed]) == 1
+    out = capsys.readouterr().out
+    assert "DIFFERS  (exit 0/0)  bound thm2 --p 0.2 --n 20\n" in out
+    assert "  largest relative change 0.25 over 9 numbers\n" in out
+
+
+def test_the_largest_change_pairs_numbers_in_order(cli_diff):
+    base = '{"bound": 2.0, "method": "thm1a", "n": 20, "e": [1e-300, Infinity, NaN, 0.0]}'
+    assert cli_diff.largest_change(base, base) == "largest relative change 0 over 6 numbers"
+    assert cli_diff.largest_change(base, base.replace("2.0", "2.5")) == (
+        "largest relative change 0.25 over 6 numbers")
+    assert cli_diff.largest_change(base, base.replace("0.0]", "1e-300]")) == (
+        "largest relative change inf over 6 numbers")
+    assert cli_diff.largest_change(base, base.replace("NaN", "1.0")) == (
+        "largest relative change inf over 6 numbers")
+    assert cli_diff.largest_change(base, base.replace(", 0.0", "")) == (
+        "the outputs hold 6 and 5 numbers")

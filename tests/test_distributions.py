@@ -7,6 +7,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from tiebound.binomial import _log_binom_term
+from tiebound.bounds_continuous import gap_ratio
 from tiebound.distributions import (
     geometric_law,
     gumbel_law,
@@ -216,21 +218,61 @@ def test_logcdf_matches_high_precision(law_fn, exact):
 EXP_OVERFLOW = 709.782712893384  # the largest x whose exp(x) is finite
 
 
+def assert_maps_floats(fn, grid, ints, dtype="float64"):
+    """``fn`` answers an array by its answers to the floats, exactly: an array of
+    ``grid`` and a 2-d one, an int array of ``ints``, a 0-d array, a numpy number
+    and an empty array.  Arrays keep their shape with dtype ``dtype``; a 0-d array
+    and a numpy number get a Python number, as a float does.  (``repr`` tells -0.0
+    from 0.0 and matches NaN.)"""
+    kind = float if dtype == "float64" else int
+
+    def check(x):
+        got, want = fn(x), [fn(float(v)) for v in np.ravel(x).tolist()]
+        if np.ndim(x) == 0:
+            assert type(got) is kind and repr(got) == repr(want[0]), (x, got, want)
+            return
+        assert got.dtype == dtype and got.shape == np.shape(x), (x, got)
+        assert list(map(repr, got.ravel().tolist())) == list(map(repr, want)), (x, got, want)
+
+    assert all(type(fn(x)) is kind for x in grid)
+    for x in (np.array(grid), np.array([grid, grid[::-1]]), np.array(ints), np.array([]),
+              np.empty((0, 3)), *map(np.array, grid), *map(np.float64, grid)):
+        check(x)
+
+
 @pytest.mark.parametrize("law", [gumbel_law(), uniform_law(2.0)], ids=["gumbel", "uniform"])
-@pytest.mark.parametrize("name,grid", [
+@pytest.mark.parametrize("name,grid,ints", [
     ("logcdf", [-math.inf, -800.0, math.nextafter(-EXP_OVERFLOW, -math.inf), -EXP_OVERFLOW,
-                -3.0, -0.0, 0.0, 1e-300, 0.5, 1.0, 2.0, 3.0, 40.0, 800.0, math.inf]),
-    ("logquantile", [-math.inf, -800.0, -40.0, -1.0, -0.5, -1e-10, -1e-300, -0.0, 0.0]),
+                -3.0, -0.0, 0.0, 1e-300, 0.5, 1.0, 2.0, 3.0, 40.0, 800.0, math.inf, math.nan],
+     [-800, -3, 0, 1, 2, 3, 800]),
+    ("logquantile", [-math.inf, -800.0, -40.0, -1.0, -0.5, -1e-10, -1e-300, -0.0, 0.0, math.nan],
+     [-800, -1, 0]),
 ])
-def test_a_float_gets_the_array_value(law, name, grid):
-    """A Python float takes the ``math`` path, and gets the array path's value within
-    2 ulp, also where exp overflows, at log u = +-0, outside the uniform support and
-    at +-inf."""
-    fn = getattr(law, name)
-    for x, want in zip(grid, fn(np.array(grid)).tolist()):
-        got = fn(x)
-        assert type(got) is float
-        assert got == want or abs(got - want) <= 2.0 * math.ulp(want), (x, got, want)
+def test_a_float_gets_the_array_value(law, name, grid, ints):
+    """A float takes the ``math`` formula, and an array maps it: the two agree
+    exactly, also where exp overflows, at log u = +-0, outside the uniform
+    support, at +-inf and at NaN, which stays NaN."""
+    assert_maps_floats(getattr(law, name), grid, ints)
+    if name == "logcdf":
+        assert math.isnan(law.logcdf(math.nan))
+
+
+@pytest.mark.parametrize("fn,grid,ints", [
+    (lambda x: gap_ratio(gumbel_law(), 0.3, x), [-math.inf, -800.0, -1.0, -0.0, 0.5, 40.0,
+                                                  math.inf, math.nan], [-800, 0, 1]),
+    (lambda x: gap_ratio(uniform_law(1.0), 0.3, x), [-1.0, 0.0, 0.2, 0.3, 0.5, 1.0, 1.2, 1.5,
+                                                      math.nan], [-1, 0, 1, 2]),
+    (lambda q: _log_binom_term(10**9, 3, q), [0.0, 1e-300, 1e-9, 3e-9, 0.5, 1.0], [0, 1]),
+    (lambda q: _log_binom_term(100, 0, q), [0.0, 1e-300, 0.3, 1.0], [0, 1]),
+    (lambda q: _log_binom_term(100, 100, q), [0.0, 1e-300, 0.3, 1.0], [0, 1]),
+    (lambda q: _log_binom_term(100, 30, q), [0.0, 0.01, 0.29, 0.3, 0.31, 0.9, 1.0], [0, 1]),
+], ids=["gap-ratio-gumbel", "gap-ratio-uniform", "binom-term-1e9", "binom-term-k-0",
+        "binom-term-k-m", "binom-term-100"])
+def test_the_gap_ratio_and_the_binomial_term_map_their_float_formula(fn, grid, ints):
+    """The gap ratio r_a and Loader's binomial term answer an array by their float
+    formula, exactly, as the continuous laws do; the quadrature's nodes take this
+    route."""
+    assert_maps_floats(fn, grid, ints)
 
 
 @pytest.mark.parametrize("law,ulps", [
@@ -240,11 +282,12 @@ def test_a_float_gets_the_array_value(law, name, grid):
 def test_an_int_a_range_and_a_float_level_get_the_array_value(law, ulps):
     """The discrete laws' counterpart of :func:`test_a_float_gets_the_array_value`:
     a Python ``int`` and a ``range`` take ``pmf`` and ``logcdf`` through ``math``,
-    and a Python ``float`` takes ``quantile`` there, and each gets the array
-    path's value, within 2 ulp for the geometric law and exactly for the
-    tabulated law, whose two paths read the same tables.  (At a small
-    geometric p, log1p(-t) magnifies the last-bit difference of t = (1-p)**j
-    where t is near 1: 12 ulp at p = 1e-3.)"""
+    and each gets the numpy formula's value, within 2 ulp for the geometric law
+    and exactly for the tabulated law, whose two formulas read the same tables.
+    (At a small geometric p, log1p(-t) magnifies the last-bit difference of
+    t = (1-p)**j where t is near 1: 12 ulp at p = 1e-3.)  A float takes
+    ``quantile`` through ``math`` and an array maps it, exactly, into int64;
+    a NaN level is refused by both."""
     def close(got, want):
         return got == want or abs(got - want) <= ulps * math.ulp(want)
 
@@ -257,9 +300,10 @@ def test_an_int_a_range_and_a_float_level_get_the_array_value(law, ulps):
         got = fn(range(-2, 40))
         assert all(map(close, got, fn(np.arange(-2, 40)).tolist())), (name, got)
     levels = [0.0, 1e-300, 0.1, 0.25, 0.5, 0.75, 0.9999, 1.0 - 2.0**-53]
-    for u, want in zip(levels, law.quantile(np.array(levels)).tolist()):
-        got = law.quantile(u)
-        assert type(got) is int and got == want, (u, got, want)
+    assert_maps_floats(law.quantile, levels, [0], dtype="int64")
+    for bad in (math.nan, np.array([0.5, math.nan]), np.array(math.nan)):
+        with pytest.raises(DomainError):
+            law.quantile(bad)
 
 
 def test_discrete_tail_covers_unit_mass():

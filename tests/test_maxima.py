@@ -487,6 +487,22 @@ def test_a_bounds_tie_values_are_within_their_remainders_of_40_digit_values(law,
             assert abs(value.value - exact) <= value.remainder, (order, moment)
 
 
+@pytest.mark.parametrize("weights", [[1e-200, 1.0], [1e-20, 0.5, 0.5], [1e-30, 0.3, 0.7 - 1e-30]])
+def test_a_short_pass_over_a_tiny_f_keeps_its_moments_remainders_finite(weights):
+    """A law whose F(1) is tiny takes a short pass, whose block error bound
+    exp(max d) sum w d would be inf there; the block takes each term's F <= 1
+    bound instead, so E[K], E[(K)_2] and E[(K)_3] get finite remainders, and
+    they lie within them of their 40-digit values."""
+    law, terms = tabulated_law(weights), _four_terms(5)
+    assert _short(law, terms)
+    values = _tie_values(KnSpec(law, 5), (1, 2), (1, 2, 3), 1e-12)
+    for order, value in zip((1, 2, 3), values[2:]):
+        assert value.remainder < 1e-11, (order, value)
+        exact = _exact_tie_value(law, 5, order, True)
+        with mp.workdps(40):
+            assert abs(value.value - exact) <= value.remainder, (order, value)
+
+
 def _thm1a_exact(law, n):
     """thm1a's bound at 40 digits, from P(K=1), P(K=2) and E[K] at 40 digits."""
     pk1, pk2, e1 = (_exact_tie_value(law, n, order, moment)

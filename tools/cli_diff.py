@@ -7,9 +7,11 @@ Usage::
 Each SRC is a directory that holds the ``tiebound`` package, such as the
 ``src`` of two checkouts.  Every command in ``COMMANDS`` runs in a fresh
 interpreter under each tree, with ``TIEBOUND_SEED`` unset so the default
-seed applies.  Prints one line per command and exits 1 if any stdout or exit
-code differs, or if a command prints a ``Traceback`` under SRC_B, else 0.  A
-``Traceback`` under SRC_A, the base, is reported but does not fail the run:
+seed applies.  Prints one line per command, and under a command whose stdout
+differs the unified diff and the largest relative change over the numbers of
+the two outputs.  Exits 1 if any stdout or exit code differs, or if a
+command prints a ``Traceback`` under SRC_B, else 0.  A ``Traceback`` under
+SRC_A, the base, is reported but does not fail the run:
 an uncaught exception also exits 1 with empty stdout, so only stderr tells
 a crash from a clean error.
 """
@@ -17,7 +19,9 @@ a crash from a clean error.
 from __future__ import annotations
 
 import difflib
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -50,6 +54,8 @@ COMMANDS = [
     ["bound", "thm2", "--p", "1e-5", "--n", "1000000"],
     ["bound", "thm2", "--p", "0.2", "--n", "20"],
     ["bound", "thm1a", "--law", "tabulated", "--weights", "0.2,0.3,0.5", "--n", "7"],
+    # a point mass: Var(K) = 0, whose radicand rounds away from 0 in thm2
+    ["bound", "thm2", "--law", "tabulated", "--weights", "1.0", "--n", "5"],
     # the discrete bounds at the smallest n each takes and at a `verify` grid point, which
     # `verify` prints to 9 decimals only
     ["bound", "thm1a", "--p", "0.5", "--n", "2"],
@@ -136,6 +142,30 @@ COMMANDS = [
 ]
 
 
+# a number standing alone: not a digit of a name such as "thm1a" or "EK2_factorial"
+_NUMBER = re.compile(r"(?<![\w.])-?(?:\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|Infinity|inf|NaN|nan)"
+                     r"(?![\w.])")
+
+
+def _change(x: float, y: float) -> float:
+    """|y - x| / |x|: 0 where both are the same value or NaN, inf where x is 0
+    and y is not, or where one is NaN or infinite and the other is not."""
+    if x == y or x != x and y != y:
+        return 0.0
+    change = abs(y - x) / abs(x) if x else math.inf
+    return change if change == change else math.inf
+
+
+def largest_change(out_a: str, out_b: str) -> str:
+    """The largest relative change over the numbers of two outputs, paired in
+    order, or a note that their counts differ."""
+    a, b = ([float(x) for x in _NUMBER.findall(out)] for out in (out_a, out_b))
+    if len(a) != len(b):
+        return f"the outputs hold {len(a)} and {len(b)} numbers"
+    worst = max(map(_change, a, b), default=0.0)
+    return f"largest relative change {worst:.3g} over {len(a)} numbers"
+
+
 def run(src: str, argv: list) -> tuple:
     """(exit code, stdout, stderr) of ``python -m tiebound.cli argv`` with ``src`` on the path."""
     env = {k: v for k, v in os.environ.items() if k != "TIEBOUND_SEED"}
@@ -163,6 +193,7 @@ def main(argv=None) -> int:
         if not same:
             sys.stdout.writelines(difflib.unified_diff(
                 out_a.splitlines(True), out_b.splitlines(True), args[0], args[1], n=1))
+            print(f"  {largest_change(out_a, out_b)}")
     print(f"{differ} of {len(COMMANDS)} commands differ, "
           f"{crashed} print a Traceback under {args[1]}")
     return 1 if differ or crashed else 0
